@@ -7,13 +7,12 @@ minimizes total latency cost with the same machinery. Marginal-cost tolls
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .dynamics import RunConfig, TrajectoryRecord, resolve_eta
+from .dynamics import CONSECUTIVE_HITS, RunConfig, TrajectoryRecord
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
 from .games import NonAtomicGame, project_simplex
@@ -51,13 +50,26 @@ class LatencyFunction:
         c = np.polynomial.polynomial.polyint(self.coeffs)
         return np.polynomial.polynomial.polyval(w, c)
 
-    def strictly_increasing_on(self, hi: float, grid: int = 33) -> bool:
-        ws = np.linspace(0.0, hi, grid)
-        return bool(np.all(self.deriv(ws) > 0))
+
+def _padded(coeff_rows) -> np.ndarray:
+    """Ascending coefficient rows, zero-padded on the high-degree side to one width."""
+    out = np.zeros((len(coeff_rows), max(len(c) for c in coeff_rows)))
+    for row, c in zip(out, coeff_rows):
+        row[:len(c)] = c
+    return out
 
 
-def affine_latency(c0: float, c1: float) -> LatencyFunction:
-    return LatencyFunction((c0, c1))
+def _horner(coeffs, w):
+    """Evaluate each row of an ascending coefficient matrix at ``w``.
+
+    Same operations in the same order as ``polyval``, so the result is
+    bitwise equal to the per-edge ``LatencyFunction`` path and zero padding
+    of the leading coefficients is exact.
+    """
+    out = coeffs[..., -1] + w * 0
+    for j in range(coeffs.shape[-1] - 2, -1, -1):
+        out = coeffs[..., j] + out * w
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,14 +109,22 @@ class RoutingNetwork:
             total_demand += od.demand
             for route in od.routes:
                 self._check_route(route, od)
-        for _, _, lat in edges:
-            if not lat.strictly_increasing_on(total_demand):
-                if not self.relax_monotonicity:
-                    raise SpecError("edge latencies must be strictly increasing; "
-                                    "set relax_monotonicity for boundary cases")
-            ws = np.linspace(0.0, total_demand, 33)
-            if np.any(lat.second_deriv(ws) < 0):
-                raise SpecError("edge latencies must be convex")
+        poly = np.polynomial.polynomial
+        coeffs = [lat.coeffs for _, _, lat in edges]
+        object.__setattr__(self, "_value_coeffs", _padded(coeffs))
+        object.__setattr__(self, "_deriv_coeffs", _padded([poly.polyder(c) for c in coeffs]))
+        object.__setattr__(self, "_second_coeffs", _padded([poly.polyder(c, 2) for c in coeffs]))
+        object.__setattr__(self, "_integral_coeffs", _padded([poly.polyint(c) for c in coeffs]))
+        ws = np.linspace(0.0, total_demand, 33)
+        increasing = np.all(_horner(self._deriv_coeffs[:, None, :], ws) > 0, axis=1)
+        decreasing = ~(increasing | self.relax_monotonicity)
+        concave = np.any(_horner(self._second_coeffs[:, None, :], ws) < 0, axis=1)
+        bad = decreasing | concave
+        if bad.any():  # report the first offending edge, monotonicity before convexity
+            if decreasing[np.argmax(bad)]:
+                raise SpecError("edge latencies must be strictly increasing; "
+                                "set relax_monotonicity for boundary cases")
+            raise SpecError("edge latencies must be convex")
         inc = np.zeros((len(edges), sum(len(od.routes) for od in ods)))
         col = 0
         for od in ods:
@@ -149,16 +169,13 @@ class RoutingNetwork:
         return np.array([od.demand for od in self.od_pairs])
 
     def latency(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return np.array([lat.value(wa) for (_, _, lat), wa in zip(self.edges, w)])
+        return _horner(self._value_coeffs, np.asarray(w, dtype=float))
 
     def latency_deriv(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return np.array([lat.deriv(wa) for (_, _, lat), wa in zip(self.edges, w)])
+        return _horner(self._deriv_coeffs, np.asarray(w, dtype=float))
 
     def latency_second_deriv(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return np.array([lat.second_deriv(wa) for (_, _, lat), wa in zip(self.edges, w)])
+        return _horner(self._second_coeffs, np.asarray(w, dtype=float))
 
     def check_route_flow(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -182,10 +199,6 @@ def route_to_edge_flow(net: RoutingNetwork, x) -> np.ndarray:
     return net.incidence @ net.check_route_flow(x)
 
 
-def route_tolls(net: RoutingNetwork, edge_tolls) -> np.ndarray:
-    return net.incidence.T @ np.asarray(edge_tolls, dtype=float)
-
-
 def route_costs(net: RoutingNetwork, w, edge_tolls=None) -> np.ndarray:
     c_edge = net.latency(w)
     if edge_tolls is not None:
@@ -195,7 +208,8 @@ def route_costs(net: RoutingNetwork, w, edge_tolls=None) -> np.ndarray:
 
 def beckmann_potential(net: RoutingNetwork, w, edge_tolls) -> float:
     w = np.asarray(w, dtype=float)
-    integrals = sum(lat.integral(wa) for (_, _, lat), wa in zip(net.edges, w))
+    # cumsum adds left to right; sum() would reorder pairwise and change bits
+    integrals = np.cumsum(_horner(net._integral_coeffs, w))[-1]
     return float(integrals + np.asarray(edge_tolls, float) @ w)
 
 
@@ -229,11 +243,13 @@ def _solve_flow_program(net, edge_cost, objective, tol, x0, max_iter):
     """Minimize a convex separable edge objective over the route-flow polytope.
 
     ``edge_cost(w)`` must be the gradient of ``objective`` in edge flows.
-    Each iteration combines the classic all-or-nothing direction with a
-    per-OD vertex-exchange direction (mass shifted from the costliest active
-    route to the cheapest route), whichever descends faster; the exchange
-    steps restore fast convergence where plain Frank-Wolfe zigzags. Stops at
-    relative duality gap <= tol.
+    Each iteration builds the classic all-or-nothing direction and a per-OD
+    vertex-exchange direction (mass shifted from the costliest active route
+    to the cheapest route). It takes the exchange direction whenever that
+    direction descends at all, and the all-or-nothing direction otherwise or
+    when the exchange line search makes no progress; it does not compare
+    their rates of descent. This rule can stall on larger networks (see
+    ROADMAP item 2). Stops at relative duality gap <= tol.
     """
     inc = net.incidence
     x = net.uniform_route_flow() if x0 is None else net.check_route_flow(np.asarray(x0, float)).copy()
@@ -426,7 +442,7 @@ def run_toll_adaptation(net: RoutingNetwork, x0, p0, config: RunConfig,
             residual = float(np.max(np.abs(net.incidence @ f - w)) + np.max(np.abs(e - p)))
             record.append(k, x, p, residual, total_latency_cost(net, w))
             hits = hits + 1 if residual <= config.convergence_tol else 0
-            if hits >= 10:
+            if hits >= CONSECUTIVE_HITS:
                 record.converged = True
                 record.iterations = k
                 return record
@@ -451,21 +467,17 @@ def run_toll_adaptation(net: RoutingNetwork, x0, p0, config: RunConfig,
 
 def nonatomic_view(net: RoutingNetwork) -> NonAtomicGame:
     """Route-level view of the routing game (per-route incentives)."""
+    def social_grad(x):
+        w = net.incidence @ np.asarray(x, float)
+        return net.incidence.T @ (net.latency(w) + w * net.latency_deriv(w))
+
     return NonAtomicGame(
         masses=net.demands,
         action_counts=tuple(len(od.routes) for od in net.od_pairs),
         action_cost=lambda x: route_costs(net, net.incidence @ np.asarray(x, float)),
         social=lambda x: total_latency_cost(net, net.incidence @ np.asarray(x, float)),
-        social_grad=lambda x: net.incidence.T @ (
-            net.latency(net.incidence @ np.asarray(x, float))
-            + (net.incidence @ np.asarray(x, float))
-            * net.latency_deriv(net.incidence @ np.asarray(x, float))),
+        social_grad=social_grad,
     )
-
-
-def certify_wardrop(net: RoutingNetwork, x, edge_tolls, tol: float = 1e-6):
-    from .games import certify_nash_nonatomic
-    return certify_nash_nonatomic(nonatomic_view(net), x, route_tolls(net, edge_tolls), tol)
 
 
 def all_simple_paths(nodes, edges, origin, destination) -> list:

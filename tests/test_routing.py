@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import CORPUS, grid34, grid45
 from incentive_dynamics import numdiff, routing
 from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule
 from incentive_dynamics.errors import (ConvergenceError, InvalidArgumentError,
                                        SpecError)
-from incentive_dynamics.routing import (LatencyFunction, OdPair,
+from incentive_dynamics.routing import (FIXTURES, LatencyFunction, OdPair,
                                         RoutingNetwork, all_simple_paths,
-                                        braess_network, delta_matrix,
+                                        beckmann_potential, braess_network,
+                                        delta_matrix,
                                         edge_externality,
                                         flow_monotonicity_check, load_fixture,
                                         network_from_json, nonatomic_view,
@@ -72,6 +74,74 @@ def test_network_route_validation():
     with pytest.raises(SpecError):  # nonpositive demand
         RoutingNetwork(nodes=("a", "b"), edges=(("a", "b", lat),),
                        od_pairs=(OdPair("a", "b", 0.0, ((0,),)),))
+
+
+NETWORKS = {**CORPUS, **{name: make for name, (make, _) in FIXTURES.items()}}
+
+
+def test_corpus_grid_shapes():
+    g34 = grid34()
+    assert (g34.n_edges, g34.n_routes) == (17, 16)
+    for od in g34.od_pairs:
+        assert list(od.routes) == all_simple_paths(g34.nodes, g34.edges,
+                                                   od.origin, od.destination)
+    assert grid45().n_edges == 31
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_vectorised_latencies_match_per_edge_path(name):
+    """The coefficient-matrix evaluation is bitwise equal to per-edge polyval."""
+    net = NETWORKS[name]()
+    lats = [lat for _, _, lat in net.edges]
+    rng = np.random.default_rng(17)
+    flows = [np.zeros(net.n_edges), net.incidence @ net.uniform_route_flow()]
+    flows += [net.incidence @ random_route_flow(net, rng) for _ in range(20)]
+    flows += [rng.uniform(0.0, 10.0, net.n_edges) for _ in range(5)]
+    for w in flows:
+        tolls = rng.uniform(-1.0, 1.0, net.n_edges)
+        assert np.array_equal(net.latency(w), [lat.value(wa) for lat, wa in zip(lats, w)])
+        assert np.array_equal(net.latency_deriv(w), [lat.deriv(wa) for lat, wa in zip(lats, w)])
+        assert np.array_equal(net.latency_second_deriv(w),
+                              [lat.second_deriv(wa) for lat, wa in zip(lats, w)])
+        expect = float(sum(lat.integral(wa) for lat, wa in zip(lats, w)) + tolls @ w)
+        assert beckmann_potential(net, w, tolls) == expect
+
+
+def _forced_latency(coeffs):
+    """A LatencyFunction carrying coefficients its own validation would reject."""
+    lat = LatencyFunction((1.0,))
+    object.__setattr__(lat, "coeffs", tuple(coeffs))
+    return lat
+
+
+DECREASING = (2.0, -1.0)      # l' = -1
+CONCAVE = (0.0, 2.0, -0.5)    # l' = 2 - w > 0 on [0, 1], l'' = -1
+AFFINE = (0.0, 1.0)
+
+
+@pytest.mark.parametrize("polys, strict, relaxed", [
+    ((DECREASING, AFFINE), "increasing", None),
+    ((AFFINE, CONCAVE), "convex", "convex"),
+    ((CONCAVE, DECREASING), "convex", "convex"),
+    ((DECREASING, CONCAVE), "increasing", "convex"),
+    ((AFFINE, AFFINE), None, None),
+])
+@pytest.mark.parametrize("relax", [False, True])
+def test_latency_shape_checks(polys, strict, relaxed, relax):
+    """The first offending edge decides the error; monotonicity is checked before convexity."""
+    def build():
+        return RoutingNetwork(
+            nodes=("S", "D"),
+            edges=tuple(("S", "D", _forced_latency(c)) for c in polys),
+            od_pairs=(OdPair("S", "D", 1.0, ((0,), (1,))),),
+            relax_monotonicity=relax)
+
+    message = relaxed if relax else strict
+    if message is None:
+        assert build().n_edges == 2
+    else:
+        with pytest.raises(SpecError, match=message):
+            build()
 
 
 # ---------------------------------------------------------------------------
