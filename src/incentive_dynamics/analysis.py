@@ -15,9 +15,8 @@ import numpy as np
 
 from . import aggregative as agg
 from . import games, numdiff, routing
-from .dynamics import RunConfig, StepSchedule, TrajectoryRecord
+from .dynamics import RunConfig, StepSchedule, StrategyUpdateRule, TrajectoryRecord
 from .errors import InvalidArgumentError
-from .games import AtomicGame, NonAtomicGame
 from .routing import RoutingNetwork
 
 
@@ -30,6 +29,11 @@ class SlowSystem:
     equilibrium: Callable[[np.ndarray], np.ndarray]  # p -> x*(p)
     equilibrium_social_cost: Callable[[np.ndarray], float]
     p_dagger: Optional[np.ndarray] = None
+
+
+def _strategy_model(obj):
+    """The coupled-loop model of ``obj``: an aggregative spec's atomic game, else ``obj``."""
+    return obj.to_game() if isinstance(obj, agg.QuadraticAggregativeSpec) else obj
 
 
 def slow_system(obj) -> SlowSystem:
@@ -60,31 +64,17 @@ def slow_system(obj) -> SlowSystem:
             equilibrium_social_cost=lambda p: routing.total_latency_cost(net, w_star(p)),
             p_dagger=routing.optimal_edge_tolls(net),
         )
-    if isinstance(obj, AtomicGame):
-        game = obj
+    game = obj  # an atomic or non-atomic game
 
-        def x_star(p):
-            return games.solve_equilibrium_atomic(game, p)
+    def x_star(p):  # no warm start: the equilibrium solver's own default
+        return game.target(None, p, StrategyUpdateRule())
 
-        return SlowSystem(
-            dim=game.n_players,
-            phi=lambda p: games.externality_atomic(game, x_star(p)),
-            equilibrium=x_star,
-            equilibrium_social_cost=lambda p: float(game.social(x_star(p))),
-        )
-    if isinstance(obj, NonAtomicGame):
-        game = obj
-
-        def x_star(p):
-            return games.solve_equilibrium_nonatomic(game, p)
-
-        return SlowSystem(
-            dim=game.dim,
-            phi=lambda p: games.externality_nonatomic(game, x_star(p)),
-            equilibrium=x_star,
-            equilibrium_social_cost=lambda p: float(game.social(x_star(p))),
-        )
-    raise InvalidArgumentError(f"unsupported model type {type(obj).__name__}")
+    return SlowSystem(
+        dim=game.dim,
+        phi=lambda p: game.externality(x_star(p)),
+        equilibrium=x_star,
+        equilibrium_social_cost=lambda p: float(game.social(x_star(p))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +110,7 @@ def verify_fixed_point_optimality(obj, p, tol: float = 1e-6) -> dict:
         report["distance_to_optimum"] = gap
         report["optimum_proximity_ok"] = gap <= 10 * tol
     else:
-        if isinstance(obj, agg.QuadraticAggregativeSpec):
-            game = obj.to_game()
-        else:
-            game = obj
-        ok, resid = games.certify_social_optimum(game, x, tol)
+        ok, resid = games.certify_social_optimum(_strategy_model(obj), x, tol)
         report["optimality_residual"] = resid
         report["optimality_ok"] = ok
         if isinstance(obj, agg.QuadraticAggregativeSpec):
@@ -390,36 +376,20 @@ def counterexample_grid_csv(report: dict, path):
 # ---------------------------------------------------------------------------
 
 def multistart_uniqueness_probe(obj, p, n_starts: int = 8, seed: int = 0) -> dict:
-    """Solve the strategy layer from several starts and report the spread.
+    """Solve the strategy layer from several random starts and report the spread.
 
-    For routing models the comparison is in edge flows (route decompositions
-    are legitimately non-unique).
+    The spread is the model's strategy gap, so routing models compare edge
+    flows (route decompositions are legitimately non-unique); the solutions
+    are strategies, route flows for routing.
     """
+    model = _strategy_model(obj)
     rng = np.random.default_rng(seed)
     p = np.asarray(p, dtype=float)
-    solutions = []
-    if isinstance(obj, RoutingNetwork):
-        for _ in range(n_starts):
-            x0 = np.empty(obj.n_routes)
-            for s, od in zip(obj.route_slices, obj.od_pairs):
-                g = rng.exponential(size=len(od.routes))
-                x0[s] = od.demand * g / g.sum()
-            solutions.append(routing.wardrop_equilibrium(obj, p, x0=x0)[1])
-    elif isinstance(obj, agg.QuadraticAggregativeSpec):
-        solutions = [agg.nash_closed_form(obj, p)]
-    elif isinstance(obj, AtomicGame):
-        for _ in range(n_starts):
-            solutions.append(games.solve_equilibrium_atomic(
-                obj, p, x0=obj.initial_point(rng)))
-    elif isinstance(obj, NonAtomicGame):
-        for _ in range(n_starts):
-            solutions.append(games.solve_equilibrium_nonatomic(
-                obj, p, x0=obj.random_point(rng)))
-    else:
-        raise InvalidArgumentError(f"unsupported model type {type(obj).__name__}")
+    solutions = [model.target(model.random_start(rng), p, StrategyUpdateRule())
+                 for _ in range(n_starts)]
     spread = 0.0
     for i in range(len(solutions)):
         for j in range(i + 1, len(solutions)):
-            spread = max(spread, float(np.max(np.abs(solutions[i] - solutions[j]))))
+            spread = max(spread, float(model.strategy_gap(solutions[i], solutions[j])))
     return {"n_starts": len(solutions), "max_spread": spread,
             "solutions": solutions}

@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands:
-  run --config PATH [--jobs N] [--out DIR]   execute a run + analyses
-  verify --config PATH                        run the analysis suite only
-  list-fixtures                               show builtin routing fixtures
+  run --config PATH [--out DIR]   execute a run + analyses
+  verify --config PATH             run the analysis suite only
+  list-fixtures                    show builtin routing fixtures
 
 One JSON config describes one experiment: the game, the run parameters, the
 incentive update (externality-based by default, or the naive social-cost
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ from . import analysis, routing
 from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
                        TrajectoryRecord, run_coupled)
 from .errors import ConvergenceError, GameError, SpecError
-from .games import AtomicGame
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
@@ -62,6 +60,10 @@ class ConfigError(SpecError):
     pass
 
 
+# what a malformed config or analysis item raises; reported with exit code 1
+INVALID_INPUT = (GameError, KeyError, TypeError, ValueError)
+
+
 def load_config(path) -> dict:
     path = Path(path)
     try:
@@ -78,6 +80,9 @@ def load_config(path) -> dict:
         raise ConfigError("config must be a JSON object")
     if "game" not in data:
         raise ConfigError('config is missing the required "game" key')
+    analyses = data.get("analyses", [])
+    if not isinstance(analyses, list) or not all(isinstance(a, dict) for a in analyses):
+        raise ConfigError('"analyses" must be a list of objects')
     return data
 
 
@@ -103,19 +108,14 @@ def build_run_config(run_spec: dict) -> RunConfig:
     return RunConfig(schedule=sched, rule=rule, **run_spec)
 
 
-def _initial_points(kind, model, run_spec):
+def _coupled_start(kind, model, run_spec):
+    """The model the coupled loop runs on, with its checked start (x0, p0)."""
     run_spec = run_spec or {}
     if kind == "routing":
-        x0 = (np.asarray(run_spec["x0"], float) if "x0" in run_spec
-              else model.uniform_route_flow())
-        p0 = (np.asarray(run_spec["p0"], float) if "p0" in run_spec
-              else np.zeros(model.n_edges))
+        game, x0, p0 = model, model.uniform_route_flow(), np.zeros(model.n_edges)
     else:
-        x0 = (np.asarray(run_spec["x0"], float) if "x0" in run_spec
-              else np.zeros(model.n))
-        p0 = (np.asarray(run_spec["p0"], float) if "p0" in run_spec
-              else np.zeros(model.n))
-    return x0, p0
+        game, x0, p0 = model.to_game(), np.zeros(model.n), np.zeros(model.n)
+    return (game, *game.check_start(run_spec.get("x0", x0), run_spec.get("p0", p0)))
 
 
 def _jsonable(obj):
@@ -202,9 +202,9 @@ def run_experiment(config_path, out_dir=None) -> int:
         kind, model = build_game(data["game"])
         run_spec = data.get("run", {})
         config = build_run_config(run_spec)
-        x0, p0 = _initial_points(kind, model, run_spec)
+        game, x0, p0 = _coupled_start(kind, model, run_spec)
         out = Path(out_dir or data.get("output_dir") or Path(config_path).with_suffix(""))
-    except (GameError, KeyError, TypeError, ValueError) as exc:
+    except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -212,17 +212,14 @@ def run_experiment(config_path, out_dir=None) -> int:
     update = data.get("incentive_update", "externality")
     try:
         if update == "gradient_baseline":
-            grad = None
-            if kind == "routing" and model.n_edges == 2 and len(model.od_pairs) == 1:
-                grad = analysis.two_link_clarke_gradient
+            # the closed-form generalized gradient holds for the two-link fixture only
+            two_link = data["game"].get("builtin") == "two_link"
             record = analysis.run_gradient_baseline(
                 model, p0, schedule=config.schedule,
-                max_iterations=config.max_iterations, gradient=grad)
+                max_iterations=config.max_iterations,
+                gradient=analysis.two_link_clarke_gradient if two_link else None)
         elif update == "externality":
-            if kind == "routing":
-                record = routing.run_toll_adaptation(model, x0, p0, config)
-            else:
-                record = run_coupled(model.to_game(), x0, p0, config)
+            record = run_coupled(game, x0, p0, config)
         else:
             print(f"error: unknown incentive_update {update!r}", file=sys.stderr)
             return 1
@@ -244,7 +241,7 @@ def run_experiment(config_path, out_dir=None) -> int:
                 item = dict(item, grid_csv=str(adir / "counterexample_grid.csv"))
             try:
                 result = run_analysis(kind, model, item)
-            except GameError as exc:
+            except INVALID_INPUT as exc:
                 print(f"error in analysis {item.get('op')!r}: {exc}", file=sys.stderr)
                 return 1
             name = item.get("op", f"analysis{idx}")
@@ -264,23 +261,21 @@ def run_experiment(config_path, out_dir=None) -> int:
     return 0
 
 
-def run_directory(dir_path, jobs: int, out_dir=None) -> int:
+def run_directory(dir_path, out_dir=None) -> int:
+    """Run every config in a directory, one after another; the worst exit code wins."""
     configs = sorted(Path(dir_path).glob("*.json"))
     if not configs:
         print(f"error: no *.json configs in {dir_path}", file=sys.stderr)
         return 1
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        codes = list(pool.map(
-            lambda c: run_experiment(c, Path(out_dir) / c.stem if out_dir else None),
-            configs))
-    return max(codes)
+    return max(run_experiment(c, Path(out_dir) / c.stem if out_dir else None)
+               for c in configs)
 
 
 def verify(config_path) -> int:
     try:
         data = load_config(config_path)
         kind, model = build_game(data["game"])
-    except (GameError, KeyError, TypeError, ValueError) as exc:
+    except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     analyses = data.get("analyses", [])
@@ -292,7 +287,7 @@ def verify(config_path) -> int:
         op = item.get("op", "?")
         try:
             result = run_analysis(kind, model, item)
-        except GameError as exc:
+        except INVALID_INPUT as exc:
             print(f"error in analysis {op!r}: {exc}", file=sys.stderr)
             return 1
         verdict = result.get("passed") if isinstance(result, dict) else None
@@ -323,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("--config", required=True,
-                       help="JSON config file, or a directory of configs with --jobs")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="fan a config directory over N worker threads")
+                       help="JSON config file, or a directory of configs")
     p_run.add_argument("--out", default=None, help="output directory override")
 
     p_verify = sub.add_parser("verify", help="run the analysis suite only")
@@ -342,7 +335,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return verify(args.config)
     if Path(args.config).is_dir():
-        return run_directory(args.config, max(args.jobs, 1), args.out)
+        return run_directory(args.config, args.out)
     return run_experiment(args.config, args.out)
 
 

@@ -4,6 +4,16 @@ The strategy moves fast: ``x_{k+1} = (1-gamma_k) x_k + gamma_k f(x_k, p_k)``
 where ``f`` is one of the pluggable learning rules (inner equilibrium, best
 response, or a regularized gradient step). The incentive moves slowly toward
 the current externality: ``p_{k+1} = (1-beta_k) p_k + beta_k e(x_k)``.
+
+One loop, :func:`run_coupled`, serves every model: atomic and non-atomic
+games and routing networks. A model supplies
+
+- ``check_start(x0, p0)``: the validated start ``(x, p)``;
+- ``target(x, p, rule, eta)``: ``f(x, p)``, with ``eta`` the gradient step;
+- ``externality(x)`` and ``social(x)``;
+- ``strategy_gap(f, x)``: the sup distance of two strategies;
+- ``cost_lipschitz()``: a bound ``L`` behind the default step ``0.9 / L``;
+- ``random_start(rng)``: a random feasible strategy, for multistart probes.
 """
 from __future__ import annotations
 
@@ -15,9 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import games
 from .errors import ConvergenceError, InvalidArgumentError, SpecError
-from .games import AtomicGame, NonAtomicGame
 
 CONSECUTIVE_HITS = 10
 
@@ -164,100 +172,42 @@ class TrajectoryRecord:
 # Rule evaluation
 # ---------------------------------------------------------------------------
 
-def estimate_gradient_lipschitz(game, seed: int = 0, samples: int = 32) -> float:
-    """Crude sampled bound on the Lipschitz constant of the cost-gradient map."""
-    rng = np.random.default_rng(seed)
-    if isinstance(game, AtomicGame):
-        grad = game.loss_grad
-        draw = lambda: game.project(rng.standard_normal(game.n_players) * 2.0)
-    else:
-        grad = game.action_cost
-        draw = lambda: game.random_point(rng)
-    best = 0.0
-    for _ in range(samples):
-        x, y = draw(), draw()
-        d = np.linalg.norm(x - y)
-        if d > 1e-12:
-            best = max(best, float(np.linalg.norm(np.asarray(grad(x)) - np.asarray(grad(y))) / d))
-    return max(best, 1e-12)
-
-
-def resolve_eta(game, rule: StrategyUpdateRule) -> float:
+def resolve_eta(model, rule: StrategyUpdateRule) -> float:
+    """The gradient step: the rule's own, else 0.9 over the model's cost Lipschitz bound."""
     if rule.eta is not None:
         return rule.eta
-    if isinstance(game, AtomicGame) and game.lipschitz_bound:
-        return 0.9 / game.lipschitz_bound
-    return 0.9 / estimate_gradient_lipschitz(game)
+    return 0.9 / model.cost_lipschitz()
 
 
-def strategy_target(game, x, p, rule: StrategyUpdateRule):
+def strategy_target(model, x, p, rule: StrategyUpdateRule):
     """The new-strategy term f(x, p) for the configured learning rule."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if isinstance(game, AtomicGame):
-        if rule.variant == "equilibrium":
-            return games.solve_equilibrium_atomic(game, p, x0=x)
-        if rule.variant == "best_response":
-            return games.best_response_atomic(game, x, p)
-        if rule.regularizer == "entropy":
-            raise InvalidArgumentError("entropy regularizer needs a simplex strategy space")
-        eta = resolve_eta(game, rule)
-        return game.project(x - eta * (game.loss_grad(x) + p))
-    if isinstance(game, NonAtomicGame):
-        if rule.variant == "equilibrium":
-            return games.solve_equilibrium_nonatomic(game, p, x0=x)
-        if rule.variant == "best_response":
-            return games.best_response_nonatomic(game, x, p)
-        eta = resolve_eta(game, rule)
-        if rule.regularizer == "entropy":
-            return games.logit_response(game, x, p, eta)
-        c = np.asarray(game.action_cost(x), float) + p
-        return game.project(x - eta * c)
-    raise InvalidArgumentError(f"unsupported game type {type(game).__name__}")
+    eta = resolve_eta(model, rule) if rule.variant == "gradient" else None
+    return model.target(np.asarray(x, dtype=float), np.asarray(p, dtype=float), rule, eta)
 
 
-def externality(game, x):
-    if isinstance(game, AtomicGame):
-        return games.externality_atomic(game, x)
-    if isinstance(game, NonAtomicGame):
-        return games.externality_nonatomic(game, x)
-    raise InvalidArgumentError(f"unsupported game type {type(game).__name__}")
-
-
-def step_strategy(game, x, p, rule: StrategyUpdateRule, gamma: float):
-    if not (0.0 < gamma < 1.0):
-        raise InvalidArgumentError("gamma must lie in (0, 1)")
-    return (1.0 - gamma) * np.asarray(x, float) + gamma * strategy_target(game, x, p, rule)
-
-
-def step_incentive(game, x, p, beta: float):
-    if not (0.0 < beta < 1.0):
-        raise InvalidArgumentError("beta must lie in (0, 1)")
-    return (1.0 - beta) * np.asarray(p, float) + beta * externality(game, x)
+def externality(model, x):
+    return model.externality(x)
 
 
 def fixed_point_residual(game, x, p, rule: StrategyUpdateRule) -> float:
+    x = np.asarray(x, dtype=float)
     f = strategy_target(game, x, p, rule)
     e = externality(game, x)
-    return float(np.max(np.abs(f - np.asarray(x, float)))
-                 + np.max(np.abs(e - np.asarray(p, float))))
+    return float(game.strategy_gap(f, x) + np.max(np.abs(e - np.asarray(p, float))))
 
 
 def run_coupled(game, x0, p0, config: RunConfig,
                 raise_on_failure: bool = False) -> TrajectoryRecord:
     """Iterate the coupled updates until the fixed-point residual settles.
 
-    Stops once the residual stays below ``convergence_tol`` for ten
-    consecutive recorded iterations, or the iteration budget runs out. On
-    budget exhaustion the (non-converged) trajectory is still returned unless
-    ``raise_on_failure`` is set.
+    The residual is the model's strategy gap (in edge flows for routing, where
+    route decompositions of one edge flow are interchangeable) plus the sup
+    distance of the incentive from the externality. Stops once the residual
+    stays below ``convergence_tol`` for ten consecutive recorded iterations,
+    or the iteration budget runs out. On budget exhaustion the (non-converged)
+    trajectory is still returned unless ``raise_on_failure`` is set.
     """
-    x = np.asarray(x0, dtype=float)
-    p = np.asarray(p0, dtype=float)
-    if isinstance(game, NonAtomicGame):
-        game.check_feasible(x)
-    elif not game.is_feasible(x):
-        raise InvalidArgumentError("x0 is infeasible")
+    x, p = game.check_start(x0, p0)
     rule = config.rule
     if rule.variant == "gradient" and rule.eta is None:
         rule = replace(rule, eta=resolve_eta(game, rule))
@@ -269,7 +219,7 @@ def run_coupled(game, x0, p0, config: RunConfig,
         f = strategy_target(game, x, p, rule)
         e = externality(game, x)
         if k % config.record_every == 0:
-            residual = float(np.max(np.abs(f - x)) + np.max(np.abs(e - p)))
+            residual = float(game.strategy_gap(f, x) + np.max(np.abs(e - p)))
             record.append(k, x, p, residual, game.social(x))
             hits = hits + 1 if residual <= config.convergence_tol else 0
             if hits >= CONSECUTIVE_HITS:

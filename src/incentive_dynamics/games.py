@@ -6,6 +6,9 @@ distributing mass over finite action sets. The system operator charges a
 marginal payment per unit of strategy (atomic) or a per-action payment
 (non-atomic); the externality of a strategy is the gap between its marginal
 effect on the social cost and on the player's own cost.
+
+Both game classes carry the model methods that ``dynamics.run_coupled``
+calls, as ``routing.RoutingNetwork`` does.
 """
 from __future__ import annotations
 
@@ -50,6 +53,74 @@ def project_simplex(v: Array, mass: float = 1.0) -> Array:
     return np.maximum(v - theta, 0.0)
 
 
+# Per-population helpers over a flat vector whose block ``s`` sums to ``m``,
+# shared by non-atomic games and route flows.
+
+def project_blocks(v: Array, slices, masses) -> Array:
+    out = np.empty_like(v)
+    for s, m in zip(slices, masses):
+        out[s] = project_simplex(v[s], m)
+    return out
+
+
+def best_response_blocks(c: Array, slices, masses) -> Array:
+    """All mass of each block on its cheapest action (ties: lowest index)."""
+    out = np.zeros(c.size)
+    for s, m in zip(slices, masses):
+        out[s.start + int(np.argmin(c[s]))] = m
+    return out
+
+
+def logit_blocks(c: Array, slices, masses, temperature: float) -> Array:
+    out = np.empty(c.size)
+    for s, m in zip(slices, masses):
+        z = -c[s] / temperature
+        z -= z.max()
+        w = np.exp(z)
+        out[s] = m * w / w.sum()
+    return out
+
+
+def random_blocks(rng: np.random.Generator, slices, masses) -> Array:
+    """Exponential weights normalized to each block's mass."""
+    out = np.empty(slices[-1].stop)
+    for s, m in zip(slices, masses):
+        g = rng.exponential(size=s.stop - s.start)
+        out[s] = m * g / g.sum()
+    return out
+
+
+def simplex_target(x: Array, c: Array, slices, masses, rule, eta) -> Array:
+    """Best-response or gradient-rule target from per-action costs ``c``.
+
+    The gradient rule is a logit response at temperature ``eta`` under the
+    entropy regularizer and a projected step ``x - eta c`` otherwise.
+    """
+    if rule.variant == "best_response":
+        return best_response_blocks(c, slices, masses)
+    if rule.regularizer == "entropy":
+        return logit_blocks(c, slices, masses, eta)
+    return project_blocks(x - eta * c, slices, masses)
+
+
+def check_incentive(p, n: int) -> Array:
+    p = np.asarray(p, dtype=float)
+    if p.shape != (n,):
+        raise InvalidArgumentError(f"incentive vector has shape {p.shape}, expected ({n},)")
+    return p
+
+
+def sampled_lipschitz(grad: VectorOracle, draw: Callable[[], Array], samples: int = 32) -> float:
+    """Crude sampled bound on the Lipschitz constant of ``grad`` over ``draw()`` points."""
+    best = 0.0
+    for _ in range(samples):
+        x, y = draw(), draw()
+        d = np.linalg.norm(x - y)
+        if d > 1e-12:
+            best = max(best, float(np.linalg.norm(np.asarray(grad(x)) - np.asarray(grad(y))) / d))
+    return max(best, 1e-12)
+
+
 @dataclass(frozen=True)
 class AtomicGame:
     """Oracle-backed atomic game.
@@ -84,6 +155,10 @@ class AtomicGame:
     def n_players(self) -> int:
         return self.lower.size
 
+    @property
+    def dim(self) -> int:
+        return self.lower.size
+
     def project(self, x: Array) -> Array:
         return project_interval(np.asarray(x, dtype=float), self.lower, self.upper)
 
@@ -93,10 +168,36 @@ class AtomicGame:
                     and np.all(x >= self.lower - tol)
                     and np.all(x <= self.upper + tol))
 
-    def initial_point(self, rng: np.random.Generator | None = None) -> Array:
-        rng = rng or np.random.default_rng(0)
-        x = rng.standard_normal(self.n_players)
-        return self.project(x)
+    def random_start(self, rng: np.random.Generator) -> Array:
+        return self.project(rng.standard_normal(self.n_players))
+
+    def check_start(self, x0, p0) -> tuple:
+        x = np.asarray(x0, dtype=float)
+        if not self.is_feasible(x):
+            raise InvalidArgumentError("x0 is infeasible")
+        return x, check_incentive(p0, self.n_players)
+
+    def target(self, x: Array, p: Array, rule, eta: float | None = None) -> Array:
+        if rule.variant == "equilibrium":
+            return solve_equilibrium_atomic(self, p, x0=x)
+        if rule.variant == "best_response":
+            return best_response_atomic(self, x, p)
+        if rule.regularizer == "entropy":
+            raise InvalidArgumentError("entropy regularizer needs a simplex strategy space")
+        return self.project(x - eta * (self.loss_grad(x) + p))
+
+    def externality(self, x: Array) -> Array:
+        return externality_atomic(self, x)
+
+    def strategy_gap(self, f: Array, x: Array):
+        return np.max(np.abs(f - x))
+
+    def cost_lipschitz(self) -> float:
+        if self.lipschitz_bound:
+            return self.lipschitz_bound
+        rng = np.random.default_rng(0)
+        return sampled_lipschitz(
+            self.loss_grad, lambda: self.project(rng.standard_normal(self.n_players) * 2.0))
 
 
 @dataclass(frozen=True)
@@ -142,11 +243,7 @@ class NonAtomicGame:
         return out
 
     def project(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for s, m in zip(self.slices, self.masses):
-            out[s] = project_simplex(x[s], m)
-        return out
+        return project_blocks(np.asarray(x, dtype=float), self.slices, self.masses)
 
     def is_feasible(self, x: Array, tol: float = MASS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
@@ -167,12 +264,27 @@ class NonAtomicGame:
         parts = [np.full(c, m / c) for c, m in zip(self.action_counts, self.masses)]
         return np.concatenate(parts)
 
-    def random_point(self, rng: np.random.Generator) -> Array:
-        parts = []
-        for c, m in zip(self.action_counts, self.masses):
-            g = rng.exponential(size=c)
-            parts.append(m * g / g.sum())
-        return np.concatenate(parts)
+    def random_start(self, rng: np.random.Generator) -> Array:
+        return random_blocks(rng, self.slices, self.masses)
+
+    def check_start(self, x0, p0) -> tuple:
+        return self.check_feasible(x0), check_incentive(p0, self.dim)
+
+    def target(self, x: Array, p: Array, rule, eta: float | None = None) -> Array:
+        if rule.variant == "equilibrium":
+            return solve_equilibrium_nonatomic(self, p, x0=x)
+        c = np.asarray(self.action_cost(x), float) + p
+        return simplex_target(x, c, self.slices, self.masses, rule, eta)
+
+    def externality(self, x: Array) -> Array:
+        return externality_nonatomic(self, x)
+
+    def strategy_gap(self, f: Array, x: Array):
+        return np.max(np.abs(f - x))
+
+    def cost_lipschitz(self) -> float:
+        rng = np.random.default_rng(0)
+        return sampled_lipschitz(self.action_cost, lambda: self.random_start(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +431,7 @@ def best_response_atomic(game: AtomicGame, x: Array, p: Array) -> Array:
 def best_response_nonatomic(game: NonAtomicGame, x: Array, p: Array) -> Array:
     """All mass on a minimal-cost action per population (ties: lowest index)."""
     c = np.asarray(game.action_cost(x), float) + np.asarray(p, float)
-    out = np.zeros(game.dim)
-    for s, m in zip(game.slices, game.masses):
-        out[s.start + int(np.argmin(c[s]))] = m
-    return out
+    return best_response_blocks(c, game.slices, game.masses)
 
 
 def logit_response(game: NonAtomicGame, x: Array, p: Array, temperature: float) -> Array:
@@ -330,13 +439,7 @@ def logit_response(game: NonAtomicGame, x: Array, p: Array, temperature: float) 
     if temperature <= 0:
         raise InvalidArgumentError("logit temperature must be positive")
     c = np.asarray(game.action_cost(x), float) + np.asarray(p, float)
-    out = np.empty(game.dim)
-    for s, m in zip(game.slices, game.masses):
-        z = -c[s] / temperature
-        z -= z.max()
-        w = np.exp(z)
-        out[s] = m * w / w.sum()
-    return out
+    return logit_blocks(c, game.slices, game.masses, temperature)
 
 
 def solve_equilibrium_atomic(game: AtomicGame, p: Array, tol: float = 1e-10,

@@ -3,7 +3,9 @@
 Tolled Wardrop equilibria are computed by minimizing the Beckmann potential
 over the route-flow polytope with a Frank-Wolfe scheme; the system optimum
 minimizes total latency cost with the same machinery. Marginal-cost tolls
-``w_a * l_a'(w_a)`` make the two coincide.
+``w_a * l_a'(w_a)`` make the two coincide. A network is a model of the
+coupled loop in ``dynamics``: route flows are its strategies and edge tolls
+its incentives.
 """
 from __future__ import annotations
 
@@ -12,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .dynamics import CONSECUTIVE_HITS, RunConfig, TrajectoryRecord
+from .dynamics import RunConfig, TrajectoryRecord, run_coupled
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
-from .games import NonAtomicGame, project_simplex
+from .games import NonAtomicGame, check_incentive, random_blocks, simplex_target
 
 DEFAULT_GAP_TOL = 1e-10
 MAX_PATH_NODES = 12
@@ -194,6 +196,35 @@ class RoutingNetwork:
             x[s] = od.demand / len(od.routes)
         return x
 
+    # Coupled-loop model: route flows x, edge tolls p.
+
+    def random_start(self, rng: np.random.Generator) -> np.ndarray:
+        return random_blocks(rng, self.route_slices, self.demands)
+
+    def check_start(self, x0, p0) -> tuple:
+        return self.check_route_flow(x0), check_incentive(p0, self.n_edges)
+
+    def target(self, x, p, rule, eta=None) -> np.ndarray:
+        if rule.variant == "equilibrium":
+            return wardrop_equilibrium(self, p, x0=x)[0]
+        c = route_costs(self, self.incidence @ x, p)
+        return simplex_target(x, c, self.route_slices, self.demands, rule, eta)
+
+    def externality(self, x) -> np.ndarray:
+        return edge_externality(self, self.incidence @ x)
+
+    def social(self, x) -> float:
+        return total_latency_cost(self, self.incidence @ x)
+
+    def strategy_gap(self, f, x):
+        """Sup distance of the edge flows; route decompositions are interchangeable."""
+        return np.max(np.abs(self.incidence @ f - self.incidence @ x))
+
+    def cost_lipschitz(self) -> float:
+        """Crude bound on the route-cost Lipschitz constant: max l'(total demand) * E."""
+        slope = float(np.max(self.latency_deriv(np.full(self.n_edges, self.demands.sum()))))
+        return max(slope * self.n_edges, 1e-12)
+
 
 def route_to_edge_flow(net: RoutingNetwork, x) -> np.ndarray:
     return net.incidence @ net.check_route_flow(x)
@@ -346,11 +377,7 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
     rng = np.random.default_rng(seed)
     solutions = [wardrop_equilibrium(net, edge_tolls)[0]]
     for _ in range(n_starts - 1):
-        x0 = np.empty(net.n_routes)
-        for s, od in zip(net.route_slices, net.od_pairs):
-            g = rng.exponential(size=len(od.routes))
-            x0[s] = od.demand * g / g.sum()
-        solutions.append(wardrop_equilibrium(net, edge_tolls, x0=x0)[0])
+        solutions.append(wardrop_equilibrium(net, edge_tolls, x0=net.random_start(rng))[0])
 
     def verdict(x):
         c = route_costs(net, net.incidence @ x, edge_tolls)
@@ -391,74 +418,14 @@ def flow_monotonicity_check(net: RoutingNetwork, p, p2, tol: float = DEFAULT_GAP
 # Coupled toll adaptation
 # ---------------------------------------------------------------------------
 
-def _route_target(net: RoutingNetwork, x, w, edge_tolls, rule, eta):
-    c = route_costs(net, w, edge_tolls)
-    if rule.variant == "equilibrium":
-        return wardrop_equilibrium(net, edge_tolls, x0=x)[0]
-    if rule.variant == "best_response":
-        out = np.zeros_like(x)
-        for s, od in zip(net.route_slices, net.od_pairs):
-            out[s.start + int(np.argmin(c[s]))] = od.demand
-        return out
-    out = np.empty_like(x)
-    if rule.regularizer == "entropy":
-        for s, od in zip(net.route_slices, net.od_pairs):
-            z = -c[s] / eta
-            z -= z.max()
-            ez = np.exp(z)
-            out[s] = od.demand * ez / ez.sum()
-        return out
-    for s, od in zip(net.route_slices, net.od_pairs):
-        out[s] = project_simplex(x[s] - eta * c[s], od.demand)
-    return out
-
-
 def run_toll_adaptation(net: RoutingNetwork, x0, p0, config: RunConfig,
                         raise_on_failure: bool = False) -> TrajectoryRecord:
-    """Coupled route-flow and edge-toll updates.
+    """Coupled route-flow and edge-toll updates: ``run_coupled`` on the network.
 
-    The strategy residual is measured in edge flows (route decompositions of
-    the same edge flow are interchangeable); the incentive residual compares
-    the tolls with the marginal-cost externality of the current flow.
+    The strategy residual is measured in edge flows; the incentive residual
+    compares the tolls with the marginal-cost externality of the current flow.
     """
-    x = net.check_route_flow(np.asarray(x0, dtype=float)).copy()
-    p = np.asarray(p0, dtype=float).copy()
-    if p.shape != (net.n_edges,):
-        raise InvalidArgumentError("edge toll vector has wrong length")
-    rule = config.rule
-    eta = None
-    if rule.variant == "gradient":
-        eta = rule.eta if rule.eta is not None else 0.9 / max(
-            float(np.max(net.latency_deriv(np.full(net.n_edges, net.demands.sum()))))
-            * net.incidence.shape[0], 1e-12)
-    sched = config.schedule
-    record = TrajectoryRecord()
-    hits = 0
-    w = net.incidence @ x
-    for k in range(config.max_iterations):
-        f = _route_target(net, x, w, p, rule, eta)
-        e = edge_externality(net, w)
-        if k % config.record_every == 0:
-            residual = float(np.max(np.abs(net.incidence @ f - w)) + np.max(np.abs(e - p)))
-            record.append(k, x, p, residual, total_latency_cost(net, w))
-            hits = hits + 1 if residual <= config.convergence_tol else 0
-            if hits >= CONSECUTIVE_HITS:
-                record.converged = True
-                record.iterations = k
-                return record
-        x = (1.0 - sched.gamma(k)) * x + sched.gamma(k) * f
-        p = (1.0 - sched.beta(k)) * p + sched.beta(k) * e
-        w = net.incidence @ x
-    f = _route_target(net, x, w, p, rule, eta)
-    e = edge_externality(net, w)
-    residual = float(np.max(np.abs(net.incidence @ f - w)) + np.max(np.abs(e - p)))
-    record.append(config.max_iterations, x, p, residual, total_latency_cost(net, w))
-    record.iterations = config.max_iterations
-    record.converged = residual <= config.convergence_tol
-    if not record.converged and raise_on_failure:
-        raise ConvergenceError("toll adaptation exhausted the iteration budget",
-                               best=(x, p), trajectory=record)
-    return record
+    return run_coupled(net, x0, p0, config, raise_on_failure)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from incentive_dynamics.routing import (delta_matrix, optimal_edge_tolls,
                                         system_optimum, two_link_network)
 
 from test_aggregative import M1_SPEC, M2_SPEC, example_spec
+from test_games import aggregative_game, two_link_game
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +44,23 @@ def test_verify_two_link_fixed_point():
     assert report["passed"]
     sys = slow_system(net)
     assert sys.equilibrium_social_cost(np.array([0.5, 0.5])) == pytest.approx(0.5, abs=1e-8)
+
+
+def test_verify_game_fixed_points():
+    # bare games reach the slow map through their equilibrium-rule target
+    g = two_link_game()
+    sys = slow_system(g)
+    assert sys.dim == 2
+    np.testing.assert_allclose(sys.phi(np.array([0.5, 0.5])), [0.5, 0.5], atol=1e-8)
+    assert verify_fixed_point_optimality(g, np.array([0.5, 0.5]))["passed"]
+    # x*(p) = -M^-1 p and e(x) = x - zeta - M x with M = Q + alpha A, so the
+    # fixed point p = -M zeta induces the optimum x*(p) = zeta
+    ga = aggregative_game([1.0, 1.0], [[0, 0.3], [0.3, 0]], 0.5, [1.0, 2.0])
+    M = np.array([[1.0, 0.15], [0.15, 1.0]])
+    p_opt = -M @ np.array([1.0, 2.0])
+    assert slow_system(ga).dim == 2
+    assert verify_fixed_point_optimality(ga, p_opt)["passed"]
+    assert not verify_fixed_point_optimality(ga, p_opt + 0.1)["passed"]
 
 
 def test_verify_perturbed_incentive_fails_fixed_point_check():
@@ -227,6 +245,15 @@ def test_multistart_probe_routing():
     net = routing.braess_network()
     report = multistart_uniqueness_probe(net, np.zeros(net.n_edges), n_starts=6)
     assert report["max_spread"] <= 1e-6
+
+
+def test_multistart_probe_games():
+    for game, p in ((two_link_game(), np.array([0.1, 0.3])),
+                    (aggregative_game([1.0, 1.0], [[0, 0.3], [0.3, 0]], 0.5, [1.0, 2.0]),
+                     np.array([0.3, -0.2]))):
+        report = multistart_uniqueness_probe(game, p, n_starts=4)
+        assert report["n_starts"] == 4
+        assert report["max_spread"] <= 1e-6
 
 
 def test_multistart_probe_aggregative_exact():

@@ -52,6 +52,50 @@ def test_run_gradient_baseline_stalls(tmp_path):
     assert abs(summary["final_p"][0] - summary["final_p"][1]) >= 1.0
 
 
+def test_gradient_baseline_pigou_uses_finite_differences(tmp_path):
+    # the two-link Clarke gradient points the wrong way on Pigou's network:
+    # at p = (0.3, 0) it is (0.3, -0.3), the true gradient is (-0.4, 0.4)
+    cfg = {
+        "game": {"builtin": "pigou"},
+        "run": {"max_iterations": 300, "p0": [0.3, 0.0]},
+        "incentive_update": "gradient_baseline",
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["final_social_cost"] == pytest.approx(0.75, abs=1e-6)
+
+
+MALFORMED_ANALYSES = [
+    ({"op": "ode_probe"}, "ode_probe"),                        # no start_points
+    ({"op": "uniqueness_probe"}, "uniqueness_probe"),          # no p
+    ({"op": "schedule_assumptions", "k0": 2}, "schedule_assumptions"),  # unknown keyword
+]
+
+
+@pytest.mark.parametrize("item, op", MALFORMED_ANALYSES)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_malformed_analysis_item_exits_1(tmp_path, capsys, command, item, op):
+    cfg = dict(TWO_LINK_RUN, output_dir=str(tmp_path / "out"), analyses=[item])
+    code = cli.main([command, "--config", write_config(tmp_path / "c.json", cfg)])
+    assert code == 1
+    assert f"error in analysis '{op}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_analyses_not_a_list_of_objects_exits_1(tmp_path, capsys, command):
+    cfg = dict(TWO_LINK_RUN, output_dir=str(tmp_path / "out"), analyses=["ode_probe"])
+    assert cli.main([command, "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert '"analyses" must be a list of objects' in capsys.readouterr().err
+
+
+def test_wrong_length_p0_exits_1(tmp_path, capsys):
+    cfg = dict(TWO_LINK_RUN, output_dir=str(tmp_path / "out"))
+    cfg["run"] = dict(cfg["run"], p0=[0.0])
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert "incentive vector" in capsys.readouterr().err
+
+
 def test_missing_game_key_exits_1(tmp_path, capsys):
     code = cli.main(["run", "--config",
                      write_config(tmp_path / "c.json", {"run": {}})])
@@ -153,7 +197,7 @@ def test_jobs_directory_fanout(tmp_path):
     for i in range(3):
         write_config(configs / f"exp{i}.json",
                      dict(TWO_LINK_RUN, output_dir=str(tmp_path / f"out{i}")))
-    code = cli.main(["run", "--config", str(configs), "--jobs", "2"])
+    code = cli.main(["run", "--config", str(configs)])
     assert code == 0
     for i in range(3):
         assert (tmp_path / f"out{i}" / "summary.json").exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from incentive_dynamics.dynamics import (RunConfig, StepSchedule,
                                          StrategyUpdateRule, TrajectoryRecord,
-                                         fixed_point_residual, run_coupled,
-                                         step_incentive, step_strategy,
+                                         externality, fixed_point_residual,
+                                         resolve_eta, run_coupled,
                                          strategy_target)
 from incentive_dynamics.errors import InvalidArgumentError, SpecError
 
@@ -68,15 +70,20 @@ def test_rule_validation():
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# single steps: the strategy target, the externality, one coupled step
 # ---------------------------------------------------------------------------
 
+def one_step(game, x, p, rule, schedule=StepSchedule()):
+    """The iterate after one coupled update."""
+    rec = run_coupled(game, x, p, RunConfig(schedule=schedule, rule=rule, max_iterations=1))
+    return rec.final_x, rec.final_p
+
+
 def test_step_strategy_full_step_equilibrium_rule():
-    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    g_with_eq = g  # numeric solver path
+    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])  # numeric solver path
     p = np.array([1.0, 1.0])
     x = np.array([5.0, -3.0])
-    out = step_strategy(g_with_eq, x, p, StrategyUpdateRule("equilibrium"), 0.999999)
+    out = strategy_target(g, x, p, StrategyUpdateRule("equilibrium"))
     np.testing.assert_allclose(out, [-2.0 / 3.0, -2.0 / 3.0], atol=1e-4)
 
 
@@ -98,20 +105,13 @@ def test_step_strategy_fixed_point_unchanged():
     p = np.array([0.5, 0.5])
     for rule in (StrategyUpdateRule("equilibrium"),
                  StrategyUpdateRule("gradient", eta=0.5)):
-        out = step_strategy(g, x, p, rule, 0.5)
-        np.testing.assert_allclose(out, x, atol=1e-9)
+        np.testing.assert_allclose(strategy_target(g, x, p, rule), x, atol=1e-9)
+        np.testing.assert_allclose(one_step(g, x, p, rule)[0], x, atol=1e-9)
     ga = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
     x_eq = np.array([-2.0 / 3.0, -2.0 / 3.0])
-    out = step_strategy(ga, x_eq, np.array([1.0, 1.0]),
-                        StrategyUpdateRule("best_response"), 0.5)
-    np.testing.assert_allclose(out, x_eq, atol=1e-9)
-
-
-def test_step_strategy_rejects_bad_gamma():
-    g = two_link_game()
-    with pytest.raises(InvalidArgumentError):
-        step_strategy(g, np.array([0.5, 0.5]), np.zeros(2),
-                      StrategyUpdateRule(), 1.0)
+    rule = StrategyUpdateRule("best_response")
+    np.testing.assert_allclose(strategy_target(ga, x_eq, np.array([1.0, 1.0]), rule),
+                               x_eq, atol=1e-9)
 
 
 def test_step_strategy_entropy_needs_simplex():
@@ -124,25 +124,26 @@ def test_step_strategy_entropy_needs_simplex():
 def test_step_strategy_mass_conservation():
     g = two_link_game()
     rng = np.random.default_rng(0)
-    x = g.random_point(rng)
+    x = g.random_start(rng)
     p = rng.normal(size=2)
     for rule in (StrategyUpdateRule("best_response"),
                  StrategyUpdateRule("gradient", eta=0.1),
                  StrategyUpdateRule("gradient", eta=0.1, regularizer="entropy")):
-        out = step_strategy(g, x, p, rule, 0.7)
-        assert g.is_feasible(out)
+        assert g.is_feasible(strategy_target(g, x, p, rule))
+        assert g.is_feasible(one_step(g, x, p, rule)[0])
 
 
 def test_step_incentive_values():
     g = two_link_game()
     x = np.array([0.5, 0.5])
-    # e(x) = (0.5, 0.5); fixed point is untouched
-    p = np.array([0.5, 0.5])
-    np.testing.assert_allclose(step_incentive(g, x, p, 0.3), p, atol=1e-14)
-    out = step_incentive(g, x, np.zeros(2), 0.1)
-    np.testing.assert_allclose(out, [0.05, 0.05], atol=1e-14)
-    with pytest.raises(InvalidArgumentError):
-        step_incentive(g, x, p, 0.0)
+    np.testing.assert_allclose(externality(g, x), [0.5, 0.5], atol=1e-14)
+    # beta(0) = 0.1: the fixed point is untouched, and p = 0 moves to 0.1 e(x)
+    sched = StepSchedule(gamma0=0.5, beta0=0.1, offset=1)
+    rule = StrategyUpdateRule("equilibrium")
+    np.testing.assert_allclose(one_step(g, x, np.array([0.5, 0.5]), rule, sched)[1],
+                               [0.5, 0.5], atol=1e-14)
+    np.testing.assert_allclose(one_step(g, x, np.zeros(2), rule, sched)[1],
+                               [0.05, 0.05], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +245,29 @@ def test_run_coupled_infeasible_start_rejected():
     cfg = RunConfig(max_iterations=10)
     with pytest.raises(InvalidArgumentError):
         run_coupled(g, np.array([1.0, 1.0]), np.zeros(2), cfg)
+
+
+def test_run_coupled_rejects_wrong_incentive_length():
+    # a length-1 p0 used to broadcast against every player or action
+    atomic = aggregative_game([1.0, 1.0, 1.0], np.zeros((3, 3)), 0.5, [0.0, 0.0, 0.0])
+    nonatomic = two_link_game()
+    cfg = RunConfig(rule=StrategyUpdateRule("gradient"), max_iterations=10)
+    with pytest.raises(InvalidArgumentError):
+        run_coupled(atomic, np.zeros(3), np.zeros(1), cfg)
+    for variant in ("equilibrium", "best_response", "gradient"):
+        cfg = RunConfig(rule=StrategyUpdateRule(variant), max_iterations=10)
+        with pytest.raises(InvalidArgumentError):
+            run_coupled(nonatomic, np.array([0.5, 0.5]), np.zeros(1), cfg)
+    with pytest.raises(InvalidArgumentError):
+        run_coupled(atomic, np.zeros(3), np.zeros(4), cfg)
+
+
+def test_default_eta_from_the_cost_lipschitz_bound():
+    rule = StrategyUpdateRule("gradient")
+    assert resolve_eta(two_link_game(), StrategyUpdateRule("gradient", eta=0.3)) == 0.3
+    # two_link_game costs are the identity map, so every sampled ratio is 1
+    assert resolve_eta(two_link_game(), rule) == pytest.approx(0.9)
+    # sampled ratios never exceed the Lipschitz constant ||Q + alpha A||_2 = 1.5
+    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
+    assert 0.9 / 1.5 <= resolve_eta(g, rule) < 0.9
+    assert resolve_eta(dataclasses.replace(g, lipschitz_bound=1.5), rule) == 0.9 / 1.5

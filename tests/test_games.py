@@ -193,7 +193,7 @@ def test_externality_nonatomic_matches_finite_differences():
                       action_cost=lambda x: 0.5 * (B @ np.asarray(x)),
                       social=social,
                       social_grad=lambda x: B @ np.asarray(x))
-    x = g.random_point(rng)
+    x = g.random_start(rng)
     fd = numdiff.central_gradient(social, x) - g.action_cost(x)
     np.testing.assert_allclose(externality_nonatomic(g, x), fd,
                                rtol=1e-5, atol=1e-5)

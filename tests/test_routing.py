@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS, grid34, grid45
 from incentive_dynamics import numdiff, routing
-from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule
+from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, resolve_eta
 from incentive_dynamics.errors import (ConvergenceError, InvalidArgumentError,
                                        SpecError)
 from incentive_dynamics.routing import (FIXTURES, LatencyFunction, OdPair,
@@ -20,14 +20,6 @@ from incentive_dynamics.routing import (FIXTURES, LatencyFunction, OdPair,
                                         run_toll_adaptation, system_optimum,
                                         total_latency_cost, two_link_network,
                                         wardrop_equilibrium)
-
-
-def random_route_flow(net, rng):
-    x = np.empty(net.n_routes)
-    for s, od in zip(net.route_slices, net.od_pairs):
-        g = rng.exponential(size=len(od.routes))
-        x[s] = od.demand * g / g.sum()
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +87,7 @@ def test_vectorised_latencies_match_per_edge_path(name):
     lats = [lat for _, _, lat in net.edges]
     rng = np.random.default_rng(17)
     flows = [np.zeros(net.n_edges), net.incidence @ net.uniform_route_flow()]
-    flows += [net.incidence @ random_route_flow(net, rng) for _ in range(20)]
+    flows += [net.incidence @ net.random_start(rng) for _ in range(20)]
     flows += [rng.uniform(0.0, 10.0, net.n_edges) for _ in range(5)]
     for w in flows:
         tolls = rng.uniform(-1.0, 1.0, net.n_edges)
@@ -328,12 +320,43 @@ def test_toll_adaptation_two_link():
 
 def test_toll_adaptation_route_flow_stays_feasible():
     net = braess_network()
-    cfg = RunConfig(max_iterations=200, convergence_tol=1e-12,
-                    rule=StrategyUpdateRule("best_response"))
-    rec = run_toll_adaptation(net, net.uniform_route_flow(),
-                              np.zeros(net.n_edges), cfg)
+    for rule in (StrategyUpdateRule("best_response"), StrategyUpdateRule("gradient"),
+                 StrategyUpdateRule("gradient", regularizer="entropy")):
+        cfg = RunConfig(max_iterations=200, convergence_tol=1e-12, rule=rule)
+        rec = run_toll_adaptation(net, net.uniform_route_flow(),
+                                  np.zeros(net.n_edges), cfg)
+        assert len(rec.xs) == 201
+        for x in rec.xs:
+            net.check_route_flow(x)
+
+
+@pytest.mark.parametrize("regularizer", ["quadratic", "entropy"])
+def test_toll_adaptation_gradient_rules(regularizer):
+    net = two_link_network()
+    cfg = RunConfig(max_iterations=4000, convergence_tol=1e-4,
+                    rule=StrategyUpdateRule("gradient", regularizer=regularizer))
+    rec = run_toll_adaptation(net, np.array([0.9, 0.1]), np.zeros(2), cfg)
+    assert rec.converged
+    np.testing.assert_allclose(rec.final_x, [0.5, 0.5], atol=1e-3)
+    np.testing.assert_allclose(rec.final_p, [0.5, 0.5], atol=1e-3)
     for x in rec.xs:
         net.check_route_flow(x)
+
+
+def test_toll_adaptation_default_eta():
+    # 0.9 / max(max_a l_a'(total demand) * n_edges, 1e-12)
+    rule = StrategyUpdateRule("gradient")
+    assert resolve_eta(two_link_network(), rule) == 0.9 / 2.0
+    assert resolve_eta(braess_network(), rule) == 0.9 / 5.0
+    constant = RoutingNetwork(
+        nodes=("S", "D"), edges=(("S", "D", LatencyFunction((1.0,))),),
+        od_pairs=(OdPair("S", "D", 1.0, ((0,),)),), relax_monotonicity=True)
+    assert resolve_eta(constant, rule) == 0.9 / 1e-12
+    net = braess_network()
+    runs = [run_toll_adaptation(net, net.uniform_route_flow(), np.zeros(5),
+                                RunConfig(max_iterations=50, rule=r))
+            for r in (rule, StrategyUpdateRule("gradient", eta=0.9 / 5.0))]
+    assert all(np.array_equal(a, b) for a, b in zip(runs[0].xs, runs[1].xs))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +376,7 @@ def test_social_cost_identity_random_flows():
         net = load_fixture(name)
         view = nonatomic_view(net)
         for _ in range(10):
-            x = random_route_flow(net, rng)
+            x = net.random_start(rng)
             w = route_to_edge_flow(net, x)
             lhs = float(x @ view.action_cost(x))
             rhs = total_latency_cost(net, w)
@@ -365,7 +388,7 @@ def test_route_externality_aggregation():
     for name in ("two_link", "pigou", "braess"):
         net = load_fixture(name)
         view = nonatomic_view(net)
-        x = random_route_flow(net, rng)
+        x = net.random_start(rng)
         w = route_to_edge_flow(net, x)
         fd = numdiff.central_gradient(view.social, x) - view.action_cost(x)
         expect = net.incidence.T @ (w * net.latency_deriv(w))
