@@ -152,10 +152,6 @@ class QuadraticAggregativeSpec:
     def M(self) -> np.ndarray:
         return self._M
 
-    @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self._M))
-
     def y_dagger(self) -> np.ndarray:
         return self._y_dagger.copy()
 
@@ -193,6 +189,7 @@ class QuadraticAggregativeSpec:
             best_response=lambda x, p: -(self.alpha * (self.A @ np.asarray(x, float))
                                          + np.asarray(p, float)) / self.q,
             lipschitz_bound=float(np.linalg.norm(self._M, 2)),
+            optimum=self.y_dagger(),
         )
 
 

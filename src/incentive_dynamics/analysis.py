@@ -17,7 +17,6 @@ from . import aggregative as agg
 from . import games, numdiff, routing
 from .dynamics import RunConfig, StepSchedule, StrategyUpdateRule, TrajectoryRecord
 from .errors import InvalidArgumentError
-from .routing import RoutingNetwork
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,6 @@ class SlowSystem:
     phi: Callable[[np.ndarray], np.ndarray]  # p -> e(x*(p))
     equilibrium: Callable[[np.ndarray], np.ndarray]  # p -> x*(p)
     equilibrium_social_cost: Callable[[np.ndarray], float]
-    p_dagger: Optional[np.ndarray] = None
 
 
 def _strategy_model(obj):
@@ -37,43 +35,17 @@ def _strategy_model(obj):
 
 
 def slow_system(obj) -> SlowSystem:
-    """Build the reduced incentive dynamics for a supported model."""
-    if isinstance(obj, agg.QuadraticAggregativeSpec):
-        spec = obj
-
-        def x_star(p):
-            return agg.nash_closed_form(spec, p)
-
-        return SlowSystem(
-            dim=spec.n,
-            phi=lambda p: spec.externality(x_star(p)),
-            equilibrium=x_star,
-            equilibrium_social_cost=lambda p: spec.social(x_star(p)),
-            p_dagger=agg.optimal_incentive(spec),
-        )
-    if isinstance(obj, RoutingNetwork):
-        net = obj
-
-        def w_star(p):
-            return routing.wardrop_equilibrium(net, p)[1]
-
-        return SlowSystem(
-            dim=net.n_edges,
-            phi=lambda p: routing.edge_externality(net, w_star(p)),
-            equilibrium=w_star,
-            equilibrium_social_cost=lambda p: routing.total_latency_cost(net, w_star(p)),
-            p_dagger=routing.optimal_edge_tolls(net),
-        )
-    game = obj  # an atomic or non-atomic game
+    """The reduced incentive dynamics of a model; x*(p) is its equilibrium-rule target."""
+    model = _strategy_model(obj)
 
     def x_star(p):  # no warm start: the equilibrium solver's own default
-        return game.target(None, p, StrategyUpdateRule())
+        return model.target(None, p, StrategyUpdateRule())
 
     return SlowSystem(
-        dim=game.dim,
-        phi=lambda p: game.externality(x_star(p)),
+        dim=model.dim,
+        phi=lambda p: model.externality(x_star(p)),
         equilibrium=x_star,
-        equilibrium_social_cost=lambda p: float(game.social(x_star(p))),
+        equilibrium_social_cost=lambda p: float(model.social(x_star(p))),
     )
 
 
@@ -81,44 +53,28 @@ def slow_system(obj) -> SlowSystem:
 # Fixed-point / optimality verification
 # ---------------------------------------------------------------------------
 
-def verify_fixed_point_optimality(obj, p, tol: float = 1e-6) -> dict:
+def verify_fixed_point_optimality(obj, p=None, tol: float = 1e-6) -> dict:
     """Is p a fixed point of the slow map, and is x*(p) socially optimal?
 
-    Checks (a) phi(p) = p, (b) the first-order social-optimality certificate
-    at x*(p), (c) proximity of x*(p) to an independently computed social
-    optimum (skipped when no independent solver applies).
+    Checks (a) phi(p) = e(x*(p)) = p, (b) the projected-gradient certificate
+    of social optimality at x*(p), (c) proximity of x*(p) to the model's
+    independently computed social optimum (skipped when it has none). ``p``
+    defaults to the model's optimal incentive p†.
     """
-    sys = slow_system(obj)
-    p = np.asarray(p, dtype=float)
-    x = sys.equilibrium(p)
-    phi_gap = float(np.max(np.abs(sys.phi(p) - p)))
-    report = {"fixed_point_gap": phi_gap, "fixed_point_ok": phi_gap <= tol}
-
-    if isinstance(obj, RoutingNetwork):
-        _, w_opt = routing.system_optimum(obj)
-        grad = obj.latency(x) + x * obj.latency_deriv(x)
-        c_route = obj.incidence.T @ grad
-        resid = 0.0
-        x_route, _ = routing.wardrop_equilibrium(obj, p)
-        for s in obj.route_slices:
-            active = x_route[s] > tol
-            if np.any(active):
-                resid = max(resid, float(c_route[s][active].max() - c_route[s].min()))
-        report["optimality_residual"] = resid
-        report["optimality_ok"] = resid <= tol
-        gap = float(np.max(np.abs(x - w_opt)))
+    model = _strategy_model(obj)
+    p = model.optimal_incentive() if p is None else np.asarray(p, dtype=float)
+    if p is None:
+        raise InvalidArgumentError("the model has no known optimal incentive; pass p")
+    x = slow_system(model).equilibrium(p)
+    phi_gap = float(np.max(np.abs(model.externality(x) - p)))
+    ok, resid = games.certify_social_optimum(model, x, tol)
+    report = {"fixed_point_gap": phi_gap, "fixed_point_ok": phi_gap <= tol,
+              "optimality_residual": resid, "optimality_ok": ok}
+    x_opt = model.known_optimum()
+    if x_opt is not None:
+        gap = float(model.strategy_gap(x, x_opt))
         report["distance_to_optimum"] = gap
         report["optimum_proximity_ok"] = gap <= 10 * tol
-    else:
-        ok, resid = games.certify_social_optimum(_strategy_model(obj), x, tol)
-        report["optimality_residual"] = resid
-        report["optimality_ok"] = ok
-        if isinstance(obj, agg.QuadraticAggregativeSpec):
-            y = obj.y_dagger()
-            gap = float(np.max(np.abs(x - y)))
-            report["distance_to_optimum"] = gap
-            report["optimum_proximity_ok"] = gap <= 10 * tol
-
     report["passed"] = all(v for k, v in report.items() if k.endswith("_ok"))
     return report
 
@@ -149,8 +105,9 @@ class StabilityReport:
 def ode_probe_slow_dynamics(obj, start_points, config: OdeProbeConfig = OdeProbeConfig(),
                             p_dagger=None) -> StabilityReport:
     """Forward-Euler integration of dp/dt = phi(p) - p from several starts."""
-    sys = slow_system(obj)
-    target = sys.p_dagger if p_dagger is None else np.asarray(p_dagger, float)
+    model = _strategy_model(obj)
+    sys = slow_system(model)
+    target = model.optimal_incentive() if p_dagger is None else np.asarray(p_dagger, float)
     report = StabilityReport()
     n_steps = int(round(config.horizon / config.step))
     for p0 in start_points:
@@ -180,7 +137,8 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
     The dominating/dominated incentive is searched along scalings of the
     fixed point.
     """
-    sys = slow_system(obj)
+    model = _strategy_model(obj)
+    sys = slow_system(model)
     offdiag_min = np.inf
     for p in p_samples:
         J = numdiff.central_jacobian(sys.phi, np.asarray(p, float))
@@ -193,8 +151,8 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
     }
     phi0 = sys.phi(np.zeros(sys.dim))
     report["origin_drift"] = [float(v) for v in phi0]
-    if sys.p_dagger is not None:
-        pd = sys.p_dagger
+    pd = model.optimal_incentive()
+    if pd is not None:
         scales = (1.5, 2.0, 4.0, 8.0)
         pos_ok = bool(np.all(phi0 >= -tol) and np.all(pd >= -tol))
         if pos_ok:
@@ -216,14 +174,16 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
 
 def check_condition_C2(obj, weight, p_samples, tol: float = 1e-10) -> dict:
     """Quadratic certificate decrease along the slow drift at sampled points."""
-    sys = slow_system(obj)
-    if sys.p_dagger is None:
+    model = _strategy_model(obj)
+    sys = slow_system(model)
+    pd = model.optimal_incentive()
+    if pd is None:
         raise InvalidArgumentError("certificate check needs a known fixed point")
     W = np.asarray(weight, dtype=float)
     worst = -np.inf
     for p in p_samples:
         p = np.asarray(p, float)
-        d = p - sys.p_dagger
+        d = p - pd
         if np.max(np.abs(d)) <= 1e-12:
             continue
         drift = sys.phi(p) - p
@@ -256,15 +216,16 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
     cost is only piecewise smooth and a closed-form generalized gradient is
     available).
     """
-    sys = slow_system(obj)
+    model = _strategy_model(obj)
+    x_star = slow_system(model).equilibrium
     p = np.asarray(p0, dtype=float).copy()
-    grad = gradient or (lambda q: equilibrium_cost_gradient(obj, q, step))
+    grad = gradient or (lambda q: equilibrium_cost_gradient(model, q, step))
     record = TrajectoryRecord()
     for k in range(max_iterations):
         g = np.asarray(grad(p), float)
         if k % 10 == 0 or k == max_iterations - 1:
-            record.append(k, sys.equilibrium(p), p, float(np.max(np.abs(g))),
-                          sys.equilibrium_social_cost(p))
+            x = x_star(p)
+            record.append(k, x, p, float(np.max(np.abs(g))), model.social(x))
         p = p - schedule.beta(k) * g
     record.iterations = max_iterations
     record.converged = record.final_residual <= 1e-6

@@ -64,6 +64,12 @@ class ConfigError(SpecError):
 INVALID_INPUT = (GameError, KeyError, TypeError, ValueError)
 
 
+def _convergence_failure(exc: ConvergenceError, where: str = "") -> int:
+    gap = "" if exc.gap is None else f" (gap {exc.gap:.6g})"
+    print(f"error{where}: {exc}{gap}", file=sys.stderr)
+    return 2
+
+
 def load_config(path) -> dict:
     path = Path(path)
     try:
@@ -140,14 +146,8 @@ def _jsonable(obj):
 def run_analysis(kind, model, item: dict):
     item = dict(item)
     op = item.pop("op", None)
-    if op == "verify_fixed_point_optimality":
-        if "p" in item:
-            p = np.asarray(item.pop("p"), float)
-        elif kind == "aggregative":
-            p = agg.optimal_incentive(model)
-        else:
-            p = routing.optimal_edge_tolls(model)
-        return analysis.verify_fixed_point_optimality(model, p, **item)
+    if op == "verify_fixed_point_optimality":  # p defaults to the model's p†
+        return analysis.verify_fixed_point_optimality(model, **item)
     if op == "ode_probe":
         starts = [np.asarray(s, float) for s in item.pop("start_points")]
         cfg = analysis.OdeProbeConfig(**item.pop("config", {}))
@@ -224,8 +224,7 @@ def run_experiment(config_path, out_dir=None) -> int:
             print(f"error: unknown incentive_update {update!r}", file=sys.stderr)
             return 1
     except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _convergence_failure(exc)
 
     record.to_csv(out / "trajectory.csv")
     record.to_json_summary(out / "summary.json")
@@ -241,6 +240,8 @@ def run_experiment(config_path, out_dir=None) -> int:
                 item = dict(item, grid_csv=str(adir / "counterexample_grid.csv"))
             try:
                 result = run_analysis(kind, model, item)
+            except ConvergenceError as exc:
+                return _convergence_failure(exc, f" in analysis {item.get('op')!r}")
             except INVALID_INPUT as exc:
                 print(f"error in analysis {item.get('op')!r}: {exc}", file=sys.stderr)
                 return 1
@@ -287,6 +288,8 @@ def verify(config_path) -> int:
         op = item.get("op", "?")
         try:
             result = run_analysis(kind, model, item)
+        except ConvergenceError as exc:
+            return _convergence_failure(exc, f" in analysis {op!r}")
         except INVALID_INPUT as exc:
             print(f"error in analysis {op!r}: {exc}", file=sys.stderr)
             return 1

@@ -13,7 +13,9 @@ games and routing networks. A model supplies
 - ``externality(x)`` and ``social(x)``;
 - ``strategy_gap(f, x)``: the sup distance of two strategies;
 - ``cost_lipschitz()``: a bound ``L`` behind the default step ``0.9 / L``;
-- ``random_start(rng)``: a random feasible strategy, for multistart probes.
+- ``random_start(rng)``: a random feasible strategy, for multistart probes;
+- ``known_optimum()`` and ``optimal_incentive()``: an independent social
+  optimum and p†, or ``None``, for the slow-layer checks of ``analysis``.
 """
 from __future__ import annotations
 

@@ -128,7 +128,8 @@ class AtomicGame:
     ``loss(x)`` returns the vector of player costs, ``loss_grad(x)`` the
     own-strategy partials (d loss_i / d x_i). ``equilibrium`` and
     ``best_response`` are optional closed forms; numeric fallbacks are used
-    when absent. Immutable; all operations are pure.
+    when absent. ``optimum`` is an optional closed-form social optimum.
+    Immutable; all operations are pure.
     """
 
     lower: Array
@@ -140,6 +141,7 @@ class AtomicGame:
     equilibrium: Optional[Callable[[Array], Array]] = None
     best_response: Optional[Callable[[Array, Array], Array]] = None
     lipschitz_bound: Optional[float] = None
+    optimum: Optional[Array] = None
 
     def __post_init__(self):
         lower = _as_vector(self.lower, "lower")
@@ -150,6 +152,10 @@ class AtomicGame:
             raise SpecError("every strategy interval needs lower <= upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        optimum = None if self.optimum is None else _as_vector(self.optimum, "optimum")
+        if optimum is not None and optimum.shape != lower.shape:
+            raise SpecError("the closed-form optimum needs one entry per player")
+        object.__setattr__(self, "optimum", optimum)
 
     @property
     def n_players(self) -> int:
@@ -167,6 +173,12 @@ class AtomicGame:
         return bool(x.shape == self.lower.shape
                     and np.all(x >= self.lower - tol)
                     and np.all(x <= self.upper + tol))
+
+    def uniform_point(self) -> Array:
+        """The box midpoint, with 0 standing in for an infinite bound."""
+        lo = np.where(np.isfinite(self.lower), self.lower, 0.0)
+        hi = np.where(np.isfinite(self.upper), self.upper, 0.0)
+        return self.project(0.5 * (lo + hi))
 
     def random_start(self, rng: np.random.Generator) -> Array:
         return self.project(rng.standard_normal(self.n_players))
@@ -191,6 +203,13 @@ class AtomicGame:
 
     def strategy_gap(self, f: Array, x: Array):
         return np.max(np.abs(f - x))
+
+    def known_optimum(self) -> Optional[Array]:
+        return self.optimum
+
+    def optimal_incentive(self) -> Optional[Array]:
+        """p† = e(x†), the externality at the closed-form optimum."""
+        return None if self.optimum is None else self.externality(self.optimum)
 
     def cost_lipschitz(self) -> float:
         if self.lipschitz_bound:
@@ -281,6 +300,12 @@ class NonAtomicGame:
 
     def strategy_gap(self, f: Array, x: Array):
         return np.max(np.abs(f - x))
+
+    def known_optimum(self) -> None:
+        return None
+
+    def optimal_incentive(self) -> None:
+        return None
 
     def cost_lipschitz(self) -> float:
         rng = np.random.default_rng(0)
@@ -375,12 +400,7 @@ def certify_social_optimum(game, x: Array, tol: float = DEFAULT_CERT_TOL):
 
 def social_optimum(game, tol: float = 1e-8, max_iter: int = 20000) -> Array:
     """Minimize the social cost by projected gradient descent with backtracking."""
-    if isinstance(game, NonAtomicGame):
-        x = game.uniform_point()
-    else:
-        lo = np.where(np.isfinite(game.lower), game.lower, 0.0)
-        hi = np.where(np.isfinite(game.upper), game.upper, 0.0)
-        x = game.project(0.5 * (lo + hi))
+    x = game.uniform_point()
     step = 1.0
     fx = float(game.social(x))
     for _ in range(max_iter):

@@ -17,7 +17,8 @@ from scipy.optimize import brentq
 from .dynamics import RunConfig, TrajectoryRecord, run_coupled
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
-from .games import NonAtomicGame, check_incentive, random_blocks, simplex_target
+from .games import (NonAtomicGame, check_incentive, project_blocks, random_blocks,
+                    simplex_target)
 
 DEFAULT_GAP_TOL = 1e-10
 MAX_PATH_NODES = 12
@@ -170,6 +171,11 @@ class RoutingNetwork:
     def demands(self) -> np.ndarray:
         return np.array([od.demand for od in self.od_pairs])
 
+    @property
+    def dim(self) -> int:
+        """The incentive dimension: one toll per edge."""
+        return self.n_edges
+
     def latency(self, w) -> np.ndarray:
         return _horner(self._value_coeffs, np.asarray(w, dtype=float))
 
@@ -216,9 +222,23 @@ class RoutingNetwork:
     def social(self, x) -> float:
         return total_latency_cost(self, self.incidence @ x)
 
+    def social_grad(self, x) -> np.ndarray:
+        """Route marginal social costs: incidence^T (l(w) + w l'(w))."""
+        w = self.incidence @ np.asarray(x, float)
+        return self.incidence.T @ (self.latency(w) + w * self.latency_deriv(w))
+
+    def project(self, x) -> np.ndarray:
+        return project_blocks(np.asarray(x, dtype=float), self.route_slices, self.demands)
+
     def strategy_gap(self, f, x):
         """Sup distance of the edge flows; route decompositions are interchangeable."""
         return np.max(np.abs(self.incidence @ f - self.incidence @ x))
+
+    def known_optimum(self) -> np.ndarray:
+        return system_optimum(self)[0]
+
+    def optimal_incentive(self) -> np.ndarray:
+        return optimal_edge_tolls(self)
 
     def cost_lipschitz(self) -> float:
         """Crude bound on the route-cost Lipschitz constant: max l'(total demand) * E."""
@@ -434,16 +454,12 @@ def run_toll_adaptation(net: RoutingNetwork, x0, p0, config: RunConfig,
 
 def nonatomic_view(net: RoutingNetwork) -> NonAtomicGame:
     """Route-level view of the routing game (per-route incentives)."""
-    def social_grad(x):
-        w = net.incidence @ np.asarray(x, float)
-        return net.incidence.T @ (net.latency(w) + w * net.latency_deriv(w))
-
     return NonAtomicGame(
         masses=net.demands,
         action_counts=tuple(len(od.routes) for od in net.od_pairs),
         action_cost=lambda x: route_costs(net, net.incidence @ np.asarray(x, float)),
-        social=lambda x: total_latency_cost(net, net.incidence @ np.asarray(x, float)),
-        social_grad=social_grad,
+        social=net.social,
+        social_grad=net.social_grad,
     )
 
 

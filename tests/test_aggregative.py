@@ -100,6 +100,23 @@ def test_fixed_point_alignment_with_social_optimum():
     np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-10)
 
 
+def test_game_view_carries_the_closed_form_optimum():
+    rng = np.random.default_rng(3)
+    specs = [example_spec(zeta=(1.0, 2.0)),
+             QuadraticAggregativeSpec(q=[1.0, 1.0], A=[[0, 0.2], [0.2, 0]], alpha=0.5,
+                                      h=(QuarticTerm(0.7), QuarticTerm(-0.4)))]
+    for n in (5, 50):
+        A = rng.uniform(0.0, 1.0, (n, n)) / n
+        np.fill_diagonal(A, 0.0)
+        specs.append(QuadraticAggregativeSpec(q=rng.uniform(1.0, 2.0, n), A=A, alpha=0.5,
+                                              zeta=rng.uniform(-1.0, 1.0, n)))
+    for spec in specs:
+        game = spec.to_game()
+        np.testing.assert_array_equal(game.known_optimum(), spec.y_dagger())
+        np.testing.assert_allclose(game.optimal_incentive(), optimal_incentive(spec),
+                                   rtol=0, atol=1e-12)
+
+
 def test_closed_form_matches_best_response_iteration():
     spec = example_spec(zeta=(0.5, -0.5))
     p = np.array([0.2, -0.7])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corpus import grid34, mixed_degree_network
 from incentive_dynamics import analysis, routing
 from incentive_dynamics.aggregative import (QuadraticAggregativeSpec,
                                             nash_closed_form,
@@ -19,6 +20,7 @@ from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
                                          two_link_equilibrium_cost,
                                          verify_fixed_point_optimality)
 from incentive_dynamics.errors import InvalidArgumentError
+from incentive_dynamics.games import NonAtomicGame
 from incentive_dynamics.routing import (delta_matrix, optimal_edge_tolls,
                                         system_optimum, two_link_network)
 
@@ -72,6 +74,66 @@ def test_verify_perturbed_incentive_fails_fixed_point_check():
     net = two_link_network()
     report = verify_fixed_point_optimality(net, np.array([0.6, 0.5]), tol=1e-6)
     assert not report["fixed_point_ok"]
+
+
+@pytest.mark.parametrize("make_net", [grid34, mixed_degree_network])
+def test_verify_corpus_networks(make_net):
+    net = make_net()
+    p_dagger = optimal_edge_tolls(net)
+    report = verify_fixed_point_optimality(net, p_dagger)
+    assert report["passed"]
+    assert report["distance_to_optimum"] <= 1e-5
+    assert not verify_fixed_point_optimality(net, p_dagger + 0.1)["fixed_point_ok"]
+
+
+def test_verify_defaults_to_the_models_optimal_incentive():
+    spec = example_spec(zeta=(1.0, 2.0))
+    assert verify_fixed_point_optimality(spec)["passed"]
+    assert verify_fixed_point_optimality(routing.braess_network())["passed"]
+    # a bare non-atomic game knows no optimal incentive, so p must be given
+    with pytest.raises(InvalidArgumentError):
+        verify_fixed_point_optimality(two_link_game())
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    solver = getattr(routing, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(routing, name, counted)
+    return calls
+
+
+def test_verify_routing_solves_each_program_once(monkeypatch):
+    net = routing.braess_network()
+    p_dagger = optimal_edge_tolls(net)
+    wardrop = _count_calls(monkeypatch, "wardrop_equilibrium")
+    optimum = _count_calls(monkeypatch, "system_optimum")
+    assert verify_fixed_point_optimality(net, p_dagger)["passed"]
+    assert len(wardrop) == 1
+    assert len(optimum) == 1
+
+
+def test_cost_gradient_needs_no_system_optimum(monkeypatch):
+    net = routing.braess_network()
+    wardrop = _count_calls(monkeypatch, "wardrop_equilibrium")
+    optimum = _count_calls(monkeypatch, "system_optimum")
+    equilibrium_cost_gradient(net, np.full(net.n_edges, 0.1))
+    assert len(optimum) == 0
+    assert len(wardrop) == 2 * net.n_edges  # one central difference per edge
+
+
+def test_slow_system_routing_holds_route_flows():
+    net = routing.braess_network()
+    sys = slow_system(net)
+    p = np.array([0.1, 0.0, 0.2, 0.0, 0.3])
+    x = sys.equilibrium(p)
+    assert sys.dim == net.n_edges and x.shape == (net.n_routes,)
+    np.testing.assert_array_equal(x, routing.wardrop_equilibrium(net, p)[0])
+    assert sys.equilibrium_social_cost(p) == net.social(x)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from incentive_dynamics import cli
+from incentive_dynamics import cli, routing
+from incentive_dynamics.errors import ConvergenceError
 
 
 def write_config(path, data):
@@ -212,3 +213,19 @@ def test_counterexample_analysis_writes_grid_csv(tmp_path):
     grid = tmp_path / "out" / "analysis" / "counterexample_grid.csv"
     assert grid.exists()
     assert grid.read_text().startswith("p1,p2,equilibrium_cost")
+
+
+def test_analysis_convergence_failure_exits_2_with_gap(tmp_path, monkeypatch, capsys):
+    # exit 1 means an invalid config; a solver that fails inside an analysis
+    # is a convergence failure, exit 2, and its duality gap is reported
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("flow program did not close the duality gap", gap=5.73)
+
+    monkeypatch.setattr(routing, "wardrop_equilibrium", stalled)
+    cfg = {"game": {"builtin": "braess"}, "analyses": [{"op": "nondegeneracy"}]}
+    assert cli.main(["verify", "--config", write_config(tmp_path / "v.json", cfg)]) == 2
+    assert "gap 5.73" in capsys.readouterr().err
+    cfg["run"] = {"max_iterations": 20, "rule": {"variant": "best_response"}}
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert cli.main(["run", "--config", write_config(tmp_path / "r.json", cfg)]) == 2
+    assert "gap 5.73" in capsys.readouterr().err

@@ -265,6 +265,34 @@ def test_social_optimum_aggregative_target():
     assert ok
 
 
+def test_social_optimum_atomic_finite_box():
+    # the unconstrained optimum (1, 2) lies outside the box, so the answer
+    # clips to the upper bounds; the search starts at the box midpoint
+    g = AtomicGame(lower=[-1.0, 0.0], upper=[0.5, 1.0],
+                   loss=lambda x: x * x, loss_grad=lambda x: 2.0 * x,
+                   social=lambda x: float(0.5 * np.sum((x - [1.0, 2.0]) ** 2)),
+                   social_grad=lambda x: np.asarray(x, float) - [1.0, 2.0])
+    np.testing.assert_array_equal(g.uniform_point(), [-0.25, 0.5])
+    x = social_optimum(g, tol=1e-10)
+    np.testing.assert_allclose(x, [0.5, 1.0], atol=1e-10)
+    assert certify_social_optimum(g, x, 1e-8)[0]
+
+
+def test_atomic_game_closed_form_optimum():
+    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [1.0, 2.0])
+    assert g.known_optimum() is None and g.optimal_incentive() is None
+    with_opt = AtomicGame(g.lower, g.upper, g.loss, g.loss_grad, g.social,
+                          g.social_grad, optimum=[1.0, 2.0])
+    np.testing.assert_array_equal(with_opt.known_optimum(), [1.0, 2.0])
+    # p† = e(x†) = -M x† with M = [[1, 0.5], [0.5, 1]]
+    np.testing.assert_allclose(with_opt.optimal_incentive(), [-2.0, -2.5], atol=1e-15)
+    with pytest.raises(SpecError):
+        AtomicGame(g.lower, g.upper, g.loss, g.loss_grad, g.social,
+                   g.social_grad, optimum=[1.0])
+    assert two_link_game().known_optimum() is None
+    assert two_link_game().optimal_incentive() is None
+
+
 def test_social_optimum_two_link():
     g = two_link_game()
     x = social_optimum(g, tol=1e-9)

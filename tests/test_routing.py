@@ -395,6 +395,20 @@ def test_route_externality_aggregation():
         np.testing.assert_allclose(fd, expect, rtol=1e-5, atol=1e-5)
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_network_slow_layer_methods(name):
+    net = CORPUS[name]()
+    assert net.dim == net.n_edges
+    rng = np.random.default_rng(17)
+    x = net.random_start(rng)
+    fd = numdiff.central_gradient(net.social, x)
+    np.testing.assert_allclose(net.social_grad(x), fd, rtol=1e-5, atol=1e-5)
+    y = net.project(x + rng.normal(size=net.n_routes))
+    net.check_route_flow(y)  # raises unless the demands are met
+    np.testing.assert_allclose(net.project(x), x, atol=1e-12)
+    np.testing.assert_array_equal(net.known_optimum(), system_optimum(net)[0])
+
+
 # ---------------------------------------------------------------------------
 # helpers, fixtures, serialization
 # ---------------------------------------------------------------------------
