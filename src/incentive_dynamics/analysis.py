@@ -59,18 +59,20 @@ def verify_fixed_point_optimality(obj, p=None, tol: float = 1e-6) -> dict:
     Checks (a) phi(p) = e(x*(p)) = p, (b) the projected-gradient certificate
     of social optimality at x*(p), (c) proximity of x*(p) to the model's
     independently computed social optimum (skipped when it has none). ``p``
-    defaults to the model's optimal incentive p†.
+    defaults to p† = e(x_opt), the externality at that optimum.
     """
     model = _strategy_model(obj)
-    p = model.optimal_incentive() if p is None else np.asarray(p, dtype=float)
+    x_opt = model.known_optimum()
     if p is None:
-        raise InvalidArgumentError("the model has no known optimal incentive; pass p")
+        if x_opt is None:
+            raise InvalidArgumentError("the model has no known optimal incentive; pass p")
+        p = model.externality(x_opt)
+    p = np.asarray(p, dtype=float)
     x = slow_system(model).equilibrium(p)
     phi_gap = float(np.max(np.abs(model.externality(x) - p)))
     ok, resid = games.certify_social_optimum(model, x, tol)
     report = {"fixed_point_gap": phi_gap, "fixed_point_ok": phi_gap <= tol,
               "optimality_residual": resid, "optimality_ok": ok}
-    x_opt = model.known_optimum()
     if x_opt is not None:
         gap = float(model.strategy_gap(x, x_opt))
         report["distance_to_optimum"] = gap
@@ -201,10 +203,6 @@ def equilibrium_cost_gradient(obj, p, step: float = 1e-4) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     h = step * (1.0 + np.linalg.norm(p))
     return numdiff.central_gradient(sys.equilibrium_social_cost, p, step=h)
-
-
-def gradient_baseline_step(obj, p, beta: float, step: float = 1e-4) -> np.ndarray:
-    return np.asarray(p, float) - beta * equilibrium_cost_gradient(obj, p, step)
 
 
 def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),

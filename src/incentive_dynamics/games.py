@@ -316,27 +316,6 @@ class NonAtomicGame:
 # Costs and externalities
 # ---------------------------------------------------------------------------
 
-def total_cost_atomic(game: AtomicGame, x: Array, p: Array, i: int) -> float:
-    x = _as_vector(x, "x")
-    p = _as_vector(p, "p")
-    if x.size != game.n_players or p.size != game.n_players:
-        raise InvalidArgumentError("x and p must have one entry per player")
-    if not 0 <= i < game.n_players:
-        raise InvalidArgumentError(f"player index {i} out of range")
-    return float(game.loss(x)[i] + p[i] * x[i])
-
-
-def total_cost_nonatomic(game: NonAtomicGame, x: Array, p: Array, i: int, j: int) -> float:
-    x = game.check_feasible(x)
-    p = _as_vector(p, "p")
-    if p.size != game.dim:
-        raise InvalidArgumentError("p must have one entry per (population, action)")
-    if not 0 <= i < game.n_populations or not 0 <= j < game.action_counts[i]:
-        raise InvalidArgumentError(f"invalid (population, action) index ({i}, {j})")
-    k = game.slices[i].start + j
-    return float(game.action_cost(x)[k] + p[k])
-
-
 def _checked(values: Array, what: str) -> Array:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
@@ -452,14 +431,6 @@ def best_response_nonatomic(game: NonAtomicGame, x: Array, p: Array) -> Array:
     """All mass on a minimal-cost action per population (ties: lowest index)."""
     c = np.asarray(game.action_cost(x), float) + np.asarray(p, float)
     return best_response_blocks(c, game.slices, game.masses)
-
-
-def logit_response(game: NonAtomicGame, x: Array, p: Array, temperature: float) -> Array:
-    """Perturbed (entropy-regularized) best response."""
-    if temperature <= 0:
-        raise InvalidArgumentError("logit temperature must be positive")
-    c = np.asarray(game.action_cost(x), float) + np.asarray(p, float)
-    return logit_blocks(c, game.slices, game.masses, temperature)
 
 
 def solve_equilibrium_atomic(game: AtomicGame, p: Array, tol: float = 1e-10,

@@ -1,8 +1,10 @@
 """Non-atomic routing games with edge tolls.
 
 Tolled Wardrop equilibria are computed by minimizing the Beckmann potential
-over the route-flow polytope with a Frank-Wolfe scheme; the system optimum
-minimizes total latency cost with the same machinery. Marginal-cost tolls
+over the route-flow polytope with route-based gradient projection, which
+shifts flow onto the cheapest route of each OD pair until the relative
+duality gap is at most ``tol``; the system optimum minimizes total latency
+cost with the same solver. Marginal-cost tolls
 ``w_a * l_a'(w_a)`` make the two coincide. A network is a model of the
 coupled loop in ``dynamics``: route flows are its strategies and edge tolls
 its incentives.
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import RunConfig, TrajectoryRecord, run_coupled
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
@@ -276,77 +277,54 @@ def edge_externality(net: RoutingNetwork, w) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Convex flow programs (Frank-Wolfe with vertex-exchange steps)
+# Convex flow programs (route-based gradient projection)
 # ---------------------------------------------------------------------------
 
-def _exact_line_search(deriv, hi=1.0):
-    """Minimizer of a convex scalar objective on [0, hi] via its derivative."""
-    d0 = deriv(0.0)
-    if d0 >= 0.0:
-        return 0.0
-    d1 = deriv(hi)
-    if d1 <= 0.0:
-        return hi
-    return float(brentq(deriv, 0.0, hi, xtol=1e-15, rtol=8.9e-16))
-
-
-def _solve_flow_program(net, edge_cost, objective, tol, x0, max_iter):
+def _solve_flow_program(net, edge_cost, edge_cost_deriv, objective, tol, x0, max_iter):
     """Minimize a convex separable edge objective over the route-flow polytope.
 
-    ``edge_cost(w)`` must be the gradient of ``objective`` in edge flows.
-    Each iteration builds the classic all-or-nothing direction and a per-OD
-    vertex-exchange direction (mass shifted from the costliest active route
-    to the cheapest route). It takes the exchange direction whenever that
-    direction descends at all, and the all-or-nothing direction otherwise or
-    when the exchange line search makes no progress; it does not compare
-    their rates of descent. This rule can stall on larger networks (see
-    ROADMAP item 2). Stops at relative duality gap <= tol.
+    Route-based gradient projection (Bertsekas and Gafni 1982; Jayakrishnan
+    et al. 1994). ``edge_cost(w)`` must be the gradient of ``objective`` in
+    edge flows and ``edge_cost_deriv(w)`` its derivative. A sweep visits the
+    OD pairs, and within each its routes in order: a route r that carries
+    flow and costs more than the cheapest route b of its OD shifts
+    ``min(x_r, (c_r - c_b) / sum_{a in r △ b} d_a(w))`` onto b, the
+    Newton step of the exchange, or all of x_r where that sum is zero
+    (constant costs only). Edge flow and costs are updated after every
+    shift. Before each sweep the relative duality gap
+    ``sum_od (c_od . x_od - m_od min c_od) / max(1, |objective|)`` is
+    checked against ``tol``; after ``max_iter`` sweeps ConvergenceError
+    carries the last flow.
     """
     inc = net.incidence
-    x = net.uniform_route_flow() if x0 is None else net.check_route_flow(np.asarray(x0, float)).copy()
-    w = inc @ x
-    slices = net.route_slices
-    demands = net.demands
+    x = net.uniform_route_flow() if x0 is None else np.maximum(net.check_route_flow(x0), 0.0)
+    blocks = [(x[s], inc[:, s].T.copy(), m) for s, m in zip(net.route_slices, net.demands)]
     gap = np.inf
-    for it in range(max_iter):
-        c_edge = edge_cost(w)
-        c_route = inc.T @ c_edge
-        fw = np.zeros_like(x)
-        gap = 0.0
-        for s, m in zip(slices, demands):
-            j = int(np.argmin(c_route[s]))
-            fw[s.start + j] = m
-            gap += float(c_route[s] @ x[s] - m * c_route[s][j])
-        obj = objective(w)
-        if gap <= tol * max(1.0, abs(obj)):
-            return x, w, gap, it
-        d_fw = fw - x
-        d_ex = np.zeros_like(x)
-        for s in slices:
-            cs = c_route[s]
-            best = int(np.argmin(cs))
-            active = np.nonzero(x[s] > 0.0)[0]
-            worst = int(active[np.argmax(cs[active])])
-            if worst != best and cs[worst] > cs[best]:
-                shift = x[s.start + worst]
-                d_ex[s.start + worst] -= shift
-                d_ex[s.start + best] += shift
-        d = d_ex if float(c_route @ d_ex) < 0.0 else d_fw
-        dw = inc @ d
-        t = _exact_line_search(lambda t: float(dw @ edge_cost(w + t * dw)))
-        if t <= 0.0:
-            # exchange direction stalled on a kink; fall back to the FW vertex
-            d = d_fw
-            dw = inc @ d
-            t = _exact_line_search(lambda t: float(dw @ edge_cost(w + t * dw)))
-            if t <= 0.0:
-                return x, w, gap, it
-        x = np.maximum(x + t * d, 0.0)
-        for s, m in zip(slices, demands):
-            x[s] *= m / x[s].sum()
+    for _ in range(max_iter):
         w = inc @ x
+        c_edge = edge_cost(w)
+        gap = 0.0
+        for xs, inc_s, m in blocks:
+            c = inc_s @ c_edge
+            gap += float(c @ xs - m * c.min())
+        if gap <= tol * max(1.0, abs(objective(w))):
+            return x, w
+        for xs, inc_s, _ in blocks:  # xs is a view into x
+            c = inc_s @ c_edge
+            for r in range(len(xs)):
+                b = int(np.argmin(c))
+                if xs[r] <= 0.0 or c[r] <= c[b]:
+                    continue
+                diff = inc_s[r] - inc_s[b]
+                curv = float((diff * diff) @ edge_cost_deriv(w))
+                shift = xs[r] if curv <= 0.0 else min(xs[r], (c[r] - c[b]) / curv)
+                xs[r] -= shift
+                xs[b] += shift
+                w -= shift * diff
+                c_edge = edge_cost(w)
+                c = inc_s @ c_edge
     raise ConvergenceError("flow program did not close the duality gap",
-                           best=(x, w), gap=gap)
+                           best=(x, inc @ x), gap=gap)
 
 
 def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GAP_TOL,
@@ -361,7 +339,7 @@ def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GA
         raise InvalidArgumentError("edge toll vector has wrong length")
     cost = lambda w: net.latency(w) + p
     obj = lambda w: beckmann_potential(net, w, p)
-    x, w, _, _ = _solve_flow_program(net, cost, obj, tol, x0, max_iter)
+    x, w = _solve_flow_program(net, cost, net.latency_deriv, obj, tol, x0, max_iter)
     return x, w
 
 
@@ -369,8 +347,9 @@ def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
                    x0=None, max_iter: int = 200000):
     """Total-latency-minimizing flow; returns (route_flow, edge_flow)."""
     cost = lambda w: net.latency(w) + w * net.latency_deriv(w)
+    deriv = lambda w: 2.0 * net.latency_deriv(w) + w * net.latency_second_deriv(w)
     obj = lambda w: total_latency_cost(net, w)
-    x, w, _, _ = _solve_flow_program(net, cost, obj, tol, x0, max_iter)
+    x, w = _solve_flow_program(net, cost, deriv, obj, tol, x0, max_iter)
     return x, w
 
 
@@ -392,7 +371,9 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
 
     Returns "pass", "fail", or "indeterminate". Route-flow minimizers can be
     non-unique, so zero flow in one decomposition is inconclusive; several
-    warm starts are probed before giving up.
+    warm starts, and their average, are probed before giving up. The
+    equilibrium route flows form a convex set, so the average is one too and
+    uses every route that any start uses.
     """
     rng = np.random.default_rng(seed)
     solutions = [wardrop_equilibrium(net, edge_tolls)[0]]
@@ -408,7 +389,7 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
                 return False
         return True
 
-    if any(verdict(x) for x in solutions):
+    if any(verdict(x) for x in [*solutions, np.mean(solutions, axis=0)]):
         return "pass"
     spread = max(float(np.max(np.abs(a - b)))
                  for a in solutions for b in solutions)

@@ -10,7 +10,6 @@ from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
                                          check_condition_C2,
                                          counterexample_grid_csv,
                                          equilibrium_cost_gradient,
-                                         gradient_baseline_step,
                                          multistart_uniqueness_probe,
                                          ode_probe_slow_dynamics,
                                          reproduce_counterexample,
@@ -109,12 +108,14 @@ def _count_calls(monkeypatch, name):
 
 def test_verify_routing_solves_each_program_once(monkeypatch):
     net = routing.braess_network()
-    p_dagger = optimal_edge_tolls(net)
     wardrop = _count_calls(monkeypatch, "wardrop_equilibrium")
     optimum = _count_calls(monkeypatch, "system_optimum")
-    assert verify_fixed_point_optimality(net, p_dagger)["passed"]
-    assert len(wardrop) == 1
-    assert len(optimum) == 1
+    for p in (optimal_edge_tolls(net), None):  # given p†, and the default
+        wardrop.clear()
+        optimum.clear()
+        assert verify_fixed_point_optimality(net, p)["passed"]
+        assert len(wardrop) == 1
+        assert len(optimum) == 1
 
 
 def test_cost_gradient_needs_no_system_optimum(monkeypatch):
@@ -263,13 +264,9 @@ def test_clarke_gradient_cases():
                                [0.0, 0.0], atol=1e-12)
 
 
-def test_gradient_baseline_step_matches_clarke():
-    net = two_link_network()
-    p = np.array([0.3, 0.1])
-    g_fd = equilibrium_cost_gradient(net, p)
+def test_equilibrium_cost_gradient_matches_clarke():
+    g_fd = equilibrium_cost_gradient(two_link_network(), np.array([0.3, 0.1]))
     np.testing.assert_allclose(g_fd, [0.2, -0.2], atol=1e-6)
-    out = gradient_baseline_step(net, p, beta=1.0)
-    np.testing.assert_allclose(out, [0.1, 0.3], atol=1e-6)
 
 
 def test_gradient_baseline_stalls_on_plateau():

@@ -12,10 +12,8 @@ from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
                                       certify_nash_nonatomic,
                                       certify_social_optimum,
                                       externality_atomic,
-                                      externality_nonatomic, logit_response,
-                                      project_simplex, social_optimum,
-                                      solve_equilibrium_atomic,
-                                      total_cost_atomic, total_cost_nonatomic)
+                                      externality_nonatomic, project_simplex,
+                                      social_optimum, solve_equilibrium_atomic)
 from incentive_dynamics import numdiff
 
 
@@ -93,42 +91,6 @@ def test_nonatomic_feasibility_checks():
     assert not g.is_feasible(np.array([-0.1, 1.1]))
     with pytest.raises(InvalidArgumentError):
         g.check_feasible(np.array([1.0, 1.0]))
-
-
-# ---------------------------------------------------------------------------
-# total costs
-# ---------------------------------------------------------------------------
-
-def test_total_cost_atomic_zero_loss():
-    g = AtomicGame(lower=[-np.inf], upper=[np.inf],
-                   loss=lambda x: np.zeros(1), loss_grad=lambda x: np.zeros(1),
-                   social=lambda x: 0.0, social_grad=lambda x: np.zeros(1))
-    assert total_cost_atomic(g, np.array([3.0]), np.array([2.0]), 0) == 6.0
-
-
-def test_total_cost_atomic_aggregative_hand_value():
-    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    c1 = total_cost_atomic(g, np.array([1.0, 2.0]), np.array([0.1, 0.0]), 0)
-    assert c1 == pytest.approx(1.6, abs=1e-12)
-
-
-def test_total_cost_atomic_dimension_mismatch():
-    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    with pytest.raises(InvalidArgumentError):
-        total_cost_atomic(g, np.array([1.0]), np.array([0.0, 0.0]), 0)
-    with pytest.raises(InvalidArgumentError):
-        total_cost_atomic(g, np.array([1.0, 2.0]), np.array([0.0, 0.0]), 5)
-
-
-def test_total_cost_nonatomic_values():
-    g = two_link_game()
-    assert total_cost_nonatomic(g, np.array([1.0, 0.0]), np.zeros(2), 0, 0) == 1.0
-    assert total_cost_nonatomic(g, np.array([1.0, 0.0]), np.zeros(2), 0, 1) == 0.0
-    both = [total_cost_nonatomic(g, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0, j)
-            for j in (0, 1)]
-    assert both == [1.0, 1.0]
-    with pytest.raises(InvalidArgumentError):
-        total_cost_nonatomic(g, np.array([0.5, 0.5]), np.zeros(2), 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +273,6 @@ def test_best_response_nonatomic_lowest_index_tiebreak():
                       social_grad=lambda x: np.ones(3))
     f = best_response_nonatomic(g, g.uniform_point(), np.zeros(3))
     np.testing.assert_allclose(f, [1.0, 0.0, 0.0])
-
-
-def test_logit_response_uniform_costs():
-    g = two_link_game()
-    out = logit_response(g, np.array([0.9, 0.1]), np.array([0.1, 0.9]), 0.5)
-    # costs 0.9+0.1 and 0.1+0.9 are equal, so the logit split is uniform
-    np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
 
 
 def test_solve_equilibrium_atomic_matches_closed_form():

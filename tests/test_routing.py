@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS, grid34, grid45
 from incentive_dynamics import numdiff, routing
-from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, resolve_eta
+from incentive_dynamics.dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
+                                         resolve_eta)
 from incentive_dynamics.errors import (ConvergenceError, InvalidArgumentError,
                                        SpecError)
 from incentive_dynamics.routing import (FIXTURES, LatencyFunction, OdPair,
@@ -224,6 +227,64 @@ def test_system_optimum_single_route():
     np.testing.assert_allclose(w, [2.0], atol=1e-12)
 
 
+def _relative_gap(net, x, w, p):
+    c = route_costs(net, w, p)
+    gap = sum(c[s] @ x[s] - od.demand * c[s].min()
+              for s, od in zip(net.route_slices, net.od_pairs))
+    return gap / max(1.0, abs(beckmann_potential(net, w, p)))
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_wardrop_grid34_externality_tolls(start):
+    """First-step tolls of the adaptation loop, beta_0 e(uniform flow), close the gap."""
+    net = grid34()
+    p = StepSchedule().beta(0) * edge_externality(net, net.incidence @ net.uniform_route_flow())
+    rng = np.random.default_rng(3)
+    x0 = None if start == "cold" else 0.5 * (net.uniform_route_flow() + net.random_start(rng))
+    x, w = wardrop_equilibrium(net, p, x0=x0, max_iter=500)
+    net.check_route_flow(x)
+    np.testing.assert_allclose(w, net.incidence @ x, atol=1e-12)
+    assert _relative_gap(net, x, w, p) <= 1e-10
+    c = route_costs(net, w, p)
+    for s in net.route_slices:
+        used = x[s] > 0.0
+        assert used.any() and c[s][used].max() - c[s].min() <= 1e-6
+
+
+def test_equilibrium_rule_toll_adaptation_grid34():
+    net = grid34()
+    cfg = RunConfig(max_iterations=4000, convergence_tol=1e-4)
+    rec = run_toll_adaptation(net, net.uniform_route_flow(), np.zeros(net.n_edges), cfg)
+    assert rec.converged
+    assert np.max(np.abs(rec.final_p - optimal_edge_tolls(net))) <= 1e-3
+
+
+def test_flow_program_budget_error_carries_a_feasible_flow():
+    net = grid34()
+    with pytest.raises(ConvergenceError) as info:
+        wardrop_equilibrium(net, np.zeros(net.n_edges), max_iter=1)
+    x, w = info.value.best
+    assert info.value.gap > 1e-10
+    net.check_route_flow(x)
+    np.testing.assert_allclose(w, net.incidence @ x, atol=1e-12)
+
+
+def test_wardrop_constant_links_moves_all_flow():
+    """Zero curvature on the exchanged edges: the whole route flow moves at once."""
+    net = RoutingNetwork(nodes=("S", "D"),
+                         edges=(("S", "D", LatencyFunction((2.0,))),
+                                ("S", "D", LatencyFunction((1.0,)))),
+                         od_pairs=(OdPair("S", "D", 3.0, ((0,), (1,))),),
+                         relax_monotonicity=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, w = wardrop_equilibrium(net, np.zeros(2))
+        x_so, _ = system_optimum(net)
+    np.testing.assert_array_equal(x, [0.0, 3.0])
+    np.testing.assert_array_equal(w, [0.0, 3.0])
+    np.testing.assert_array_equal(x_so, [0.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # externality and tolls
 # ---------------------------------------------------------------------------
@@ -266,6 +327,13 @@ def test_nondegeneracy_dominated_route_does_not_block():
                          edges=(("S", "D", lat1), ("S", "D", lat2)),
                          od_pairs=(OdPair("S", "D", 1.0, ((0,), (1,))),))
     assert routing.nondegeneracy_check(net, np.zeros(2)) == "pass"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_nondegeneracy_corpus_untolled(name):
+    """Single solves may leave a cheapest route empty; their average uses it."""
+    net = CORPUS[name]()
+    assert routing.nondegeneracy_check(net, np.zeros(net.n_edges)) == "pass"
 
 
 def test_delta_matrix_values():
