@@ -7,11 +7,13 @@ forms through ``M = Q + alpha A``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 from scipy.optimize import brentq
 
 from .errors import InvalidArgumentError, SpecError
@@ -83,6 +85,10 @@ class TableTerm:
         return float(out[0]) if scalar else out
 
 
+# Exponent k of the terms with h(y) = (y - zeta)^k / k, evaluated as arrays.
+_POWERS = {QuadraticTerm: 2.0, QuarticTerm: 4.0}
+
+
 def _grad_root(term, lo=-1.0, hi=1.0, limit=1e6) -> float:
     """Root of a strictly increasing gradient via bracket doubling + bisection."""
     while term.grad(lo) > 0 or term.grad(hi) < 0:
@@ -143,6 +149,17 @@ class QuadraticAggregativeSpec:
                     raise SpecError("operator-cost gradients must be strictly increasing")
             object.__setattr__(self, "h", terms)
             object.__setattr__(self, "_y_dagger", np.array([_grad_root(t) for t in terms]))
+        # Quadratic and quartic terms are evaluated as arrays; any other term
+        # (a table, a user object) is called per player on its own index.
+        # float_power matches the terms' scalar ``**`` bitwise, where array
+        # ``**`` and ``d * d`` do not.
+        powers = [_POWERS.get(type(t)) for t in self.h]
+        object.__setattr__(self, "_zeta", np.array(
+            [0.0 if k is None else t.zeta for t, k in zip(self.h, powers)]))
+        object.__setattr__(self, "_pow", np.array([2.0 if k is None else k for k in powers]))
+        object.__setattr__(self, "_quartic", np.flatnonzero(self._pow == 4.0))
+        object.__setattr__(self, "_other", tuple(
+            (i, t) for i, (t, k) in enumerate(zip(self.h, powers)) if k is None))
 
     @property
     def n(self) -> int:
@@ -152,16 +169,32 @@ class QuadraticAggregativeSpec:
     def M(self) -> np.ndarray:
         return self._M
 
+    @cached_property
+    def _lipschitz(self) -> float:
+        return float(np.linalg.norm(self._M, 2))
+
+    @cached_property
+    def _M_inv(self) -> np.ndarray:
+        return np.linalg.inv(self._M)
+
     def y_dagger(self) -> np.ndarray:
         return self._y_dagger.copy()
 
     def social(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(sum(t.value(xi) for t, xi in zip(self.h, x)))
+        values = np.float_power(x - self._zeta, self._pow) / self._pow
+        for i, t in self._other:
+            values[i] = t.value(x[i])
+        # cumsum adds left to right, as the builtin sum did
+        return float(np.cumsum(values)[-1])
 
     def social_grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.array([t.grad(xi) for t, xi in zip(self.h, x)])
+        grad = x - self._zeta
+        grad[self._quartic] = np.float_power(grad[self._quartic], 3.0)
+        for i, t in self._other:
+            grad[i] = t.grad(x[i])
+        return grad
 
     def loss(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -188,7 +221,7 @@ class QuadraticAggregativeSpec:
             equilibrium=lambda p: nash_closed_form(self, p),
             best_response=lambda x, p: -(self.alpha * (self.A @ np.asarray(x, float))
                                          + np.asarray(p, float)) / self.q,
-            lipschitz_bound=float(np.linalg.norm(self._M, 2)),
+            lipschitz_bound=self._lipschitz,
             optimum=self.y_dagger(),
         )
 
@@ -221,7 +254,14 @@ def nash_closed_form(spec: QuadraticAggregativeSpec, p) -> np.ndarray:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.size != spec.n:
         raise InvalidArgumentError("incentive vector has wrong length")
-    return lu_solve(spec._lu, -p)
+    # the LAPACK call of scipy.linalg.lu_solve, without its per-call wrapper
+    if not np.isfinite(p).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv = spec._lu
+    x, info = dgetrs(lu, piv, -p, overwrite_b=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+    return x
 
 
 def optimal_incentive(spec: QuadraticAggregativeSpec) -> np.ndarray:
@@ -245,8 +285,7 @@ def check_global_conditions(spec: QuadraticAggregativeSpec) -> dict:
 
 def check_local_conditions(spec: QuadraticAggregativeSpec) -> dict:
     M = spec.M
-    Minv = np.linalg.inv(M)
-    off = Minv[~np.eye(spec.n, dtype=bool)]
+    off = spec._M_inv[~np.eye(spec.n, dtype=bool)]
     y = spec.y_dagger()
     report = {
         "entries_nonnegative": bool(np.all(M >= 0)),
@@ -259,7 +298,7 @@ def check_local_conditions(spec: QuadraticAggregativeSpec) -> dict:
 
 def lyapunov_value(spec: QuadraticAggregativeSpec, p) -> float:
     d = np.asarray(p, dtype=float) - optimal_incentive(spec)
-    W = np.linalg.inv(spec.M).T
+    W = spec._M_inv.T
     return float(d @ W @ d)
 
 
@@ -267,7 +306,7 @@ def lyapunov_decrement(spec: QuadraticAggregativeSpec, p) -> float:
     """Directional derivative of the certificate along the slow dynamics."""
     p = np.asarray(p, dtype=float)
     d = p - optimal_incentive(spec)
-    W = np.linalg.inv(spec.M).T
+    W = spec._M_inv.T
     grad_v = (W + W.T) @ d
     drift = spec.externality(nash_closed_form(spec, p)) - p
     return float(grad_v @ drift)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_solve
 
 from incentive_dynamics import aggregative as agg
 from incentive_dynamics import games, numdiff
@@ -10,7 +11,7 @@ from incentive_dynamics.aggregative import (QuadraticAggregativeSpec,
                                             lyapunov_decrement, lyapunov_value,
                                             nash_closed_form,
                                             optimal_incentive)
-from incentive_dynamics.dynamics import StrategyUpdateRule
+from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, run_coupled
 from incentive_dynamics.errors import InvalidArgumentError, SpecError
 
 M1_SPEC = dict(q=[1.0, 1.0], A=[[0.0, 0.1], [1.0, 0.0]], alpha=1.0,
@@ -82,6 +83,21 @@ def test_nash_closed_form_dimension_check():
         nash_closed_form(example_spec(), np.zeros(3))
 
 
+def test_nash_closed_form_matches_lu_solve_bitwise():
+    rng = np.random.default_rng(4)
+    for n in (1, 5, 50):
+        A = rng.uniform(0.0, 1.0, (n, n)) / n
+        np.fill_diagonal(A, 0.0)
+        spec = QuadraticAggregativeSpec(q=rng.uniform(0.5, 2.0, n), A=A, alpha=0.5,
+                                        zeta=rng.uniform(-1.0, 1.0, n))
+        for _ in range(5):
+            p = rng.normal(scale=3.0, size=n)
+            np.testing.assert_array_equal(nash_closed_form(spec, p), lu_solve(spec._lu, -p))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            nash_closed_form(example_spec(), np.array([0.0, bad]))
+
+
 def test_optimal_incentive_values():
     assert np.all(optimal_incentive(example_spec()) == 0.0)
     spec = example_spec(zeta=(1.0, 2.0))
@@ -139,6 +155,78 @@ def test_h_form_quadratic_recovers_zeta_answer():
     np.testing.assert_allclose(optimal_incentive(s2), optimal_incentive(s1),
                                atol=1e-10)
     np.testing.assert_allclose(s2.y_dagger(), zeta, atol=1e-12)
+
+
+def random_spec(rng, n, **cost):
+    A = rng.uniform(0.0, 1.0, (n, n)) / n
+    np.fill_diagonal(A, 0.0)
+    return QuadraticAggregativeSpec(q=rng.uniform(1.0, 2.0, n), A=A, alpha=0.5, **cost)
+
+
+def test_zeta_and_quadratic_h_forms_agree_bitwise():
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 40):
+        zeta = rng.uniform(-1.0, 1.0, n)
+        s1 = random_spec(rng, n, zeta=zeta)
+        s2 = QuadraticAggregativeSpec(q=s1.q, A=s1.A, alpha=s1.alpha,
+                                      h=tuple(QuadraticTerm(z) for z in zeta))
+        for _ in range(5):
+            x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n)
+            assert s1.social(x) == s2.social(x)
+            np.testing.assert_array_equal(s1.social_grad(x), s2.social_grad(x))
+        for variant in ("equilibrium", "best_response", "gradient"):
+            cfg = RunConfig(rule=StrategyUpdateRule(variant), max_iterations=300,
+                            convergence_tol=1e-9)
+            r1 = run_coupled(s1.to_game(), np.zeros(n), np.zeros(n), cfg)
+            r2 = run_coupled(s2.to_game(), np.zeros(n), np.zeros(n), cfg)
+            for f in ("ks", "xs", "ps", "residuals", "social_costs", "converged",
+                      "iterations"):
+                assert np.array_equal(getattr(r1, f), getattr(r2, f)), (n, variant, f)
+
+
+def test_mixed_operator_cost_matches_per_term_sum_bitwise():
+    rng = np.random.default_rng(8)
+    table = TableTerm([-12.0, -0.5, 0.0, 1.5, 12.0], [-30.0, -1.0, 0.25, 1.0, 40.0])
+    # 35 players, enough for a pairwise (non-sequential) sum to differ
+    terms = (QuadraticTerm(0.3), QuarticTerm(-0.6), table, QuarticTerm(1.1),
+             QuadraticTerm(-2.0), table, QuadraticTerm(0.0)) * 5
+    spec = random_spec(rng, len(terms), h=terms)
+    for _ in range(200):
+        x = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=len(terms))
+        # the per-player evaluation the arrays replace: builtin sum, left to right
+        assert spec.social(x) == float(sum(t.value(xi) for t, xi in zip(terms, x)))
+        np.testing.assert_array_equal(spec.social_grad(x),
+                                      np.array([t.grad(xi) for t, xi in zip(terms, x)]))
+    # one player per spec, so that no sum can absorb a last-bit difference
+    for term in terms[:3]:
+        single = random_spec(rng, 1, h=(term,))
+        for xi in rng.normal(scale=10.0 ** rng.integers(-3, 3, 3000)):
+            assert single.social(np.array([xi])) == float(0 + term.value(xi))
+            assert single.social_grad(np.array([xi]))[0] == term.grad(xi)
+
+
+def test_spec_invariants_are_computed_once(monkeypatch):
+    spec = example_spec(zeta=(1.0, 2.0))
+    expected_norm = float(np.linalg.norm(spec.M, 2))
+    W = np.linalg.inv(spec.M).T
+    calls = []
+    norm = np.linalg.norm
+
+    def counting_norm(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    g1, g2 = spec.to_game(), spec.to_game()
+    assert len(calls) == 1
+    assert g1.lipschitz_bound == g2.lipschitz_bound == expected_norm
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        p = rng.normal(size=2)
+        d = p - optimal_incentive(spec)
+        assert lyapunov_value(spec, p) == float(d @ W @ d)
+        drift = spec.externality(nash_closed_form(spec, p)) - p
+        assert lyapunov_decrement(spec, p) == float(((W + W.T) @ d) @ drift)
 
 
 def test_quartic_root_and_externality():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -186,6 +187,34 @@ def test_trajectory_csv_format(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,residual,social_cost,x0,x1,p0"
     assert lines[1].startswith("0,0.25,3,")
+
+
+def csv_module_reference(rec, path):
+    """trajectory.csv as the csv module writes it, one row at a time."""
+    nx, np_ = rec.xs[0].size, rec.ps[0].size
+    header = (["k", "residual", "social_cost"]
+              + [f"x{i}" for i in range(nx)] + [f"p{i}" for i in range(np_)])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k, r, c, x, p in zip(rec.ks, rec.residuals, rec.social_costs, rec.xs, rec.ps):
+            row = [str(k), f"{r:.17g}", f"{c:.17g}"]
+            row += [f"{v:.17g}" for v in x] + [f"{v:.17g}" for v in p]
+            writer.writerow(row)
+
+
+def test_trajectory_csv_matches_csv_module_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    special = [-0.0, 1e-300, 1e300, np.nan, np.inf, -np.inf, 5e-324, 0.1, -1.0 / 3.0]
+    rec = TrajectoryRecord()
+    for k in range(40):
+        x = rng.normal(scale=10.0 ** rng.integers(-20, 20), size=3)
+        x[k % 3] = special[k % len(special)]
+        p = rng.normal(size=2)
+        rec.append(3 * k + 1, x, p, special[(k + 1) % len(special)], rng.normal())
+    rec.to_csv(tmp_path / "fast.csv")
+    csv_module_reference(rec, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incentive_dynamics import games
-from incentive_dynamics.errors import (EvaluationError, InvalidArgumentError,
-                                       SpecError)
+from incentive_dynamics.errors import (ConvergenceError, EvaluationError,
+                                       InvalidArgumentError, SpecError)
 from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
                                       best_response_nonatomic,
                                       certify_nash_atomic,
@@ -280,3 +282,67 @@ def test_solve_equilibrium_atomic_matches_closed_form():
     p = np.array([1.0, 1.0])
     x = solve_equilibrium_atomic(g, p, tol=1e-11)
     np.testing.assert_allclose(x, [-2.0 / 3.0, -2.0 / 3.0], atol=1e-8)
+
+
+def certify_loop_reference(game, p, tol=1e-10, x0=None, max_iter=5000):
+    """The generic solver as it was before it reused the gradient: every
+    candidate is certified with certify_nash_atomic, and the step direction
+    evaluates loss_grad at the same point once more."""
+    p = np.asarray(p, float)
+    x = game.project(np.zeros(game.n_players) if x0 is None else np.asarray(x0, float))
+    eta = 1.0
+    _, res = certify_nash_atomic(game, x, p, tol)
+    for _ in range(max_iter):
+        if res <= tol:
+            return x
+        cand = game.project(x - eta * (np.asarray(game.loss_grad(x), float) + p))
+        _, res_c = certify_nash_atomic(game, cand, p, tol)
+        if res_c <= res:
+            x, res = cand, res_c
+        else:
+            eta *= 0.5
+            if eta < 1e-12:
+                f = games.best_response_atomic(game, x, p)
+                x = 0.5 * x + 0.5 * f
+                _, res = certify_nash_atomic(game, x, p, tol)
+                eta = 1.0
+    raise ConvergenceError("atomic equilibrium iteration stalled", best=x)
+
+
+def counting_game(game):
+    calls = []
+
+    def loss_grad(x):
+        calls.append(1)
+        return game.loss_grad(x)
+
+    return dataclasses.replace(game, loss_grad=loss_grad), calls
+
+
+def test_solve_equilibrium_atomic_matches_certify_loop_bitwise():
+    rng = np.random.default_rng(11)
+    n = 5
+    A = rng.uniform(0.0, 1.0, (n, n))
+    A = 0.5 * (A + A.T)
+    np.fill_diagonal(A, 0.0)
+    A *= 0.8 / (n - 1)
+    box = dataclasses.replace(aggregative_game(rng.uniform(1.0, 2.0, n), A, 1.0, np.zeros(n)),
+                              lower=np.full(n, -0.3), upper=np.full(n, 0.4))
+    unbounded = aggregative_game(rng.uniform(1.0, 2.0, n), A, 1.0, np.zeros(n))
+    for game in (unbounded, box):
+        for _ in range(4):
+            p = rng.normal(size=n)
+            x0 = game.project(rng.normal(size=n))
+            new_game, new_calls = counting_game(game)
+            ref_game, ref_calls = counting_game(game)
+            x = solve_equilibrium_atomic(new_game, p, x0=x0)
+            np.testing.assert_array_equal(x, certify_loop_reference(ref_game, p, x0=x0))
+            # one gradient per visited point, where the certify loop took two
+            assert len(new_calls) <= 0.5 * len(ref_calls) + 1
+
+
+def test_solve_equilibrium_atomic_rejects_wrong_incentive_length():
+    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
+    for p in (np.zeros(3), np.zeros(1), np.zeros((2, 1))):
+        with pytest.raises(InvalidArgumentError):
+            solve_equilibrium_atomic(g, p)
