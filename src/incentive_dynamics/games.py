@@ -12,17 +12,18 @@ calls, as ``routing.RoutingNetwork`` does.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import numdiff
 from .errors import ConvergenceError, EvaluationError, InvalidArgumentError, SpecError
 
 DEFAULT_CERT_TOL = 1e-6
 MASS_TOL = 1e-8
+EPS = np.finfo(float).eps
 
 Array = np.ndarray
 VectorOracle = Callable[[Array], Array]
@@ -128,8 +129,10 @@ class AtomicGame:
     ``loss(x)`` returns the vector of player costs, ``loss_grad(x)`` the
     own-strategy partials (d loss_i / d x_i). ``equilibrium`` and
     ``best_response`` are optional closed forms; numeric fallbacks are used
-    when absent. ``optimum`` is an optional closed-form social optimum.
-    Immutable; all operations are pure.
+    when absent. Without ``best_response``, a player's best response solves
+    its own first-order condition with ``loss_grad``, which assumes each cost
+    is convex in the player's own strategy. ``optimum`` is an optional
+    closed-form social optimum. Immutable; all operations are pure.
     """
 
     lower: Array
@@ -323,15 +326,30 @@ def _checked(values: Array, what: str) -> Array:
     return values
 
 
+def _checked_gap(social_grad, own, what: str) -> Array:
+    """``social_grad - own``, checked for finite oracle values.
+
+    Only a non-finite difference sends both arrays through :func:`_checked`;
+    finite values whose difference overflows give ``inf``.
+    """
+    social_grad = np.asarray(social_grad, dtype=float)
+    own = np.asarray(own, dtype=float)
+    e = social_grad - own
+    if not np.isfinite(e).all():
+        _checked(social_grad, "social gradient")
+        _checked(own, what)
+    return e
+
+
 def externality_atomic(game: AtomicGame, x: Array) -> Array:
     """Per-player gap between marginal social cost and own marginal cost."""
     x = np.asarray(x, dtype=float)
-    return _checked(game.social_grad(x), "social gradient") - _checked(game.loss_grad(x), "loss gradient")
+    return _checked_gap(game.social_grad(x), game.loss_grad(x), "loss gradient")
 
 
 def externality_nonatomic(game: NonAtomicGame, x: Array) -> Array:
     x = np.asarray(x, dtype=float)
-    return _checked(game.social_grad(x), "social gradient") - _checked(game.action_cost(x), "action cost")
+    return _checked_gap(game.social_grad(x), game.action_cost(x), "action cost")
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +423,99 @@ def social_optimum(game, tol: float = 1e-8, max_iter: int = 20000) -> Array:
 # ---------------------------------------------------------------------------
 
 def best_response_atomic(game: AtomicGame, x: Array, p: Array) -> Array:
+    """Each player's minimiser of its own cost plus payment, the others held at ``x``.
+
+    Without a closed form, player ``i``'s best response is the root on
+    ``[lower[i], upper[i]]`` of its own partial ``loss_grad(z)[i] + p[i]``,
+    where ``z`` is ``x`` with entry ``i`` moved. This assumes each cost is
+    convex in the player's own strategy. One ``loss_grad(x)`` call gives every
+    player's first point.
+    """
     if game.best_response is not None:
         return game.project(np.asarray(game.best_response(x, p), float))
     x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    g = np.asarray(game.loss_grad(x), float) + p
+    z = x.copy()
     out = np.empty_like(x)
     for i in range(game.n_players):
-        def c_i(y, i=i):
-            z = x.copy()
-            z[i] = y
-            return float(game.loss(z)[i] + p[i] * y)
-
         lo, hi = game.lower[i], game.upper[i]
-        if np.isfinite(lo) and np.isfinite(hi):
-            res = minimize_scalar(c_i, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12})
-        else:
-            # two-point bracket: scipy expands it downhill automatically
-            res = minimize_scalar(c_i, bracket=(x[i] - 1.0, x[i] + 1.0))
-        out[i] = np.clip(res.x, lo, hi)
+        y0 = min(max(x[i], lo), hi)
+        out[i] = _own_root(game.loss_grad, z, i, float(p[i]), y0,
+                           float(g[i]) if y0 == x[i] else None, lo, hi)
+        z[i] = x[i]
     return out
+
+
+BRACKET_MAX_STEP = 1e12
+SECANT_MAX_ITER = 100
+
+
+def _own_root(loss_grad, z, i, pay, y0, f0, lo, hi) -> float:
+    """Root on [lo, hi] of player ``i``'s nondecreasing partial, from ``y0``.
+
+    The partial at ``y`` is ``loss_grad(z)[i] + pay`` with ``z[i] = y``; ``f0``
+    is its value at ``y0`` when already known. Doubling steps downhill from
+    ``y0`` bracket the sign change or reach the bound where the minimiser
+    sits. Illinois regula falsi then closes the bracket, stepping at least
+    half its tolerance inside the ends so that it shrinks every iteration,
+    until it is narrower than 4 eps (1 + |y|).
+    """
+    def f(y):
+        z[i] = y
+        v = float(loss_grad(z)[i]) + pay
+        if not math.isfinite(v):
+            raise EvaluationError(f"loss gradient oracle returned a non-finite partial "
+                                  f"for player {i} at {y!r}")
+        return v
+
+    # a non-finite known value is evaluated again, so that f raises
+    fa = f(y0) if f0 is None or not math.isfinite(f0) else f0
+    if fa == 0.0:
+        return y0
+    d = -1.0 if fa > 0.0 else 1.0
+    bound = lo if d < 0.0 else hi
+    a, step = y0, 1.0
+    while a != bound:
+        b = y0 + d * step
+        if d * (b - bound) >= 0.0:
+            b = bound
+        fb = f(b)
+        if fb == 0.0:
+            return b
+        if (fb > 0.0) != (fa > 0.0):
+            break
+        a, fa = b, fb
+        if step >= BRACKET_MAX_STEP:
+            if not math.isfinite(bound):
+                raise ConvergenceError(f"best response of player {i} has no minimiser: "
+                                       f"its own cost still falls {step:.0e} away from {y0!r}")
+            step = math.inf  # the next trial point is the bound itself
+        step *= 2.0
+    else:
+        return bound
+    retained = 0  # -1: a was kept by the last step, 1: b was
+    for _ in range(SECANT_MAX_ITER):
+        tol = 4.0 * EPS * (1.0 + max(abs(a), abs(b)))
+        if abs(b - a) <= tol:
+            return a if abs(fa) <= abs(fb) else b
+        c = b - fb * (b - a) / (fb - fa)
+        c = min(max(c, min(a, b) + 0.5 * tol), max(a, b) - 0.5 * tol)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+            if retained == -1:
+                fa *= 0.5
+            retained = -1
+        else:
+            a, fa = c, fc
+            if retained == 1:
+                fb *= 0.5
+            retained = 1
+    raise ConvergenceError(f"best response of player {i}: the secant search did not "
+                           f"close its bracket in {SECANT_MAX_ITER} steps")
 
 
 def best_response_nonatomic(game: NonAtomicGame, x: Array, p: Array) -> Array:

@@ -17,6 +17,8 @@ from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
                                       externality_nonatomic, project_simplex,
                                       social_optimum, solve_equilibrium_atomic)
 from incentive_dynamics import numdiff
+from incentive_dynamics.aggregative import QuadraticAggregativeSpec
+from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, run_coupled
 
 
 def aggregative_game(q, A, alpha, zeta):
@@ -161,6 +163,34 @@ def test_externality_nonatomic_matches_finite_differences():
     fd = numdiff.central_gradient(social, x) - g.action_cost(x)
     np.testing.assert_allclose(externality_nonatomic(g, x), fd,
                                rtol=1e-5, atol=1e-5)
+
+
+def counting(oracle, calls):
+    def wrapped(x):
+        calls.append(1)
+        return oracle(x)
+    return wrapped
+
+
+def test_externality_checks_each_oracle_value_once():
+    bad, good = (lambda x: np.array([np.nan, 0.0])), (lambda x: np.zeros(2))
+    for social_grad, loss_grad, what in ((bad, good, "social gradient"),
+                                         (good, bad, "loss gradient")):
+        sg_calls, lg_calls = [], []
+        g = AtomicGame(lower=np.full(2, -np.inf), upper=np.full(2, np.inf),
+                       loss=lambda x: x * x, social=lambda x: 0.0,
+                       loss_grad=counting(loss_grad, lg_calls),
+                       social_grad=counting(social_grad, sg_calls))
+        with pytest.raises(EvaluationError, match=f"^{what} oracle returned non-finite values$"):
+            externality_atomic(g, np.zeros(2))
+        assert (len(sg_calls), len(lg_calls)) == (1, 1)
+    # finite values whose difference overflows are not an oracle failure
+    g = NonAtomicGame(masses=[1.0], action_counts=(2,),
+                      action_cost=lambda x: np.array([-1e308, 0.0]),
+                      social=lambda x: 0.0, social_grad=lambda x: np.array([1e308, 0.0]))
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(externality_nonatomic(g, np.array([0.5, 0.5])),
+                                      [np.inf, 0.0])
 
 
 def test_externality_nonfinite_oracle_raises():
@@ -311,12 +341,7 @@ def certify_loop_reference(game, p, tol=1e-10, x0=None, max_iter=5000):
 
 def counting_game(game):
     calls = []
-
-    def loss_grad(x):
-        calls.append(1)
-        return game.loss_grad(x)
-
-    return dataclasses.replace(game, loss_grad=loss_grad), calls
+    return dataclasses.replace(game, loss_grad=counting(game.loss_grad, calls)), calls
 
 
 def test_solve_equilibrium_atomic_matches_certify_loop_bitwise():
@@ -346,3 +371,144 @@ def test_solve_equilibrium_atomic_rejects_wrong_incentive_length():
     for p in (np.zeros(3), np.zeros(1), np.zeros((2, 1))):
         with pytest.raises(InvalidArgumentError):
             solve_equilibrium_atomic(g, p)
+
+
+# ---------------------------------------------------------------------------
+# closed-form-free atomic best response
+# ---------------------------------------------------------------------------
+
+def separable_game(lower, upper, loss, loss_grad):
+    """Players whose costs do not depend on each other."""
+    n = len(lower)
+    return AtomicGame(lower=lower, upper=upper, loss=loss,
+                      loss_grad=loss_grad, social=lambda x: 0.0,
+                      social_grad=lambda x: np.zeros(n))
+
+
+def seeded_spec(rng, n):
+    """A quadratic aggregative spec of the benchmark's well-conditioned kind."""
+    A = rng.uniform(0.0, 1.0, (n, n))
+    A = 0.5 * (A + A.T)
+    np.fill_diagonal(A, 0.0)
+    A *= 0.2 / max(1, n - 1)
+    return QuadraticAggregativeSpec(q=rng.uniform(0.8, 1.2, n), A=A, alpha=0.5,
+                                    zeta=rng.uniform(-1.0, 1.0, n))
+
+
+def without_closed_forms(game):
+    return dataclasses.replace(game, equilibrium=None, best_response=None)
+
+
+def test_best_response_atomic_finite_box():
+    # own partial 2 (x - c): minimisers below, above and inside [0, 1]
+    c = np.array([-0.7, 1.9, 0.3])
+    g = separable_game(np.zeros(3), np.ones(3), lambda x: (x - c) ** 2,
+                       lambda x: 2.0 * (x - c))
+    # the last start lies outside the box; the search starts from its projection
+    for x in (np.zeros(3), np.ones(3), np.full(3, 0.5), np.array([-2.0, 3.0, 5.0])):
+        f = games.best_response_atomic(g, x, np.zeros(3))
+        np.testing.assert_allclose(f, [0.0, 1.0, 0.3], rtol=0, atol=1e-15)
+    # a payment moves the inside minimiser: 2 (y - 0.3) + 0.4 = 0
+    f = games.best_response_atomic(g, np.full(3, 0.5), np.array([0.0, 0.0, 0.4]))
+    np.testing.assert_allclose(f, [0.0, 1.0, 0.1], rtol=0, atol=1e-15)
+
+
+def test_best_response_atomic_one_sided_bounds():
+    inf = np.inf
+    c = np.array([-5.0, 3.5, 2.0, -20.0])
+    g = separable_game(np.array([-inf, -inf, 0.0, 0.0]), np.array([0.0, 2.0, inf, inf]),
+                       lambda x: 0.5 * (x - c) ** 2, lambda x: x - c)
+    f = games.best_response_atomic(g, np.array([-1.0, 0.0, 40.0, 1.0]), np.zeros(4))
+    np.testing.assert_allclose(f, [-5.0, 2.0, 2.0, 0.0], rtol=0, atol=1e-14)
+
+
+def test_best_response_atomic_quartic_own_cost():
+    # loss_i = (x_i - a_i)^4 / 4 + b_i x_i sum_{j != i} x_j
+    rng = np.random.default_rng(21)
+    n = 6
+    a, b = rng.uniform(-1, 1, n), rng.uniform(-0.5, 0.5, n)
+    g = AtomicGame(lower=np.full(n, -np.inf), upper=np.full(n, np.inf),
+                   loss=lambda x: (x - a) ** 4 / 4 + b * x * (x.sum() - x),
+                   loss_grad=lambda x: (x - a) ** 3 + b * (x.sum() - x),
+                   social=lambda x: 0.0, social_grad=lambda x: np.zeros(n))
+    for _ in range(20):
+        x = rng.normal(scale=3.0, size=n)
+        p = rng.normal(scale=3.0, size=n)
+        reference = a + np.cbrt(-(b * (x.sum() - x) + p))
+        np.testing.assert_allclose(games.best_response_atomic(g, x, p), reference,
+                                   rtol=0, atol=1e-10)
+
+
+def test_best_response_atomic_matches_closed_form_on_seeded_specs():
+    rng = np.random.default_rng(22)
+    for n in (5, 50):
+        game = seeded_spec(rng, n).to_game()
+        generic = without_closed_forms(game)
+        for _ in range(10):
+            x = rng.normal(scale=2.0, size=n)
+            p = rng.normal(scale=2.0, size=n)
+            np.testing.assert_allclose(games.best_response_atomic(generic, x, p),
+                                       game.best_response(x, p), rtol=0, atol=1e-12)
+
+
+def test_best_response_atomic_gradient_calls():
+    """One shared gradient, then per player at most three secant points and
+    one doubling step for each power of two the response lies away."""
+    rng = np.random.default_rng(23)
+    for n in (5, 50):
+        game = seeded_spec(rng, n).to_game()
+        generic, calls = counting_game(without_closed_forms(game))
+        for scale in (0.3, 10.0):
+            for _ in range(10):
+                x = rng.normal(scale=scale, size=n)
+                p = rng.normal(scale=scale, size=n)
+                distance = np.abs(game.best_response(x, p) - x)
+                doublings = np.ceil(np.log2(np.maximum(distance, 1.0)))
+                calls.clear()
+                games.best_response_atomic(generic, x, p)
+                assert len(calls) <= 1 + np.sum(4 + doublings)
+                if distance.max() <= 1.0:
+                    assert len(calls) <= 4 * n + 1
+        # every player already at its best response: the shared gradient suffices
+        x = rng.normal(size=n)
+        calls.clear()
+        np.testing.assert_array_equal(
+            games.best_response_atomic(generic, x, -game.loss_grad(x)), x)
+        assert len(calls) == 1
+
+
+def test_best_response_atomic_coupled_records_match_closed_form():
+    rng = np.random.default_rng(24)
+    for n, budget in ((5, 20000), (50, 200)):
+        game = seeded_spec(rng, n).to_game()
+        cfg = RunConfig(rule=StrategyUpdateRule("best_response"), max_iterations=budget,
+                        convergence_tol=1e-4)
+        ref = run_coupled(game, np.zeros(n), np.zeros(n), cfg)
+        rec = run_coupled(without_closed_forms(game), np.zeros(n), np.zeros(n), cfg)
+        assert (rec.iterations, rec.converged) == (ref.iterations, ref.converged)
+        assert ref.converged == (n == 5)
+        np.testing.assert_allclose(rec.xs, ref.xs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rec.ps, ref.ps, rtol=0, atol=1e-12)
+
+
+def test_best_response_atomic_unbounded_own_cost_fails_fast():
+    # player 1's cost x_1 falls without end on the real line
+    g, calls = counting_game(separable_game(np.full(2, -np.inf), np.full(2, np.inf),
+                                            lambda x: np.array([0.5 * x[0] ** 2, x[1]]),
+                                            lambda x: np.array([x[0], 1.0])))
+    with pytest.raises(ConvergenceError, match="player 1 has no minimiser"):
+        games.best_response_atomic(g, np.zeros(2), np.zeros(2))
+    assert len(calls) < 50
+
+
+def test_best_response_atomic_nonfinite_partial_raises():
+    nan_everywhere = separable_game(np.full(2, -np.inf), np.full(2, np.inf),
+                                    lambda x: np.full(2, np.nan), lambda x: np.full(2, np.nan))
+    with pytest.raises(EvaluationError, match="player 0"):
+        games.best_response_atomic(nan_everywhere, np.zeros(2), np.zeros(2))
+    # finite at the start, infinite beyond x = 2 on the way to the root at 3
+    blows_up = separable_game(np.full(2, -np.inf), np.full(2, np.inf),
+                              lambda x: np.where(x > 2.0, np.inf, 0.5 * (x - 3.0) ** 2),
+                              lambda x: np.where(x > 2.0, np.inf, x - 3.0))
+    with pytest.raises(EvaluationError, match="player 0"):
+        games.best_response_atomic(blows_up, np.zeros(2), np.zeros(2))
