@@ -186,12 +186,13 @@ class QuadraticAggregativeSpec:
         for i, t in self._other:
             values[i] = t.value(x[i])
         # cumsum adds left to right, as the builtin sum did
-        return float(np.cumsum(values)[-1])
+        return float(values.cumsum()[-1])
 
     def social_grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         grad = x - self._zeta
-        grad[self._quartic] = np.float_power(grad[self._quartic], 3.0)
+        if self._quartic.size:
+            grad[self._quartic] = np.float_power(grad[self._quartic], 3.0)
         for i, t in self._other:
             grad[i] = t.grad(x[i])
         return grad
@@ -255,7 +256,7 @@ def nash_closed_form(spec: QuadraticAggregativeSpec, p) -> np.ndarray:
     if p.size != spec.n:
         raise InvalidArgumentError("incentive vector has wrong length")
     # the LAPACK call of scipy.linalg.lu_solve, without its per-call wrapper
-    if not np.isfinite(p).all():
+    if not np.logical_and.reduce(np.isfinite(p), axis=None):
         raise ValueError("array must not contain infs or NaNs")
     lu, piv = spec._lu
     x, info = dgetrs(lu, piv, -p, overwrite_b=True)

@@ -16,11 +16,13 @@ games and routing networks. A model supplies
 - ``random_start(rng)``: a random feasible strategy, for multistart probes;
 - ``known_optimum()`` and ``optimal_incentive()``: an independent social
   optimum and p†, or ``None``, for the slow-layer checks of ``analysis``.
+
+The loop records the iterates it passes to these methods without copying
+them, so no method may write into its arguments.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -211,25 +213,40 @@ def run_coupled(game, x0, p0, config: RunConfig,
     trajectory is still returned unless ``raise_on_failure`` is set.
     """
     x, p = game.check_start(x0, p0)
+    # Iterates go into the record uncopied: x and p are rebound every step
+    # and never written in place. Only the start pair may alias the caller's.
+    x, p = np.array(x, dtype=float), np.array(p, dtype=float)
     rule = config.rule
     if rule.variant == "gradient" and rule.eta is None:
         rule = replace(rule, eta=resolve_eta(game, rule))
     record = TrajectoryRecord()
+    ks, xs, ps = record.ks, record.xs, record.ps
+    residuals, social_costs = record.residuals, record.social_costs
     sched = config.schedule
+    # the expressions of StepSchedule.gamma and .beta
+    gamma0, beta0, offset = sched.gamma0, sched.beta0, sched.offset
+    neg_a, neg_b = -sched.a, -sched.b
+    record_every, tol = config.record_every, config.convergence_tol
     hits = 0
     k = 0
     for k in range(config.max_iterations):
         f = strategy_target(game, x, p, rule)
         e = externality(game, x)
-        if k % config.record_every == 0:
-            residual = float(game.strategy_gap(f, x) + np.abs(e - p).max())
-            record.append(k, x, p, residual, game.social(x))
-            hits = hits + 1 if residual <= config.convergence_tol else 0
+        if k % record_every == 0:
+            gap = np.maximum.reduce(np.abs(e - p), axis=None)
+            residual = float(game.strategy_gap(f, x) + gap)
+            ks.append(k)
+            xs.append(x)
+            ps.append(p)
+            residuals.append(residual)
+            social_costs.append(float(game.social(x)))
+            hits = hits + 1 if residual <= tol else 0
             if hits >= CONSECUTIVE_HITS:
                 record.converged = True
                 record.iterations = k
                 return record
-        gamma, beta = sched.gamma(k), sched.beta(k)
+        gamma = gamma0 * (k + offset) ** neg_a
+        beta = beta0 * (k + offset) ** neg_b
         x = (1.0 - gamma) * x + gamma * f
         p = (1.0 - beta) * p + beta * e
     residual = fixed_point_residual(game, x, p, rule)

@@ -13,12 +13,11 @@ calls, as ``routing.RoutingNetwork`` does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import numdiff
 from .errors import ConvergenceError, EvaluationError, InvalidArgumentError, SpecError
 
 DEFAULT_CERT_TOL = 1e-6
@@ -133,6 +132,9 @@ class AtomicGame:
     its own first-order condition with ``loss_grad``, which assumes each cost
     is convex in the player's own strategy. ``optimum`` is an optional
     closed-form social optimum. Immutable; all operations are pure.
+
+    Oracles must not write into their arguments: ``dynamics.run_coupled``
+    records the iterates it passes them without copying.
     """
 
     lower: Array
@@ -159,6 +161,7 @@ class AtomicGame:
         if optimum is not None and optimum.shape != lower.shape:
             raise SpecError("the closed-form optimum needs one entry per player")
         object.__setattr__(self, "optimum", optimum)
+        object.__setattr__(self, "_unbounded", bool(np.all((lower == -np.inf) & (upper == np.inf))))
 
     @property
     def n_players(self) -> int:
@@ -169,7 +172,10 @@ class AtomicGame:
         return self.lower.size
 
     def project(self, x: Array) -> Array:
-        return project_interval(np.asarray(x, dtype=float), self.lower, self.upper)
+        x = np.asarray(x, dtype=float)
+        if self._unbounded and x.shape == self.lower.shape:
+            return x.copy()  # both clamps are the identity, NaN and inf included
+        return project_interval(x, self.lower, self.upper)
 
     def is_feasible(self, x: Array, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -194,18 +200,23 @@ class AtomicGame:
 
     def target(self, x: Array, p: Array, rule, eta: float | None = None) -> Array:
         if rule.variant == "equilibrium":
+            if self.equilibrium is not None:
+                return np.asarray(self.equilibrium(p), float)
             return solve_equilibrium_atomic(self, p, x0=x)
         if rule.variant == "best_response":
+            if self.best_response is not None:
+                return self.project(np.asarray(self.best_response(x, p), float))
             return best_response_atomic(self, x, p)
         if rule.regularizer == "entropy":
             raise InvalidArgumentError("entropy regularizer needs a simplex strategy space")
         return self.project(x - eta * (self.loss_grad(x) + p))
 
     def externality(self, x: Array) -> Array:
-        return externality_atomic(self, x)
+        x = np.asarray(x, dtype=float)
+        return _checked_gap(self.social_grad(x), self.loss_grad(x), "loss gradient")
 
     def strategy_gap(self, f: Array, x: Array):
-        return np.abs(f - x).max()
+        return np.maximum.reduce(np.abs(f - x), axis=None)
 
     def known_optimum(self) -> Optional[Array]:
         return self.optimum
@@ -321,7 +332,7 @@ class NonAtomicGame:
 
 def _checked(values: Array, what: str) -> Array:
     values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise EvaluationError(f"{what} oracle returned non-finite values")
     return values
 
@@ -335,7 +346,7 @@ def _checked_gap(social_grad, own, what: str) -> Array:
     social_grad = np.asarray(social_grad, dtype=float)
     own = np.asarray(own, dtype=float)
     e = social_grad - own
-    if not np.isfinite(e).all():
+    if not np.logical_and.reduce(np.isfinite(e), axis=None):
         _checked(social_grad, "social gradient")
         _checked(own, what)
     return e
@@ -343,8 +354,7 @@ def _checked_gap(social_grad, own, what: str) -> Array:
 
 def externality_atomic(game: AtomicGame, x: Array) -> Array:
     """Per-player gap between marginal social cost and own marginal cost."""
-    x = np.asarray(x, dtype=float)
-    return _checked_gap(game.social_grad(x), game.loss_grad(x), "loss gradient")
+    return game.externality(x)
 
 
 def externality_nonatomic(game: NonAtomicGame, x: Array) -> Array:

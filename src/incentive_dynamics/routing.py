@@ -12,6 +12,7 @@ its incentives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +137,7 @@ class RoutingNetwork:
                 for a in route:
                     inc[a, col] += 1.0
                 col += 1
+        inc.setflags(write=False)  # _od_blocks caches copies of its columns
         object.__setattr__(self, "incidence", inc)
 
     def _check_route(self, route, od: OdPair):
@@ -160,17 +162,39 @@ class RoutingNetwork:
     def n_routes(self) -> int:
         return self.incidence.shape[1]
 
-    @property
-    def route_slices(self) -> list:
+    # Per-network invariants, built on first use. The public properties
+    # return fresh copies, so a caller's mutation cannot reach the cache.
+    @cached_property
+    def _route_slices(self) -> tuple:
         out, start = [], 0
         for od in self.od_pairs:
             out.append(slice(start, start + len(od.routes)))
             start += len(od.routes)
-        return out
+        return tuple(out)
+
+    @cached_property
+    def _demands(self) -> np.ndarray:
+        demands = np.array([od.demand for od in self.od_pairs])
+        demands.setflags(write=False)
+        return demands
+
+    @cached_property
+    def _od_blocks(self) -> tuple:
+        """Per OD pair: its route slice, the incidence rows of its routes, its demand."""
+        blocks = []
+        for s, m in zip(self._route_slices, self._demands):
+            inc_s = self.incidence[:, s].T.copy()
+            inc_s.setflags(write=False)
+            blocks.append((s, inc_s, m))
+        return tuple(blocks)
+
+    @property
+    def route_slices(self) -> list:
+        return list(self._route_slices)
 
     @property
     def demands(self) -> np.ndarray:
-        return np.array([od.demand for od in self.od_pairs])
+        return self._demands.copy()
 
     @property
     def dim(self) -> int:
@@ -192,21 +216,21 @@ class RoutingNetwork:
             raise InvalidArgumentError("route flow has wrong length")
         if np.any(x < -1e-9):
             raise InvalidArgumentError("route flows must be nonnegative")
-        for s, od in zip(self.route_slices, self.od_pairs):
+        for s, od in zip(self._route_slices, self.od_pairs):
             if abs(x[s].sum() - od.demand) > 1e-7 * max(1.0, od.demand):
                 raise InvalidArgumentError("route flow violates an OD demand")
         return x
 
     def uniform_route_flow(self) -> np.ndarray:
         x = np.empty(self.n_routes)
-        for s, od in zip(self.route_slices, self.od_pairs):
+        for s, od in zip(self._route_slices, self.od_pairs):
             x[s] = od.demand / len(od.routes)
         return x
 
     # Coupled-loop model: route flows x, edge tolls p.
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
-        return random_blocks(rng, self.route_slices, self.demands)
+        return random_blocks(rng, self._route_slices, self._demands)
 
     def check_start(self, x0, p0) -> tuple:
         return self.check_route_flow(x0), check_incentive(p0, self.n_edges)
@@ -215,7 +239,7 @@ class RoutingNetwork:
         if rule.variant == "equilibrium":
             return wardrop_equilibrium(self, p, x0=x)[0]
         c = route_costs(self, self.incidence @ x, p)
-        return simplex_target(x, c, self.route_slices, self.demands, rule, eta)
+        return simplex_target(x, c, self._route_slices, self._demands, rule, eta)
 
     def externality(self, x) -> np.ndarray:
         return edge_externality(self, self.incidence @ x)
@@ -229,7 +253,7 @@ class RoutingNetwork:
         return self.incidence.T @ (self.latency(w) + w * self.latency_deriv(w))
 
     def project(self, x) -> np.ndarray:
-        return project_blocks(np.asarray(x, dtype=float), self.route_slices, self.demands)
+        return project_blocks(np.asarray(x, dtype=float), self._route_slices, self._demands)
 
     def strategy_gap(self, f, x):
         """Sup distance of the edge flows; route decompositions are interchangeable."""
@@ -243,7 +267,7 @@ class RoutingNetwork:
 
     def cost_lipschitz(self) -> float:
         """Crude bound on the route-cost Lipschitz constant: max l'(total demand) * E."""
-        slope = float(np.max(self.latency_deriv(np.full(self.n_edges, self.demands.sum()))))
+        slope = float(np.max(self.latency_deriv(np.full(self.n_edges, self._demands.sum()))))
         return max(slope * self.n_edges, 1e-12)
 
 
@@ -298,7 +322,7 @@ def _solve_flow_program(net, edge_cost, edge_cost_deriv, objective, tol, x0, max
     """
     inc = net.incidence
     x = net.uniform_route_flow() if x0 is None else np.maximum(net.check_route_flow(x0), 0.0)
-    blocks = [(x[s], inc[:, s].T.copy(), m) for s, m in zip(net.route_slices, net.demands)]
+    blocks = [(x[s], inc_s, m) for s, inc_s, m in net._od_blocks]
     gap = np.inf
     for _ in range(max_iter):
         w = inc @ x
@@ -307,7 +331,8 @@ def _solve_flow_program(net, edge_cost, edge_cost_deriv, objective, tol, x0, max
         for xs, inc_s, m in blocks:
             c = inc_s @ c_edge
             gap += float(c @ xs - m * c.min())
-        if gap <= tol * max(1.0, abs(objective(w))):
+        # max(1, |objective|) >= 1, so a gap within tol passes without it
+        if gap <= tol or gap <= tol * max(1.0, abs(objective(w))):
             return x, w
         for xs, inc_s, _ in blocks:  # xs is a view into x
             c = inc_s @ c_edge
@@ -382,7 +407,7 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
 
     def verdict(x):
         c = route_costs(net, net.incidence @ x, edge_tolls)
-        for s in net.route_slices:
+        for s in net._route_slices:
             cmin = c[s].min()
             min_cost = c[s] <= cmin + tol
             if np.any(min_cost & (x[s] <= tol)):

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incentive_dynamics.dynamics import (RunConfig, StepSchedule,
+from incentive_dynamics.aggregative import QuadraticAggregativeSpec
+from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedule,
                                          StrategyUpdateRule, TrajectoryRecord,
                                          externality, fixed_point_residual,
                                          resolve_eta, run_coupled,
                                          strategy_target)
 from incentive_dynamics.errors import InvalidArgumentError, SpecError
+from incentive_dynamics.routing import braess_network, nonatomic_view
 
+from corpus import grid34
 from test_games import aggregative_game, two_link_game
 
 
@@ -300,3 +303,133 @@ def test_default_eta_from_the_cost_lipschitz_bound():
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
     assert 0.9 / 1.5 <= resolve_eta(g, rule) < 0.9
     assert resolve_eta(dataclasses.replace(g, lipschitz_bound=1.5), rule) == 0.9 / 1.5
+
+
+# ---------------------------------------------------------------------------
+# the loop against its reference
+# ---------------------------------------------------------------------------
+
+def run_coupled_reference(game, x0, p0, config):
+    """run_coupled as it was before it recorded its iterates uncopied: every
+    record goes through TrajectoryRecord.append, which copies x and p, and
+    the steps come from the schedule's gamma and beta methods."""
+    x, p = game.check_start(x0, p0)
+    rule = config.rule
+    if rule.variant == "gradient" and rule.eta is None:
+        rule = dataclasses.replace(rule, eta=resolve_eta(game, rule))
+    record = TrajectoryRecord()
+    sched = config.schedule
+    hits = 0
+    for k in range(config.max_iterations):
+        f = strategy_target(game, x, p, rule)
+        e = externality(game, x)
+        if k % config.record_every == 0:
+            residual = float(game.strategy_gap(f, x) + np.abs(e - p).max())
+            record.append(k, x, p, residual, game.social(x))
+            hits = hits + 1 if residual <= config.convergence_tol else 0
+            if hits >= CONSECUTIVE_HITS:
+                record.converged = True
+                record.iterations = k
+                return record
+        gamma, beta = sched.gamma(k), sched.beta(k)
+        x = (1.0 - gamma) * x + gamma * f
+        p = (1.0 - beta) * p + beta * e
+    residual = fixed_point_residual(game, x, p, rule)
+    record.append(config.max_iterations, x, p, residual, game.social(x))
+    record.iterations = config.max_iterations
+    record.converged = residual <= config.convergence_tol
+    return record
+
+
+def assert_records_equal(rec, ref):
+    assert rec.ks == ref.ks
+    assert rec.residuals == ref.residuals
+    assert rec.social_costs == ref.social_costs
+    assert (rec.converged, rec.iterations) == (ref.converged, ref.iterations)
+    for new, old in ((rec.xs, ref.xs), (rec.ps, ref.ps)):
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
+def seeded_spec(n, seed):
+    """A well-conditioned quadratic aggregative spec with symmetric coupling."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.0, 1.0, (n, n))
+    A = 0.5 * (A + A.T)
+    np.fill_diagonal(A, 0.0)
+    A *= 0.2 / max(1, n - 1)
+    return QuadraticAggregativeSpec(q=rng.uniform(0.8, 1.2, n), A=A, alpha=0.5,
+                                    zeta=rng.uniform(-1.0, 1.0, n))
+
+
+RULES = ("equilibrium", "best_response", "gradient")
+
+
+def compare_with_reference(game, x0, p0, variant, budget, record_every=1, tol=1e-4,
+                           regularizer="quadratic"):
+    config = RunConfig(rule=StrategyUpdateRule(variant, regularizer=regularizer),
+                       max_iterations=budget, convergence_tol=tol, record_every=record_every)
+    rec = run_coupled(game, x0, p0, config)
+    assert_records_equal(rec, run_coupled_reference(game, x0, p0, config))
+    return rec
+
+
+@pytest.mark.parametrize("n, budget", [(5, 2000), (50, 300)])
+@pytest.mark.parametrize("variant", RULES)
+def test_run_coupled_matches_reference_aggregative(n, budget, variant):
+    game = seeded_spec(n, 7 + n).to_game()
+    for record_every in (1, 7):
+        compare_with_reference(game, np.zeros(n), np.zeros(n), variant, budget, record_every)
+
+
+def test_run_coupled_matches_reference_without_closed_forms():
+    spec = seeded_spec(5, 3)
+    game = dataclasses.replace(spec.to_game(), equilibrium=None, best_response=None)
+    start = np.random.default_rng(3).normal(size=5)
+    for variant in RULES:
+        compare_with_reference(game, start, np.zeros(5), variant, 300)
+
+
+def test_run_coupled_matches_reference_on_a_finite_box():
+    spec = seeded_spec(5, 4)
+    game = dataclasses.replace(spec.to_game(), equilibrium=None, best_response=None,
+                               lower=np.full(5, -0.3), upper=np.full(5, 0.4), optimum=None)
+    for variant in RULES:
+        compare_with_reference(game, np.zeros(5), np.zeros(5), variant, 400)
+
+
+def test_run_coupled_matches_reference_nonatomic():
+    for game in (two_link_game(), nonatomic_view(braess_network())):
+        x0 = game.uniform_point()
+        p0 = np.linspace(0.0, 0.3, game.dim)
+        for variant, regularizer in [(v, "quadratic") for v in RULES] + [("gradient", "entropy")]:
+            compare_with_reference(game, x0, p0, variant, 400, 3, regularizer=regularizer)
+
+
+@pytest.mark.parametrize("net, converges", [(braess_network(), True), (grid34(), False)],
+                         ids=["braess", "grid34"])
+def test_run_coupled_matches_reference_routing(net, converges):
+    x0 = net.uniform_route_flow()
+    p0 = np.random.default_rng(2).uniform(0.0, 0.5, net.n_edges)
+    rec = compare_with_reference(net, x0, p0, "gradient", 1500, 5)
+    assert rec.converged == converges
+    short = compare_with_reference(net, x0, p0, "gradient", 40)
+    assert not short.converged and short.iterations == 40
+
+
+def test_run_coupled_records_own_copies():
+    """The record never aliases the caller's start or two of its own entries."""
+    net = braess_network()
+    for game, x0 in ((seeded_spec(5, 1).to_game(), np.zeros(5)), (net, net.uniform_route_flow())):
+        p0 = np.zeros(game.dim)
+        x0_before, p0_before = x0.copy(), p0.copy()
+        rec = run_coupled(game, x0, p0, RunConfig(max_iterations=30, convergence_tol=1e-14))
+        x0 += 1.0
+        p0 += 1.0
+        np.testing.assert_array_equal(rec.xs[0], x0_before)
+        np.testing.assert_array_equal(rec.ps[0], p0_before)
+        arrays = rec.xs + rec.ps
+        assert len(arrays) == 62  # 30 recorded iterations and the final record, x and p each
+        assert len({id(a) for a in arrays}) == len(arrays)

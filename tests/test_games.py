@@ -14,8 +14,9 @@ from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
                                       certify_nash_nonatomic,
                                       certify_social_optimum,
                                       externality_atomic,
-                                      externality_nonatomic, project_simplex,
-                                      social_optimum, solve_equilibrium_atomic)
+                                      externality_nonatomic, project_interval,
+                                      project_simplex, social_optimum,
+                                      solve_equilibrium_atomic)
 from incentive_dynamics import numdiff
 from incentive_dynamics.aggregative import QuadraticAggregativeSpec
 from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, run_coupled
@@ -79,6 +80,24 @@ def test_atomic_game_rejects_crossed_bounds():
         AtomicGame(lower=[1.0], upper=[0.0], loss=lambda x: x,
                    loss_grad=lambda x: x, social=lambda x: 0.0,
                    social_grad=lambda x: np.zeros(1))
+
+
+def test_atomic_project_on_unbounded_box_matches_project_interval():
+    unbounded = aggregative_game(np.ones(5), np.zeros((5, 5)), 0.5, np.zeros(5))
+    x = np.array([np.nan, np.inf, -np.inf, -0.0, 1e308])
+    y = unbounded.project(x)
+    assert y is not x and not np.shares_memory(y, x)
+    ref = project_interval(x, unbounded.lower, unbounded.upper)
+    np.testing.assert_array_equal(y, ref, strict=True)
+    np.testing.assert_array_equal(np.signbit(y), np.signbit(ref))
+    # other shapes broadcast or fail as project_interval does
+    np.testing.assert_array_equal(unbounded.project([2.0]), np.full(5, 2.0), strict=True)
+    with pytest.raises(ValueError):
+        unbounded.project(np.zeros(3))
+    # an infinite bound on one side only still clamps the other
+    half = dataclasses.replace(unbounded, upper=np.full(5, 0.5))
+    np.testing.assert_array_equal(half.project(x), project_interval(x, half.lower, half.upper))
+    assert half.project(x)[1] == 0.5
 
 
 def test_nonatomic_game_rejects_zero_mass():

@@ -285,6 +285,82 @@ def test_wardrop_constant_links_moves_all_flow():
     np.testing.assert_array_equal(x_so, [0.0, 3.0])
 
 
+def flow_program_reference(net, edge_cost, edge_cost_deriv, objective, tol, x0, max_iter):
+    """routing's flow-program solver as it was before it cached its per-OD
+    blocks on the network: slices, demands and incidence rows are built on
+    every call, and the objective is evaluated at every gap test."""
+    inc = net.incidence
+    x = net.uniform_route_flow() if x0 is None else np.maximum(net.check_route_flow(x0), 0.0)
+    blocks = [(x[s], inc[:, s].T.copy(), m) for s, m in zip(net.route_slices, net.demands)]
+    gap = np.inf
+    for _ in range(max_iter):
+        w = inc @ x
+        c_edge = edge_cost(w)
+        gap = 0.0
+        for xs, inc_s, m in blocks:
+            c = inc_s @ c_edge
+            gap += float(c @ xs - m * c.min())
+        if gap <= tol * max(1.0, abs(objective(w))):
+            return x, w
+        for xs, inc_s, _ in blocks:
+            c = inc_s @ c_edge
+            for r in range(len(xs)):
+                b = int(np.argmin(c))
+                if xs[r] <= 0.0 or c[r] <= c[b]:
+                    continue
+                diff = inc_s[r] - inc_s[b]
+                curv = float((diff * diff) @ edge_cost_deriv(w))
+                shift = xs[r] if curv <= 0.0 else min(xs[r], (c[r] - c[b]) / curv)
+                xs[r] -= shift
+                xs[b] += shift
+                w -= shift * diff
+                c_edge = edge_cost(w)
+                c = inc_s @ c_edge
+    raise ConvergenceError("flow program did not close the duality gap",
+                           best=(x, inc @ x), gap=gap)
+
+
+def wardrop_reference(net, p, x0=None):
+    return flow_program_reference(net, lambda w: net.latency(w) + p, net.latency_deriv,
+                                  lambda w: beckmann_potential(net, w, p), 1e-10, x0, 200000)
+
+
+def system_optimum_reference(net, x0=None):
+    return flow_program_reference(
+        net, lambda w: net.latency(w) + w * net.latency_deriv(w),
+        lambda w: 2.0 * net.latency_deriv(w) + w * net.latency_second_deriv(w),
+        lambda w: total_latency_cost(net, w), 1e-10, x0, 200000)
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, *CORPUS])
+def test_flow_solves_match_per_call_reference(name):
+    net = load_fixture(name) if name in FIXTURES else CORPUS[name]()
+    rng = np.random.default_rng(8)
+    for x0 in (None, net.random_start(rng)):
+        for p in (np.zeros(net.n_edges), rng.uniform(0.0, 1.0, net.n_edges)):
+            for new, ref in ((wardrop_equilibrium(net, p, x0=x0), wardrop_reference(net, p, x0)),
+                             (system_optimum(net, x0=x0), system_optimum_reference(net, x0))):
+                for a, b in zip(new, ref):
+                    np.testing.assert_array_equal(a, b, strict=True)
+
+
+def test_route_slices_and_demands_are_fresh_copies():
+    net = grid34()
+    p = np.random.default_rng(4).uniform(0.0, 1.0, net.n_edges)
+    before = wardrop_equilibrium(net, p)
+    slices, demands = net.route_slices, net.demands
+    expected_slices, expected_demands = list(slices), demands.copy()
+    slices[0] = slice(0, 1)
+    slices.append(slice(0, 2))
+    demands[:] = 100.0
+    assert net.route_slices == expected_slices
+    np.testing.assert_array_equal(net.demands, expected_demands)
+    with pytest.raises(ValueError):
+        net.incidence[0, 0] = 1.0
+    for a, b in zip(wardrop_equilibrium(net, p), before):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
 # ---------------------------------------------------------------------------
 # externality and tolls
 # ---------------------------------------------------------------------------
