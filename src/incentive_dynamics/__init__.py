@@ -20,7 +20,7 @@ from .errors import (ConvergenceError, EvaluationError, GameError,
                      InconsistencyError, InvalidArgumentError, SpecError)
 from .games import (AtomicGame, NonAtomicGame, certify_nash_atomic,
                     certify_nash_nonatomic, certify_social_optimum,
-                    externality_atomic, externality_nonatomic, social_optimum)
+                    social_optimum)
 from .routing import (LatencyFunction, OdPair, RoutingNetwork,
                       edge_externality, optimal_edge_tolls,
                       run_toll_adaptation, system_optimum,

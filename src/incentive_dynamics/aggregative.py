@@ -175,7 +175,13 @@ class QuadraticAggregativeSpec:
 
     @cached_property
     def _M_inv(self) -> np.ndarray:
-        return np.linalg.inv(self._M)
+        inv = np.linalg.inv(self._M)
+        inv.setflags(write=False)  # certificate_weight hands out a view
+        return inv
+
+    def certificate_weight(self) -> np.ndarray:
+        """The weight W = M^-T of the quadratic certificate (p - p†)^T W (p - p†)."""
+        return self._M_inv.T
 
     def y_dagger(self) -> np.ndarray:
         return self._y_dagger.copy()
@@ -299,7 +305,7 @@ def check_local_conditions(spec: QuadraticAggregativeSpec) -> dict:
 
 def lyapunov_value(spec: QuadraticAggregativeSpec, p) -> float:
     d = np.asarray(p, dtype=float) - optimal_incentive(spec)
-    W = spec._M_inv.T
+    W = spec.certificate_weight()
     return float(d @ W @ d)
 
 
@@ -307,7 +313,7 @@ def lyapunov_decrement(spec: QuadraticAggregativeSpec, p) -> float:
     """Directional derivative of the certificate along the slow dynamics."""
     p = np.asarray(p, dtype=float)
     d = p - optimal_incentive(spec)
-    W = spec._M_inv.T
+    W = spec.certificate_weight()
     grad_v = (W + W.T) @ d
     drift = spec.externality(nash_closed_form(spec, p)) - p
     return float(grad_v @ drift)

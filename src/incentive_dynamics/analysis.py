@@ -8,7 +8,7 @@ externality update is compared against on the two-link counterexample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,14 +29,14 @@ class SlowSystem:
     equilibrium_social_cost: Callable[[np.ndarray], float]
 
 
-def _strategy_model(obj):
+def strategy_model(obj):
     """The coupled-loop model of ``obj``: an aggregative spec's atomic game, else ``obj``."""
     return obj.to_game() if isinstance(obj, agg.QuadraticAggregativeSpec) else obj
 
 
 def slow_system(obj) -> SlowSystem:
     """The reduced incentive dynamics of a model; x*(p) is its equilibrium-rule target."""
-    model = _strategy_model(obj)
+    model = strategy_model(obj)
 
     def x_star(p):  # no warm start: the equilibrium solver's own default
         return model.target(None, p, StrategyUpdateRule())
@@ -61,7 +61,7 @@ def verify_fixed_point_optimality(obj, p=None, tol: float = 1e-6) -> dict:
     independently computed social optimum (skipped when it has none). ``p``
     defaults to p† = e(x_opt), the externality at that optimum.
     """
-    model = _strategy_model(obj)
+    model = strategy_model(obj)
     x_opt = model.known_optimum()
     if p is None:
         if x_opt is None:
@@ -96,33 +96,29 @@ class OdeProbeConfig:
             raise InvalidArgumentError("need 0 < step < horizon")
 
 
-@dataclass
-class StabilityReport:
-    start_points: list = field(default_factory=list)
-    endpoints: list = field(default_factory=list)
-    distances: list = field(default_factory=list)
-    all_converged: bool = False
+def ode_probe_slow_dynamics(obj, start_points,
+                            config: OdeProbeConfig = OdeProbeConfig()) -> dict:
+    """Forward-Euler integration of dp/dt = phi(p) - p from several starts.
 
-
-def ode_probe_slow_dynamics(obj, start_points, config: OdeProbeConfig = OdeProbeConfig(),
-                            p_dagger=None) -> StabilityReport:
-    """Forward-Euler integration of dp/dt = phi(p) - p from several starts."""
-    model = _strategy_model(obj)
+    Reports each start, its endpoint and, when the model knows p†, the
+    endpoint's sup distance to it; ``all_converged`` is whether every
+    distance is within ``config.tol``.
+    """
+    model = strategy_model(obj)
     sys = slow_system(model)
-    target = model.optimal_incentive() if p_dagger is None else np.asarray(p_dagger, float)
-    report = StabilityReport()
+    target = model.optimal_incentive()
+    starts, endpoints, distances = [], [], []
     n_steps = int(round(config.horizon / config.step))
     for p0 in start_points:
-        p = np.asarray(p0, dtype=float).copy()
-        report.start_points.append(p.copy())
+        p = np.array(p0, dtype=float)
+        starts.append(p)
         for _ in range(n_steps):
             p = p + config.step * (sys.phi(p) - p)
-        report.endpoints.append(p.copy())
+        endpoints.append(p)
         if target is not None:
-            report.distances.append(float(np.max(np.abs(p - target))))
-    if target is not None and report.distances:
-        report.all_converged = max(report.distances) <= config.tol
-    return report
+            distances.append(float(np.max(np.abs(p - target))))
+    return {"start_points": starts, "endpoints": endpoints, "distances": distances,
+            "all_converged": bool(distances) and max(distances) <= config.tol}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,7 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
     The dominating/dominated incentive is searched along scalings of the
     fixed point.
     """
-    model = _strategy_model(obj)
+    model = strategy_model(obj)
     sys = slow_system(model)
     offdiag_min = np.inf
     for p in p_samples:
@@ -176,7 +172,7 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
 
 def check_condition_C2(obj, weight, p_samples, tol: float = 1e-10) -> dict:
     """Quadratic certificate decrease along the slow drift at sampled points."""
-    model = _strategy_model(obj)
+    model = strategy_model(obj)
     sys = slow_system(model)
     pd = model.optimal_incentive()
     if pd is None:
@@ -214,7 +210,7 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
     cost is only piecewise smooth and a closed-form generalized gradient is
     available).
     """
-    model = _strategy_model(obj)
+    model = strategy_model(obj)
     x_star = slow_system(model).equilibrium
     p = np.asarray(p0, dtype=float).copy()
     grad = gradient or (lambda q: equilibrium_cost_gradient(model, q, step))
@@ -341,7 +337,7 @@ def multistart_uniqueness_probe(obj, p, n_starts: int = 8, seed: int = 0) -> dic
     flows (route decompositions are legitimately non-unique); the solutions
     are strategies, route flows for routing.
     """
-    model = _strategy_model(obj)
+    model = strategy_model(obj)
     rng = np.random.default_rng(seed)
     p = np.asarray(p, dtype=float)
     solutions = [model.target(model.random_start(rng), p, StrategyUpdateRule())

@@ -9,8 +9,10 @@ One JSON config describes one experiment: the game, the run parameters, the
 incentive update (externality-based by default, or the naive social-cost
 gradient baseline), and any requested analyses. Outputs: trajectory.csv,
 summary.json, analysis/*.json, and a plot.py rendering residual and
-social-cost curves. Exit codes: 0 success, 1 invalid config, 2 convergence
-failure (or a failed verification check).
+social-cost curves. Exit codes, the same for run and verify: 0 success,
+1 invalid config or analysis item, 2 a run or solver that does not converge
+or a failed analysis check. A check fails when its result has
+``"passed": false`` or a ``"verdict"`` other than ``"pass"``.
 """
 from __future__ import annotations
 
@@ -23,8 +25,7 @@ import numpy as np
 
 from . import aggregative as agg
 from . import analysis, routing
-from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
-                       TrajectoryRecord, run_coupled)
+from .dynamics import RunConfig, StepSchedule, StrategyUpdateRule, run_coupled
 from .errors import ConvergenceError, GameError, SpecError
 
 PLOT_SCRIPT = """\
@@ -63,6 +64,9 @@ class ConfigError(SpecError):
 # what a malformed config or analysis item raises; reported with exit code 1
 INVALID_INPUT = (GameError, KeyError, TypeError, ValueError)
 
+# verify's line per analysis: a passed or failed check, or a result that only informs
+STATUS = {True: "pass", False: "FAIL", None: "info"}
+
 
 def _convergence_failure(exc: ConvergenceError, where: str = "") -> int:
     gap = "" if exc.gap is None else f" (gap {exc.gap:.6g})"
@@ -93,15 +97,15 @@ def load_config(path) -> dict:
 
 
 def build_game(spec: dict):
-    """Returns (kind, model) with kind in {"aggregative", "routing"}."""
+    """The model of a "game" block: a routing network or an aggregative spec."""
     if not isinstance(spec, dict):
         raise ConfigError('"game" must be an object')
     if "builtin" in spec:
-        return "routing", routing.load_fixture(spec["builtin"])
+        return routing.load_fixture(spec["builtin"])
     if "aggregative" in spec:
-        return "aggregative", agg.from_json(spec["aggregative"])
+        return agg.from_json(spec["aggregative"])
     if "routing" in spec:
-        return "routing", routing.network_from_json(spec["routing"])
+        return routing.network_from_json(spec["routing"])
     raise ConfigError('"game" needs one of "builtin", "aggregative", "routing"')
 
 
@@ -114,13 +118,11 @@ def build_run_config(run_spec: dict) -> RunConfig:
     return RunConfig(schedule=sched, rule=rule, **run_spec)
 
 
-def _coupled_start(kind, model, run_spec):
+def _coupled_start(model, run_spec):
     """The model the coupled loop runs on, with its checked start (x0, p0)."""
     run_spec = run_spec or {}
-    if kind == "routing":
-        game, x0, p0 = model, model.uniform_route_flow(), np.zeros(model.n_edges)
-    else:
-        game, x0, p0 = model.to_game(), np.zeros(model.n), np.zeros(model.n)
+    game = analysis.strategy_model(model)
+    x0, p0 = game.uniform_point(), np.zeros(game.dim)
     return (game, *game.check_start(run_spec.get("x0", x0), run_spec.get("p0", p0)))
 
 
@@ -133,17 +135,10 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, TrajectoryRecord):
-        return obj.summary()
-    if isinstance(obj, analysis.StabilityReport):
-        return {"start_points": _jsonable(obj.start_points),
-                "endpoints": _jsonable(obj.endpoints),
-                "distances": obj.distances,
-                "all_converged": obj.all_converged}
     return obj
 
 
-def run_analysis(kind, model, item: dict):
+def run_analysis(model, item: dict) -> dict:
     item = dict(item)
     op = item.pop("op", None)
     if op == "verify_fixed_point_optimality":  # p defaults to the model's p†
@@ -159,17 +154,15 @@ def run_analysis(kind, model, item: dict):
         samples = [np.asarray(s, float) for s in item.pop("p_samples")]
         if "weight" in item:
             weight = np.asarray(item.pop("weight"), float)
-        elif kind == "aggregative":
-            weight = np.linalg.inv(model.M).T
         else:
-            raise ConfigError("condition_c2 needs an explicit weight matrix")
+            weight = model.certificate_weight()
         return analysis.check_condition_C2(model, weight, samples, **item)
     if op == "global_conditions":
-        if kind != "aggregative":
+        if not isinstance(model, agg.QuadraticAggregativeSpec):
             raise ConfigError("global_conditions applies to aggregative games")
         return agg.check_global_conditions(model)
     if op == "local_conditions":
-        if kind != "aggregative":
+        if not isinstance(model, agg.QuadraticAggregativeSpec):
             raise ConfigError("local_conditions applies to aggregative games")
         return agg.check_local_conditions(model)
     if op == "counterexample":
@@ -182,7 +175,7 @@ def run_analysis(kind, model, item: dict):
         report.pop("grid_costs", None)
         return report
     if op == "nondegeneracy":
-        if kind != "routing":
+        if not isinstance(model, routing.RoutingNetwork):
             raise ConfigError("nondegeneracy applies to routing games")
         tolls = np.asarray(item.pop("tolls", np.zeros(model.n_edges)), float)
         return {"verdict": routing.nondegeneracy_check(model, tolls, **item)}
@@ -196,13 +189,47 @@ def run_analysis(kind, model, item: dict):
     raise ConfigError(f"unknown analysis op {op!r}")
 
 
+def _run_analyses(model, analyses, adir=None) -> int:
+    """Run the analyses in order and return the exit code of their outcome.
+
+    With ``adir`` each result is written there as ``NN_op.json``; without,
+    one ``[pass]``/``[FAIL]``/``[info]`` line is printed per analysis. An
+    invalid item exits 1 and a solver that does not converge 2, at once; a
+    failed check exits 2 once every analysis has run.
+    """
+    failed = []
+    for idx, item in enumerate(analyses):
+        op = item.get("op", "?")
+        if adir is not None and op == "counterexample" and "grid_csv" not in item:
+            item = dict(item, grid_csv=str(adir / "counterexample_grid.csv"))
+        try:
+            result = run_analysis(model, item)
+        except ConvergenceError as exc:
+            return _convergence_failure(exc, f" in analysis {op!r}")
+        except INVALID_INPUT as exc:
+            print(f"error in analysis {op!r}: {exc}", file=sys.stderr)
+            return 1
+        verdict = result["verdict"] == "pass" if "verdict" in result else result.get("passed")
+        if adir is None:
+            print(f"[{STATUS[verdict]}] {op}")
+        else:
+            with open(adir / f"{idx:02d}_{op}.json", "w") as fh:
+                json.dump(_jsonable(result), fh, indent=2)
+        if verdict is False:
+            failed.append(op)
+    if failed:
+        print("failed checks: " + ", ".join(failed), file=sys.stderr)
+        return 2
+    return 0
+
+
 def run_experiment(config_path, out_dir=None) -> int:
     try:
         data = load_config(config_path)
-        kind, model = build_game(data["game"])
+        model = build_game(data["game"])
         run_spec = data.get("run", {})
         config = build_run_config(run_spec)
-        game, x0, p0 = _coupled_start(kind, model, run_spec)
+        game, x0, p0 = _coupled_start(model, run_spec)
         out = Path(out_dir or data.get("output_dir") or Path(config_path).with_suffix(""))
     except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -230,32 +257,15 @@ def run_experiment(config_path, out_dir=None) -> int:
     record.to_json_summary(out / "summary.json")
     (out / "plot.py").write_text(PLOT_SCRIPT)
 
-    failures = 0
     analyses = data.get("analyses", [])
+    adir = out / "analysis"
     if analyses:
-        adir = out / "analysis"
         adir.mkdir(exist_ok=True)
-        for idx, item in enumerate(analyses):
-            if item.get("op") == "counterexample" and "grid_csv" not in item:
-                item = dict(item, grid_csv=str(adir / "counterexample_grid.csv"))
-            try:
-                result = run_analysis(kind, model, item)
-            except ConvergenceError as exc:
-                return _convergence_failure(exc, f" in analysis {item.get('op')!r}")
-            except INVALID_INPUT as exc:
-                print(f"error in analysis {item.get('op')!r}: {exc}", file=sys.stderr)
-                return 1
-            name = item.get("op", f"analysis{idx}")
-            with open(adir / f"{idx:02d}_{name}.json", "w") as fh:
-                json.dump(_jsonable(result), fh, indent=2)
-            if isinstance(result, dict) and result.get("passed") is False:
-                failures += 1
-
+    code = _run_analyses(model, analyses, adir)
+    if code:
+        return code
     if update != "gradient_baseline" and not record.converged:
         print("run did not converge within the iteration budget", file=sys.stderr)
-        return 2
-    if failures:
-        print(f"{failures} analysis check(s) failed", file=sys.stderr)
         return 2
     print(f"wrote {out}/trajectory.csv, summary.json"
           + (", analysis/" if analyses else ""))
@@ -275,7 +285,7 @@ def run_directory(dir_path, out_dir=None) -> int:
 def verify(config_path) -> int:
     try:
         data = load_config(config_path)
-        kind, model = build_game(data["game"])
+        model = build_game(data["game"])
     except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -283,27 +293,7 @@ def verify(config_path) -> int:
     if not analyses:
         print("error: verify needs at least one entry in \"analyses\"", file=sys.stderr)
         return 1
-    failures = []
-    for item in analyses:
-        op = item.get("op", "?")
-        try:
-            result = run_analysis(kind, model, item)
-        except ConvergenceError as exc:
-            return _convergence_failure(exc, f" in analysis {op!r}")
-        except INVALID_INPUT as exc:
-            print(f"error in analysis {op!r}: {exc}", file=sys.stderr)
-            return 1
-        verdict = result.get("passed") if isinstance(result, dict) else None
-        if isinstance(result, dict) and "verdict" in result:
-            verdict = result["verdict"] == "pass"
-        status = {True: "pass", False: "FAIL", None: "info"}[verdict]
-        print(f"[{status}] {op}")
-        if verdict is False:
-            failures.append(op)
-    if failures:
-        print("failed checks: " + ", ".join(failures), file=sys.stderr)
-        return 2
-    return 0
+    return _run_analyses(model, analyses)
 
 
 def list_fixtures() -> int:

@@ -13,7 +13,8 @@ games and routing networks. A model supplies
 - ``externality(x)`` and ``social(x)``;
 - ``strategy_gap(f, x)``: the sup distance of two strategies;
 - ``cost_lipschitz()``: a bound ``L`` behind the default step ``0.9 / L``;
-- ``random_start(rng)``: a random feasible strategy, for multistart probes;
+- ``uniform_point()`` and ``random_start(rng)``: a feasible strategy, the
+  CLI's default start, and a random one, for multistart probes;
 - ``known_optimum()`` and ``optimal_incentive()``: an independent social
   optimum and p†, or ``None``, for the slow-layer checks of ``analysis``.
 
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidArgumentError, SpecError
+from .errors import InvalidArgumentError, SpecError
 
 CONSECUTIVE_HITS = 10
 
@@ -99,7 +100,6 @@ class RunConfig:
     max_iterations: int = 10000
     convergence_tol: float = 1e-6
     record_every: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -201,16 +201,15 @@ def fixed_point_residual(game, x, p, rule: StrategyUpdateRule) -> float:
     return float(game.strategy_gap(f, x) + np.abs(e - np.asarray(p, float)).max())
 
 
-def run_coupled(game, x0, p0, config: RunConfig,
-                raise_on_failure: bool = False) -> TrajectoryRecord:
+def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     """Iterate the coupled updates until the fixed-point residual settles.
 
     The residual is the model's strategy gap (in edge flows for routing, where
     route decompositions of one edge flow are interchangeable) plus the sup
     distance of the incentive from the externality. Stops once the residual
     stays below ``convergence_tol`` for ten consecutive recorded iterations,
-    or the iteration budget runs out. On budget exhaustion the (non-converged)
-    trajectory is still returned unless ``raise_on_failure`` is set.
+    or the iteration budget runs out. On budget exhaustion the trajectory is
+    returned with ``converged`` set from the final residual.
     """
     x, p = game.check_start(x0, p0)
     # Iterates go into the record uncopied: x and p are rebound every step
@@ -253,7 +252,4 @@ def run_coupled(game, x0, p0, config: RunConfig,
     record.append(config.max_iterations, x, p, residual, game.social(x))
     record.iterations = config.max_iterations
     record.converged = residual <= config.convergence_tol
-    if not record.converged and raise_on_failure:
-        raise ConvergenceError("coupled dynamics exhausted the iteration budget",
-                               best=(x, p), trajectory=record)
     return record

@@ -20,14 +20,12 @@ class EvaluationError(GameError):
 class ConvergenceError(GameError):
     """An iterative solver exhausted its budget.
 
-    Carries the best iterate (and, when available, the full trajectory)
-    for diagnosis.
+    Carries the best iterate and, when known, the final gap for diagnosis.
     """
 
-    def __init__(self, message, best=None, trajectory=None, gap=None):
+    def __init__(self, message, best=None, gap=None):
         super().__init__(message)
         self.best = best
-        self.trajectory = trajectory
         self.gap = gap
 
 

@@ -212,6 +212,7 @@ class AtomicGame:
         return self.project(x - eta * (self.loss_grad(x) + p))
 
     def externality(self, x: Array) -> Array:
+        """Per-player gap between marginal social cost and own marginal cost."""
         x = np.asarray(x, dtype=float)
         return _checked_gap(self.social_grad(x), self.loss_grad(x), "loss gradient")
 
@@ -260,10 +261,6 @@ class NonAtomicGame:
         object.__setattr__(self, "action_counts", counts)
 
     @property
-    def n_populations(self) -> int:
-        return self.masses.size
-
-    @property
     def dim(self) -> int:
         return sum(self.action_counts)
 
@@ -310,7 +307,9 @@ class NonAtomicGame:
         return simplex_target(x, c, self.slices, self.masses, rule, eta)
 
     def externality(self, x: Array) -> Array:
-        return externality_nonatomic(self, x)
+        """Per-action gap between marginal social cost and action cost."""
+        x = np.asarray(x, dtype=float)
+        return _checked_gap(self.social_grad(x), self.action_cost(x), "action cost")
 
     def strategy_gap(self, f: Array, x: Array):
         return np.max(np.abs(f - x))
@@ -327,7 +326,7 @@ class NonAtomicGame:
 
 
 # ---------------------------------------------------------------------------
-# Costs and externalities
+# Oracle value checks
 # ---------------------------------------------------------------------------
 
 def _checked(values: Array, what: str) -> Array:
@@ -350,16 +349,6 @@ def _checked_gap(social_grad, own, what: str) -> Array:
         _checked(social_grad, "social gradient")
         _checked(own, what)
     return e
-
-
-def externality_atomic(game: AtomicGame, x: Array) -> Array:
-    """Per-player gap between marginal social cost and own marginal cost."""
-    return game.externality(x)
-
-
-def externality_nonatomic(game: NonAtomicGame, x: Array) -> Array:
-    x = np.asarray(x, dtype=float)
-    return _checked_gap(game.social_grad(x), game.action_cost(x), "action cost")
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,8 @@ class RoutingNetwork:
 
     # Coupled-loop model: route flows x, edge tolls p.
 
+    uniform_point = uniform_route_flow
+
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
         return random_blocks(rng, self._route_slices, self._demands)
 
@@ -264,6 +266,10 @@ class RoutingNetwork:
 
     def optimal_incentive(self) -> np.ndarray:
         return optimal_edge_tolls(self)
+
+    def certificate_weight(self) -> np.ndarray:
+        """The paper's diagonal certificate weight at the system optimum."""
+        return delta_matrix(self, system_optimum(self)[1])
 
     def cost_lipschitz(self) -> float:
         """Crude bound on the route-cost Lipschitz constant: max l'(total demand) * E."""
@@ -444,14 +450,13 @@ def flow_monotonicity_check(net: RoutingNetwork, p, p2, tol: float = DEFAULT_GAP
 # Coupled toll adaptation
 # ---------------------------------------------------------------------------
 
-def run_toll_adaptation(net: RoutingNetwork, x0, p0, config: RunConfig,
-                        raise_on_failure: bool = False) -> TrajectoryRecord:
+def run_toll_adaptation(net: RoutingNetwork, x0, p0, config: RunConfig) -> TrajectoryRecord:
     """Coupled route-flow and edge-toll updates: ``run_coupled`` on the network.
 
     The strategy residual is measured in edge flows; the incentive residual
     compares the tolls with the marginal-cost externality of the current flow.
     """
-    return run_coupled(net, x0, p0, config, raise_on_failure)
+    return run_coupled(net, x0, p0, config)
 
 
 # ---------------------------------------------------------------------------

@@ -145,15 +145,15 @@ def test_ode_probe_stays_at_fixed_point():
     net = two_link_network()
     cfg = OdeProbeConfig(step=0.01, horizon=5.0)
     report = ode_probe_slow_dynamics(net, [np.array([0.5, 0.5])], cfg)
-    assert report.distances[0] <= 10 * cfg.step
+    assert report["distances"][0] <= 10 * cfg.step
 
 
 def test_ode_probe_two_link_from_origin():
     net = two_link_network()
     cfg = OdeProbeConfig(step=0.01, horizon=20.0, tol=1e-3)
     report = ode_probe_slow_dynamics(net, [np.zeros(2)], cfg)
-    assert report.distances[0] <= 1e-3
-    assert report.all_converged
+    assert report["distances"][0] <= 1e-3
+    assert report["all_converged"]
 
 
 def test_ode_probe_aggregative_random_starts():
@@ -162,14 +162,14 @@ def test_ode_probe_aggregative_random_starts():
     starts = [rng.normal(scale=2.0, size=2) for _ in range(20)]
     cfg = OdeProbeConfig(step=0.01, horizon=40.0, tol=1e-4)
     report = ode_probe_slow_dynamics(spec, starts, cfg)
-    assert max(report.distances) <= 1e-4
+    assert max(report["distances"]) <= 1e-4
 
 
 def test_ode_probe_euler_step_sanity():
     spec = example_spec(zeta=(1.0, 2.0))
     start = [np.array([1.0, -1.0])]
-    d1 = ode_probe_slow_dynamics(spec, start, OdeProbeConfig(0.02, 10.0)).distances[0]
-    d2 = ode_probe_slow_dynamics(spec, start, OdeProbeConfig(0.01, 10.0)).distances[0]
+    d1 = ode_probe_slow_dynamics(spec, start, OdeProbeConfig(0.02, 10.0))["distances"][0]
+    d2 = ode_probe_slow_dynamics(spec, start, OdeProbeConfig(0.01, 10.0))["distances"][0]
     assert d2 <= 2 * d1 + 1e-12
 
 

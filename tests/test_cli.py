@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from incentive_dynamics import aggregative as agg
 from incentive_dynamics import cli, routing
 from incentive_dynamics.errors import ConvergenceError
 
@@ -229,3 +230,67 @@ def test_analysis_convergence_failure_exits_2_with_gap(tmp_path, monkeypatch, ca
     cfg["output_dir"] = str(tmp_path / "out")
     assert cli.main(["run", "--config", write_config(tmp_path / "r.json", cfg)]) == 2
     assert "gap 5.73" in capsys.readouterr().err
+
+
+def test_run_failed_nondegeneracy_exits_2(tmp_path, capsys):
+    # at zero tolls Pigou's constant link ties for cheapest but carries no flow
+    cfg = {"game": {"builtin": "pigou"}, "run": TWO_LINK_RUN["run"],
+           "analyses": [{"op": "nondegeneracy"}], "output_dir": str(tmp_path / "out")}
+    path = write_config(tmp_path / "c.json", cfg)
+    assert cli.main(["run", "--config", path]) == 2
+    assert "nondegeneracy" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "analysis" / "00_nondegeneracy.json").read_text())
+    assert report == {"verdict": "fail"}
+    assert cli.main(["verify", "--config", path]) == 2
+
+
+def test_run_default_start_is_the_models_uniform_point(tmp_path):
+    aggregative = {"q": [1.0, 2.0, 1.5], "A": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                   "alpha": 0.2, "zeta": [1.0, -1.0, 0.5]}
+    for game, x0 in (({"builtin": "braess"}, routing.braess_network().uniform_route_flow()),
+                     ({"aggregative": aggregative}, np.zeros(3))):
+        out = tmp_path / str(len(x0))
+        cfg = {"game": game, "run": {"max_iterations": 3}, "output_dir": str(out)}
+        cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)])
+        first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
+        assert [float(v) for v in first[3:]] == [*x0, *np.zeros(len(first) - 3 - len(x0))]
+
+
+def c2_item(n, weight=None):
+    rng = np.random.default_rng(8)
+    item = {"op": "condition_c2", "p_samples": [rng.uniform(0.0, 1.0, n) for _ in range(6)]}
+    return item if weight is None else dict(item, weight=weight)
+
+
+def test_condition_c2_default_weight_aggregative():
+    spec = agg.from_json({"q": [1.0, 2.0, 1.5], "A": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                          "alpha": 0.2, "zeta": [1.0, -1.0, 0.5]})
+    report = cli.run_analysis(spec, c2_item(3))
+    assert report["passed"]
+    assert report == cli.run_analysis(spec, c2_item(3, np.linalg.inv(spec.M).T))
+    assert not spec.certificate_weight().flags.writeable
+
+
+def test_condition_c2_default_weight_two_link():
+    net = routing.two_link_network()
+    report = cli.run_analysis(net, c2_item(2))
+    assert report["passed"]
+    weight = routing.delta_matrix(net, routing.system_optimum(net)[1])
+    assert report == cli.run_analysis(net, c2_item(2, weight))
+
+
+@pytest.mark.parametrize("fixture", ["braess", "pigou"])
+def test_condition_c2_default_weight_needs_increasing_latencies(tmp_path, capsys, fixture):
+    # both fixtures have a constant-latency link, so the paper's weight is undefined
+    n = routing.load_fixture(fixture).n_edges
+    cfg = {"game": {"builtin": fixture},
+           "analyses": [{"op": "condition_c2", "p_samples": [[0.1] * n]}]}
+    assert cli.main(["verify", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert "nonpositive certificate denominator" in capsys.readouterr().err
+
+
+def test_run_seed_key_exits_1(tmp_path, capsys):
+    cfg = dict(TWO_LINK_RUN, output_dir=str(tmp_path / "out"))
+    cfg["run"] = dict(cfg["run"], seed=3)
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert "'seed'" in capsys.readouterr().err

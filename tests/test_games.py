@@ -12,9 +12,7 @@ from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
                                       best_response_nonatomic,
                                       certify_nash_atomic,
                                       certify_nash_nonatomic,
-                                      certify_social_optimum,
-                                      externality_atomic,
-                                      externality_nonatomic, project_interval,
+                                      certify_social_optimum, project_interval,
                                       project_simplex, social_optimum,
                                       solve_equilibrium_atomic)
 from incentive_dynamics import numdiff
@@ -125,13 +123,13 @@ def test_externality_atomic_separable_is_zero():
                    loss=lambda x: 0.5 * x**2, loss_grad=lambda x: np.asarray(x),
                    social=lambda x: float(0.5 * np.sum(np.asarray(x)**2)),
                    social_grad=lambda x: np.asarray(x, float))
-    np.testing.assert_allclose(externality_atomic(g, np.array([1.0, -2.0, 0.3])),
+    np.testing.assert_allclose(g.externality(np.array([1.0, -2.0, 0.3])),
                                np.zeros(3), atol=1e-14)
 
 
 def test_externality_atomic_aggregative_value():
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    e = externality_atomic(g, np.array([1.0, 1.0]))
+    e = g.externality(np.array([1.0, 1.0]))
     np.testing.assert_allclose(e, [-0.5, -0.5], atol=1e-12)
 
 
@@ -147,13 +145,13 @@ def test_externality_atomic_matches_finite_differences():
         fd = numdiff.central_gradient(g.social, x) - np.array(
             [numdiff.central_partial(lambda z, i=i: float(g.loss(z)[i]), x, i)
              for i in range(3)])
-        np.testing.assert_allclose(externality_atomic(g, x), fd,
+        np.testing.assert_allclose(g.externality(x), fd,
                                    rtol=1e-5, atol=1e-5)
 
 
 def test_externality_nonatomic_two_link():
     g = two_link_game()
-    np.testing.assert_allclose(externality_nonatomic(g, np.array([0.5, 0.5])),
+    np.testing.assert_allclose(g.externality(np.array([0.5, 0.5])),
                                [0.5, 0.5], atol=1e-14)
 
 
@@ -162,7 +160,7 @@ def test_externality_nonatomic_constant_costs_zero():
                       action_cost=lambda x: np.array([3.0, 3.0]),
                       social=lambda x: float(3.0 * np.sum(x)),
                       social_grad=lambda x: np.full(2, 3.0))
-    np.testing.assert_allclose(externality_nonatomic(g, np.array([0.3, 0.7])),
+    np.testing.assert_allclose(g.externality(np.array([0.3, 0.7])),
                                np.zeros(2), atol=1e-14)
 
 
@@ -180,7 +178,7 @@ def test_externality_nonatomic_matches_finite_differences():
                       social_grad=lambda x: B @ np.asarray(x))
     x = g.random_start(rng)
     fd = numdiff.central_gradient(social, x) - g.action_cost(x)
-    np.testing.assert_allclose(externality_nonatomic(g, x), fd,
+    np.testing.assert_allclose(g.externality(x), fd,
                                rtol=1e-5, atol=1e-5)
 
 
@@ -201,14 +199,14 @@ def test_externality_checks_each_oracle_value_once():
                        loss_grad=counting(loss_grad, lg_calls),
                        social_grad=counting(social_grad, sg_calls))
         with pytest.raises(EvaluationError, match=f"^{what} oracle returned non-finite values$"):
-            externality_atomic(g, np.zeros(2))
+            g.externality(np.zeros(2))
         assert (len(sg_calls), len(lg_calls)) == (1, 1)
     # finite values whose difference overflows are not an oracle failure
     g = NonAtomicGame(masses=[1.0], action_counts=(2,),
                       action_cost=lambda x: np.array([-1e308, 0.0]),
                       social=lambda x: 0.0, social_grad=lambda x: np.array([1e308, 0.0]))
     with np.errstate(over="ignore"):
-        np.testing.assert_array_equal(externality_nonatomic(g, np.array([0.5, 0.5])),
+        np.testing.assert_array_equal(g.externality(np.array([0.5, 0.5])),
                                       [np.inf, 0.0])
 
 
@@ -218,7 +216,7 @@ def test_externality_nonfinite_oracle_raises():
                       social=lambda x: 0.0,
                       social_grad=lambda x: np.zeros(2))
     with pytest.raises(EvaluationError):
-        externality_nonatomic(g, np.array([0.5, 0.5]))
+        g.externality(np.array([0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------
