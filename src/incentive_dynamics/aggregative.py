@@ -14,10 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
-from scipy.optimize import brentq
 
-from .errors import InvalidArgumentError, SpecError
-from .games import AtomicGame
+from .dynamics import resolve_eta
+from .errors import ConvergenceError, InvalidArgumentError, SpecError
+from .games import AtomicGame, nondecreasing_root
 
 CONDITION_LIMIT = 1e12
 SYMMETRY_TOL = 1e-12
@@ -89,16 +89,12 @@ class TableTerm:
 _POWERS = {QuadraticTerm: 2.0, QuarticTerm: 4.0}
 
 
-def _grad_root(term, lo=-1.0, hi=1.0, limit=1e6) -> float:
-    """Root of a strictly increasing gradient via bracket doubling + bisection."""
-    while term.grad(lo) > 0 or term.grad(hi) < 0:
-        lo *= 2.0
-        hi *= 2.0
-        if hi > limit:
-            raise SpecError("no gradient root found within the bracket limit")
-    if term.grad(lo) == 0.0:
-        return lo
-    return float(brentq(term.grad, lo, hi, xtol=1e-12, maxiter=300))
+def _grad_root(term, i: int = 0) -> float:
+    """The minimiser of operator-cost term ``i``: the root of its increasing gradient."""
+    try:
+        return nondecreasing_root(term.grad, i, 0.0, None, -np.inf, np.inf)
+    except ConvergenceError as exc:
+        raise SpecError(f"operator-cost term {i} has no gradient root") from exc
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,8 @@ class QuadraticAggregativeSpec:
                 if np.any(np.diff(t.grad(grid)) <= 0):
                     raise SpecError("operator-cost gradients must be strictly increasing")
             object.__setattr__(self, "h", terms)
-            object.__setattr__(self, "_y_dagger", np.array([_grad_root(t) for t in terms]))
+            object.__setattr__(self, "_y_dagger",
+                               np.array([_grad_root(t, i) for i, t in enumerate(terms)]))
         # Quadratic and quartic terms are evaluated as arrays; any other term
         # (a table, a user object) is called per player on its own index.
         # float_power matches the terms' scalar ``**`` bitwise, where array
@@ -336,7 +333,6 @@ def check_scaled_limit(spec: QuadraticAggregativeSpec, rule) -> dict:
     elif variant == "best_response":
         decay = (spec.M.T / spec.q).T  # Q^{-1} M
     else:
-        from .dynamics import resolve_eta
         eta = resolve_eta(spec.to_game(), rule)
         decay = eta * spec.M
     eigs = np.linalg.eigvals(decay)

@@ -133,8 +133,11 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
     with a nonnegative fixed point and a componentwise-larger incentive whose
     drift is nonpositive, or the mirror image on the nonpositive orthant.
     The dominating/dominated incentive is searched along scalings of the
-    fixed point.
+    fixed point. An empty ``p_samples`` is no evidence and raises
+    ``InvalidArgumentError``; a NaN Jacobian entry fails cooperativity.
     """
+    if len(p_samples) == 0:
+        raise InvalidArgumentError("condition C1 needs at least one incentive sample")
     model = strategy_model(obj)
     sys = slow_system(model)
     offdiag_min = np.inf
@@ -142,7 +145,7 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
         J = numdiff.central_jacobian(sys.phi, np.asarray(p, float))
         off = J[~np.eye(sys.dim, dtype=bool)]
         if off.size:
-            offdiag_min = min(offdiag_min, float(off.min()))
+            offdiag_min = np.minimum(offdiag_min, off.min())  # a NaN stays
     report = {
         "offdiag_min": float(offdiag_min),
         "cooperative": bool(offdiag_min > tol),
@@ -171,21 +174,28 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
 
 
 def check_condition_C2(obj, weight, p_samples, tol: float = 1e-10) -> dict:
-    """Quadratic certificate decrease along the slow drift at sampled points."""
+    """Quadratic certificate decrease along the slow drift at sampled points.
+
+    Samples within 1e-12 of p† are skipped; with none left the check has no
+    evidence and raises ``InvalidArgumentError``. A NaN decrement fails it.
+    """
     model = strategy_model(obj)
     sys = slow_system(model)
     pd = model.optimal_incentive()
     if pd is None:
         raise InvalidArgumentError("certificate check needs a known fixed point")
     W = np.asarray(weight, dtype=float)
-    worst = -np.inf
+    decrements = []
     for p in p_samples:
         p = np.asarray(p, float)
         d = p - pd
         if np.max(np.abs(d)) <= 1e-12:
             continue
         drift = sys.phi(p) - p
-        worst = max(worst, float(((W + W.T) @ d) @ drift))
+        decrements.append(float(((W + W.T) @ d) @ drift))
+    if not decrements:
+        raise InvalidArgumentError("condition C2 needs a sample away from p†")
+    worst = float(np.max(decrements))  # a NaN stays
     return {"max_decrement": worst, "passed": bool(worst < tol)}
 
 

@@ -144,18 +144,13 @@ def run_analysis(model, item: dict) -> dict:
     if op == "verify_fixed_point_optimality":  # p defaults to the model's p†
         return analysis.verify_fixed_point_optimality(model, **item)
     if op == "ode_probe":
-        starts = [np.asarray(s, float) for s in item.pop("start_points")]
         cfg = analysis.OdeProbeConfig(**item.pop("config", {}))
-        return analysis.ode_probe_slow_dynamics(model, starts, cfg, **item)
+        return analysis.ode_probe_slow_dynamics(model, item.pop("start_points"), cfg, **item)
     if op == "condition_c1":
-        samples = [np.asarray(s, float) for s in item.pop("p_samples")]
-        return analysis.check_condition_C1(model, samples, **item)
+        return analysis.check_condition_C1(model, item.pop("p_samples"), **item)
     if op == "condition_c2":
-        samples = [np.asarray(s, float) for s in item.pop("p_samples")]
-        if "weight" in item:
-            weight = np.asarray(item.pop("weight"), float)
-        else:
-            weight = model.certificate_weight()
+        samples = item.pop("p_samples")
+        weight = item.pop("weight") if "weight" in item else model.certificate_weight()
         return analysis.check_condition_C2(model, weight, samples, **item)
     if op == "global_conditions":
         if not isinstance(model, agg.QuadraticAggregativeSpec):
@@ -180,8 +175,7 @@ def run_analysis(model, item: dict) -> dict:
         tolls = np.asarray(item.pop("tolls", np.zeros(model.n_edges)), float)
         return {"verdict": routing.nondegeneracy_check(model, tolls, **item)}
     if op == "uniqueness_probe":
-        p = np.asarray(item.pop("p"), float)
-        out = analysis.multistart_uniqueness_probe(model, p, **item)
+        out = analysis.multistart_uniqueness_probe(model, item.pop("p"), **item)
         out.pop("solutions", None)
         return out
     if op == "schedule_assumptions":

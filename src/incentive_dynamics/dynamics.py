@@ -208,8 +208,9 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     route decompositions of one edge flow are interchangeable) plus the sup
     distance of the incentive from the externality. Stops once the residual
     stays below ``convergence_tol`` for ten consecutive recorded iterations,
-    or the iteration budget runs out. On budget exhaustion the trajectory is
-    returned with ``converged`` set from the final residual.
+    or the iteration budget runs out. On budget exhaustion the iterate at
+    ``k = max_iterations`` is recorded too, whatever ``record_every``, and
+    ``converged`` is set from its residual.
     """
     x, p = game.check_start(x0, p0)
     # Iterates go into the record uncopied: x and p are rebound every step
@@ -226,12 +227,12 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     gamma0, beta0, offset = sched.gamma0, sched.beta0, sched.offset
     neg_a, neg_b = -sched.a, -sched.b
     record_every, tol = config.record_every, config.convergence_tol
+    last = config.max_iterations
     hits = 0
-    k = 0
-    for k in range(config.max_iterations):
+    for k in range(last + 1):
         f = strategy_target(game, x, p, rule)
         e = externality(game, x)
-        if k % record_every == 0:
+        if k % record_every == 0 or k == last:
             gap = np.maximum.reduce(np.abs(e - p), axis=None)
             residual = float(game.strategy_gap(f, x) + gap)
             ks.append(k)
@@ -240,16 +241,11 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
             residuals.append(residual)
             social_costs.append(float(game.social(x)))
             hits = hits + 1 if residual <= tol else 0
-            if hits >= CONSECUTIVE_HITS:
-                record.converged = True
+            if hits >= CONSECUTIVE_HITS or k == last:
+                record.converged = residual <= tol
                 record.iterations = k
                 return record
         gamma = gamma0 * (k + offset) ** neg_a
         beta = beta0 * (k + offset) ** neg_b
         x = (1.0 - gamma) * x + gamma * f
         p = (1.0 - beta) * p + beta * e
-    residual = fixed_point_residual(game, x, p, rule)
-    record.append(config.max_iterations, x, p, residual, game.social(x))
-    record.iterations = config.max_iterations
-    record.converged = residual <= config.convergence_tol
-    return record

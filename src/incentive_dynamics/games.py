@@ -127,10 +127,11 @@ class AtomicGame:
 
     ``loss(x)`` returns the vector of player costs, ``loss_grad(x)`` the
     own-strategy partials (d loss_i / d x_i). ``equilibrium`` and
-    ``best_response`` are optional closed forms; numeric fallbacks are used
-    when absent. Without ``best_response``, a player's best response solves
-    its own first-order condition with ``loss_grad``, which assumes each cost
-    is convex in the player's own strategy. ``optimum`` is an optional
+    ``best_response`` are optional closed forms; ``target`` uses them when
+    present and the numeric solvers below otherwise. Without
+    ``best_response``, a player's best response solves its own first-order
+    condition with ``loss_grad``, which assumes each cost is convex in the
+    player's own strategy. ``optimum`` is an optional
     closed-form social optimum. Immutable; all operations are pure.
 
     Oracles must not write into their arguments: ``dynamics.run_coupled``
@@ -302,6 +303,8 @@ class NonAtomicGame:
 
     def target(self, x: Array, p: Array, rule, eta: float | None = None) -> Array:
         if rule.variant == "equilibrium":
+            if self.equilibrium is not None:
+                return np.asarray(self.equilibrium(p), float)
             return solve_equilibrium_nonatomic(self, p, x0=x)
         c = np.asarray(self.action_cost(x), float) + p
         return simplex_target(x, c, self.slices, self.masses, rule, eta)
@@ -424,24 +427,34 @@ def social_optimum(game, tol: float = 1e-8, max_iter: int = 20000) -> Array:
 def best_response_atomic(game: AtomicGame, x: Array, p: Array) -> Array:
     """Each player's minimiser of its own cost plus payment, the others held at ``x``.
 
-    Without a closed form, player ``i``'s best response is the root on
-    ``[lower[i], upper[i]]`` of its own partial ``loss_grad(z)[i] + p[i]``,
-    where ``z`` is ``x`` with entry ``i`` moved. This assumes each cost is
-    convex in the player's own strategy. One ``loss_grad(x)`` call gives every
-    player's first point.
+    Player ``i``'s best response is the root on ``[lower[i], upper[i]]`` of
+    its own partial ``loss_grad(z)[i] + p[i]``, where ``z`` is ``x`` with
+    entry ``i`` moved. This assumes each cost is convex in the player's own
+    strategy. One ``loss_grad(x)`` call gives every player's first point.
+    ``AtomicGame.target`` calls a closed-form ``game.best_response`` instead,
+    when the game has one.
     """
-    if game.best_response is not None:
-        return game.project(np.asarray(game.best_response(x, p), float))
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     g = np.asarray(game.loss_grad(x), float) + p
+    loss_grad = game.loss_grad
     z = x.copy()
     out = np.empty_like(x)
+
+    def own_partial(y):  # of the player ``i`` and payment ``pay`` the loop is at
+        z[i] = y
+        v = float(loss_grad(z)[i]) + pay
+        if not math.isfinite(v):
+            raise EvaluationError(f"loss gradient oracle returned a non-finite partial "
+                                  f"for player {i} at {y!r}")
+        return v
+
     for i in range(game.n_players):
+        pay = float(p[i])
         lo, hi = game.lower[i], game.upper[i]
         y0 = min(max(x[i], lo), hi)
-        out[i] = _own_root(game.loss_grad, z, i, float(p[i]), y0,
-                           float(g[i]) if y0 == x[i] else None, lo, hi)
+        out[i] = nondecreasing_root(own_partial, i, y0,
+                                    float(g[i]) if y0 == x[i] else None, lo, hi)
         z[i] = x[i]
     return out
 
@@ -450,25 +463,21 @@ BRACKET_MAX_STEP = 1e12
 SECANT_MAX_ITER = 100
 
 
-def _own_root(loss_grad, z, i, pay, y0, f0, lo, hi) -> float:
-    """Root on [lo, hi] of player ``i``'s nondecreasing partial, from ``y0``.
+def nondecreasing_root(f: Callable[[float], float], i: int, y0: float,
+                       f0: Optional[float], lo: float, hi: float) -> float:
+    """Root on [lo, hi] of the nondecreasing scalar function ``f``, from ``y0``.
 
-    The partial at ``y`` is ``loss_grad(z)[i] + pay`` with ``z[i] = y``; ``f0``
-    is its value at ``y0`` when already known. Doubling steps downhill from
-    ``y0`` bracket the sign change or reach the bound where the minimiser
-    sits. Illinois regula falsi then closes the bracket, stepping at least
-    half its tolerance inside the ends so that it shrinks every iteration,
-    until it is narrower than 4 eps (1 + |y|).
+    The package's one root finder: it serves player ``i``'s best response and
+    the minimiser of an operator-cost term, and ``i`` names the player in its
+    messages. ``f0`` is ``f(y0)`` when already known. Doubling steps downhill
+    from ``y0`` bracket the sign change or reach the bound where the
+    minimiser sits; a bracket still open at a step of ``BRACKET_MAX_STEP``
+    toward an infinite bound raises ``ConvergenceError``. Illinois regula
+    falsi then closes the bracket, stepping at least half its tolerance inside
+    the ends so that it shrinks every iteration, until it is narrower than
+    4 eps (1 + |y|).
     """
-    def f(y):
-        z[i] = y
-        v = float(loss_grad(z)[i]) + pay
-        if not math.isfinite(v):
-            raise EvaluationError(f"loss gradient oracle returned a non-finite partial "
-                                  f"for player {i} at {y!r}")
-        return v
-
-    # a non-finite known value is evaluated again, so that f raises
+    # a non-finite known value is evaluated again, so that f can raise
     fa = f(y0) if f0 is None or not math.isfinite(f0) else f0
     if fa == 0.0:
         return y0
@@ -517,12 +526,6 @@ def _own_root(loss_grad, z, i, pay, y0, f0, lo, hi) -> float:
                            f"close its bracket in {SECANT_MAX_ITER} steps")
 
 
-def best_response_nonatomic(game: NonAtomicGame, x: Array, p: Array) -> Array:
-    """All mass on a minimal-cost action per population (ties: lowest index)."""
-    c = np.asarray(game.action_cost(x), float) + np.asarray(p, float)
-    return best_response_blocks(c, game.slices, game.masses)
-
-
 def solve_equilibrium_atomic(game: AtomicGame, p: Array, tol: float = 1e-10,
                              x0: Array | None = None, max_iter: int = 5000) -> Array:
     """Projected-gradient iteration on x = Proj(x - eta (loss_grad(x) + p)).
@@ -532,8 +535,6 @@ def solve_equilibrium_atomic(game: AtomicGame, p: Array, tol: float = 1e-10,
     averaged best-response step restarts the search. The gradient at the
     current point serves both its residual and the next step.
     """
-    if game.equilibrium is not None:
-        return np.asarray(game.equilibrium(np.asarray(p, float)), float)
     p = _as_vector(p, "p")
     if p.size != game.n_players:
         raise InvalidArgumentError("dimension mismatch in solve_equilibrium_atomic")
@@ -570,8 +571,6 @@ def solve_equilibrium_nonatomic(game: NonAtomicGame, p: Array, tol: float = 1e-1
     improving; if it underflows, one averaged best-response step restarts the
     search. Linear convergence for strongly monotone cost maps.
     """
-    if game.equilibrium is not None:
-        return np.asarray(game.equilibrium(np.asarray(p, float)), float)
     p = np.asarray(p, float)
     x = game.uniform_point() if x0 is None else game.project(np.asarray(x0, float))
     eta = 1.0
@@ -586,7 +585,8 @@ def solve_equilibrium_nonatomic(game: NonAtomicGame, p: Array, tol: float = 1e-1
         else:
             eta *= 0.5
             if eta < 1e-12:
-                f = best_response_nonatomic(game, x, p)
+                f = best_response_blocks(np.asarray(game.action_cost(x), float) + p,
+                                         game.slices, game.masses)
                 x = x + (2.0 / (k + 3.0)) * (f - x)
                 _, res = certify_nash_nonatomic(game, x, p, tol)
                 eta = 1.0

@@ -58,8 +58,7 @@ def test_gradient_oracles_match_finite_differences():
         fd_social = numdiff.central_gradient(spec.social, x)
         np.testing.assert_allclose(spec.social_grad(x), fd_social,
                                    rtol=1e-5, atol=1e-5)
-        fd_loss = np.array([numdiff.central_partial(
-            lambda z, i=i: float(spec.loss(z)[i]), x, i) for i in range(2)])
+        fd_loss = np.diag(numdiff.central_jacobian(spec.loss, x))
         np.testing.assert_allclose(spec.loss_grad(x), fd_loss,
                                    rtol=1e-5, atol=1e-5)
 

@@ -4,6 +4,7 @@ import pytest
 from corpus import grid34, mixed_degree_network
 from incentive_dynamics import analysis, routing
 from incentive_dynamics.aggregative import (QuadraticAggregativeSpec,
+                                            check_local_conditions,
                                             nash_closed_form,
                                             optimal_incentive)
 from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
@@ -240,6 +241,65 @@ def test_condition_c2_routing_delta_certificate():
         drift = sys.phi(p) - p
         dec = float((2 * Delta @ d) @ drift)
         assert dec < -2 * V + 1e-8
+
+
+def test_condition_c1_nonpositive_orthant_variant():
+    # y† = zeta > 0, so p† = -M y† < 0 and phi(0) = -zeta < 0: the mirror image
+    spec = QuadraticAggregativeSpec(**dict(M1_SPEC, zeta=[1.0, 0.5]))
+    report = check_condition_C1(spec, [np.zeros(2), np.array([0.5, -0.5])])
+    assert report["cooperative"]
+    assert report["negative_orthant_variant"] and not report["positive_orthant_variant"]
+    assert report["passed"]
+    local = check_local_conditions(spec)
+    assert local["entries_nonnegative"] and local["inverse_offdiag_negative"]
+    assert not local["y_dagger_nonpositive"] and not local["passed"]
+
+
+def test_condition_c1_needs_a_sample():
+    # one sample fails M2's cooperativity, so no sample must not pass it
+    spec = QuadraticAggregativeSpec(**M2_SPEC)
+    assert not check_condition_C1(spec, [np.zeros(2)])["passed"]
+    with pytest.raises(InvalidArgumentError, match="at least one"):
+        check_condition_C1(spec, [])
+
+
+class NanSlowMap:
+    """The least a model needs for the slow-map checks; its externality is NaN."""
+
+    dim = 2
+
+    def target(self, x, p, rule):
+        return np.asarray(p, float)
+
+    def externality(self, x):
+        return np.full(2, np.nan)
+
+    def social(self, x):
+        return 0.0
+
+    def optimal_incentive(self):
+        return None
+
+
+def test_condition_c1_nan_jacobian_fails():
+    report = check_condition_C1(NanSlowMap(), [np.zeros(2)])
+    assert np.isnan(report["offdiag_min"])
+    assert not report["cooperative"] and not report["passed"]
+
+
+def test_condition_c2_needs_a_sample_away_from_p_dagger():
+    spec = example_spec(zeta=(1.0, 2.0))
+    pd = optimal_incentive(spec)
+    for samples in ([], [pd, pd + 1e-13]):
+        with pytest.raises(InvalidArgumentError, match="away from p"):
+            check_condition_C2(spec, spec.certificate_weight(), samples)
+
+
+def test_condition_c2_nan_weight_fails():
+    net = two_link_network()
+    nan_weight = [[np.nan, 0.0], [0.0, np.nan]]
+    report = check_condition_C2(net, nan_weight, [[0.1, 0.9], [0.7, 0.2]])
+    assert np.isnan(report["max_decrement"]) and not report["passed"]
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,48 @@ def test_run_seed_key_exits_1(tmp_path, capsys):
     cfg["run"] = dict(cfg["run"], seed=3)
     assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
     assert "'seed'" in capsys.readouterr().err
+
+
+M2_GAME = {"aggregative": {"q": [1.0, 1.0], "A": [[0.0, -0.1], [-0.1, 0.0]], "alpha": 1.0,
+                           "zeta": [-1.0, -0.5]}}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_condition_checks_without_evidence_exit_1(tmp_path, capsys, command):
+    p_dagger = agg.optimal_incentive(agg.from_json(M2_GAME["aggregative"])).tolist()
+    items = [{"op": "condition_c1", "p_samples": []},
+             {"op": "condition_c2", "p_samples": []},
+             {"op": "condition_c2", "p_samples": [p_dagger, p_dagger]}]
+    for idx, item in enumerate(items):
+        out = tmp_path / f"out{idx}"
+        cfg = {"game": M2_GAME, "analyses": [item], "output_dir": str(out)}
+        assert cli.main([command, "--config", write_config(tmp_path / f"c{idx}.json", cfg)]) == 1
+        assert f"error in analysis '{item['op']}'" in capsys.readouterr().err
+        assert not list(out.glob("analysis/*.json"))
+
+
+BRAESS_ROUTING = {
+    "nodes": ["s", "a", "b", "t"],
+    "edges": [{"tail": "s", "head": "a", "poly": [0.0, 1.0]},
+              {"tail": "a", "head": "t", "poly": [1.0]},
+              {"tail": "s", "head": "b", "poly": [1.0]},
+              {"tail": "b", "head": "t", "poly": [0.0, 1.0]},
+              {"tail": "a", "head": "b", "poly": [0.25, 0.01]}],
+    "od": [{"o": "s", "d": "t", "demand": 1.0, "routes": [[0, 1], [2, 3], [0, 4, 3]]}],
+    "relax_monotonicity": True,
+}
+
+
+def test_routing_block_runs_like_its_builtin(tmp_path):
+    trees = []
+    analyses = [{"op": "verify_fixed_point_optimality"}, {"op": "nondegeneracy"},
+                {"op": "uniqueness_probe", "p": [0.1, 0.2, 0.0, 0.3, 0.1], "n_starts": 3}]
+    for name, game in (("builtin", {"builtin": "braess"}),
+                       ("routing", {"routing": BRAESS_ROUTING})):
+        out = tmp_path / name
+        cfg = dict(TWO_LINK_RUN, game=game, analyses=analyses, output_dir=str(out))
+        assert cli.main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) == 6  # trajectory.csv, summary.json, plot.py and three analyses
+    assert trees[0] == trees[1]

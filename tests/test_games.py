@@ -9,7 +9,6 @@ from incentive_dynamics import games
 from incentive_dynamics.errors import (ConvergenceError, EvaluationError,
                                        InvalidArgumentError, SpecError)
 from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
-                                      best_response_nonatomic,
                                       certify_nash_atomic,
                                       certify_nash_nonatomic,
                                       certify_social_optimum, project_interval,
@@ -142,9 +141,8 @@ def test_externality_atomic_matches_finite_differences():
     g = aggregative_game(q, A, 0.5, zeta)
     for _ in range(5):
         x = rng.uniform(-2, 2, 3)
-        fd = numdiff.central_gradient(g.social, x) - np.array(
-            [numdiff.central_partial(lambda z, i=i: float(g.loss(z)[i]), x, i)
-             for i in range(3)])
+        fd = numdiff.central_gradient(g.social, x) - np.diag(
+            numdiff.central_jacobian(g.loss, x))
         np.testing.assert_allclose(g.externality(x), fd,
                                    rtol=1e-5, atol=1e-5)
 
@@ -320,7 +318,7 @@ def test_best_response_nonatomic_lowest_index_tiebreak():
                       action_cost=lambda x: np.array([1.0, 1.0, 1.0]),
                       social=lambda x: float(np.sum(x)),
                       social_grad=lambda x: np.ones(3))
-    f = best_response_nonatomic(g, g.uniform_point(), np.zeros(3))
+    f = g.target(g.uniform_point(), np.zeros(3), StrategyUpdateRule("best_response"))
     np.testing.assert_allclose(f, [1.0, 0.0, 0.0])
 
 

@@ -1,10 +1,14 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the CLI
+imports no more than it needs.
 
 No linter ships with the project's dependencies, so this walks each module's
 syntax tree: a name bound by an import must be read somewhere in the module.
 ``__init__.py`` is left out, since its imports are the package's exports.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,12 @@ def test_unused_imports_finds_each_unread_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize costs about a third of the CLI's start-up; nothing needs it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, incentive_dynamics.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
