@@ -134,7 +134,9 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
     drift is nonpositive, or the mirror image on the nonpositive orthant.
     The dominating/dominated incentive is searched along scalings of the
     fixed point. An empty ``p_samples`` is no evidence and raises
-    ``InvalidArgumentError``; a NaN Jacobian entry fails cooperativity.
+    ``InvalidArgumentError``; a NaN Jacobian entry fails cooperativity. A
+    scalar slow map has no off-diagonal entry, so cooperativity holds
+    vacuously there and ``offdiag_min`` is None.
     """
     if len(p_samples) == 0:
         raise InvalidArgumentError("condition C1 needs at least one incentive sample")
@@ -147,7 +149,7 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
         if off.size:
             offdiag_min = np.minimum(offdiag_min, off.min())  # a NaN stays
     report = {
-        "offdiag_min": float(offdiag_min),
+        "offdiag_min": float(offdiag_min) if sys.dim > 1 else None,
         "cooperative": bool(offdiag_min > tol),
     }
     phi0 = sys.phi(np.zeros(sys.dim))

@@ -9,7 +9,8 @@ One JSON config describes one experiment: the game, the run parameters, the
 incentive update (externality-based by default, or the naive social-cost
 gradient baseline), and any requested analyses. Outputs: trajectory.csv,
 summary.json, analysis/*.json, and a plot.py rendering residual and
-social-cost curves. Exit codes, the same for run and verify: 0 success,
+social-cost curves. The JSON files are strict JSON: a non-finite number
+is written as ``null``. Exit codes, the same for run and verify: 0 success,
 1 invalid config or analysis item, 2 a run or solver that does not converge
 or a failed analysis check. A check fails when its result has
 ``"passed": false`` or a ``"verdict"`` other than ``"pass"``.
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import aggregative as agg
 from . import analysis, routing
-from .dynamics import RunConfig, StepSchedule, StrategyUpdateRule, run_coupled
+from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule, run_coupled,
+                       strict_json)
 from .errors import ConvergenceError, GameError, SpecError
 
 PLOT_SCRIPT = """\
@@ -126,18 +128,6 @@ def _coupled_start(model, run_spec):
     return (game, *game.check_start(run_spec.get("x0", x0), run_spec.get("p0", p0)))
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def run_analysis(model, item: dict) -> dict:
     item = dict(item)
     op = item.pop("op", None)
@@ -208,7 +198,7 @@ def _run_analyses(model, analyses, adir=None) -> int:
             print(f"[{STATUS[verdict]}] {op}")
         else:
             with open(adir / f"{idx:02d}_{op}.json", "w") as fh:
-                json.dump(_jsonable(result), fh, indent=2)
+                json.dump(strict_json(result), fh, indent=2, allow_nan=False)
         if verdict is False:
             failed.append(op)
     if failed:

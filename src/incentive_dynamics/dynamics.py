@@ -24,6 +24,7 @@ them, so no method may write into its arguments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -170,7 +171,26 @@ class TrajectoryRecord:
 
     def to_json_summary(self, path):
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
+            json.dump(strict_json(self.summary()), fh, indent=2, allow_nan=False)
+
+
+def strict_json(obj):
+    """``obj`` in plain JSON types: arrays as lists, numpy scalars as Python
+    ones, and a non-finite float as None, which JSON writes as ``null``."""
+    if isinstance(obj, np.ndarray):
+        values = obj.tolist()
+        if obj.dtype.kind != "f" or np.isfinite(obj).all():
+            return values
+        obj = values
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [strict_json(v) for v in obj]
+    return obj
 
 
 # ---------------------------------------------------------------------------

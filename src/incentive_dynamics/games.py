@@ -107,6 +107,8 @@ def check_incentive(p, n: int) -> Array:
     p = np.asarray(p, dtype=float)
     if p.shape != (n,):
         raise InvalidArgumentError(f"incentive vector has shape {p.shape}, expected ({n},)")
+    if not np.isfinite(p).all():
+        raise InvalidArgumentError("incentive vector must be finite")
     return p
 
 
@@ -278,7 +280,7 @@ class NonAtomicGame:
 
     def is_feasible(self, x: Array, tol: float = MASS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,) or np.any(x < -tol):
+        if x.shape != (self.dim,) or not (x >= -tol).all():  # NaN fails too
             return False
         for s, m in zip(self.slices, self.masses):
             if abs(x[s].sum() - m) > max(tol, tol * m):

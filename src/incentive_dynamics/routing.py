@@ -8,6 +8,13 @@ cost with the same solver. Marginal-cost tolls
 ``w_a * l_a'(w_a)`` make the two coincide. A network is a model of the
 coupled loop in ``dynamics``: route flows are its strategies and edge tolls
 its incentives.
+
+Every latency evaluation goes through one kernel, ``_column_horner``: a
+network builds its coefficient columns once, highest degree first, as one
+stack for (l, l', l'') and one for the antiderivative, and the kernel runs
+Horner's rule in place over them for all edges at once. The flow solver
+gets an edge cost and its derivative from one kernel pass, so it makes one
+pass per sweep start, per shift and per objective evaluation.
 """
 from __future__ import annotations
 
@@ -56,24 +63,33 @@ class LatencyFunction:
         return np.polynomial.polynomial.polyval(w, c)
 
 
-def _padded(coeff_rows) -> np.ndarray:
-    """Ascending coefficient rows, zero-padded on the high-degree side to one width."""
-    out = np.zeros((len(coeff_rows), max(len(c) for c in coeff_rows)))
-    for row, c in zip(out, coeff_rows):
-        row[:len(c)] = c
+def _columns(polys, width: int) -> np.ndarray:
+    """Ascending coefficient lists as zero-padded columns, highest degree first:
+    row j holds every edge's coefficient of degree ``width - 1 - j``."""
+    out = np.zeros((width, len(polys)))
+    for a, c in enumerate(polys):
+        out[width - len(c):, a] = c[::-1]
     return out
 
 
-def _horner(coeffs, w):
-    """Evaluate each row of an ascending coefficient matrix at ``w``.
+def _column_horner(rows, w):
+    """Evaluate coefficient rows, highest degree first, at ``w`` by Horner's rule.
 
-    Same operations in the same order as ``polyval``, so the result is
-    bitwise equal to the per-edge ``LatencyFunction`` path and zero padding
-    of the leading coefficients is exact.
+    In place: ``out = rows[0] * w; out += rows[1]``, then ``out *= w; out += row``
+    for each further row. A row broadcasts against ``w``, so rows of shape
+    (k, E) give k polynomials per edge in one pass. For finite ``w`` these are
+    polyval's operations in its order (its ``c + w*0`` start is ``c``), so the
+    values are bitwise equal to the per-edge ``LatencyFunction`` path, and
+    leading zero rows are exact. At an infinite or NaN ``w`` the result is the
+    IEEE Horner value (inf or NaN) where polyval gives NaN.
     """
-    out = coeffs[..., -1] + w * 0
-    for j in range(coeffs.shape[-1] - 2, -1, -1):
-        out = coeffs[..., j] + out * w
+    if len(rows) == 1:
+        return rows[0] + w * 0.0
+    out = rows[0] * w
+    out += rows[1]
+    for row in rows[2:]:
+        out *= w
+        out += row
     return out
 
 
@@ -114,16 +130,29 @@ class RoutingNetwork:
             total_demand += od.demand
             for route in od.routes:
                 self._check_route(route, od)
+        # Coefficient columns, built once: a (width, 3, E) stack whose row j
+        # holds degree width-1-j of (l, l', l'') for every edge, and the
+        # Beckmann antiderivative's (width+1, E) columns. Row tuples are
+        # cached per use; the derivatives skip their all-zero top rows.
         poly = np.polynomial.polynomial
-        coeffs = [lat.coeffs for _, _, lat in edges]
-        object.__setattr__(self, "_value_coeffs", _padded(coeffs))
-        object.__setattr__(self, "_deriv_coeffs", _padded([poly.polyder(c) for c in coeffs]))
-        object.__setattr__(self, "_second_coeffs", _padded([poly.polyder(c, 2) for c in coeffs]))
-        object.__setattr__(self, "_integral_coeffs", _padded([poly.polyint(c) for c in coeffs]))
-        ws = np.linspace(0.0, total_demand, 33)
-        increasing = np.all(_horner(self._deriv_coeffs[:, None, :], ws) > 0, axis=1)
+        polys = [lat.coeffs for _, _, lat in edges]
+        width = max(map(len, polys))
+        stack = np.stack([_columns([poly.polyder(c, q) for c in polys], width)
+                          for q in range(3)], axis=1)
+        integral = _columns([poly.polyint(c) for c in polys], width + 1)
+        stack.setflags(write=False)
+        integral.setflags(write=False)
+        object.__setattr__(self, "_value_rows", tuple(stack[:, 0]))
+        object.__setattr__(self, "_deriv_rows", tuple(stack[min(1, width - 1):, 1]))
+        object.__setattr__(self, "_second_rows", tuple(stack[min(2, width - 1):, 2]))
+        object.__setattr__(self, "_cost_rows", tuple(stack[:, :2]))
+        object.__setattr__(self, "_all_rows", tuple(stack))
+        object.__setattr__(self, "_integral_rows", tuple(integral))
+        ws = np.linspace(0.0, total_demand, 33)[:, None, None]
+        slopes = _column_horner(tuple(stack[:, 1:]), ws)  # (sample, (l', l''), edge)
+        increasing = np.all(slopes[:, 0] > 0, axis=0)
         decreasing = ~(increasing | self.relax_monotonicity)
-        concave = np.any(_horner(self._second_coeffs[:, None, :], ws) < 0, axis=1)
+        concave = np.any(slopes[:, 1] < 0, axis=0)
         bad = decreasing | concave
         if bad.any():  # report the first offending edge, monotonicity before convexity
             if decreasing[np.argmax(bad)]:
@@ -202,20 +231,20 @@ class RoutingNetwork:
         return self.n_edges
 
     def latency(self, w) -> np.ndarray:
-        return _horner(self._value_coeffs, np.asarray(w, dtype=float))
+        return _column_horner(self._value_rows, np.asarray(w, dtype=float))
 
     def latency_deriv(self, w) -> np.ndarray:
-        return _horner(self._deriv_coeffs, np.asarray(w, dtype=float))
+        return _column_horner(self._deriv_rows, np.asarray(w, dtype=float))
 
     def latency_second_deriv(self, w) -> np.ndarray:
-        return _horner(self._second_coeffs, np.asarray(w, dtype=float))
+        return _column_horner(self._second_rows, np.asarray(w, dtype=float))
 
     def check_route_flow(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_routes,):
             raise InvalidArgumentError("route flow has wrong length")
-        if np.any(x < -1e-9):
-            raise InvalidArgumentError("route flows must be nonnegative")
+        if not (x >= -1e-9).all():  # NaN fails too; +inf fails the demand test
+            raise InvalidArgumentError("route flows must be finite and nonnegative")
         for s, od in zip(self._route_slices, self.od_pairs):
             if abs(x[s].sum() - od.demand) > 1e-7 * max(1.0, od.demand):
                 raise InvalidArgumentError("route flow violates an OD demand")
@@ -291,7 +320,7 @@ def route_costs(net: RoutingNetwork, w, edge_tolls=None) -> np.ndarray:
 def beckmann_potential(net: RoutingNetwork, w, edge_tolls) -> float:
     w = np.asarray(w, dtype=float)
     # cumsum adds left to right; sum() would reorder pairwise and change bits
-    integrals = np.cumsum(_horner(net._integral_coeffs, w))[-1]
+    integrals = np.cumsum(_column_horner(net._integral_rows, w))[-1]
     return float(integrals + np.asarray(edge_tolls, float) @ w)
 
 
@@ -310,18 +339,19 @@ def edge_externality(net: RoutingNetwork, w) -> np.ndarray:
 # Convex flow programs (route-based gradient projection)
 # ---------------------------------------------------------------------------
 
-def _solve_flow_program(net, edge_cost, edge_cost_deriv, objective, tol, x0, max_iter):
+def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
     """Minimize a convex separable edge objective over the route-flow polytope.
 
     Route-based gradient projection (Bertsekas and Gafni 1982; Jayakrishnan
-    et al. 1994). ``edge_cost(w)`` must be the gradient of ``objective`` in
-    edge flows and ``edge_cost_deriv(w)`` its derivative. A sweep visits the
-    OD pairs, and within each its routes in order: a route r that carries
-    flow and costs more than the cheapest route b of its OD shifts
-    ``min(x_r, (c_r - c_b) / sum_{a in r △ b} d_a(w))`` onto b, the
-    Newton step of the exchange, or all of x_r where that sum is zero
-    (constant costs only). Edge flow and costs are updated after every
-    shift. Before each sweep the relative duality gap
+    et al. 1994). ``edge_terms(w)`` returns the edge costs c, the gradient of
+    ``objective`` in edge flows, and their derivatives d, from one pass of
+    the latency kernel; it runs once per sweep start and once per shift.
+    A sweep visits the OD pairs, and within each its routes in order: a
+    route r that carries flow and costs more than the cheapest route b of
+    its OD shifts ``min(x_r, (c_r - c_b) / sum_{a in r △ b} d_a(w))`` onto
+    b, the Newton step of the exchange, or all of x_r where that sum is zero
+    (constant costs only). Edge flow, costs and derivatives are updated
+    after every shift. Before each sweep the relative duality gap
     ``sum_od (c_od . x_od - m_od min c_od) / max(1, |objective|)`` is
     checked against ``tol``; after ``max_iter`` sweeps ConvergenceError
     carries the last flow.
@@ -332,7 +362,7 @@ def _solve_flow_program(net, edge_cost, edge_cost_deriv, objective, tol, x0, max
     gap = np.inf
     for _ in range(max_iter):
         w = inc @ x
-        c_edge = edge_cost(w)
+        c_edge, d_edge = edge_terms(w)
         gap = 0.0
         for xs, inc_s, m in blocks:
             c = inc_s @ c_edge
@@ -343,16 +373,16 @@ def _solve_flow_program(net, edge_cost, edge_cost_deriv, objective, tol, x0, max
         for xs, inc_s, _ in blocks:  # xs is a view into x
             c = inc_s @ c_edge
             for r in range(len(xs)):
-                b = int(np.argmin(c))
+                b = int(c.argmin())
                 if xs[r] <= 0.0 or c[r] <= c[b]:
                     continue
                 diff = inc_s[r] - inc_s[b]
-                curv = float((diff * diff) @ edge_cost_deriv(w))
+                curv = float((diff * diff) @ d_edge)
                 shift = xs[r] if curv <= 0.0 else min(xs[r], (c[r] - c[b]) / curv)
                 xs[r] -= shift
                 xs[b] += shift
                 w -= shift * diff
-                c_edge = edge_cost(w)
+                c_edge, d_edge = edge_terms(w)
                 c = inc_s @ c_edge
     raise ConvergenceError("flow program did not close the duality gap",
                            best=(x, inc @ x), gap=gap)
@@ -365,23 +395,29 @@ def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GA
     The edge flow is the unique Beckmann minimizer; the route flow is one of
     possibly many consistent decompositions.
     """
-    p = np.asarray(edge_tolls, dtype=float)
-    if p.shape != (net.n_edges,):
-        raise InvalidArgumentError("edge toll vector has wrong length")
-    cost = lambda w: net.latency(w) + p
+    p = check_incentive(edge_tolls, net.n_edges)
+    rows = net._cost_rows
+
+    def terms(w):  # (l + p, l')
+        out = _column_horner(rows, w)
+        out[0] += p
+        return out
+
     obj = lambda w: beckmann_potential(net, w, p)
-    x, w = _solve_flow_program(net, cost, net.latency_deriv, obj, tol, x0, max_iter)
-    return x, w
+    return _solve_flow_program(net, terms, obj, tol, x0, max_iter)
 
 
 def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
                    x0=None, max_iter: int = 200000):
     """Total-latency-minimizing flow; returns (route_flow, edge_flow)."""
-    cost = lambda w: net.latency(w) + w * net.latency_deriv(w)
-    deriv = lambda w: 2.0 * net.latency_deriv(w) + w * net.latency_second_deriv(w)
+    rows = net._all_rows
+
+    def terms(w):  # (l + w l', 2 l' + w l'')
+        value, slope, curve = _column_horner(rows, w)
+        return value + w * slope, 2.0 * slope + w * curve
+
     obj = lambda w: total_latency_cost(net, w)
-    x, w = _solve_flow_program(net, cost, deriv, obj, tol, x0, max_iter)
-    return x, w
+    return _solve_flow_program(net, terms, obj, tol, x0, max_iter)
 
 
 def optimal_edge_tolls(net: RoutingNetwork, tol: float = 1e-8) -> np.ndarray:

@@ -5,8 +5,8 @@
 degree-4 latencies ``(U(.5,2), U(.5,2), 0, 0, U(.01,.1))`` drawn from
 ``np.random.default_rng(seed)``, edge by edge in row-major node order, the
 right edge of a node before its down edge. ``mixed_degree_network`` mixes
-constant, affine and quartic latencies, so the padded coefficient matrices
-hold rows of different length.
+constant, affine and quartic latencies, so its coefficient columns are
+zero-padded below degree 4 for all but the quartic edges.
 """
 import numpy as np
 

@@ -263,6 +263,13 @@ def test_condition_c1_needs_a_sample():
         check_condition_C1(spec, [])
 
 
+def test_condition_c1_scalar_map_is_vacuously_cooperative():
+    spec = QuadraticAggregativeSpec(q=[1.0], A=[[0.0]], alpha=0.5, zeta=[-0.5])
+    report = check_condition_C1(spec, [np.array([0.1])])
+    assert report["offdiag_min"] is None
+    assert report["cooperative"]
+
+
 class NanSlowMap:
     """The least a model needs for the slow-map checks; its externality is NaN."""
 

@@ -339,3 +339,42 @@ def test_routing_block_runs_like_its_builtin(tmp_path):
                       for p in sorted(out.rglob("*")) if p.is_file()})
     assert len(trees[0]) == 6  # trajectory.csv, summary.json, plot.py and three analyses
     assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("game", [{"builtin": "two_link"}, M2_GAME])
+def test_nonfinite_p0_exits_1_before_running(tmp_path, capsys, game):
+    cfg = dict(TWO_LINK_RUN, game=game, output_dir=str(tmp_path / "out"))
+    cfg["run"] = dict(cfg["run"], p0=[float("nan"), 0.0])
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert "incentive vector must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_nonfinite_tolls_exits_1(tmp_path, capsys):
+    cfg = {"game": {"builtin": "braess"},
+           "analyses": [{"op": "nondegeneracy", "tolls": [float("nan"), 0, 0, 0, 0]}]}
+    assert cli.main(["verify", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert "error in analysis 'nondegeneracy'" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("game, item, key, code", [
+    # one player: the slow map is scalar and has no off-diagonal entry
+    ({"aggregative": {"q": [1.0], "A": [[0.0]], "alpha": 0.5, "zeta": [-0.5]}},
+     {"op": "condition_c1", "p_samples": [[0.1]]}, "offdiag_min", 0),
+    ({"builtin": "two_link"},
+     {"op": "condition_c2", "p_samples": [[0.1, 0.9], [0.7, 0.2]],
+      "weight": [[float("nan"), 0.0], [0.0, float("nan")]]}, "max_decrement", 2),
+])
+def test_run_writes_strict_json(tmp_path, game, item, key, code):
+    out = tmp_path / "out"
+    cfg = dict(TWO_LINK_RUN, game=game, analyses=[item], output_dir=str(out))
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == code
+    assert _strict_json(out / "summary.json")["converged"]
+    (path,) = out.glob("analysis/*.json")
+    assert _strict_json(path)[key] is None

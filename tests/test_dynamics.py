@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedu
                                          StrategyUpdateRule, TrajectoryRecord,
                                          externality, fixed_point_residual,
                                          resolve_eta, run_coupled,
-                                         strategy_target)
+                                         strategy_target, strict_json)
 from incentive_dynamics.errors import InvalidArgumentError, SpecError
 from incentive_dynamics.routing import braess_network, nonatomic_view
 
@@ -218,6 +219,29 @@ def test_trajectory_csv_matches_csv_module_bytes(tmp_path):
     rec.to_csv(tmp_path / "fast.csv")
     csv_module_reference(rec, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_summary_json_writes_nonfinite_as_null(tmp_path):
+    rec = TrajectoryRecord(converged=False, iterations=2)
+    rec.append(0, [0.5, np.float64(0.5)], [0.0, 0.0], 1.0, 0.5)
+    rec.append(2, [np.nan, 1.0], [np.inf, -np.inf], np.nan, np.inf)
+    rec.to_json_summary(tmp_path / "summary.json")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert summary == {"final_x": [None, 1.0], "final_p": [None, None],
+                       "final_residual": None, "final_social_cost": None,
+                       "iterations": 2, "converged": False}
+
+
+def test_strict_json_keeps_finite_values():
+    obj = {"a": np.arange(3.0), "b": (np.float64(0.1), np.int64(2), np.bool_(True)),
+           "c": [np.array([1.0, np.nan]), -np.inf, "text", None]}
+    assert strict_json(obj) == {"a": [0.0, 1.0, 2.0], "b": [0.1, 2, True],
+                                "c": [[1.0, None], None, "text", None]}
+    assert type(strict_json(np.float64(0.1))) is float
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,20 @@ def test_nonatomic_feasibility_checks():
         g.check_feasible(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonatomic_is_feasible_rejects_nonfinite(bad):
+    assert not two_link_game().is_feasible(np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_incentive_rejects_nonfinite(bad):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        games.check_incentive([bad, 0.0], 2)
+    for game in (two_link_game(), aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            game.check_start(game.uniform_point(), [0.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # externalities
 # ---------------------------------------------------------------------------

@@ -102,6 +102,77 @@ def test_vectorised_latencies_match_per_edge_path(name):
         assert beckmann_potential(net, w, tolls) == expect
 
 
+def _per_edge(net, w, tolls):
+    """latency, l', l'' and the Beckmann potential through per-edge polyval."""
+    lats = [lat for _, _, lat in net.edges]
+    return ([lat.value(wa) for lat, wa in zip(lats, w)],
+            [lat.deriv(wa) for lat, wa in zip(lats, w)],
+            [lat.second_deriv(wa) for lat, wa in zip(lats, w)],
+            float(sum(lat.integral(wa) for lat, wa in zip(lats, w)) + tolls @ w))
+
+
+def _kernel(net, w, tolls):
+    return (net.latency(w), net.latency_deriv(w), net.latency_second_deriv(w),
+            beckmann_potential(net, w, tolls))
+
+
+def constant_network():
+    """Constant latencies only, so every coefficient column has width 1."""
+    return RoutingNetwork(
+        nodes=("S", "D"),
+        edges=tuple(("S", "D", LatencyFunction((c,))) for c in (2.0, 1.0, 0.0)),
+        od_pairs=(OdPair("S", "D", 3.0, ((0,), (1,), (2,))),),
+        relax_monotonicity=True)
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS) + ["constant"])
+def test_column_kernel_matches_per_edge_path_on_negative_flows(name):
+    """Negative and mixed-sign flows, where polyval's w*0 start is -0.0."""
+    net = constant_network() if name == "constant" else NETWORKS[name]()
+    rng = np.random.default_rng(23)
+    flows = [np.full(net.n_edges, -0.0), rng.uniform(-10.0, 0.0, net.n_edges),
+             rng.uniform(-3.0, 3.0, net.n_edges), rng.uniform(0.0, 10.0, net.n_edges)]
+    for w in flows:
+        tolls = rng.uniform(-1.0, 1.0, net.n_edges)
+        new, ref = _kernel(net, w, tolls), _per_edge(net, w, tolls)
+        for a, b in zip(new[:3], ref[:3]):
+            np.testing.assert_array_equal(a, b, strict=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert new[3] == ref[3]
+
+
+def test_constant_network_has_width_one_columns():
+    net = constant_network()
+    rows = (net._value_rows, net._deriv_rows, net._second_rows, net._cost_rows, net._all_rows)
+    assert [len(r) for r in rows] == [1, 1, 1, 1, 1]
+    assert len(net._integral_rows) == 2
+    w = np.array([0.5, 2.0, 0.5])
+    np.testing.assert_array_equal(net.latency(w), [2.0, 1.0, 0.0])
+    np.testing.assert_array_equal(net.latency_deriv(w), np.zeros(3))
+    _, w_eq = wardrop_equilibrium(net, np.zeros(3))
+    np.testing.assert_array_equal(w_eq, [0.0, 0.0, 3.0])
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS) + ["constant"])
+def test_column_kernel_nonfinite_flows_give_nonfinite_values(name):
+    """At inf or NaN the kernel gives IEEE Horner values (inf or NaN), polyval NaN;
+    the finite entries of the same flow keep polyval's bits."""
+    net = constant_network() if name == "constant" else NETWORKS[name]()
+    rng = np.random.default_rng(29)
+    tolls = np.zeros(net.n_edges)
+    for bad in (np.inf, -np.inf, np.nan):
+        w = rng.uniform(0.0, 5.0, net.n_edges)
+        w[::2] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            new, ref = _kernel(net, w, tolls), _per_edge(net, w, tolls)
+        finite = np.isfinite(w)
+        for a in new[:3]:
+            assert not np.isfinite(a[~finite]).any()
+        for a, b in zip(new[:3], ref[:3]):
+            np.testing.assert_array_equal(a[finite], np.asarray(b)[finite])
+        assert not np.isfinite(new[3])
+
+
 def _forced_latency(coeffs):
     """A LatencyFunction carrying coefficients its own validation would reject."""
     lat = LatencyFunction((1.0,))
@@ -175,6 +246,26 @@ def test_route_to_edge_flow_rejects_infeasible():
         route_to_edge_flow(net, [0.3, 0.3])
     with pytest.raises(InvalidArgumentError):
         route_to_edge_flow(net, [-0.1, 1.1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_route_flow_is_rejected(bad):
+    net = two_link_network()
+    with pytest.raises(InvalidArgumentError):
+        net.check_route_flow([bad, 1.0])
+    with pytest.raises(InvalidArgumentError):
+        wardrop_equilibrium(net, np.zeros(2), x0=[bad, 1.0])
+    assert not nonatomic_view(net).is_feasible([bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_tolls_are_rejected(bad):
+    net = braess_network()
+    tolls = np.array([bad, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        wardrop_equilibrium(net, tolls)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        routing.nondegeneracy_check(net, tolls)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +433,26 @@ def test_flow_solves_match_per_call_reference(name):
                              (system_optimum(net, x0=x0), system_optimum_reference(net, x0))):
                 for a, b in zip(new, ref):
                     np.testing.assert_array_equal(a, b, strict=True)
+
+
+@pytest.mark.parametrize("solve, passes", [
+    (lambda net: wardrop_equilibrium(net, np.zeros(net.n_edges)), 248),
+    (system_optimum, 321),
+])
+def test_flow_solves_make_one_kernel_pass_per_shift(monkeypatch, solve, passes):
+    """Latency-kernel passes of a cold grid34 solve: one per sweep start, one
+    per shift and one per objective evaluation; a second pass per shift fails."""
+    kernel, calls = routing._column_horner, []
+
+    def counted(rows, w):
+        calls.append(len(rows))
+        return kernel(rows, w)
+
+    monkeypatch.setattr(routing, "_column_horner", counted)
+    net = grid34()
+    calls.clear()
+    solve(net)
+    assert len(calls) == passes
 
 
 def test_route_slices_and_demands_are_fresh_copies():
