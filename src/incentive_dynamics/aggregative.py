@@ -4,16 +4,18 @@ Player i pays ``0.5 q_i x_i^2 + alpha x_i (A x)_i`` plus the incentive term;
 the operator's cost is separable, ``sum_i h_i(x_i)``, with the classic
 squared-distance-to-target form as the default. Everything here has closed
 forms through ``M = Q + alpha A``.
+
+scipy is imported when the first spec factors M, not with this module, so
+routing-only runs and the CLI start without it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
 
 from .dynamics import resolve_eta
 from .errors import ConvergenceError, InvalidArgumentError, SpecError
@@ -27,11 +29,23 @@ SYMMETRY_TOL = 1e-12
 # Separable operator-cost terms
 # ---------------------------------------------------------------------------
 
+def _require_finite(values, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise SpecError(f"{name} must be finite")
+
+
+def _finite_zeta(zeta) -> float:
+    zeta = float(zeta)
+    if not math.isfinite(zeta):
+        raise SpecError("operator-cost zeta must be finite")
+    return zeta
+
+
 class QuadraticTerm:
     """h(y) = 0.5 (y - zeta)^2."""
 
     def __init__(self, zeta: float):
-        self.zeta = float(zeta)
+        self.zeta = _finite_zeta(zeta)
 
     def value(self, y):
         return 0.5 * (y - self.zeta) ** 2
@@ -44,7 +58,7 @@ class QuarticTerm:
     """h(y) = 0.25 (y - zeta)^4; strictly convex with a flat bottom."""
 
     def __init__(self, zeta: float):
-        self.zeta = float(zeta)
+        self.zeta = _finite_zeta(zeta)
 
     def value(self, y):
         return 0.25 * (y - self.zeta) ** 4
@@ -65,6 +79,8 @@ class TableTerm:
         self.grads = np.asarray(grads, dtype=float)
         if self.points.ndim != 1 or self.points.shape != self.grads.shape:
             raise SpecError("table term needs matching 1-d points/grads")
+        _require_finite(self.points, "table term points")
+        _require_finite(self.grads, "table term gradients")
         if np.any(np.diff(self.points) <= 0) or np.any(np.diff(self.grads) <= 0):
             raise SpecError("table term needs strictly increasing points and gradients")
 
@@ -109,32 +125,26 @@ class QuadraticAggregativeSpec:
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         A = np.asarray(self.A, dtype=float)
         n = q.size
+        _require_finite(q, "q")
         if np.any(q <= 0):
             raise SpecError("all q_i must be strictly positive")
         if A.shape != (n, n):
             raise SpecError("network matrix must be square and match q")
+        _require_finite(A, "network matrix")
         if np.any(np.abs(np.diag(A)) > 0):
             raise SpecError("network matrix must have zero diagonal")
+        _require_finite(self.alpha, "alpha")
         if self.alpha <= 0:
             raise SpecError("alpha must be positive")
         if (self.zeta is None) == (self.h is None):
             raise SpecError("give exactly one of zeta or h")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "A", A)
-        M = np.diag(q) + self.alpha * A
-        cond = np.linalg.cond(M)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SpecError("M invertibility check failed: M = Q + alpha A is "
-                            f"numerically singular (cond={cond:.3g})")
-        object.__setattr__(self, "_M", M)
-        object.__setattr__(self, "_lu", lu_factor(M))
         if self.zeta is not None:
             zeta = np.atleast_1d(np.asarray(self.zeta, dtype=float))
             if zeta.size != n:
                 raise SpecError("zeta must have one entry per player")
+            terms = tuple(QuadraticTerm(z) for z in zeta)
+            y_dagger = zeta.copy()
             object.__setattr__(self, "zeta", zeta)
-            object.__setattr__(self, "h", tuple(QuadraticTerm(z) for z in zeta))
-            object.__setattr__(self, "_y_dagger", zeta.copy())
         else:
             terms = tuple(self.h)
             if len(terms) != n:
@@ -143,9 +153,22 @@ class QuadraticAggregativeSpec:
                 grid = np.linspace(-10.0, 10.0, 41)
                 if np.any(np.diff(t.grad(grid)) <= 0):
                     raise SpecError("operator-cost gradients must be strictly increasing")
-            object.__setattr__(self, "h", terms)
-            object.__setattr__(self, "_y_dagger",
-                               np.array([_grad_root(t, i) for i, t in enumerate(terms)]))
+            y_dagger = np.array([_grad_root(t, i) for i, t in enumerate(terms)])
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "h", terms)
+        object.__setattr__(self, "_y_dagger", y_dagger)
+        M = np.diag(q) + self.alpha * A
+        cond = np.linalg.cond(M)
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise SpecError("M invertibility check failed: M = Q + alpha A is "
+                            f"numerically singular (cond={cond:.3g})")
+        # scipy loads here, once, with the first valid spec
+        from scipy.linalg import lu_factor
+        from scipy.linalg.lapack import dgetrs
+        object.__setattr__(self, "_M", M)
+        object.__setattr__(self, "_lu", lu_factor(M))
+        object.__setattr__(self, "_getrs", dgetrs)
         # Quadratic and quartic terms are evaluated as arrays; any other term
         # (a table, a user object) is called per player on its own index.
         # float_power matches the terms' scalar ``**`` bitwise, where array
@@ -262,7 +285,7 @@ def nash_closed_form(spec: QuadraticAggregativeSpec, p) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(p), axis=None):
         raise ValueError("array must not contain infs or NaNs")
     lu, piv = spec._lu
-    x, info = dgetrs(lu, piv, -p, overwrite_b=True)
+    x, info = spec._getrs(lu, piv, -p, overwrite_b=True)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal getrs")
     return x

@@ -66,6 +66,9 @@ class ConfigError(SpecError):
 # what a malformed config or analysis item raises; reported with exit code 1
 INVALID_INPUT = (GameError, KeyError, TypeError, ValueError)
 
+# the run's incentive update: the paper's externality rule, or the naive baseline
+INCENTIVE_UPDATES = ("externality", "gradient_baseline")
+
 # verify's line per analysis: a passed or failed check, or a result that only informs
 STATUS = {True: "pass", False: "FAIL", None: "info"}
 
@@ -215,12 +218,14 @@ def run_experiment(config_path, out_dir=None) -> int:
         config = build_run_config(run_spec)
         game, x0, p0 = _coupled_start(model, run_spec)
         out = Path(out_dir or data.get("output_dir") or Path(config_path).with_suffix(""))
+        update = data.get("incentive_update", "externality")
+        if update not in INCENTIVE_UPDATES:
+            raise ConfigError(f"unknown incentive_update {update!r}")
     except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     out.mkdir(parents=True, exist_ok=True)
-    update = data.get("incentive_update", "externality")
     try:
         if update == "gradient_baseline":
             # the closed-form generalized gradient holds for the two-link fixture only
@@ -229,11 +234,8 @@ def run_experiment(config_path, out_dir=None) -> int:
                 model, p0, schedule=config.schedule,
                 max_iterations=config.max_iterations,
                 gradient=analysis.two_link_clarke_gradient if two_link else None)
-        elif update == "externality":
-            record = run_coupled(game, x0, p0, config)
         else:
-            print(f"error: unknown incentive_update {update!r}", file=sys.stderr)
-            return 1
+            record = run_coupled(game, x0, p0, config)
     except ConvergenceError as exc:
         return _convergence_failure(exc)
 

@@ -43,6 +43,8 @@ class LatencyFunction:
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise SpecError("latency polynomial needs at least one coefficient")
+        if not np.isfinite(coeffs).all():
+            raise SpecError("latency coefficients must be finite")
         if any(c < 0 for c in coeffs):
             raise SpecError("latency coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
@@ -123,8 +125,8 @@ class RoutingNetwork:
             raise SpecError("network needs at least one OD pair")
         total_demand = 0.0
         for od in ods:
-            if od.demand <= 0:
-                raise SpecError("OD demands must be strictly positive")
+            if not 0 < od.demand < np.inf:  # NaN fails too
+                raise SpecError("OD demands must be finite and strictly positive")
             if not od.routes:
                 raise SpecError("every OD pair needs at least one route")
             total_demand += od.demand

@@ -43,6 +43,42 @@ def test_spec_validation():
         QuadraticAggregativeSpec(q=[1.0, 1.0], A=[[0, 0], [0, 0]], alpha=1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("q", [NAN, 1.0], "q must be finite"),
+    ("q", [INF, 1.0], "q must be finite"),
+    ("A", [[NAN, 0.0], [0.0, 0.0]], "network matrix must be finite"),
+    ("A", [[0.0, INF], [0.0, 0.0]], "network matrix must be finite"),
+    ("alpha", NAN, "alpha must be finite"),
+    ("alpha", INF, "alpha must be finite"),
+    ("zeta", [NAN, 0.0], "operator-cost zeta must be finite"),
+    ("zeta", [0.0, -INF], "operator-cost zeta must be finite"),
+])
+def test_nonfinite_spec_fails_before_the_condition_check(monkeypatch, field, value, message):
+    def no_cond(*args, **kwargs):
+        raise AssertionError("the condition check ran on an invalid spec")
+
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    kwargs = dict(q=[1.0, 1.0], A=[[0.0, 0.2], [0.2, 0.0]], alpha=0.5, zeta=[0.0, 0.0])
+    kwargs[field] = value
+    with pytest.raises(SpecError, match=message):
+        QuadraticAggregativeSpec(**kwargs)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuadraticTerm(NAN), "operator-cost zeta must be finite"),
+    (lambda: QuarticTerm(INF), "operator-cost zeta must be finite"),
+    (lambda: TableTerm([0.0, NAN, 2.0], [0.0, 1.0, 2.0]), "table term points must be finite"),
+    (lambda: TableTerm([0.0, 1.0, 2.0], [-INF, 1.0, 2.0]),
+     "table term gradients must be finite"),
+], ids=["quadratic", "quartic", "table_points", "table_grads"])
+def test_operator_cost_terms_reject_nonfinite_parameters(make, message):
+    with pytest.raises(SpecError, match=message):
+        make()
+
+
 def test_singular_m_rejected_naming_invertibility():
     # q = (1, 1), alpha = 1, A = [[0, 1], [1, 0]] gives singular M
     with pytest.raises(SpecError, match="M invertibility"):

@@ -350,6 +350,34 @@ def test_nonfinite_p0_exits_1_before_running(tmp_path, capsys, game):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_incentive_update_exits_1_without_output(tmp_path, capsys):
+    cfg = dict(TWO_LINK_RUN, incentive_update="bogus", output_dir=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert "unknown incentive_update 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda block: block["edges"][0].update(poly=[float("nan"), 1.0]),
+     "latency coefficients must be finite"),
+    (lambda block: block["od"][0].update(demand=float("nan")),
+     "OD demands must be finite and strictly positive"),
+    (lambda block: block["od"][0].update(demand=float("inf")),
+     "OD demands must be finite and strictly positive"),
+], ids=["nan_latency", "nan_demand", "inf_demand"])
+def test_verify_nonfinite_routing_block_exits_1_before_solving(tmp_path, capsys, monkeypatch,
+                                                               spoil, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a flow program ran on an invalid network")
+
+    monkeypatch.setattr(routing, "_solve_flow_program", no_solve)
+    block = json.loads(json.dumps(BRAESS_ROUTING))
+    spoil(block)
+    cfg = {"game": {"routing": block}, "analyses": [{"op": "verify_fixed_point_optimality"}]}
+    assert cli.main(["verify", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_nonfinite_tolls_exits_1(tmp_path, capsys):
     cfg = {"game": {"builtin": "braess"},
            "analyses": [{"op": "nondegeneracy", "tolls": [float("nan"), 0, 0, 0, 0]}]}

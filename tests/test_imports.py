@@ -6,6 +6,7 @@ syntax tree: a name bound by an import must be read somewhere in the module.
 ``__init__.py`` is left out, since its imports are the package's exports.
 """
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -44,10 +45,43 @@ def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize costs about a third of the CLI's start-up; nothing needs it
+def loaded_scipy(code: str) -> list:
+    """The ``scipy*`` modules loaded after ``code`` runs in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = "import sys, incentive_dynamics.cli; print('scipy.optimize' in sys.modules)"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy takes most of the CLI's start-up, and only aggregative specs need it
+    assert loaded_scipy("import incentive_dynamics.cli") == []
+
+
+@pytest.mark.parametrize("argv", [["list-fixtures"], ["verify", "--config", "{config}"],
+                                  ["run", "--config", "{config}", "--out", "{out}"]])
+def test_routing_cli_calls_load_no_scipy(tmp_path, argv):
+    config = tmp_path / "braess.json"
+    config.write_text(json.dumps({
+        "game": {"builtin": "braess"},
+        "run": {"max_iterations": 200, "convergence_tol": 1e-2},
+        "analyses": [{"op": "verify_fixed_point_optimality"}, {"op": "nondegeneracy"}]}))
+    argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
+    code = f"from incentive_dynamics import cli; assert cli.main({argv!r}) == 0"
+    assert loaded_scipy(code) == []
+
+
+SPEC = "from incentive_dynamics.aggregative import QuadraticAggregativeSpec as S\n"
+
+
+def test_invalid_aggregative_spec_loads_no_scipy():
+    code = SPEC + ("from incentive_dynamics.errors import SpecError\n"
+                   "try:\n    S(q=[float('nan'), 1.0], A=[[0, 0], [0, 0]], alpha=1.0, zeta=[0, 0])\n"
+                   "except SpecError:\n    pass\n")
+    assert loaded_scipy(code) == []
+
+
+def test_aggregative_spec_loads_scipy_linalg():
+    code = SPEC + "S(q=[1.0, 1.0], A=[[0, 0.5], [0.5, 0]], alpha=1.0, zeta=[0, 0])"
+    assert "scipy.linalg" in loaded_scipy(code)

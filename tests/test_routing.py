@@ -44,6 +44,19 @@ def test_latency_rejects_negative_coefficients():
         LatencyFunction(())
 
 
+@pytest.mark.parametrize("coeffs", [(np.nan, 1.0), (0.0, np.inf), (1.0, -np.inf)])
+def test_latency_rejects_nonfinite_coefficients(coeffs):
+    with pytest.raises(SpecError, match="latency coefficients must be finite"):
+        LatencyFunction(coeffs)
+
+
+@pytest.mark.parametrize("demand", [0.0, -1.0, np.nan, np.inf])
+def test_od_demand_must_be_finite_and_positive(demand):
+    with pytest.raises(SpecError, match="OD demands must be finite and strictly positive"):
+        RoutingNetwork(nodes=("a", "b"), edges=(("a", "b", LatencyFunction((0.0, 1.0))),),
+                       od_pairs=(OdPair("a", "b", demand, ((0,),)),))
+
+
 def test_constant_latency_needs_relaxed_validation():
     lat_const = LatencyFunction((1.0,))
     with pytest.raises(SpecError):
