@@ -159,7 +159,9 @@ class QuadraticAggregativeSpec:
         object.__setattr__(self, "h", terms)
         object.__setattr__(self, "_y_dagger", y_dagger)
         M = np.diag(q) + self.alpha * A
-        cond = np.linalg.cond(M)
+        # one SVD gives both the condition number and the spectral norm
+        s = np.linalg.svd(M, compute_uv=False)
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise SpecError("M invertibility check failed: M = Q + alpha A is "
                             f"numerically singular (cond={cond:.3g})")
@@ -167,6 +169,7 @@ class QuadraticAggregativeSpec:
         from scipy.linalg import lu_factor
         from scipy.linalg.lapack import dgetrs
         object.__setattr__(self, "_M", M)
+        object.__setattr__(self, "_lipschitz", float(s[0]))
         object.__setattr__(self, "_lu", lu_factor(M))
         object.__setattr__(self, "_getrs", dgetrs)
         # Quadratic and quartic terms are evaluated as arrays; any other term
@@ -188,10 +191,6 @@ class QuadraticAggregativeSpec:
     @property
     def M(self) -> np.ndarray:
         return self._M
-
-    @cached_property
-    def _lipschitz(self) -> float:
-        return float(np.linalg.norm(self._M, 2))
 
     @cached_property
     def _M_inv(self) -> np.ndarray:

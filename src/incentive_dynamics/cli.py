@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands:
-  run --config PATH [--out DIR]   execute a run + analyses
+  run --config PATH [--out DIR]   execute a run + analyses; a directory of
+                                  configs runs them on the usable CPUs
   verify --config PATH             run the analysis suite only
   list-fixtures                    show builtin routing fixtures
 
@@ -11,15 +12,18 @@ gradient baseline), and any requested analyses. Outputs: trajectory.csv,
 summary.json, analysis/*.json, and a plot.py rendering residual and
 social-cost curves. The JSON files are strict JSON: a non-finite number
 is written as ``null``. Exit codes, the same for run and verify: 0 success,
-1 invalid config or analysis item, 2 a run or solver that does not converge
-or a failed analysis check. A check fails when its result has
-``"passed": false`` or a ``"verdict"`` other than ``"pass"``.
+1 invalid config or analysis item, 2 a run or solver that does not converge,
+a run that overflows, or a failed analysis check. A check fails when its
+result has ``"passed": false`` or a ``"verdict"`` other than ``"pass"``.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,7 @@ from . import aggregative as agg
 from . import analysis, routing
 from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule, run_coupled,
                        strict_json)
-from .errors import ConvergenceError, GameError, SpecError
+from .errors import ConvergenceError, EvaluationError, GameError, SpecError
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
@@ -210,6 +214,12 @@ def _run_analyses(model, analyses, adir=None) -> int:
     return 0
 
 
+def output_dir(config_path, data: dict, out_dir=None) -> Path:
+    """Where a run writes: ``out_dir``, else the config's "output_dir", else
+    the config path without its suffix."""
+    return Path(out_dir or data.get("output_dir") or Path(config_path).with_suffix(""))
+
+
 def run_experiment(config_path, out_dir=None) -> int:
     try:
         data = load_config(config_path)
@@ -217,7 +227,7 @@ def run_experiment(config_path, out_dir=None) -> int:
         run_spec = data.get("run", {})
         config = build_run_config(run_spec)
         game, x0, p0 = _coupled_start(model, run_spec)
-        out = Path(out_dir or data.get("output_dir") or Path(config_path).with_suffix(""))
+        out = output_dir(config_path, data, out_dir)
         update = data.get("incentive_update", "externality")
         if update not in INCENTIVE_UPDATES:
             raise ConfigError(f"unknown incentive_update {update!r}")
@@ -238,6 +248,9 @@ def run_experiment(config_path, out_dir=None) -> int:
             record = run_coupled(game, x0, p0, config)
     except ConvergenceError as exc:
         return _convergence_failure(exc)
+    except EvaluationError as exc:  # the iterates overflowed
+        print(f"error: run diverged: {exc}", file=sys.stderr)
+        return 2
 
     record.to_csv(out / "trajectory.csv")
     record.to_json_summary(out / "summary.json")
@@ -258,14 +271,90 @@ def run_experiment(config_path, out_dir=None) -> int:
     return 0
 
 
+class _Transcript(io.TextIOBase):
+    """A text stream that appends each write to ``log`` as ``(name, text)``."""
+
+    def __init__(self, log: list, name: str):
+        self.log, self.name = log, name
+
+    def write(self, text: str) -> int:
+        self.log.append((self.name, text))
+        return len(text)
+
+
+def _run_captured(job: tuple) -> tuple:
+    """``run_experiment(*job)`` with its stdout and stderr captured in write order:
+    ``(exit code, [(stream name, text), ...])``."""
+    log = []
+    with redirect_stdout(_Transcript(log, "stdout")), \
+            redirect_stderr(_Transcript(log, "stderr")):
+        code = run_experiment(*job)
+    return code, log
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _output_clash(jobs: list):
+    """The first two configs whose runs would write the same directory, or None.
+    A config that cannot be read has no directory; its run reports it."""
+    seen = {}
+    for config_path, out_dir in jobs:
+        try:
+            data = {} if out_dir else load_config(config_path)
+            out = output_dir(config_path, data, out_dir).resolve()
+        except INVALID_INPUT:
+            continue
+        if out in seen:
+            return seen[out], config_path, out
+        seen[out] = config_path
+    return None
+
+
 def run_directory(dir_path, out_dir=None) -> int:
-    """Run every config in a directory, one after another; the worst exit code wins."""
+    """Run every config in a directory; the worst exit code wins.
+
+    The configs run concurrently on forked worker processes, one per usable
+    CPU, or in this process when there is one worker to use. Either way each
+    config's messages are written in sorted config order, as a sequential
+    run would write them. Two configs that write the same directory exit 1
+    before any runs.
+    """
     configs = sorted(Path(dir_path).glob("*.json"))
     if not configs:
         print(f"error: no *.json configs in {dir_path}", file=sys.stderr)
         return 1
-    return max(run_experiment(c, Path(out_dir) / c.stem if out_dir else None)
-               for c in configs)
+    jobs = [(c, Path(out_dir) / c.stem if out_dir else None) for c in configs]
+    clash = _output_clash(jobs)
+    if clash:
+        first, second, out = clash
+        print(f"error: configs {first} and {second} both write to {out}", file=sys.stderr)
+        return 1
+    workers, pool = min(len(jobs), _usable_cpus()), None
+    if workers > 1:
+        import multiprocessing  # only here: it slows the import of this module
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        results = (map if pool is None else pool.imap)(_run_captured, jobs)
+        worst = 0
+        for code, log in results:
+            for name, text in log:
+                getattr(sys, name).write(text)
+            worst = max(worst, code)
+        return worst
+    except BaseException:
+        if pool is not None:  # stop at the crash, as a sequential run does
+            pool.terminate()
+        raise
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
 
 
 def verify(config_path) -> int:

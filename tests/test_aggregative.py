@@ -57,10 +57,10 @@ NAN, INF = float("nan"), float("inf")
     ("zeta", [0.0, -INF], "operator-cost zeta must be finite"),
 ])
 def test_nonfinite_spec_fails_before_the_condition_check(monkeypatch, field, value, message):
-    def no_cond(*args, **kwargs):
+    def no_svd(*args, **kwargs):
         raise AssertionError("the condition check ran on an invalid spec")
 
-    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     kwargs = dict(q=[1.0, 1.0], A=[[0.0, 0.2], [0.2, 0.0]], alpha=0.5, zeta=[0.0, 0.0])
     kwargs[field] = value
     with pytest.raises(SpecError, match=message):
@@ -241,20 +241,24 @@ def test_mixed_operator_cost_matches_per_term_sum_bitwise():
 
 
 def test_spec_invariants_are_computed_once(monkeypatch):
-    spec = example_spec(zeta=(1.0, 2.0))
-    expected_norm = float(np.linalg.norm(spec.M, 2))
-    W = np.linalg.inv(spec.M).T
     calls = []
-    norm = np.linalg.norm
+    svd = np.linalg.svd
 
-    def counting_norm(*args, **kwargs):
+    def counting_svd(*args, **kwargs):
         calls.append(args)
-        return norm(*args, **kwargs)
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    # np.linalg.cond and np.linalg.norm(M, 2) call the implementation module's svd
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    for module in (np.linalg, impl):
+        monkeypatch.setattr(module, "svd", counting_svd)
+    spec = example_spec(zeta=(1.0, 2.0))
     g1, g2 = spec.to_game(), spec.to_game()
     assert len(calls) == 1
+    monkeypatch.undo()
+    expected_norm = float(np.linalg.norm(spec.M, 2))
     assert g1.lipschitz_bound == g2.lipschitz_bound == expected_norm
+    W = np.linalg.inv(spec.M).T
     rng = np.random.default_rng(2)
     for _ in range(5):
         p = rng.normal(size=2)

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -203,6 +206,97 @@ def test_jobs_directory_fanout(tmp_path):
     assert code == 0
     for i in range(3):
         assert (tmp_path / f"out{i}" / "summary.json").exists()
+
+
+# gradient steps of size 1e6 overflow to inf within a few iterations
+OVERFLOW_RUN = {
+    "game": {"aggregative": {"q": [1, 1], "A": [[0, 0.2], [0.2, 0]], "alpha": 0.5,
+                             "zeta": [0.3, -0.2]}},
+    "run": {"rule": {"variant": "gradient", "eta": 1e6}},
+}
+OVERFLOW_MESSAGE = "error: run diverged: social gradient oracle returned non-finite values\n"
+
+
+def test_overflowing_run_exits_2_with_one_line(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", "--config", write_config(tmp_path / "c.json", OVERFLOW_RUN)])
+    assert code == 2
+    assert capsys.readouterr().err == OVERFLOW_MESSAGE
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def output_tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_directory_run_on_workers_matches_one_cpu(tmp_path, monkeypatch, capsys):
+    configs, out = tmp_path / "configs", tmp_path / "out"
+    configs.mkdir()
+    write_config(configs / "a_overflow.json", OVERFLOW_RUN)
+    write_config(configs / "b_pass.json",
+                 dict(TWO_LINK_RUN, analyses=[{"op": "verify_fixed_point_optimality"}]))
+    write_config(configs / "c_invalid.json", {"game": {"builtin": "mystery"}})
+    write_config(configs / "d_no_convergence.json",
+                 dict(TWO_LINK_RUN, run={"max_iterations": 5, "convergence_tol": 1e-12}))
+
+    def run():
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["run", "--config", str(configs), "--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, output_tree(out)
+
+    use_cpus(monkeypatch, 4)
+    on_workers = run()
+    assert multiprocessing.active_children() == []
+    shutil.rmtree(out)
+
+    def no_fork():
+        raise AssertionError("a one-CPU directory run started a process")
+
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run() == on_workers
+    code, stdout, stderr, tree = on_workers
+    assert code == 2
+    assert stdout == f"wrote {out / 'b_pass'}/trajectory.csv, summary.json, analysis/\n"
+    assert stderr.startswith(OVERFLOW_MESSAGE + "error: unknown fixture")
+    assert stderr.endswith("run did not converge within the iteration budget\n")
+    assert "b_pass/analysis/00_verify_fixed_point_optimality.json" in tree
+
+
+def test_directory_run_propagates_a_crash_and_stops_its_workers(tmp_path, monkeypatch):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for stem in ("a", "b", "c"):
+        write_config(configs / f"{stem}.json", TWO_LINK_RUN)
+
+    def crash(config_path, out_dir=None):
+        raise RuntimeError(f"crashed on {os.path.basename(config_path)}")
+
+    monkeypatch.setattr(cli, "run_experiment", crash)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="crashed on a.json"):
+        cli.main(["run", "--config", str(configs), "--out", str(tmp_path / "out")])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("second_dir", ["shared", "configs/a"])
+def test_directory_configs_writing_one_directory_exit_1(tmp_path, capsys, second_dir):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    first = {} if second_dir == "configs/a" else {"output_dir": str(tmp_path / "shared")}
+    write_config(configs / "a.json", dict(TWO_LINK_RUN, **first))
+    write_config(configs / "b.json", dict(TWO_LINK_RUN, output_dir=str(tmp_path / second_dir)))
+    assert cli.main(["run", "--config", str(configs)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: configs {configs / 'a.json'} and {configs / 'b.json'} both "
+                   f"write to {(tmp_path / second_dir).resolve()}\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.json", "b.json", "configs"]
 
 
 def test_counterexample_analysis_writes_grid_csv(tmp_path):

@@ -45,10 +45,11 @@ def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def loaded_scipy(code: str) -> list:
-    """The ``scipy*`` modules loaded after ``code`` runs in a fresh interpreter."""
+def loaded_modules(code: str, package: str = "scipy") -> list:
+    """The ``package*`` modules loaded after ``code`` runs in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += ("\nimport sys; print(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] == {package!r}))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     return ast.literal_eval(done.stdout.splitlines()[-1])
@@ -56,7 +57,7 @@ def loaded_scipy(code: str) -> list:
 
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy takes most of the CLI's start-up, and only aggregative specs need it
-    assert loaded_scipy("import incentive_dynamics.cli") == []
+    assert loaded_modules("import incentive_dynamics.cli") == []
 
 
 @pytest.mark.parametrize("argv", [["list-fixtures"], ["verify", "--config", "{config}"],
@@ -69,7 +70,7 @@ def test_routing_cli_calls_load_no_scipy(tmp_path, argv):
         "analyses": [{"op": "verify_fixed_point_optimality"}, {"op": "nondegeneracy"}]}))
     argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
     code = f"from incentive_dynamics import cli; assert cli.main({argv!r}) == 0"
-    assert loaded_scipy(code) == []
+    assert loaded_modules(code) == []
 
 
 SPEC = "from incentive_dynamics.aggregative import QuadraticAggregativeSpec as S\n"
@@ -79,9 +80,24 @@ def test_invalid_aggregative_spec_loads_no_scipy():
     code = SPEC + ("from incentive_dynamics.errors import SpecError\n"
                    "try:\n    S(q=[float('nan'), 1.0], A=[[0, 0], [0, 0]], alpha=1.0, zeta=[0, 0])\n"
                    "except SpecError:\n    pass\n")
-    assert loaded_scipy(code) == []
+    assert loaded_modules(code) == []
 
 
 def test_aggregative_spec_loads_scipy_linalg():
     code = SPEC + "S(q=[1.0, 1.0], A=[[0, 0.5], [0.5, 0]], alpha=1.0, zeta=[0, 0])"
-    assert "scipy.linalg" in loaded_scipy(code)
+    assert "scipy.linalg" in loaded_modules(code)
+
+
+@pytest.mark.parametrize("run", [False, True])
+def test_cli_and_single_config_run_load_no_multiprocessing(tmp_path, run):
+    # only a directory of configs needs worker processes
+    code = "from incentive_dynamics import cli\n"
+    if run:
+        config = tmp_path / "agg.json"
+        config.write_text(json.dumps({
+            "game": {"aggregative": {"q": [1.0, 1.0], "A": [[0, 0.5], [0.5, 0]],
+                                     "alpha": 1.0, "zeta": [0.5, -0.5]}},
+            "run": {"max_iterations": 2000, "convergence_tol": 1e-4}}))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        code += f"assert cli.main({argv!r}) == 0\n"
+    assert loaded_modules(code, "multiprocessing") == []
