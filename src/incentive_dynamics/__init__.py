@@ -19,8 +19,7 @@ from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
 from .errors import (ConvergenceError, EvaluationError, GameError,
                      InconsistencyError, InvalidArgumentError, SpecError)
 from .games import (AtomicGame, NonAtomicGame, certify_nash_atomic,
-                    certify_nash_nonatomic, certify_social_optimum,
-                    social_optimum)
+                    certify_nash_nonatomic, certify_social_optimum)
 from .routing import (LatencyFunction, OdPair, RoutingNetwork,
                       edge_externality, optimal_edge_tolls,
                       run_toll_adaptation, system_optimum,

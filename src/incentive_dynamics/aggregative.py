@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import resolve_eta
 from .errors import ConvergenceError, InvalidArgumentError, SpecError
 from .games import AtomicGame, nondecreasing_root
 
@@ -230,17 +229,12 @@ class QuadraticAggregativeSpec:
         x = np.asarray(x, dtype=float)
         return self.q * x + self.alpha * (self.A @ x)
 
-    def externality(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.social_grad(x) - self._M @ x
-
     def to_game(self) -> AtomicGame:
         n = self.n
         inf = np.inf
         return AtomicGame(
             lower=np.full(n, -inf),
             upper=np.full(n, inf),
-            loss=self.loss,
             loss_grad=self.loss_grad,
             social=self.social,
             social_grad=self.social_grad,
@@ -334,32 +328,6 @@ def lyapunov_decrement(spec: QuadraticAggregativeSpec, p) -> float:
     d = p - optimal_incentive(spec)
     W = spec.certificate_weight()
     grad_v = (W + W.T) @ d
-    drift = spec.externality(nash_closed_form(spec, p)) - p
+    drift = spec.to_game().externality(nash_closed_form(spec, p)) - p
     return float(grad_v @ drift)
 
-
-def check_scaled_limit(spec: QuadraticAggregativeSpec, rule) -> dict:
-    """Boundedness condition for the fast dynamics, checkable for affine rules.
-
-    For the equilibrium, best-response, and quadratic-gradient rules the
-    scaled update coincides with the update itself and the condition reduces
-    to a spectral test on the linear part of the decay dynamics. Non-affine
-    rules are reported as not machine-checkable, never silently passed.
-    """
-    variant = rule.variant
-    if variant == "gradient" and rule.regularizer != "quadratic":
-        return {"verifiable": False, "passed": None,
-                "note": "uniform scaled-limit condition is not checkable for non-affine rules"}
-    if variant == "equilibrium":
-        decay = np.eye(spec.n)
-    elif variant == "best_response":
-        decay = (spec.M.T / spec.q).T  # Q^{-1} M
-    else:
-        eta = resolve_eta(spec.to_game(), rule)
-        decay = eta * spec.M
-    eigs = np.linalg.eigvals(decay)
-    return {
-        "verifiable": True,
-        "passed": bool(np.all(eigs.real > 0)),
-        "eigenvalues_real_parts": [float(v) for v in np.sort(eigs.real)],
-    }

@@ -236,16 +236,19 @@ def run_experiment(config_path, out_dir=None) -> int:
         return 1
 
     out.mkdir(parents=True, exist_ok=True)
+    # numpy's overflow warnings are silenced: the oracle checks report iterates
+    # that overflow, and a social cost that overflows is written as null
     try:
-        if update == "gradient_baseline":
-            # the closed-form generalized gradient holds for the two-link fixture only
-            two_link = data["game"].get("builtin") == "two_link"
-            record = analysis.run_gradient_baseline(
-                model, p0, schedule=config.schedule,
-                max_iterations=config.max_iterations,
-                gradient=analysis.two_link_clarke_gradient if two_link else None)
-        else:
-            record = run_coupled(game, x0, p0, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if update == "gradient_baseline":
+                # the closed-form generalized gradient holds for the two-link fixture only
+                two_link = data["game"].get("builtin") == "two_link"
+                record = analysis.run_gradient_baseline(
+                    model, p0, schedule=config.schedule,
+                    max_iterations=config.max_iterations,
+                    gradient=analysis.two_link_clarke_gradient if two_link else None)
+            else:
+                record = run_coupled(game, x0, p0, config)
     except ConvergenceError as exc:
         return _convergence_failure(exc)
     except EvaluationError as exc:  # the iterates overflowed

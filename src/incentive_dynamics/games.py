@@ -127,14 +127,14 @@ def sampled_lipschitz(grad: VectorOracle, draw: Callable[[], Array], samples: in
 class AtomicGame:
     """Oracle-backed atomic game.
 
-    ``loss(x)`` returns the vector of player costs, ``loss_grad(x)`` the
-    own-strategy partials (d loss_i / d x_i). ``equilibrium`` and
-    ``best_response`` are optional closed forms; ``target`` uses them when
-    present and the numeric solvers below otherwise. Without
-    ``best_response``, a player's best response solves its own first-order
-    condition with ``loss_grad``, which assumes each cost is convex in the
-    player's own strategy. ``optimum`` is an optional
-    closed-form social optimum. Immutable; all operations are pure.
+    ``loss_grad(x)`` returns each player's marginal cost, the partial of its
+    own cost in its own strategy. ``equilibrium`` and ``best_response`` are
+    optional closed forms; ``target`` uses them when present and the numeric
+    solvers below otherwise. Without ``best_response``, a player's best
+    response solves its own first-order condition with ``loss_grad``, which
+    assumes each cost is convex in the player's own strategy. ``optimum`` is
+    an optional closed-form social optimum. Immutable; all operations are
+    pure.
 
     Oracles must not write into their arguments: ``dynamics.run_coupled``
     records the iterates it passes them without copying.
@@ -142,7 +142,6 @@ class AtomicGame:
 
     lower: Array
     upper: Array
-    loss: VectorOracle
     loss_grad: VectorOracle
     social: ScalarOracle
     social_grad: VectorOracle
@@ -251,7 +250,6 @@ class NonAtomicGame:
     action_cost: VectorOracle
     social: ScalarOracle
     social_grad: VectorOracle
-    equilibrium: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         masses = _as_vector(self.masses, "masses")
@@ -305,8 +303,6 @@ class NonAtomicGame:
 
     def target(self, x: Array, p: Array, rule, eta: float | None = None) -> Array:
         if rule.variant == "equilibrium":
-            if self.equilibrium is not None:
-                return np.asarray(self.equilibrium(p), float)
             return solve_equilibrium_nonatomic(self, p, x0=x)
         c = np.asarray(self.action_cost(x), float) + p
         return simplex_target(x, c, self.slices, self.masses, rule, eta)
@@ -396,30 +392,6 @@ def certify_social_optimum(game, x: Array, tol: float = DEFAULT_CERT_TOL):
     x = np.asarray(x, dtype=float)
     residual = projected_gradient_residual(np.asarray(game.social_grad(x), float), x, game.project)
     return residual <= tol, residual
-
-
-def social_optimum(game, tol: float = 1e-8, max_iter: int = 20000) -> Array:
-    """Minimize the social cost by projected gradient descent with backtracking."""
-    x = game.uniform_point()
-    step = 1.0
-    fx = float(game.social(x))
-    for _ in range(max_iter):
-        g = np.asarray(game.social_grad(x), float)
-        if projected_gradient_residual(g, x, game.project) <= tol:
-            return x
-        t = step
-        for _ in range(60):
-            cand = game.project(x - t * g)
-            fc = float(game.social(cand))
-            d = cand - x
-            if fc <= fx + float(g @ d) + 0.5 / t * float(d @ d) + 1e-15:
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError("backtracking failed in social_optimum", best=x)
-        x, fx = cand, fc
-        step = min(t * 2.0, 1e8)
-    raise ConvergenceError("social_optimum did not reach tolerance", best=x)
 
 
 # ---------------------------------------------------------------------------

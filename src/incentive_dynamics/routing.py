@@ -152,7 +152,9 @@ class RoutingNetwork:
         object.__setattr__(self, "_integral_rows", tuple(integral))
         ws = np.linspace(0.0, total_demand, 33)[:, None, None]
         slopes = _column_horner(tuple(stack[:, 1:]), ws)  # (sample, (l', l''), edge)
-        increasing = np.all(slopes[:, 0] > 0, axis=0)
+        # l' may vanish at zero flow, as a BPR latency's does; with nonnegative
+        # coefficients it then vanishes at no w > 0 unless l is constant
+        increasing = np.all(slopes[1:, 0] > 0, axis=0)
         decreasing = ~(increasing | self.relax_monotonicity)
         concave = np.any(slopes[:, 1] < 0, axis=0)
         bad = decreasing | concave

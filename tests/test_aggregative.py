@@ -140,7 +140,7 @@ def test_optimal_incentive_values():
     np.testing.assert_allclose(p, [-2.0, -2.5], atol=1e-12)
     # fixed-point equation e(x*(p†)) = p†
     x = nash_closed_form(spec, p)
-    np.testing.assert_allclose(spec.externality(x), p, atol=1e-10)
+    np.testing.assert_allclose(spec.to_game().externality(x), p, atol=1e-10)
 
 
 def test_fixed_point_alignment_with_social_optimum():
@@ -264,7 +264,7 @@ def test_spec_invariants_are_computed_once(monkeypatch):
         p = rng.normal(size=2)
         d = p - optimal_incentive(spec)
         assert lyapunov_value(spec, p) == float(d @ W @ d)
-        drift = spec.externality(nash_closed_form(spec, p)) - p
+        drift = spec.to_game().externality(nash_closed_form(spec, p)) - p
         assert lyapunov_decrement(spec, p) == float(((W + W.T) @ d) @ drift)
 
 
@@ -274,7 +274,7 @@ def test_quartic_root_and_externality():
     np.testing.assert_allclose(s.y_dagger(), [0.7, -0.4], atol=1e-9)
     p = optimal_incentive(s)
     x = nash_closed_form(s, p)
-    np.testing.assert_allclose(s.externality(x), p, atol=1e-8)
+    np.testing.assert_allclose(s.to_game().externality(x), p, atol=1e-8)
 
 
 def test_table_term_interpolation():
@@ -380,23 +380,3 @@ def test_lyapunov_decrement_identity_zeta_form():
         if np.max(np.abs(p - optimal_incentive(spec))) > 1e-8:
             assert dec < 0.0
             assert lyapunov_value(spec, p) > 0.0
-
-
-# ---------------------------------------------------------------------------
-# scaled-limit check
-# ---------------------------------------------------------------------------
-
-def test_scaled_limit_affine_rules():
-    spec = example_spec(zeta=(1.0, 2.0))
-    for rule in (StrategyUpdateRule("equilibrium"),
-                 StrategyUpdateRule("best_response"),
-                 StrategyUpdateRule("gradient", eta=0.3)):
-        report = agg.check_scaled_limit(spec, rule)
-        assert report["verifiable"] and report["passed"]
-
-
-def test_scaled_limit_entropy_not_verifiable():
-    report = agg.check_scaled_limit(
-        example_spec(), StrategyUpdateRule("gradient", eta=0.1,
-                                           regularizer="entropy"))
-    assert report["verifiable"] is False and report["passed"] is None

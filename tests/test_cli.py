@@ -224,6 +224,23 @@ def test_overflowing_run_exits_2_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == OVERFLOW_MESSAGE
 
 
+# M = I + 1.001 [[0, 1], [1, 0]] is invertible but not positive definite: the
+# incentives of the default equilibrium rule grow until the iterates overflow
+DIVERGING_RUN = {
+    "game": {"aggregative": {"q": [1, 1], "A": [[0, 1.001], [1.001, 0]], "alpha": 1,
+                             "zeta": [0.3, -0.2]}},
+    "run": {"max_iterations": 20000, "convergence_tol": 1e-6, "record_every": 100},
+}
+
+
+def test_diverging_run_exits_2_with_one_line_and_no_warning(tmp_path, capsys):
+    # every warning is an error here, as under ``python -W error``
+    code = cli.main(["run", "--config", write_config(tmp_path / "c.json", DIVERGING_RUN),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == OVERFLOW_MESSAGE
+
+
 def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
@@ -500,3 +517,42 @@ def test_run_writes_strict_json(tmp_path, game, item, key, code):
     assert _strict_json(out / "summary.json")["converged"]
     (path,) = out.glob("analysis/*.json")
     assert _strict_json(path)[key] is None
+
+
+EMPTY_DIRECTORY, MISSING_FILE = "empty directory", "missing file"
+ROUTING_VERIFY = dict(TWO_LINK_RUN, analyses=[{"op": "verify_fixed_point_optimality"}])
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("verify", dict(TWO_LINK_RUN, analyses=[{"op": "mystery"}]),
+     "error in analysis 'mystery': unknown analysis op 'mystery'\n"),
+    ("verify", dict(TWO_LINK_RUN, analyses=[{"op": "global_conditions"}]),
+     "error in analysis 'global_conditions': global_conditions applies to aggregative games\n"),
+    ("run", dict(TWO_LINK_RUN, analyses=[{"op": "local_conditions"}]),
+     "error in analysis 'local_conditions': local_conditions applies to aggregative games\n"),
+    ("verify", {"game": M2_GAME, "analyses": [{"op": "nondegeneracy"}]},
+     "error in analysis 'nondegeneracy': nondegeneracy applies to routing games\n"),
+    ("run", EMPTY_DIRECTORY, "error: no *.json configs in {path}\n"),
+    ("verify", dict(ROUTING_VERIFY, analyses=[]),
+     'error: verify needs at least one entry in "analyses"\n'),
+    ("run", [ROUTING_VERIFY], "error: config must be a JSON object\n"),
+    ("verify", dict(ROUTING_VERIFY, game=["two_link"]), 'error: "game" must be an object\n'),
+    ("run", dict(ROUTING_VERIFY, game={"network": BRAESS_ROUTING}),
+     'error: "game" needs one of "builtin", "aggregative", "routing"\n'),
+    ("run", MISSING_FILE, "error: cannot read config {path}: "),
+    ("verify", MISSING_FILE, "error: cannot read config {path}: "),
+], ids=["unknown-op", "global-on-routing", "local-on-routing", "nondegeneracy-on-aggregative",
+        "empty-directory", "verify-no-analyses", "config-not-object", "game-not-object",
+        "game-unknown-kind", "run-unreadable", "verify-unreadable"])
+def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, message):
+    path = tmp_path / "c.json"
+    if config == EMPTY_DIRECTORY:
+        path = tmp_path / "configs"
+        path.mkdir()
+    elif config != MISSING_FILE:
+        write_config(path, config)
+    assert cli.main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(path=path))
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")

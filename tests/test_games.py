@@ -12,7 +12,7 @@ from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
                                       certify_nash_atomic,
                                       certify_nash_nonatomic,
                                       certify_social_optimum, project_interval,
-                                      project_simplex, social_optimum,
+                                      project_simplex,
                                       solve_equilibrium_atomic)
 from incentive_dynamics import numdiff
 from incentive_dynamics.aggregative import QuadraticAggregativeSpec
@@ -28,7 +28,6 @@ def aggregative_game(q, A, alpha, zeta):
     n = q.size
     return AtomicGame(
         lower=np.full(n, -np.inf), upper=np.full(n, np.inf),
-        loss=lambda x: 0.5 * q * x**2 + alpha * x * (A @ x),
         loss_grad=lambda x: q * x + alpha * (A @ x),
         social=lambda x: float(0.5 * np.sum((x - zeta) ** 2)),
         social_grad=lambda x: np.asarray(x, float) - zeta,
@@ -74,7 +73,7 @@ def test_project_simplex_rejects_nonpositive_mass():
 
 def test_atomic_game_rejects_crossed_bounds():
     with pytest.raises(SpecError):
-        AtomicGame(lower=[1.0], upper=[0.0], loss=lambda x: x,
+        AtomicGame(lower=[1.0], upper=[0.0],
                    loss_grad=lambda x: x, social=lambda x: 0.0,
                    social_grad=lambda x: np.zeros(1))
 
@@ -133,7 +132,7 @@ def test_check_incentive_rejects_nonfinite(bad):
 
 def test_externality_atomic_separable_is_zero():
     g = AtomicGame(lower=np.full(3, -np.inf), upper=np.full(3, np.inf),
-                   loss=lambda x: 0.5 * x**2, loss_grad=lambda x: np.asarray(x),
+                   loss_grad=lambda x: np.asarray(x),
                    social=lambda x: float(0.5 * np.sum(np.asarray(x)**2)),
                    social_grad=lambda x: np.asarray(x, float))
     np.testing.assert_allclose(g.externality(np.array([1.0, -2.0, 0.3])),
@@ -153,10 +152,14 @@ def test_externality_atomic_matches_finite_differences():
     np.fill_diagonal(A, 0.0)
     zeta = rng.uniform(-1, 1, 3)
     g = aggregative_game(q, A, 0.5, zeta)
+
+    def loss(x):
+        return 0.5 * q * x**2 + 0.5 * x * (A @ x)
+
     for _ in range(5):
         x = rng.uniform(-2, 2, 3)
         fd = numdiff.central_gradient(g.social, x) - np.diag(
-            numdiff.central_jacobian(g.loss, x))
+            numdiff.central_jacobian(loss, x))
         np.testing.assert_allclose(g.externality(x), fd,
                                    rtol=1e-5, atol=1e-5)
 
@@ -207,7 +210,7 @@ def test_externality_checks_each_oracle_value_once():
                                          (good, bad, "loss gradient")):
         sg_calls, lg_calls = [], []
         g = AtomicGame(lower=np.full(2, -np.inf), upper=np.full(2, np.inf),
-                       loss=lambda x: x * x, social=lambda x: 0.0,
+                       social=lambda x: 0.0,
                        loss_grad=counting(loss_grad, lg_calls),
                        social_grad=counting(social_grad, sg_calls))
         with pytest.raises(EvaluationError, match=f"^{what} oracle returned non-finite values$"):
@@ -280,47 +283,30 @@ def test_certify_nash_nonatomic_single_action_always_passes():
 # social optimum
 # ---------------------------------------------------------------------------
 
-def test_social_optimum_aggregative_target():
-    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [1.0, 2.0])
-    x = social_optimum(g, tol=1e-9)
-    np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-8)
-    ok, _ = certify_social_optimum(g, x, 1e-8)
-    assert ok
-
-
-def test_social_optimum_atomic_finite_box():
-    # the unconstrained optimum (1, 2) lies outside the box, so the answer
-    # clips to the upper bounds; the search starts at the box midpoint
+def test_atomic_finite_box_midpoint_and_clipped_optimum():
+    # the unconstrained optimum (1, 2) lies outside the box, so the optimum
+    # clips to the upper bounds
     g = AtomicGame(lower=[-1.0, 0.0], upper=[0.5, 1.0],
-                   loss=lambda x: x * x, loss_grad=lambda x: 2.0 * x,
+                   loss_grad=lambda x: 2.0 * x,
                    social=lambda x: float(0.5 * np.sum((x - [1.0, 2.0]) ** 2)),
                    social_grad=lambda x: np.asarray(x, float) - [1.0, 2.0])
     np.testing.assert_array_equal(g.uniform_point(), [-0.25, 0.5])
-    x = social_optimum(g, tol=1e-10)
-    np.testing.assert_allclose(x, [0.5, 1.0], atol=1e-10)
-    assert certify_social_optimum(g, x, 1e-8)[0]
+    assert certify_social_optimum(g, np.array([0.5, 1.0]), 1e-8)[0]
 
 
 def test_atomic_game_closed_form_optimum():
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [1.0, 2.0])
     assert g.known_optimum() is None and g.optimal_incentive() is None
-    with_opt = AtomicGame(g.lower, g.upper, g.loss, g.loss_grad, g.social,
+    with_opt = AtomicGame(g.lower, g.upper, g.loss_grad, g.social,
                           g.social_grad, optimum=[1.0, 2.0])
     np.testing.assert_array_equal(with_opt.known_optimum(), [1.0, 2.0])
     # p† = e(x†) = -M x† with M = [[1, 0.5], [0.5, 1]]
     np.testing.assert_allclose(with_opt.optimal_incentive(), [-2.0, -2.5], atol=1e-15)
     with pytest.raises(SpecError):
-        AtomicGame(g.lower, g.upper, g.loss, g.loss_grad, g.social,
+        AtomicGame(g.lower, g.upper, g.loss_grad, g.social,
                    g.social_grad, optimum=[1.0])
     assert two_link_game().known_optimum() is None
     assert two_link_game().optimal_incentive() is None
-
-
-def test_social_optimum_two_link():
-    g = two_link_game()
-    x = social_optimum(g, tol=1e-9)
-    np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-8)
-    assert g.social(x) == pytest.approx(0.5, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +320,23 @@ def test_best_response_nonatomic_lowest_index_tiebreak():
                       social_grad=lambda x: np.ones(3))
     f = g.target(g.uniform_point(), np.zeros(3), StrategyUpdateRule("best_response"))
     np.testing.assert_allclose(f, [1.0, 0.0, 0.0])
+
+
+def test_solve_equilibrium_nonatomic_halves_a_step_that_overshoots():
+    # steep costs: the first full step from the uniform point raises the
+    # residual from 0.3 to 11.7, and the step is halved until it does not
+    g = NonAtomicGame(masses=[1.0, 2.0], action_counts=(2, 3),
+                      action_cost=lambda x: 40.0 * x + [0.0, 0.1, 0.0, 0.2, 0.3],
+                      social=lambda x: 0.0, social_grad=lambda x: np.zeros(5))
+    p = np.zeros(5)
+    x0 = g.uniform_point()
+    assert (certify_nash_nonatomic(g, g.project(x0 - g.action_cost(x0)), p)[1]
+            > certify_nash_nonatomic(g, x0, p)[1])
+    x = games.solve_equilibrium_nonatomic(g, p)
+    assert certify_nash_nonatomic(g, x, p, 1e-8)[0]
+    # equal costs within each population: 40 x_a + c_a is constant on a block
+    np.testing.assert_allclose(x, [0.50125, 0.49875, 2.0125 / 3, 1.9975 / 3, 1.99 / 3],
+                               rtol=0, atol=1e-10)
 
 
 def test_solve_equilibrium_atomic_matches_closed_form():
@@ -406,11 +409,10 @@ def test_solve_equilibrium_atomic_rejects_wrong_incentive_length():
 # closed-form-free atomic best response
 # ---------------------------------------------------------------------------
 
-def separable_game(lower, upper, loss, loss_grad):
+def separable_game(lower, upper, loss_grad):
     """Players whose costs do not depend on each other."""
     n = len(lower)
-    return AtomicGame(lower=lower, upper=upper, loss=loss,
-                      loss_grad=loss_grad, social=lambda x: 0.0,
+    return AtomicGame(lower=lower, upper=upper, loss_grad=loss_grad, social=lambda x: 0.0,
                       social_grad=lambda x: np.zeros(n))
 
 
@@ -431,8 +433,7 @@ def without_closed_forms(game):
 def test_best_response_atomic_finite_box():
     # own partial 2 (x - c): minimisers below, above and inside [0, 1]
     c = np.array([-0.7, 1.9, 0.3])
-    g = separable_game(np.zeros(3), np.ones(3), lambda x: (x - c) ** 2,
-                       lambda x: 2.0 * (x - c))
+    g = separable_game(np.zeros(3), np.ones(3), lambda x: 2.0 * (x - c))
     # the last start lies outside the box; the search starts from its projection
     for x in (np.zeros(3), np.ones(3), np.full(3, 0.5), np.array([-2.0, 3.0, 5.0])):
         f = games.best_response_atomic(g, x, np.zeros(3))
@@ -446,7 +447,7 @@ def test_best_response_atomic_one_sided_bounds():
     inf = np.inf
     c = np.array([-5.0, 3.5, 2.0, -20.0])
     g = separable_game(np.array([-inf, -inf, 0.0, 0.0]), np.array([0.0, 2.0, inf, inf]),
-                       lambda x: 0.5 * (x - c) ** 2, lambda x: x - c)
+                       lambda x: x - c)
     f = games.best_response_atomic(g, np.array([-1.0, 0.0, 40.0, 1.0]), np.zeros(4))
     np.testing.assert_allclose(f, [-5.0, 2.0, 2.0, 0.0], rtol=0, atol=1e-14)
 
@@ -457,7 +458,6 @@ def test_best_response_atomic_quartic_own_cost():
     n = 6
     a, b = rng.uniform(-1, 1, n), rng.uniform(-0.5, 0.5, n)
     g = AtomicGame(lower=np.full(n, -np.inf), upper=np.full(n, np.inf),
-                   loss=lambda x: (x - a) ** 4 / 4 + b * x * (x.sum() - x),
                    loss_grad=lambda x: (x - a) ** 3 + b * (x.sum() - x),
                    social=lambda x: 0.0, social_grad=lambda x: np.zeros(n))
     for _ in range(20):
@@ -523,7 +523,6 @@ def test_best_response_atomic_coupled_records_match_closed_form():
 def test_best_response_atomic_unbounded_own_cost_fails_fast():
     # player 1's cost x_1 falls without end on the real line
     g, calls = counting_game(separable_game(np.full(2, -np.inf), np.full(2, np.inf),
-                                            lambda x: np.array([0.5 * x[0] ** 2, x[1]]),
                                             lambda x: np.array([x[0], 1.0])))
     with pytest.raises(ConvergenceError, match="player 1 has no minimiser"):
         games.best_response_atomic(g, np.zeros(2), np.zeros(2))
@@ -532,12 +531,11 @@ def test_best_response_atomic_unbounded_own_cost_fails_fast():
 
 def test_best_response_atomic_nonfinite_partial_raises():
     nan_everywhere = separable_game(np.full(2, -np.inf), np.full(2, np.inf),
-                                    lambda x: np.full(2, np.nan), lambda x: np.full(2, np.nan))
+                                    lambda x: np.full(2, np.nan))
     with pytest.raises(EvaluationError, match="player 0"):
         games.best_response_atomic(nan_everywhere, np.zeros(2), np.zeros(2))
     # finite at the start, infinite beyond x = 2 on the way to the root at 3
     blows_up = separable_game(np.full(2, -np.inf), np.full(2, np.inf),
-                              lambda x: np.where(x > 2.0, np.inf, 0.5 * (x - 3.0) ** 2),
                               lambda x: np.where(x > 2.0, np.inf, x - 3.0))
     with pytest.raises(EvaluationError, match="player 0"):
         games.best_response_atomic(blows_up, np.zeros(2), np.zeros(2))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS, grid34, grid45
 from incentive_dynamics import numdiff, routing
+from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
                                          resolve_eta)
 from incentive_dynamics.errors import (ConvergenceError, InvalidArgumentError,
@@ -221,6 +222,28 @@ def test_latency_shape_checks(polys, strict, relaxed, relax):
     else:
         with pytest.raises(SpecError, match=message):
             build()
+
+
+def bpr_latency(t0, capacity):
+    """The BPR latency t0 (1 + 0.15 (w / capacity)^4), whose slope vanishes at w = 0."""
+    return LatencyFunction((t0, 0.0, 0.0, 0.0, 0.15 * t0 / capacity ** 4))
+
+
+def test_bpr_latencies_need_no_relaxed_monotonicity():
+    net = RoutingNetwork(nodes=("S", "D"),
+                         edges=(("S", "D", bpr_latency(1.0, 1.0)),
+                                ("S", "D", bpr_latency(1.5, 2.0))),
+                         od_pairs=(OdPair("S", "D", 3.0, ((0,), (1,))),))
+    tolls = optimal_edge_tolls(net)
+    w = route_to_edge_flow(net, system_optimum(net)[0])
+    np.testing.assert_allclose(tolls, w * net.latency_deriv(w), rtol=1e-12)
+    assert verify_fixed_point_optimality(net, tolls)["passed"]
+    # a constant latency's slope vanishes at every flow
+    with pytest.raises(SpecError, match="strictly increasing"):
+        RoutingNetwork(nodes=("S", "D"),
+                       edges=(("S", "D", bpr_latency(1.0, 1.0)),
+                              ("S", "D", LatencyFunction((1.0,)))),
+                       od_pairs=(OdPair("S", "D", 1.0, ((0,), (1,))),))
 
 
 # ---------------------------------------------------------------------------
