@@ -347,8 +347,10 @@ def multistart_uniqueness_probe(obj, p, n_starts: int = 8, seed: int = 0) -> dic
 
     The spread is the model's strategy gap, so routing models compare edge
     flows (route decompositions are legitimately non-unique); the solutions
-    are strategies, route flows for routing.
+    are strategies, route flows for routing. Fewer than two starts raise.
     """
+    if n_starts < 2:
+        raise InvalidArgumentError("the uniqueness probe needs at least two starts")
     model = strategy_model(obj)
     rng = np.random.default_rng(seed)
     p = np.asarray(p, dtype=float)

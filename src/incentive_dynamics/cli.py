@@ -11,10 +11,11 @@ incentive update (externality-based by default, or the naive social-cost
 gradient baseline), and any requested analyses. Outputs: trajectory.csv,
 summary.json, analysis/*.json, and a plot.py rendering residual and
 social-cost curves. The JSON files are strict JSON: a non-finite number
-is written as ``null``. Exit codes, the same for run and verify: 0 success,
-1 invalid config or analysis item, 2 a run or solver that does not converge,
-a run that overflows, or a failed analysis check. A check fails when its
-result has ``"passed": false`` or a ``"verdict"`` other than ``"pass"``.
+is written as ``null``. Exit codes, the same for run and verify, each error
+on one stderr line: 0 success, 1 invalid input, in a config, an analysis item
+or a run, 2 a solver that does not converge, iterates that overflow, or a
+failed analysis check. A check fails when its result has ``"passed": false``
+or a ``"verdict"`` other than ``"pass"``.
 """
 from __future__ import annotations
 
@@ -67,7 +68,8 @@ class ConfigError(SpecError):
     pass
 
 
-# what a malformed config or analysis item raises; reported with exit code 1
+# what a config or analysis item raises: a package error, or a builtin one from
+# JSON values unpacked into calls
 INVALID_INPUT = (GameError, KeyError, TypeError, ValueError)
 
 # the run's incentive update: the paper's externality rule, or the naive baseline
@@ -77,10 +79,17 @@ INCENTIVE_UPDATES = ("externality", "gradient_baseline")
 STATUS = {True: "pass", False: "FAIL", None: "info"}
 
 
-def _convergence_failure(exc: ConvergenceError, where: str = "") -> int:
-    gap = "" if exc.gap is None else f" (gap {exc.gap:.6g})"
-    print(f"error{where}: {exc}{gap}", file=sys.stderr)
-    return 2
+def _failure(exc: Exception, where: str = "") -> int:
+    """Print the job's one stderr line for ``exc`` and return its exit code: 2
+    for a solver that does not converge or iterates that overflow, else 1.
+    ``where`` names the analysis that raised, if one did."""
+    message = str(exc)
+    if isinstance(exc, ConvergenceError) and exc.gap is not None:
+        message += f" (gap {exc.gap:.6g})"
+    elif isinstance(exc, EvaluationError):  # the iterates overflowed
+        message = f"{'diverged' if where else 'run diverged'}: {message}"
+    print(f"error{where}: {message}", file=sys.stderr)
+    return 2 if isinstance(exc, (ConvergenceError, EvaluationError)) else 1
 
 
 def load_config(path) -> dict:
@@ -149,14 +158,10 @@ def run_analysis(model, item: dict) -> dict:
         samples = item.pop("p_samples")
         weight = item.pop("weight") if "weight" in item else model.certificate_weight()
         return analysis.check_condition_C2(model, weight, samples, **item)
-    if op == "global_conditions":
+    if op in ("global_conditions", "local_conditions"):
         if not isinstance(model, agg.QuadraticAggregativeSpec):
-            raise ConfigError("global_conditions applies to aggregative games")
-        return agg.check_global_conditions(model)
-    if op == "local_conditions":
-        if not isinstance(model, agg.QuadraticAggregativeSpec):
-            raise ConfigError("local_conditions applies to aggregative games")
-        return agg.check_local_conditions(model)
+            raise ConfigError(f"{op} applies to aggregative games")
+        return getattr(agg, f"check_{op}")(model)
     if op == "counterexample":
         grid_csv = item.pop("grid_csv", None)
         report = analysis.reproduce_counterexample(**item)
@@ -185,8 +190,8 @@ def _run_analyses(model, analyses, adir=None) -> int:
 
     With ``adir`` each result is written there as ``NN_op.json``; without,
     one ``[pass]``/``[FAIL]``/``[info]`` line is printed per analysis. An
-    invalid item exits 1 and a solver that does not converge 2, at once; a
-    failed check exits 2 once every analysis has run.
+    error exits at once with the code of :func:`_failure`; a failed check
+    exits 2 once every analysis has run. Overflow is silenced as in the run.
     """
     failed = []
     for idx, item in enumerate(analyses):
@@ -194,12 +199,10 @@ def _run_analyses(model, analyses, adir=None) -> int:
         if adir is not None and op == "counterexample" and "grid_csv" not in item:
             item = dict(item, grid_csv=str(adir / "counterexample_grid.csv"))
         try:
-            result = run_analysis(model, item)
-        except ConvergenceError as exc:
-            return _convergence_failure(exc, f" in analysis {op!r}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = run_analysis(model, item)
         except INVALID_INPUT as exc:
-            print(f"error in analysis {op!r}: {exc}", file=sys.stderr)
-            return 1
+            return _failure(exc, f" in analysis {op!r}")
         verdict = result["verdict"] == "pass" if "verdict" in result else result.get("passed")
         if adir is None:
             print(f"[{STATUS[verdict]}] {op}")
@@ -232,12 +235,12 @@ def run_experiment(config_path, out_dir=None) -> int:
         if update not in INCENTIVE_UPDATES:
             raise ConfigError(f"unknown incentive_update {update!r}")
     except INVALID_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _failure(exc)
 
     out.mkdir(parents=True, exist_ok=True)
     # numpy's overflow warnings are silenced: the oracle checks report iterates
-    # that overflow, and a social cost that overflows is written as null
+    # that overflow, and a social cost that overflows is written as null. A
+    # package error is an outcome; a builtin one is a bug and keeps its traceback.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if update == "gradient_baseline":
@@ -249,11 +252,8 @@ def run_experiment(config_path, out_dir=None) -> int:
                     gradient=analysis.two_link_clarke_gradient if two_link else None)
             else:
                 record = run_coupled(game, x0, p0, config)
-    except ConvergenceError as exc:
-        return _convergence_failure(exc)
-    except EvaluationError as exc:  # the iterates overflowed
-        print(f"error: run diverged: {exc}", file=sys.stderr)
-        return 2
+    except GameError as exc:
+        return _failure(exc)
 
     record.to_csv(out / "trajectory.csv")
     record.to_json_summary(out / "summary.json")
@@ -365,8 +365,7 @@ def verify(config_path) -> int:
         data = load_config(config_path)
         model = build_game(data["game"])
     except INVALID_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _failure(exc)
     analyses = data.get("analyses", [])
     if not analyses:
         print("error: verify needs at least one entry in \"analyses\"", file=sys.stderr)

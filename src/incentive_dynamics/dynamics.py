@@ -9,7 +9,7 @@ One loop, :func:`run_coupled`, serves every model: atomic and non-atomic
 games and routing networks. A model supplies
 
 - ``check_start(x0, p0)``: the validated start ``(x, p)``;
-- ``target(x, p, rule, eta)``: ``f(x, p)``, with ``eta`` the gradient step;
+- ``target(x, p, rule)``: ``f(x, p)``, with ``rule.eta`` the gradient step;
 - ``externality(x)`` and ``social(x)``;
 - ``strategy_gap(f, x)``: the sup distance of two strategies;
 - ``cost_lipschitz()``: a bound ``L`` behind the default step ``0.9 / L``;
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -33,6 +34,14 @@ import numpy as np
 from .errors import InvalidArgumentError, SpecError
 
 CONSECUTIVE_HITS = 10
+
+
+def _positive_int(value, name: str) -> int:
+    """``value`` as an int, if it is a whole number >= 1: ``1e3`` passes, ``2.5`` fails."""
+    whole = int(value) if isinstance(value, numbers.Real) and math.isfinite(value) else 0
+    if whole < 1 or whole != value:
+        raise SpecError(f"{name} must be a positive integer")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,7 @@ class StepSchedule:
             raise SpecError(f"need 0.5 < a < b <= 1, got a={self.a}, b={self.b}")
         if self.gamma0 <= 0 or self.beta0 <= 0:
             raise SpecError("step scale factors must be positive")
-        if int(self.offset) < 1 or self.offset != int(self.offset):
-            raise SpecError("offset must be a positive integer")
+        object.__setattr__(self, "offset", _positive_int(self.offset, "offset"))
         # decreasing in k, so checking k = 0 pins the whole sequence in (0, 1)
         if not (0.0 < self.gamma(0) < 1.0 and 0.0 < self.beta(0) < 1.0):
             raise SpecError("step sizes must lie in (0, 1) for all k >= 0")
@@ -103,12 +111,10 @@ class RunConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise SpecError("max_iterations must be >= 1")
+        for name in ("max_iterations", "record_every"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if self.convergence_tol <= 0:
             raise SpecError("convergence_tol must be positive")
-        if self.record_every < 1:
-            raise SpecError("record_every must be >= 1")
 
 
 @dataclass
@@ -205,9 +211,10 @@ def resolve_eta(model, rule: StrategyUpdateRule) -> float:
 
 
 def strategy_target(model, x, p, rule: StrategyUpdateRule):
-    """The new-strategy term f(x, p) for the configured learning rule."""
-    eta = resolve_eta(model, rule) if rule.variant == "gradient" else None
-    return model.target(np.asarray(x, dtype=float), np.asarray(p, dtype=float), rule, eta)
+    """f(x, p) for the rule; a gradient rule without a step gets the model's default."""
+    if rule.variant == "gradient" and rule.eta is None:
+        rule = replace(rule, eta=resolve_eta(model, rule))
+    return model.target(np.asarray(x, dtype=float), np.asarray(p, dtype=float), rule)
 
 
 def externality(model, x):

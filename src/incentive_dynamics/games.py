@@ -90,17 +90,17 @@ def random_blocks(rng: np.random.Generator, slices, masses) -> Array:
     return out
 
 
-def simplex_target(x: Array, c: Array, slices, masses, rule, eta) -> Array:
+def simplex_target(x: Array, c: Array, slices, masses, rule) -> Array:
     """Best-response or gradient-rule target from per-action costs ``c``.
 
-    The gradient rule is a logit response at temperature ``eta`` under the
-    entropy regularizer and a projected step ``x - eta c`` otherwise.
+    The gradient rule is a logit response at temperature ``rule.eta`` under
+    the entropy regularizer and a projected step ``x - rule.eta c`` otherwise.
     """
     if rule.variant == "best_response":
         return best_response_blocks(c, slices, masses)
     if rule.regularizer == "entropy":
-        return logit_blocks(c, slices, masses, eta)
-    return project_blocks(x - eta * c, slices, masses)
+        return logit_blocks(c, slices, masses, rule.eta)
+    return project_blocks(x - rule.eta * c, slices, masses)
 
 
 def check_incentive(p, n: int) -> Array:
@@ -200,7 +200,7 @@ class AtomicGame:
             raise InvalidArgumentError("x0 is infeasible")
         return x, check_incentive(p0, self.n_players)
 
-    def target(self, x: Array, p: Array, rule, eta: float | None = None) -> Array:
+    def target(self, x: Array, p: Array, rule) -> Array:
         if rule.variant == "equilibrium":
             if self.equilibrium is not None:
                 return np.asarray(self.equilibrium(p), float)
@@ -211,7 +211,7 @@ class AtomicGame:
             return best_response_atomic(self, x, p)
         if rule.regularizer == "entropy":
             raise InvalidArgumentError("entropy regularizer needs a simplex strategy space")
-        return self.project(x - eta * (self.loss_grad(x) + p))
+        return self.project(x - rule.eta * (self.loss_grad(x) + p))
 
     def externality(self, x: Array) -> Array:
         """Per-player gap between marginal social cost and own marginal cost."""
@@ -301,11 +301,11 @@ class NonAtomicGame:
     def check_start(self, x0, p0) -> tuple:
         return self.check_feasible(x0), check_incentive(p0, self.dim)
 
-    def target(self, x: Array, p: Array, rule, eta: float | None = None) -> Array:
+    def target(self, x: Array, p: Array, rule) -> Array:
         if rule.variant == "equilibrium":
             return solve_equilibrium_nonatomic(self, p, x0=x)
         c = np.asarray(self.action_cost(x), float) + p
-        return simplex_target(x, c, self.slices, self.masses, rule, eta)
+        return simplex_target(x, c, self.slices, self.masses, rule)
 
     def externality(self, x: Array) -> Array:
         """Per-action gap between marginal social cost and action cost."""
@@ -373,14 +373,18 @@ def certify_nash_nonatomic(game: NonAtomicGame, x: Array, p: Array, tol: float =
     """Checks that every action carrying mass is within tol of minimal cost."""
     x = game.check_feasible(x)
     c = np.asarray(game.action_cost(x), float) + _as_vector(p, "p")
+    residual = _nonatomic_residual(game, x, c, tol)
+    return residual <= tol, residual
+
+
+def _nonatomic_residual(game: NonAtomicGame, x: Array, c: Array, tol: float) -> float:
+    """The largest cost gap of an action carrying more than ``tol`` of its mass."""
     residual = 0.0
     for s, m in zip(game.slices, game.masses):
-        cs = c[s]
-        cmin = cs.min()
         active = x[s] > tol * m
         if np.any(active):
-            residual = max(residual, float(cs[active].max() - cmin))
-    return residual <= tol, residual
+            residual = max(residual, float(c[s][active].max() - c[s].min()))
+    return residual
 
 
 def projected_gradient_residual(grad: Array, x: Array, project) -> float:
@@ -500,68 +504,63 @@ def nondecreasing_root(f: Callable[[float], float], i: int, y0: float,
                            f"close its bracket in {SECANT_MAX_ITER} steps")
 
 
-def solve_equilibrium_atomic(game: AtomicGame, p: Array, tol: float = 1e-10,
-                             x0: Array | None = None, max_iter: int = 5000) -> Array:
-    """Projected-gradient iteration on x = Proj(x - eta (loss_grad(x) + p)).
+def _projected_equilibrium(x: Array, terms, project, restart, tol: float,
+                           max_iter: int, what: str) -> Array:
+    """Projected-gradient iteration on x = Proj(x - eta g(x)) from ``x``.
 
-    The step is halved whenever the equilibrium-certificate residual (that of
-    :func:`certify_nash_atomic`) stops improving; if it underflows, one
-    averaged best-response step restarts the search. The gradient at the
-    current point serves both its residual and the next step.
-    """
-    p = _as_vector(p, "p")
-    if p.size != game.n_players:
-        raise InvalidArgumentError("dimension mismatch in solve_equilibrium_atomic")
-
-    def grad_and_residual(y):
-        g = np.asarray(game.loss_grad(y), float) + p
-        return g, projected_gradient_residual(g, y, game.project)
-
-    x = game.project(np.zeros(game.n_players) if x0 is None else np.asarray(x0, float))
+    ``terms(y)`` returns the cost ``g(y)`` and the equilibrium-certificate
+    residual at ``y``. The step is halved whenever the residual would rise; if
+    it underflows, iteration ``k`` restarts at ``restart(x, g(x), k)``."""
     eta = 1.0
-    g, res = grad_and_residual(x)
-    for _ in range(max_iter):
+    g, res = terms(x)
+    for k in range(max_iter):
         if res <= tol:
             return x
-        cand = game.project(x - eta * g)
-        g_c, res_c = grad_and_residual(cand)
+        cand = project(x - eta * g)
+        g_c, res_c = terms(cand)
         if res_c <= res:
             x, g, res = cand, g_c, res_c
         else:
             eta *= 0.5
             if eta < 1e-12:
-                f = best_response_atomic(game, x, p)
-                x = 0.5 * x + 0.5 * f
-                g, res = grad_and_residual(x)
+                x = restart(x, g, k)
+                g, res = terms(x)
                 eta = 1.0
-    raise ConvergenceError("atomic equilibrium iteration stalled", best=x)
+    raise ConvergenceError(f"{what} equilibrium iteration stalled", best=x)
+
+
+def solve_equilibrium_atomic(game: AtomicGame, p: Array, tol: float = 1e-10,
+                             x0: Array | None = None, max_iter: int = 5000) -> Array:
+    """Projected-gradient iteration on x = Proj(x - eta (loss_grad(x) + p)), with
+    the residual of :func:`certify_nash_atomic`; a restart moves halfway to the
+    best response."""
+    p = _as_vector(p, "p")
+    if p.size != game.n_players:
+        raise InvalidArgumentError("dimension mismatch in solve_equilibrium_atomic")
+
+    def terms(y):
+        g = np.asarray(game.loss_grad(y), float) + p
+        return g, projected_gradient_residual(g, y, game.project)
+
+    restart = lambda x, g, k: 0.5 * x + 0.5 * best_response_atomic(game, x, p)
+    x = game.project(np.zeros(game.n_players) if x0 is None else np.asarray(x0, float))
+    return _projected_equilibrium(x, terms, game.project, restart, tol, max_iter, "atomic")
 
 
 def solve_equilibrium_nonatomic(game: NonAtomicGame, p: Array, tol: float = 1e-10,
                                 x0: Array | None = None, max_iter: int = 200000) -> Array:
-    """Projected fixed-point iteration on x = Proj(x - eta (c(x) + p)).
+    """Projected iteration on x = Proj(x - eta (c(x) + p)), with the residual of
+    :func:`certify_nash_nonatomic`; restart ``k`` moves 2 / (k + 3) of the way to
+    the best response. Linear convergence for strongly monotone cost maps."""
+    p = _as_vector(p, "p")
 
-    The step is halved whenever the equilibrium-certificate residual stops
-    improving; if it underflows, one averaged best-response step restarts the
-    search. Linear convergence for strongly monotone cost maps.
-    """
-    p = np.asarray(p, float)
+    def terms(y):
+        y = game.check_feasible(y)
+        c = np.asarray(game.action_cost(y), float) + p
+        return c, _nonatomic_residual(game, y, c, tol)
+
+    def restart(x, c, k):
+        return x + (2.0 / (k + 3.0)) * (best_response_blocks(c, game.slices, game.masses) - x)
+
     x = game.uniform_point() if x0 is None else game.project(np.asarray(x0, float))
-    eta = 1.0
-    ok, res = certify_nash_nonatomic(game, x, p, tol)
-    for k in range(max_iter):
-        if res <= tol:
-            return x
-        cand = game.project(x - eta * (np.asarray(game.action_cost(x), float) + p))
-        _, res_c = certify_nash_nonatomic(game, cand, p, tol)
-        if res_c <= res:
-            x, res = cand, res_c
-        else:
-            eta *= 0.5
-            if eta < 1e-12:
-                f = best_response_blocks(np.asarray(game.action_cost(x), float) + p,
-                                         game.slices, game.masses)
-                x = x + (2.0 / (k + 3.0)) * (f - x)
-                _, res = certify_nash_nonatomic(game, x, p, tol)
-                eta = 1.0
-    raise ConvergenceError("non-atomic equilibrium iteration stalled", best=x)
+    return _projected_equilibrium(x, terms, game.project, restart, tol, max_iter, "non-atomic")

@@ -123,13 +123,11 @@ class RoutingNetwork:
                 raise SpecError(f"edge ({t}, {h}) references unknown nodes")
         if not ods:
             raise SpecError("network needs at least one OD pair")
-        total_demand = 0.0
         for od in ods:
             if not 0 < od.demand < np.inf:  # NaN fails too
                 raise SpecError("OD demands must be finite and strictly positive")
             if not od.routes:
                 raise SpecError("every OD pair needs at least one route")
-            total_demand += od.demand
             for route in od.routes:
                 self._check_route(route, od)
         # Coefficient columns, built once: a (width, 3, E) stack whose row j
@@ -150,19 +148,11 @@ class RoutingNetwork:
         object.__setattr__(self, "_cost_rows", tuple(stack[:, :2]))
         object.__setattr__(self, "_all_rows", tuple(stack))
         object.__setattr__(self, "_integral_rows", tuple(integral))
-        ws = np.linspace(0.0, total_demand, 33)[:, None, None]
-        slopes = _column_horner(tuple(stack[:, 1:]), ws)  # (sample, (l', l''), edge)
-        # l' may vanish at zero flow, as a BPR latency's does; with nonnegative
-        # coefficients it then vanishes at no w > 0 unless l is constant
-        increasing = np.all(slopes[1:, 0] > 0, axis=0)
-        decreasing = ~(increasing | self.relax_monotonicity)
-        concave = np.any(slopes[:, 1] < 0, axis=0)
-        bad = decreasing | concave
-        if bad.any():  # report the first offending edge, monotonicity before convexity
-            if decreasing[np.argmax(bad)]:
-                raise SpecError("edge latencies must be strictly increasing; "
-                                "set relax_monotonicity for boundary cases")
-            raise SpecError("edge latencies must be convex")
+        # nonnegative coefficients make every latency convex, and strictly increasing
+        # at w > 0 unless it is constant (a BPR latency's slope vanishes at w = 0)
+        if not self.relax_monotonicity and not all(any(c[1:]) for c in polys):
+            raise SpecError("edge latencies must be strictly increasing; "
+                            "set relax_monotonicity for boundary cases")
         inc = np.zeros((len(edges), sum(len(od.routes) for od in ods)))
         col = 0
         for od in ods:
@@ -270,11 +260,11 @@ class RoutingNetwork:
     def check_start(self, x0, p0) -> tuple:
         return self.check_route_flow(x0), check_incentive(p0, self.n_edges)
 
-    def target(self, x, p, rule, eta=None) -> np.ndarray:
+    def target(self, x, p, rule) -> np.ndarray:
         if rule.variant == "equilibrium":
             return wardrop_equilibrium(self, p, x0=x)[0]
         c = route_costs(self, self.incidence @ x, p)
-        return simplex_target(x, c, self._route_slices, self._demands, rule, eta)
+        return simplex_target(x, c, self._route_slices, self._demands, rule)
 
     def externality(self, x) -> np.ndarray:
         return edge_externality(self, self.incidence @ x)
@@ -442,10 +432,12 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
 
     Returns "pass", "fail", or "indeterminate". Route-flow minimizers can be
     non-unique, so zero flow in one decomposition is inconclusive; several
-    warm starts, and their average, are probed before giving up. The
-    equilibrium route flows form a convex set, so the average is one too and
-    uses every route that any start uses.
+    warm starts (at least two), and their average, are probed before giving
+    up. The equilibrium route flows form a convex set, so the average is one
+    too and uses every route that any start uses.
     """
+    if n_starts < 2:
+        raise InvalidArgumentError("the nondegeneracy check needs at least two starts")
     rng = np.random.default_rng(seed)
     solutions = [wardrop_equilibrium(net, edge_tolls)[0]]
     for _ in range(n_starts - 1):

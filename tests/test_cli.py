@@ -2,13 +2,15 @@ import json
 import multiprocessing
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from incentive_dynamics import aggregative as agg
-from incentive_dynamics import cli, routing
-from incentive_dynamics.errors import ConvergenceError
+from incentive_dynamics import analysis, cli, routing
+from incentive_dynamics.errors import (ConvergenceError, EvaluationError,
+                                       InvalidArgumentError, SpecError)
 
 
 def write_config(path, data):
@@ -541,9 +543,19 @@ ROUTING_VERIFY = dict(TWO_LINK_RUN, analyses=[{"op": "verify_fixed_point_optimal
      'error: "game" needs one of "builtin", "aggregative", "routing"\n'),
     ("run", MISSING_FILE, "error: cannot read config {path}: "),
     ("verify", MISSING_FILE, "error: cannot read config {path}: "),
+    ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], record_every=2.5)),
+     "error: record_every must be a positive integer\n"),
+    ("run", {"game": M2_GAME, "run": {"rule": {"variant": "gradient", "regularizer": "entropy"}}},
+     "error: entropy regularizer needs a simplex strategy space\n"),
+    ("verify", {"game": {"builtin": "braess"},
+                "analyses": [{"op": "uniqueness_probe", "p": [0] * 5, "n_starts": 1}]},
+     "error in analysis 'uniqueness_probe': the uniqueness probe needs at least two starts\n"),
+    ("verify", {"game": {"builtin": "braess"}, "analyses": [{"op": "nondegeneracy", "n_starts": 1}]},
+     "error in analysis 'nondegeneracy': the nondegeneracy check needs at least two starts\n"),
 ], ids=["unknown-op", "global-on-routing", "local-on-routing", "nondegeneracy-on-aggregative",
         "empty-directory", "verify-no-analyses", "config-not-object", "game-not-object",
-        "game-unknown-kind", "run-unreadable", "verify-unreadable"])
+        "game-unknown-kind", "run-unreadable", "verify-unreadable", "fractional-record-every",
+        "entropy-on-atomic", "uniqueness-one-start", "nondegeneracy-one-start"])
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, message):
     path = tmp_path / "c.json"
     if config == EMPTY_DIRECTORY:
@@ -556,3 +568,107 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, 
     assert captured.out == ""
     assert captured.err.startswith(message.format(path=path))
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+# where each job stage is entered: the config step, the coupled run, an analysis
+STAGES = {"config": (cli, "build_game"), "run": (cli, "run_coupled"),
+          "analysis": (analysis, "verify_fixed_point_optimality")}
+# one package error of each kind, with its exit code and stderr line
+POLICY = [
+    (InvalidArgumentError("injected"), 1, "{where}: injected"),
+    (SpecError("injected"), 1, "{where}: injected"),
+    (ConvergenceError("injected", gap=0.5), 2, "{where}: injected (gap 0.5)"),
+    (EvaluationError("injected"), 2, "{where}: {diverged}: injected"),
+]
+
+
+def inject(monkeypatch, stage, error):
+    """Make ``stage`` raise ``error`` while the config ``a_fail.json`` runs."""
+    current = {}
+    load, (module, name) = cli.load_config, STAGES[stage]
+    entered = getattr(module, name)
+
+    def tracking_load(path):
+        current["name"] = Path(path).name
+        return load(path)
+
+    def failing(*args, **kwargs):
+        if current.get("name") == "a_fail.json":
+            raise error
+        return entered(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_config", tracking_load)
+    monkeypatch.setattr(module, name, failing)
+
+
+@pytest.mark.parametrize("error, code, line", POLICY,
+                         ids=[type(e).__name__ for e, _, _ in POLICY])
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_every_job_maps_a_package_error_to_one_line_and_its_exit_code(
+        tmp_path, monkeypatch, capsys, stage, error, code, line):
+    configs, out = tmp_path / "configs", tmp_path / "out"
+    configs.mkdir()
+    failing = write_config(configs / "a_fail.json", ROUTING_VERIFY)
+    write_config(configs / "b_pass.json", ROUTING_VERIFY)
+    inject(monkeypatch, stage, error)
+    where = " in analysis 'verify_fixed_point_optimality'" if stage == "analysis" else ""
+    expected = "error" + line.format(where=where, diverged="diverged" if where else
+                                     "run diverged") + "\n"
+
+    def job(*argv):  # an escaping exception would fail the test with its traceback
+        assert cli.main(list(argv)) == code
+        return capsys.readouterr()
+
+    assert job("run", "--config", failing, "--out", str(tmp_path / "single")).err == expected
+    if stage != "run":  # verify has no run step
+        verify = job("verify", "--config", failing)
+        assert verify.err == expected and verify.out == ""
+    runs = []
+    for cpus in (4, 1):
+        use_cpus(monkeypatch, cpus)
+        runs.append((job("run", "--config", str(configs), "--out", str(out)), output_tree(out)))
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
+    captured, tree = runs[0]
+    assert captured.err == expected
+    assert captured.out == f"wrote {out / 'b_pass'}/trajectory.csv, summary.json, analysis/\n"
+    assert "b_pass/analysis/00_verify_fixed_point_optimality.json" in tree
+    assert all(not path.startswith("a_fail/analysis/") for path in tree)
+
+
+def test_invalid_rule_met_during_a_run_spares_the_rest_of_the_directory(
+        tmp_path, monkeypatch, capsys):
+    configs, out = tmp_path / "configs", tmp_path / "out"
+    configs.mkdir()
+    write_config(configs / "a_entropy.json",
+                 {"game": M2_GAME, "run": {"rule": {"variant": "gradient", "regularizer": "entropy"}}})
+    write_config(configs / "b_pass.json", TWO_LINK_RUN)
+    use_cpus(monkeypatch, 2)
+    assert cli.main(["run", "--config", str(configs), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: entropy regularizer needs a simplex strategy space\n"
+    assert captured.out == f"wrote {out / 'b_pass'}/trajectory.csv, summary.json\n"
+    assert (out / "b_pass" / "summary.json").exists()
+
+
+def test_overflowing_analysis_exits_2_with_one_line(tmp_path, capsys):
+    # every warning is an error here, as under ``python -W error``
+    cfg = {"game": DIVERGING_RUN["game"],
+           "analyses": [{"op": "ode_probe", "start_points": [[1, 0]],
+                         "config": {"step": 0.5, "horizon": 100000}}]}
+    assert cli.main(["verify", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error in analysis 'ode_probe': diverged: social gradient oracle "
+                            "returned non-finite values\n")
+    assert captured.out == ""
+
+
+def test_whole_float_run_keys_run_as_integers(tmp_path):
+    cfg = dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], max_iterations=1e3))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path / "a.json", cfg),
+                     "--out", str(out / "float")]) == 0
+    cfg["run"]["max_iterations"] = 1000
+    assert cli.main(["run", "--config", write_config(tmp_path / "b.json", cfg),
+                     "--out", str(out / "int")]) == 0
+    assert output_tree(out / "float") == output_tree(out / "int")

@@ -398,6 +398,69 @@ def test_solve_equilibrium_atomic_matches_certify_loop_bitwise():
             assert len(new_calls) <= 0.5 * len(ref_calls) + 1
 
 
+def nonatomic_loop_reference(game, p, tol=1e-10, x0=None, max_iter=200000):
+    """The non-atomic solver as it was before it shared the atomic loop: every
+    candidate is certified with certify_nash_nonatomic, and the step and the
+    restart evaluate action_cost at the current point once more."""
+    p = np.asarray(p, float)
+    x = game.uniform_point() if x0 is None else game.project(np.asarray(x0, float))
+    eta = 1.0
+    ok, res = certify_nash_nonatomic(game, x, p, tol)
+    for k in range(max_iter):
+        if res <= tol:
+            return x
+        cand = game.project(x - eta * (np.asarray(game.action_cost(x), float) + p))
+        _, res_c = certify_nash_nonatomic(game, cand, p, tol)
+        if res_c <= res:
+            x, res = cand, res_c
+        else:
+            eta *= 0.5
+            if eta < 1e-12:
+                f = games.best_response_blocks(np.asarray(game.action_cost(x), float) + p,
+                                               game.slices, game.masses)
+                x = x + (2.0 / (k + 3.0)) * (f - x)
+                _, res = certify_nash_nonatomic(game, x, p, tol)
+                eta = 1.0
+    raise ConvergenceError("non-atomic equilibrium iteration stalled", best=x)
+
+
+def nonatomic_games():
+    from incentive_dynamics import routing
+    offsets = np.array([0.0, 0.1, 0.0, 0.2, 0.3])
+    steep = NonAtomicGame(masses=[1.0, 2.0], action_counts=(2, 3),
+                          action_cost=lambda x: 40.0 * x + offsets,
+                          social=lambda x: 0.0, social_grad=lambda x: np.zeros(5))
+    # costs that fall with use: steps that raise the residual are refused until a restart
+    crowding = dataclasses.replace(steep, action_cost=lambda x: offsets - 4.0 * x)
+    views = [routing.nonatomic_view(routing.load_fixture(name))
+             for name in ("two_link", "pigou", "braess")]
+    return [steep, crowding, *views]
+
+
+def test_solve_equilibrium_nonatomic_matches_its_reference_loop_bitwise():
+    def outcome(solve, game, p, x0, max_iter):
+        calls = []
+        game = dataclasses.replace(game, action_cost=counting(game.action_cost, calls))
+        try:
+            return solve(game, p, x0=x0, max_iter=max_iter), None, len(calls)
+        except ConvergenceError as exc:  # a stall: compare where it stopped
+            return exc.best, exc.args, len(calls)
+
+    rng = np.random.default_rng(12)
+    for game in nonatomic_games():
+        zero = np.zeros(game.dim)
+        # a budget of 300 stops the crowding game between restarts
+        cases = [(zero, None, 200000), (zero, None, 300)]
+        cases += [(rng.normal(size=game.dim), x0, 200000)
+                  for x0 in (None, game.random_start(rng), game.random_start(rng))]
+        for p, x0, max_iter in cases:
+            x, stall, calls = outcome(games.solve_equilibrium_nonatomic, game, p, x0, max_iter)
+            ref, ref_stall, ref_calls = outcome(nonatomic_loop_reference, game, p, x0, max_iter)
+            np.testing.assert_array_equal(x, ref)
+            assert stall == ref_stall
+            assert calls <= ref_calls
+
+
 def test_solve_equilibrium_atomic_rejects_wrong_incentive_length():
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
     for p in (np.zeros(3), np.zeros(1), np.zeros((2, 1))):
