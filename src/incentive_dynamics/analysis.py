@@ -157,19 +157,17 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
     pd = model.optimal_incentive()
     if pd is not None:
         scales = (1.5, 2.0, 4.0, 8.0)
-        pos_ok = bool(np.all(phi0 >= -tol) and np.all(pd >= -tol))
-        if pos_ok:
-            pos_ok = any(np.all(s * pd > pd - tol)
-                         and np.all(sys.phi(s * pd) - s * pd <= tol)
+        # the nonpositive orthant's test is the mirror image: negation is exact,
+        # so -a > -b - tol is bitwise a < b + tol
+        for sign, orthant in ((1.0, "positive"), (-1.0, "negative")):
+            ok = bool(np.all(sign * phi0 >= -tol) and np.all(sign * pd >= -tol))
+            if ok:
+                ok = any(np.all(sign * (s * pd) > sign * pd - tol)
+                         and np.all(sign * (sys.phi(s * pd) - s * pd) <= tol)
                          for s in scales)
-        neg_ok = bool(np.all(phi0 <= tol) and np.all(pd <= tol))
-        if neg_ok:
-            neg_ok = any(np.all(s * pd < pd + tol)
-                         and np.all(sys.phi(s * pd) - s * pd >= -tol)
-                         for s in scales)
-        report["positive_orthant_variant"] = pos_ok
-        report["negative_orthant_variant"] = neg_ok
-        report["passed"] = report["cooperative"] and (pos_ok or neg_ok)
+            report[f"{orthant}_orthant_variant"] = ok
+        report["passed"] = report["cooperative"] and (
+            report["positive_orthant_variant"] or report["negative_orthant_variant"])
     else:
         report["passed"] = report["cooperative"]
     return report

@@ -127,21 +127,17 @@ def build_game(spec: dict):
     raise ConfigError('"game" needs one of "builtin", "aggregative", "routing"')
 
 
-def build_run_config(run_spec: dict) -> RunConfig:
+def _run_setup(model, run_spec) -> tuple:
+    """A config's "run" block, parsed once: ``(config, game, x0, p0)``, where
+    ``game`` is the model the coupled loop runs on and (x0, p0) its checked start."""
     run_spec = dict(run_spec or {})
     sched = StepSchedule(**run_spec.pop("schedule", {}))
     rule = StrategyUpdateRule(**run_spec.pop("rule", {}))
-    run_spec.pop("x0", None)
-    run_spec.pop("p0", None)
-    return RunConfig(schedule=sched, rule=rule, **run_spec)
-
-
-def _coupled_start(model, run_spec):
-    """The model the coupled loop runs on, with its checked start (x0, p0)."""
-    run_spec = run_spec or {}
+    start = {key: run_spec.pop(key) for key in ("x0", "p0") if key in run_spec}
+    config = RunConfig(schedule=sched, rule=rule, **run_spec)
     game = analysis.strategy_model(model)
-    x0, p0 = game.uniform_point(), np.zeros(game.dim)
-    return (game, *game.check_start(run_spec.get("x0", x0), run_spec.get("p0", p0)))
+    x0, p0 = start.get("x0", game.uniform_point()), start.get("p0", np.zeros(game.dim))
+    return (config, game, *game.check_start(x0, p0))
 
 
 def run_analysis(model, item: dict) -> dict:
@@ -227,9 +223,7 @@ def run_experiment(config_path, out_dir=None) -> int:
     try:
         data = load_config(config_path)
         model = build_game(data["game"])
-        run_spec = data.get("run", {})
-        config = build_run_config(run_spec)
-        game, x0, p0 = _coupled_start(model, run_spec)
+        config, game, x0, p0 = _run_setup(model, data.get("run", {}))
         out = output_dir(config_path, data, out_dir)
         update = data.get("incentive_update", "externality")
         if update not in INCENTIVE_UPDATES:
@@ -237,7 +231,6 @@ def run_experiment(config_path, out_dir=None) -> int:
     except INVALID_INPUT as exc:
         return _failure(exc)
 
-    out.mkdir(parents=True, exist_ok=True)
     # numpy's overflow warnings are silenced: the oracle checks report iterates
     # that overflow, and a social cost that overflows is written as null. A
     # package error is an outcome; a builtin one is a bug and keeps its traceback.
@@ -255,6 +248,7 @@ def run_experiment(config_path, out_dir=None) -> int:
     except GameError as exc:
         return _failure(exc)
 
+    out.mkdir(parents=True, exist_ok=True)  # only a run that has a record writes
     record.to_csv(out / "trajectory.csv")
     record.to_json_summary(out / "summary.json")
     (out / "plot.py").write_text(PLOT_SCRIPT)
@@ -318,14 +312,25 @@ def _output_clash(jobs: list):
     return None
 
 
+def _replay(results) -> int:
+    """Write each run's captured messages, in job order; return the worst exit code."""
+    worst = 0
+    for code, log in results:
+        for name, text in log:
+            getattr(sys, name).write(text)
+        worst = max(worst, code)
+    return worst
+
+
 def run_directory(dir_path, out_dir=None) -> int:
     """Run every config in a directory; the worst exit code wins.
 
     The configs run concurrently on forked worker processes, one per usable
     CPU, or in this process when there is one worker to use. Either way each
-    config's messages are written in sorted config order, as a sequential
-    run would write them. Two configs that write the same directory exit 1
-    before any runs.
+    config's messages are replayed in sorted config order, as a sequential
+    run would write them, and a crash stops the runs. A config that fails
+    before its run has a record writes no directory. Two configs that write
+    the same directory exit 1 before any runs.
     """
     configs = sorted(Path(dir_path).glob("*.json"))
     if not configs:
@@ -337,27 +342,13 @@ def run_directory(dir_path, out_dir=None) -> int:
         first, second, out = clash
         print(f"error: configs {first} and {second} both write to {out}", file=sys.stderr)
         return 1
-    workers, pool = min(len(jobs), _usable_cpus()), None
+    workers = min(len(jobs), _usable_cpus())
     if workers > 1:
         import multiprocessing  # only here: it slows the import of this module
         if "fork" in multiprocessing.get_all_start_methods():
-            pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        results = (map if pool is None else pool.imap)(_run_captured, jobs)
-        worst = 0
-        for code, log in results:
-            for name, text in log:
-                getattr(sys, name).write(text)
-            worst = max(worst, code)
-        return worst
-    except BaseException:
-        if pool is not None:  # stop at the crash, as a sequential run does
-            pool.terminate()
-        raise
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                return _replay(pool.imap(_run_captured, jobs))
+    return _replay(map(_run_captured, jobs))
 
 
 def verify(config_path) -> int:

@@ -258,20 +258,14 @@ class NonAtomicGame:
             raise SpecError("population masses must be strictly positive")
         if len(counts) != masses.size or any(c < 1 for c in counts):
             raise SpecError("need one action count >= 1 per population")
+        ends = np.cumsum(counts).tolist()
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "action_counts", counts)
+        object.__setattr__(self, "slices", tuple(map(slice, [0, *ends], ends)))
 
     @property
     def dim(self) -> int:
         return sum(self.action_counts)
-
-    @property
-    def slices(self) -> list:
-        out, start = [], 0
-        for c in self.action_counts:
-            out.append(slice(start, start + c))
-            start += c
-        return out
 
     def project(self, x: Array) -> Array:
         return project_blocks(np.asarray(x, dtype=float), self.slices, self.masses)

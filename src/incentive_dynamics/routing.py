@@ -19,7 +19,6 @@ pass per sweep start, per shift and per objective evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -153,15 +152,27 @@ class RoutingNetwork:
         if not self.relax_monotonicity and not all(any(c[1:]) for c in polys):
             raise SpecError("edge latencies must be strictly increasing; "
                             "set relax_monotonicity for boundary cases")
+        # The incidence and, per OD pair, its route slice, demand and incidence
+        # rows, all read-only: the public properties return fresh copies.
         inc = np.zeros((len(edges), sum(len(od.routes) for od in ods)))
-        col = 0
-        for od in ods:
+        demands = np.array([od.demand for od in ods])
+        slices, blocks, col = [], [], 0
+        for od, m in zip(ods, demands):
+            s = slice(col, col + len(od.routes))
             for route in od.routes:
                 for a in route:
                     inc[a, col] += 1.0
                 col += 1
-        inc.setflags(write=False)  # _od_blocks caches copies of its columns
+            inc_s = inc[:, s].T.copy()
+            inc_s.setflags(write=False)
+            slices.append(s)
+            blocks.append((s, inc_s, m))
+        inc.setflags(write=False)
+        demands.setflags(write=False)
         object.__setattr__(self, "incidence", inc)
+        object.__setattr__(self, "_route_slices", tuple(slices))
+        object.__setattr__(self, "_demands", demands)
+        object.__setattr__(self, "_od_blocks", tuple(blocks))
 
     def _check_route(self, route, od: OdPair):
         if not route:
@@ -184,32 +195,6 @@ class RoutingNetwork:
     @property
     def n_routes(self) -> int:
         return self.incidence.shape[1]
-
-    # Per-network invariants, built on first use. The public properties
-    # return fresh copies, so a caller's mutation cannot reach the cache.
-    @cached_property
-    def _route_slices(self) -> tuple:
-        out, start = [], 0
-        for od in self.od_pairs:
-            out.append(slice(start, start + len(od.routes)))
-            start += len(od.routes)
-        return tuple(out)
-
-    @cached_property
-    def _demands(self) -> np.ndarray:
-        demands = np.array([od.demand for od in self.od_pairs])
-        demands.setflags(write=False)
-        return demands
-
-    @cached_property
-    def _od_blocks(self) -> tuple:
-        """Per OD pair: its route slice, the incidence rows of its routes, its demand."""
-        blocks = []
-        for s, m in zip(self._route_slices, self._demands):
-            inc_s = self.incidence[:, s].T.copy()
-            inc_s.setflags(write=False)
-            blocks.append((s, inc_s, m))
-        return tuple(blocks)
 
     @property
     def route_slices(self) -> list:

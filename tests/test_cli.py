@@ -241,6 +241,7 @@ def test_diverging_run_exits_2_with_one_line_and_no_warning(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == OVERFLOW_MESSAGE
+    assert not (tmp_path / "out").exists()  # the run failed before it had a record
 
 
 def use_cpus(monkeypatch, count):
@@ -286,6 +287,31 @@ def test_directory_run_on_workers_matches_one_cpu(tmp_path, monkeypatch, capsys)
     assert stderr.startswith(OVERFLOW_MESSAGE + "error: unknown fixture")
     assert stderr.endswith("run did not converge within the iteration budget\n")
     assert "b_pass/analysis/00_verify_fixed_point_optimality.json" in tree
+
+
+def test_directory_run_reports_unreadable_configs_in_order(tmp_path, monkeypatch, capsys):
+    # without --out an unreadable config has no output directory to compare
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "a_malformed.json").write_text("{")
+    write_config(configs / "b_pass.json", TWO_LINK_RUN)
+    write_config(configs / "c_no_game.json", {"run": {}})
+    runs = []
+    for cpus in (4, 1):
+        use_cpus(monkeypatch, cpus)
+        code = cli.main(["run", "--config", str(configs)])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err, output_tree(configs)))
+        shutil.rmtree(configs / "b_pass")
+    assert runs[0] == runs[1]
+    code, stdout, stderr, tree = runs[0]
+    assert code == 1
+    assert stderr.startswith(f"error: malformed JSON in {configs / 'a_malformed.json'} at line 1")
+    assert stderr.endswith('\nerror: config is missing the required "game" key\n')
+    assert stderr.count("\n") == 2
+    assert stdout == f"wrote {configs / 'b_pass'}/trajectory.csv, summary.json\n"
+    assert sorted(tree) == ["a_malformed.json", "b_pass.json", "b_pass/plot.py",
+                            "b_pass/summary.json", "b_pass/trajectory.csv", "c_no_game.json"]
 
 
 def test_directory_run_propagates_a_crash_and_stops_its_workers(tmp_path, monkeypatch):
@@ -523,6 +549,33 @@ def test_run_writes_strict_json(tmp_path, game, item, key, code):
 
 EMPTY_DIRECTORY, MISSING_FILE = "empty directory", "missing file"
 ROUTING_VERIFY = dict(TWO_LINK_RUN, analyses=[{"op": "verify_fixed_point_optimality"}])
+M2_WITHOUT_ZETA = {k: v for k, v in M2_GAME["aggregative"].items() if k != "zeta"}
+QUADRATIC_TERM = {"kind": "quadratic", "zeta": 0.0}
+
+
+def m2_with(**block):
+    return {"game": {"aggregative": dict(M2_WITHOUT_ZETA, **block)}}
+
+
+def braess_with(spoil):
+    block = json.loads(json.dumps(BRAESS_ROUTING))
+    spoil(block)
+    return {"game": {"routing": block}}
+
+
+def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
+    # samples of y - zeta at -20 and 20 interpolate the quadratic term's gradient
+    table = [{"kind": "table", "points": [-20.0, 20.0], "grads": [-20.0 - z, 20.0 - z]}
+             for z in M2_GAME["aggregative"]["zeta"]]
+    summaries = []
+    for name, game in (("zeta", M2_GAME), ("table", m2_with(h=table)["game"])):
+        cfg = dict(TWO_LINK_RUN, game=game, output_dir=str(tmp_path / name))
+        assert cli.main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+        summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+    quadratic, tabulated = summaries
+    assert tabulated["converged"] and tabulated["iterations"] == quadratic["iterations"]
+    for key in ("final_x", "final_p"):
+        np.testing.assert_allclose(tabulated[key], quadratic[key], rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("command, config, message", [
@@ -552,10 +605,44 @@ ROUTING_VERIFY = dict(TWO_LINK_RUN, analyses=[{"op": "verify_fixed_point_optimal
      "error in analysis 'uniqueness_probe': the uniqueness probe needs at least two starts\n"),
     ("verify", {"game": {"builtin": "braess"}, "analyses": [{"op": "nondegeneracy", "n_starts": 1}]},
      "error in analysis 'nondegeneracy': the nondegeneracy check needs at least two starts\n"),
+    ("run", m2_with(A=[[0.0, -0.1]], zeta=[-1.0, -0.5]),
+     "error: network matrix must be square and match q\n"),
+    ("run", m2_with(zeta=[-1.0]), "error: zeta must have one entry per player\n"),
+    ("run", m2_with(h=[QUADRATIC_TERM]), "error: need one operator-cost term per player\n"),
+    # samples on [0, 1] only: the interpolated gradient is flat on the rest of [-10, 10]
+    ("run", m2_with(h=[{"kind": "table", "points": [0, 1], "grads": [0, 1]}, QUADRATIC_TERM]),
+     "error: operator-cost gradients must be strictly increasing\n"),
+    ("run", m2_with(h=[{"kind": "table", "points": [-20, 0, 20], "grads": [-20, 20]},
+                       QUADRATIC_TERM]),
+     "error: table term needs matching 1-d points/grads\n"),
+    ("run", {"game": M2_GAME, "run": {"x0": [0.0]}}, "error: x0 is infeasible\n"),
+    ("run", {"game": M2_GAME, "run": {"p0": None}},
+     "error: incentive vector has shape (), expected (2,)\n"),
+    ("run", braess_with(lambda block: block["edges"][0].update(tail="z")),
+     "error: edge (z, a) references unknown nodes\n"),
+    ("run", braess_with(lambda block: block.update(od=[])),
+     "error: network needs at least one OD pair\n"),
+    ("run", braess_with(lambda block: block["od"][0].update(routes=[])),
+     "error: every OD pair needs at least one route\n"),
+    ("run", braess_with(lambda block: block["od"][0].update(routes=[[0, 1], []])),
+     "error: routes must contain at least one edge\n"),
+    ("run", braess_with(lambda block: block["od"][0].update(routes=[[0, 1], [2, 7]])),
+     "error: route references unknown edge index 7\n"),
+    ("run", {"game": {"routing": BRAESS_ROUTING}, "run": {"x0": [0.5, 0.5]}},
+     "error: route flow has wrong length\n"),
+    ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], x0=None)),
+     "error: route flow has wrong length\n"),
+    ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], convergence_tol=0)),
+     "error: convergence_tol must be positive\n"),
 ], ids=["unknown-op", "global-on-routing", "local-on-routing", "nondegeneracy-on-aggregative",
         "empty-directory", "verify-no-analyses", "config-not-object", "game-not-object",
         "game-unknown-kind", "run-unreadable", "verify-unreadable", "fractional-record-every",
-        "entropy-on-atomic", "uniqueness-one-start", "nondegeneracy-one-start"])
+        "entropy-on-atomic", "uniqueness-one-start", "nondegeneracy-one-start",
+        "aggregative-A-not-square", "aggregative-zeta-length", "aggregative-h-length",
+        "aggregative-table-flat", "aggregative-table-shapes", "aggregative-x0-length",
+        "aggregative-p0-null", "routing-unknown-node", "routing-no-od", "routing-od-no-routes",
+        "routing-empty-route", "routing-unknown-edge", "routing-x0-length", "routing-x0-null",
+        "zero-convergence-tol"])
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, message):
     path = tmp_path / "c.json"
     if config == EMPTY_DIRECTORY:
@@ -568,6 +655,8 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, 
     assert captured.out == ""
     assert captured.err.startswith(message.format(path=path))
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    if not message.startswith("error in analysis"):  # no run has a record: no output
+        assert [p for p in tmp_path.iterdir() if p != path] == []
 
 
 # where each job stage is entered: the config step, the coupled run, an analysis

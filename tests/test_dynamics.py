@@ -171,6 +171,17 @@ def test_fixed_point_residual_off_fixed_point():
     assert r == pytest.approx(1.5, abs=1e-8)
 
 
+def test_fixed_point_residual_resolves_the_default_gradient_step():
+    # run_coupled resolves eta before its loop; strategy_target does it itself
+    g = aggregative_game([1.0, 2.0], [[0, 1], [1, 0]], 0.5, [0.3, -0.2])
+    x0, p0 = np.array([0.4, -0.1]), np.array([0.2, 0.1])
+    rule = StrategyUpdateRule("gradient")
+    record = run_coupled(g, x0, p0, RunConfig(rule=rule, max_iterations=1))
+    assert fixed_point_residual(g, x0, p0, rule) == record.residuals[0]
+    other_step = StrategyUpdateRule("gradient", eta=0.1)
+    assert fixed_point_residual(g, x0, p0, other_step) != record.residuals[0]
+
+
 # ---------------------------------------------------------------------------
 # trajectory record
 # ---------------------------------------------------------------------------
