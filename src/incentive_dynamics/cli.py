@@ -74,6 +74,8 @@ INVALID_INPUT = (GameError, KeyError, TypeError, ValueError)
 
 # the run's incentive update: the paper's externality rule, or the naive baseline
 INCENTIVE_UPDATES = ("externality", "gradient_baseline")
+# "run" keys that only the coupled loop reads: the baseline rejects them
+COUPLED_ONLY = ("rule", "x0", "record_every", "convergence_tol")
 
 # verify's line per analysis: a passed or failed check, or a result that only informs
 STATUS = {True: "pass", False: "FAIL", None: "info"}
@@ -134,6 +136,9 @@ def _run_setup(model, run_spec) -> tuple:
     sched = StepSchedule(**run_spec.pop("schedule", {}))
     rule = StrategyUpdateRule(**run_spec.pop("rule", {}))
     start = {key: run_spec.pop(key) for key in ("x0", "p0") if key in run_spec}
+    for key, value in start.items():
+        if value is None:
+            raise ConfigError(f"{key} must not be null")
     config = RunConfig(schedule=sched, rule=rule, **run_spec)
     game = analysis.strategy_model(model)
     x0, p0 = start.get("x0", game.uniform_point()), start.get("p0", np.zeros(game.dim))
@@ -223,11 +228,16 @@ def run_experiment(config_path, out_dir=None) -> int:
     try:
         data = load_config(config_path)
         model = build_game(data["game"])
-        config, game, x0, p0 = _run_setup(model, data.get("run", {}))
-        out = output_dir(config_path, data, out_dir)
+        run_spec = dict(data.get("run") or {})
         update = data.get("incentive_update", "externality")
         if update not in INCENTIVE_UPDATES:
             raise ConfigError(f"unknown incentive_update {update!r}")
+        if update == "gradient_baseline":
+            for key in COUPLED_ONLY:
+                if key in run_spec:
+                    raise ConfigError(f"gradient_baseline ignores run key {key!r}")
+        config, game, x0, p0 = _run_setup(model, run_spec)
+        out = output_dir(config_path, data, out_dir)
     except INVALID_INPUT as exc:
         return _failure(exc)
 

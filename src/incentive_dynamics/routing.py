@@ -1,10 +1,12 @@
 """Non-atomic routing games with edge tolls.
 
 Tolled Wardrop equilibria are computed by minimizing the Beckmann potential
-over the route-flow polytope with route-based gradient projection, which
-shifts flow onto the cheapest route of each OD pair until the relative
-duality gap is at most ``tol``; the system optimum minimizes total latency
-cost with the same solver. Marginal-cost tolls
+over the route-flow polytope with route-based gradient projection: sweeps
+shift flow onto the cheapest route of each OD pair, and from the second
+sweep on, joint Newton steps on the routes that carry flow finish the
+solve, each kept only if it lowers the duality gap, until the relative gap
+is at most ``tol``; the system optimum minimizes total latency cost with
+the same solver. Marginal-cost tolls
 ``w_a * l_a'(w_a)`` make the two coincide. A network is a model of the
 coupled loop in ``dynamics``: route flows are its strategies and edge tolls
 its incentives.
@@ -14,7 +16,8 @@ network builds its coefficient columns once, highest degree first, as one
 stack for (l, l', l'') and one for the antiderivative, and the kernel runs
 Horner's rule in place over them for all edges at once. The flow solver
 gets an edge cost and its derivative from one kernel pass, so it makes one
-pass per sweep start, per shift and per objective evaluation.
+pass per shift, per duality gap (at the start, after each sweep and at each
+Newton step) and per objective evaluation.
 """
 from __future__ import annotations
 
@@ -152,27 +155,29 @@ class RoutingNetwork:
         if not self.relax_monotonicity and not all(any(c[1:]) for c in polys):
             raise SpecError("edge latencies must be strictly increasing; "
                             "set relax_monotonicity for boundary cases")
-        # The incidence and, per OD pair, its route slice, demand and incidence
-        # rows, all read-only: the public properties return fresh copies.
+        # The incidence, its transpose (one row per route), each route's OD
+        # pair, and per OD pair its route slice, demand and rows of the
+        # transpose, all read-only: the public properties return fresh copies.
         inc = np.zeros((len(edges), sum(len(od.routes) for od in ods)))
         demands = np.array([od.demand for od in ods])
-        slices, blocks, col = [], [], 0
-        for od, m in zip(ods, demands):
-            s = slice(col, col + len(od.routes))
+        slices, col = [], 0
+        for od in ods:
+            slices.append(slice(col, col + len(od.routes)))
             for route in od.routes:
                 for a in route:
                     inc[a, col] += 1.0
                 col += 1
-            inc_s = inc[:, s].T.copy()
-            inc_s.setflags(write=False)
-            slices.append(s)
-            blocks.append((s, inc_s, m))
-        inc.setflags(write=False)
-        demands.setflags(write=False)
+        rows = inc.T.copy()
+        route_od = np.repeat(np.arange(len(ods)), [len(od.routes) for od in ods])
+        for a in (inc, rows, route_od, demands):
+            a.setflags(write=False)
         object.__setattr__(self, "incidence", inc)
+        object.__setattr__(self, "_route_rows", rows)
+        object.__setattr__(self, "_route_od", route_od)
         object.__setattr__(self, "_route_slices", tuple(slices))
         object.__setattr__(self, "_demands", demands)
-        object.__setattr__(self, "_od_blocks", tuple(blocks))
+        object.__setattr__(self, "_od_blocks",
+                           tuple((s, rows[s], m) for s, m in zip(slices, demands)))
 
     def _check_route(self, route, od: OdPair):
         if not route:
@@ -318,38 +323,88 @@ def edge_externality(net: RoutingNetwork, w) -> np.ndarray:
 # Convex flow programs (route-based gradient projection)
 # ---------------------------------------------------------------------------
 
+def _newton_step(net, x, c_edge, d_edge):
+    """The joint Newton step on the routes that carry flow, shortened so that
+    every flow stays nonnegative; None where there is no step to take.
+
+    ``c_edge`` holds the edge costs and ``d_edge`` their derivatives. Each
+    used route r other than the cheapest route b of its OD pair gives one
+    row Δ_r - Δ_b of K, with right-hand side c_b - c_r. The step
+    y = (K D Kᵀ)⁺ rhs, with D = diag(d_edge), moves y_r onto each such r and
+    -Σ y_r onto its b. It is solved in edge space: with L = K sqrt(D) =
+    U S Vᵀ, y = U S⁻² Uᵀ rhs over the singular values above numpy's
+    least-squares cutoff. That costs O(m E min(m, E)) for m rows and E
+    edges, and an edge whose cost is flat (a zero in D) needs no special case.
+    """
+    rows = net._route_rows
+    c = rows @ c_edge
+    best = np.array([s.start + int(c[s].argmin()) for s in net._route_slices])
+    used = x > 0.0
+    used[best] = False
+    r = np.flatnonzero(used)
+    if not r.size:
+        return None
+    b = best[net._route_od[r]]
+    u, sv, _ = np.linalg.svd((rows[r] - rows[b]) * np.sqrt(d_edge), full_matrices=False)
+    keep = sv > sv[0] * max(r.size, rows.shape[1]) * np.finfo(float).eps
+    u = u[:, keep]
+    y = u @ ((u.T @ (c[b] - c[r])) / sv[keep] ** 2)
+    dx = np.zeros_like(x)
+    dx[r] = y
+    dx -= np.bincount(b, y, minlength=x.size)
+    down = dx < 0.0
+    step = min(1.0, float(np.min(x[down] / -dx[down]))) if down.any() else 1.0
+    return np.maximum(x + step * dx, 0.0) if step > 0.0 else None
+
+
 def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
     """Minimize a convex separable edge objective over the route-flow polytope.
 
     Route-based gradient projection (Bertsekas and Gafni 1982; Jayakrishnan
-    et al. 1994). ``edge_terms(w)`` returns the edge costs c, the gradient of
-    ``objective`` in edge flows, and their derivatives d, from one pass of
-    the latency kernel; it runs once per sweep start and once per shift.
-    A sweep visits the OD pairs, and within each its routes in order: a
-    route r that carries flow and costs more than the cheapest route b of
-    its OD shifts ``min(x_r, (c_r - c_b) / sum_{a in r △ b} d_a(w))`` onto
-    b, the Newton step of the exchange, or all of x_r where that sum is zero
-    (constant costs only). Edge flow, costs and derivatives are updated
-    after every shift. Before each sweep the relative duality gap
-    ``sum_od (c_od . x_od - m_od min c_od) / max(1, |objective|)`` is
-    checked against ``tol``; after ``max_iter`` sweeps ConvergenceError
-    carries the last flow.
+    et al. 1994), finished by projected Newton steps on the used routes
+    (Bertsekas and Gafni 1983). ``edge_terms(w)`` returns the edge costs c,
+    the gradient of ``objective`` in edge flows, and their derivatives d,
+    from one pass of the latency kernel. A sweep visits the OD pairs, and
+    within each its routes in order: a route r that carries flow and costs
+    more than the cheapest route b of its OD shifts
+    ``min(x_r, (c_r - c_b) / sum_{a in r △ b} d_a(w))`` onto b, the Newton
+    step of the exchange, or all of x_r where that sum is zero (constant
+    costs only); edge flow, costs and derivatives are updated after every
+    shift. After each sweep the edge flow is recomputed from the route flow
+    and the relative duality gap
+    ``sum_od (c_od . x_od - m_od min c_od) / max(1, |objective|)`` is tested
+    against ``tol``. Where it fails after the second or a later sweep, joint
+    Newton steps on the used routes (``_newton_step``) follow while each
+    lowers the gap, and each kept step's costs serve the next test; the
+    first step that does not lower the gap is undone. The first sweep runs
+    alone because on a warm start it often leaves a gap that one more cheap
+    sweep closes. So the solver makes one kernel pass per shift, per gap
+    (the start, each sweep and each Newton step) and per objective
+    evaluation. After ``max_iter`` sweeps ConvergenceError carries the last
+    flow and its gap.
     """
     inc = net.incidence
     x = net.uniform_route_flow() if x0 is None else np.maximum(net.check_route_flow(x0), 0.0)
-    blocks = [(x[s], inc_s, m) for s, inc_s, m in net._od_blocks]
-    gap = np.inf
-    for _ in range(max_iter):
+    blocks = [(x[s], inc_s, m) for s, inc_s, m in net._od_blocks]  # xs is a view into x
+
+    def measure():  # edge flow, edge terms and duality gap
         w = inc @ x
         c_edge, d_edge = edge_terms(w)
         gap = 0.0
         for xs, inc_s, m in blocks:
             c = inc_s @ c_edge
             gap += float(c @ xs - m * c.min())
-        # max(1, |objective|) >= 1, so a gap within tol passes without it
-        if gap <= tol or gap <= tol * max(1.0, abs(objective(w))):
-            return x, w
-        for xs, inc_s, _ in blocks:  # xs is a view into x
+        return w, c_edge, d_edge, gap
+
+    def converged(w, gap):  # max(1, |objective|) >= 1, so a gap within tol passes
+        return gap <= tol or gap <= tol * max(1.0, abs(objective(w)))
+
+    w, c_edge, d_edge, gap = measure()
+    done = converged(w, gap)
+    for sweep in range(max_iter):
+        if done:
+            break
+        for xs, inc_s, _ in blocks:
             c = inc_s @ c_edge
             for r in range(len(xs)):
                 b = int(c.argmin())
@@ -363,6 +418,22 @@ def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
                 w -= shift * diff
                 c_edge, d_edge = edge_terms(w)
                 c = inc_s @ c_edge
+        w, c_edge, d_edge, gap = measure()
+        done = converged(w, gap)
+        while sweep > 0 and not done:
+            step = _newton_step(net, x, c_edge, d_edge)
+            if step is None:
+                break
+            kept = x.copy()
+            x[:] = step
+            trial = measure()
+            if trial[-1] >= gap:
+                x[:] = kept
+                break
+            w, c_edge, d_edge, gap = trial
+            done = converged(w, gap)
+    if done:
+        return x, w
     raise ConvergenceError("flow program did not close the duality gap",
                            best=(x, inc @ x), gap=gap)
 

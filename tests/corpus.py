@@ -1,8 +1,10 @@
 """Seeded routing networks that serve as a fixed regression corpus.
 
 ``grid34`` is the 3x4 stress grid of ROADMAP item 1 (17 edges, 16 routes);
-``grid45`` is the same construction on a 4x5 grid. Both carry BPR-style
-degree-4 latencies ``(U(.5,2), U(.5,2), 0, 0, U(.01,.1))`` drawn from
+``grid45`` is the same construction on a 4x5 grid, and ``grid67`` on a 6x7
+grid with the four OD pairs of the ROADMAP's larger grids (71 edges, 910
+routes). All carry BPR-style degree-4 latencies
+``(U(.5,2), U(.5,2), 0, 0, U(.01,.1))`` drawn from
 ``np.random.default_rng(seed)``, edge by edge in row-major node order, the
 right edge of a node before its down edge. ``mixed_degree_network`` mixes
 constant, affine and quartic latencies, so its coefficient columns are
@@ -14,6 +16,13 @@ from incentive_dynamics.routing import LatencyFunction, OdPair, RoutingNetwork
 
 # (origin, destination, demand) of the two OD pairs of ROADMAP item 1
 GRID_ODS = (((0, 0), (2, 3), 3.0), ((0, 1), (2, 3), 2.0))
+
+
+def large_grid_ods(rows: int, cols: int) -> tuple:
+    """The four OD pairs of the ROADMAP's larger grids."""
+    far = (rows - 1, cols - 1)
+    return (((0, 0), far, 3.0), ((0, 1), far, 2.0),
+            ((1, 0), (rows - 1, cols - 2), 2.0), ((0, 2), (rows - 2, cols - 1), 1.0))
 
 
 def grid_paths(edges, origin, destination) -> list:
@@ -30,8 +39,8 @@ def grid_paths(edges, origin, destination) -> list:
     return sorted(paths_from(origin))
 
 
-def grid_network(rows: int, cols: int, seed: int = 0) -> RoutingNetwork:
-    """Right/down grid with seeded degree-4 latencies and the two grid OD pairs."""
+def grid_network(rows: int, cols: int, seed: int = 0, ods=GRID_ODS) -> RoutingNetwork:
+    """Right/down grid with seeded degree-4 latencies; the two grid OD pairs by default."""
     rng = np.random.default_rng(seed)
     nodes = tuple((r, c) for r in range(rows) for c in range(cols))
     edges = []
@@ -42,7 +51,7 @@ def grid_network(rows: int, cols: int, seed: int = 0) -> RoutingNetwork:
                 c4 = rng.uniform(0.01, 0.1)
                 edges.append(((r, c), head, LatencyFunction((c0, c1, 0.0, 0.0, c4))))
     ods = tuple(OdPair(o, d, demand, tuple(grid_paths(edges, o, d)))
-                for o, d, demand in GRID_ODS)
+                for o, d, demand in ods)
     return RoutingNetwork(nodes=nodes, edges=tuple(edges), od_pairs=ods)
 
 
@@ -52,6 +61,11 @@ def grid34(seed: int = 0) -> RoutingNetwork:
 
 def grid45(seed: int = 0) -> RoutingNetwork:
     return grid_network(4, 5, seed)
+
+
+def grid67(seed: int = 0) -> RoutingNetwork:
+    """The ROADMAP's 6x7 grid with its four OD pairs: 71 edges, 910 routes."""
+    return grid_network(6, 7, seed, large_grid_ods(6, 7))
 
 
 def mixed_degree_network() -> RoutingNetwork:

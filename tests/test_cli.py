@@ -73,6 +73,21 @@ def test_gradient_baseline_pigou_uses_finite_differences(tmp_path):
     assert summary["final_social_cost"] == pytest.approx(0.75, abs=1e-6)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rule", {"variant": "gradient"}), ("x0", [0.5, 0.5]), ("record_every", 1),
+    ("convergence_tol", 1e-6),
+])
+def test_gradient_baseline_rejects_the_run_keys_it_ignores(tmp_path, capsys, key, value):
+    cfg = {"game": {"builtin": "two_link"},
+           "run": {"max_iterations": 50, "p0": [1.5, 0.0], key: value},
+           "incentive_update": "gradient_baseline", "output_dir": str(tmp_path / "out")}
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gradient_baseline ignores run key {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 MALFORMED_ANALYSES = [
     ({"op": "ode_probe"}, "ode_probe"),                        # no start_points
     ({"op": "uniqueness_probe"}, "uniqueness_probe"),          # no p
@@ -616,8 +631,7 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
                        QUADRATIC_TERM]),
      "error: table term needs matching 1-d points/grads\n"),
     ("run", {"game": M2_GAME, "run": {"x0": [0.0]}}, "error: x0 is infeasible\n"),
-    ("run", {"game": M2_GAME, "run": {"p0": None}},
-     "error: incentive vector has shape (), expected (2,)\n"),
+    ("run", {"game": M2_GAME, "run": {"p0": None}}, "error: p0 must not be null\n"),
     ("run", braess_with(lambda block: block["edges"][0].update(tail="z")),
      "error: edge (z, a) references unknown nodes\n"),
     ("run", braess_with(lambda block: block.update(od=[])),
@@ -631,7 +645,7 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
     ("run", {"game": {"routing": BRAESS_ROUTING}, "run": {"x0": [0.5, 0.5]}},
      "error: route flow has wrong length\n"),
     ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], x0=None)),
-     "error: route flow has wrong length\n"),
+     "error: x0 must not be null\n"),
     ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], convergence_tol=0)),
      "error: convergence_tol must be positive\n"),
 ], ids=["unknown-op", "global-on-routing", "local-on-routing", "nondegeneracy-on-aggregative",
@@ -657,6 +671,15 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, 
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     if not message.startswith("error in analysis"):  # no run has a record: no output
         assert [p for p in tmp_path.iterdir() if p != path] == []
+
+
+@pytest.mark.parametrize("game, key", [(M2_GAME, "x0"), ({"builtin": "two_link"}, "p0")],
+                         ids=["aggregative-x0", "routing-p0"])
+def test_a_null_start_is_named(tmp_path, capsys, game, key):
+    cfg = {"game": game, "run": {key: None}, "output_dir": str(tmp_path / "out")}
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {key} must not be null\n"
+    assert not (tmp_path / "out").exists()
 
 
 # where each job stage is entered: the config step, the coupled run, an analysis

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, grid34, grid45
+from corpus import CORPUS, grid34, grid45, grid67
 from incentive_dynamics import numdiff, routing
 from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
@@ -407,9 +407,9 @@ def test_wardrop_constant_links_moves_all_flow():
 
 
 def flow_program_reference(net, edge_cost, edge_cost_deriv, objective, tol, x0, max_iter):
-    """routing's flow-program solver as it was before it cached its per-OD
-    blocks on the network: slices, demands and incidence rows are built on
-    every call, and the objective is evaluated at every gap test."""
+    """routing's flow-program solver before its Newton steps: pairwise sweeps
+    only, with slices, demands and incidence rows built on every call and
+    the objective evaluated at every gap test."""
     inc = net.incidence
     x = net.uniform_route_flow() if x0 is None else np.maximum(net.check_route_flow(x0), 0.0)
     blocks = [(x[s], inc[:, s].T.copy(), m) for s, m in zip(net.route_slices, net.demands)]
@@ -453,25 +453,49 @@ def system_optimum_reference(net, x0=None):
         lambda w: total_latency_cost(net, w), 1e-10, x0, 200000)
 
 
+def _gap_passes(net, x, w, edge_cost, objective, tol=1e-10):
+    """The solver's stop rule: relative duality gap of route flow x within tol."""
+    c = net.incidence.T @ edge_cost(w)
+    gap = sum(c[s] @ x[s] - od.demand * c[s].min()
+              for s, od in zip(net.route_slices, net.od_pairs))
+    return gap <= tol * max(1.0, abs(objective(w)))
+
+
+def _flow_cases(net, p):
+    """(solve, reference, edge cost, objective) of the Wardrop and system-optimum programs."""
+    return (
+        (lambda x0: wardrop_equilibrium(net, p, x0=x0), lambda x0: wardrop_reference(net, p, x0),
+         lambda w: net.latency(w) + p, lambda w: beckmann_potential(net, w, p)),
+        (lambda x0: system_optimum(net, x0=x0), lambda x0: system_optimum_reference(net, x0),
+         lambda w: net.latency(w) + w * net.latency_deriv(w),
+         lambda w: total_latency_cost(net, w)),
+    )
+
+
 @pytest.mark.parametrize("name", [*FIXTURES, *CORPUS])
 def test_flow_solves_match_per_call_reference(name):
+    """Edge flows within 1e-8 of the sweep-only reference, and a route flow
+    that passes the relative-gap test; route flows are not unique."""
     net = load_fixture(name) if name in FIXTURES else CORPUS[name]()
     rng = np.random.default_rng(8)
     for x0 in (None, net.random_start(rng)):
         for p in (np.zeros(net.n_edges), rng.uniform(0.0, 1.0, net.n_edges)):
-            for new, ref in ((wardrop_equilibrium(net, p, x0=x0), wardrop_reference(net, p, x0)),
-                             (system_optimum(net, x0=x0), system_optimum_reference(net, x0))):
-                for a, b in zip(new, ref):
-                    np.testing.assert_array_equal(a, b, strict=True)
+            for solve, reference, edge_cost, objective in _flow_cases(net, p):
+                x, w = solve(x0)
+                net.check_route_flow(x)
+                np.testing.assert_allclose(w, net.incidence @ x, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(w, reference(x0)[1], rtol=0, atol=1e-8)
+                assert _gap_passes(net, x, w, edge_cost, objective)
 
 
 @pytest.mark.parametrize("solve, passes", [
-    (lambda net: wardrop_equilibrium(net, np.zeros(net.n_edges)), 248),
-    (system_optimum, 321),
+    (lambda net: wardrop_equilibrium(net, np.zeros(net.n_edges)), 37),
+    (system_optimum, 39),
 ])
 def test_flow_solves_make_one_kernel_pass_per_shift(monkeypatch, solve, passes):
-    """Latency-kernel passes of a cold grid34 solve: one per sweep start, one
-    per shift and one per objective evaluation; a second pass per shift fails."""
+    """Latency-kernel passes of a cold grid34 solve: one per shift, one per
+    gap (the start, each sweep and each Newton step) and one per objective
+    evaluation; a second pass per shift fails."""
     kernel, calls = routing._column_horner, []
 
     def counted(rows, w):
@@ -483,6 +507,96 @@ def test_flow_solves_make_one_kernel_pass_per_shift(monkeypatch, solve, passes):
     calls.clear()
     solve(net)
     assert len(calls) == passes
+
+
+def test_newton_step_is_shortened_to_keep_flows_nonnegative():
+    """Two unit-slope links at x = (0.9, 0.1) with tolls (2, 0): the full step
+    moves (c_1 - c_0) / 2 = -1.4 onto link 0, which would leave it -0.5; the
+    step stops where link 0 empties."""
+    net = two_link_network()
+    x, p = np.array([0.9, 0.1]), np.array([2.0, 0.0])
+    w = net.incidence @ x
+    step = routing._newton_step(net, x, net.latency(w) + p, net.latency_deriv(w))
+    np.testing.assert_array_equal(step, [0.0, 1.0])
+
+
+def bpr_two_link():
+    """Two BPR links t0 (1 + 0.15 w^4), t0 = 1 and 1.2, unit demand: the
+    dearer link is unused at the Wardrop equilibrium, where its l'(0) = 0."""
+    bpr = lambda t0: LatencyFunction((t0, 0.0, 0.0, 0.0, 0.15 * t0))
+    return RoutingNetwork(nodes=("S", "D"), edges=(("S", "D", bpr(1.0)), ("S", "D", bpr(1.2))),
+                          od_pairs=(OdPair("S", "D", 1.0, ((0,), (1,))),))
+
+
+def test_newton_step_takes_a_singular_d():
+    net = bpr_two_link()
+    x = np.array([0.0, 1.0])  # the cheap link is empty: l'(0) = 0 there
+    w = net.incidence @ x
+    d = net.latency_deriv(w)
+    assert d[0] == 0.0
+    step = routing._newton_step(net, x, net.latency(w), d)
+    assert np.isfinite(step).all() and (step >= 0.0).all() and step[0] > 0.0
+    assert step.sum() == pytest.approx(1.0, abs=1e-15)
+    for x0 in (None, x, x[::-1]):
+        for solve, reference, edge_cost, objective in _flow_cases(net, np.zeros(2)):
+            x_new, w_new = solve(x0)
+            np.testing.assert_allclose(w_new, reference(x0)[1], rtol=0, atol=1e-8)
+            assert _gap_passes(net, x_new, w_new, edge_cost, objective)
+        np.testing.assert_array_equal(wardrop_equilibrium(net, np.zeros(2), x0=x0)[1], [1.0, 0.0])
+
+
+def test_grid67_solves_match_the_reference_within_a_pass_budget(monkeypatch):
+    """The ROADMAP's 6x7 grid (71 edges, 910 routes), cold and warm, at zero
+    and random tolls and at the system optimum: edge flows within 1e-8 of the
+    sweep-only reference, at most 2 000 kernel passes a solve (the solves
+    take 1 250-1 670; the reference, which evaluates latencies and slopes
+    apart, makes 8 200-26 400), and at least one Newton step shortened by a
+    route that empties."""
+    net = grid67()
+    rng = np.random.default_rng(8)
+    kernel, newton, passes, shortened = routing._column_horner, routing._newton_step, [], []
+
+    def counted(rows, w):
+        passes.append(1)
+        return kernel(rows, w)
+
+    def watched(net, x, c_edge, d_edge):
+        step = newton(net, x, c_edge, d_edge)
+        if step is not None and np.any((x > 0.0) & (step == 0.0)):
+            shortened.append(1)
+        return step
+
+    x0s = (None, net.random_start(rng))
+    for p in (np.zeros(net.n_edges), rng.uniform(0.0, 1.0, net.n_edges)):
+        for case, (solve, reference, edge_cost, objective) in enumerate(_flow_cases(net, p)):
+            if case == 1 and p.any():  # the system optimum takes no tolls
+                continue
+            for x0 in x0s:
+                monkeypatch.setattr(routing, "_column_horner", counted)
+                monkeypatch.setattr(routing, "_newton_step", watched)
+                passes.clear()
+                x, w = solve(x0)
+                assert len(passes) <= 2000
+                monkeypatch.undo()
+                np.testing.assert_allclose(w, reference(x0)[1], rtol=0, atol=1e-8)
+                assert _gap_passes(net, x, w, edge_cost, objective)
+    assert shortened
+
+
+@pytest.mark.parametrize("name, verdicts", [
+    ("two_link", ("pass", "pass", "pass")),
+    ("pigou", ("fail", "pass", "pass")),
+    ("braess", ("pass", "pass", "pass")),
+    ("grid34", ("pass", "pass", "pass")),
+    ("grid45", ("pass", "pass", "pass")),
+    ("mixed_degree", ("pass", "pass", "pass")),
+])
+def test_nondegeneracy_verdicts_at_zero_optimal_and_random_tolls(name, verdicts):
+    """The verdicts that the sweep-only solver gave, pinned."""
+    net = load_fixture(name) if name in FIXTURES else CORPUS[name]()
+    tolls = (np.zeros(net.n_edges), optimal_edge_tolls(net),
+             np.random.default_rng(5).uniform(0.0, 1.0, net.n_edges))
+    assert tuple(routing.nondegeneracy_check(net, p) for p in tolls) == verdicts
 
 
 def test_route_slices_and_demands_are_fresh_copies():
