@@ -15,7 +15,7 @@ from .analysis import (OdeProbeConfig, SlowSystem, multistart_uniqueness_probe,
                        run_gradient_baseline, slow_system,
                        verify_fixed_point_optimality)
 from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
-                       TrajectoryRecord, fixed_point_residual, run_coupled)
+                       TrajectoryRecord, run_coupled)
 from .errors import (ConvergenceError, EvaluationError, GameError,
                      InconsistencyError, InvalidArgumentError, SpecError)
 from .games import (AtomicGame, NonAtomicGame, certify_nash_atomic,

@@ -61,6 +61,7 @@ def verify_fixed_point_optimality(obj, p=None, tol: float = 1e-6) -> dict:
     independently computed social optimum (skipped when it has none). ``p``
     defaults to p† = e(x_opt), the externality at that optimum.
     """
+    games.check_tolerance(tol)
     model = strategy_model(obj)
     x_opt = model.known_optimum()
     if p is None:
@@ -92,8 +93,9 @@ class OdeProbeConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.step <= 0 or self.horizon <= self.step:
-            raise InvalidArgumentError("need 0 < step < horizon")
+        if not (0 < self.step < self.horizon and np.isfinite(self.horizon / self.step)):
+            raise InvalidArgumentError("need 0 < step < horizon with finite horizon / step")
+        games.check_tolerance(self.tol)
 
 
 def ode_probe_slow_dynamics(obj, start_points,
@@ -138,6 +140,7 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
     scalar slow map has no off-diagonal entry, so cooperativity holds
     vacuously there and ``offdiag_min`` is None.
     """
+    games.check_tolerance(tol)
     if len(p_samples) == 0:
         raise InvalidArgumentError("condition C1 needs at least one incentive sample")
     model = strategy_model(obj)
@@ -179,6 +182,7 @@ def check_condition_C2(obj, weight, p_samples, tol: float = 1e-10) -> dict:
     Samples within 1e-12 of p† are skipped; with none left the check has no
     evidence and raises ``InvalidArgumentError``. A NaN decrement fails it.
     """
+    games.check_tolerance(tol)
     model = strategy_model(obj)
     sys = slow_system(model)
     pd = model.optimal_incentive()
@@ -203,16 +207,16 @@ def check_condition_C2(obj, weight, p_samples, tol: float = 1e-10) -> dict:
 # Gradient baseline
 # ---------------------------------------------------------------------------
 
-def equilibrium_cost_gradient(obj, p, step: float = 1e-4) -> np.ndarray:
-    """Finite-difference gradient of p -> social cost at equilibrium x*(p)."""
+def equilibrium_cost_gradient(obj, p) -> np.ndarray:
+    """Finite-difference gradient of p -> social cost at x*(p), step 1e-4 (1 + |p|)."""
     sys = slow_system(obj)
     p = np.asarray(p, dtype=float)
-    h = step * (1.0 + np.linalg.norm(p))
+    h = 1e-4 * (1.0 + np.linalg.norm(p))
     return numdiff.central_gradient(sys.equilibrium_social_cost, p, step=h)
 
 
 def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
-                          max_iterations: int = 2000, step: float = 1e-4,
+                          max_iterations: int = 2000,
                           gradient: Optional[Callable] = None) -> TrajectoryRecord:
     """Descend the equilibrium social cost directly in the incentive.
 
@@ -223,7 +227,7 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
     model = strategy_model(obj)
     x_star = slow_system(model).equilibrium
     p = np.asarray(p0, dtype=float).copy()
-    grad = gradient or (lambda q: equilibrium_cost_gradient(model, q, step))
+    grad = gradient or (lambda q: equilibrium_cost_gradient(model, q))
     record = TrajectoryRecord()
     for k in range(max_iterations):
         g = np.asarray(grad(p), float)
@@ -273,6 +277,7 @@ def reproduce_counterexample(grid: int = 41, tol: float = 1e-6) -> dict:
     baseline run, the successful externality-driven runs, and grid data for
     plotting.
     """
+    games.check_tolerance(tol)
     net = routing.two_link_network()
     lo, hi = -2.0, 2.0
     values = np.linspace(lo, hi, grid)

@@ -278,25 +278,12 @@ def run_experiment(config_path, out_dir=None) -> int:
     return 0
 
 
-class _Transcript(io.TextIOBase):
-    """A text stream that appends each write to ``log`` as ``(name, text)``."""
-
-    def __init__(self, log: list, name: str):
-        self.log, self.name = log, name
-
-    def write(self, text: str) -> int:
-        self.log.append((self.name, text))
-        return len(text)
-
-
 def _run_captured(job: tuple) -> tuple:
-    """``run_experiment(*job)`` with its stdout and stderr captured in write order:
-    ``(exit code, [(stream name, text), ...])``."""
-    log = []
-    with redirect_stdout(_Transcript(log, "stdout")), \
-            redirect_stderr(_Transcript(log, "stderr")):
+    """``run_experiment(*job)`` with its output captured: ``(exit code, stdout, stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = run_experiment(*job)
-    return code, log
+    return code, out.getvalue(), err.getvalue()
 
 
 def _usable_cpus() -> int:
@@ -323,11 +310,12 @@ def _output_clash(jobs: list):
 
 
 def _replay(results) -> int:
-    """Write each run's captured messages, in job order; return the worst exit code."""
+    """Write each run's captured stderr, then its stdout (only ever its last line),
+    in job order, as a sequential run would; return the worst exit code."""
     worst = 0
-    for code, log in results:
-        for name, text in log:
-            getattr(sys, name).write(text)
+    for code, out, err in results:
+        sys.stderr.write(err)
+        sys.stdout.write(out)
         worst = max(worst, code)
     return worst
 

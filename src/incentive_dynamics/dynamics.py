@@ -44,6 +44,14 @@ def _positive_int(value, name: str) -> int:
     return whole
 
 
+def _check_positive(value, name: str) -> None:
+    """Raise unless ``value`` is a finite number > 0: NaN and inf fail."""
+    if not math.isfinite(value):
+        raise SpecError(f"{name} must be finite")
+    if value <= 0:
+        raise SpecError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Polynomially decaying step sizes gamma_k = gamma0 (k+offset)^-a etc.
@@ -98,8 +106,8 @@ class StrategyUpdateRule:
             raise SpecError(f"unknown strategy rule {self.variant!r}")
         if self.regularizer not in ("quadratic", "entropy"):
             raise SpecError(f"unknown regularizer {self.regularizer!r}")
-        if self.eta is not None and self.eta <= 0:
-            raise SpecError("inner step size eta must be positive")
+        if self.eta is not None:
+            _check_positive(self.eta, "inner step size eta")
 
 
 @dataclass(frozen=True)
@@ -113,8 +121,7 @@ class RunConfig:
     def __post_init__(self):
         for name in ("max_iterations", "record_every"):
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
-        if self.convergence_tol <= 0:
-            raise SpecError("convergence_tol must be positive")
+        _check_positive(self.convergence_tol, "convergence_tol")
 
 
 @dataclass
@@ -221,13 +228,6 @@ def externality(model, x):
     return model.externality(x)
 
 
-def fixed_point_residual(game, x, p, rule: StrategyUpdateRule) -> float:
-    x = np.asarray(x, dtype=float)
-    f = strategy_target(game, x, p, rule)
-    e = externality(game, x)
-    return float(game.strategy_gap(f, x) + np.abs(e - np.asarray(p, float)).max())
-
-
 def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     """Iterate the coupled updates until the fixed-point residual settles.
 
@@ -249,10 +249,7 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     record = TrajectoryRecord()
     ks, xs, ps = record.ks, record.xs, record.ps
     residuals, social_costs = record.residuals, record.social_costs
-    sched = config.schedule
-    # the expressions of StepSchedule.gamma and .beta
-    gamma0, beta0, offset = sched.gamma0, sched.beta0, sched.offset
-    neg_a, neg_b = -sched.a, -sched.b
+    gamma, beta = config.schedule.gamma, config.schedule.beta
     record_every, tol = config.record_every, config.convergence_tol
     last = config.max_iterations
     hits = 0
@@ -272,7 +269,6 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
                 record.converged = residual <= tol
                 record.iterations = k
                 return record
-        gamma = gamma0 * (k + offset) ** neg_a
-        beta = beta0 * (k + offset) ** neg_b
-        x = (1.0 - gamma) * x + gamma * f
-        p = (1.0 - beta) * p + beta * e
+        gamma_k, beta_k = gamma(k), beta(k)
+        x = (1.0 - gamma_k) * x + gamma_k * f
+        p = (1.0 - beta_k) * p + beta_k * e

@@ -112,10 +112,16 @@ def check_incentive(p, n: int) -> Array:
     return p
 
 
-def sampled_lipschitz(grad: VectorOracle, draw: Callable[[], Array], samples: int = 32) -> float:
-    """Crude sampled bound on the Lipschitz constant of ``grad`` over ``draw()`` points."""
+def check_tolerance(tol) -> None:
+    """Raise unless an analysis tolerance is finite and positive (NaN fails every ``<=``)."""
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError("tol must be finite and positive")
+
+
+def sampled_lipschitz(grad: VectorOracle, draw: Callable[[], Array]) -> float:
+    """Crude bound on the Lipschitz constant of ``grad`` from 32 pairs of ``draw()`` points."""
     best = 0.0
-    for _ in range(samples):
+    for _ in range(32):
         x, y = draw(), draw()
         d = np.linalg.norm(x - y)
         if d > 1e-12:
@@ -196,6 +202,8 @@ class AtomicGame:
 
     def check_start(self, x0, p0) -> tuple:
         x = np.asarray(x0, dtype=float)
+        if not np.isfinite(x).all():  # infinite bounds admit inf
+            raise InvalidArgumentError("x0 must be finite")
         if not self.is_feasible(x):
             raise InvalidArgumentError("x0 is infeasible")
         return x, check_incentive(p0, self.n_players)

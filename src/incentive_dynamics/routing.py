@@ -28,8 +28,8 @@ import numpy as np
 from .dynamics import RunConfig, TrajectoryRecord, run_coupled
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
-from .games import (NonAtomicGame, check_incentive, project_blocks, random_blocks,
-                    simplex_target)
+from .games import (NonAtomicGame, check_incentive, check_tolerance, project_blocks,
+                    random_blocks, simplex_target)
 
 DEFAULT_GAP_TOL = 1e-10
 MAX_PATH_NODES = 12
@@ -470,12 +470,12 @@ def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
     return _solve_flow_program(net, terms, obj, tol, x0, max_iter)
 
 
-def optimal_edge_tolls(net: RoutingNetwork, tol: float = 1e-8) -> np.ndarray:
-    """Marginal-cost tolls at the system optimum, cross-checked in equilibrium."""
-    _, w_opt = system_optimum(net, tol=min(tol, DEFAULT_GAP_TOL))
+def optimal_edge_tolls(net: RoutingNetwork) -> np.ndarray:
+    """Marginal-cost tolls at the system optimum, cross-checked in equilibrium to 1e-7."""
+    _, w_opt = system_optimum(net)
     p = edge_externality(net, w_opt)
     _, w_eq = wardrop_equilibrium(net, p)
-    if np.max(np.abs(w_eq - w_opt)) > max(tol, 1e-7):
+    if np.max(np.abs(w_eq - w_opt)) > 1e-7:
         raise InconsistencyError(
             "tolled equilibrium does not reproduce the system optimum "
             f"(deviation {np.max(np.abs(w_eq - w_opt)):.3g})")
@@ -492,6 +492,7 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
     up. The equilibrium route flows form a convex set, so the average is one
     too and uses every route that any start uses.
     """
+    check_tolerance(tol)
     if n_starts < 2:
         raise InvalidArgumentError("the nondegeneracy check needs at least two starts")
     rng = np.random.default_rng(seed)
@@ -526,10 +527,10 @@ def delta_matrix(net: RoutingNetwork, w_opt) -> np.ndarray:
     return np.diag(1.0 / denom)
 
 
-def flow_monotonicity_check(net: RoutingNetwork, p, p2, tol: float = DEFAULT_GAP_TOL) -> float:
+def flow_monotonicity_check(net: RoutingNetwork, p, p2) -> float:
     """(p - p') . (w*(p) - w*(p')); nonpositive for monotone latencies."""
-    _, w1 = wardrop_equilibrium(net, p, tol=tol)
-    _, w2 = wardrop_equilibrium(net, p2, tol=tol)
+    _, w1 = wardrop_equilibrium(net, p)
+    _, w2 = wardrop_equilibrium(net, p2)
     diff = np.asarray(p, float) - np.asarray(p2, float)
     return float(diff @ (w1 - w2))
 

@@ -181,6 +181,30 @@ def test_ode_probe_config_validation():
         OdeProbeConfig(step=1.0, horizon=0.5)
 
 
+@pytest.mark.parametrize("values", [
+    {"horizon": np.inf}, {"horizon": np.nan}, {"step": np.nan}, {"step": np.inf},
+    {"step": 5e-324},  # the step count horizon / step overflows
+    {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": -1.0},
+])
+def test_ode_probe_config_needs_finite_values(values):
+    with pytest.raises(InvalidArgumentError):
+        OdeProbeConfig(**values)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_analysis_tolerances_must_be_finite_and_positive(tol):
+    spec = example_spec(zeta=(1.0, 2.0))
+    checks = [
+        lambda: verify_fixed_point_optimality(spec, tol=tol),
+        lambda: check_condition_C1(spec, [np.zeros(2)], tol=tol),
+        lambda: check_condition_C2(spec, np.eye(2), [np.zeros(2)], tol=tol),
+        lambda: reproduce_counterexample(grid=3, tol=tol),
+    ]
+    for check in checks:
+        with pytest.raises(InvalidArgumentError, match="tol must be finite and positive"):
+            check()
+
+
 # ---------------------------------------------------------------------------
 # structural conditions
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import io
 import json
 import multiprocessing
 import os
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +306,39 @@ def test_directory_run_on_workers_matches_one_cpu(tmp_path, monkeypatch, capsys)
     assert "b_pass/analysis/00_verify_fixed_point_optimality.json" in tree
 
 
+def test_directory_run_into_one_stream_reads_as_its_configs_run_in_order(tmp_path, monkeypatch):
+    configs, out = tmp_path / "configs", tmp_path / "out"
+    configs.mkdir()
+    write_config(configs / "a_failed_check.json",
+                 {"game": {"builtin": "pigou"}, "run": TWO_LINK_RUN["run"],
+                  "analyses": [{"op": "nondegeneracy"}]})
+    write_config(configs / "b_pass.json",
+                 dict(TWO_LINK_RUN, analyses=[{"op": "verify_fixed_point_optimality"}]))
+    write_config(configs / "c_invalid.json", {"game": {"builtin": "mystery"}})
+    write_config(configs / "d_no_convergence.json",
+                 dict(TWO_LINK_RUN, run={"max_iterations": 5, "convergence_tol": 1e-12}))
+    write_config(configs / "e_pass.json", TWO_LINK_RUN)
+
+    def one_stream(job, *args):
+        stream = io.StringIO()
+        with redirect_stdout(stream), redirect_stderr(stream):
+            code = job(*args)
+        return code, stream.getvalue()
+
+    expected = [one_stream(cli.run_experiment, c, out / c.stem)
+                for c in sorted(configs.glob("*.json"))]
+    tree = output_tree(out)
+    shutil.rmtree(out)
+    for cpus in (4, 1):
+        use_cpus(monkeypatch, cpus)
+        code, text = one_stream(cli.main, ["run", "--config", str(configs), "--out", str(out)])
+        assert code == max(code for code, _ in expected) == 2
+        assert text == "".join(text for _, text in expected)
+        assert output_tree(out) == tree
+        shutil.rmtree(out)
+    assert [code for code, _ in expected] == [2, 0, 1, 2, 0]
+
+
 def test_directory_run_reports_unreadable_configs_in_order(tmp_path, monkeypatch, capsys):
     # without --out an unreadable config has no output directory to compare
     configs = tmp_path / "configs"
@@ -578,6 +613,27 @@ def braess_with(spoil):
     return {"game": {"routing": block}}
 
 
+def with_rule(game, **rule):
+    return {"game": game, "run": {"rule": dict(variant="gradient", **rule)}}
+
+
+def ode_probe(**config):
+    return {"game": {"builtin": "two_link"},
+            "analyses": [{"op": "ode_probe", "start_points": [[0.0, 0.0]], "config": config}]}
+
+
+# analyses that take a tolerance, each with the values that must exit 1 on Pigou: at
+# zero tolls its nondegeneracy check fails with the default tol
+TOL_ANALYSES = [
+    ({"op": "nondegeneracy"}, [float("nan"), 0, -1]),
+    ({"op": "verify_fixed_point_optimality"}, [float("nan")]),
+    ({"op": "condition_c1", "p_samples": [[0.0, 0.0]]}, [float("nan")]),
+    ({"op": "condition_c2", "p_samples": [[0.0, 0.0]], "weight": [[1.0, 0.0], [0.0, 1.0]]},
+     [float("nan")]),
+    ({"op": "counterexample", "grid": 3}, [float("nan")]),
+]
+
+
 def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
     # samples of y - zeta at -20 and 20 interpolate the quadratic term's gradient
     table = [{"kind": "table", "points": [-20.0, 20.0], "grads": [-20.0 - z, 20.0 - z]}
@@ -648,6 +704,23 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
      "error: x0 must not be null\n"),
     ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], convergence_tol=0)),
      "error: convergence_tol must be positive\n"),
+    ("run", with_rule({"builtin": "braess"}, eta=float("nan")),
+     "error: inner step size eta must be finite\n"),
+    ("run", with_rule({"builtin": "braess"}, eta=float("inf")),
+     "error: inner step size eta must be finite\n"),
+    ("run", with_rule(M2_GAME, eta=float("nan")), "error: inner step size eta must be finite\n"),
+    ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], convergence_tol=float("nan"))),
+     "error: convergence_tol must be finite\n"),
+    ("verify", ode_probe(horizon=float("inf")),
+     "error in analysis 'ode_probe': need 0 < step < horizon with finite horizon / step\n"),
+    ("verify", ode_probe(step=float("nan")),
+     "error in analysis 'ode_probe': need 0 < step < horizon with finite horizon / step\n"),
+    ("verify", ode_probe(tol=float("nan")),
+     "error in analysis 'ode_probe': tol must be finite and positive\n"),
+    ("run", {"game": M2_GAME, "run": {"x0": [float("inf"), 0.0]}}, "error: x0 must be finite\n"),
+    *[("verify", {"game": {"builtin": "pigou"}, "analyses": [dict(item, tol=tol)]},
+       f"error in analysis '{item['op']}': tol must be finite and positive\n")
+      for item, tols in TOL_ANALYSES for tol in tols],
 ], ids=["unknown-op", "global-on-routing", "local-on-routing", "nondegeneracy-on-aggregative",
         "empty-directory", "verify-no-analyses", "config-not-object", "game-not-object",
         "game-unknown-kind", "run-unreadable", "verify-unreadable", "fractional-record-every",
@@ -656,7 +729,10 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
         "aggregative-table-flat", "aggregative-table-shapes", "aggregative-x0-length",
         "aggregative-p0-null", "routing-unknown-node", "routing-no-od", "routing-od-no-routes",
         "routing-empty-route", "routing-unknown-edge", "routing-x0-length", "routing-x0-null",
-        "zero-convergence-tol"])
+        "zero-convergence-tol", "routing-eta-nan", "routing-eta-inf", "aggregative-eta-nan",
+        "convergence-tol-nan", "ode-horizon-inf", "ode-step-nan", "ode-tol-nan",
+        "aggregative-x0-inf",
+        *[f"{item['op']}-tol-{tol}" for item, tols in TOL_ANALYSES for tol in tols]])
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, message):
     path = tmp_path / "c.json"
     if config == EMPTY_DIRECTORY:

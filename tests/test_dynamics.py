@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from incentive_dynamics.aggregative import QuadraticAggregativeSpec
 from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedule,
                                          StrategyUpdateRule, TrajectoryRecord,
-                                         externality, fixed_point_residual,
-                                         resolve_eta, run_coupled,
+                                         externality, resolve_eta, run_coupled,
                                          strategy_target, strict_json)
 from incentive_dynamics.errors import InvalidArgumentError, SpecError
 from incentive_dynamics.routing import braess_network, nonatomic_view
@@ -72,6 +71,14 @@ def test_rule_validation():
         StrategyUpdateRule(eta=-1.0)
     with pytest.raises(SpecError):
         StrategyUpdateRule(regularizer="cubic")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_run_numbers_are_rejected(bad):
+    with pytest.raises(SpecError, match="eta must be finite"):
+        StrategyUpdateRule("gradient", eta=bad)
+    with pytest.raises(SpecError, match="convergence_tol must be finite"):
+        RunConfig(convergence_tol=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +162,15 @@ def test_step_incentive_values():
 # residual
 # ---------------------------------------------------------------------------
 
+def start_residual(game, x0, p0, rule):
+    """The fixed-point residual at the start, as ``run_coupled`` records it."""
+    return run_coupled(game, x0, p0, RunConfig(rule=rule, max_iterations=1)).residuals[0]
+
+
 def test_fixed_point_residual_at_fixed_point():
     g = two_link_game()
-    r = fixed_point_residual(g, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                             StrategyUpdateRule("equilibrium"))
+    r = start_residual(g, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+                       StrategyUpdateRule("equilibrium"))
     assert r <= 1e-9
 
 
@@ -166,20 +178,19 @@ def test_fixed_point_residual_off_fixed_point():
     # x*(0) = (0.5, 0.5) and e((1,0)) = (1, 0), so the residual is
     # ||(0.5,0.5)-(1,0)||_inf + ||(1,0)-(0,0)||_inf = 0.5 + 1.0
     g = two_link_game()
-    r = fixed_point_residual(g, np.array([1.0, 0.0]), np.zeros(2),
-                             StrategyUpdateRule("equilibrium"))
+    r = start_residual(g, np.array([1.0, 0.0]), np.zeros(2),
+                       StrategyUpdateRule("equilibrium"))
     assert r == pytest.approx(1.5, abs=1e-8)
 
 
 def test_fixed_point_residual_resolves_the_default_gradient_step():
-    # run_coupled resolves eta before its loop; strategy_target does it itself
+    # run_coupled resolves eta before its loop, to 0.9 over the cost Lipschitz bound
     g = aggregative_game([1.0, 2.0], [[0, 1], [1, 0]], 0.5, [0.3, -0.2])
     x0, p0 = np.array([0.4, -0.1]), np.array([0.2, 0.1])
-    rule = StrategyUpdateRule("gradient")
-    record = run_coupled(g, x0, p0, RunConfig(rule=rule, max_iterations=1))
-    assert fixed_point_residual(g, x0, p0, rule) == record.residuals[0]
-    other_step = StrategyUpdateRule("gradient", eta=0.1)
-    assert fixed_point_residual(g, x0, p0, other_step) != record.residuals[0]
+    default = start_residual(g, x0, p0, StrategyUpdateRule("gradient"))
+    explicit = StrategyUpdateRule("gradient", eta=resolve_eta(g, StrategyUpdateRule()))
+    assert start_residual(g, x0, p0, explicit) == default
+    assert start_residual(g, x0, p0, StrategyUpdateRule("gradient", eta=0.1)) != default
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +380,8 @@ def run_coupled_reference(game, x0, p0, config):
         gamma, beta = sched.gamma(k), sched.beta(k)
         x = (1.0 - gamma) * x + gamma * f
         p = (1.0 - beta) * p + beta * e
-    residual = fixed_point_residual(game, x, p, rule)
+    f, e = strategy_target(game, x, p, rule), externality(game, x)
+    residual = float(game.strategy_gap(f, x) + np.abs(e - p).max())
     record.append(config.max_iterations, x, p, residual, game.social(x))
     record.iterations = config.max_iterations
     record.converged = residual <= config.convergence_tol

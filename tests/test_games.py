@@ -126,6 +126,14 @@ def test_check_incentive_rejects_nonfinite(bad):
             game.check_start(game.uniform_point(), [0.0, bad])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_atomic_check_start_rejects_a_nonfinite_start(bad):
+    # the strategies are unbounded, so inf lies within the bounds
+    game = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
+    with pytest.raises(InvalidArgumentError, match="x0 must be finite"):
+        game.check_start([bad, 0.0], [0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # externalities
 # ---------------------------------------------------------------------------

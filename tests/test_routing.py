@@ -298,6 +298,13 @@ def test_nonfinite_tolls_are_rejected(bad):
         routing.nondegeneracy_check(net, tolls)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_nondegeneracy_tolerance_must_be_finite_and_positive(tol):
+    # a tolerance of 0 or below marks no route minimum-cost, so Pigou's fail would pass
+    with pytest.raises(InvalidArgumentError, match="tol must be finite and positive"):
+        routing.nondegeneracy_check(routing.pigou_network(), np.zeros(2), tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # equilibrium and optimum
 # ---------------------------------------------------------------------------
