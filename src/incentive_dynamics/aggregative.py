@@ -4,15 +4,11 @@ Player i pays ``0.5 q_i x_i^2 + alpha x_i (A x)_i`` plus the incentive term;
 the operator's cost is separable, ``sum_i h_i(x_i)``, with the classic
 squared-distance-to-target form as the default. Everything here has closed
 forms through ``M = Q + alpha A``.
-
-scipy is imported when the first spec factors M, not with this module, so
-routing-only runs and the CLI start without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,6 +120,8 @@ class QuadraticAggregativeSpec:
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         A = np.asarray(self.A, dtype=float)
         n = q.size
+        if n == 0:
+            raise SpecError("a spec needs at least one player")
         _require_finite(q, "q")
         if np.any(q <= 0):
             raise SpecError("all q_i must be strictly positive")
@@ -164,13 +162,11 @@ class QuadraticAggregativeSpec:
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise SpecError("M invertibility check failed: M = Q + alpha A is "
                             f"numerically singular (cond={cond:.3g})")
-        # scipy loads here, once, with the first valid spec
-        from scipy.linalg import lu_factor
-        from scipy.linalg.lapack import dgetrs
+        M_inv = np.linalg.inv(M)
+        M_inv.setflags(write=False)  # certificate_weight hands out a view
         object.__setattr__(self, "_M", M)
+        object.__setattr__(self, "_M_inv", M_inv)
         object.__setattr__(self, "_lipschitz", float(s[0]))
-        object.__setattr__(self, "_lu", lu_factor(M))
-        object.__setattr__(self, "_getrs", dgetrs)
         # Quadratic and quartic terms are evaluated as arrays; any other term
         # (a table, a user object) is called per player on its own index.
         # float_power matches the terms' scalar ``**`` bitwise, where array
@@ -190,12 +186,6 @@ class QuadraticAggregativeSpec:
     @property
     def M(self) -> np.ndarray:
         return self._M
-
-    @cached_property
-    def _M_inv(self) -> np.ndarray:
-        inv = np.linalg.inv(self._M)
-        inv.setflags(write=False)  # certificate_weight hands out a view
-        return inv
 
     def certificate_weight(self) -> np.ndarray:
         """The weight W = M^-T of the quadratic certificate (p - p†)^T W (p - p†)."""
@@ -274,14 +264,9 @@ def nash_closed_form(spec: QuadraticAggregativeSpec, p) -> np.ndarray:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.size != spec.n:
         raise InvalidArgumentError("incentive vector has wrong length")
-    # the LAPACK call of scipy.linalg.lu_solve, without its per-call wrapper
     if not np.logical_and.reduce(np.isfinite(p), axis=None):
         raise ValueError("array must not contain infs or NaNs")
-    lu, piv = spec._lu
-    x, info = spec._getrs(lu, piv, -p, overwrite_b=True)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-    return x
+    return spec._M_inv @ -p
 
 
 def optimal_incentive(spec: QuadraticAggregativeSpec) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import aggregative as agg
 from . import games, numdiff, routing
-from .dynamics import RunConfig, StepSchedule, StrategyUpdateRule, TrajectoryRecord
+from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule, TrajectoryRecord,
+                       _positive_int)
 from .errors import InvalidArgumentError
 
 
@@ -278,6 +279,7 @@ def reproduce_counterexample(grid: int = 41, tol: float = 1e-6) -> dict:
     plotting.
     """
     games.check_tolerance(tol)
+    grid = _positive_int(grid, "grid")
     net = routing.two_link_network()
     lo, hi = -2.0, 2.0
     values = np.linspace(lo, hi, grid)
@@ -352,10 +354,11 @@ def multistart_uniqueness_probe(obj, p, n_starts: int = 8, seed: int = 0) -> dic
     flows (route decompositions are legitimately non-unique); the solutions
     are strategies, route flows for routing. Fewer than two starts raise.
     """
+    n_starts = _positive_int(n_starts, "n_starts")
     if n_starts < 2:
         raise InvalidArgumentError("the uniqueness probe needs at least two starts")
     model = strategy_model(obj)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_positive_int(seed, "seed", least=0))
     p = np.asarray(p, dtype=float)
     solutions = [model.target(model.random_start(rng), p, StrategyUpdateRule())
                  for _ in range(n_starts)]

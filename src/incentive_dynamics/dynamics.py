@@ -36,11 +36,12 @@ from .errors import InvalidArgumentError, SpecError
 CONSECUTIVE_HITS = 10
 
 
-def _positive_int(value, name: str) -> int:
-    """``value`` as an int, if it is a whole number >= 1: ``1e3`` passes, ``2.5`` fails."""
-    whole = int(value) if isinstance(value, numbers.Real) and math.isfinite(value) else 0
-    if whole < 1 or whole != value:
-        raise SpecError(f"{name} must be a positive integer")
+def _positive_int(value, name: str, least: int = 1) -> int:
+    """``value`` as an int, if it is a whole number >= ``least`` (1 or 0): ``1e3``
+    passes, ``2.5`` fails."""
+    whole = int(value) if isinstance(value, numbers.Real) and math.isfinite(value) else -1
+    if whole < least or whole != value:
+        raise SpecError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
     return whole
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RunConfig, TrajectoryRecord, run_coupled
+from .dynamics import RunConfig, TrajectoryRecord, _positive_int, run_coupled
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
 from .games import (NonAtomicGame, check_incentive, check_tolerance, project_blocks,
@@ -493,9 +493,10 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
     too and uses every route that any start uses.
     """
     check_tolerance(tol)
+    n_starts = _positive_int(n_starts, "n_starts")
     if n_starts < 2:
         raise InvalidArgumentError("the nondegeneracy check needs at least two starts")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_positive_int(seed, "seed", least=0))
     solutions = [wardrop_equilibrium(net, edge_tolls)[0]]
     for _ in range(n_starts - 1):
         solutions.append(wardrop_equilibrium(net, edge_tolls, x0=net.random_start(rng))[0])

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import lu_solve
 
 from incentive_dynamics import aggregative as agg
 from incentive_dynamics import games, numdiff
@@ -67,6 +66,16 @@ def test_nonfinite_spec_fails_before_the_condition_check(monkeypatch, field, val
         QuadraticAggregativeSpec(**kwargs)
 
 
+def test_spec_without_players_fails_before_any_factorisation(monkeypatch):
+    def no_factorisation(*args, **kwargs):
+        raise AssertionError("a spec without players was factored")
+
+    for name in ("svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, no_factorisation)
+    with pytest.raises(SpecError, match="at least one player"):
+        QuadraticAggregativeSpec(q=[], A=np.zeros((0, 0)), alpha=1.0, zeta=[])
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: QuadraticTerm(NAN), "operator-cost zeta must be finite"),
     (lambda: QuarticTerm(INF), "operator-cost zeta must be finite"),
@@ -118,7 +127,7 @@ def test_nash_closed_form_dimension_check():
         nash_closed_form(example_spec(), np.zeros(3))
 
 
-def test_nash_closed_form_matches_lu_solve_bitwise():
+def test_nash_closed_form_matches_a_linear_solve():
     rng = np.random.default_rng(4)
     for n in (1, 5, 50):
         A = rng.uniform(0.0, 1.0, (n, n)) / n
@@ -127,7 +136,8 @@ def test_nash_closed_form_matches_lu_solve_bitwise():
                                         zeta=rng.uniform(-1.0, 1.0, n))
         for _ in range(5):
             p = rng.normal(scale=3.0, size=n)
-            np.testing.assert_array_equal(nash_closed_form(spec, p), lu_solve(spec._lu, -p))
+            np.testing.assert_allclose(nash_closed_form(spec, p), np.linalg.solve(spec.M, -p),
+                                       rtol=1e-12, atol=0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="infs or NaNs"):
             nash_closed_form(example_spec(), np.array([0.0, bad]))

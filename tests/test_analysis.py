@@ -19,7 +19,7 @@ from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
                                          two_link_equilibrium,
                                          two_link_equilibrium_cost,
                                          verify_fixed_point_optimality)
-from incentive_dynamics.errors import InvalidArgumentError
+from incentive_dynamics.errors import InvalidArgumentError, SpecError
 from incentive_dynamics.games import NonAtomicGame
 from incentive_dynamics.routing import (delta_matrix, optimal_edge_tolls,
                                         system_optimum, two_link_network)
@@ -203,6 +203,29 @@ def test_analysis_tolerances_must_be_finite_and_positive(tol):
     for check in checks:
         with pytest.raises(InvalidArgumentError, match="tol must be finite and positive"):
             check()
+
+
+BRAESS = routing.braess_network()
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: reproduce_counterexample(grid=0), "grid must be a positive integer"),
+    (lambda: reproduce_counterexample(grid=2.5), "grid must be a positive integer"),
+    (lambda: multistart_uniqueness_probe(BRAESS, np.zeros(5), n_starts=4.5),
+     "n_starts must be a positive integer"),
+    (lambda: routing.nondegeneracy_check(BRAESS, np.zeros(5), n_starts=0),
+     "n_starts must be a positive integer"),
+    (lambda: multistart_uniqueness_probe(BRAESS, np.zeros(5), seed=np.nan),
+     "seed must be a non-negative integer"),
+    (lambda: multistart_uniqueness_probe(BRAESS, np.zeros(5), seed=1.5),
+     "seed must be a non-negative integer"),
+    (lambda: routing.nondegeneracy_check(BRAESS, np.zeros(5), seed=-1),
+     "seed must be a non-negative integer"),
+], ids=["grid-0", "grid-2.5", "probe-n_starts-4.5", "nondegeneracy-n_starts-0",
+        "probe-seed-nan", "probe-seed-1.5", "nondegeneracy-seed--1"])
+def test_analysis_integer_keys_take_whole_numbers(check, message):
+    with pytest.raises(SpecError, match=message):
+        check()
 
 
 # ---------------------------------------------------------------------------

@@ -633,6 +633,29 @@ TOL_ANALYSES = [
     ({"op": "counterexample", "grid": 3}, [float("nan")]),
 ]
 
+# the analyses' integer keys, each with values that must exit 1 naming the key
+BRAESS_P = [0.0] * 5
+INT_KEYS = [
+    ({"op": "counterexample"}, "grid", "positive", [0, 2.5, float("nan")]),
+    ({"op": "uniqueness_probe", "p": BRAESS_P}, "n_starts", "positive", [0, 4.5]),
+    ({"op": "nondegeneracy"}, "n_starts", "positive", [2.5]),
+    ({"op": "uniqueness_probe", "p": BRAESS_P}, "seed", "non-negative",
+     [float("nan"), 1.5, -1]),
+    ({"op": "nondegeneracy"}, "seed", "non-negative", [float("nan"), -1]),
+]
+
+
+def test_whole_float_integer_keys_give_the_reports_of_their_ints():
+    net = routing.braess_network()
+    for item, whole, exact in (
+            ({"op": "counterexample"}, {"grid": 3.0}, {"grid": 3}),
+            ({"op": "uniqueness_probe", "p": BRAESS_P}, {"n_starts": 4.0, "seed": 1e0},
+             {"n_starts": 4, "seed": 1})):
+        whole_report, exact_report = (
+            json.dumps(cli.strict_json(cli.run_analysis(net, dict(item, **keys))))
+            for keys in (whole, exact))
+        assert whole_report == exact_report
+
 
 def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
     # samples of y - zeta at -20 and 20 interpolate the quadratic term's gradient
@@ -721,6 +744,9 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
     *[("verify", {"game": {"builtin": "pigou"}, "analyses": [dict(item, tol=tol)]},
        f"error in analysis '{item['op']}': tol must be finite and positive\n")
       for item, tols in TOL_ANALYSES for tol in tols],
+    *[("verify", {"game": {"builtin": "braess"}, "analyses": [dict(item, **{key: value})]},
+       f"error in analysis '{item['op']}': {key} must be a {kind} integer\n")
+      for item, key, kind, values in INT_KEYS for value in values],
 ], ids=["unknown-op", "global-on-routing", "local-on-routing", "nondegeneracy-on-aggregative",
         "empty-directory", "verify-no-analyses", "config-not-object", "game-not-object",
         "game-unknown-kind", "run-unreadable", "verify-unreadable", "fractional-record-every",
@@ -732,7 +758,9 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
         "zero-convergence-tol", "routing-eta-nan", "routing-eta-inf", "aggregative-eta-nan",
         "convergence-tol-nan", "ode-horizon-inf", "ode-step-nan", "ode-tol-nan",
         "aggregative-x0-inf",
-        *[f"{item['op']}-tol-{tol}" for item, tols in TOL_ANALYSES for tol in tols]])
+        *[f"{item['op']}-tol-{tol}" for item, tols in TOL_ANALYSES for tol in tols],
+        *[f"{item['op']}-{key}-{value}" for item, key, _, values in INT_KEYS
+          for value in values]])
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, message):
     path = tmp_path / "c.json"
     if config == EMPTY_DIRECTORY:

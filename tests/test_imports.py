@@ -56,36 +56,33 @@ def loaded_modules(code: str, package: str = "scipy") -> list:
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # scipy takes most of the CLI's start-up, and only aggregative specs need it
+    # scipy took most of the CLI's start-up; the package needs only numpy
     assert loaded_modules("import incentive_dynamics.cli") == []
 
 
-@pytest.mark.parametrize("argv", [["list-fixtures"], ["verify", "--config", "{config}"],
-                                  ["run", "--config", "{config}", "--out", "{out}"]])
-def test_routing_cli_calls_load_no_scipy(tmp_path, argv):
-    config = tmp_path / "braess.json"
-    config.write_text(json.dumps({
+@pytest.mark.parametrize("argv", [
+    ["list-fixtures"], ["verify", "--config", "{routing}"],
+    ["run", "--config", "{routing}", "--out", "{out}"], ["verify", "--config", "{aggregative}"],
+    ["run", "--config", "{aggregative}", "--out", "{out}"]])
+def test_cli_calls_load_no_scipy(tmp_path, argv):
+    routing_config = tmp_path / "braess.json"
+    routing_config.write_text(json.dumps({
         "game": {"builtin": "braess"},
         "run": {"max_iterations": 200, "convergence_tol": 1e-2},
         "analyses": [{"op": "verify_fixed_point_optimality"}, {"op": "nondegeneracy"}]}))
-    argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
+    # M = [[1, 0.5], [0.5, 1]] with y† <= 0 passes the global and the local conditions
+    aggregative_config = tmp_path / "agg.json"
+    aggregative_config.write_text(json.dumps({
+        "game": {"aggregative": {"q": [1.0, 1.0], "A": [[0, 0.5], [0.5, 0]],
+                                 "alpha": 1.0, "zeta": [-0.5, -1.0]}},
+        "run": {"max_iterations": 2000, "convergence_tol": 1e-2},
+        "analyses": [{"op": "global_conditions"}, {"op": "local_conditions"},
+                     {"op": "condition_c2", "p_samples": [[0.5, -0.5], [-1.0, 2.0]]},
+                     {"op": "verify_fixed_point_optimality"}]}))
+    argv = [a.format(routing=routing_config, aggregative=aggregative_config,
+                     out=tmp_path / "out") for a in argv]
     code = f"from incentive_dynamics import cli; assert cli.main({argv!r}) == 0"
     assert loaded_modules(code) == []
-
-
-SPEC = "from incentive_dynamics.aggregative import QuadraticAggregativeSpec as S\n"
-
-
-def test_invalid_aggregative_spec_loads_no_scipy():
-    code = SPEC + ("from incentive_dynamics.errors import SpecError\n"
-                   "try:\n    S(q=[float('nan'), 1.0], A=[[0, 0], [0, 0]], alpha=1.0, zeta=[0, 0])\n"
-                   "except SpecError:\n    pass\n")
-    assert loaded_modules(code) == []
-
-
-def test_aggregative_spec_loads_scipy_linalg():
-    code = SPEC + "S(q=[1.0, 1.0], A=[[0, 0.5], [0.5, 0]], alpha=1.0, zeta=[0, 0])"
-    assert "scipy.linalg" in loaded_modules(code)
 
 
 @pytest.mark.parametrize("run", [False, True])
