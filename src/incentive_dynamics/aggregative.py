@@ -29,37 +29,30 @@ def _require_finite(values, name: str) -> None:
         raise SpecError(f"{name} must be finite")
 
 
-def _finite_zeta(zeta) -> float:
-    zeta = float(zeta)
-    if not math.isfinite(zeta):
-        raise SpecError("operator-cost zeta must be finite")
-    return zeta
+class _PowerTerm:
+    """h(y) = (y - zeta)^k / k, minimised at zeta, with the subclass's exponent k;
+    value and gradient make the ``float_power`` calls of the spec's arrays."""
+
+    def __init__(self, zeta: float):
+        self.zeta = float(zeta)
+        if not math.isfinite(self.zeta):
+            raise SpecError("operator-cost zeta must be finite")
+
+    def value(self, y):
+        return np.float_power(y - self.zeta, self._k) / self._k
+
+    def grad(self, y):
+        return np.float_power(y - self.zeta, self._k - 1.0)
 
 
-class QuadraticTerm:
+class QuadraticTerm(_PowerTerm):
     """h(y) = 0.5 (y - zeta)^2."""
-
-    def __init__(self, zeta: float):
-        self.zeta = _finite_zeta(zeta)
-
-    def value(self, y):
-        return 0.5 * (y - self.zeta) ** 2
-
-    def grad(self, y):
-        return y - self.zeta
+    _k = 2.0
 
 
-class QuarticTerm:
+class QuarticTerm(_PowerTerm):
     """h(y) = 0.25 (y - zeta)^4; strictly convex with a flat bottom."""
-
-    def __init__(self, zeta: float):
-        self.zeta = _finite_zeta(zeta)
-
-    def value(self, y):
-        return 0.25 * (y - self.zeta) ** 4
-
-    def grad(self, y):
-        return (y - self.zeta) ** 3
+    _k = 4.0
 
 
 class TableTerm:
@@ -94,10 +87,6 @@ class TableTerm:
             vals = np.interp(grid, self.points, self.grads)
             out[idx] = sign * np.trapezoid(vals, grid)
         return float(out[0]) if scalar else out
-
-
-# Exponent k of the terms with h(y) = (y - zeta)^k / k, evaluated as arrays.
-_POWERS = {QuadraticTerm: 2.0, QuarticTerm: 4.0}
 
 
 def _grad_root(term, i: int = 0) -> float:
@@ -140,21 +129,31 @@ class QuadraticAggregativeSpec:
             if zeta.size != n:
                 raise SpecError("zeta must have one entry per player")
             terms = tuple(QuadraticTerm(z) for z in zeta)
-            y_dagger = zeta.copy()
             object.__setattr__(self, "zeta", zeta)
         else:
             terms = tuple(self.h)
             if len(terms) != n:
                 raise SpecError("need one operator-cost term per player")
-            for t in terms:
-                grid = np.linspace(-10.0, 10.0, 41)
-                if np.any(np.diff(t.grad(grid)) <= 0):
-                    raise SpecError("operator-cost gradients must be strictly increasing")
-            y_dagger = np.array([_grad_root(t, i) for i, t in enumerate(terms)])
+        # Quadratic and quartic terms are evaluated as arrays and minimised at
+        # their zeta; any other term (a table, a user object) is called per
+        # player on its own index and minimised at its increasing gradient's root.
+        power = (QuadraticTerm, QuarticTerm)
+        zeta = np.array([t.zeta if type(t) in power else 0.0 for t in terms])
+        k = np.array([t._k if type(t) in power else 2.0 for t in terms])
+        other = tuple((i, t) for i, t in enumerate(terms) if type(t) not in power)
+        y_dagger = zeta.copy()
+        for i, t in other:
+            if np.any(np.diff(t.grad(np.linspace(-10.0, 10.0, 41))) <= 0):
+                raise SpecError("operator-cost gradients must be strictly increasing")
+            y_dagger[i] = _grad_root(t, i)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "h", terms)
         object.__setattr__(self, "_y_dagger", y_dagger)
+        object.__setattr__(self, "_zeta", zeta)
+        object.__setattr__(self, "_pow", k)
+        object.__setattr__(self, "_quartic", np.flatnonzero(k == 4.0))
+        object.__setattr__(self, "_other", other)
         M = np.diag(q) + self.alpha * A
         # one SVD gives both the condition number and the spectral norm
         s = np.linalg.svd(M, compute_uv=False)
@@ -167,17 +166,6 @@ class QuadraticAggregativeSpec:
         object.__setattr__(self, "_M", M)
         object.__setattr__(self, "_M_inv", M_inv)
         object.__setattr__(self, "_lipschitz", float(s[0]))
-        # Quadratic and quartic terms are evaluated as arrays; any other term
-        # (a table, a user object) is called per player on its own index.
-        # float_power matches the terms' scalar ``**`` bitwise, where array
-        # ``**`` and ``d * d`` do not.
-        powers = [_POWERS.get(type(t)) for t in self.h]
-        object.__setattr__(self, "_zeta", np.array(
-            [0.0 if k is None else t.zeta for t, k in zip(self.h, powers)]))
-        object.__setattr__(self, "_pow", np.array([2.0 if k is None else k for k in powers]))
-        object.__setattr__(self, "_quartic", np.flatnonzero(self._pow == 4.0))
-        object.__setattr__(self, "_other", tuple(
-            (i, t) for i, (t, k) in enumerate(zip(self.h, powers)) if k is None))
 
     @property
     def n(self) -> int:
@@ -240,7 +228,7 @@ def from_json(data: dict) -> QuadraticAggregativeSpec:
     kwargs = {"q": data["q"], "A": data["A"], "alpha": data["alpha"]}
     if "zeta" in data:
         kwargs["zeta"] = data["zeta"]
-    elif "h" in data:
+    if "h" in data:
         terms = []
         for spec in data["h"]:
             kind = spec["kind"]

@@ -90,6 +90,8 @@ def _failure(exc: Exception, where: str = "") -> int:
         message += f" (gap {exc.gap:.6g})"
     elif isinstance(exc, EvaluationError):  # the iterates overflowed
         message = f"{'diverged' if where else 'run diverged'}: {message}"
+    elif isinstance(exc, KeyError):  # a JSON object lacks a required key
+        message = f"missing key {message}"
     print(f"error{where}: {message}", file=sys.stderr)
     return 2 if isinstance(exc, (ConvergenceError, EvaluationError)) else 1
 
@@ -110,6 +112,9 @@ def load_config(path) -> dict:
         raise ConfigError("config must be a JSON object")
     if "game" not in data:
         raise ConfigError('config is missing the required "game" key')
+    for key in data:  # a misspelled key would skip its part of the config
+        if key not in ("game", "run", "analyses", "incentive_update", "output_dir"):
+            raise ConfigError(f"unknown config key {key!r}")
     analyses = data.get("analyses", [])
     if not isinstance(analyses, list) or not all(isinstance(a, dict) for a in analyses):
         raise ConfigError('"analyses" must be a list of objects')
@@ -120,6 +125,8 @@ def build_game(spec: dict):
     """The model of a "game" block: a routing network or an aggregative spec."""
     if not isinstance(spec, dict):
         raise ConfigError('"game" must be an object')
+    if len(spec) > 1:
+        raise ConfigError(f'"game" holds more than one key: {", ".join(map(repr, spec))}')
     if "builtin" in spec:
         return routing.load_fixture(spec["builtin"])
     if "aggregative" in spec:

@@ -113,6 +113,8 @@ class RoutingNetwork:
     relax_monotonicity: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.relax_monotonicity, (bool, np.bool_)):
+            raise SpecError("relax_monotonicity must be true or false")
         nodes = tuple(self.nodes)
         edges = tuple((t, h, lat) for (t, h, lat) in self.edges)
         ods = tuple(self.od_pairs)
@@ -184,6 +186,8 @@ class RoutingNetwork:
             raise SpecError("routes must contain at least one edge")
         current = od.origin
         for a in route:
+            if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+                raise SpecError(f"route {route}: edge index {a!r} is not an integer")
             if not 0 <= a < len(self.edges):
                 raise SpecError(f"route references unknown edge index {a}")
             tail, head, _ = self.edges[a]
@@ -650,4 +654,4 @@ def network_from_json(data: dict) -> RoutingNetwork:
                        tuple(tuple(r) for r in od["routes"]))
                 for od in data["od"])
     return RoutingNetwork(nodes=nodes, edges=edges, od_pairs=ods,
-                          relax_monotonicity=bool(data.get("relax_monotonicity", False)))
+                          relax_monotonicity=data.get("relax_monotonicity", False))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incentive_dynamics import aggregative as agg
-from incentive_dynamics import games, numdiff
+from incentive_dynamics import analysis, games, numdiff
 from incentive_dynamics.aggregative import (QuadraticAggregativeSpec,
                                             QuadraticTerm, QuarticTerm,
                                             TableTerm, check_global_conditions,
@@ -11,7 +13,7 @@ from incentive_dynamics.aggregative import (QuadraticAggregativeSpec,
                                             nash_closed_form,
                                             optimal_incentive)
 from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, run_coupled
-from incentive_dynamics.errors import InvalidArgumentError, SpecError
+from incentive_dynamics.errors import GameError, InvalidArgumentError, SpecError
 
 M1_SPEC = dict(q=[1.0, 1.0], A=[[0.0, 0.1], [1.0, 0.0]], alpha=1.0,
                zeta=[-1.0, -0.5])  # M = [[1, 0.1], [1, 1]]
@@ -390,3 +392,90 @@ def test_lyapunov_decrement_identity_zeta_form():
         if np.max(np.abs(p - optimal_incentive(spec))) > 1e-8:
             assert dec < 0.0
             assert lyapunov_value(spec, p) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# power terms: minimised at zeta, one spec for the zeta and the h form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("terms", [
+    (QuadraticTerm(1e13), QuadraticTerm(-1.0)),
+    (QuadraticTerm(1e60), QuadraticTerm(-1.0)),
+    (QuarticTerm(1e120), QuadraticTerm(-1.0)),
+    (QuarticTerm(0.7), QuarticTerm(-0.4), QuarticTerm(1.1), QuarticTerm(2.5)),
+], ids=["quadratic-1e13", "quadratic-1e60", "quartic-1e120", "quartic-ordinary"])
+def test_power_terms_are_minimised_exactly_at_zeta(terms):
+    # a gradient root search would give up beyond its 1e12 bracket, a probe of
+    # the gradients would round to flat or overflow, and a root misses by ulps
+    n = len(terms)
+    spec = QuadraticAggregativeSpec(q=np.ones(n), A=np.zeros((n, n)), alpha=1.0, h=terms)
+    np.testing.assert_array_equal(spec.y_dagger(), [t.zeta for t in terms])
+    assert analysis.verify_fixed_point_optimality(spec)["passed"]
+
+
+# finite zeta of either sign, with magnitudes from 1e-300 to 1e300
+ZETAS = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                  st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0))
+
+
+def table_term(start, grad_start, steps):
+    """Samples from ``(start, grad_start)`` on, each step a positive (dx, dg)."""
+    dx, dg = np.array(steps).T
+    return TableTerm(np.cumsum([start, *dx]), np.cumsum([grad_start, *dg]))
+
+
+# tables that may or may not cover the gradient probe's [-10, 10] or a root
+TERMS = st.one_of(
+    ZETAS.map(QuadraticTerm), ZETAS.map(QuarticTerm),
+    st.builds(table_term, st.floats(-25.0, -8.0), st.floats(-40.0, 5.0),
+              st.lists(st.tuples(st.floats(2.0, 30.0), st.floats(0.5, 15.0)),
+                       min_size=1, max_size=4)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(TERMS, min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
+def test_mixed_specs_build_or_raise_spec_error(terms, seed):
+    try:
+        spec = random_spec(np.random.default_rng(seed), len(terms), h=tuple(terms))
+    except SpecError:
+        return
+    for y, t in zip(spec.y_dagger(), terms):
+        if not isinstance(t, TableTerm):
+            assert y == t.zeta
+
+
+def outcome(make):
+    """``make()``, or the type and message of the package error it raises."""
+    try:
+        return make()
+    except GameError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(ZETAS, min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
+def test_zeta_and_quadratic_h_forms_are_one_spec(zetas, seed):
+    # one seed draws the same q and A for both forms
+    s1, s2 = (outcome(lambda: random_spec(np.random.default_rng(seed), len(zetas), **cost))
+              for cost in ({"zeta": zetas}, {"h": tuple(QuadraticTerm(z) for z in zetas)}))
+    if isinstance(s1, tuple) or isinstance(s2, tuple):
+        assert s1 == s2
+        return
+    np.testing.assert_array_equal(s1.y_dagger(), zetas)
+    np.testing.assert_array_equal(s2.y_dagger(), zetas)
+    n = len(zetas)
+    # overflow is silenced as in a CLI run: the oracle checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (np.zeros(n), s1.y_dagger(), np.random.default_rng(seed).normal(size=n)):
+            assert np.array_equal(s1.social(x), s2.social(x))
+            np.testing.assert_array_equal(s1.social_grad(x), s2.social_grad(x))
+        for variant in ("equilibrium", "best_response", "gradient"):
+            cfg = RunConfig(rule=StrategyUpdateRule(variant), max_iterations=50)
+            r1, r2 = (outcome(lambda: run_coupled(s.to_game(), np.zeros(n), np.zeros(n), cfg))
+                      for s in (s1, s2))
+            if isinstance(r1, tuple) or isinstance(r2, tuple):
+                assert r1 == r2, variant
+                continue
+            for f in ("ks", "xs", "ps", "residuals", "social_costs", "converged",
+                      "iterations"):
+                assert np.array_equal(getattr(r1, f), getattr(r2, f)), (variant, f)

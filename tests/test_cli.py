@@ -747,6 +747,26 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
     *[("verify", {"game": {"builtin": "braess"}, "analyses": [dict(item, **{key: value})]},
        f"error in analysis '{item['op']}': {key} must be a {kind} integer\n")
       for item, key, kind, values in INT_KEYS for value in values],
+    ("run", dict(TWO_LINK_RUN, analysis=[{"op": "condition_c2", "p_samples": [[0.1, 0.9]]}]),
+     "error: unknown config key 'analysis'\n"),
+    ("verify", {"game": {"builtin": "two_link", **M2_GAME},
+                "analyses": [{"op": "verify_fixed_point_optimality"}]},
+     "error: \"game\" holds more than one key: 'builtin', 'aggregative'\n"),
+    ("run", braess_with(lambda block: block.update(relax_monotonicity="false")),
+     "error: relax_monotonicity must be true or false\n"),
+    ("run", braess_with(lambda block: block["od"][0].update(routes=[[0.0, 1], [2, 3]])),
+     "error: route (0.0, 1): edge index 0.0 is not an integer\n"),
+    # false and true would be edges 0 and 1, a path from s to t
+    ("run", braess_with(lambda block: block["od"][0].update(routes=[[False, True], [2, 3]])),
+     "error: route (False, True): edge index False is not an integer\n"),
+    ("run", {"game": {"aggregative": {k: v for k, v in M2_GAME["aggregative"].items()
+                                      if k != "q"}}},
+     "error: missing key 'q'\n"),
+    ("run", braess_with(lambda block: block.pop("od")), "error: missing key 'od'\n"),
+    ("verify", {"game": M2_GAME, "analyses": [{"op": "condition_c1"}]},
+     "error in analysis 'condition_c1': missing key 'p_samples'\n"),
+    ("run", m2_with(zeta=[-1.0, -0.5], h=[QUADRATIC_TERM, QUADRATIC_TERM]),
+     "error: give exactly one of zeta or h\n"),
 ], ids=["unknown-op", "global-on-routing", "local-on-routing", "nondegeneracy-on-aggregative",
         "empty-directory", "verify-no-analyses", "config-not-object", "game-not-object",
         "game-unknown-kind", "run-unreadable", "verify-unreadable", "fractional-record-every",
@@ -760,7 +780,10 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
         "aggregative-x0-inf",
         *[f"{item['op']}-tol-{tol}" for item, tols in TOL_ANALYSES for tol in tols],
         *[f"{item['op']}-{key}-{value}" for item, key, _, values in INT_KEYS
-          for value in values]])
+          for value in values],
+        "misspelled-top-level-key", "game-two-kinds", "routing-relax-string",
+        "routing-float-edge", "routing-bool-edges", "aggregative-missing-q",
+        "routing-missing-od", "condition_c1-missing-p_samples", "aggregative-zeta-and-h"])
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, message):
     path = tmp_path / "c.json"
     if config == EMPTY_DIRECTORY:
@@ -888,3 +911,17 @@ def test_whole_float_run_keys_run_as_integers(tmp_path):
     assert cli.main(["run", "--config", write_config(tmp_path / "b.json", cfg),
                      "--out", str(out / "int")]) == 0
     assert output_tree(out / "float") == output_tree(out / "int")
+
+
+def test_far_away_quartic_target_verifies_and_its_run_diverges(tmp_path, capsys):
+    # y† = zeta = 1e120 is finite, and so is p†; a run from zero overflows
+    game = {"aggregative": {"q": [1.0, 1.0], "A": [[0.0, 0.0], [0.0, 0.0]], "alpha": 1.0,
+                            "h": [{"kind": "quartic", "zeta": 1e120}, QUADRATIC_TERM]}}
+    path = write_config(tmp_path / "c.json", {
+        "game": game, "run": {"max_iterations": 200},
+        "analyses": [{"op": "verify_fixed_point_optimality"}]})
+    assert cli.main(["verify", "--config", path]) == 0
+    assert capsys.readouterr() == ("[pass] verify_fixed_point_optimality\n", "")
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == (
+        "", "error: run diverged: social gradient oracle returned non-finite values\n")

@@ -1,20 +1,24 @@
-"""Every module of the package uses each name it imports, and the CLI
-imports no more than it needs.
+"""Every module of the package uses each name it imports and each name it
+defines, and the CLI imports no more than it needs.
 
 No linter ships with the project's dependencies, so this walks each module's
 syntax tree: a name bound by an import must be read somewhere in the module.
-``__init__.py`` is left out, since its imports are the package's exports.
+``__init__.py`` is left out, since its imports are the package's exports. A
+top-level function, class or constant must be named in ``src/``, ``tests/``
+or ``bench/`` outside its own definition.
 """
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "incentive_dynamics"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "incentive_dynamics"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -43,6 +47,42 @@ def test_unused_imports_finds_each_unread_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def dead_definitions(source: str, elsewhere: str) -> list:
+    """The top-level functions, classes and constants of ``source`` that neither
+    the rest of ``source`` nor ``elsewhere`` names, in definition order."""
+    lines = source.splitlines()
+    dead = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        rest = "\n".join(lines[:start - 1] + lines[node.end_lineno:] + [elsewhere])
+        dead += [name for name in names if not name.startswith("__")
+                 and not re.search(rf"\b{re.escape(name)}\b", rest)]
+    return dead
+
+
+def test_dead_definitions_finds_each_unnamed_definition():
+    source = ("import numpy as np\nLIMIT = 1.0\n_A, B = 1, 2\n__all__ = []\n"
+              "@np.vectorize\ndef helper(x):\n    return helper(x - LIMIT)\n"
+              "class Used:\n    pass\nclass _Unused(Used):\n    x = B\n")
+    assert dead_definitions(source, "") == ["_A", "helper", "_Unused"]
+    assert dead_definitions(source, "from pkg import helper, _A\n") == ["_Unused"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_defines_nothing_unnamed(module):
+    others = [p for root in ("src", "tests", "bench") for p in (ROOT / root).rglob("*.py")
+              if p != PACKAGE / module]
+    elsewhere = "\n".join(p.read_text() for p in others)
+    assert dead_definitions((PACKAGE / module).read_text(), elsewhere) == []
 
 
 def loaded_modules(code: str, package: str = "scipy") -> list:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -854,3 +855,30 @@ def test_monotonicity_property_two_link(p1, p2):
     net = two_link_network()
     val = flow_monotonicity_check(net, np.array([p1, p2]), np.array([p2, p1]))
     assert val <= 1e-8
+
+
+def test_route_edge_indices_may_be_numpy_integers():
+    net = braess_network()
+    od = net.od_pairs[0]
+    routes = tuple(tuple(np.int64(a) for a in route) for route in od.routes)
+    twin = RoutingNetwork(net.nodes, net.edges,
+                          (OdPair(od.origin, od.destination, od.demand, routes),),
+                          relax_monotonicity=np.True_)
+    np.testing.assert_array_equal(twin.incidence, net.incidence)
+
+
+@pytest.mark.parametrize("route, index", [((0.0, 1), "0.0"), ((0, 1.0), "1.0"),
+                                          ((False, True), "False"), (("0", 1), "'0'")])
+def test_route_edge_indices_must_be_integers(route, index):
+    net = braess_network()
+    od = OdPair("s", "t", 1.0, (route, (2, 3)))
+    message = f"route {route!r}: edge index {index} is not an integer"
+    with pytest.raises(SpecError, match=re.escape(message)):
+        RoutingNetwork(net.nodes, net.edges, (od,), relax_monotonicity=True)
+
+
+@pytest.mark.parametrize("relax", [1, 0.0, "false", None])
+def test_relax_monotonicity_must_be_a_bool(relax):
+    net = braess_network()
+    with pytest.raises(SpecError, match="relax_monotonicity must be true or false"):
+        RoutingNetwork(net.nodes, net.edges, net.od_pairs, relax_monotonicity=relax)
