@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SpecError
+from .errors import EvaluationError, InvalidArgumentError, SpecError
 
 CONSECUTIVE_HITS = 10
 
@@ -238,7 +238,10 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     stays below ``convergence_tol`` for ten consecutive recorded iterations,
     or the iteration budget runs out. On budget exhaustion the iterate at
     ``k = max_iterations`` is recorded too, whatever ``record_every``, and
-    ``converged`` is set from its residual.
+    ``converged`` is set from its residual. A recorded residual that is NaN
+    raises ``EvaluationError``; an infinite one, from finite iterates whose
+    difference overflows, is recorded, and the oracle checks stop the run
+    once the iterates themselves overflow.
     """
     x, p = game.check_start(x0, p0)
     # Iterates go into the record uncopied: x and p are rebound every step
@@ -260,6 +263,8 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
         if k % record_every == 0 or k == last:
             gap = np.maximum.reduce(np.abs(e - p), axis=None)
             residual = float(game.strategy_gap(f, x) + gap)
+            if math.isnan(residual):
+                raise EvaluationError(f"the fixed-point residual at iteration {k} is {residual}")
             ks.append(k)
             xs.append(x)
             ps.append(p)

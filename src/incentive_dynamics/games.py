@@ -40,67 +40,130 @@ def project_interval(x: Array, lower: Array, upper: Array) -> Array:
     return np.minimum(np.maximum(x, lower), upper)
 
 
+class BlockLayout:
+    """A flat vector cut into consecutive blocks, block ``i`` summing to ``masses[i]``.
+
+    A strategy space (a non-atomic game's populations, a network's OD pairs)
+    builds one, once. ``index`` is a (blocks, widest block) array of flat
+    positions, row ``i`` holding block ``i`` left-aligned; ``pad`` marks the
+    places past the end of a shorter block (their index repeats the block's
+    first position). Each per-block operation below is one pass over the
+    padded array ``v[index]``, with the padding set to a value that cannot
+    win (-inf in a descending sort or a max, +inf in an argmin), so its
+    numpy call count does not depend on the number of blocks. ``owner``
+    gives the block of each flat entry and ``starts`` the first entry of
+    each block. All arrays are read-only.
+    """
+
+    def __init__(self, counts, masses):
+        counts = np.asarray(counts, dtype=np.intp)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        col = np.arange(counts.max())
+        self.masses = np.asarray(masses, dtype=float)
+        self.slices = tuple(map(slice, starts.tolist(), ends.tolist()))
+        self.starts = starts
+        self.rows = np.arange(counts.size)
+        self.pad = col >= counts[:, None]
+        self.index = np.where(self.pad, starts[:, None], starts[:, None] + col)
+        self.owner = np.repeat(self.rows, counts)
+        self.entry_masses = self.masses[self.owner]
+        self.ranks = col + 1.0
+        self._mass_column = self.masses[:, None]
+        self._uniform = self.entry_masses / counts[self.owner]
+        for a in (self.masses, starts, self.rows, self.pad, self.index, self.owner,
+                  self.entry_masses, self.ranks, self._mass_column, self._uniform):
+            a.setflags(write=False)
+
+    def padded(self, v: Array, fill: float) -> Array:
+        """``v`` as a (blocks, widest block) array, ``fill`` past each block's end."""
+        out = v[self.index]
+        out[self.pad] = fill
+        return out
+
+    def sums(self, v: Array) -> Array:
+        """Each block's sum, added left to right."""
+        return np.bincount(self.owner, v, self.masses.size)
+
+    def argmin(self, c: Array) -> Array:
+        """The flat position of each block's smallest entry (ties: lowest index)."""
+        return self.starts + self.padded(c, np.inf).argmin(axis=1)
+
+    def uniform(self) -> Array:
+        """Each block's mass spread evenly over its entries."""
+        return self._uniform.copy()
+
+
 def project_simplex(v: Array, mass: float = 1.0) -> Array:
     """Euclidean projection onto the scaled simplex {y >= 0, sum(y) = mass}."""
     v = np.asarray(v, dtype=float)
     if mass <= 0:
         raise InvalidArgumentError("simplex mass must be positive")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - mass
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    return project_blocks(v, BlockLayout((v.size,), (mass,)))
 
 
-# Per-population helpers over a flat vector whose block ``s`` sums to ``m``,
-# shared by non-atomic games and route flows.
+def project_blocks(v: Array, layout: BlockLayout) -> Array:
+    """Project each block of ``v`` onto its scaled simplex, all blocks in one pass.
 
-def project_blocks(v: Array, slices, masses) -> Array:
-    out = np.empty_like(v)
-    for s, m in zip(slices, masses):
-        out[s] = project_simplex(v[s], m)
-    return out
+    The sort-based projection of Duchi et al. (2008) row by row: sort each
+    padded row in descending order (the -inf padding sorts last and never
+    passes), take the last rank r with r u_r > sum_{j<=r} u_j - m, and
+    subtract theta = (sum_{j<=r} u_j - m) / r from the block. The top rank
+    passes in exact arithmetic. Where it fails, a block with a NaN or +-inf
+    entry raises ``EvaluationError``, and a finite block whose range swamps
+    its mass is projected after its maximum is subtracted, so that
+    ``[1e300, -1e300, 5]`` with mass 1 gives ``[1, 0, 0]``.
+    """
+    u = layout.padded(v, -np.inf)
+    u.sort(axis=1)
+    u = u[:, ::-1]
+    css = np.add.accumulate(u, axis=1)  # np.cumsum's sums, without its wrapper
+    css -= layout._mass_column
+    passes = u * layout.ranks > css
+    if not passes[:, 0].all():
+        swamped = ~passes[:, 0]
+        if not np.isfinite(v[swamped[layout.owner]]).all():
+            raise EvaluationError("simplex projection of a vector with non-finite entries")
+        return project_blocks(v - np.where(swamped, u[:, 0], 0.0)[layout.owner], layout)
+    rho = (layout.ranks.size - 1) - passes[:, ::-1].argmax(axis=1)  # last passing rank
+    theta = (css / layout.ranks)[layout.rows, rho]
+    return np.maximum(v - theta[layout.owner], 0.0)
 
 
-def best_response_blocks(c: Array, slices, masses) -> Array:
+def best_response_blocks(c: Array, layout: BlockLayout) -> Array:
     """All mass of each block on its cheapest action (ties: lowest index)."""
     out = np.zeros(c.size)
-    for s, m in zip(slices, masses):
-        out[s.start + int(np.argmin(c[s]))] = m
+    out[layout.argmin(c)] = layout.masses
     return out
 
 
-def logit_blocks(c: Array, slices, masses, temperature: float) -> Array:
-    out = np.empty(c.size)
-    for s, m in zip(slices, masses):
-        z = -c[s] / temperature
-        z -= z.max()
-        w = np.exp(z)
-        out[s] = m * w / w.sum()
-    return out
+def logit_blocks(c: Array, layout: BlockLayout, temperature: float) -> Array:
+    z = -c / temperature
+    z -= np.maximum.reduce(layout.padded(z, -np.inf), axis=1)[layout.owner]
+    w = np.exp(z)
+    return layout.entry_masses * w / layout.sums(w)[layout.owner]
 
 
-def random_blocks(rng: np.random.Generator, slices, masses) -> Array:
+def random_blocks(rng: np.random.Generator, layout: BlockLayout) -> Array:
     """Exponential weights normalized to each block's mass."""
-    out = np.empty(slices[-1].stop)
-    for s, m in zip(slices, masses):
+    out = np.empty(layout.owner.size)
+    for s, m in zip(layout.slices, layout.masses):
         g = rng.exponential(size=s.stop - s.start)
         out[s] = m * g / g.sum()
     return out
 
 
-def simplex_target(x: Array, c: Array, slices, masses, rule) -> Array:
+def simplex_target(x: Array, c: Array, layout: BlockLayout, rule) -> Array:
     """Best-response or gradient-rule target from per-action costs ``c``.
 
     The gradient rule is a logit response at temperature ``rule.eta`` under
     the entropy regularizer and a projected step ``x - rule.eta c`` otherwise.
     """
     if rule.variant == "best_response":
-        return best_response_blocks(c, slices, masses)
+        return best_response_blocks(c, layout)
     if rule.regularizer == "entropy":
-        return logit_blocks(c, slices, masses, rule.eta)
-    return project_blocks(x - rule.eta * c, slices, masses)
+        return logit_blocks(c, layout, rule.eta)
+    return project_blocks(x - rule.eta * c, layout)
 
 
 def check_incentive(p, n: int) -> Array:
@@ -249,8 +312,8 @@ class NonAtomicGame:
     """Oracle-backed non-atomic game over a product of mass-scaled simplexes.
 
     Strategy distributions are stored flat: the block of population ``i``
-    occupies ``slices[i]`` and sums to ``masses[i]``. ``action_cost`` returns
-    the flat vector of per-action costs.
+    occupies ``layout.slices[i]`` and sums to ``masses[i]``. ``action_cost``
+    returns the flat vector of per-action costs.
     """
 
     masses: Array
@@ -266,26 +329,23 @@ class NonAtomicGame:
             raise SpecError("population masses must be strictly positive")
         if len(counts) != masses.size or any(c < 1 for c in counts):
             raise SpecError("need one action count >= 1 per population")
-        ends = np.cumsum(counts).tolist()
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "action_counts", counts)
-        object.__setattr__(self, "slices", tuple(map(slice, [0, *ends], ends)))
+        object.__setattr__(self, "layout", BlockLayout(counts, masses))
 
     @property
     def dim(self) -> int:
         return sum(self.action_counts)
 
     def project(self, x: Array) -> Array:
-        return project_blocks(np.asarray(x, dtype=float), self.slices, self.masses)
+        return project_blocks(np.asarray(x, dtype=float), self.layout)
 
     def is_feasible(self, x: Array, tol: float = MASS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,) or not (x >= -tol).all():  # NaN fails too
             return False
-        for s, m in zip(self.slices, self.masses):
-            if abs(x[s].sum() - m) > max(tol, tol * m):
-                return False
-        return True
+        m = self.masses
+        return bool((np.abs(self.layout.sums(x) - m) <= np.maximum(tol, tol * m)).all())
 
     def check_feasible(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -294,11 +354,10 @@ class NonAtomicGame:
         return x
 
     def uniform_point(self) -> Array:
-        parts = [np.full(c, m / c) for c, m in zip(self.action_counts, self.masses)]
-        return np.concatenate(parts)
+        return self.layout.uniform()
 
     def random_start(self, rng: np.random.Generator) -> Array:
-        return random_blocks(rng, self.slices, self.masses)
+        return random_blocks(rng, self.layout)
 
     def check_start(self, x0, p0) -> tuple:
         return self.check_feasible(x0), check_incentive(p0, self.dim)
@@ -307,7 +366,7 @@ class NonAtomicGame:
         if rule.variant == "equilibrium":
             return solve_equilibrium_nonatomic(self, p, x0=x)
         c = np.asarray(self.action_cost(x), float) + p
-        return simplex_target(x, c, self.slices, self.masses, rule)
+        return simplex_target(x, c, self.layout, rule)
 
     def externality(self, x: Array) -> Array:
         """Per-action gap between marginal social cost and action cost."""
@@ -380,13 +439,13 @@ def certify_nash_nonatomic(game: NonAtomicGame, x: Array, p: Array, tol: float =
 
 
 def _nonatomic_residual(game: NonAtomicGame, x: Array, c: Array, tol: float) -> float:
-    """The largest cost gap of an action carrying more than ``tol`` of its mass."""
-    residual = 0.0
-    for s, m in zip(game.slices, game.masses):
-        active = x[s] > tol * m
-        if np.any(active):
-            residual = max(residual, float(c[s][active].max() - c[s].min()))
-    return residual
+    """The largest cost gap of an action carrying more than ``tol`` of its mass,
+    0 where no action does; a NaN cost gives NaN."""
+    layout = game.layout
+    active = np.where(x > tol * layout.entry_masses, c, -np.inf)
+    gaps = (np.maximum.reduce(layout.padded(active, -np.inf), axis=1)
+            - np.minimum.reduce(layout.padded(c, np.inf), axis=1))
+    return float(np.maximum.reduce(gaps, initial=0.0))
 
 
 def projected_gradient_residual(grad: Array, x: Array, project) -> float:
@@ -562,7 +621,7 @@ def solve_equilibrium_nonatomic(game: NonAtomicGame, p: Array, tol: float = 1e-1
         return c, _nonatomic_residual(game, y, c, tol)
 
     def restart(x, c, k):
-        return x + (2.0 / (k + 3.0)) * (best_response_blocks(c, game.slices, game.masses) - x)
+        return x + (2.0 / (k + 3.0)) * (best_response_blocks(c, game.layout) - x)
 
     x = game.uniform_point() if x0 is None else game.project(np.asarray(x0, float))
     return _projected_equilibrium(x, terms, game.project, restart, tol, max_iter, "non-atomic")

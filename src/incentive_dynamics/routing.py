@@ -28,8 +28,8 @@ import numpy as np
 from .dynamics import RunConfig, TrajectoryRecord, _positive_int, run_coupled
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
-from .games import (NonAtomicGame, check_incentive, check_tolerance, project_blocks,
-                    random_blocks, simplex_target)
+from .games import (BlockLayout, NonAtomicGame, check_incentive, check_tolerance,
+                    project_blocks, random_blocks, simplex_target)
 
 DEFAULT_GAP_TOL = 1e-10
 MAX_PATH_NODES = 12
@@ -157,29 +157,25 @@ class RoutingNetwork:
         if not self.relax_monotonicity and not all(any(c[1:]) for c in polys):
             raise SpecError("edge latencies must be strictly increasing; "
                             "set relax_monotonicity for boundary cases")
-        # The incidence, its transpose (one row per route), each route's OD
-        # pair, and per OD pair its route slice, demand and rows of the
-        # transpose, all read-only: the public properties return fresh copies.
-        inc = np.zeros((len(edges), sum(len(od.routes) for od in ods)))
-        demands = np.array([od.demand for od in ods])
-        slices, col = [], 0
-        for od in ods:
-            slices.append(slice(col, col + len(od.routes)))
-            for route in od.routes:
-                for a in route:
-                    inc[a, col] += 1.0
-                col += 1
+        # The incidence, its transpose (one row per route), the block layout
+        # of the route flows (one block per OD pair, summing to its demand),
+        # and per OD pair its route slice, demand and rows of the transpose,
+        # all read-only: the public properties return fresh copies.
+        layout = BlockLayout([len(od.routes) for od in ods], [od.demand for od in ods])
+        inc = np.zeros((len(edges), layout.owner.size))
+        for col, route in enumerate(r for od in ods for r in od.routes):
+            for a in route:
+                inc[a, col] += 1.0
         rows = inc.T.copy()
-        route_od = np.repeat(np.arange(len(ods)), [len(od.routes) for od in ods])
-        for a in (inc, rows, route_od, demands):
+        demand_tol = 1e-7 * np.maximum(1.0, layout.masses)  # check_route_flow's tolerance
+        for a in (inc, rows, demand_tol):
             a.setflags(write=False)
+        object.__setattr__(self, "_demand_tol", demand_tol)
         object.__setattr__(self, "incidence", inc)
         object.__setattr__(self, "_route_rows", rows)
-        object.__setattr__(self, "_route_od", route_od)
-        object.__setattr__(self, "_route_slices", tuple(slices))
-        object.__setattr__(self, "_demands", demands)
-        object.__setattr__(self, "_od_blocks",
-                           tuple((s, rows[s], m) for s, m in zip(slices, demands)))
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_od_blocks", tuple(
+            (s, rows[s], m) for s, m in zip(layout.slices, layout.masses)))
 
     def _check_route(self, route, od: OdPair):
         if not route:
@@ -207,11 +203,11 @@ class RoutingNetwork:
 
     @property
     def route_slices(self) -> list:
-        return list(self._route_slices)
+        return list(self.layout.slices)
 
     @property
     def demands(self) -> np.ndarray:
-        return self._demands.copy()
+        return self.layout.masses.copy()
 
     @property
     def dim(self) -> int:
@@ -233,23 +229,19 @@ class RoutingNetwork:
             raise InvalidArgumentError("route flow has wrong length")
         if not (x >= -1e-9).all():  # NaN fails too; +inf fails the demand test
             raise InvalidArgumentError("route flows must be finite and nonnegative")
-        for s, od in zip(self._route_slices, self.od_pairs):
-            if abs(x[s].sum() - od.demand) > 1e-7 * max(1.0, od.demand):
-                raise InvalidArgumentError("route flow violates an OD demand")
+        if not (np.abs(self.layout.sums(x) - self.layout.masses) <= self._demand_tol).all():
+            raise InvalidArgumentError("route flow violates an OD demand")
         return x
 
     def uniform_route_flow(self) -> np.ndarray:
-        x = np.empty(self.n_routes)
-        for s, od in zip(self._route_slices, self.od_pairs):
-            x[s] = od.demand / len(od.routes)
-        return x
+        return self.layout.uniform()
 
     # Coupled-loop model: route flows x, edge tolls p.
 
     uniform_point = uniform_route_flow
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
-        return random_blocks(rng, self._route_slices, self._demands)
+        return random_blocks(rng, self.layout)
 
     def check_start(self, x0, p0) -> tuple:
         return self.check_route_flow(x0), check_incentive(p0, self.n_edges)
@@ -258,7 +250,7 @@ class RoutingNetwork:
         if rule.variant == "equilibrium":
             return wardrop_equilibrium(self, p, x0=x)[0]
         c = route_costs(self, self.incidence @ x, p)
-        return simplex_target(x, c, self._route_slices, self._demands, rule)
+        return simplex_target(x, c, self.layout, rule)
 
     def externality(self, x) -> np.ndarray:
         return edge_externality(self, self.incidence @ x)
@@ -272,11 +264,11 @@ class RoutingNetwork:
         return self.incidence.T @ (self.latency(w) + w * self.latency_deriv(w))
 
     def project(self, x) -> np.ndarray:
-        return project_blocks(np.asarray(x, dtype=float), self._route_slices, self._demands)
+        return project_blocks(np.asarray(x, dtype=float), self.layout)
 
     def strategy_gap(self, f, x):
         """Sup distance of the edge flows; route decompositions are interchangeable."""
-        return np.max(np.abs(self.incidence @ f - self.incidence @ x))
+        return np.maximum.reduce(np.abs(self.incidence @ f - self.incidence @ x), axis=None)
 
     def known_optimum(self) -> np.ndarray:
         return system_optimum(self)[0]
@@ -290,7 +282,7 @@ class RoutingNetwork:
 
     def cost_lipschitz(self) -> float:
         """Crude bound on the route-cost Lipschitz constant: max l'(total demand) * E."""
-        slope = float(np.max(self.latency_deriv(np.full(self.n_edges, self._demands.sum()))))
+        slope = float(np.max(self.latency_deriv(np.full(self.n_edges, self.layout.masses.sum()))))
         return max(slope * self.n_edges, 1e-12)
 
 
@@ -342,13 +334,13 @@ def _newton_step(net, x, c_edge, d_edge):
     """
     rows = net._route_rows
     c = rows @ c_edge
-    best = np.array([s.start + int(c[s].argmin()) for s in net._route_slices])
+    best = net.layout.argmin(c)
     used = x > 0.0
     used[best] = False
     r = np.flatnonzero(used)
     if not r.size:
         return None
-    b = best[net._route_od[r]]
+    b = best[net.layout.owner[r]]
     u, sv, _ = np.linalg.svd((rows[r] - rows[b]) * np.sqrt(d_edge), full_matrices=False)
     keep = sv > sv[0] * max(r.size, rows.shape[1]) * np.finfo(float).eps
     u = u[:, keep]
@@ -507,12 +499,8 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
 
     def verdict(x):
         c = route_costs(net, net.incidence @ x, edge_tolls)
-        for s in net._route_slices:
-            cmin = c[s].min()
-            min_cost = c[s] <= cmin + tol
-            if np.any(min_cost & (x[s] <= tol)):
-                return False
-        return True
+        cmin = np.minimum.reduce(net.layout.padded(c, np.inf), axis=1)
+        return not np.any((c <= cmin[net.layout.owner] + tol) & (x <= tol))
 
     if any(verdict(x) for x in [*solutions, np.mean(solutions, axis=0)]):
         return "pass"
@@ -646,12 +634,22 @@ def load_fixture(name: str) -> RoutingNetwork:
         raise InvalidArgumentError(f"unknown fixture {name!r}") from None
 
 
+def _od_from_json(i: int, od: dict) -> OdPair:
+    """OD pair ``i`` of a JSON routing block: a number "demand", and "routes"
+    a list of lists (``RoutingNetwork`` checks that their entries are edge indices)."""
+    origin, destination, demand, routes = od["o"], od["d"], od["demand"], od["routes"]
+    where = f"OD pair {i} ({origin} -> {destination})"
+    if isinstance(demand, bool) or not isinstance(demand, (int, float)):
+        raise SpecError(f'{where}: "demand" must be a number, got {demand!r}')
+    if not (isinstance(routes, list) and all(isinstance(r, list) for r in routes)):
+        raise SpecError(f'{where}: "routes" must be a list of edge-index lists, got {routes!r}')
+    return OdPair(origin, destination, float(demand), tuple(map(tuple, routes)))
+
+
 def network_from_json(data: dict) -> RoutingNetwork:
     nodes = tuple(data["nodes"])
     edges = tuple((e["tail"], e["head"], LatencyFunction(tuple(e["poly"])))
                   for e in data["edges"])
-    ods = tuple(OdPair(od["o"], od["d"], float(od["demand"]),
-                       tuple(tuple(r) for r in od["routes"]))
-                for od in data["od"])
+    ods = tuple(_od_from_json(i, od) for i, od in enumerate(data["od"]))
     return RoutingNetwork(nodes=nodes, edges=edges, od_pairs=ods,
                           relax_monotonicity=data.get("relax_monotonicity", False))

@@ -567,6 +567,38 @@ def test_verify_nonfinite_routing_block_exits_1_before_solving(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("od, message", [
+    ({"demand": "1.0"}, "\"demand\" must be a number, got '1.0'"),
+    ({"demand": True}, "\"demand\" must be a number, got True"),
+    ({"routes": [[0, 1], 1]}, "\"routes\" must be a list of edge-index lists"),
+    ({"routes": {"0": [0, 1]}}, "\"routes\" must be a list of edge-index lists"),
+], ids=["string_demand", "bool_demand", "number_route", "object_routes"])
+def test_verify_malformed_od_values_exit_1_naming_the_pair(tmp_path, capsys, od, message):
+    block = json.loads(json.dumps(BRAESS_ROUTING))
+    block["od"][0].update(od)
+    cfg = {"game": {"routing": block}, "analyses": [{"op": "nondegeneracy"}]}
+    assert cli.main(["verify", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OD pair 0 (s -> t): ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rule, message", [
+    # steps of 1e308 overflow the projected step to -inf
+    ({"variant": "gradient", "eta": 1e308},
+     "simplex projection of a vector with non-finite entries"),
+    # logit weights at temperature 1e-320 are NaN
+    ({"variant": "gradient", "regularizer": "entropy", "eta": 1e-320},
+     "the fixed-point residual at iteration 0 is nan"),
+], ids=["projection", "residual"])
+def test_nonfinite_route_flows_exit_2_with_one_line(tmp_path, capsys, rule, message):
+    out = tmp_path / "out"
+    cfg = {"game": {"builtin": "braess"}, "run": {"rule": rule}, "output_dir": str(out)}
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+    assert capsys.readouterr().err == f"error: run diverged: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_nonfinite_tolls_exits_1(tmp_path, capsys):
     cfg = {"game": {"builtin": "braess"},
            "analyses": [{"op": "nondegeneracy", "tolls": [float("nan"), 0, 0, 0, 0]}]}

@@ -12,7 +12,7 @@ from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedu
                                          StrategyUpdateRule, TrajectoryRecord,
                                          externality, resolve_eta, run_coupled,
                                          strategy_target, strict_json)
-from incentive_dynamics.errors import InvalidArgumentError, SpecError
+from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, SpecError
 from incentive_dynamics.routing import braess_network, nonatomic_view
 
 from corpus import grid34
@@ -316,6 +316,15 @@ def test_run_coupled_residual_tail_settles():
     rec = run_coupled(g, np.array([1.0, 0.0]), np.zeros(2), cfg)
     tail = rec.residuals[-max(1, len(rec.residuals) // 10):]
     assert max(tail) <= tail[0] + 1e-12
+
+
+def test_run_coupled_stops_at_a_nonfinite_residual():
+    # at temperature 1e-320 every logit weight is exp(-inf + inf) = NaN
+    net = braess_network()
+    rule = StrategyUpdateRule("gradient", eta=1e-320, regularizer="entropy")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError, match="residual at iteration 0 is nan"):
+            run_coupled(net, net.uniform_point(), np.zeros(5), RunConfig(rule=rule))
 
 
 def test_run_coupled_infeasible_start_rejected():

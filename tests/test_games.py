@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from incentive_dynamics import games
 from incentive_dynamics.errors import (ConvergenceError, EvaluationError,
                                        InvalidArgumentError, SpecError)
-from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
+from incentive_dynamics.games import (MASS_TOL, AtomicGame, NonAtomicGame,
                                       certify_nash_atomic,
                                       certify_nash_nonatomic,
                                       certify_social_optimum, project_interval,
@@ -65,6 +65,104 @@ def test_project_simplex_idempotent_on_feasible():
 def test_project_simplex_rejects_nonpositive_mass():
     with pytest.raises(InvalidArgumentError):
         project_simplex(np.array([1.0, 2.0]), 0.0)
+
+
+def test_project_simplex_of_a_swamped_vector_is_taken_from_its_maximum():
+    # 1e300 - 1 == 1e300: no rank passes the threshold test as written
+    np.testing.assert_array_equal(project_simplex(np.array([1e300, -1e300, 5.0]), 1.0),
+                                  [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, -np.inf]])
+def test_project_simplex_rejects_a_nonfinite_vector(bad):
+    with pytest.raises(EvaluationError, match="non-finite"):
+        project_simplex(np.array(bad), 1.0)
+
+
+def test_a_swamped_or_nonfinite_block_leaves_the_others_alone():
+    layout = games.BlockLayout((2, 3), (2.0, 1.0))
+    good = np.array([0.3, -1.2])
+    swamped = np.concatenate([good, [1e300, -1e300, 5.0]])
+    np.testing.assert_array_equal(games.project_blocks(swamped, layout),
+                                  [*project_simplex(good, 2.0), 1.0, 0.0, 0.0])
+    with pytest.raises(EvaluationError):
+        games.project_blocks(np.concatenate([good, [1.0, np.nan, 0.0]]), layout)
+    # -inf in a block whose top rank passes: the entry is projected to 0
+    np.testing.assert_array_equal(
+        games.project_blocks(np.concatenate([good, [-np.inf, 0.5, 0.5]]), layout),
+        [*project_simplex(good, 2.0), 0.0, 0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# block layouts: one padded pass against the per-block loops
+# ---------------------------------------------------------------------------
+
+def simplex_reference(v, m):
+    """One block's projection, as the per-block loop computed it: the
+    sort-based rule of Duchi et al. (2008), with a block whose top rank fails
+    the threshold test (its range swamps m) projected after its maximum is
+    subtracted."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - m
+    passes = u * np.arange(1, v.size + 1) > css
+    if not passes[0]:
+        return simplex_reference(v - u[0], m)
+    rho = np.nonzero(passes)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+def blocks_reference(layout, one_block):
+    return lambda v, *args: np.concatenate(
+        [one_block(v[s], m, *args) for s, m in zip(layout.slices, layout.masses)])
+
+
+def best_response_reference(c, m):
+    out = np.zeros(c.size)
+    out[np.argmin(c)] = m
+    return out
+
+
+def logit_reference(c, m, temperature):
+    z = -c / temperature
+    z -= z.max()
+    w = np.exp(z)
+    return m * w / w.sum()
+
+
+# ties, signed zeros, and magnitudes from subnormal to 1e4
+LAYOUT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                          st.floats(-1e4, 1e4, allow_subnormal=True))
+
+
+@st.composite
+def layouts(draw):
+    counts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    masses = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(counts), max_size=len(counts)))
+    values = draw(st.lists(LAYOUT_VALUES, min_size=sum(counts), max_size=sum(counts)))
+    return games.BlockLayout(counts, masses), np.array(values)
+
+
+def assert_feasible(y, layout):
+    assert (y >= 0.0).all()
+    sums = np.array([y[s].sum() for s in layout.slices])
+    assert (np.abs(sums - layout.masses) <= np.maximum(MASS_TOL, MASS_TOL * layout.masses)).all()
+
+
+@given(layouts(), st.floats(1e-2, 1e2))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_padded_block_passes_match_the_per_block_loops(case, temperature):
+    layout, v = case
+    projected = games.project_blocks(v, layout)
+    assert projected.tobytes() == blocks_reference(layout, simplex_reference)(v).tobytes()
+    best = games.best_response_blocks(v, layout)
+    assert best.tobytes() == blocks_reference(layout, best_response_reference)(v).tobytes()
+    # row sums added left to right can differ from numpy's pairwise sum in the
+    # last bit for blocks of 8 or more entries
+    logit = games.logit_blocks(v, layout, temperature)
+    np.testing.assert_allclose(
+        logit, blocks_reference(layout, logit_reference)(v, temperature), rtol=1e-15, atol=0)
+    for y in (projected, best, logit):
+        assert_feasible(y, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +523,7 @@ def nonatomic_loop_reference(game, p, tol=1e-10, x0=None, max_iter=200000):
             eta *= 0.5
             if eta < 1e-12:
                 f = games.best_response_blocks(np.asarray(game.action_cost(x), float) + p,
-                                               game.slices, game.masses)
+                                               game.layout)
                 x = x + (2.0 / (k + 3.0)) * (f - x)
                 _, res = certify_nash_nonatomic(game, x, p, tol)
                 eta = 1.0

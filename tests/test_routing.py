@@ -1,5 +1,7 @@
+import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from corpus import CORPUS, grid34, grid45, grid67
 from incentive_dynamics import numdiff, routing
 from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
-                                         resolve_eta)
+                                         resolve_eta, run_coupled)
 from incentive_dynamics.errors import (ConvergenceError, InvalidArgumentError,
                                        SpecError)
 from incentive_dynamics.routing import (FIXTURES, LatencyFunction, OdPair,
@@ -847,6 +849,58 @@ def test_network_from_json():
     net = network_from_json(data)
     _, w = wardrop_equilibrium(net, np.zeros(2))
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-9)
+
+
+def test_network_from_json_names_the_od_pair_of_a_bad_value():
+    data = {
+        "nodes": ["S", "D"],
+        "edges": [{"tail": "S", "head": "D", "poly": [0.0, 1.0]}],
+        "od": [{"o": "S", "d": "D", "demand": 1.0, "routes": [[0]]},
+               {"o": "S", "d": "D", "demand": 1.0, "routes": [0]}],
+    }
+    with pytest.raises(SpecError, match=re.escape('OD pair 1 (S -> D): "routes" must be')):
+        network_from_json(data)
+    data["od"][1].update(routes=[[0]], demand=[1.0])
+    with pytest.raises(SpecError, match=re.escape('OD pair 1 (S -> D): "demand" must be')):
+        network_from_json(data)
+
+
+COUPLED_RECORDS = Path(__file__).parent / "data" / "coupled_records.json"
+RECORD_MODELS = {
+    "braess": braess_network,
+    "grid34": grid34,
+    "grid45": grid45,
+    "braess_view": lambda: nonatomic_view(braess_network()),
+}
+RECORD_RULES = {
+    "best_response": StrategyUpdateRule("best_response"),
+    "gradient": StrategyUpdateRule("gradient"),
+    "gradient_eta0.2": StrategyUpdateRule("gradient", eta=0.2),
+    "entropy": StrategyUpdateRule("gradient", regularizer="entropy"),
+    "equilibrium": StrategyUpdateRule("equilibrium"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(json.loads(COUPLED_RECORDS.read_text())))
+def test_coupled_records_match_the_per_block_loops(case):
+    """Records written by the per-block projection, best response and logit
+    that the padded block layout replaced (commit 03d5674): 300 iterations
+    from a seeded random start, recorded every 30. Equal to the bit, but for
+    logit's row sums, which may round differently in blocks of 8 or more routes."""
+    expected = json.loads(COUPLED_RECORDS.read_text())[case]
+    model_name, rule_name = case.split("/")
+    model = RECORD_MODELS[model_name]()
+    config = RunConfig(rule=RECORD_RULES[rule_name], max_iterations=300, record_every=30)
+    x0 = model.random_start(np.random.default_rng(5))
+    record = run_coupled(model, x0, np.zeros(model.dim), config)
+    assert (record.ks, record.converged, record.iterations) == (
+        expected["ks"], expected["converged"], expected["iterations"])
+    for key in ("xs", "ps", "residuals", "social_costs"):
+        got = np.array(getattr(record, key))
+        if rule_name == "entropy":
+            np.testing.assert_allclose(got, expected[key], rtol=1e-12, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(got, expected[key])
 
 
 @given(st.floats(-1, 2), st.floats(-1, 2))
