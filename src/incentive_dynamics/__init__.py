@@ -10,10 +10,9 @@ and routing applications, verification utilities, and a CLI runner.
 from .aggregative import (QuadraticAggregativeSpec, check_global_conditions,
                           check_local_conditions, lyapunov_decrement,
                           lyapunov_value, nash_closed_form, optimal_incentive)
-from .analysis import (OdeProbeConfig, SlowSystem, multistart_uniqueness_probe,
+from .analysis import (OdeProbeConfig, multistart_uniqueness_probe,
                        ode_probe_slow_dynamics, reproduce_counterexample,
-                       run_gradient_baseline, slow_system,
-                       verify_fixed_point_optimality)
+                       run_gradient_baseline, verify_fixed_point_optimality)
 from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
                        TrajectoryRecord, run_coupled)
 from .errors import (ConvergenceError, EvaluationError, GameError,

@@ -20,34 +20,20 @@ from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule, TrajectoryRe
 from .errors import InvalidArgumentError
 
 
-@dataclass(frozen=True)
-class SlowSystem:
-    """The incentive layer with the strategy layer solved out."""
-
-    dim: int
-    phi: Callable[[np.ndarray], np.ndarray]  # p -> e(x*(p))
-    equilibrium: Callable[[np.ndarray], np.ndarray]  # p -> x*(p)
-    equilibrium_social_cost: Callable[[np.ndarray], float]
-
-
 def strategy_model(obj):
     """The coupled-loop model of ``obj``: an aggregative spec's atomic game, else ``obj``."""
     return obj.to_game() if isinstance(obj, agg.QuadraticAggregativeSpec) else obj
 
 
-def slow_system(obj) -> SlowSystem:
-    """The reduced incentive dynamics of a model; x*(p) is its equilibrium-rule target."""
-    model = strategy_model(obj)
+def _x_star(model, p, x0=None) -> np.ndarray:
+    """x*(p), the model's equilibrium-rule target; no ``x0`` is the solver's own start."""
+    return model.target(x0, p, StrategyUpdateRule())
 
-    def x_star(p):  # no warm start: the equilibrium solver's own default
-        return model.target(None, p, StrategyUpdateRule())
 
-    return SlowSystem(
-        dim=model.dim,
-        phi=lambda p: model.externality(x_star(p)),
-        equilibrium=x_star,
-        equilibrium_social_cost=lambda p: float(model.social(x_star(p))),
-    )
+def _p_dagger(model) -> Optional[np.ndarray]:
+    """p† = e(x†), the externality at the model's known optimum, or None without one."""
+    x_opt = model.known_optimum()
+    return None if x_opt is None else model.externality(x_opt)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +46,10 @@ def verify_fixed_point_optimality(obj, p=None, tol: float = 1e-6) -> dict:
     Checks (a) phi(p) = e(x*(p)) = p, (b) the projected-gradient certificate
     of social optimality at x*(p), (c) proximity of x*(p) to the model's
     independently computed social optimum (skipped when it has none). ``p``
-    defaults to p† = e(x_opt), the externality at that optimum.
+    defaults to p† = e(x_opt), the externality at that optimum. The gap in
+    (a) is judged against ``tol`` max(1, |p|), (b) and (c) against ``tol``
+    max(1, |x*(p)|) (10 times that for (c)), sup norms: a spec in larger units
+    gets the verdict of the same spec in smaller ones.
     """
     games.check_tolerance(tol)
     model = strategy_model(obj)
@@ -70,15 +59,17 @@ def verify_fixed_point_optimality(obj, p=None, tol: float = 1e-6) -> dict:
             raise InvalidArgumentError("the model has no known optimal incentive; pass p")
         p = model.externality(x_opt)
     p = np.asarray(p, dtype=float)
-    x = slow_system(model).equilibrium(p)
+    x = _x_star(model, p)
+    x_tol = tol * max(1.0, float(np.max(np.abs(x))))
     phi_gap = float(np.max(np.abs(model.externality(x) - p)))
-    ok, resid = games.certify_social_optimum(model, x, tol)
-    report = {"fixed_point_gap": phi_gap, "fixed_point_ok": phi_gap <= tol,
+    ok, resid = games.certify_social_optimum(model, x, x_tol)
+    report = {"fixed_point_gap": phi_gap,
+              "fixed_point_ok": phi_gap <= tol * max(1.0, float(np.max(np.abs(p)))),
               "optimality_residual": resid, "optimality_ok": ok}
     if x_opt is not None:
         gap = float(model.strategy_gap(x, x_opt))
         report["distance_to_optimum"] = gap
-        report["optimum_proximity_ok"] = gap <= 10 * tol
+        report["optimum_proximity_ok"] = gap <= 10 * x_tol
     report["passed"] = all(v for k, v in report.items() if k.endswith("_ok"))
     return report
 
@@ -108,15 +99,14 @@ def ode_probe_slow_dynamics(obj, start_points,
     distance is within ``config.tol``.
     """
     model = strategy_model(obj)
-    sys = slow_system(model)
-    target = model.optimal_incentive()
+    target = _p_dagger(model)
     starts, endpoints, distances = [], [], []
     n_steps = int(round(config.horizon / config.step))
     for p0 in start_points:
         p = np.array(p0, dtype=float)
         starts.append(p)
         for _ in range(n_steps):
-            p = p + config.step * (sys.phi(p) - p)
+            p = p + config.step * (model.externality(_x_star(model, p)) - p)
         endpoints.append(p)
         if target is not None:
             distances.append(float(np.max(np.abs(p - target))))
@@ -145,20 +135,23 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
     if len(p_samples) == 0:
         raise InvalidArgumentError("condition C1 needs at least one incentive sample")
     model = strategy_model(obj)
-    sys = slow_system(model)
+
+    def phi(q):
+        return model.externality(_x_star(model, q))
+
     offdiag_min = np.inf
     for p in p_samples:
-        J = numdiff.central_jacobian(sys.phi, np.asarray(p, float))
-        off = J[~np.eye(sys.dim, dtype=bool)]
+        J = numdiff.central_jacobian(phi, np.asarray(p, float))
+        off = J[~np.eye(model.dim, dtype=bool)]
         if off.size:
             offdiag_min = np.minimum(offdiag_min, off.min())  # a NaN stays
     report = {
-        "offdiag_min": float(offdiag_min) if sys.dim > 1 else None,
+        "offdiag_min": float(offdiag_min) if model.dim > 1 else None,
         "cooperative": bool(offdiag_min > tol),
     }
-    phi0 = sys.phi(np.zeros(sys.dim))
+    phi0 = phi(np.zeros(model.dim))
     report["origin_drift"] = [float(v) for v in phi0]
-    pd = model.optimal_incentive()
+    pd = _p_dagger(model)
     if pd is not None:
         scales = (1.5, 2.0, 4.0, 8.0)
         # the nonpositive orthant's test is the mirror image: negation is exact,
@@ -167,7 +160,7 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
             ok = bool(np.all(sign * phi0 >= -tol) and np.all(sign * pd >= -tol))
             if ok:
                 ok = any(np.all(sign * (s * pd) > sign * pd - tol)
-                         and np.all(sign * (sys.phi(s * pd) - s * pd) <= tol)
+                         and np.all(sign * (phi(s * pd) - s * pd) <= tol)
                          for s in scales)
             report[f"{orthant}_orthant_variant"] = ok
         report["passed"] = report["cooperative"] and (
@@ -180,23 +173,26 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
 def check_condition_C2(obj, weight, p_samples, tol: float = 1e-10) -> dict:
     """Quadratic certificate decrease along the slow drift at sampled points.
 
-    Samples within 1e-12 of p† are skipped; with none left the check has no
-    evidence and raises ``InvalidArgumentError``. A NaN decrement fails it.
+    ``weight`` must be an n x n array, n the incentive dimension. Samples
+    within 1e-12 of p† are skipped; with none left the check has no evidence
+    and raises ``InvalidArgumentError``. A NaN decrement fails it.
     """
     games.check_tolerance(tol)
     model = strategy_model(obj)
-    sys = slow_system(model)
-    pd = model.optimal_incentive()
+    pd = _p_dagger(model)
     if pd is None:
         raise InvalidArgumentError("certificate check needs a known fixed point")
     W = np.asarray(weight, dtype=float)
+    if W.shape != (model.dim, model.dim):
+        raise InvalidArgumentError(f"weight must be a {model.dim} x {model.dim} array, "
+                                   f"not shape {W.shape}")
     decrements = []
     for p in p_samples:
         p = np.asarray(p, float)
         d = p - pd
         if np.max(np.abs(d)) <= 1e-12:
             continue
-        drift = sys.phi(p) - p
+        drift = model.externality(_x_star(model, p)) - p
         decrements.append(float(((W + W.T) @ d) @ drift))
     if not decrements:
         raise InvalidArgumentError("condition C2 needs a sample away from p†")
@@ -210,10 +206,10 @@ def check_condition_C2(obj, weight, p_samples, tol: float = 1e-10) -> dict:
 
 def equilibrium_cost_gradient(obj, p) -> np.ndarray:
     """Finite-difference gradient of p -> social cost at x*(p), step 1e-4 (1 + |p|)."""
-    sys = slow_system(obj)
+    model = strategy_model(obj)
     p = np.asarray(p, dtype=float)
     h = 1e-4 * (1.0 + np.linalg.norm(p))
-    return numdiff.central_gradient(sys.equilibrium_social_cost, p, step=h)
+    return numdiff.central_gradient(lambda q: float(model.social(_x_star(model, q))), p, step=h)
 
 
 def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
@@ -226,14 +222,13 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
     available).
     """
     model = strategy_model(obj)
-    x_star = slow_system(model).equilibrium
     p = np.asarray(p0, dtype=float).copy()
     grad = gradient or (lambda q: equilibrium_cost_gradient(model, q))
     record = TrajectoryRecord()
     for k in range(max_iterations):
         g = np.asarray(grad(p), float)
         if k % 10 == 0 or k == max_iterations - 1:
-            x = x_star(p)
+            x = _x_star(model, p)
             record.append(k, x, p, float(np.max(np.abs(g))), model.social(x))
         p = p - schedule.beta(k) * g
     record.iterations = max_iterations
@@ -360,8 +355,7 @@ def multistart_uniqueness_probe(obj, p, n_starts: int = 8, seed: int = 0) -> dic
     model = strategy_model(obj)
     rng = np.random.default_rng(_positive_int(seed, "seed", least=0))
     p = np.asarray(p, dtype=float)
-    solutions = [model.target(model.random_start(rng), p, StrategyUpdateRule())
-                 for _ in range(n_starts)]
+    solutions = [_x_star(model, p, model.random_start(rng)) for _ in range(n_starts)]
     spread = 0.0
     for i in range(len(solutions)):
         for j in range(i + 1, len(solutions)):

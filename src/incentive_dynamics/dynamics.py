@@ -15,8 +15,8 @@ games and routing networks. A model supplies
 - ``cost_lipschitz()``: a bound ``L`` behind the default step ``0.9 / L``;
 - ``uniform_point()`` and ``random_start(rng)``: a feasible strategy, the
   CLI's default start, and a random one, for multistart probes;
-- ``known_optimum()`` and ``optimal_incentive()``: an independent social
-  optimum and p†, or ``None``, for the slow-layer checks of ``analysis``.
+- ``known_optimum()``: an independent social optimum, or ``None``, for the
+  slow-layer checks of ``analysis``, which take p† = e(x†) from it.
 
 The loop records the iterates it passes to these methods without copying
 them, so no method may write into its arguments.

@@ -295,10 +295,6 @@ class AtomicGame:
     def known_optimum(self) -> Optional[Array]:
         return self.optimum
 
-    def optimal_incentive(self) -> Optional[Array]:
-        """p† = e(x†), the externality at the closed-form optimum."""
-        return None if self.optimum is None else self.externality(self.optimum)
-
     def cost_lipschitz(self) -> float:
         if self.lipschitz_bound:
             return self.lipschitz_bound
@@ -377,9 +373,6 @@ class NonAtomicGame:
         return np.max(np.abs(f - x))
 
     def known_optimum(self) -> None:
-        return None
-
-    def optimal_incentive(self) -> None:
         return None
 
     def cost_lipschitz(self) -> float:

@@ -273,9 +273,6 @@ class RoutingNetwork:
     def known_optimum(self) -> np.ndarray:
         return system_optimum(self)[0]
 
-    def optimal_incentive(self) -> np.ndarray:
-        return optimal_edge_tolls(self)
-
     def certificate_weight(self) -> np.ndarray:
         """The paper's diagonal certificate weight at the system optimum."""
         return delta_matrix(self, system_optimum(self)[1])

@@ -176,8 +176,8 @@ def test_game_view_carries_the_closed_form_optimum():
     for spec in specs:
         game = spec.to_game()
         np.testing.assert_array_equal(game.known_optimum(), spec.y_dagger())
-        np.testing.assert_allclose(game.optimal_incentive(), optimal_incentive(spec),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(game.externality(game.known_optimum()),
+                                   optimal_incentive(spec), rtol=0, atol=1e-12)
 
 
 def test_closed_form_matches_best_response_iteration():

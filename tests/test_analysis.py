@@ -3,7 +3,7 @@ import pytest
 
 from corpus import grid34, mixed_degree_network
 from incentive_dynamics import analysis, routing
-from incentive_dynamics.aggregative import (QuadraticAggregativeSpec,
+from incentive_dynamics.aggregative import (QuadraticAggregativeSpec, QuadraticTerm,
                                             check_local_conditions,
                                             nash_closed_form,
                                             optimal_incentive)
@@ -14,11 +14,12 @@ from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
                                          multistart_uniqueness_probe,
                                          ode_probe_slow_dynamics,
                                          reproduce_counterexample,
-                                         run_gradient_baseline, slow_system,
+                                         run_gradient_baseline,
                                          two_link_clarke_gradient,
                                          two_link_equilibrium,
                                          two_link_equilibrium_cost,
                                          verify_fixed_point_optimality)
+from incentive_dynamics.dynamics import StrategyUpdateRule
 from incentive_dynamics.errors import InvalidArgumentError, SpecError
 from incentive_dynamics.games import NonAtomicGame
 from incentive_dynamics.routing import (delta_matrix, optimal_edge_tolls,
@@ -26,6 +27,14 @@ from incentive_dynamics.routing import (delta_matrix, optimal_edge_tolls,
 
 from test_aggregative import M1_SPEC, M2_SPEC, example_spec
 from test_games import aggregative_game, two_link_game
+
+
+EQUILIBRIUM = StrategyUpdateRule()
+
+
+def phi(model, p):
+    """The slow map e(x*(p)), with x*(p) the model's equilibrium-rule target."""
+    return model.externality(model.target(None, p, EQUILIBRIUM))
 
 
 # ---------------------------------------------------------------------------
@@ -44,23 +53,22 @@ def test_verify_two_link_fixed_point():
     net = two_link_network()
     report = verify_fixed_point_optimality(net, np.array([0.5, 0.5]), tol=1e-6)
     assert report["passed"]
-    sys = slow_system(net)
-    assert sys.equilibrium_social_cost(np.array([0.5, 0.5])) == pytest.approx(0.5, abs=1e-8)
+    x = net.target(None, np.array([0.5, 0.5]), EQUILIBRIUM)
+    assert net.social(x) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_verify_game_fixed_points():
     # bare games reach the slow map through their equilibrium-rule target
     g = two_link_game()
-    sys = slow_system(g)
-    assert sys.dim == 2
-    np.testing.assert_allclose(sys.phi(np.array([0.5, 0.5])), [0.5, 0.5], atol=1e-8)
+    assert g.dim == 2
+    np.testing.assert_allclose(phi(g, np.array([0.5, 0.5])), [0.5, 0.5], atol=1e-8)
     assert verify_fixed_point_optimality(g, np.array([0.5, 0.5]))["passed"]
     # x*(p) = -M^-1 p and e(x) = x - zeta - M x with M = Q + alpha A, so the
     # fixed point p = -M zeta induces the optimum x*(p) = zeta
     ga = aggregative_game([1.0, 1.0], [[0, 0.3], [0.3, 0]], 0.5, [1.0, 2.0])
     M = np.array([[1.0, 0.15], [0.15, 1.0]])
     p_opt = -M @ np.array([1.0, 2.0])
-    assert slow_system(ga).dim == 2
+    assert ga.dim == 2
     assert verify_fixed_point_optimality(ga, p_opt)["passed"]
     assert not verify_fixed_point_optimality(ga, p_opt + 0.1)["passed"]
 
@@ -84,6 +92,17 @@ def test_verify_corpus_networks(make_net):
     assert report["passed"]
     assert report["distance_to_optimum"] <= 1e-5
     assert not verify_fixed_point_optimality(net, p_dagger + 0.1)["fixed_point_ok"]
+
+
+def test_verify_judges_relative_to_the_scale_of_its_iterates():
+    # y† = (1e13, -1) is solved to about 4e-5 in absolute terms, far below 1e-6 of its size
+    spec = QuadraticAggregativeSpec(q=[1.0, 1.0], A=[[0.0, 0.5], [0.5, 0.0]], alpha=1.0,
+                                    h=(QuadraticTerm(1e13), QuadraticTerm(-1.0)))
+    report = verify_fixed_point_optimality(spec)
+    assert report["passed"]
+    assert report["optimality_residual"] > 1e-5 and report["distance_to_optimum"] > 1e-5
+    report = verify_fixed_point_optimality(spec, 1.001 * optimal_incentive(spec))
+    assert not report["fixed_point_ok"] and not report["passed"]
 
 
 def test_verify_defaults_to_the_models_optimal_incentive():
@@ -130,12 +149,14 @@ def test_cost_gradient_needs_no_system_optimum(monkeypatch):
 
 def test_slow_system_routing_holds_route_flows():
     net = routing.braess_network()
-    sys = slow_system(net)
     p = np.array([0.1, 0.0, 0.2, 0.0, 0.3])
-    x = sys.equilibrium(p)
-    assert sys.dim == net.n_edges and x.shape == (net.n_routes,)
+    x = net.target(None, p, EQUILIBRIUM)
+    assert net.dim == net.n_edges and x.shape == (net.n_routes,)
     np.testing.assert_array_equal(x, routing.wardrop_equilibrium(net, p)[0])
-    assert sys.equilibrium_social_cost(p) == net.social(x)
+    # the baseline records x*(p) and its social cost at its start
+    record = run_gradient_baseline(net, p, max_iterations=1, gradient=lambda q: np.zeros(5))
+    np.testing.assert_array_equal(record.final_x, x)
+    assert record.social_costs[-1] == net.social(x)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +301,11 @@ def test_condition_c2_routing_delta_certificate():
     Delta = delta_matrix(net, w_opt)
     rng = np.random.default_rng(6)
     radius = 0.1 * np.linalg.norm(p_dagger) + 0.01
-    sys = slow_system(net)
     for _ in range(25):
         p = p_dagger + rng.uniform(-radius, radius, size=2)
         d = p - p_dagger
         V = float(d @ Delta @ d)
-        drift = sys.phi(p) - p
+        drift = phi(net, p) - p
         dec = float((2 * Delta @ d) @ drift)
         assert dec < -2 * V + 1e-8
 
@@ -331,7 +351,7 @@ class NanSlowMap:
     def social(self, x):
         return 0.0
 
-    def optimal_incentive(self):
+    def known_optimum(self):
         return None
 
 
@@ -347,6 +367,19 @@ def test_condition_c2_needs_a_sample_away_from_p_dagger():
     for samples in ([], [pd, pd + 1e-13]):
         with pytest.raises(InvalidArgumentError, match="away from p"):
             check_condition_C2(spec, spec.certificate_weight(), samples)
+
+
+def test_condition_c2_needs_a_known_fixed_point():
+    view = routing.nonatomic_view(two_link_network())
+    with pytest.raises(InvalidArgumentError, match="needs a known fixed point"):
+        check_condition_C2(view, np.eye(2), [[0.1, 0.9]])
+
+
+@pytest.mark.parametrize("weight", [[[1.0, 0.0]], 1.0, [1.0, 2.0], np.eye(3)])
+def test_condition_c2_weight_must_be_square_in_the_incentive_dimension(weight):
+    spec = QuadraticAggregativeSpec(**M2_SPEC)
+    with pytest.raises(InvalidArgumentError, match="weight must be a 2 x 2 array"):
+        check_condition_C2(spec, weight, [np.zeros(2)])
 
 
 def test_condition_c2_nan_weight_fails():

@@ -781,6 +781,10 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
       for item, key, kind, values in INT_KEYS for value in values],
     ("run", dict(TWO_LINK_RUN, analysis=[{"op": "condition_c2", "p_samples": [[0.1, 0.9]]}]),
      "error: unknown config key 'analysis'\n"),
+    *[("verify", {"game": M2_GAME, "analyses": [
+        {"op": "condition_c2", "p_samples": [[0.1, 0.9]], "weight": weight}]},
+       f"error in analysis 'condition_c2': weight must be a 2 x 2 array, not shape {shape}\n")
+      for weight, shape in (([[1.0, 0.0]], (1, 2)), (1.0, ()), ([1.0, 2.0], (2,)))],
     ("verify", {"game": {"builtin": "two_link", **M2_GAME},
                 "analyses": [{"op": "verify_fixed_point_optimality"}]},
      "error: \"game\" holds more than one key: 'builtin', 'aggregative'\n"),
@@ -813,7 +817,8 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
         *[f"{item['op']}-tol-{tol}" for item, tols in TOL_ANALYSES for tol in tols],
         *[f"{item['op']}-{key}-{value}" for item, key, _, values in INT_KEYS
           for value in values],
-        "misspelled-top-level-key", "game-two-kinds", "routing-relax-string",
+        "misspelled-top-level-key", "c2-weight-row", "c2-weight-scalar", "c2-weight-vector",
+        "game-two-kinds", "routing-relax-string",
         "routing-float-edge", "routing-bool-edges", "aggregative-missing-q",
         "routing-missing-od", "condition_c1-missing-p_samples", "aggregative-zeta-and-h"])
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, message):

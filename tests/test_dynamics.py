@@ -360,6 +360,16 @@ def test_default_eta_from_the_cost_lipschitz_bound():
     assert resolve_eta(dataclasses.replace(g, lipschitz_bound=1.5), rule) == 0.9 / 1.5
 
 
+def test_gradient_rule_without_a_step_targets_at_the_default_step():
+    rule = StrategyUpdateRule("gradient")
+    ga = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
+    for game, x, p in ((two_link_game(), np.array([0.3, 0.7]), np.array([0.2, 0.0])),
+                       (ga, np.array([0.5, -1.0]), np.array([1.0, 0.3]))):
+        explicit = dataclasses.replace(rule, eta=resolve_eta(game, rule))
+        np.testing.assert_array_equal(strategy_target(game, x, p, rule),
+                                      game.target(x, p, explicit))
+
+
 # ---------------------------------------------------------------------------
 # the loop against its reference
 # ---------------------------------------------------------------------------

@@ -176,6 +176,13 @@ def test_atomic_game_rejects_crossed_bounds():
                    social_grad=lambda x: np.zeros(1))
 
 
+def test_atomic_game_rejects_bounds_of_different_shapes():
+    with pytest.raises(SpecError, match="matching shapes"):
+        AtomicGame(lower=[0.0, 0.0], upper=[1.0],
+                   loss_grad=lambda x: x, social=lambda x: 0.0,
+                   social_grad=lambda x: np.zeros(2))
+
+
 def test_atomic_project_on_unbounded_box_matches_project_interval():
     unbounded = aggregative_game(np.ones(5), np.zeros((5, 5)), 0.5, np.zeros(5))
     x = np.array([np.nan, np.inf, -np.inf, -0.0, 1e308])
@@ -197,6 +204,13 @@ def test_atomic_project_on_unbounded_box_matches_project_interval():
 def test_nonatomic_game_rejects_zero_mass():
     with pytest.raises(SpecError):
         NonAtomicGame(masses=[0.0], action_counts=(2,),
+                      action_cost=lambda x: x, social=lambda x: 0.0,
+                      social_grad=lambda x: np.zeros(2))
+
+
+def test_nonatomic_game_rejects_an_empty_action_set():
+    with pytest.raises(SpecError, match="action count >= 1"):
+        NonAtomicGame(masses=[1.0, 1.0], action_counts=(2, 0),
                       action_cost=lambda x: x, social=lambda x: 0.0,
                       social_grad=lambda x: np.zeros(2))
 
@@ -366,6 +380,13 @@ def test_certify_nash_atomic_perturbation_fails():
     assert not ok and resid > tol
 
 
+def test_certify_nash_atomic_rejects_a_dimension_mismatch():
+    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
+    for x, p in ((np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(1))):
+        with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+            certify_nash_atomic(g, x, p)
+
+
 def test_certify_nash_nonatomic_two_link():
     g = two_link_game()
     ok, _ = certify_nash_nonatomic(g, np.array([0.5, 0.5]), np.zeros(2), 1e-8)
@@ -402,17 +423,17 @@ def test_atomic_finite_box_midpoint_and_clipped_optimum():
 
 def test_atomic_game_closed_form_optimum():
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [1.0, 2.0])
-    assert g.known_optimum() is None and g.optimal_incentive() is None
+    assert g.known_optimum() is None
     with_opt = AtomicGame(g.lower, g.upper, g.loss_grad, g.social,
                           g.social_grad, optimum=[1.0, 2.0])
     np.testing.assert_array_equal(with_opt.known_optimum(), [1.0, 2.0])
     # p† = e(x†) = -M x† with M = [[1, 0.5], [0.5, 1]]
-    np.testing.assert_allclose(with_opt.optimal_incentive(), [-2.0, -2.5], atol=1e-15)
+    np.testing.assert_allclose(with_opt.externality(with_opt.known_optimum()), [-2.0, -2.5],
+                               atol=1e-15)
     with pytest.raises(SpecError):
         AtomicGame(g.lower, g.upper, g.loss_grad, g.social,
                    g.social_grad, optimum=[1.0])
     assert two_link_game().known_optimum() is None
-    assert two_link_game().optimal_incentive() is None
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +640,14 @@ def test_best_response_atomic_one_sided_bounds():
                        lambda x: x - c)
     f = games.best_response_atomic(g, np.array([-1.0, 0.0, 40.0, 1.0]), np.zeros(4))
     np.testing.assert_allclose(f, [-5.0, 2.0, 2.0, 0.0], rtol=0, atol=1e-14)
+
+
+def test_best_response_atomic_stops_at_a_far_finite_bound():
+    # the own partial y - 2e15 is negative on all of [0, 1e15]: the doubling
+    # steps pass BRACKET_MAX_STEP, so the next trial point is the bound itself
+    assert games.nondecreasing_root(lambda y: y - 2e15, 0, 0.0, None, 0.0, 1e15) == 1e15
+    g = separable_game(np.zeros(1), np.full(1, 1e15), lambda x: x - 2e15)
+    assert games.best_response_atomic(g, np.zeros(1), np.zeros(1))[0] == 1e15
 
 
 def test_best_response_atomic_quartic_own_cost():
