@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidArgumentError, SpecError
-from .games import AtomicGame, nondecreasing_root
+from .errors import ConvergenceError, SpecError
+from .games import AtomicGame, check_incentive, nondecreasing_root
 
 CONDITION_LIMIT = 1e12
 SYMMETRY_TOL = 1e-12
@@ -249,12 +249,7 @@ def from_json(data: dict) -> QuadraticAggregativeSpec:
 # ---------------------------------------------------------------------------
 
 def nash_closed_form(spec: QuadraticAggregativeSpec, p) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if p.size != spec.n:
-        raise InvalidArgumentError("incentive vector has wrong length")
-    if not np.logical_and.reduce(np.isfinite(p), axis=None):
-        raise ValueError("array must not contain infs or NaNs")
-    return spec._M_inv @ -p
+    return spec._M_inv @ -check_incentive(p, spec.n)
 
 
 def optimal_incentive(spec: QuadraticAggregativeSpec) -> np.ndarray:
@@ -290,14 +285,14 @@ def check_local_conditions(spec: QuadraticAggregativeSpec) -> dict:
 
 
 def lyapunov_value(spec: QuadraticAggregativeSpec, p) -> float:
-    d = np.asarray(p, dtype=float) - optimal_incentive(spec)
+    d = check_incentive(p, spec.n) - optimal_incentive(spec)
     W = spec.certificate_weight()
     return float(d @ W @ d)
 
 
 def lyapunov_decrement(spec: QuadraticAggregativeSpec, p) -> float:
     """Directional derivative of the certificate along the slow dynamics."""
-    p = np.asarray(p, dtype=float)
+    p = check_incentive(p, spec.n)
     d = p - optimal_incentive(spec)
     W = spec.certificate_weight()
     grad_v = (W + W.T) @ d

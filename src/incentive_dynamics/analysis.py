@@ -58,7 +58,7 @@ def verify_fixed_point_optimality(obj, p=None, tol: float = 1e-6) -> dict:
         if x_opt is None:
             raise InvalidArgumentError("the model has no known optimal incentive; pass p")
         p = model.externality(x_opt)
-    p = np.asarray(p, dtype=float)
+    p = games.check_incentive(p, model.dim)
     x = _x_star(model, p)
     x_tol = tol * max(1.0, float(np.max(np.abs(x))))
     phi_gap = float(np.max(np.abs(model.externality(x) - p)))
@@ -103,7 +103,7 @@ def ode_probe_slow_dynamics(obj, start_points,
     starts, endpoints, distances = [], [], []
     n_steps = int(round(config.horizon / config.step))
     for p0 in start_points:
-        p = np.array(p0, dtype=float)
+        p = games.check_incentive(p0, model.dim).copy()
         starts.append(p)
         for _ in range(n_steps):
             p = p + config.step * (model.externality(_x_star(model, p)) - p)
@@ -141,7 +141,7 @@ def check_condition_C1(obj, p_samples, tol: float = 1e-8) -> dict:
 
     offdiag_min = np.inf
     for p in p_samples:
-        J = numdiff.central_jacobian(phi, np.asarray(p, float))
+        J = numdiff.central_jacobian(phi, games.check_incentive(p, model.dim))
         off = J[~np.eye(model.dim, dtype=bool)]
         if off.size:
             offdiag_min = np.minimum(offdiag_min, off.min())  # a NaN stays
@@ -188,7 +188,7 @@ def check_condition_C2(obj, weight, p_samples, tol: float = 1e-10) -> dict:
                                    f"not shape {W.shape}")
     decrements = []
     for p in p_samples:
-        p = np.asarray(p, float)
+        p = games.check_incentive(p, model.dim)
         d = p - pd
         if np.max(np.abs(d)) <= 1e-12:
             continue
@@ -207,7 +207,7 @@ def check_condition_C2(obj, weight, p_samples, tol: float = 1e-10) -> dict:
 def equilibrium_cost_gradient(obj, p) -> np.ndarray:
     """Finite-difference gradient of p -> social cost at x*(p), step 1e-4 (1 + |p|)."""
     model = strategy_model(obj)
-    p = np.asarray(p, dtype=float)
+    p = games.check_incentive(p, model.dim)
     h = 1e-4 * (1.0 + np.linalg.norm(p))
     return numdiff.central_gradient(lambda q: float(model.social(_x_star(model, q))), p, step=h)
 
@@ -222,7 +222,8 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
     available).
     """
     model = strategy_model(obj)
-    p = np.asarray(p0, dtype=float).copy()
+    p = games.check_incentive(p0, model.dim).copy()
+    max_iterations = _positive_int(max_iterations, "max_iterations")
     grad = gradient or (lambda q: equilibrium_cost_gradient(model, q))
     record = TrajectoryRecord()
     for k in range(max_iterations):
@@ -242,14 +243,14 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
 
 def two_link_equilibrium(p) -> np.ndarray:
     """Closed-form tolled equilibrium split of the two parallel unit links."""
-    p = np.asarray(p, dtype=float)
+    p = games.check_incentive(p, 2)
     x1 = min(max((p[1] - p[0] + 1.0) / 2.0, 0.0), 1.0)
     return np.array([x1, 1.0 - x1])
 
 
 def two_link_equilibrium_cost(p) -> float:
     """Total latency at the tolled equilibrium: ((p1-p2)^2 + 1)/2, capped at 1."""
-    p = np.asarray(p, dtype=float)
+    p = games.check_incentive(p, 2)
     d = p[0] - p[1]
     if abs(d) >= 1.0:
         return 1.0
@@ -258,7 +259,7 @@ def two_link_equilibrium_cost(p) -> float:
 
 def two_link_clarke_gradient(p) -> np.ndarray:
     """A generalized gradient of the equilibrium cost (zero on the flat cap)."""
-    p = np.asarray(p, dtype=float)
+    p = games.check_incentive(p, 2)
     d = p[0] - p[1]
     if abs(d) >= 1.0:
         return np.zeros(2)
@@ -354,7 +355,7 @@ def multistart_uniqueness_probe(obj, p, n_starts: int = 8, seed: int = 0) -> dic
         raise InvalidArgumentError("the uniqueness probe needs at least two starts")
     model = strategy_model(obj)
     rng = np.random.default_rng(_positive_int(seed, "seed", least=0))
-    p = np.asarray(p, dtype=float)
+    p = games.check_incentive(p, model.dim)
     solutions = [_x_star(model, p, model.random_start(rng)) for _ in range(n_starts)]
     spread = 0.0
     for i in range(len(solutions)):

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .dynamics import _positive_int
 from .errors import ConvergenceError, EvaluationError, InvalidArgumentError, SpecError
 
 DEFAULT_CERT_TOL = 1e-6
@@ -170,7 +171,7 @@ def check_incentive(p, n: int) -> Array:
     p = np.asarray(p, dtype=float)
     if p.shape != (n,):
         raise InvalidArgumentError(f"incentive vector has shape {p.shape}, expected ({n},)")
-    if not np.isfinite(p).all():
+    if not np.logical_and.reduce(np.isfinite(p), axis=None):
         raise InvalidArgumentError("incentive vector must be finite")
     return p
 
@@ -320,11 +321,12 @@ class NonAtomicGame:
 
     def __post_init__(self):
         masses = _as_vector(self.masses, "masses")
-        counts = tuple(int(c) for c in self.action_counts)
-        if np.any(masses <= 0):
-            raise SpecError("population masses must be strictly positive")
-        if len(counts) != masses.size or any(c < 1 for c in counts):
+        counts = tuple(self.action_counts)
+        if not ((masses > 0) & (masses < np.inf)).all():  # NaN fails too
+            raise SpecError("population masses must be finite and strictly positive")
+        if len(counts) != masses.size or not all(c >= 1 for c in counts):
             raise SpecError("need one action count >= 1 per population")
+        counts = tuple(_positive_int(c, "action count") for c in counts)  # 2.5 fails
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "action_counts", counts)
         object.__setattr__(self, "layout", BlockLayout(counts, masses))
@@ -416,8 +418,8 @@ def certify_nash_atomic(game: AtomicGame, x: Array, p: Array, tol: float = DEFAU
     Returns ``(ok, residual)`` with residual in the sup norm.
     """
     x = _as_vector(x, "x")
-    p = _as_vector(p, "p")
-    if x.size != game.n_players or p.size != game.n_players:
+    p = check_incentive(p, game.n_players)
+    if x.size != game.n_players:
         raise InvalidArgumentError("dimension mismatch in certify_nash_atomic")
     residual = projected_gradient_residual(game.loss_grad(x) + p, x, game.project)
     return residual <= tol, residual
@@ -426,7 +428,7 @@ def certify_nash_atomic(game: AtomicGame, x: Array, p: Array, tol: float = DEFAU
 def certify_nash_nonatomic(game: NonAtomicGame, x: Array, p: Array, tol: float = DEFAULT_CERT_TOL):
     """Checks that every action carrying mass is within tol of minimal cost."""
     x = game.check_feasible(x)
-    c = np.asarray(game.action_cost(x), float) + _as_vector(p, "p")
+    c = np.asarray(game.action_cost(x), float) + check_incentive(p, game.dim)
     residual = _nonatomic_residual(game, x, c, tol)
     return residual <= tol, residual
 
@@ -448,6 +450,9 @@ def projected_gradient_residual(grad: Array, x: Array, project) -> float:
 def certify_social_optimum(game, x: Array, tol: float = DEFAULT_CERT_TOL):
     """First-order certificate for a candidate social-cost minimizer."""
     x = np.asarray(x, dtype=float)
+    shape = game.uniform_point().shape
+    if x.shape != shape:
+        raise InvalidArgumentError(f"strategy has shape {x.shape}, expected {shape}")
     residual = projected_gradient_residual(np.asarray(game.social_grad(x), float), x, game.project)
     return residual <= tol, residual
 
@@ -467,7 +472,7 @@ def best_response_atomic(game: AtomicGame, x: Array, p: Array) -> Array:
     when the game has one.
     """
     x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    p = check_incentive(p, game.n_players)
     g = np.asarray(game.loss_grad(x), float) + p
     loss_grad = game.loss_grad
     z = x.copy()
@@ -588,9 +593,7 @@ def solve_equilibrium_atomic(game: AtomicGame, p: Array, tol: float = 1e-10,
     """Projected-gradient iteration on x = Proj(x - eta (loss_grad(x) + p)), with
     the residual of :func:`certify_nash_atomic`; a restart moves halfway to the
     best response."""
-    p = _as_vector(p, "p")
-    if p.size != game.n_players:
-        raise InvalidArgumentError("dimension mismatch in solve_equilibrium_atomic")
+    p = check_incentive(p, game.n_players)
 
     def terms(y):
         g = np.asarray(game.loss_grad(y), float) + p
@@ -606,7 +609,7 @@ def solve_equilibrium_nonatomic(game: NonAtomicGame, p: Array, tol: float = 1e-1
     """Projected iteration on x = Proj(x - eta (c(x) + p)), with the residual of
     :func:`certify_nash_nonatomic`; restart ``k`` moves 2 / (k + 3) of the way to
     the best response. Linear convergence for strongly monotone cost maps."""
-    p = _as_vector(p, "p")
+    p = check_incentive(p, game.dim)
 
     def terms(y):
         y = game.check_feasible(y)

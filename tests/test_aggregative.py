@@ -141,7 +141,7 @@ def test_nash_closed_form_matches_a_linear_solve():
             np.testing.assert_allclose(nash_closed_form(spec, p), np.linalg.solve(spec.M, -p),
                                        rtol=1e-12, atol=0)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="infs or NaNs"):
+        with pytest.raises(ValueError, match="incentive vector must be finite"):
             nash_closed_form(example_spec(), np.array([0.0, bad]))
 
 

@@ -424,6 +424,22 @@ def test_gradient_baseline_stalls_on_plateau():
     assert rec.social_costs[-1] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("max_iterations", [0, 2.5, -1, float("nan")])
+def test_gradient_baseline_validates_max_iterations(max_iterations):
+    # 0 raised IndexError from an empty record, 2.5 a TypeError
+    with pytest.raises(SpecError, match="max_iterations must be a positive integer"):
+        run_gradient_baseline(two_link_network(), [0.3, 0.0], max_iterations=max_iterations,
+                              gradient=two_link_clarke_gradient)
+
+
+def test_gradient_baseline_takes_a_whole_float_max_iterations():
+    net = two_link_network()
+    runs = [run_gradient_baseline(net, [0.3, 0.0], max_iterations=m,
+                                  gradient=two_link_clarke_gradient) for m in (25, 25.0)]
+    assert runs[0].iterations == runs[1].iterations == 25
+    np.testing.assert_array_equal(runs[0].final_p, runs[1].final_p)
+
+
 # ---------------------------------------------------------------------------
 # counterexample reproduction
 # ---------------------------------------------------------------------------

@@ -208,6 +208,31 @@ def test_nonatomic_game_rejects_zero_mass():
                       social_grad=lambda x: np.zeros(2))
 
 
+@pytest.mark.parametrize("mass", [np.nan, np.inf])
+def test_nonatomic_game_rejects_a_nonfinite_mass(mass):
+    # a NaN mass once built and then died in project with RecursionError
+    with pytest.raises(SpecError, match="masses must be finite and strictly positive"):
+        NonAtomicGame(masses=[1.0, mass], action_counts=(2, 2),
+                      action_cost=lambda x: x, social=lambda x: 0.0,
+                      social_grad=lambda x: np.zeros(4))
+
+
+@pytest.mark.parametrize("count", [2.5, np.inf, np.nan])
+def test_nonatomic_game_rejects_a_fractional_action_count(count):
+    # 2.5 was silently truncated to 2
+    with pytest.raises(SpecError, match="action count"):
+        NonAtomicGame(masses=[1.0], action_counts=(count,),
+                      action_cost=lambda x: x, social=lambda x: 0.0,
+                      social_grad=lambda x: np.zeros(2))
+
+
+def test_nonatomic_game_takes_whole_float_action_counts():
+    g = NonAtomicGame(masses=[1.0, 2.0], action_counts=(2.0, np.int64(3)),
+                      action_cost=lambda x: x, social=lambda x: 0.0,
+                      social_grad=lambda x: np.zeros(5))
+    assert g.action_counts == (2, 3) and all(type(c) is int for c in g.action_counts)
+
+
 def test_nonatomic_game_rejects_an_empty_action_set():
     with pytest.raises(SpecError, match="action count >= 1"):
         NonAtomicGame(masses=[1.0, 1.0], action_counts=(2, 0),
@@ -382,9 +407,20 @@ def test_certify_nash_atomic_perturbation_fails():
 
 def test_certify_nash_atomic_rejects_a_dimension_mismatch():
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    for x, p in ((np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(1))):
-        with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+    for x, p, match in ((np.zeros(3), np.zeros(2), "dimension mismatch"),
+                        (np.zeros(2), np.zeros(1), r"incentive vector has shape \(1,\)")):
+        with pytest.raises(InvalidArgumentError, match=match):
             certify_nash_atomic(g, x, p)
+
+
+def test_certify_social_optimum_rejects_a_strategy_of_the_wrong_shape():
+    # [0.3] once broadcast on a 3-player game and returned (False, 1.3)
+    game = QuadraticAggregativeSpec(q=[1.0, 1.0, 1.0], A=np.zeros((3, 3)), alpha=1.0,
+                                    zeta=[0.0, 0.0, 1.0]).to_game()
+    for x in ([0.3], np.zeros((3, 1)), 0.3):
+        with pytest.raises(InvalidArgumentError, match=r"strategy has shape .*, expected \(3,\)"):
+            certify_social_optimum(game, x)
+    assert certify_social_optimum(game, [0.0, 0.0, 1.0]) == (True, 0.0)
 
 
 def test_certify_nash_nonatomic_two_link():

@@ -5,7 +5,8 @@ No linter ships with the project's dependencies, so this walks each module's
 syntax tree: a name bound by an import must be read somewhere in the module.
 ``__init__.py`` is left out, since its imports are the package's exports. A
 top-level function, class or constant must be named in ``src/``, ``tests/``
-or ``bench/`` outside its own definition.
+or ``bench/`` outside its own definition. Only ``games.check_incentive``
+raises an error about the incentive vector.
 """
 import ast
 import json
@@ -83,6 +84,42 @@ def test_module_defines_nothing_unnamed(module):
               if p != PACKAGE / module]
     elsewhere = "\n".join(p.read_text() for p in others)
     assert dead_definitions((PACKAGE / module).read_text(), elsewhere) == []
+
+
+def incentive_errors(source: str) -> list:
+    """The functions of ``source`` that raise an error whose message mentions
+    the incentive vector, in source order, each once."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            text = " ".join(n.value for n in ast.walk(node.exc)
+                            if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if "incentive vector" in text and function not in found:
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_incentive_errors_finds_each_raising_function():
+    source = ("def check_incentive(p, n):\n    raise ValueError('incentive vector must be finite')\n"
+              "def solve(p):\n    if p.size:\n        def inner():\n"
+              "            raise E(f'incentive vector has shape {p.shape}')\n"
+              "    raise E('dimension mismatch')\n"
+              "class Game:\n    def target(self, p):\n        raise E('bad ' 'incentive vector')\n"
+              "raise E(msg='incentive vector at import')\n")
+    assert incentive_errors(source) == ["check_incentive", "inner", "target", None]
+
+
+def test_only_check_incentive_builds_an_incentive_vector_error():
+    # one module decides what a valid incentive is and what error names a bad one
+    found = {module: incentive_errors((PACKAGE / module).read_text()) for module in MODULES}
+    assert {m: f for m, f in found.items() if f} == {"games.py": ["check_incentive"]}
 
 
 def loaded_modules(code: str, package: str = "scipy") -> list:
