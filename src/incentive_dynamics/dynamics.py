@@ -9,6 +9,12 @@ One loop, :func:`run_coupled`, serves every model: atomic and non-atomic
 games and routing networks. A model supplies
 
 - ``check_start(x0, p0)``: the validated start ``(x, p)``;
+- ``step(x, p, rule, recorded)``: the loop's one evaluation per iteration,
+  ``(f, e, strategy_gap, social)`` at the iterate, the last two only where
+  ``recorded`` (else None). It evaluates the iterate once: a network takes
+  one edge flow and one latency-kernel pass, and a game one loss gradient
+  or one set of action costs where its rule needs them. It takes p as
+  checked, and raises what ``target`` would, then what ``externality`` would;
 - ``target(x, p, rule)``: ``f(x, p)``, with ``rule.eta`` the gradient step;
 - ``externality(x)`` and ``social(x)``;
 - ``strategy_gap(f, x)``: the sup distance of two strategies;
@@ -17,6 +23,10 @@ games and routing networks. A model supplies
   CLI's default start, and a random one, for multistart probes;
 - ``known_optimum()``: an independent social optimum, or ``None``, for the
   slow-layer checks of ``analysis``, which take p† = e(x†) from it.
+
+``step`` is built on the same private helpers as the single-quantity
+methods, which check p and which the analyses call, so that the two give
+equal values.
 
 The loop records the iterates it passes to these methods without copying
 them, so no method may write into its arguments.
@@ -218,14 +228,22 @@ def resolve_eta(model, rule: StrategyUpdateRule) -> float:
     return 0.9 / model.cost_lipschitz()
 
 
-def strategy_target(model, x, p, rule: StrategyUpdateRule):
-    """f(x, p) for the rule; a gradient rule without a step gets the model's default."""
+def strategy_target(model, x, p, rule: StrategyUpdateRule, recorded: bool = True):
+    """The loop's evaluation at (x, p): ``model.step``'s ``(f, e, strategy_gap,
+    social)``, the last two None unless ``recorded``.
+
+    A gradient rule without a step gets the model's default. p is not checked,
+    as ``run_coupled`` checks its start once; ``model.target`` is the checked
+    f(x, p). Public only because the benchmark's tracer wraps it by name:
+    ROADMAP item 15 makes it private once ``bench/`` changes.
+    """
     if rule.variant == "gradient" and rule.eta is None:
         rule = replace(rule, eta=resolve_eta(model, rule))
-    return model.target(np.asarray(x, dtype=float), np.asarray(p, dtype=float), rule)
+    return model.step(np.asarray(x, dtype=float), np.asarray(p, dtype=float), rule, recorded)
 
 
 def externality(model, x):
+    """``model.externality(x)``; the loop takes e from ``strategy_target``."""
     return model.externality(x)
 
 
@@ -258,18 +276,17 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     last = config.max_iterations
     hits = 0
     for k in range(last + 1):
-        f = strategy_target(game, x, p, rule)
-        e = externality(game, x)
-        if k % record_every == 0 or k == last:
-            gap = np.maximum.reduce(np.abs(e - p), axis=None)
-            residual = float(game.strategy_gap(f, x) + gap)
+        recorded = k % record_every == 0 or k == last
+        f, e, strategy_gap, social = strategy_target(game, x, p, rule, recorded)
+        if recorded:
+            residual = float(strategy_gap + np.maximum.reduce(np.abs(e - p), axis=None))
             if math.isnan(residual):
                 raise EvaluationError(f"the fixed-point residual at iteration {k} is {residual}")
             ks.append(k)
             xs.append(x)
             ps.append(p)
             residuals.append(residual)
-            social_costs.append(float(game.social(x)))
+            social_costs.append(float(social))
             hits = hits + 1 if residual <= tol else 0
             if hits >= CONSECUTIVE_HITS or k == last:
                 record.converged = residual <= tol

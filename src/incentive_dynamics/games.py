@@ -167,6 +167,11 @@ def simplex_target(x: Array, c: Array, layout: BlockLayout, rule) -> Array:
     return project_blocks(x - rule.eta * c, layout)
 
 
+def sup_distance(a: Array, b: Array):
+    """max |a - b|, a NaN entry giving NaN."""
+    return np.maximum.reduce(np.abs(a - b), axis=None)
+
+
 def check_incentive(p, n: int) -> Array:
     p = np.asarray(p, dtype=float)
     if p.shape != (n,):
@@ -273,25 +278,42 @@ class AtomicGame:
         return x, check_incentive(p0, self.n_players)
 
     def target(self, x: Array, p: Array, rule) -> Array:
+        return self._target(x, check_incentive(p, self.n_players), rule)[0]
+
+    def _target(self, x, p, rule) -> tuple:
+        """f(x, p), and the loss gradient at ``x`` where the rule took it (else None)."""
         if rule.variant == "equilibrium":
             if self.equilibrium is not None:
-                return np.asarray(self.equilibrium(p), float)
-            return solve_equilibrium_atomic(self, p, x0=x)
+                return np.asarray(self.equilibrium(p), float), None
+            return solve_equilibrium_atomic(self, p, x0=x), None
         if rule.variant == "best_response":
             if self.best_response is not None:
-                return self.project(np.asarray(self.best_response(x, p), float))
-            return best_response_atomic(self, x, p)
+                return self.project(np.asarray(self.best_response(x, p), float)), None
+            return best_response_atomic(self, x, p), None
         if rule.regularizer == "entropy":
             raise InvalidArgumentError("entropy regularizer needs a simplex strategy space")
-        return self.project(x - rule.eta * (self.loss_grad(x) + p))
+        g = self.loss_grad(x)
+        return self.project(x - rule.eta * (g + p)), g
 
     def externality(self, x: Array) -> Array:
         """Per-player gap between marginal social cost and own marginal cost."""
         x = np.asarray(x, dtype=float)
-        return _checked_gap(self.social_grad(x), self.loss_grad(x), "loss gradient")
+        return self._externality(x, self.loss_grad(x))
+
+    def _externality(self, x, g) -> Array:
+        return _checked_gap(self.social_grad(x), g, "loss gradient")
+
+    def step(self, x: Array, p: Array, rule, recorded: bool) -> tuple:
+        """``(f, e, strategy_gap, social)`` at (x, p); the gradient rule's loss
+        gradient serves the externality too."""
+        f, g = self._target(x, p, rule)
+        e = self._externality(x, self.loss_grad(x) if g is None else g)
+        if not recorded:
+            return f, e, None, None
+        return f, e, self.strategy_gap(f, x), self.social(x)
 
     def strategy_gap(self, f: Array, x: Array):
-        return np.maximum.reduce(np.abs(f - x), axis=None)
+        return sup_distance(f, x)
 
     def known_optimum(self) -> Optional[Array]:
         return self.optimum
@@ -361,18 +383,34 @@ class NonAtomicGame:
         return self.check_feasible(x0), check_incentive(p0, self.dim)
 
     def target(self, x: Array, p: Array, rule) -> Array:
+        return self._target(x, check_incentive(p, self.dim), rule)[0]
+
+    def _target(self, x, p, rule) -> tuple:
+        """f(x, p), and the action costs at ``x`` where the rule took them (else None)."""
         if rule.variant == "equilibrium":
-            return solve_equilibrium_nonatomic(self, p, x0=x)
-        c = np.asarray(self.action_cost(x), float) + p
-        return simplex_target(x, c, self.layout, rule)
+            return solve_equilibrium_nonatomic(self, p, x0=x), None
+        c = np.asarray(self.action_cost(x), float)
+        return simplex_target(x, c + p, self.layout, rule), c
 
     def externality(self, x: Array) -> Array:
         """Per-action gap between marginal social cost and action cost."""
         x = np.asarray(x, dtype=float)
-        return _checked_gap(self.social_grad(x), self.action_cost(x), "action cost")
+        return self._externality(x, self.action_cost(x))
+
+    def _externality(self, x, c) -> Array:
+        return _checked_gap(self.social_grad(x), c, "action cost")
+
+    def step(self, x: Array, p: Array, rule, recorded: bool) -> tuple:
+        """``(f, e, strategy_gap, social)`` at (x, p); the simplex rules' action
+        costs serve the externality too."""
+        f, c = self._target(x, p, rule)
+        e = self._externality(x, self.action_cost(x) if c is None else c)
+        if not recorded:
+            return f, e, None, None
+        return f, e, self.strategy_gap(f, x), self.social(x)
 
     def strategy_gap(self, f: Array, x: Array):
-        return np.max(np.abs(f - x))
+        return sup_distance(f, x)
 
     def known_optimum(self) -> None:
         return None

@@ -17,7 +17,8 @@ stack for (l, l', l'') and one for the antiderivative, and the kernel runs
 Horner's rule in place over them for all edges at once. The flow solver
 gets an edge cost and its derivative from one kernel pass, so it makes one
 pass per shift, per duality gap (at the start, after each sweep and at each
-Newton step) and per objective evaluation.
+Newton step) and per objective evaluation, and the coupled loop's
+``RoutingNetwork.step`` makes one pass per iteration.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .dynamics import RunConfig, TrajectoryRecord, _positive_int, run_coupled
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
 from .games import (BlockLayout, NonAtomicGame, check_incentive, check_tolerance,
-                    project_blocks, random_blocks, simplex_target)
+                    project_blocks, random_blocks, simplex_target, sup_distance)
 
 DEFAULT_GAP_TOL = 1e-10
 MAX_PATH_NODES = 12
@@ -247,10 +248,34 @@ class RoutingNetwork:
         return self.check_route_flow(x0), check_incentive(p0, self.n_edges)
 
     def target(self, x, p, rule) -> np.ndarray:
+        p = check_incentive(p, self.n_edges)
         if rule.variant == "equilibrium":
             return wardrop_equilibrium(self, p, x0=x)[0]
-        c = route_costs(self, self.incidence @ x, p)
-        return simplex_target(x, c, self.layout, rule)
+        return self._simplex_target(x, self.latency(self.incidence @ x), p, rule)
+
+    def _simplex_target(self, x, latency, p, rule) -> np.ndarray:
+        """The best-response or gradient target from the edge latencies at ``x``."""
+        return simplex_target(x, self.incidence.T @ (latency + p), self.layout, rule)
+
+    def step(self, x, p, rule, recorded: bool) -> tuple:
+        """``(f, e, strategy_gap, social)`` at (x, p) from one edge flow
+        ``w = incidence @ x`` and one kernel pass for (l, l') at ``w``.
+
+        The gap compares ``w`` with the edge flow of ``f``: the one the Wardrop
+        solve returns under the equilibrium rule, else ``incidence @ f``.
+        """
+        w = self.incidence @ x
+        if rule.variant == "equilibrium":
+            f, w_f = wardrop_equilibrium(self, p, x0=x)
+            latency, slope = _column_horner(self._cost_rows, w)
+        else:
+            latency, slope = _column_horner(self._cost_rows, w)
+            f = self._simplex_target(x, latency, p, rule)
+            w_f = self.incidence @ f if recorded else None
+        e = w * slope
+        if not recorded:
+            return f, e, None, None
+        return f, e, sup_distance(w_f, w), float(w @ latency)
 
     def externality(self, x) -> np.ndarray:
         return edge_externality(self, self.incidence @ x)
@@ -268,7 +293,7 @@ class RoutingNetwork:
 
     def strategy_gap(self, f, x):
         """Sup distance of the edge flows; route decompositions are interchangeable."""
-        return np.maximum.reduce(np.abs(self.incidence @ f - self.incidence @ x), axis=None)
+        return sup_distance(self.incidence @ f, self.incidence @ x)
 
     def known_optimum(self) -> np.ndarray:
         return system_optimum(self)[0]
@@ -290,15 +315,20 @@ def route_to_edge_flow(net: RoutingNetwork, x) -> np.ndarray:
 def route_costs(net: RoutingNetwork, w, edge_tolls=None) -> np.ndarray:
     c_edge = net.latency(w)
     if edge_tolls is not None:
-        c_edge = c_edge + np.asarray(edge_tolls, dtype=float)
+        c_edge = c_edge + check_incentive(edge_tolls, net.n_edges)
     return net.incidence.T @ c_edge
 
 
 def beckmann_potential(net: RoutingNetwork, w, edge_tolls) -> float:
+    return _beckmann_potential(net, w, check_incentive(edge_tolls, net.n_edges))
+
+
+def _beckmann_potential(net, w, p) -> float:
+    """The Beckmann potential at tolls ``p`` taken as checked."""
     w = np.asarray(w, dtype=float)
     # cumsum adds left to right; sum() would reorder pairwise and change bits
     integrals = np.cumsum(_column_horner(net._integral_rows, w))[-1]
-    return float(integrals + np.asarray(edge_tolls, float) @ w)
+    return float(integrals + p @ w)
 
 
 def total_latency_cost(net: RoutingNetwork, w) -> float:
@@ -446,7 +476,7 @@ def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GA
         out[0] += p
         return out
 
-    obj = lambda w: beckmann_potential(net, w, p)
+    obj = lambda w: _beckmann_potential(net, w, p)
     return _solve_flow_program(net, terms, obj, tol, x0, max_iter)
 
 

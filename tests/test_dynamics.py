@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incentive_dynamics import routing
 from incentive_dynamics.aggregative import QuadraticAggregativeSpec
 from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedule,
                                          StrategyUpdateRule, TrajectoryRecord,
                                          externality, resolve_eta, run_coupled,
                                          strategy_target, strict_json)
 from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, SpecError
-from incentive_dynamics.routing import braess_network, nonatomic_view
+from incentive_dynamics.routing import (braess_network, nonatomic_view, pigou_network,
+                                        two_link_network)
 
 from corpus import grid34
 from test_games import aggregative_game, two_link_game
@@ -95,7 +97,7 @@ def test_step_strategy_full_step_equilibrium_rule():
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])  # numeric solver path
     p = np.array([1.0, 1.0])
     x = np.array([5.0, -3.0])
-    out = strategy_target(g, x, p, StrategyUpdateRule("equilibrium"))
+    out = strategy_target(g, x, p, StrategyUpdateRule("equilibrium"))[0]
     np.testing.assert_allclose(out, [-2.0 / 3.0, -2.0 / 3.0], atol=1e-4)
 
 
@@ -103,7 +105,7 @@ def test_step_strategy_best_response_closed_form():
     g = aggregative_game([2.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
     x = np.array([1.0, 2.0])
     p = np.array([0.3, -0.1])
-    f = strategy_target(g, x, p, StrategyUpdateRule("best_response"))
+    f = strategy_target(g, x, p, StrategyUpdateRule("best_response"))[0]
     expect = -(0.5 * np.array([2.0, 1.0]) + p) / np.array([2.0, 1.0])
     np.testing.assert_allclose(f, expect, atol=1e-8)
 
@@ -117,12 +119,12 @@ def test_step_strategy_fixed_point_unchanged():
     p = np.array([0.5, 0.5])
     for rule in (StrategyUpdateRule("equilibrium"),
                  StrategyUpdateRule("gradient", eta=0.5)):
-        np.testing.assert_allclose(strategy_target(g, x, p, rule), x, atol=1e-9)
+        np.testing.assert_allclose(strategy_target(g, x, p, rule)[0], x, atol=1e-9)
         np.testing.assert_allclose(one_step(g, x, p, rule)[0], x, atol=1e-9)
     ga = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
     x_eq = np.array([-2.0 / 3.0, -2.0 / 3.0])
     rule = StrategyUpdateRule("best_response")
-    np.testing.assert_allclose(strategy_target(ga, x_eq, np.array([1.0, 1.0]), rule),
+    np.testing.assert_allclose(strategy_target(ga, x_eq, np.array([1.0, 1.0]), rule)[0],
                                x_eq, atol=1e-9)
 
 
@@ -141,7 +143,7 @@ def test_step_strategy_mass_conservation():
     for rule in (StrategyUpdateRule("best_response"),
                  StrategyUpdateRule("gradient", eta=0.1),
                  StrategyUpdateRule("gradient", eta=0.1, regularizer="entropy")):
-        assert g.is_feasible(strategy_target(g, x, p, rule))
+        assert g.is_feasible(strategy_target(g, x, p, rule)[0])
         assert g.is_feasible(one_step(g, x, p, rule)[0])
 
 
@@ -366,7 +368,7 @@ def test_gradient_rule_without_a_step_targets_at_the_default_step():
     for game, x, p in ((two_link_game(), np.array([0.3, 0.7]), np.array([0.2, 0.0])),
                        (ga, np.array([0.5, -1.0]), np.array([1.0, 0.3]))):
         explicit = dataclasses.replace(rule, eta=resolve_eta(game, rule))
-        np.testing.assert_array_equal(strategy_target(game, x, p, rule),
+        np.testing.assert_array_equal(strategy_target(game, x, p, rule)[0],
                                       game.target(x, p, explicit))
 
 
@@ -375,9 +377,11 @@ def test_gradient_rule_without_a_step_targets_at_the_default_step():
 # ---------------------------------------------------------------------------
 
 def run_coupled_reference(game, x0, p0, config):
-    """run_coupled as it was before it recorded its iterates uncopied: every
-    record goes through TrajectoryRecord.append, which copies x and p, and
-    the steps come from the schedule's gamma and beta methods."""
+    """run_coupled as it was before it recorded its iterates uncopied and took
+    one evaluation per iteration: each iteration asks the model's single-quantity
+    methods (``target``, ``externality``, ``strategy_gap``, ``social``), every
+    record goes through TrajectoryRecord.append, which copies x and p, and the
+    steps come from the schedule's gamma and beta methods."""
     x, p = game.check_start(x0, p0)
     rule = config.rule
     if rule.variant == "gradient" and rule.eta is None:
@@ -386,8 +390,8 @@ def run_coupled_reference(game, x0, p0, config):
     sched = config.schedule
     hits = 0
     for k in range(config.max_iterations):
-        f = strategy_target(game, x, p, rule)
-        e = externality(game, x)
+        f = game.target(x, p, rule)
+        e = game.externality(x)
         if k % config.record_every == 0:
             residual = float(game.strategy_gap(f, x) + np.abs(e - p).max())
             record.append(k, x, p, residual, game.social(x))
@@ -399,7 +403,7 @@ def run_coupled_reference(game, x0, p0, config):
         gamma, beta = sched.gamma(k), sched.beta(k)
         x = (1.0 - gamma) * x + gamma * f
         p = (1.0 - beta) * p + beta * e
-    f, e = strategy_target(game, x, p, rule), externality(game, x)
+    f, e = game.target(x, p, rule), game.externality(x)
     residual = float(game.strategy_gap(f, x) + np.abs(e - p).max())
     record.append(config.max_iterations, x, p, residual, game.social(x))
     record.iterations = config.max_iterations
@@ -474,8 +478,12 @@ def test_run_coupled_matches_reference_nonatomic():
             compare_with_reference(game, x0, p0, variant, 400, 3, regularizer=regularizer)
 
 
-@pytest.mark.parametrize("net, converges", [(braess_network(), True), (grid34(), False)],
-                         ids=["braess", "grid34"])
+SIMPLEX_RULES = [(v, "quadratic") for v in RULES] + [("gradient", "entropy")]
+
+
+@pytest.mark.parametrize("net, converges", [
+    (braess_network(), True), (grid34(), False), (two_link_network(), True),
+    (pigou_network(), True)], ids=["braess", "grid34", "two_link", "pigou"])
 def test_run_coupled_matches_reference_routing(net, converges):
     x0 = net.uniform_route_flow()
     p0 = np.random.default_rng(2).uniform(0.0, 0.5, net.n_edges)
@@ -483,6 +491,12 @@ def test_run_coupled_matches_reference_routing(net, converges):
     assert rec.converged == converges
     short = compare_with_reference(net, x0, p0, "gradient", 40)
     assert not short.converged and short.iterations == 40
+    for variant, regularizer in SIMPLEX_RULES:
+        # the equilibrium rule costs one Wardrop solve per iteration
+        budget = 40 if variant == "equilibrium" and net.n_routes > 3 else 400
+        for record_every in (1, 7):
+            compare_with_reference(net, x0, p0, variant, budget, record_every,
+                                   regularizer=regularizer)
 
 
 def test_run_coupled_records_own_copies():
@@ -499,3 +513,88 @@ def test_run_coupled_records_own_copies():
         arrays = rec.xs + rec.ps
         assert len(arrays) == 62  # 30 recorded iterations and the final record, x and p each
         assert len({id(a) for a in arrays}) == len(arrays)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per iteration
+# ---------------------------------------------------------------------------
+
+STEP_MODELS = {
+    "aggregative": seeded_spec(4, 5).to_game(),
+    "atomic_no_closed_forms": dataclasses.replace(
+        seeded_spec(4, 5).to_game(), equilibrium=None, best_response=None, optimum=None),
+    "finite_box": dataclasses.replace(
+        seeded_spec(4, 5).to_game(), equilibrium=None, best_response=None, optimum=None,
+        lower=np.full(4, -0.3), upper=np.full(4, 0.4)),
+    "nonatomic_braess": nonatomic_view(braess_network()),
+    "two_link_game": two_link_game(),
+    "braess": braess_network(),
+    "pigou": pigou_network(),
+    "grid34": grid34(),
+}
+ATOMIC_STEP_MODELS = {"aggregative", "atomic_no_closed_forms", "finite_box"}
+STEP_CASES = [(name, variant, regularizer) for name in STEP_MODELS
+              for variant, regularizer in SIMPLEX_RULES
+              if regularizer == "quadratic" or name not in ATOMIC_STEP_MODELS]
+
+
+@pytest.mark.parametrize("name, variant, regularizer", STEP_CASES,
+                         ids=[f"{n}-{v}-{r}" for n, v, r in STEP_CASES])
+@given(seed=st.integers(0, 2**32 - 1), eta=st.floats(0.01, 2.0))
+@settings(derandomize=True, max_examples=15, deadline=None)
+def test_step_equals_the_single_quantity_methods(name, variant, regularizer, seed, eta):
+    model = STEP_MODELS[name]
+    rng = np.random.default_rng(seed)
+    x = model.random_start(rng)
+    p = rng.uniform(-1.0, 1.0, model.dim)
+    rule = StrategyUpdateRule(variant, eta=eta, regularizer=regularizer)
+    f, e, gap, social = model.step(x, p, rule, True)
+    f_alone = model.target(x, p, rule)
+    np.testing.assert_array_equal(f, f_alone, strict=True)
+    np.testing.assert_array_equal(e, model.externality(x), strict=True)
+    assert gap == model.strategy_gap(f_alone, x)
+    assert social == model.social(x)
+    assert strategy_target(model, x, p, rule, False)[2:] == (None, None)
+
+
+def test_strategy_target_is_the_models_step():
+    net = braess_network()
+    x, p = net.uniform_route_flow(), np.linspace(0.0, 0.4, 5)
+    rule = StrategyUpdateRule("gradient")
+    explicit = dataclasses.replace(rule, eta=resolve_eta(net, rule))
+    got, want = strategy_target(net, x, p, rule), net.step(x, p, explicit, True)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+    np.testing.assert_array_equal(externality(net, x), want[1])
+
+
+def counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_a_routing_iteration_makes_one_kernel_pass(monkeypatch):
+    # one pass per iteration; target, externality and social asked apart make three
+    net = grid34()
+    calls = []
+    monkeypatch.setattr(routing, "_column_horner", counting(routing._column_horner, calls))
+    config = RunConfig(rule=StrategyUpdateRule("gradient", eta=0.05), max_iterations=50)
+    rec = run_coupled(net, net.uniform_route_flow(), np.zeros(net.n_edges), config)
+    assert rec.iterations == 50 and not rec.converged
+    assert len(calls) == 51
+
+
+def test_an_atomic_gradient_iteration_makes_one_loss_gradient_call(monkeypatch):
+    # one call per iteration; target and externality asked apart make two
+    calls = []
+    monkeypatch.setattr(QuadraticAggregativeSpec, "loss_grad",
+                        counting(QuadraticAggregativeSpec.loss_grad, calls))
+    game = seeded_spec(5, 9).to_game()
+    config = RunConfig(rule=StrategyUpdateRule("gradient"), max_iterations=50,
+                       convergence_tol=1e-14)
+    rec = run_coupled(game, np.zeros(5), np.zeros(5), config)
+    assert rec.iterations == 50 and not rec.converged
+    assert len(calls) == 51

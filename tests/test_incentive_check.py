@@ -1,6 +1,6 @@
-"""Every solver, certificate and analysis takes its incentive through
-``games.check_incentive``: a malformed incentive raises ``InvalidArgumentError``
-naming the incentive vector, before any arithmetic on it."""
+"""Every solver, certificate, analysis and model ``target`` takes its incentive
+through ``games.check_incentive``: a malformed incentive raises
+``InvalidArgumentError`` naming the incentive vector, before any arithmetic on it."""
 import dataclasses
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from incentive_dynamics import aggregative as agg
 from incentive_dynamics import analysis, games, routing
-from incentive_dynamics.dynamics import RunConfig, run_coupled
+from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, run_coupled
 from incentive_dynamics.errors import InvalidArgumentError
 
 SPEC = agg.QuadraticAggregativeSpec(
@@ -43,6 +43,17 @@ def _on_model(solver):
     return lambda obj, p: solver(analysis.strategy_model(obj), p)
 
 
+def _target(variant):
+    """The model's ``target`` under the rule, at its uniform strategy."""
+    rule = StrategyUpdateRule(variant, eta=0.1)
+    return _at_start(lambda model, x, p: model.target(x, p, rule))
+
+
+def _at_edge_flow(function):
+    """``function(net, w, p)`` at the edge flow of the uniform route flow."""
+    return lambda net, p: function(net, net.incidence @ net.uniform_route_flow(), p)
+
+
 ENTRY_POINTS = {
     "nash_closed_form": ({"spec"}, agg.nash_closed_form),
     "lyapunov_value": ({"spec"}, agg.lyapunov_value),
@@ -53,6 +64,10 @@ ENTRY_POINTS = {
     "solve_equilibrium_nonatomic": ({"nonatomic"}, games.solve_equilibrium_nonatomic),
     "certify_nash_nonatomic": ({"nonatomic"}, _at_start(games.certify_nash_nonatomic)),
     "wardrop_equilibrium": ({"routing"}, routing.wardrop_equilibrium),
+    "route_costs": ({"routing"}, _at_edge_flow(routing.route_costs)),
+    "beckmann_potential": ({"routing"}, _at_edge_flow(routing.beckmann_potential)),
+    **{f"target_{variant}": (ALL, _target(variant))
+       for variant in ("equilibrium", "best_response", "gradient")},
     "run_coupled": (ALL, _at_start(
         lambda model, x, p: run_coupled(model, x, p, RunConfig(max_iterations=3)))),
     "verify_fixed_point_optimality": (
@@ -107,7 +122,7 @@ def test_every_entry_point_rejects_a_malformed_incentive(entry, model, data):
 def test_the_table_covers_every_model_and_entry_point():
     assert {m for _, m in CASES} == set(MODELS)
     assert {e for e, _ in CASES} == set(ENTRY_POINTS)
-    assert len(CASES) == 42
+    assert len(CASES) == 56
 
 
 def test_a_zero_dimensional_incentive_is_rejected_for_one_player():
