@@ -6,21 +6,30 @@ response, or a regularized gradient step). The incentive moves slowly toward
 the current externality: ``p_{k+1} = (1-beta_k) p_k + beta_k e(x_k)``.
 
 One loop, :func:`run_coupled`, serves every model: atomic and non-atomic
-games and routing networks. A model supplies
+games and routing networks. It calls ``check_start``, ``cost_lipschitz``
+(for the default gradient step) and ``step``; the analyses call the rest.
+Each model class defines each of these methods, except where the classes
+that do are named (``games._OracleGame`` serves the two games and
+``games._BlockSpace`` the non-atomic game and the network):
 
 - ``check_start(x0, p0)``: the validated start ``(x, p)``;
-- ``step(x, p, rule, recorded)``: the loop's one evaluation per iteration,
-  ``(f, e, strategy_gap, social)`` at the iterate, the last two only where
-  ``recorded`` (else None). It evaluates the iterate once: a network takes
-  one edge flow and one latency-kernel pass, and a game one loss gradient
-  or one set of action costs where its rule needs them. It takes p as
-  checked, and raises what ``target`` would, then what ``externality`` would;
-- ``target(x, p, rule)``: ``f(x, p)``, with ``rule.eta`` the gradient step;
-- ``externality(x)`` and ``social(x)``;
-- ``strategy_gap(f, x)``: the sup distance of two strategies;
+- ``step(x, p, rule, recorded)`` (``_OracleGame``, ``RoutingNetwork``): the
+  loop's one evaluation per iteration, ``(f, e, strategy_gap, social)`` at
+  the iterate, the last two only where ``recorded`` (else None). It
+  evaluates the iterate once: a network takes one edge flow and one
+  latency-kernel pass, and a game one loss gradient or one set of action
+  costs where its rule needs them. It takes p as checked, and raises what
+  ``target`` would, then what ``externality`` would;
+- ``target(x, p, rule)`` (``_OracleGame``, ``RoutingNetwork``): ``f(x, p)``,
+  with ``rule.eta`` the gradient step, or the default step where it is None;
+- ``externality(x)`` (``_OracleGame``, ``RoutingNetwork``) and ``social(x)``
+  (the games' ``social`` oracle, ``RoutingNetwork``);
+- ``strategy_gap(f, x)`` (``_OracleGame``, ``RoutingNetwork``): the sup
+  distance of two strategies, in edge flows for a network;
 - ``cost_lipschitz()``: a bound ``L`` behind the default step ``0.9 / L``;
-- ``uniform_point()`` and ``random_start(rng)``: a feasible strategy, the
-  CLI's default start, and a random one, for multistart probes;
+- ``uniform_point()`` and ``random_start(rng)`` (``AtomicGame``,
+  ``_BlockSpace``): a feasible strategy, the CLI's default start, and a
+  random one, for multistart probes;
 - ``known_optimum()``: an independent social optimum, or ``None``, for the
   slow-layer checks of ``analysis``, which take p† = e(x†) from it.
 
@@ -228,6 +237,14 @@ def resolve_eta(model, rule: StrategyUpdateRule) -> float:
     return 0.9 / model.cost_lipschitz()
 
 
+def _with_default_step(model, rule: StrategyUpdateRule) -> StrategyUpdateRule:
+    """``rule``, with the default step of :func:`resolve_eta` if it is a
+    gradient rule without one."""
+    if rule.variant == "gradient" and rule.eta is None:
+        return replace(rule, eta=resolve_eta(model, rule))
+    return rule
+
+
 def strategy_target(model, x, p, rule: StrategyUpdateRule, recorded: bool = True):
     """The loop's evaluation at (x, p): ``model.step``'s ``(f, e, strategy_gap,
     social)``, the last two None unless ``recorded``.
@@ -237,9 +254,8 @@ def strategy_target(model, x, p, rule: StrategyUpdateRule, recorded: bool = True
     f(x, p). Public only because the benchmark's tracer wraps it by name:
     ROADMAP item 15 makes it private once ``bench/`` changes.
     """
-    if rule.variant == "gradient" and rule.eta is None:
-        rule = replace(rule, eta=resolve_eta(model, rule))
-    return model.step(np.asarray(x, dtype=float), np.asarray(p, dtype=float), rule, recorded)
+    return model.step(np.asarray(x, dtype=float), np.asarray(p, dtype=float),
+                      _with_default_step(model, rule), recorded)
 
 
 def externality(model, x):
@@ -265,9 +281,7 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     # Iterates go into the record uncopied: x and p are rebound every step
     # and never written in place. Only the start pair may alias the caller's.
     x, p = np.array(x, dtype=float), np.array(p, dtype=float)
-    rule = config.rule
-    if rule.variant == "gradient" and rule.eta is None:
-        rule = replace(rule, eta=resolve_eta(game, rule))
+    rule = _with_default_step(game, config.rule)
     record = TrajectoryRecord()
     ks, xs, ps = record.ks, record.xs, record.ps
     residuals, social_costs = record.residuals, record.social_costs

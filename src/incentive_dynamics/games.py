@@ -8,7 +8,8 @@ marginal payment per unit of strategy (atomic) or a per-action payment
 effect on the social cost and on the player's own cost.
 
 Both game classes carry the model methods that ``dynamics.run_coupled``
-calls, as ``routing.RoutingNetwork`` does.
+calls, as ``routing.RoutingNetwork`` does; what two of them share is
+written once, in ``_OracleGame`` and ``_BlockSpace``.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import _positive_int
+from .dynamics import _positive_int, _with_default_step
 from .errors import ConvergenceError, EvaluationError, InvalidArgumentError, SpecError
 
 DEFAULT_CERT_TOL = 1e-6
@@ -95,14 +96,6 @@ class BlockLayout:
         return self._uniform.copy()
 
 
-def project_simplex(v: Array, mass: float = 1.0) -> Array:
-    """Euclidean projection onto the scaled simplex {y >= 0, sum(y) = mass}."""
-    v = np.asarray(v, dtype=float)
-    if mass <= 0:
-        raise InvalidArgumentError("simplex mass must be positive")
-    return project_blocks(v, BlockLayout((v.size,), (mass,)))
-
-
 def project_blocks(v: Array, layout: BlockLayout) -> Array:
     """Project each block of ``v`` onto its scaled simplex, all blocks in one pass.
 
@@ -143,15 +136,6 @@ def logit_blocks(c: Array, layout: BlockLayout, temperature: float) -> Array:
     z -= np.maximum.reduce(layout.padded(z, -np.inf), axis=1)[layout.owner]
     w = np.exp(z)
     return layout.entry_masses * w / layout.sums(w)[layout.owner]
-
-
-def random_blocks(rng: np.random.Generator, layout: BlockLayout) -> Array:
-    """Exponential weights normalized to each block's mass."""
-    out = np.empty(layout.owner.size)
-    for s, m in zip(layout.slices, layout.masses):
-        g = rng.exponential(size=s.stop - s.start)
-        out[s] = m * g / g.sum()
-    return out
 
 
 def simplex_target(x: Array, c: Array, layout: BlockLayout, rule) -> Array:
@@ -198,8 +182,56 @@ def sampled_lipschitz(grad: VectorOracle, draw: Callable[[], Array]) -> float:
     return max(best, 1e-12)
 
 
+class _OracleGame:
+    """The model methods that the two oracle-backed games share.
+
+    A subclass defines ``_target(x, p, rule)``, which returns f(x, p) and
+    the own costs at ``x`` where the rule took them (else None), and
+    ``_externality(x, own=None)``, which calls its own-cost oracle where
+    ``own`` is None, before ``social_grad``: the own-cost oracle fails first.
+    """
+
+    def target(self, x: Array, p: Array, rule) -> Array:
+        p = check_incentive(p, self.dim)
+        return self._target(x, p, _with_default_step(self, rule))[0]
+
+    def externality(self, x: Array) -> Array:
+        """Per-strategy gap between marginal social cost and own marginal cost."""
+        return self._externality(np.asarray(x, dtype=float))
+
+    def step(self, x: Array, p: Array, rule, recorded: bool) -> tuple:
+        """``(f, e, strategy_gap, social)`` at (x, p); the own costs that the
+        rule took serve the externality too."""
+        f, own = self._target(x, p, rule)
+        e = self._externality(x, own)
+        if not recorded:
+            return f, e, None, None
+        return f, e, self.strategy_gap(f, x), self.social(x)
+
+    def strategy_gap(self, f: Array, x: Array):
+        return sup_distance(f, x)
+
+
+class _BlockSpace:
+    """Strategies in a product of scaled simplexes, cut by ``self.layout``."""
+
+    def project(self, x: Array) -> Array:
+        return project_blocks(np.asarray(x, dtype=float), self.layout)
+
+    def uniform_point(self) -> Array:
+        return self.layout.uniform()
+
+    def random_start(self, rng: np.random.Generator) -> Array:
+        """Exponential weights normalized to each block's mass."""
+        out = np.empty(self.layout.owner.size)
+        for s, m in zip(self.layout.slices, self.layout.masses):
+            g = rng.exponential(size=s.stop - s.start)
+            out[s] = m * g / g.sum()
+        return out
+
+
 @dataclass(frozen=True)
-class AtomicGame:
+class AtomicGame(_OracleGame):
     """Oracle-backed atomic game.
 
     ``loss_grad(x)`` returns each player's marginal cost, the partial of its
@@ -244,9 +276,7 @@ class AtomicGame:
     def n_players(self) -> int:
         return self.lower.size
 
-    @property
-    def dim(self) -> int:
-        return self.lower.size
+    dim = n_players
 
     def project(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -277,9 +307,6 @@ class AtomicGame:
             raise InvalidArgumentError("x0 is infeasible")
         return x, check_incentive(p0, self.n_players)
 
-    def target(self, x: Array, p: Array, rule) -> Array:
-        return self._target(x, check_incentive(p, self.n_players), rule)[0]
-
     def _target(self, x, p, rule) -> tuple:
         """f(x, p), and the loss gradient at ``x`` where the rule took it (else None)."""
         if rule.variant == "equilibrium":
@@ -295,25 +322,10 @@ class AtomicGame:
         g = self.loss_grad(x)
         return self.project(x - rule.eta * (g + p)), g
 
-    def externality(self, x: Array) -> Array:
-        """Per-player gap between marginal social cost and own marginal cost."""
-        x = np.asarray(x, dtype=float)
-        return self._externality(x, self.loss_grad(x))
-
-    def _externality(self, x, g) -> Array:
-        return _checked_gap(self.social_grad(x), g, "loss gradient")
-
-    def step(self, x: Array, p: Array, rule, recorded: bool) -> tuple:
-        """``(f, e, strategy_gap, social)`` at (x, p); the gradient rule's loss
-        gradient serves the externality too."""
-        f, g = self._target(x, p, rule)
-        e = self._externality(x, self.loss_grad(x) if g is None else g)
-        if not recorded:
-            return f, e, None, None
-        return f, e, self.strategy_gap(f, x), self.social(x)
-
-    def strategy_gap(self, f: Array, x: Array):
-        return sup_distance(f, x)
+    def _externality(self, x, own=None) -> Array:
+        if own is None:
+            own = self.loss_grad(x)
+        return _checked_gap(self.social_grad(x), own, "loss gradient")
 
     def known_optimum(self) -> Optional[Array]:
         return self.optimum
@@ -327,7 +339,7 @@ class AtomicGame:
 
 
 @dataclass(frozen=True)
-class NonAtomicGame:
+class NonAtomicGame(_OracleGame, _BlockSpace):
     """Oracle-backed non-atomic game over a product of mass-scaled simplexes.
 
     Strategy distributions are stored flat: the block of population ``i``
@@ -357,9 +369,6 @@ class NonAtomicGame:
     def dim(self) -> int:
         return sum(self.action_counts)
 
-    def project(self, x: Array) -> Array:
-        return project_blocks(np.asarray(x, dtype=float), self.layout)
-
     def is_feasible(self, x: Array, tol: float = MASS_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,) or not (x >= -tol).all():  # NaN fails too
@@ -373,17 +382,8 @@ class NonAtomicGame:
             raise InvalidArgumentError("strategy distribution violates mass/nonnegativity")
         return x
 
-    def uniform_point(self) -> Array:
-        return self.layout.uniform()
-
-    def random_start(self, rng: np.random.Generator) -> Array:
-        return random_blocks(rng, self.layout)
-
     def check_start(self, x0, p0) -> tuple:
         return self.check_feasible(x0), check_incentive(p0, self.dim)
-
-    def target(self, x: Array, p: Array, rule) -> Array:
-        return self._target(x, check_incentive(p, self.dim), rule)[0]
 
     def _target(self, x, p, rule) -> tuple:
         """f(x, p), and the action costs at ``x`` where the rule took them (else None)."""
@@ -392,25 +392,10 @@ class NonAtomicGame:
         c = np.asarray(self.action_cost(x), float)
         return simplex_target(x, c + p, self.layout, rule), c
 
-    def externality(self, x: Array) -> Array:
-        """Per-action gap between marginal social cost and action cost."""
-        x = np.asarray(x, dtype=float)
-        return self._externality(x, self.action_cost(x))
-
-    def _externality(self, x, c) -> Array:
-        return _checked_gap(self.social_grad(x), c, "action cost")
-
-    def step(self, x: Array, p: Array, rule, recorded: bool) -> tuple:
-        """``(f, e, strategy_gap, social)`` at (x, p); the simplex rules' action
-        costs serve the externality too."""
-        f, c = self._target(x, p, rule)
-        e = self._externality(x, self.action_cost(x) if c is None else c)
-        if not recorded:
-            return f, e, None, None
-        return f, e, self.strategy_gap(f, x), self.social(x)
-
-    def strategy_gap(self, f: Array, x: Array):
-        return sup_distance(f, x)
+    def _externality(self, x, own=None) -> Array:
+        if own is None:
+            own = self.action_cost(x)
+        return _checked_gap(self.social_grad(x), own, "action cost")
 
     def known_optimum(self) -> None:
         return None

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RunConfig, TrajectoryRecord, _positive_int, run_coupled
+from .dynamics import (RunConfig, TrajectoryRecord, _positive_int, _with_default_step,
+                       run_coupled)
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
-from .games import (BlockLayout, NonAtomicGame, check_incentive, check_tolerance,
-                    project_blocks, random_blocks, simplex_target, sup_distance)
+from .games import (BlockLayout, NonAtomicGame, _BlockSpace, check_incentive,
+                    check_tolerance, simplex_target, sup_distance)
 
 DEFAULT_GAP_TOL = 1e-10
 MAX_PATH_NODES = 12
@@ -107,7 +108,7 @@ class OdPair:
 
 
 @dataclass(frozen=True)
-class RoutingNetwork:
+class RoutingNetwork(_BlockSpace):
     nodes: tuple
     edges: tuple  # (tail, head, LatencyFunction)
     od_pairs: tuple
@@ -234,21 +235,16 @@ class RoutingNetwork:
             raise InvalidArgumentError("route flow violates an OD demand")
         return x
 
-    def uniform_route_flow(self) -> np.ndarray:
-        return self.layout.uniform()
+    uniform_route_flow = _BlockSpace.uniform_point
 
     # Coupled-loop model: route flows x, edge tolls p.
-
-    uniform_point = uniform_route_flow
-
-    def random_start(self, rng: np.random.Generator) -> np.ndarray:
-        return random_blocks(rng, self.layout)
 
     def check_start(self, x0, p0) -> tuple:
         return self.check_route_flow(x0), check_incentive(p0, self.n_edges)
 
     def target(self, x, p, rule) -> np.ndarray:
         p = check_incentive(p, self.n_edges)
+        rule = _with_default_step(self, rule)
         if rule.variant == "equilibrium":
             return wardrop_equilibrium(self, p, x0=x)[0]
         return self._simplex_target(x, self.latency(self.incidence @ x), p, rule)
@@ -287,9 +283,6 @@ class RoutingNetwork:
         """Route marginal social costs: incidence^T (l(w) + w l'(w))."""
         w = self.incidence @ np.asarray(x, float)
         return self.incidence.T @ (self.latency(w) + w * self.latency_deriv(w))
-
-    def project(self, x) -> np.ndarray:
-        return project_blocks(np.asarray(x, dtype=float), self.layout)
 
     def strategy_gap(self, f, x):
         """Sup distance of the edge flows; route decompositions are interchangeable."""

@@ -57,7 +57,7 @@ def test_schedule_rejects_steps_outside_unit_interval():
 
 
 @given(a=st.floats(0.51, 0.89), gap=st.floats(0.01, 0.4))
-@settings(max_examples=50, deadline=None)
+@settings(derandomize=True, max_examples=50, deadline=None)
 def test_schedule_timescale_separation(a, gap):
     b = min(a + gap, 1.0)
     s = StepSchedule(a=a, b=b)
@@ -555,6 +555,18 @@ def test_step_equals_the_single_quantity_methods(name, variant, regularizer, see
     assert gap == model.strategy_gap(f_alone, x)
     assert social == model.social(x)
     assert strategy_target(model, x, p, rule, False)[2:] == (None, None)
+
+
+@pytest.mark.parametrize("name", ["aggregative", "atomic_no_closed_forms", "nonatomic_braess",
+                                  "two_link_game", "braess"])
+def test_target_takes_the_default_gradient_step(name):
+    # a gradient rule without eta once reached ``None * float`` in target
+    model = STEP_MODELS[name]
+    rng = np.random.default_rng(11)
+    x, p = model.random_start(rng), rng.uniform(-1.0, 1.0, model.dim)
+    rule = StrategyUpdateRule("gradient")
+    np.testing.assert_array_equal(model.target(x, p, rule),
+                                  strategy_target(model, x, p, rule)[0], strict=True)
 
 
 def test_strategy_target_is_the_models_step():

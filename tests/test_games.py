@@ -12,7 +12,6 @@ from incentive_dynamics.games import (MASS_TOL, AtomicGame, NonAtomicGame,
                                       certify_nash_atomic,
                                       certify_nash_nonatomic,
                                       certify_social_optimum, project_interval,
-                                      project_simplex,
                                       solve_equilibrium_atomic)
 from incentive_dynamics import numdiff
 from incentive_dynamics.aggregative import QuadraticAggregativeSpec
@@ -50,47 +49,47 @@ def two_link_game():
 
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8),
        st.floats(0.1, 5.0))
-@settings(max_examples=100, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None)
 def test_project_simplex_feasible(vals, mass):
-    y = project_simplex(np.array(vals), mass)
+    v = np.array(vals)
+    y = games.project_blocks(v, games.BlockLayout((v.size,), (mass,)))
     assert np.all(y >= 0)
     assert abs(y.sum() - mass) < 1e-9
 
 
 def test_project_simplex_idempotent_on_feasible():
     x = np.array([0.2, 0.3, 0.5])
-    np.testing.assert_allclose(project_simplex(x, 1.0), x, atol=1e-12)
-
-
-def test_project_simplex_rejects_nonpositive_mass():
-    with pytest.raises(InvalidArgumentError):
-        project_simplex(np.array([1.0, 2.0]), 0.0)
+    np.testing.assert_allclose(games.project_blocks(x, games.BlockLayout((x.size,), (1.0,))),
+                               x, atol=1e-12)
 
 
 def test_project_simplex_of_a_swamped_vector_is_taken_from_its_maximum():
     # 1e300 - 1 == 1e300: no rank passes the threshold test as written
-    np.testing.assert_array_equal(project_simplex(np.array([1e300, -1e300, 5.0]), 1.0),
+    v = np.array([1e300, -1e300, 5.0])
+    np.testing.assert_array_equal(games.project_blocks(v, games.BlockLayout((v.size,), (1.0,))),
                                   [1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, -np.inf]])
 def test_project_simplex_rejects_a_nonfinite_vector(bad):
+    v = np.array(bad)
     with pytest.raises(EvaluationError, match="non-finite"):
-        project_simplex(np.array(bad), 1.0)
+        games.project_blocks(v, games.BlockLayout((v.size,), (1.0,)))
 
 
 def test_a_swamped_or_nonfinite_block_leaves_the_others_alone():
     layout = games.BlockLayout((2, 3), (2.0, 1.0))
     good = np.array([0.3, -1.2])
+    good_alone = games.project_blocks(good, games.BlockLayout((good.size,), (2.0,)))
     swamped = np.concatenate([good, [1e300, -1e300, 5.0]])
     np.testing.assert_array_equal(games.project_blocks(swamped, layout),
-                                  [*project_simplex(good, 2.0), 1.0, 0.0, 0.0])
+                                  [*good_alone, 1.0, 0.0, 0.0])
     with pytest.raises(EvaluationError):
         games.project_blocks(np.concatenate([good, [1.0, np.nan, 0.0]]), layout)
     # -inf in a block whose top rank passes: the entry is projected to 0
     np.testing.assert_array_equal(
         games.project_blocks(np.concatenate([good, [-np.inf, 0.5, 0.5]]), layout),
-        [*project_simplex(good, 2.0), 0.0, 0.5, 0.5])
+        [*good_alone, 0.0, 0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +367,50 @@ def test_externality_checks_each_oracle_value_once():
     with np.errstate(over="ignore"):
         np.testing.assert_array_equal(g.externality(np.array([0.5, 0.5])),
                                       [np.inf, 0.0])
+
+
+class OracleFailed(Exception):
+    pass
+
+
+def failing(name):
+    def oracle(x):
+        raise OracleFailed(name)
+    return oracle
+
+
+def oracle_game(kind, own, social_grad):
+    """A two-strategy game whose own-cost oracle is ``own``; the atomic one has
+    a closed-form best response, so that only the externality asks ``own``."""
+    if kind == "atomic":
+        return AtomicGame(lower=np.full(2, -np.inf), upper=np.full(2, np.inf),
+                          loss_grad=own, social=lambda x: 0.0, social_grad=social_grad,
+                          best_response=lambda x, p: np.zeros(2))
+    return NonAtomicGame(masses=[1.0], action_counts=(2,), action_cost=own,
+                         social=lambda x: 0.0, social_grad=social_grad)
+
+
+OWN_COST = {"atomic": "loss gradient", "nonatomic": "action cost"}
+BEST_RESPONSE = StrategyUpdateRule("best_response")
+ORACLE_ENTRIES = {
+    "externality": lambda g: g.externality(np.array([0.5, 0.5])),
+    "step": lambda g: g.step(np.array([0.5, 0.5]), np.zeros(2), BEST_RESPONSE, True),
+    "run_coupled": lambda g: run_coupled(g, np.array([0.5, 0.5]), np.zeros(2),
+                                         RunConfig(rule=BEST_RESPONSE, max_iterations=5)),
+}
+
+
+@pytest.mark.parametrize("kind", OWN_COST)
+@pytest.mark.parametrize("entry", ORACLE_ENTRIES)
+def test_an_oracle_failure_names_the_oracle_and_the_own_cost_fails_first(kind, entry):
+    call = ORACLE_ENTRIES[entry]
+    nan, zero = (lambda x: np.array([np.nan, 0.0])), (lambda x: np.zeros(2))
+    for own, social_grad, what in ((nan, zero, OWN_COST[kind]), (zero, nan, "social gradient")):
+        with pytest.raises(EvaluationError, match=f"^{what} oracle returned non-finite values$"):
+            call(oracle_game(kind, own, social_grad))
+    # the own-cost oracle is called before social_grad
+    with pytest.raises(OracleFailed, match="^own$"):
+        call(oracle_game(kind, failing("own"), failing("social")))
 
 
 def test_externality_nonfinite_oracle_raises():

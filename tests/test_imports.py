@@ -6,7 +6,9 @@ syntax tree: a name bound by an import must be read somewhere in the module.
 ``__init__.py`` is left out, since its imports are the package's exports. A
 top-level function, class or constant must be named in ``src/``, ``tests/``
 or ``bench/`` outside its own definition. Only ``games.check_incentive``
-raises an error about the incentive vector.
+raises an error about the incentive vector. No two functions of the package
+share their parameter names and body, and every hypothesis property under
+``tests/`` is derandomized.
 """
 import ast
 import json
@@ -84,6 +86,53 @@ def test_module_defines_nothing_unnamed(module):
               if p != PACKAGE / module]
     elsewhere = "\n".join(p.read_text() for p in others)
     assert dead_definitions((PACKAGE / module).read_text(), elsewhere) == []
+
+
+def duplicate_bodies(sources: dict) -> list:
+    """The pairs of functions in ``sources`` (module name -> source) that take
+    the same parameter names and have the same body, docstrings and
+    annotations aside, each as (first, later) qualified names in source order."""
+    first, pairs = {}, []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            name = f"{prefix}.{child.name}" if isinstance(child, scopes) else prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [x and x.arg for x in (a.vararg, a.kwarg)]
+                body = child.body
+                if ast.get_docstring(child, clean=False) is not None:
+                    body = body[1:]
+                key = (tuple(params), tuple(ast.dump(stmt) for stmt in body))
+                if key in first:
+                    pairs.append((first[key], name))
+                else:
+                    first[key] = name
+            visit(child, name)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return pairs
+
+
+def test_duplicate_bodies_finds_each_copied_function():
+    source = ('def f(x: int) -> int:\n    "Doc."\n    return x + 1\n'
+              "def g(x):\n    return x + 1\n"
+              "def h(y):\n    return y + 1\n"
+              "def k(x, *rest):\n    return x + 1\n"
+              "class C:\n    def m(self):\n        return self.a\n"
+              '    @property\n    def n(self) -> int:\n        "Doc."\n        return self.a\n')
+    assert duplicate_bodies({"m": source}) == [("m.f", "m.g"), ("m.C.m", "m.C.n")]
+    other = "class D:\n    def g(x):\n        return x + 1\n"
+    assert duplicate_bodies({"m": source, "o": other})[-1] == ("m.f", "o.D.g")
+
+
+def test_no_function_body_is_written_twice():
+    # an alias (``dim = n_players``) shares one body instead of copying it
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert duplicate_bodies(sources) == []
 
 
 def incentive_errors(source: str) -> list:
@@ -175,3 +224,32 @@ def test_cli_and_single_config_run_load_no_multiprocessing(tmp_path, run):
         argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
         code += f"assert cli.main({argv!r}) == 0\n"
     assert loaded_modules(code, "multiprocessing") == []
+
+
+def unseeded_settings(source: str) -> list:
+    """The lines of ``source`` where a ``@settings`` decorator does not set
+    ``derandomize=True``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        for dec in getattr(node, "decorator_list", []):
+            func = dec.func if isinstance(dec, ast.Call) else dec
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "settings" and not any(
+                    k.arg == "derandomize" and isinstance(k.value, ast.Constant)
+                    and k.value.value is True for k in getattr(dec, "keywords", [])):
+                lines.append(dec.lineno)
+    return sorted(lines)
+
+
+def test_unseeded_settings_finds_each_random_property():
+    source = ("@given(st.floats())\n@settings(max_examples=5)\ndef test_a(v):\n    pass\n"
+              "@hypothesis.settings(derandomize=True, max_examples=5)\ndef test_b(v):\n    pass\n"
+              "@settings(derandomize=False)\ndef test_c(v):\n    pass\n"
+              "@settings\ndef test_d(v):\n    pass\n")
+    assert unseeded_settings(source) == [2, 8, 11]
+
+
+def test_every_property_is_derandomized():
+    # each tier-1 run draws the same examples
+    found = {p.name: unseeded_settings(p.read_text()) for p in (ROOT / "tests").rglob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

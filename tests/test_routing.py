@@ -904,7 +904,7 @@ def test_coupled_records_match_the_per_block_loops(case):
 
 
 @given(st.floats(-1, 2), st.floats(-1, 2))
-@settings(max_examples=30, deadline=None)
+@settings(derandomize=True, max_examples=30, deadline=None)
 def test_monotonicity_property_two_link(p1, p2):
     net = two_link_network()
     val = flow_monotonicity_check(net, np.array([p1, p2]), np.array([p2, p1]))
