@@ -14,8 +14,10 @@ that do are named (``games._OracleGame`` serves the two games and
 
 - ``check_start(x0, p0)``: the validated start ``(x, p)``;
 - ``step(x, p, rule, recorded)`` (``_OracleGame``, ``RoutingNetwork``): the
-  loop's one evaluation per iteration, ``(f, e, strategy_gap, social)`` at
-  the iterate, the last two only where ``recorded`` (else None). It
+  loop's one evaluation per iteration, ``(f, e, d, social)`` at the
+  iterate, the last two only where ``recorded`` (else None). ``d`` is the
+  vector whose sup norm is the strategy gap: ``f - x`` for a game, the
+  difference of the edge flows of ``f`` and ``x`` for a network. It
   evaluates the iterate once: a network takes one edge flow and one
   latency-kernel pass, and a game one loss gradient or one set of action
   costs where its rule needs them. It takes p as checked, and raises what
@@ -25,7 +27,8 @@ that do are named (``games._OracleGame`` serves the two games and
 - ``externality(x)`` (``_OracleGame``, ``RoutingNetwork``) and ``social(x)``
   (the games' ``social`` oracle, ``RoutingNetwork``);
 - ``strategy_gap(f, x)`` (``_OracleGame``, ``RoutingNetwork``): the sup
-  distance of two strategies, in edge flows for a network;
+  distance of two strategies, in edge flows for a network, the sup norm of
+  ``step``'s ``d``;
 - ``cost_lipschitz()``: a bound ``L`` behind the default step ``0.9 / L``;
 - ``uniform_point()`` and ``random_start(rng)`` (``AtomicGame``,
   ``_BlockSpace``): a feasible strategy, the CLI's default start, and a
@@ -38,7 +41,11 @@ methods, which check p and which the analyses call, so that the two give
 equal values.
 
 The loop records the iterates it passes to these methods without copying
-them, so no method may write into its arguments.
+them, so no method may write into its arguments. It checks the stop rule a
+block at a time: it evaluates the recorded iterations after which the run
+could stop at the earliest, then computes their residuals from the stacked
+``d``, ``e`` and ``p`` rows in one pass. It never evaluates an iteration that
+a check after every recorded iteration would skip.
 """
 from __future__ import annotations
 
@@ -246,8 +253,8 @@ def _with_default_step(model, rule: StrategyUpdateRule) -> StrategyUpdateRule:
 
 
 def strategy_target(model, x, p, rule: StrategyUpdateRule, recorded: bool = True):
-    """The loop's evaluation at (x, p): ``model.step``'s ``(f, e, strategy_gap,
-    social)``, the last two None unless ``recorded``.
+    """The loop's evaluation at (x, p): ``model.step``'s ``(f, e, d, social)``,
+    the last two None unless ``recorded``.
 
     A gradient rule without a step gets the model's default. p is not checked,
     as ``run_coupled`` checks its start once; ``model.target`` is the checked
@@ -263,6 +270,20 @@ def externality(model, x):
     return model.externality(x)
 
 
+def _residuals(ks, ds, es, ps) -> list:
+    """The fixed-point residuals ``max|d| + max|e - p|`` of a block of recorded
+    iterations ``ks``, in order, from one pass over their stacked rows. The
+    first NaN raises ``EvaluationError`` naming its iteration."""
+    if not ks:
+        return []
+    out = (np.maximum.reduce(np.abs(np.array(ds)), axis=1)
+           + np.maximum.reduce(np.abs(np.array(es) - np.array(ps)), axis=1)).tolist()
+    for k, residual in zip(ks, out):
+        if math.isnan(residual):
+            raise EvaluationError(f"the fixed-point residual at iteration {k} is {residual}")
+    return out
+
+
 def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     """Iterate the coupled updates until the fixed-point residual settles.
 
@@ -276,6 +297,15 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     raises ``EvaluationError``; an infinite one, from finite iterates whose
     difference overflows, is recorded, and the oracle checks stop the run
     once the iterates themselves overflow.
+
+    The stop rule is checked a block at a time. With ``hits`` consecutive
+    recorded residuals within the tolerance, the run can stop no sooner than
+    ``CONSECUTIVE_HITS - hits`` recorded iterations on, so the loop evaluates
+    that many (or up to ``max_iterations``) and then computes their residuals
+    in one pass. It never evaluates an iteration that a check after every
+    recorded iteration would skip. An exception raised within a block is
+    re-raised after the residuals of the block's earlier recorded iterations
+    are checked, so a NaN residual is still reported first.
     """
     x, p = game.check_start(x0, p0)
     # Iterates go into the record uncopied: x and p are rebound every step
@@ -288,24 +318,32 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     gamma, beta = config.schedule.gamma, config.schedule.beta
     record_every, tol = config.record_every, config.convergence_tol
     last = config.max_iterations
-    hits = 0
-    for k in range(last + 1):
-        recorded = k % record_every == 0 or k == last
-        f, e, strategy_gap, social = strategy_target(game, x, p, rule, recorded)
-        if recorded:
-            residual = float(strategy_gap + np.maximum.reduce(np.abs(e - p), axis=None))
-            if math.isnan(residual):
-                raise EvaluationError(f"the fixed-point residual at iteration {k} is {residual}")
-            ks.append(k)
-            xs.append(x)
-            ps.append(p)
+    k, hits = -1, 0
+    while True:
+        start, ds, es = len(ks), [], []
+        try:
+            while len(ds) + hits < CONSECUTIVE_HITS and k < last:
+                if k >= 0:  # the update of the previous iteration
+                    gamma_k, beta_k = gamma(k), beta(k)
+                    x = (1.0 - gamma_k) * x + gamma_k * f
+                    p = (1.0 - beta_k) * p + beta_k * e
+                k += 1
+                recorded = k % record_every == 0 or k == last
+                f, e, d, social = strategy_target(game, x, p, rule, recorded)
+                if recorded:
+                    ks.append(k)
+                    xs.append(x)
+                    ps.append(p)
+                    ds.append(d)
+                    es.append(e)
+                    social_costs.append(float(social))
+        except Exception:
+            _residuals(ks[start:], ds, es, ps[start:])
+            raise
+        for residual in _residuals(ks[start:], ds, es, ps[start:]):
             residuals.append(residual)
-            social_costs.append(float(social))
             hits = hits + 1 if residual <= tol else 0
-            if hits >= CONSECUTIVE_HITS or k == last:
-                record.converged = residual <= tol
-                record.iterations = k
-                return record
-        gamma_k, beta_k = gamma(k), beta(k)
-        x = (1.0 - gamma_k) * x + gamma_k * f
-        p = (1.0 - beta_k) * p + beta_k * e
+        if hits >= CONSECUTIVE_HITS or k == last:
+            record.converged = residuals[-1] <= tol
+            record.iterations = k
+            return record

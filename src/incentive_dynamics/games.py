@@ -54,7 +54,10 @@ class BlockLayout:
     win (-inf in a descending sort or a max, +inf in an argmin), so its
     numpy call count does not depend on the number of blocks. ``owner``
     gives the block of each flat entry and ``starts`` the first entry of
-    each block. All arrays are read-only.
+    each block. ``_padded_masses`` and ``_padded_ranks`` hold each block's
+    mass and the ranks 1, 2, ... tiled to the padded shape, so that the
+    simplex projection's passes take same-shape contiguous operands, which
+    numpy runs faster than broadcast ones. All arrays are read-only.
     """
 
     def __init__(self, counts, masses):
@@ -70,11 +73,11 @@ class BlockLayout:
         self.index = np.where(self.pad, starts[:, None], starts[:, None] + col)
         self.owner = np.repeat(self.rows, counts)
         self.entry_masses = self.masses[self.owner]
-        self.ranks = col + 1.0
-        self._mass_column = self.masses[:, None]
+        self._padded_masses = np.repeat(self.masses[:, None], col.size, axis=1)
+        self._padded_ranks = np.repeat((col + 1.0)[None, :], counts.size, axis=0)
         self._uniform = self.entry_masses / counts[self.owner]
         for a in (self.masses, starts, self.rows, self.pad, self.index, self.owner,
-                  self.entry_masses, self.ranks, self._mass_column, self._uniform):
+                  self.entry_masses, self._padded_masses, self._padded_ranks, self._uniform):
             a.setflags(write=False)
 
     def padded(self, v: Array, fill: float) -> Array:
@@ -106,21 +109,24 @@ def project_blocks(v: Array, layout: BlockLayout) -> Array:
     passes in exact arithmetic. Where it fails, a block with a NaN or +-inf
     entry raises ``EvaluationError``, and a finite block whose range swamps
     its mass is projected after its maximum is subtracted, so that
-    ``[1e300, -1e300, 5]`` with mass 1 gives ``[1, 0, 0]``.
+    ``[1e300, -1e300, 5]`` with mass 1 gives ``[1, 0, 0]``. The descending
+    sort is copied into a contiguous array, so that no later pass runs on
+    a negative-stride view.
     """
     u = layout.padded(v, -np.inf)
     u.sort(axis=1)
-    u = u[:, ::-1]
+    u = u[:, ::-1].copy()
+    ranks = layout._padded_ranks
     css = np.add.accumulate(u, axis=1)  # np.cumsum's sums, without its wrapper
-    css -= layout._mass_column
-    passes = u * layout.ranks > css
-    if not passes[:, 0].all():
+    css -= layout._padded_masses
+    passes = u * ranks > css
+    if not np.logical_and.reduce(passes[:, 0]):
         swamped = ~passes[:, 0]
         if not np.isfinite(v[swamped[layout.owner]]).all():
             raise EvaluationError("simplex projection of a vector with non-finite entries")
         return project_blocks(v - np.where(swamped, u[:, 0], 0.0)[layout.owner], layout)
-    rho = (layout.ranks.size - 1) - passes[:, ::-1].argmax(axis=1)  # last passing rank
-    theta = (css / layout.ranks)[layout.rows, rho]
+    rho = np.where(passes, ranks, 0.0).argmax(axis=1)  # last passing rank
+    theta = (css / ranks)[layout.rows, rho]
     return np.maximum(v - theta[layout.owner], 0.0)
 
 
@@ -171,14 +177,18 @@ def check_tolerance(tol) -> None:
         raise InvalidArgumentError("tol must be finite and positive")
 
 
-def sampled_lipschitz(grad: VectorOracle, draw: Callable[[], Array]) -> float:
-    """Crude bound on the Lipschitz constant of ``grad`` from 32 pairs of ``draw()`` points."""
+def sampled_lipschitz(grad: VectorOracle, draw: Callable[[], Array], what: str) -> float:
+    """Crude bound on the Lipschitz constant of ``grad`` from 32 pairs of ``draw()`` points.
+
+    ``what`` names the oracle: a non-finite value raises ``EvaluationError``,
+    where a NaN ratio would be skipped by ``max`` and leave a bound near 0."""
     best = 0.0
     for _ in range(32):
         x, y = draw(), draw()
         d = np.linalg.norm(x - y)
         if d > 1e-12:
-            best = max(best, float(np.linalg.norm(np.asarray(grad(x)) - np.asarray(grad(y))) / d))
+            diff = _checked(grad(x), what) - _checked(grad(y), what)
+            best = max(best, float(np.linalg.norm(diff) / d))
     return max(best, 1e-12)
 
 
@@ -200,13 +210,14 @@ class _OracleGame:
         return self._externality(np.asarray(x, dtype=float))
 
     def step(self, x: Array, p: Array, rule, recorded: bool) -> tuple:
-        """``(f, e, strategy_gap, social)`` at (x, p); the own costs that the
-        rule took serve the externality too."""
+        """``(f, e, d, social)`` at (x, p), with ``d = f - x``, whose sup norm
+        is the strategy gap; the own costs that the rule took serve the
+        externality too."""
         f, own = self._target(x, p, rule)
         e = self._externality(x, own)
         if not recorded:
             return f, e, None, None
-        return f, e, self.strategy_gap(f, x), self.social(x)
+        return f, e, f - x, self.social(x)
 
     def strategy_gap(self, f: Array, x: Array):
         return sup_distance(f, x)
@@ -316,7 +327,8 @@ class AtomicGame(_OracleGame):
         if rule.variant == "best_response":
             if self.best_response is not None:
                 return self.project(np.asarray(self.best_response(x, p), float)), None
-            return best_response_atomic(self, x, p), None
+            g = self.loss_grad(x)
+            return best_response_atomic(self, x, p, g), g
         if rule.regularizer == "entropy":
             raise InvalidArgumentError("entropy regularizer needs a simplex strategy space")
         g = self.loss_grad(x)
@@ -335,7 +347,8 @@ class AtomicGame(_OracleGame):
             return self.lipschitz_bound
         rng = np.random.default_rng(0)
         return sampled_lipschitz(
-            self.loss_grad, lambda: self.project(rng.standard_normal(self.n_players) * 2.0))
+            self.loss_grad, lambda: self.project(rng.standard_normal(self.n_players) * 2.0),
+            "loss gradient")
 
 
 @dataclass(frozen=True)
@@ -390,7 +403,11 @@ class NonAtomicGame(_OracleGame, _BlockSpace):
         if rule.variant == "equilibrium":
             return solve_equilibrium_nonatomic(self, p, x0=x), None
         c = np.asarray(self.action_cost(x), float)
-        return simplex_target(x, c + p, self.layout, rule), c
+        try:
+            return simplex_target(x, c + p, self.layout, rule), c
+        except EvaluationError:  # the projection's; name the oracle where it is at fault
+            _checked(c, "action cost")
+            raise
 
     def _externality(self, x, own=None) -> Array:
         if own is None:
@@ -402,7 +419,7 @@ class NonAtomicGame(_OracleGame, _BlockSpace):
 
     def cost_lipschitz(self) -> float:
         rng = np.random.default_rng(0)
-        return sampled_lipschitz(self.action_cost, lambda: self.random_start(rng))
+        return sampled_lipschitz(self.action_cost, lambda: self.random_start(rng), "action cost")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +484,7 @@ def _nonatomic_residual(game: NonAtomicGame, x: Array, c: Array, tol: float) -> 
 
 
 def projected_gradient_residual(grad: Array, x: Array, project) -> float:
-    return float(np.abs(x - project(x - grad)).max())
+    return float(np.maximum.reduce(np.abs(x - project(x - grad)), axis=None))
 
 
 def certify_social_optimum(game, x: Array, tol: float = DEFAULT_CERT_TOL):
@@ -484,19 +501,20 @@ def certify_social_optimum(game, x: Array, tol: float = DEFAULT_CERT_TOL):
 # Best responses and equilibrium solvers
 # ---------------------------------------------------------------------------
 
-def best_response_atomic(game: AtomicGame, x: Array, p: Array) -> Array:
+def best_response_atomic(game: AtomicGame, x: Array, p: Array, own=None) -> Array:
     """Each player's minimiser of its own cost plus payment, the others held at ``x``.
 
     Player ``i``'s best response is the root on ``[lower[i], upper[i]]`` of
     its own partial ``loss_grad(z)[i] + p[i]``, where ``z`` is ``x`` with
     entry ``i`` moved. This assumes each cost is convex in the player's own
-    strategy. One ``loss_grad(x)`` call gives every player's first point.
+    strategy. One ``loss_grad(x)`` call gives every player's first point;
+    ``own`` is that gradient, where the caller has taken it already.
     ``AtomicGame.target`` calls a closed-form ``game.best_response`` instead,
     when the game has one.
     """
     x = np.asarray(x, dtype=float)
     p = check_incentive(p, game.n_players)
-    g = np.asarray(game.loss_grad(x), float) + p
+    g = np.asarray(game.loss_grad(x) if own is None else own, float) + p
     loss_grad = game.loss_grad
     z = x.copy()
     out = np.empty_like(x)

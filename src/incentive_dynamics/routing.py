@@ -14,7 +14,13 @@ its incentives.
 Every latency evaluation goes through one kernel, ``_column_horner``: a
 network builds its coefficient columns once, highest degree first, as one
 stack for (l, l', l'') and one for the antiderivative, and the kernel runs
-Horner's rule in place over them for all edges at once. The flow solver
+Horner's rule in place over them for all edges at once. A stack of k
+polynomials per edge is evaluated in one of two forms, chosen from its
+shape: with three or more coefficient rows (a latency of degree 2 or more,
+such as a BPR latency) the kernel tiles the edge flow k times first, so
+that each Horner pass is a same-shape contiguous ufunc, which numpy runs
+faster than a broadcast one; with two rows (affine latencies) it keeps the
+one broadcast multiply, which costs less than the tile. The flow solver
 gets an edge cost and its derivative from one kernel pass, so it makes one
 pass per shift, per duality gap (at the start, after each sweep and at each
 Newton step) and per objective evaluation, and the coupled loop's
@@ -82,8 +88,9 @@ def _column_horner(rows, w):
     """Evaluate coefficient rows, highest degree first, at ``w`` by Horner's rule.
 
     In place: ``out = rows[0] * w; out += rows[1]``, then ``out *= w; out += row``
-    for each further row. A row broadcasts against ``w``, so rows of shape
-    (k, E) give k polynomials per edge in one pass. For finite ``w`` these are
+    for each further row. Rows of shape (k, E) give k polynomials per edge in
+    one pass; with three or more of them, ``w`` is first tiled to their shape
+    (the module docstring says why). For finite ``w`` these are
     polyval's operations in its order (its ``c + w*0`` start is ``c``), so the
     values are bitwise equal to the per-edge ``LatencyFunction`` path, and
     leading zero rows are exact. At an infinite or NaN ``w`` the result is the
@@ -91,6 +98,8 @@ def _column_horner(rows, w):
     """
     if len(rows) == 1:
         return rows[0] + w * 0.0
+    if len(rows) > 2 and rows[0].ndim == 2:  # k polynomials per edge, at one edge flow
+        w = w[None].repeat(len(rows[0]), axis=0)
     out = rows[0] * w
     out += rows[1]
     for row in rows[2:]:
@@ -254,11 +263,12 @@ class RoutingNetwork(_BlockSpace):
         return simplex_target(x, self.incidence.T @ (latency + p), self.layout, rule)
 
     def step(self, x, p, rule, recorded: bool) -> tuple:
-        """``(f, e, strategy_gap, social)`` at (x, p) from one edge flow
+        """``(f, e, d, social)`` at (x, p) from one edge flow
         ``w = incidence @ x`` and one kernel pass for (l, l') at ``w``.
 
-        The gap compares ``w`` with the edge flow of ``f``: the one the Wardrop
-        solve returns under the equilibrium rule, else ``incidence @ f``.
+        ``d = w_f - w``, whose sup norm is the strategy gap, compares ``w``
+        with the edge flow ``w_f`` of ``f``: the one the Wardrop solve returns
+        under the equilibrium rule, else ``incidence @ f``.
         """
         w = self.incidence @ x
         if rule.variant == "equilibrium":
@@ -271,7 +281,7 @@ class RoutingNetwork(_BlockSpace):
         e = w * slope
         if not recorded:
             return f, e, None, None
-        return f, e, sup_distance(w_f, w), float(w @ latency)
+        return f, e, w_f - w, float(w @ latency)
 
     def externality(self, x) -> np.ndarray:
         return edge_externality(self, self.incidence @ x)

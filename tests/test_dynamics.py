@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incentive_dynamics import routing
+from incentive_dynamics import dynamics, routing
 from incentive_dynamics.aggregative import QuadraticAggregativeSpec
 from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedule,
                                          StrategyUpdateRule, TrajectoryRecord,
@@ -548,11 +548,12 @@ def test_step_equals_the_single_quantity_methods(name, variant, regularizer, see
     x = model.random_start(rng)
     p = rng.uniform(-1.0, 1.0, model.dim)
     rule = StrategyUpdateRule(variant, eta=eta, regularizer=regularizer)
-    f, e, gap, social = model.step(x, p, rule, True)
+    f, e, d, social = model.step(x, p, rule, True)
     f_alone = model.target(x, p, rule)
     np.testing.assert_array_equal(f, f_alone, strict=True)
     np.testing.assert_array_equal(e, model.externality(x), strict=True)
-    assert gap == model.strategy_gap(f_alone, x)
+    gap = np.maximum.reduce(np.abs(d), axis=None)
+    assert gap.tobytes() == model.strategy_gap(f_alone, x).tobytes()
     assert social == model.social(x)
     assert strategy_target(model, x, p, rule, False)[2:] == (None, None)
 
@@ -575,9 +576,11 @@ def test_strategy_target_is_the_models_step():
     rule = StrategyUpdateRule("gradient")
     explicit = dataclasses.replace(rule, eta=resolve_eta(net, rule))
     got, want = strategy_target(net, x, p, rule), net.step(x, p, explicit, True)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-    assert got[2:] == want[2:]
+    for a, b in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(a, b, strict=True)
+    assert got[3] == want[3]
+    gap = np.maximum.reduce(np.abs(got[2]), axis=None)
+    assert gap.tobytes() == net.strategy_gap(got[0], x).tobytes()
     np.testing.assert_array_equal(externality(net, x), want[1])
 
 
@@ -610,3 +613,70 @@ def test_an_atomic_gradient_iteration_makes_one_loss_gradient_call(monkeypatch):
     rec = run_coupled(game, np.zeros(5), np.zeros(5), config)
     assert rec.iterations == 50 and not rec.converged
     assert len(calls) == 51
+
+
+# ---------------------------------------------------------------------------
+# the stop rule, a block at a time
+# ---------------------------------------------------------------------------
+
+BLOCK_RUNS = {
+    "spec": (seeded_spec(5, 12).to_game(), "gradient"),
+    "grid34": (grid34(), "equilibrium"),
+    "nonatomic_braess": (nonatomic_view(braess_network()), "gradient"),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_RUNS)
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_the_loop_evaluates_no_iteration_past_the_stop(monkeypatch, name, record_every):
+    model, variant = BLOCK_RUNS[name]
+    calls = []
+    monkeypatch.setattr(dynamics, "strategy_target", counting(strategy_target, calls))
+    x0, p0 = model.uniform_point(), np.zeros(model.dim)
+    for budget in (3000, 37):  # converged, then budget-exhausted
+        calls.clear()
+        rec = compare_with_reference(model, x0, p0, variant, budget, record_every, tol=1e-2)
+        assert rec.converged == (budget == 3000)
+        assert len(calls) == rec.iterations + 1
+
+
+class StepFailed(Exception):
+    pass
+
+
+class ScriptedModel:
+    """A one-dimensional model whose strategy gap is 1, or NaN at the
+    iterations ``nan_at``, and whose step raises ``StepFailed`` at ``fail_at``."""
+
+    dim = 1
+
+    def __init__(self, nan_at=(), fail_at=None):
+        self.nan_at, self.fail_at, self.k = nan_at, fail_at, 0
+
+    def check_start(self, x0, p0):
+        return np.asarray(x0, float), np.asarray(p0, float)
+
+    def step(self, x, p, rule, recorded):
+        k, self.k = self.k, self.k + 1
+        if k == self.fail_at:
+            raise StepFailed(f"step {k}")
+        d = np.array([np.nan if k in self.nan_at else 1.0])
+        return x, p, (d if recorded else None), (0.0 if recorded else None)
+
+
+@pytest.mark.parametrize("record_every", [1, 2])
+def test_a_nan_residual_is_reported_before_a_later_failure_of_its_block(record_every):
+    config = RunConfig(max_iterations=100, record_every=record_every)
+    # a NaN gap at recorded iteration 4, then a failing step in the same block
+    model = ScriptedModel(nan_at=(4,), fail_at=7)
+    with pytest.raises(EvaluationError, match="^the fixed-point residual at iteration 4 is nan$"):
+        run_coupled(model, np.zeros(1), np.zeros(1), config)
+    # the failure alone propagates unchanged
+    with pytest.raises(StepFailed, match="^step 7$") as failed:
+        run_coupled(ScriptedModel(fail_at=7), np.zeros(1), np.zeros(1), config)
+    assert failed.value.__context__ is None
+    # a NaN in the last recorded iteration, where the budget ends the block
+    model = ScriptedModel(nan_at=(100,))
+    with pytest.raises(EvaluationError, match="^the fixed-point residual at iteration 100 is nan$"):
+        run_coupled(model, np.zeros(1), np.zeros(1), config)
+    assert model.k == 101

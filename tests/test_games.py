@@ -413,6 +413,30 @@ def test_an_oracle_failure_names_the_oracle_and_the_own_cost_fails_first(kind, e
         call(oracle_game(kind, failing("own"), failing("social")))
 
 
+@pytest.mark.parametrize("kind", OWN_COST)
+def test_a_nonfinite_oracle_fails_the_sampled_lipschitz_bound(kind):
+    # a NaN ratio once dropped out of the max: a bound of 1e-12 and a step of 9e11
+    game = oracle_game(kind, lambda x: np.array([np.nan, 0.0]), lambda x: np.zeros(2))
+    message = f"^{OWN_COST[kind]} oracle returned non-finite values$"
+    with pytest.raises(EvaluationError, match=message):
+        game.cost_lipschitz()
+    config = RunConfig(rule=StrategyUpdateRule("gradient"), max_iterations=5)
+    with pytest.raises(EvaluationError, match=message):
+        run_coupled(game, np.array([0.5, 0.5]), np.zeros(2), config)
+
+
+@pytest.mark.parametrize("rule", [StrategyUpdateRule("best_response"),
+                                  StrategyUpdateRule("gradient", eta=0.1),
+                                  StrategyUpdateRule("gradient", eta=0.1, regularizer="entropy")],
+                         ids=["best_response", "quadratic", "entropy"])
+def test_a_nonfinite_action_cost_is_named_under_every_simplex_rule(rule):
+    # the quadratic rule's projection once failed first, naming no oracle
+    game = oracle_game("nonatomic", lambda x: np.array([np.nan, 0.0]), lambda x: np.zeros(2))
+    with pytest.raises(EvaluationError, match="^action cost oracle returned non-finite values$"):
+        run_coupled(game, np.array([0.5, 0.5]), np.zeros(2),
+                    RunConfig(rule=rule, max_iterations=5))
+
+
 def test_externality_nonfinite_oracle_raises():
     g = NonAtomicGame(masses=[1.0], action_counts=(2,),
                       action_cost=lambda x: np.array([np.nan, 0.0]),
@@ -781,6 +805,18 @@ def test_best_response_atomic_gradient_calls():
         np.testing.assert_array_equal(
             games.best_response_atomic(generic, x, -game.loss_grad(x)), x)
         assert len(calls) == 1
+
+
+def test_best_response_step_takes_the_gradient_at_x_once():
+    # the externality reuses the gradient that the best response took at x
+    rng = np.random.default_rng(25)
+    generic, calls = counting_game(without_closed_forms(seeded_spec(rng, 5).to_game()))
+    x, p = rng.normal(size=5), rng.normal(size=5)
+    games.best_response_atomic(generic, x, p)
+    alone = len(calls)
+    calls.clear()
+    generic.step(x, p, StrategyUpdateRule("best_response"), True)
+    assert len(calls) == alone
 
 
 def test_best_response_atomic_coupled_records_match_closed_form():

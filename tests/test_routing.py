@@ -120,16 +120,22 @@ def test_vectorised_latencies_match_per_edge_path(name):
 
 
 def _per_edge(net, w, tolls):
-    """latency, l', l'' and the Beckmann potential through per-edge polyval."""
+    """latency, l', l'', the stacks (l, l') and (l, l', l''), and the Beckmann
+    potential through per-edge polyval."""
     lats = [lat for _, _, lat in net.edges]
-    return ([lat.value(wa) for lat, wa in zip(lats, w)],
-            [lat.deriv(wa) for lat, wa in zip(lats, w)],
-            [lat.second_deriv(wa) for lat, wa in zip(lats, w)],
+    value = np.array([lat.value(wa) for lat, wa in zip(lats, w)])
+    deriv = np.array([lat.deriv(wa) for lat, wa in zip(lats, w)])
+    second = np.array([lat.second_deriv(wa) for lat, wa in zip(lats, w)])
+    return (value, deriv, second, np.array([value, deriv]), np.array([value, deriv, second]),
             float(sum(lat.integral(wa) for lat, wa in zip(lats, w)) + tolls @ w))
 
 
 def _kernel(net, w, tolls):
+    """The same through the kernel: single polynomials, the stacked passes of
+    ``step`` and the flow solver (broadcast at width 2, tiled from width 3),
+    and the potential."""
     return (net.latency(w), net.latency_deriv(w), net.latency_second_deriv(w),
+            routing._column_horner(net._cost_rows, w), routing._column_horner(net._all_rows, w),
             beckmann_potential(net, w, tolls))
 
 
@@ -152,10 +158,10 @@ def test_column_kernel_matches_per_edge_path_on_negative_flows(name):
     for w in flows:
         tolls = rng.uniform(-1.0, 1.0, net.n_edges)
         new, ref = _kernel(net, w, tolls), _per_edge(net, w, tolls)
-        for a, b in zip(new[:3], ref[:3]):
+        for a, b in zip(new[:-1], ref[:-1]):
             np.testing.assert_array_equal(a, b, strict=True)
             assert np.array_equal(np.signbit(a), np.signbit(b))
-        assert new[3] == ref[3]
+        assert new[-1] == ref[-1]
 
 
 def test_constant_network_has_width_one_columns():
@@ -183,11 +189,12 @@ def test_column_kernel_nonfinite_flows_give_nonfinite_values(name):
         with np.errstate(invalid="ignore", over="ignore"):
             new, ref = _kernel(net, w, tolls), _per_edge(net, w, tolls)
         finite = np.isfinite(w)
-        for a in new[:3]:
-            assert not np.isfinite(a[~finite]).any()
-        for a, b in zip(new[:3], ref[:3]):
-            np.testing.assert_array_equal(a[finite], np.asarray(b)[finite])
-        assert not np.isfinite(new[3])
+        for a in new[:-1]:
+            assert not np.isfinite(a[..., ~finite]).any()
+        for a, b in zip(new[:-1], ref[:-1]):
+            np.testing.assert_array_equal(a[..., finite], b[..., finite], strict=True)
+            assert np.array_equal(np.signbit(a[..., finite]), np.signbit(b[..., finite]))
+        assert not np.isfinite(new[-1])
 
 
 CONSTANT, AFFINE = (1.0,), (0.0, 1.0)
