@@ -199,10 +199,6 @@ class QuadraticAggregativeSpec:
             grad[i] = t.grad(x[i])
         return grad
 
-    def loss(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.q * x * x + self.alpha * x * (self.A @ x)
-
     def loss_grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.q * x + self.alpha * (self.A @ x)

@@ -457,6 +457,7 @@ def certify_nash_atomic(game: AtomicGame, x: Array, p: Array, tol: float = DEFAU
 
     Returns ``(ok, residual)`` with residual in the sup norm.
     """
+    check_tolerance(tol)
     x = _as_vector(x, "x")
     p = check_incentive(p, game.n_players)
     if x.size != game.n_players:
@@ -467,6 +468,7 @@ def certify_nash_atomic(game: AtomicGame, x: Array, p: Array, tol: float = DEFAU
 
 def certify_nash_nonatomic(game: NonAtomicGame, x: Array, p: Array, tol: float = DEFAULT_CERT_TOL):
     """Checks that every action carrying mass is within tol of minimal cost."""
+    check_tolerance(tol)
     x = game.check_feasible(x)
     c = np.asarray(game.action_cost(x), float) + check_incentive(p, game.dim)
     residual = _nonatomic_residual(game, x, c, tol)
@@ -489,6 +491,7 @@ def projected_gradient_residual(grad: Array, x: Array, project) -> float:
 
 def certify_social_optimum(game, x: Array, tol: float = DEFAULT_CERT_TOL):
     """First-order certificate for a candidate social-cost minimizer."""
+    check_tolerance(tol)
     x = np.asarray(x, dtype=float)
     shape = game.uniform_point().shape
     if x.shape != shape:
@@ -634,6 +637,8 @@ def solve_equilibrium_atomic(game: AtomicGame, p: Array, tol: float = 1e-10,
     """Projected-gradient iteration on x = Proj(x - eta (loss_grad(x) + p)), with
     the residual of :func:`certify_nash_atomic`; a restart moves halfway to the
     best response."""
+    check_tolerance(tol)
+    max_iter = _positive_int(max_iter, "max_iter")
     p = check_incentive(p, game.n_players)
 
     def terms(y):
@@ -650,6 +655,8 @@ def solve_equilibrium_nonatomic(game: NonAtomicGame, p: Array, tol: float = 1e-1
     """Projected iteration on x = Proj(x - eta (c(x) + p)), with the residual of
     :func:`certify_nash_nonatomic`; restart ``k`` moves 2 / (k + 3) of the way to
     the best response. Linear convergence for strongly monotone cost maps."""
+    check_tolerance(tol)
+    max_iter = _positive_int(max_iter, "max_iter")
     p = check_incentive(p, game.dim)
 
     def terms(y):

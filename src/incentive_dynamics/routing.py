@@ -306,7 +306,14 @@ class RoutingNetwork(_BlockSpace):
         return delta_matrix(self, system_optimum(self)[1])
 
     def cost_lipschitz(self) -> float:
-        """Crude bound on the route-cost Lipschitz constant: max l'(total demand) * E."""
+        """A step scale for the gradient rule: max l'(total demand) * E.
+
+        Not an upper bound on the Lipschitz constant of the route costs: on
+        the BPR grids, flows that put each OD pair's demand on one route give
+        route-cost Jacobians of larger spectral norm (3 441 against 2 711 on
+        a 4x5 grid, 40 417 against 14 581 on the 6x7 grid). The default
+        gradient step, 0.9 over this scale, rests on no bound.
+        """
         slope = float(np.max(self.latency_deriv(np.full(self.n_edges, self.layout.masses.sum()))))
         return max(slope * self.n_edges, 1e-12)
 
@@ -315,33 +322,41 @@ def route_to_edge_flow(net: RoutingNetwork, x) -> np.ndarray:
     return net.incidence @ net.check_route_flow(x)
 
 
+def _edge_flow(net: RoutingNetwork, w) -> np.ndarray:
+    """``w`` as a float array, if it holds one flow per edge of ``net``."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (net.n_edges,):
+        raise InvalidArgumentError(
+            f"edge flow must have {net.n_edges} entries, got shape {w.shape}")
+    return w
+
+
 def route_costs(net: RoutingNetwork, w, edge_tolls=None) -> np.ndarray:
-    c_edge = net.latency(w)
+    c_edge = net.latency(_edge_flow(net, w))
     if edge_tolls is not None:
         c_edge = c_edge + check_incentive(edge_tolls, net.n_edges)
     return net.incidence.T @ c_edge
 
 
 def beckmann_potential(net: RoutingNetwork, w, edge_tolls) -> float:
-    return _beckmann_potential(net, w, check_incentive(edge_tolls, net.n_edges))
+    return _beckmann_potential(net, _edge_flow(net, w), check_incentive(edge_tolls, net.n_edges))
 
 
 def _beckmann_potential(net, w, p) -> float:
-    """The Beckmann potential at tolls ``p`` taken as checked."""
-    w = np.asarray(w, dtype=float)
+    """The Beckmann potential at an edge flow ``w`` and tolls ``p`` taken as checked."""
     # cumsum adds left to right; sum() would reorder pairwise and change bits
     integrals = np.cumsum(_column_horner(net._integral_rows, w))[-1]
     return float(integrals + p @ w)
 
 
 def total_latency_cost(net: RoutingNetwork, w) -> float:
-    w = np.asarray(w, dtype=float)
+    w = _edge_flow(net, w)
     return float(w @ net.latency(w))
 
 
 def edge_externality(net: RoutingNetwork, w) -> np.ndarray:
     """Marginal-cost toll per edge: w_a * l_a'(w_a)."""
-    w = np.asarray(w, dtype=float)
+    w = _edge_flow(net, w)
     return w * net.latency_deriv(w)
 
 
@@ -471,6 +486,8 @@ def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GA
     The edge flow is the unique Beckmann minimizer; the route flow is one of
     possibly many consistent decompositions.
     """
+    check_tolerance(tol)
+    max_iter = _positive_int(max_iter, "max_iter")
     p = check_incentive(edge_tolls, net.n_edges)
     rows = net._cost_rows
 
@@ -486,6 +503,8 @@ def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GA
 def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
                    x0=None, max_iter: int = 200000):
     """Total-latency-minimizing flow; returns (route_flow, edge_flow)."""
+    check_tolerance(tol)
+    max_iter = _positive_int(max_iter, "max_iter")
     rows = net._all_rows
 
     def terms(w):  # (l + w l', 2 l' + w l'')
@@ -497,10 +516,17 @@ def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
 
 
 def optimal_edge_tolls(net: RoutingNetwork) -> np.ndarray:
-    """Marginal-cost tolls at the system optimum, cross-checked in equilibrium to 1e-7."""
-    _, w_opt = system_optimum(net)
+    """Marginal-cost tolls ``w l'(w)`` at the system optimum w_opt.
+
+    Cross-check: the equilibrium edge flow under these tolls is unique, and
+    must equal w_opt to 1e-7, else ``InconsistencyError``. The Wardrop solve
+    starts at the optimal route flow x_opt. Under consistent tolls x_opt is
+    already an equilibrium, so the solve usually stops at its first gap
+    test; under inconsistent ones it moves the flow away from w_opt.
+    """
+    x_opt, w_opt = system_optimum(net)
     p = edge_externality(net, w_opt)
-    _, w_eq = wardrop_equilibrium(net, p)
+    _, w_eq = wardrop_equilibrium(net, p, x0=x_opt)
     if np.max(np.abs(w_eq - w_opt)) > 1e-7:
         raise InconsistencyError(
             "tolled equilibrium does not reproduce the system optimum "
@@ -513,26 +539,33 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
     """Do all minimum-cost routes carry flow at the tolled equilibrium?
 
     Returns "pass", "fail", or "indeterminate". Route-flow minimizers can be
-    non-unique, so zero flow in one decomposition is inconclusive; several
-    warm starts (at least two), and their average, are probed before giving
-    up. The equilibrium route flows form a convex set, so the average is one
-    too and uses every route that any start uses.
+    non-unique, so zero flow in one decomposition is inconclusive. The
+    starts (at least two) are solved one at a time: the cold start first,
+    then warm starts drawn from ``seed``, and the first solution that uses
+    every minimum-cost route returns "pass". Only when none does is their
+    average tested: the equilibrium route flows form a convex set, so the
+    average is one too and uses every route that any start uses. Where it
+    fails as well, starts that all agree within ``tol`` give "fail", and
+    starts that differ give "indeterminate".
     """
     check_tolerance(tol)
     n_starts = _positive_int(n_starts, "n_starts")
     if n_starts < 2:
         raise InvalidArgumentError("the nondegeneracy check needs at least two starts")
     rng = np.random.default_rng(_positive_int(seed, "seed", least=0))
-    solutions = [wardrop_equilibrium(net, edge_tolls)[0]]
-    for _ in range(n_starts - 1):
-        solutions.append(wardrop_equilibrium(net, edge_tolls, x0=net.random_start(rng))[0])
 
     def verdict(x):
         c = route_costs(net, net.incidence @ x, edge_tolls)
         cmin = np.minimum.reduce(net.layout.padded(c, np.inf), axis=1)
         return not np.any((c <= cmin[net.layout.owner] + tol) & (x <= tol))
 
-    if any(verdict(x) for x in [*solutions, np.mean(solutions, axis=0)]):
+    solutions = []
+    for k in range(n_starts):
+        x = wardrop_equilibrium(net, edge_tolls, x0=net.random_start(rng) if k else None)[0]
+        if verdict(x):
+            return "pass"
+        solutions.append(x)
+    if verdict(np.mean(solutions, axis=0)):
         return "pass"
     spread = max(float(np.max(np.abs(a - b)))
                  for a in solutions for b in solutions)

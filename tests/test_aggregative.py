@@ -26,6 +26,13 @@ def example_spec(zeta=(0.0, 0.0)):
                                     alpha=0.5, zeta=list(zeta))
 
 
+def spec_losses(spec, x):
+    """Each player's own cost q_i x_i^2 / 2 + alpha x_i (A x)_i, whose
+    derivative in x_i is ``spec.loss_grad``."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * spec.q * x * x + spec.alpha * x * (spec.A @ x)
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -105,7 +112,7 @@ def test_gradient_oracles_match_finite_differences():
         fd_social = numdiff.central_gradient(spec.social, x)
         np.testing.assert_allclose(spec.social_grad(x), fd_social,
                                    rtol=1e-5, atol=1e-5)
-        fd_loss = np.diag(numdiff.central_jacobian(spec.loss, x))
+        fd_loss = np.diag(numdiff.central_jacobian(lambda y: spec_losses(spec, y), x))
         np.testing.assert_allclose(spec.loss_grad(x), fd_loss,
                                    rtol=1e-5, atol=1e-5)
 

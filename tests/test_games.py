@@ -698,6 +698,54 @@ def test_solve_equilibrium_atomic_rejects_wrong_incentive_length():
             solve_equilibrium_atomic(g, p)
 
 
+def tolerance_entries():
+    """Each public solver and certificate that takes a ``tol``, as a call on
+    a game whose oracles count their calls: name -> (call, calls, budgeted)."""
+    atomic_calls, nonatomic_calls = [], []
+    atomic = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
+    atomic = dataclasses.replace(atomic, loss_grad=counting(atomic.loss_grad, atomic_calls),
+                                 social_grad=counting(atomic.social_grad, atomic_calls))
+    nonatomic = two_link_game()
+    nonatomic = dataclasses.replace(
+        nonatomic, action_cost=counting(nonatomic.action_cost, nonatomic_calls))
+    x, y, zero = np.zeros(2), np.array([0.5, 0.5]), np.zeros(2)
+    return {
+        "certify_nash_atomic": (lambda **kw: certify_nash_atomic(atomic, x, zero, **kw),
+                                atomic_calls, False),
+        "certify_nash_nonatomic": (lambda **kw: certify_nash_nonatomic(nonatomic, y, zero, **kw),
+                                   nonatomic_calls, False),
+        "certify_social_optimum": (lambda **kw: certify_social_optimum(atomic, x, **kw),
+                                   atomic_calls, False),
+        "solve_equilibrium_atomic": (lambda **kw: solve_equilibrium_atomic(atomic, zero, **kw),
+                                     atomic_calls, True),
+        "solve_equilibrium_nonatomic": (
+            lambda **kw: games.solve_equilibrium_nonatomic(nonatomic, zero, **kw),
+            nonatomic_calls, True),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(tolerance_entries()))
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_a_bad_tolerance_fails_before_any_oracle_call(name, tol):
+    # a NaN tol fails every ``<=``: solvers ran their whole budget, and the
+    # certificates reported a zero residual as failing
+    call, calls, _ = tolerance_entries()[name]
+    with pytest.raises(InvalidArgumentError, match="tol must be finite and positive"):
+        call(tol=tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", [n for n, (_, _, budgeted) in tolerance_entries().items()
+                                  if budgeted])
+def test_solvers_reject_a_budget_that_is_no_positive_integer(name):
+    call, calls, _ = tolerance_entries()[name]
+    for max_iter in (0, -3, 2.5, np.nan):
+        with pytest.raises(SpecError, match="max_iter must be a positive integer"):
+            call(max_iter=max_iter)
+    assert calls == []
+    np.testing.assert_array_equal(call(max_iter=1e3), call(), strict=True)
+
+
 # ---------------------------------------------------------------------------
 # closed-form-free atomic best response
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ syntax tree: a name bound by an import must be read somewhere in the module.
 ``__init__.py`` is left out, since its imports are the package's exports. A
 top-level function, class or constant must be named in ``src/``, ``tests/``
 or ``bench/`` outside its own definition. Only ``games.check_incentive``
-raises an error about the incentive vector. No two functions of the package
+raises an error about the incentive vector, and every public function that
+takes a ``tol`` calls ``games.check_tolerance``. No two functions of the package
 share their parameter names and body, and every hypothesis property under
 ``tests/`` is derandomized.
 """
@@ -169,6 +170,43 @@ def test_only_check_incentive_builds_an_incentive_vector_error():
     # one module decides what a valid incentive is and what error names a bad one
     found = {module: incentive_errors((PACKAGE / module).read_text()) for module in MODULES}
     assert {m: f for m, f in found.items() if f} == {"games.py": ["check_incentive"]}
+
+
+def unchecked_tolerances(source: str) -> list:
+    """The module-level public functions of ``source`` that take a ``tol``
+    parameter and call no ``check_tolerance``, in source order. Private
+    helpers receive a checked ``tol``; ``check_tolerance`` is the check."""
+    found = []
+    for node in ast.parse(source).body:
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("_") or node.name == "check_tolerance"):
+            continue
+        a = node.args
+        if "tol" not in [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]:
+            continue
+        called = {n.func.attr if isinstance(n.func, ast.Attribute) else getattr(n.func, "id", None)
+                  for n in ast.walk(node) if isinstance(n, ast.Call)}
+        if "check_tolerance" not in called:
+            found.append(node.name)
+    return found
+
+
+def test_unchecked_tolerances_finds_each_public_function():
+    source = ("def check_tolerance(tol):\n    pass\n"
+              "def solve(x, tol=1e-10):\n    return x\n"
+              "def certify(x, tol):\n    games.check_tolerance(tol)\n"
+              "def probe(x, *, tol):\n    check_tolerance(tol)\n"
+              "def search(x, *, tol, max_iter):\n    return tol\n"
+              "def _helper(x, tol):\n    return x <= tol\n"
+              "def tolerant(x, x_tol):\n    return x\n"
+              "class Game:\n    def is_feasible(self, x, tol=1e-9):\n        return x <= tol\n")
+    assert unchecked_tolerances(source) == ["solve", "search"]
+
+
+def test_every_public_tolerance_is_checked_at_its_entry():
+    # a NaN or negative tol fails every ``<=``, so a solver would run its whole budget
+    found = {module: unchecked_tolerances((PACKAGE / module).read_text()) for module in MODULES}
+    assert {m: f for m, f in found.items() if f} == {}
 
 
 def loaded_modules(code: str, package: str = "scipy") -> list:

@@ -13,8 +13,8 @@ from incentive_dynamics import numdiff, routing
 from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
                                          resolve_eta, run_coupled)
-from incentive_dynamics.errors import (ConvergenceError, InvalidArgumentError,
-                                       SpecError)
+from incentive_dynamics.errors import (ConvergenceError, InconsistencyError,
+                                       InvalidArgumentError, SpecError)
 from incentive_dynamics.routing import (FIXTURES, LatencyFunction, OdPair,
                                         RoutingNetwork, all_simple_paths,
                                         beckmann_potential, braess_network,
@@ -315,6 +315,43 @@ def test_nondegeneracy_tolerance_must_be_finite_and_positive(tol):
         routing.nondegeneracy_check(routing.pigou_network(), np.zeros(2), tol=tol)
 
 
+FLOW_SOLVES = {
+    "wardrop_equilibrium": lambda net, **kw: wardrop_equilibrium(net, np.zeros(net.n_edges), **kw),
+    "system_optimum": system_optimum,
+}
+
+
+@pytest.mark.parametrize("solve", FLOW_SOLVES.values(), ids=list(FLOW_SOLVES))
+@pytest.mark.parametrize("bad", [dict(tol=np.nan), dict(tol=-1.0), dict(tol=0.0),
+                                 dict(tol=np.inf), dict(max_iter=0), dict(max_iter=2.5),
+                                 dict(max_iter=-3), dict(max_iter=np.nan)],
+                         ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+def test_flow_solves_reject_a_bad_tolerance_or_budget(solve, bad):
+    # a NaN tol fails every gap test, so the solve would run its whole budget
+    error, message = ((InvalidArgumentError, "tol must be finite and positive") if "tol" in bad
+                      else (SpecError, "max_iter must be a positive integer"))
+    with pytest.raises(error, match=message):
+        solve(braess_network(), **bad)
+
+
+@pytest.mark.parametrize("solve", FLOW_SOLVES.values(), ids=list(FLOW_SOLVES))
+def test_flow_solves_take_a_whole_float_budget(solve):
+    net = braess_network()
+    for a, b in zip(solve(net, max_iter=1e3), solve(net)):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+@pytest.mark.parametrize("w", [[1.0], 1.0, np.zeros(6), np.zeros((5, 1))])
+def test_routing_helpers_reject_an_edge_flow_of_the_wrong_length(w):
+    net, p = braess_network(), np.zeros(5)
+    helpers = (lambda: edge_externality(net, w), lambda: route_costs(net, w),
+               lambda: route_costs(net, w, p), lambda: total_latency_cost(net, w),
+               lambda: beckmann_potential(net, w, p))
+    for helper in helpers:
+        with pytest.raises(InvalidArgumentError, match=r"edge flow must have 5 entries"):
+            helper()
+
+
 # ---------------------------------------------------------------------------
 # equilibrium and optimum
 # ---------------------------------------------------------------------------
@@ -508,11 +545,14 @@ def test_flow_solves_match_per_call_reference(name):
 @pytest.mark.parametrize("solve, passes", [
     (lambda net: wardrop_equilibrium(net, np.zeros(net.n_edges)), 37),
     (system_optimum, 39),
+    (optimal_edge_tolls, 41),
 ])
 def test_flow_solves_make_one_kernel_pass_per_shift(monkeypatch, solve, passes):
     """Latency-kernel passes of a cold grid34 solve: one per shift, one per
     gap (the start, each sweep and each Newton step) and one per objective
-    evaluation; a second pass per shift fails."""
+    evaluation; a second pass per shift fails. The tolls take the system
+    optimum's 39, one for the externality and one for the gap of their
+    Wardrop check, which starts at the optimum (a cold check made 78)."""
     kernel, calls = routing._column_horner, []
 
     def counted(rows, w):
@@ -682,6 +722,103 @@ def test_nondegeneracy_corpus_untolled(name):
     """Single solves may leave a cheapest route empty; their average uses it."""
     net = CORPUS[name]()
     assert routing.nondegeneracy_check(net, np.zeros(net.n_edges)) == "pass"
+
+
+def nondegeneracy_reference(net, edge_tolls, tol=1e-6, n_starts=8, seed=0):
+    """``routing.nondegeneracy_check`` before it stopped at the first start
+    that passes: every start solved, then each solution and their average
+    tested."""
+    rng = np.random.default_rng(seed)
+    solutions = [routing.wardrop_equilibrium(net, edge_tolls)[0]]
+    for _ in range(n_starts - 1):
+        solutions.append(routing.wardrop_equilibrium(net, edge_tolls,
+                                                     x0=net.random_start(rng))[0])
+
+    def verdict(x):
+        c = route_costs(net, net.incidence @ x, edge_tolls)
+        cmin = np.minimum.reduce(net.layout.padded(c, np.inf), axis=1)
+        return not np.any((c <= cmin[net.layout.owner] + tol) & (x <= tol))
+
+    if any(verdict(x) for x in [*solutions, np.mean(solutions, axis=0)]):
+        return "pass"
+    spread = max(float(np.max(np.abs(a - b)))
+                 for a in solutions for b in solutions)
+    return "fail" if spread <= tol else "indeterminate"
+
+
+# grid34 drawn from seed 20 is "indeterminate" at zero tolls
+NONDEGENERACY_NETWORKS = {**NETWORKS, "grid34_seed20": lambda: grid34(20)}
+
+
+@pytest.mark.parametrize("name", sorted(NONDEGENERACY_NETWORKS))
+def test_nondegeneracy_check_matches_the_all_starts_reference(name):
+    net = NONDEGENERACY_NETWORKS[name]()
+    rng = np.random.default_rng(6)
+    tolls = [np.zeros(net.n_edges), optimal_edge_tolls(net),
+             *(rng.uniform(0.0, 2.0, net.n_edges) for _ in range(2))]
+    for p in tolls:
+        assert routing.nondegeneracy_check(net, p) == nondegeneracy_reference(net, p)
+
+
+@pytest.mark.parametrize("make, n_starts, verdict, solves", [
+    (braess_network, 8, "pass", 1),
+    (grid45, 8, "pass", 7),
+    (grid34, 8, "pass", 8),       # only the average of the starts passes
+    (pigou_network, 8, "fail", 8),
+    (lambda: grid34(20), 8, "indeterminate", 8),
+    (lambda: grid34(20), 3, "indeterminate", 3),
+])
+def test_nondegeneracy_check_solves_a_prefix_of_the_reference_starts(
+        monkeypatch, make, n_starts, verdict, solves):
+    """The check solves the reference's starts in its order, from the same
+    draws, and stops at the first solution that passes: each call's start
+    and solution equal the reference's, bitwise."""
+    net = make()
+    solve, calls = routing.wardrop_equilibrium, []
+
+    def recorded(net, edge_tolls, x0=None):
+        result = solve(net, edge_tolls, x0=x0)
+        calls.append((None if x0 is None else x0.copy(), result[0].copy()))
+        return result
+
+    monkeypatch.setattr(routing, "wardrop_equilibrium", recorded)
+    p = np.zeros(net.n_edges)
+    assert routing.nondegeneracy_check(net, p, n_starts=n_starts) == verdict
+    checked = calls.copy()
+    calls.clear()
+    assert nondegeneracy_reference(net, p, n_starts=n_starts) == verdict
+    assert len(checked) == solves and len(calls) == n_starts
+    for (x0, x), (ref_x0, ref_x) in zip(checked, calls):
+        assert (x0 is None) == (ref_x0 is None)
+        if x0 is not None:
+            np.testing.assert_array_equal(x0, ref_x0, strict=True)
+        np.testing.assert_array_equal(x, ref_x, strict=True)
+
+
+def optimal_edge_tolls_reference(net):
+    """``optimal_edge_tolls`` with its Wardrop cross-check solved cold."""
+    _, w_opt = system_optimum(net)
+    p = edge_externality(net, w_opt)
+    _, w_eq = wardrop_equilibrium(net, p)
+    assert np.max(np.abs(w_eq - w_opt)) <= 1e-7
+    return p
+
+
+@pytest.mark.parametrize("name", [*NETWORKS, "grid67"])
+def test_optimal_edge_tolls_match_the_cold_check_reference_bitwise(name):
+    net = grid67() if name == "grid67" else NETWORKS[name]()
+    np.testing.assert_array_equal(optimal_edge_tolls(net), optimal_edge_tolls_reference(net),
+                                  strict=True)
+
+
+@pytest.mark.parametrize("make", [pigou_network, grid34, grid45, CORPUS["mixed_degree"]])
+def test_optimal_edge_tolls_reject_tolls_that_miss_the_optimum(monkeypatch, make):
+    """Half the marginal-cost tolls move the equilibrium off the optimum, so
+    the check's warm start at the optimum hides no inconsistency."""
+    externality = routing.edge_externality
+    monkeypatch.setattr(routing, "edge_externality", lambda net, w: 0.5 * externality(net, w))
+    with pytest.raises(InconsistencyError, match="does not reproduce the system optimum"):
+        optimal_edge_tolls(make())
 
 
 def test_delta_matrix_values():
