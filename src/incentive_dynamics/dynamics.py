@@ -62,12 +62,13 @@ from .errors import EvaluationError, InvalidArgumentError, SpecError
 CONSECUTIVE_HITS = 10
 
 
-def _positive_int(value, name: str, least: int = 1) -> int:
+def _positive_int(value, name: str, least: int = 1, error=InvalidArgumentError) -> int:
     """``value`` as an int, if it is a whole number >= ``least`` (1 or 0): ``1e3``
-    passes, ``2.5`` fails."""
+    passes, ``2.5`` fails. A bad call argument raises ``InvalidArgumentError``;
+    a constructor passes ``error=SpecError``."""
     whole = int(value) if isinstance(value, numbers.Real) and math.isfinite(value) else -1
     if whole < least or whole != value:
-        raise SpecError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
+        raise error(f"{name} must be a {'positive' if least else 'non-negative'} integer")
     return whole
 
 
@@ -85,20 +86,40 @@ class StepSchedule:
 
     Requires 0.5 < a < b <= 1 so that both step sums diverge, squares are
     summable, and the incentive timescale is asymptotically negligible.
+
+    A scale left out (None) keeps the first step of the former default
+    (0.6, 0.9, 1, 1, 2) whatever a, b and the offset are: gamma0 =
+    2^-0.6 offset^a gives gamma(0) = 2^-0.6, and beta0 = 2^-0.9 offset^b
+    gives beta(0) = 2^-0.9. So every admissible (a, b) is a valid schedule,
+    and the first move from (x0, p0) does not depend on them.
+
+    The default, gamma_k = 2^-0.6 (8 / (k+8))^0.8 and beta_k = 2^-0.9 8 / (k+8),
+    was chosen by ``studies/schedule_study.py``. The offset 8 keeps both
+    steps near their first values for longer. Near p† the incentive's error
+    falls roughly like exp(-mu sum_k beta_k), and over 3 000 steps beta_k
+    sums to about 26, against 12 under the former default. The larger a
+    keeps the strategy step from growing with it, and so how far a best
+    response that never settles moves p. The former default is
+    ``StepSchedule(a=0.6, b=0.9, gamma0=1.0, beta0=1.0, offset=2)``.
     """
 
-    a: float = 0.6
-    b: float = 0.9
-    gamma0: float = 1.0
-    beta0: float = 1.0
-    offset: int = 2
+    a: float = 0.8
+    b: float = 1.0
+    gamma0: Optional[float] = None
+    beta0: Optional[float] = None
+    offset: int = 8
 
     def __post_init__(self):
         if not (0.5 < self.a < self.b <= 1.0):
             raise SpecError(f"need 0.5 < a < b <= 1, got a={self.a}, b={self.b}")
+        offset = _positive_int(self.offset, "offset", error=SpecError)
+        object.__setattr__(self, "offset", offset)
+        if self.gamma0 is None:
+            object.__setattr__(self, "gamma0", 2.0 ** -0.6 * offset ** self.a)
+        if self.beta0 is None:
+            object.__setattr__(self, "beta0", 2.0 ** -0.9 * offset ** self.b)
         if self.gamma0 <= 0 or self.beta0 <= 0:
             raise SpecError("step scale factors must be positive")
-        object.__setattr__(self, "offset", _positive_int(self.offset, "offset"))
         # decreasing in k, so checking k = 0 pins the whole sequence in (0, 1)
         if not (0.0 < self.gamma(0) < 1.0 and 0.0 < self.beta(0) < 1.0):
             raise SpecError("step sizes must lie in (0, 1) for all k >= 0")
@@ -126,13 +147,15 @@ class StepSchedule:
 class StrategyUpdateRule:
     variant: str = "equilibrium"  # equilibrium | best_response | gradient
     eta: Optional[float] = None
-    regularizer: str = "quadratic"  # quadratic | entropy
+    regularizer: str = "quadratic"  # quadratic | entropy, which only the gradient rule reads
 
     def __post_init__(self):
         if self.variant not in ("equilibrium", "best_response", "gradient"):
             raise SpecError(f"unknown strategy rule {self.variant!r}")
         if self.regularizer not in ("quadratic", "entropy"):
             raise SpecError(f"unknown regularizer {self.regularizer!r}")
+        if self.regularizer == "entropy" and self.variant != "gradient":
+            raise SpecError(f"the entropy regularizer needs the gradient rule, not {self.variant}")
         if self.eta is not None:
             _check_positive(self.eta, "inner step size eta")
 
@@ -147,7 +170,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("max_iterations", "record_every"):
-            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
+            object.__setattr__(self, name,
+                               _positive_int(getattr(self, name), name, error=SpecError))
         _check_positive(self.convergence_tol, "convergence_tol")
 
 

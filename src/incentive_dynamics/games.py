@@ -373,7 +373,8 @@ class NonAtomicGame(_OracleGame, _BlockSpace):
             raise SpecError("population masses must be finite and strictly positive")
         if len(counts) != masses.size or not all(c >= 1 for c in counts):
             raise SpecError("need one action count >= 1 per population")
-        counts = tuple(_positive_int(c, "action count") for c in counts)  # 2.5 fails
+        counts = tuple(_positive_int(c, "action count", error=SpecError)
+                       for c in counts)  # 2.5 fails
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "action_counts", counts)
         object.__setattr__(self, "layout", BlockLayout(counts, masses))

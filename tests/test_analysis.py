@@ -20,7 +20,7 @@ from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
                                          two_link_equilibrium_cost,
                                          verify_fixed_point_optimality)
 from incentive_dynamics.dynamics import StrategyUpdateRule
-from incentive_dynamics.errors import InvalidArgumentError, SpecError
+from incentive_dynamics.errors import InvalidArgumentError
 from incentive_dynamics.games import NonAtomicGame
 from incentive_dynamics.routing import (delta_matrix, optimal_edge_tolls,
                                         system_optimum, two_link_network)
@@ -245,7 +245,7 @@ BRAESS = routing.braess_network()
 ], ids=["grid-0", "grid-2.5", "probe-n_starts-4.5", "nondegeneracy-n_starts-0",
         "probe-seed-nan", "probe-seed-1.5", "nondegeneracy-seed--1"])
 def test_analysis_integer_keys_take_whole_numbers(check, message):
-    with pytest.raises(SpecError, match=message):
+    with pytest.raises(InvalidArgumentError, match=message):
         check()
 
 
@@ -427,7 +427,7 @@ def test_gradient_baseline_stalls_on_plateau():
 @pytest.mark.parametrize("max_iterations", [0, 2.5, -1, float("nan")])
 def test_gradient_baseline_validates_max_iterations(max_iterations):
     # 0 raised IndexError from an empty record, 2.5 a TypeError
-    with pytest.raises(SpecError, match="max_iterations must be a positive integer"):
+    with pytest.raises(InvalidArgumentError, match="max_iterations must be a positive integer"):
         run_gradient_baseline(two_link_network(), [0.3, 0.0], max_iterations=max_iterations,
                               gradient=two_link_clarke_gradient)
 

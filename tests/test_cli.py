@@ -726,6 +726,9 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
      "error: record_every must be a positive integer\n"),
     ("run", {"game": M2_GAME, "run": {"rule": {"variant": "gradient", "regularizer": "entropy"}}},
      "error: entropy regularizer needs a simplex strategy space\n"),
+    ("run", {"game": {"builtin": "braess"},
+             "run": {"rule": {"variant": "best_response", "regularizer": "entropy"}}},
+     "error: the entropy regularizer needs the gradient rule, not best_response\n"),
     ("verify", {"game": {"builtin": "braess"},
                 "analyses": [{"op": "uniqueness_probe", "p": [0] * 5, "n_starts": 1}]},
      "error in analysis 'uniqueness_probe': the uniqueness probe needs at least two starts\n"),
@@ -806,7 +809,7 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
 ], ids=["unknown-op", "global-on-routing", "local-on-routing", "nondegeneracy-on-aggregative",
         "empty-directory", "verify-no-analyses", "config-not-object", "game-not-object",
         "game-unknown-kind", "run-unreadable", "verify-unreadable", "fractional-record-every",
-        "entropy-on-atomic", "uniqueness-one-start", "nondegeneracy-one-start",
+        "entropy-on-atomic", "entropy-under-best-response", "uniqueness-one-start", "nondegeneracy-one-start",
         "aggregative-A-not-square", "aggregative-zeta-length", "aggregative-h-length",
         "aggregative-table-flat", "aggregative-table-shapes", "aggregative-x0-length",
         "aggregative-p0-null", "routing-unknown-node", "routing-no-od", "routing-od-no-routes",

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incentive_dynamics import dynamics, routing
-from incentive_dynamics.aggregative import QuadraticAggregativeSpec
+from incentive_dynamics.aggregative import QuadraticAggregativeSpec, optimal_incentive
+from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedule,
                                          StrategyUpdateRule, TrajectoryRecord,
                                          externality, resolve_eta, run_coupled,
@@ -18,7 +19,7 @@ from incentive_dynamics.routing import (braess_network, nonatomic_view, pigou_ne
                                         two_link_network)
 
 from corpus import grid34
-from test_games import aggregative_game, two_link_game
+from test_games import FORMER_SCHEDULE, aggregative_game, two_link_game
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +34,18 @@ def test_schedule_defaults_valid():
     assert report["passed"]
     assert report["gamma_sum_diverges"] and report["beta_sum_diverges"]
     assert report["squares_summable"] and report["ratio_vanishes"]
+
+
+@pytest.mark.parametrize("given", [{}, {"a": 0.55, "b": 0.7}, {"offset": 3},
+                                   {"a": 0.51, "b": 1.0, "offset": 16}])
+def test_default_scales_keep_the_former_first_steps(given):
+    # bench/inputs.py's BETA0 copies beta(0) of the former default (0.6, 0.9, 1, 1, 2)
+    s = StepSchedule(**given)
+    assert abs(s.beta(0) - FORMER_SCHEDULE.beta(0)) <= 1e-15
+    assert abs(s.gamma(0) - FORMER_SCHEDULE.gamma(0)) <= 1e-15
+    # a scale that is given is kept
+    kept = StepSchedule(**given, gamma0=0.5, beta0=0.25)
+    assert (kept.gamma0, kept.beta0) == (0.5, 0.25)
 
 
 def test_schedule_rejects_swapped_exponents():
@@ -73,6 +86,24 @@ def test_rule_validation():
         StrategyUpdateRule(eta=-1.0)
     with pytest.raises(SpecError):
         StrategyUpdateRule(regularizer="cubic")
+
+
+@pytest.mark.parametrize("variant", ["equilibrium", "best_response"])
+def test_entropy_regularizer_needs_the_gradient_rule(variant):
+    # only the gradient rule reads the regularizer
+    with pytest.raises(SpecError, match=f"needs the gradient rule, not {variant}"):
+        StrategyUpdateRule(variant, regularizer="entropy")
+    assert StrategyUpdateRule("gradient", regularizer="entropy").regularizer == "entropy"
+
+
+@pytest.mark.parametrize("make", [lambda: RunConfig(max_iterations=2.5),
+                                  lambda: RunConfig(record_every=0),
+                                  lambda: StepSchedule(offset=-1)],
+                         ids=["max_iterations", "record_every", "offset"])
+def test_constructors_reject_a_bad_count_with_spec_error(make):
+    # bad call arguments of solvers and probes raise InvalidArgumentError instead
+    with pytest.raises(SpecError, match="must be a positive integer"):
+        make()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -423,23 +454,29 @@ def assert_records_equal(rec, ref):
             np.testing.assert_array_equal(a, b, strict=True)
 
 
-def seeded_spec(n, seed):
-    """A well-conditioned quadratic aggregative spec with symmetric coupling."""
+def seeded_spec(n, seed, q_range=(0.8, 1.2)):
+    """A quadratic aggregative spec with symmetric coupling: well conditioned
+    by default, ill conditioned with ``q_range=ILL_Q``."""
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.0, 1.0, (n, n))
     A = 0.5 * (A + A.T)
     np.fill_diagonal(A, 0.0)
     A *= 0.2 / max(1, n - 1)
-    return QuadraticAggregativeSpec(q=rng.uniform(0.8, 1.2, n), A=A, alpha=0.5,
+    return QuadraticAggregativeSpec(q=rng.uniform(*q_range, n), A=A, alpha=0.5,
                                     zeta=rng.uniform(-1.0, 1.0, n))
+
+
+# the benchmark's ill-conditioned regime: a slow layer about three times slower
+ILL_Q = (1.0, 3.0)
 
 
 RULES = ("equilibrium", "best_response", "gradient")
 
 
 def compare_with_reference(game, x0, p0, variant, budget, record_every=1, tol=1e-4,
-                           regularizer="quadratic"):
-    config = RunConfig(rule=StrategyUpdateRule(variant, regularizer=regularizer),
+                           regularizer="quadratic", schedule=StepSchedule()):
+    config = RunConfig(schedule=schedule,
+                       rule=StrategyUpdateRule(variant, regularizer=regularizer),
                        max_iterations=budget, convergence_tol=tol, record_every=record_every)
     rec = run_coupled(game, x0, p0, config)
     assert_records_equal(rec, run_coupled_reference(game, x0, p0, config))
@@ -460,6 +497,34 @@ def test_run_coupled_matches_reference_without_closed_forms():
     start = np.random.default_rng(3).normal(size=5)
     for variant in RULES:
         compare_with_reference(game, start, np.zeros(5), variant, 300)
+
+
+def ill_conditioned_runs(n, variant):
+    """3 000-step runs on a seeded ill-conditioned spec under the default and
+    the former default, and the spec's p†."""
+    spec = seeded_spec(n, 40 + n, ILL_Q)
+    config = RunConfig(rule=StrategyUpdateRule(variant), max_iterations=3000,
+                       convergence_tol=1e-4)
+    runs = [run_coupled(spec.to_game(), np.zeros(n), np.zeros(n), config),
+            run_coupled(spec.to_game(), np.zeros(n), np.zeros(n),
+                        dataclasses.replace(config, schedule=FORMER_SCHEDULE))]
+    return spec, runs, optimal_incentive(spec)
+
+
+@pytest.mark.parametrize("variant", RULES)
+def test_default_schedule_settles_an_ill_conditioned_spec(variant):
+    spec, (rec, former), _ = ill_conditioned_runs(5, variant)
+    assert rec.converged and rec.iterations < 3000
+    assert verify_fixed_point_optimality(spec, rec.final_p, tol=1e-3)["passed"]
+    assert not former.converged  # the former default runs out of budget
+
+
+@pytest.mark.parametrize("variant", RULES)
+def test_default_schedule_ends_a_larger_ill_conditioned_spec_closer_to_p_dagger(variant):
+    # n = 50: neither schedule converges in 3 000 steps
+    _, runs, p_dagger = ill_conditioned_runs(50, variant)
+    rec_err, former_err = (np.max(np.abs(r.final_p - p_dagger)) for r in runs)
+    assert rec_err < 0.1 * former_err
 
 
 def test_run_coupled_matches_reference_on_a_finite_box():
@@ -489,7 +554,8 @@ def test_run_coupled_matches_reference_routing(net, converges):
     p0 = np.random.default_rng(2).uniform(0.0, 0.5, net.n_edges)
     rec = compare_with_reference(net, x0, p0, "gradient", 1500, 5)
     assert rec.converged == converges
-    short = compare_with_reference(net, x0, p0, "gradient", 40)
+    # a tolerance no 40-step run meets, so that the run exhausts its budget
+    short = compare_with_reference(net, x0, p0, "gradient", 40, tol=1e-10)
     assert not short.converged and short.iterations == 40
     for variant, regularizer in SIMPLEX_RULES:
         # the equilibrium rule costs one Wardrop solve per iteration
@@ -635,7 +701,9 @@ def test_the_loop_evaluates_no_iteration_past_the_stop(monkeypatch, name, record
     x0, p0 = model.uniform_point(), np.zeros(model.dim)
     for budget in (3000, 37):  # converged, then budget-exhausted
         calls.clear()
-        rec = compare_with_reference(model, x0, p0, variant, budget, record_every, tol=1e-2)
+        # 37 steps of the former default are too few to converge
+        rec = compare_with_reference(model, x0, p0, variant, budget, record_every, tol=1e-2,
+                                     schedule=FORMER_SCHEDULE)
         assert rec.converged == (budget == 3000)
         assert len(calls) == rec.iterations + 1
 

@@ -15,7 +15,11 @@ from incentive_dynamics.games import (MASS_TOL, AtomicGame, NonAtomicGame,
                                       solve_equilibrium_atomic)
 from incentive_dynamics import numdiff
 from incentive_dynamics.aggregative import QuadraticAggregativeSpec
-from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, run_coupled
+from incentive_dynamics.dynamics import RunConfig, StepSchedule, StrategyUpdateRule, run_coupled
+
+
+# the default schedule before (0.8, 1, 2^1.8, 2^2.1, 8); pinned records were written under it
+FORMER_SCHEDULE = StepSchedule(a=0.6, b=0.9, gamma0=1.0, beta0=1.0, offset=2)
 
 
 def aggregative_game(q, A, alpha, zeta):
@@ -740,7 +744,7 @@ def test_a_bad_tolerance_fails_before_any_oracle_call(name, tol):
 def test_solvers_reject_a_budget_that_is_no_positive_integer(name):
     call, calls, _ = tolerance_entries()[name]
     for max_iter in (0, -3, 2.5, np.nan):
-        with pytest.raises(SpecError, match="max_iter must be a positive integer"):
+        with pytest.raises(InvalidArgumentError, match="max_iter must be a positive integer"):
             call(max_iter=max_iter)
     assert calls == []
     np.testing.assert_array_equal(call(max_iter=1e3), call(), strict=True)
@@ -871,8 +875,9 @@ def test_best_response_atomic_coupled_records_match_closed_form():
     rng = np.random.default_rng(24)
     for n, budget in ((5, 20000), (50, 200)):
         game = seeded_spec(rng, n).to_game()
-        cfg = RunConfig(rule=StrategyUpdateRule("best_response"), max_iterations=budget,
-                        convergence_tol=1e-4)
+        # under the former default the n = 50 run still stops on its budget of 200
+        cfg = RunConfig(schedule=FORMER_SCHEDULE, rule=StrategyUpdateRule("best_response"),
+                        max_iterations=budget, convergence_tol=1e-4)
         ref = run_coupled(game, np.zeros(n), np.zeros(n), cfg)
         rec = run_coupled(without_closed_forms(game), np.zeros(n), np.zeros(n), cfg)
         assert (rec.iterations, rec.converged) == (ref.iterations, ref.converged)

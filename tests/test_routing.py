@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import CORPUS, grid34, grid45, grid67
+from test_games import FORMER_SCHEDULE
 from incentive_dynamics import numdiff, routing
 from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
@@ -328,9 +329,9 @@ FLOW_SOLVES = {
                          ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
 def test_flow_solves_reject_a_bad_tolerance_or_budget(solve, bad):
     # a NaN tol fails every gap test, so the solve would run its whole budget
-    error, message = ((InvalidArgumentError, "tol must be finite and positive") if "tol" in bad
-                      else (SpecError, "max_iter must be a positive integer"))
-    with pytest.raises(error, match=message):
+    message = ("tol must be finite and positive" if "tol" in bad
+               else "max_iter must be a positive integer")
+    with pytest.raises(InvalidArgumentError, match=message):
         solve(braess_network(), **bad)
 
 
@@ -432,6 +433,16 @@ def test_equilibrium_rule_toll_adaptation_grid34():
     rec = run_toll_adaptation(net, net.uniform_route_flow(), np.zeros(net.n_edges), cfg)
     assert rec.converged
     assert np.max(np.abs(rec.final_p - optimal_edge_tolls(net))) <= 1e-3
+
+
+def test_default_schedule_settles_grid34_under_the_equilibrium_rule():
+    # the former default (0.6, 0.9, 1, 1, 2) ran out of 3 000 steps here, 2.1e-5 from p†
+    net = grid34()
+    cfg = RunConfig(max_iterations=400, convergence_tol=1e-6)
+    rec = run_coupled(net, net.uniform_route_flow(), np.zeros(net.n_edges), cfg)
+    assert rec.converged and rec.iterations < 400
+    assert np.max(np.abs(rec.final_p - optimal_edge_tolls(net))) <= 1e-5
+    assert verify_fixed_point_optimality(net, rec.final_p, tol=1e-5)["passed"]
 
 
 def test_flow_program_budget_error_carries_a_feasible_flow():
@@ -1029,12 +1040,14 @@ RECORD_RULES = {
 def test_coupled_records_match_the_per_block_loops(case):
     """Records written by the per-block projection, best response and logit
     that the padded block layout replaced (commit 03d5674): 300 iterations
-    from a seeded random start, recorded every 30. Equal to the bit, but for
-    logit's row sums, which may round differently in blocks of 8 or more routes."""
+    from a seeded random start, recorded every 30, under the schedule that was
+    then the default. Equal to the bit, but for logit's row sums, which may
+    round differently in blocks of 8 or more routes."""
     expected = json.loads(COUPLED_RECORDS.read_text())[case]
     model_name, rule_name = case.split("/")
     model = RECORD_MODELS[model_name]()
-    config = RunConfig(rule=RECORD_RULES[rule_name], max_iterations=300, record_every=30)
+    config = RunConfig(schedule=FORMER_SCHEDULE, rule=RECORD_RULES[rule_name],
+                       max_iterations=300, record_every=30)
     x0 = model.random_start(np.random.default_rng(5))
     record = run_coupled(model, x0, np.zeros(model.dim), config)
     assert (record.ks, record.converged, record.iterations) == (
