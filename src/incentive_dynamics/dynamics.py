@@ -7,7 +7,8 @@ the current externality: ``p_{k+1} = (1-beta_k) p_k + beta_k e(x_k)``.
 
 One loop, :func:`run_coupled`, serves every model: atomic and non-atomic
 games and routing networks. It calls ``check_start``, ``cost_lipschitz``
-(for the default gradient step) and ``step``; the analyses call the rest.
+or ``cost_jacobian_norm`` (for the default gradient step) and ``step``; the
+analyses call the rest.
 Each model class defines each of these methods, except where the classes
 that do are named (``games._OracleGame`` serves the two games and
 ``games._BlockSpace`` the non-atomic game and the network):
@@ -29,7 +30,12 @@ that do are named (``games._OracleGame`` serves the two games and
 - ``strategy_gap(f, x)`` (``_OracleGame``, ``RoutingNetwork``): the sup
   distance of two strategies, in edge flows for a network, the sup norm of
   ``step``'s ``d``;
-- ``cost_lipschitz()``: a bound ``L`` behind the default step ``0.9 / L``;
+- ``cost_lipschitz()``: a scale ``L`` behind the default step ``0.9 / L``:
+  a sampled or exact Lipschitz bound of a game's costs, and on a network the
+  scale of the entropy rule's temperature;
+- ``cost_jacobian_norm()`` (``RoutingNetwork``): the norm ``‖J‖`` of the
+  route-cost Jacobian at the uniform flow, behind the network's default
+  quadratic step ``NETWORK_STEP_GAIN / ‖J‖``;
 - ``uniform_point()`` and ``random_start(rng)`` (``AtomicGame``,
   ``_BlockSpace``): a feasible strategy, the CLI's default start, and a
   random one, for multistart probes;
@@ -60,12 +66,17 @@ import numpy as np
 from .errors import EvaluationError, InvalidArgumentError, SpecError
 
 CONSECUTIVE_HITS = 10
+# G of the default gradient step G / ||J|| on a routing network under the
+# quadratic regularizer, chosen by studies/step_study.py (STEP_STUDY.json)
+NETWORK_STEP_GAIN = 9.0
 
 
 def _positive_int(value, name: str, least: int = 1, error=InvalidArgumentError) -> int:
     """``value`` as an int, if it is a whole number >= ``least`` (1 or 0): ``1e3``
     passes, ``2.5`` fails. A bad call argument raises ``InvalidArgumentError``;
     a constructor passes ``error=SpecError``."""
+    if type(value) is int and value >= least:
+        return value
     whole = int(value) if isinstance(value, numbers.Real) and math.isfinite(value) else -1
     if whole < least or whole != value:
         raise error(f"{name} must be a {'positive' if least else 'non-negative'} integer")
@@ -262,9 +273,17 @@ def strict_json(obj):
 # ---------------------------------------------------------------------------
 
 def resolve_eta(model, rule: StrategyUpdateRule) -> float:
-    """The gradient step: the rule's own, else 0.9 over the model's cost Lipschitz bound."""
+    """The gradient step: the rule's own, else the model's default.
+
+    On a routing network under the quadratic regularizer the default is
+    ``NETWORK_STEP_GAIN / model.cost_jacobian_norm()``. Everywhere else,
+    the entropy rule's temperature on a network included, it is 0.9 over
+    ``model.cost_lipschitz()``.
+    """
     if rule.eta is not None:
         return rule.eta
+    if rule.regularizer == "quadratic" and hasattr(model, "cost_jacobian_norm"):
+        return NETWORK_STEP_GAIN / model.cost_jacobian_norm()
     return 0.9 / model.cost_lipschitz()
 
 

@@ -138,10 +138,15 @@ def best_response_blocks(c: Array, layout: BlockLayout) -> Array:
 
 
 def logit_blocks(c: Array, layout: BlockLayout, temperature: float) -> Array:
+    """Each block's mass spread in proportion to exp(-c / temperature).
+
+    The weights of a block are summed pairwise, as numpy sums a row: a sum
+    from left to right puts a block's small weights onto its large one one
+    at a time, which drifts up to (n - 1)/2 ulp from the pairwise sum."""
     z = -c / temperature
     z -= np.maximum.reduce(layout.padded(z, -np.inf), axis=1)[layout.owner]
     w = np.exp(z)
-    return layout.entry_masses * w / layout.sums(w)[layout.owner]
+    return layout.entry_masses * w / np.add.reduce(layout.padded(w, 0.0), axis=1)[layout.owner]
 
 
 def simplex_target(x: Array, c: Array, layout: BlockLayout, rule) -> Array:

@@ -306,16 +306,34 @@ class RoutingNetwork(_BlockSpace):
         return delta_matrix(self, system_optimum(self)[1])
 
     def cost_lipschitz(self) -> float:
-        """A step scale for the gradient rule: max l'(total demand) * E.
+        """The scale of the entropy rule's default temperature, 0.9 over
+        max l'(total demand) * E (at least 1e-12).
 
-        Not an upper bound on the Lipschitz constant of the route costs: on
-        the BPR grids, flows that put each OD pair's demand on one route give
-        route-cost Jacobians of larger spectral norm (3 441 against 2 711 on
-        a 4x5 grid, 40 417 against 14 581 on the 6x7 grid). The default
-        gradient step, 0.9 over this scale, rests on no bound.
+        No bound: it is kept because every larger temperature tried,
+        G / ||J|| for G from 1 to 243, ended entropy runs from uniform flows
+        farther from p† on the fixtures and the corpus. The quadratic
+        regularizer takes its default step from :meth:`cost_jacobian_norm`;
+        a config that wants its former step, 0.9 over this scale, gives that
+        ``eta`` explicitly.
         """
         slope = float(np.max(self.latency_deriv(np.full(self.n_edges, self.layout.masses.sum()))))
         return max(slope * self.n_edges, 1e-12)
+
+    def cost_jacobian_norm(self) -> float:
+        """‖J‖, the spectral norm of the route-cost Jacobian
+        J = Δᵀ diag(l'(w_u)) Δ at the uniform edge flow w_u (at least 1e-12).
+
+        It is the largest eigenvalue of the E×E matrix B Bᵀ, with
+        B = √l'(w_u) ⊙ Δ, so the R×R J is never built. Computed on the first
+        call and kept, as ``target`` asks for it on every call.
+        """
+        norm = self.__dict__.get("_jacobian_norm")
+        if norm is None:
+            w = self.incidence @ self.uniform_point()
+            b = np.sqrt(self.latency_deriv(w))[:, None] * self.incidence
+            norm = max(float(np.linalg.eigvalsh(b @ b.T)[-1]), 1e-12)
+            object.__setattr__(self, "_jacobian_norm", norm)
+        return norm
 
 
 def route_to_edge_flow(net: RoutingNetwork, x) -> np.ndarray:

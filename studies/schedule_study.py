@@ -22,6 +22,11 @@ aggregative specs) and zero incentives on:
   200, well and ill conditioned, ``bench/inputs.py``) under every rule, tol
   1e-4, with the benchmark's budgets: 20 000 steps well, 3 000 ill.
 
+The gradient rule on a network takes the step that was its default when the
+study ran, 0.9 / (max l'(total demand) E) (``corpus.former_route_step``), so
+that the results do not move with the network step that
+``studies/step_study.py`` chose later.
+
 Each run records its outer iterations, whether it converged, its final
 ``|p - p†|∞``, the largest ``|p_k - p†|∞`` along the run and whether that
 exceeds the start's, and, for a converged run, whether
@@ -104,6 +109,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -134,6 +140,8 @@ class Case:
     rules: tuple = RULES
     budget: int = 4000
     tol: float = 1e-6
+    eta: Optional[float] = None  # the gradient step; None takes the model's default
+    p0: Optional[np.ndarray] = None  # the start incentive; None is zero
 
 
 def grid_point(a: float, b: float) -> StepSchedule:
@@ -149,8 +157,9 @@ def sweep_points() -> list:
                for a in (0.75, 0.8, 0.85) for b in (0.95, 1.0)])
 
 
-def routing_case(name: str, net, rules=RULES, budget: int = 4000) -> Case:
-    return Case(name, net, routing.optimal_edge_tolls(net), net.uniform_point(), rules, budget)
+def routing_case(name: str, net, rules=RULES, budget: int = 4000, eta=None) -> Case:
+    return Case(name, net, routing.optimal_edge_tolls(net), net.uniform_point(), rules, budget,
+                eta=eta)
 
 
 def nonatomic_case(name: str, net) -> Case:
@@ -169,14 +178,17 @@ def aggregative_case(name: str, spec, budget: int) -> Case:
 def study_cases(corpus, inputs) -> list:
     """Every model of the study, in the order the module docstring lists them;
     ``corpus`` is ``tests/corpus.py`` and ``inputs`` is ``bench/inputs.py``."""
+    def network(name, net, **kwargs):
+        return routing_case(name, net, eta=corpus.former_route_step(net), **kwargs)
+
     braess = routing.braess_network()
-    cases = [routing_case("two_link", routing.two_link_network()),
-             routing_case("pigou", routing.pigou_network()),
-             routing_case("braess", braess),
+    cases = [network("two_link", routing.two_link_network()),
+             network("pigou", routing.pigou_network()),
+             network("braess", braess),
              nonatomic_case("braess_view", braess),
-             routing_case("grid34", corpus.grid34()),
-             routing_case("grid45", corpus.grid45()),
-             routing_case("grid67", corpus.grid67(), rules=("equilibrium",), budget=300)]
+             network("grid34", corpus.grid34()),
+             network("grid45", corpus.grid45()),
+             network("grid67", corpus.grid67(), rules=("equilibrium",), budget=300)]
     # agg_coupled draws its round-0 specs in this order from default_rng([seed, 0])
     rng = np.random.default_rng([AGG_SEED, 0])
     for regime, budget in (("well", 20000), ("ill", 3000)):
@@ -189,10 +201,12 @@ def study_cases(corpus, inputs) -> list:
 def run_case(schedule: StepSchedule, case: Case, rule: str) -> dict:
     """One coupled run, recorded every iteration, measured against p†."""
     out = {"model": case.name, "rule": rule, "budget": case.budget, "tol": case.tol}
-    config = RunConfig(schedule=schedule, rule=StrategyUpdateRule(rule),
+    eta = case.eta if rule == "gradient" else None
+    config = RunConfig(schedule=schedule, rule=StrategyUpdateRule(rule, eta),
                        max_iterations=case.budget, convergence_tol=case.tol)
+    p0 = np.zeros(case.p_dagger.size) if case.p0 is None else case.p0
     try:
-        rec = run_coupled(case.model, case.x0, np.zeros(case.p_dagger.size), config)
+        rec = run_coupled(case.model, case.x0, p0, config)
     except Exception as exc:  # a study records every failure, whatever its kind
         return dict(out, error=f"{type(exc).__name__}: {exc}")
     errors = np.max(np.abs(np.array(rec.ps) - case.p_dagger), axis=1)

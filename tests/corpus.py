@@ -9,6 +9,9 @@ routes). All carry BPR-style degree-4 latencies
 right edge of a node before its down edge. ``mixed_degree_network`` mixes
 constant, affine and quartic latencies, so its coefficient columns are
 zero-padded below degree 4 for all but the quartic edges.
+
+``former_route_step`` gives the gradient rule's former default step on a
+network, under which pinned records and ``studies/schedule_study.py`` ran.
 """
 import numpy as np
 
@@ -83,6 +86,13 @@ def mixed_degree_network() -> RoutingNetwork:
                   OdPair("a", "t", 1.0, ((2,),))),
         relax_monotonicity=True,
     )
+
+
+def former_route_step(net: RoutingNetwork) -> float:
+    """The default gradient step on a network before G / ||J||, and still the
+    entropy rule's default temperature: 0.9 / max(max_a l_a'(total demand) E, 1e-12)."""
+    slope = max(float(lat.deriv(net.demands.sum())) for _, _, lat in net.edges)
+    return 0.9 / max(slope * net.n_edges, 1e-12)
 
 
 CORPUS = {

@@ -18,7 +18,7 @@ from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, Spe
 from incentive_dynamics.routing import (braess_network, nonatomic_view, pigou_network,
                                         two_link_network)
 
-from corpus import grid34
+from corpus import former_route_step, grid34
 from test_games import FORMER_SCHEDULE, aggregative_game, two_link_game
 
 
@@ -104,6 +104,17 @@ def test_constructors_reject_a_bad_count_with_spec_error(make):
     # bad call arguments of solvers and probes raise InvalidArgumentError instead
     with pytest.raises(SpecError, match="must be a positive integer"):
         make()
+
+
+def test_positive_int_takes_whole_numbers_of_any_type():
+    for value, least, whole in ((3, 1, 3), (0, 0, 0), (1e3, 1, 1000), (np.int64(7), 1, 7),
+                                (True, 1, 1), (False, 0, 0)):
+        got = dynamics._positive_int(value, "n", least)
+        assert got == whole and type(got) is int
+    for value, least in ((0, 1), (-2, 0), (2.5, 1), (np.nan, 1), (np.inf, 1), (False, 1),
+                         ("3", 1), (None, 1)):
+        with pytest.raises(InvalidArgumentError, match="n must be a"):
+            dynamics._positive_int(value, "n", least)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -474,9 +485,9 @@ RULES = ("equilibrium", "best_response", "gradient")
 
 
 def compare_with_reference(game, x0, p0, variant, budget, record_every=1, tol=1e-4,
-                           regularizer="quadratic", schedule=StepSchedule()):
+                           regularizer="quadratic", schedule=StepSchedule(), eta=None):
     config = RunConfig(schedule=schedule,
-                       rule=StrategyUpdateRule(variant, regularizer=regularizer),
+                       rule=StrategyUpdateRule(variant, eta, regularizer),
                        max_iterations=budget, convergence_tol=tol, record_every=record_every)
     rec = run_coupled(game, x0, p0, config)
     assert_records_equal(rec, run_coupled_reference(game, x0, p0, config))
@@ -546,13 +557,15 @@ def test_run_coupled_matches_reference_nonatomic():
 SIMPLEX_RULES = [(v, "quadratic") for v in RULES] + [("gradient", "entropy")]
 
 
-@pytest.mark.parametrize("net, converges", [
-    (braess_network(), True), (grid34(), False), (two_link_network(), True),
-    (pigou_network(), True)], ids=["braess", "grid34", "two_link", "pigou"])
-def test_run_coupled_matches_reference_routing(net, converges):
+@pytest.mark.parametrize("net, eta, converges", [
+    (braess_network(), None, True), (grid34(), former_route_step(grid34()), False),
+    (grid34(), None, True), (two_link_network(), None, True), (pigou_network(), None, True)],
+    ids=["braess", "grid34", "grid34-default-step", "two_link", "pigou"])
+def test_run_coupled_matches_reference_routing(net, eta, converges):
+    # 1 500 steps are too few for grid34 at the former default step
     x0 = net.uniform_route_flow()
     p0 = np.random.default_rng(2).uniform(0.0, 0.5, net.n_edges)
-    rec = compare_with_reference(net, x0, p0, "gradient", 1500, 5)
+    rec = compare_with_reference(net, x0, p0, "gradient", 1500, 5, eta=eta)
     assert rec.converged == converges
     # a tolerance no 40-step run meets, so that the run exhausts its budget
     short = compare_with_reference(net, x0, p0, "gradient", 40, tol=1e-10)

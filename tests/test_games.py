@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from incentive_dynamics import games
@@ -151,7 +151,13 @@ def assert_feasible(y, layout):
     assert (np.abs(sums - layout.masses) <= np.maximum(MASS_TOL, MASS_TOL * layout.masses)).all()
 
 
+# a weight of 1 and 15 of 1.7e-8 in one block: added left to right, they
+# drift 5 ulp from the pairwise sum
+SMALL_WEIGHTS = np.where(np.arange(19) == 6, -161.0, 0.0)
+
+
 @given(layouts(), st.floats(1e-2, 1e2))
+@example(case=(games.BlockLayout([3, 16], [3.0, 3.0]), SMALL_WEIGHTS), temperature=9.0)
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_padded_block_passes_match_the_per_block_loops(case, temperature):
     layout, v = case
@@ -159,8 +165,8 @@ def test_padded_block_passes_match_the_per_block_loops(case, temperature):
     assert projected.tobytes() == blocks_reference(layout, simplex_reference)(v).tobytes()
     best = games.best_response_blocks(v, layout)
     assert best.tobytes() == blocks_reference(layout, best_response_reference)(v).tobytes()
-    # row sums added left to right can differ from numpy's pairwise sum in the
-    # last bit for blocks of 8 or more entries
+    # a padded row's pairwise sum groups a block's weights differently from
+    # numpy's pairwise sum of the block alone, which can change the last bits
     logit = games.logit_blocks(v, layout, temperature)
     np.testing.assert_allclose(
         logit, blocks_reference(layout, logit_reference)(v, temperature), rtol=1e-15, atol=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, grid34, grid45, grid67
-from test_games import FORMER_SCHEDULE
+from corpus import CORPUS, former_route_step, grid34, grid45, grid67, grid_network
+from test_games import FORMER_SCHEDULE, counting
 from incentive_dynamics import numdiff, routing
 from incentive_dynamics.analysis import verify_fixed_point_optimality
-from incentive_dynamics.dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
-                                         resolve_eta, run_coupled)
+from incentive_dynamics.dynamics import (NETWORK_STEP_GAIN, RunConfig, StepSchedule,
+                                         StrategyUpdateRule, resolve_eta, run_coupled)
 from incentive_dynamics.errors import (ConvergenceError, InconsistencyError,
                                        InvalidArgumentError, SpecError)
 from incentive_dynamics.routing import (FIXTURES, LatencyFunction, OdPair,
@@ -907,20 +908,43 @@ def test_toll_adaptation_gradient_rules(regularizer):
         net.check_route_flow(x)
 
 
+def route_cost_jacobian(net) -> np.ndarray:
+    """The dense R×R route-cost Jacobian Δᵀ diag(l'(w_u)) Δ at the uniform flow."""
+    w = net.incidence @ net.uniform_route_flow()
+    return net.incidence.T @ np.diag(net.latency_deriv(w)) @ net.incidence
+
+
 def test_toll_adaptation_default_eta():
-    # 0.9 / max(max_a l_a'(total demand) * n_edges, 1e-12)
+    # quadratic: NETWORK_STEP_GAIN / max(||J(w_u)||, 1e-12); entropy: the former
+    # step 0.9 / max(max_a l_a'(total demand) * n_edges, 1e-12), bit for bit
     rule = StrategyUpdateRule("gradient")
-    assert resolve_eta(two_link_network(), rule) == 0.9 / 2.0
-    assert resolve_eta(braess_network(), rule) == 0.9 / 5.0
+    entropy = StrategyUpdateRule("gradient", regularizer="entropy")
+    assert resolve_eta(two_link_network(), rule) == NETWORK_STEP_GAIN  # J = I
+    net = braess_network()
+    norm = np.linalg.eigvalsh(route_cost_jacobian(net))[-1]
+    assert resolve_eta(net, rule) == pytest.approx(NETWORK_STEP_GAIN / norm, rel=1e-12)
+    assert resolve_eta(net, entropy) == former_route_step(net) == 0.9 / 5.0
     constant = RoutingNetwork(
         nodes=("S", "D"), edges=(("S", "D", LatencyFunction((1.0,))),),
         od_pairs=(OdPair("S", "D", 1.0, ((0,),)),), relax_monotonicity=True)
-    assert resolve_eta(constant, rule) == 0.9 / 1e-12
-    net = braess_network()
+    assert resolve_eta(constant, rule) == NETWORK_STEP_GAIN / 1e-12
+    assert resolve_eta(constant, entropy) == 0.9 / 1e-12
     runs = [run_toll_adaptation(net, net.uniform_route_flow(), np.zeros(5),
                                 RunConfig(max_iterations=50, rule=r))
-            for r in (rule, StrategyUpdateRule("gradient", eta=0.9 / 5.0))]
+            for r in (rule, StrategyUpdateRule("gradient", eta=resolve_eta(net, rule)))]
     assert all(np.array_equal(a, b) for a, b in zip(runs[0].xs, runs[1].xs))
+
+
+def test_the_jacobian_norm_is_computed_once_per_network(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, calls))
+    net = grid34()
+    x, p = net.uniform_route_flow(), np.zeros(net.n_edges)
+    targets = [net.target(x, p, StrategyUpdateRule("gradient")) for _ in range(3)]
+    np.testing.assert_array_equal(targets[0], targets[2])
+    assert len(calls) == 1
+    assert grid34().cost_jacobian_norm() == net.cost_jacobian_norm()  # a new network computes it
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1040,14 +1064,18 @@ RECORD_RULES = {
 def test_coupled_records_match_the_per_block_loops(case):
     """Records written by the per-block projection, best response and logit
     that the padded block layout replaced (commit 03d5674): 300 iterations
-    from a seeded random start, recorded every 30, under the schedule that was
-    then the default. Equal to the bit, but for logit's row sums, which may
-    round differently in blocks of 8 or more routes."""
+    from a seeded random start, recorded every 30, under the schedule and, on
+    a network, the gradient step that were then the defaults. Equal to the
+    bit, but for logit's row sums, which may round differently in blocks of 8
+    or more routes."""
     expected = json.loads(COUPLED_RECORDS.read_text())[case]
     model_name, rule_name = case.split("/")
     model = RECORD_MODELS[model_name]()
-    config = RunConfig(schedule=FORMER_SCHEDULE, rule=RECORD_RULES[rule_name],
-                       max_iterations=300, record_every=30)
+    rule = RECORD_RULES[rule_name]
+    if rule.eta is None and rule.variant == "gradient" and model_name != "braess_view":
+        rule = dataclasses.replace(rule, eta=former_route_step(model))
+    config = RunConfig(schedule=FORMER_SCHEDULE, rule=rule, max_iterations=300,
+                       record_every=30)
     x0 = model.random_start(np.random.default_rng(5))
     record = run_coupled(model, x0, np.zeros(model.dim), config)
     assert (record.ks, record.converged, record.iterations) == (
@@ -1093,3 +1121,30 @@ def test_relax_monotonicity_must_be_a_bool(relax):
     net = braess_network()
     with pytest.raises(SpecError, match="relax_monotonicity must be true or false"):
         RoutingNetwork(net.nodes, net.edges, net.od_pairs, relax_monotonicity=relax)
+
+
+@st.composite
+def small_grids(draw):
+    """A corpus grid with 2-5 rows and columns, seeded latencies and 1-4 OD
+    pairs, each from a node to another below or right of it."""
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    ods = []
+    for _ in range(draw(st.integers(1, 4))):
+        r, c = divmod(draw(st.integers(0, rows * cols - 2)), cols)  # not the last node
+        below = [(r2, c2) for r2 in range(r, rows) for c2 in range(c, cols) if (r2, c2) != (r, c)]
+        ods.append(((r, c), draw(st.sampled_from(below)), draw(st.floats(0.5, 3.0))))
+    return grid_network(rows, cols, draw(st.integers(0, 2**16)), tuple(ods))
+
+
+@given(small_grids())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_default_step_rests_on_the_route_cost_jacobian(net):
+    dense = np.linalg.eigvalsh(route_cost_jacobian(net))[-1]
+    assert net.cost_jacobian_norm() == pytest.approx(dense, rel=1e-10)
+    p_dagger = optimal_edge_tolls(net)
+    config = RunConfig(rule=StrategyUpdateRule("gradient"), max_iterations=300,
+                       convergence_tol=1e-6)
+    p0 = np.zeros(net.n_edges)
+    rec = run_toll_adaptation(net, net.uniform_route_flow(), p0, config)
+    assert np.isfinite(rec.final_x).all() and np.isfinite(rec.final_p).all()
+    assert np.max(np.abs(rec.final_p - p_dagger)) < np.max(np.abs(p0 - p_dagger))
