@@ -6,9 +6,8 @@ response, or a regularized gradient step). The incentive moves slowly toward
 the current externality: ``p_{k+1} = (1-beta_k) p_k + beta_k e(x_k)``.
 
 One loop, :func:`run_coupled`, serves every model: atomic and non-atomic
-games and routing networks. It calls ``check_start``, ``cost_lipschitz``
-or ``cost_jacobian_norm`` (for the default gradient step) and ``step``; the
-analyses call the rest.
+games and routing networks. It calls ``check_start``, ``default_eta`` (for
+a gradient rule without a step) and ``step``; the analyses call the rest.
 Each model class defines each of these methods, except where the classes
 that do are named (``games._OracleGame`` serves the two games and
 ``games._BlockSpace`` the non-atomic game and the network):
@@ -24,18 +23,14 @@ that do are named (``games._OracleGame`` serves the two games and
   costs where its rule needs them. It takes p as checked, and raises what
   ``target`` would, then what ``externality`` would;
 - ``target(x, p, rule)`` (``_OracleGame``, ``RoutingNetwork``): ``f(x, p)``,
-  with ``rule.eta`` the gradient step, or the default step where it is None;
+  with ``rule.eta`` the gradient step, or ``default_eta``'s where it is None;
 - ``externality(x)`` (``_OracleGame``, ``RoutingNetwork``) and ``social(x)``
   (the games' ``social`` oracle, ``RoutingNetwork``);
 - ``strategy_gap(f, x)`` (``_OracleGame``, ``RoutingNetwork``): the sup
   distance of two strategies, in edge flows for a network, the sup norm of
   ``step``'s ``d``;
-- ``cost_lipschitz()``: a scale ``L`` behind the default step ``0.9 / L``:
-  a sampled or exact Lipschitz bound of a game's costs, and on a network the
-  scale of the entropy rule's temperature;
-- ``cost_jacobian_norm()`` (``RoutingNetwork``): the norm ``‖J‖`` of the
-  route-cost Jacobian at the uniform flow, behind the network's default
-  quadratic step ``NETWORK_STEP_GAIN / ‖J‖``;
+- ``default_eta(regularizer)``: the step of a gradient rule that gives
+  none, under that regularizer;
 - ``uniform_point()`` and ``random_start(rng)`` (``AtomicGame``,
   ``_BlockSpace``): a feasible strategy, the CLI's default start, and a
   random one, for multistart probes;
@@ -66,25 +61,30 @@ import numpy as np
 from .errors import EvaluationError, InvalidArgumentError, SpecError
 
 CONSECUTIVE_HITS = 10
-# G of the default gradient step G / ||J|| on a routing network under the
-# quadratic regularizer, chosen by studies/step_study.py (STEP_STUDY.json)
-NETWORK_STEP_GAIN = 9.0
 
 
 def _positive_int(value, name: str, least: int = 1, error=InvalidArgumentError) -> int:
     """``value`` as an int, if it is a whole number >= ``least`` (1 or 0): ``1e3``
-    passes, ``2.5`` fails. A bad call argument raises ``InvalidArgumentError``;
-    a constructor passes ``error=SpecError``."""
+    passes, ``2.5`` and ``True`` fail. A bad call argument raises
+    ``InvalidArgumentError``; a constructor passes ``error=SpecError``."""
     if type(value) is int and value >= least:
         return value
-    whole = int(value) if isinstance(value, numbers.Real) and math.isfinite(value) else -1
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    whole = int(value) if number and math.isfinite(value) else -1
     if whole < least or whole != value:
         raise error(f"{name} must be a {'positive' if least else 'non-negative'} integer")
     return whole
 
 
+def _check_number(value, name: str, error=SpecError) -> None:
+    """Raise if ``value`` is a bool, as JSON's ``true``, which Python takes as 1."""
+    if isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value}")
+
+
 def _check_positive(value, name: str) -> None:
-    """Raise unless ``value`` is a finite number > 0: NaN and inf fail."""
+    """Raise unless ``value`` is a finite number > 0: NaN, inf and a bool fail."""
+    _check_number(value, name)
     if not math.isfinite(value):
         raise SpecError(f"{name} must be finite")
     if value <= 0:
@@ -121,6 +121,8 @@ class StepSchedule:
     offset: int = 8
 
     def __post_init__(self):
+        for name in ("a", "b", "gamma0", "beta0"):
+            _check_number(getattr(self, name), name)
         if not (0.5 < self.a < self.b <= 1.0):
             raise SpecError(f"need 0.5 < a < b <= 1, got a={self.a}, b={self.b}")
         offset = _positive_int(self.offset, "offset", error=SpecError)
@@ -273,18 +275,8 @@ def strict_json(obj):
 # ---------------------------------------------------------------------------
 
 def resolve_eta(model, rule: StrategyUpdateRule) -> float:
-    """The gradient step: the rule's own, else the model's default.
-
-    On a routing network under the quadratic regularizer the default is
-    ``NETWORK_STEP_GAIN / model.cost_jacobian_norm()``. Everywhere else,
-    the entropy rule's temperature on a network included, it is 0.9 over
-    ``model.cost_lipschitz()``.
-    """
-    if rule.eta is not None:
-        return rule.eta
-    if rule.regularizer == "quadratic" and hasattr(model, "cost_jacobian_norm"):
-        return NETWORK_STEP_GAIN / model.cost_jacobian_norm()
-    return 0.9 / model.cost_lipschitz()
+    """The gradient step: the rule's own, else ``model.default_eta(rule.regularizer)``."""
+    return model.default_eta(rule.regularizer) if rule.eta is None else rule.eta
 
 
 def _with_default_step(model, rule: StrategyUpdateRule) -> StrategyUpdateRule:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import _positive_int, _with_default_step
+from .dynamics import _check_number, _positive_int, _with_default_step
 from .errors import ConvergenceError, EvaluationError, InvalidArgumentError, SpecError
 
 DEFAULT_CERT_TOL = 1e-6
@@ -177,7 +177,8 @@ def check_incentive(p, n: int) -> Array:
 
 
 def check_tolerance(tol) -> None:
-    """Raise unless an analysis tolerance is finite and positive (NaN fails every ``<=``)."""
+    """Raise unless an analysis tolerance is a finite positive number (NaN fails every ``<=``)."""
+    _check_number(tol, "tol", InvalidArgumentError)
     if not 0.0 < tol < math.inf:
         raise InvalidArgumentError("tol must be finite and positive")
 
@@ -347,11 +348,12 @@ class AtomicGame(_OracleGame):
     def known_optimum(self) -> Optional[Array]:
         return self.optimum
 
-    def cost_lipschitz(self) -> float:
+    def default_eta(self, regularizer: str) -> float:
+        """0.9 / L: L is ``lipschitz_bound``, else sampled from the loss gradient."""
         if self.lipschitz_bound:
-            return self.lipschitz_bound
+            return 0.9 / self.lipschitz_bound
         rng = np.random.default_rng(0)
-        return sampled_lipschitz(
+        return 0.9 / sampled_lipschitz(
             self.loss_grad, lambda: self.project(rng.standard_normal(self.n_players) * 2.0),
             "loss gradient")
 
@@ -423,9 +425,11 @@ class NonAtomicGame(_OracleGame, _BlockSpace):
     def known_optimum(self) -> None:
         return None
 
-    def cost_lipschitz(self) -> float:
+    def default_eta(self, regularizer: str) -> float:
+        """0.9 / L, with L sampled from the action costs, under either regularizer."""
         rng = np.random.default_rng(0)
-        return sampled_lipschitz(self.action_cost, lambda: self.random_start(rng), "action cost")
+        return 0.9 / sampled_lipschitz(self.action_cost, lambda: self.random_start(rng),
+                                       "action cost")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,9 @@ from .games import (BlockLayout, NonAtomicGame, _BlockSpace, check_incentive,
 
 DEFAULT_GAP_TOL = 1e-10
 MAX_PATH_NODES = 12
+# G of the default gradient step G / ||J|| under the quadratic regularizer,
+# chosen by studies/step_study.py (STEP_STUDY.json)
+NETWORK_STEP_GAIN = 9.0
 
 
 @dataclass(frozen=True)
@@ -305,19 +308,16 @@ class RoutingNetwork(_BlockSpace):
         """The paper's diagonal certificate weight at the system optimum."""
         return delta_matrix(self, system_optimum(self)[1])
 
-    def cost_lipschitz(self) -> float:
-        """The scale of the entropy rule's default temperature, 0.9 over
-        max l'(total demand) * E (at least 1e-12).
-
-        No bound: it is kept because every larger temperature tried,
-        G / ||J|| for G from 1 to 243, ended entropy runs from uniform flows
-        farther from p† on the fixtures and the corpus. The quadratic
-        regularizer takes its default step from :meth:`cost_jacobian_norm`;
-        a config that wants its former step, 0.9 over this scale, gives that
-        ``eta`` explicitly.
-        """
+    def default_eta(self, regularizer: str) -> float:
+        """``NETWORK_STEP_GAIN`` / ||J|| (:meth:`cost_jacobian_norm`) under the
+        quadratic regularizer; under entropy the temperature
+        0.9 / max(max l'(total demand) * E, 1e-12), which rests on no bound:
+        every larger one tried, G / ||J|| for G from 1 to 243, ended entropy
+        runs from uniform flows farther from p† on the fixtures and the corpus."""
+        if regularizer == "quadratic":
+            return NETWORK_STEP_GAIN / self.cost_jacobian_norm()
         slope = float(np.max(self.latency_deriv(np.full(self.n_edges, self.layout.masses.sum()))))
-        return max(slope * self.n_edges, 1e-12)
+        return 0.9 / max(slope * self.n_edges, 1e-12)
 
     def cost_jacobian_norm(self) -> float:
         """‖J‖, the spectral norm of the route-cost Jacobian

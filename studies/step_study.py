@@ -1,8 +1,9 @@
 """Which gain G of the network gradient step G / ||J|| reaches the fixed point fastest without losing a run of the former step?
 
-Under the quadratic regularizer the default gradient step on a network is
-``NETWORK_STEP_GAIN / cost_jacobian_norm()``, where ``cost_jacobian_norm`` is
-the spectral norm ||J|| of the route-cost Jacobian at the uniform flow. This
+Under the quadratic regularizer the default gradient step on a network,
+``RoutingNetwork.default_eta``, is ``NETWORK_STEP_GAIN / cost_jacobian_norm()``,
+where ``cost_jacobian_norm`` is the spectral norm ||J|| of the route-cost
+Jacobian at the uniform flow. This
 study sweeps G in {1, 3, 9, 27, 81, 243} against the former default step
 0.9 / (max l'(total demand) E) (``corpus.former_route_step``).
 
@@ -21,7 +22,7 @@ p with 10 times the run's tolerance. A point passes when no run raises or
 ends non-finite, every converged run passes verification, every run that
 converged under the former step still converges, and no unconverged run ends
 farther from p† than under the former step. The best point is the passing
-one with the fewest outer iterations; ``dynamics.NETWORK_STEP_GAIN`` is its G.
+one with the fewest outer iterations; ``routing.NETWORK_STEP_GAIN`` is its G.
 
 Regenerate ``STEP_STUDY.json`` from the repository root with::
 

@@ -953,6 +953,41 @@ def test_whole_float_run_keys_run_as_integers(tmp_path):
     assert output_tree(out / "float") == output_tree(out / "int")
 
 
+def braess_run(**run):
+    return {"game": {"builtin": "braess"}, "run": run}
+
+
+# a JSON true where a number is meant, and the one line that names it
+BOOLEAN_FIELDS = {
+    "max_iterations": (braess_run(max_iterations=True),
+                       "error: max_iterations must be a positive integer"),
+    "record_every": (braess_run(record_every=True),
+                     "error: record_every must be a positive integer"),
+    "convergence_tol": (braess_run(convergence_tol=True),
+                        "error: convergence_tol must be a number, got True"),
+    "eta": (with_rule({"builtin": "braess"}, eta=True),
+            "error: inner step size eta must be a number, got True"),
+    "offset": (braess_run(schedule={"offset": True}), "error: offset must be a positive integer"),
+    **{key: (braess_run(schedule={key: True}), f"error: {key} must be a number, got True")
+       for key in ("a", "b", "gamma0", "beta0")},
+    "analysis-tol": ({"game": {"builtin": "braess"},
+                      "analyses": [{"op": "verify_fixed_point_optimality", "tol": True}]},
+                     "error in analysis 'verify_fixed_point_optimality': "
+                     "tol must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("field", list(BOOLEAN_FIELDS))
+def test_a_json_boolean_where_a_number_is_meant_exits_1(tmp_path, capsys, field):
+    # Python takes true as 1: a braess run of one iteration at tol 1 once "converged"
+    config, line = BOOLEAN_FIELDS[field]
+    argv = ["--config", write_config(tmp_path / "c.json", config)]
+    argv = ["verify", *argv] if "analyses" in config else ["run", *argv, "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
 def test_far_away_quartic_target_verifies_and_its_run_diverges(tmp_path, capsys):
     # y† = zeta = 1e120 is finite, and so is p†; a run from zero overflows
     game = {"aggregative": {"q": [1.0, 1.0], "A": [[0.0, 0.0], [0.0, 0.0]], "alpha": 1.0,

@@ -15,6 +15,7 @@ from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedu
                                          externality, resolve_eta, run_coupled,
                                          strategy_target, strict_json)
 from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, SpecError
+from incentive_dynamics.games import NonAtomicGame, sampled_lipschitz
 from incentive_dynamics.routing import (braess_network, nonatomic_view, pigou_network,
                                         two_link_network)
 
@@ -107,12 +108,12 @@ def test_constructors_reject_a_bad_count_with_spec_error(make):
 
 
 def test_positive_int_takes_whole_numbers_of_any_type():
-    for value, least, whole in ((3, 1, 3), (0, 0, 0), (1e3, 1, 1000), (np.int64(7), 1, 7),
-                                (True, 1, 1), (False, 0, 0)):
+    for value, least, whole in ((3, 1, 3), (0, 0, 0), (1e3, 1, 1000), (np.int64(7), 1, 7)):
         got = dynamics._positive_int(value, "n", least)
         assert got == whole and type(got) is int
+    # a bool is JSON's true or false, not a count
     for value, least in ((0, 1), (-2, 0), (2.5, 1), (np.nan, 1), (np.inf, 1), (False, 1),
-                         ("3", 1), (None, 1)):
+                         (True, 1), (False, 0), ("3", 1), (None, 1)):
         with pytest.raises(InvalidArgumentError, match="n must be a"):
             dynamics._positive_int(value, "n", least)
 
@@ -393,8 +394,20 @@ def test_run_coupled_rejects_wrong_incentive_length():
         run_coupled(atomic, np.zeros(3), np.zeros(4), cfg)
 
 
+def sampled_bound(game) -> float:
+    """The cost Lipschitz bound that a game without ``lipschitz_bound`` samples:
+    32 pairs of points drawn with ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    if isinstance(game, NonAtomicGame):
+        return sampled_lipschitz(game.action_cost, lambda: game.random_start(rng), "action cost")
+    return sampled_lipschitz(
+        game.loss_grad, lambda: game.project(rng.standard_normal(game.n_players) * 2.0),
+        "loss gradient")
+
+
 def test_default_eta_from_the_cost_lipschitz_bound():
     rule = StrategyUpdateRule("gradient")
+    entropy = StrategyUpdateRule("gradient", regularizer="entropy")
     assert resolve_eta(two_link_game(), StrategyUpdateRule("gradient", eta=0.3)) == 0.3
     # two_link_game costs are the identity map, so every sampled ratio is 1
     assert resolve_eta(two_link_game(), rule) == pytest.approx(0.9)
@@ -402,6 +415,9 @@ def test_default_eta_from_the_cost_lipschitz_bound():
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
     assert 0.9 / 1.5 <= resolve_eta(g, rule) < 0.9
     assert resolve_eta(dataclasses.replace(g, lipschitz_bound=1.5), rule) == 0.9 / 1.5
+    # 0.9 / L on every game, bit for bit, whatever the regularizer
+    for game in (g, two_link_game(), nonatomic_view(braess_network())):
+        assert resolve_eta(game, rule) == resolve_eta(game, entropy) == 0.9 / sampled_bound(game)
 
 
 def test_gradient_rule_without_a_step_targets_at_the_default_step():

@@ -429,7 +429,7 @@ def test_a_nonfinite_oracle_fails_the_sampled_lipschitz_bound(kind):
     game = oracle_game(kind, lambda x: np.array([np.nan, 0.0]), lambda x: np.zeros(2))
     message = f"^{OWN_COST[kind]} oracle returned non-finite values$"
     with pytest.raises(EvaluationError, match=message):
-        game.cost_lipschitz()
+        game.default_eta("quadratic")
     config = RunConfig(rule=StrategyUpdateRule("gradient"), max_iterations=5)
     with pytest.raises(EvaluationError, match=message):
         run_coupled(game, np.array([0.5, 0.5]), np.zeros(2), config)

@@ -5,11 +5,13 @@ No linter ships with the project's dependencies, so this walks each module's
 syntax tree: a name bound by an import must be read somewhere in the module.
 ``__init__.py`` is left out, since its imports are the package's exports. A
 top-level function, class or constant must be named in ``src/``, ``tests/``
-or ``bench/`` outside its own definition. Only ``games.check_incentive``
-raises an error about the incentive vector, and every public function that
-takes a ``tol`` calls ``games.check_tolerance``. No two functions of the package
-share their parameter names and body, and every hypothesis property under
-``tests/`` is derandomized.
+or ``bench/`` outside its own definition, and a method or property in
+``src/``, ``bench/`` or ``studies/``, unless ``TEST_ONLY_METHODS`` lists it.
+Only ``games.check_incentive`` raises an error about the incentive vector,
+and every public function that takes a ``tol`` calls
+``games.check_tolerance``. No two functions of the package share their
+parameter names and body, and every hypothesis property under ``tests/`` is
+derandomized.
 """
 import ast
 import json
@@ -17,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -53,13 +56,40 @@ def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def dead_definitions(source: str, elsewhere: str) -> list:
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# methods that tests alone keep alive: the latency kernel's reference oracles
+TEST_ONLY_METHODS = ["LatencyFunction.deriv", "LatencyFunction.second_deriv",
+                     "LatencyFunction.integral"]
+
+
+def method_references(node) -> Counter:
+    """How often the code under ``node`` can name a method: as an attribute
+    (``x.name``), as a string (``getattr``) or as a bare name at class level
+    (an alias ``dim = n_players``). A local variable of that name does not count."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found[n.value] += 1
+        elif isinstance(n, ast.ClassDef):
+            found.update(m.id for stmt in n.body if not isinstance(stmt, FUNCTIONS)
+                         for m in ast.walk(stmt) if isinstance(m, ast.Name))
+    return found
+
+
+def dead_definitions(source: str, elsewhere: str, callers: str = "") -> list:
     """The top-level functions, classes and constants of ``source`` that neither
-    the rest of ``source`` nor ``elsewhere`` names, in definition order."""
+    the rest of ``source`` nor ``elsewhere`` names, and the methods and
+    properties of its top-level classes, as ``Class.name``, that neither the
+    rest of ``source`` nor the code ``callers`` references, in definition order."""
     lines = source.splitlines()
+    tree = ast.parse(source)
+    references = method_references(tree) + method_references(ast.parse(callers))
     dead = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -70,6 +100,10 @@ def dead_definitions(source: str, elsewhere: str) -> list:
         rest = "\n".join(lines[:start - 1] + lines[node.end_lineno:] + [elsewhere])
         dead += [name for name in names if not name.startswith("__")
                  and not re.search(rf"\b{re.escape(name)}\b", rest)]
+        if isinstance(node, ast.ClassDef):
+            dead += [f"{node.name}.{method.name}" for method in node.body
+                     if isinstance(method, FUNCTIONS) and not method.name.startswith("__")
+                     and not (references - method_references(method))[method.name]]
     return dead
 
 
@@ -79,14 +113,41 @@ def test_dead_definitions_finds_each_unnamed_definition():
               "class Used:\n    pass\nclass _Unused(Used):\n    x = B\n")
     assert dead_definitions(source, "") == ["_A", "helper", "_Unused"]
     assert dead_definitions(source, "from pkg import helper, _A\n") == ["_Unused"]
+    # a method lives only on a reference in the rest of the module or in ``callers``:
+    # not on its own recursive call, a local variable or a test of the same name
+    network = ("class RoutingNetwork:\n    size = n_edges\n"
+               "    def n_edges(self):\n        return self.step()\n"
+               "    def step(self, step=0):\n        return self.step(step)\n"
+               "    @property\n    def flows(self):\n        return 'scale'\n"
+               "    def scale(self):\n        return self.flows\n"
+               "    def cost_lipschitz(self):\n        cost_lipschitz = 1.0\n"
+               "        return cost_lipschitz\n")
+    tests = "net = RoutingNetwork()\nnet.step(); net.cost_lipschitz(); net.size\n"
+    assert dead_definitions(network, tests) == ["RoutingNetwork.cost_lipschitz"]
+    assert dead_definitions(network.replace("return self.step()", "return 1"), tests) == [
+        "RoutingNetwork.step", "RoutingNetwork.cost_lipschitz"]
+    assert dead_definitions(network, tests, "net.cost_lipschitz()\n") == []
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_defines_nothing_unnamed(module):
-    others = [p for root in ("src", "tests", "bench") for p in (ROOT / root).rglob("*.py")
-              if p != PACKAGE / module]
-    elsewhere = "\n".join(p.read_text() for p in others)
-    assert dead_definitions((PACKAGE / module).read_text(), elsewhere) == []
+    def text(roots):
+        return "\n".join(p.read_text() for root in roots for p in (ROOT / root).rglob("*.py")
+                         if p != PACKAGE / module)
+
+    # a method that only tests call is dead unless TEST_ONLY_METHODS lists it
+    dead = dead_definitions((PACKAGE / module).read_text(), text(("src", "tests", "bench")),
+                            text(("src", "bench", "studies")))
+    assert [name for name in dead if name not in TEST_ONLY_METHODS] == []
+
+
+def test_each_method_that_tests_alone_keep_alive_is_dead_without_them():
+    # a stale entry would name a deleted method, or one that the package calls again
+    routing = PACKAGE / "routing.py"
+    callers = "\n".join(p.read_text() for root in ("src", "bench", "studies")
+                        for p in (ROOT / root).rglob("*.py") if p != routing)
+    dead = dead_definitions(routing.read_text(), "", callers)
+    assert [name for name in dead if name in TEST_ONLY_METHODS] == TEST_ONLY_METHODS
 
 
 def duplicate_bodies(sources: dict) -> list:

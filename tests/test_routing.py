@@ -13,12 +13,12 @@ from corpus import CORPUS, former_route_step, grid34, grid45, grid67, grid_netwo
 from test_games import FORMER_SCHEDULE, counting
 from incentive_dynamics import numdiff, routing
 from incentive_dynamics.analysis import verify_fixed_point_optimality
-from incentive_dynamics.dynamics import (NETWORK_STEP_GAIN, RunConfig, StepSchedule,
-                                         StrategyUpdateRule, resolve_eta, run_coupled)
+from incentive_dynamics.dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
+                                         resolve_eta, run_coupled)
 from incentive_dynamics.errors import (ConvergenceError, InconsistencyError,
                                        InvalidArgumentError, SpecError)
-from incentive_dynamics.routing import (FIXTURES, LatencyFunction, OdPair,
-                                        RoutingNetwork, all_simple_paths,
+from incentive_dynamics.routing import (FIXTURES, NETWORK_STEP_GAIN, LatencyFunction,
+                                        OdPair, RoutingNetwork, all_simple_paths,
                                         beckmann_potential, braess_network,
                                         delta_matrix,
                                         edge_externality,
@@ -919,14 +919,18 @@ def test_toll_adaptation_default_eta():
     # step 0.9 / max(max_a l_a'(total demand) * n_edges, 1e-12), bit for bit
     rule = StrategyUpdateRule("gradient")
     entropy = StrategyUpdateRule("gradient", regularizer="entropy")
+    constant = RoutingNetwork(
+        nodes=("S", "D"), edges=(("S", "D", LatencyFunction((1.0,))),),
+        od_pairs=(OdPair("S", "D", 1.0, ((0,),)),), relax_monotonicity=True)
+    for net in (two_link_network(), pigou_network(), braess_network(),
+                *(build() for build in CORPUS.values()), grid67(), constant):
+        assert resolve_eta(net, rule) == NETWORK_STEP_GAIN / net.cost_jacobian_norm()
+        assert resolve_eta(net, entropy) == former_route_step(net)
     assert resolve_eta(two_link_network(), rule) == NETWORK_STEP_GAIN  # J = I
     net = braess_network()
     norm = np.linalg.eigvalsh(route_cost_jacobian(net))[-1]
     assert resolve_eta(net, rule) == pytest.approx(NETWORK_STEP_GAIN / norm, rel=1e-12)
-    assert resolve_eta(net, entropy) == former_route_step(net) == 0.9 / 5.0
-    constant = RoutingNetwork(
-        nodes=("S", "D"), edges=(("S", "D", LatencyFunction((1.0,))),),
-        od_pairs=(OdPair("S", "D", 1.0, ((0,),)),), relax_monotonicity=True)
+    assert resolve_eta(net, entropy) == 0.9 / 5.0
     assert resolve_eta(constant, rule) == NETWORK_STEP_GAIN / 1e-12
     assert resolve_eta(constant, entropy) == 0.9 / 1e-12
     runs = [run_toll_adaptation(net, net.uniform_route_flow(), np.zeros(5),

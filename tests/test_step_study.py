@@ -6,7 +6,7 @@ from pathlib import Path
 import corpus
 import step_study
 from incentive_dynamics import routing
-from incentive_dynamics.dynamics import NETWORK_STEP_GAIN
+from incentive_dynamics.routing import NETWORK_STEP_GAIN
 
 from test_schedule_study import check_runs
 
