@@ -47,9 +47,12 @@ def verify_fixed_point_optimality(obj, p=None, tol: float = 1e-6) -> dict:
     of social optimality at x*(p), (c) proximity of x*(p) to the model's
     independently computed social optimum (skipped when it has none). ``p``
     defaults to p† = e(x_opt), the externality at that optimum. The gap in
-    (a) is judged against ``tol`` max(1, |p|), (b) and (c) against ``tol``
-    max(1, |x*(p)|) (10 times that for (c)), sup norms: a spec in larger units
-    gets the verdict of the same spec in smaller ones.
+    (a) is judged against ``tol`` max(1, |p|), (c) against 10 ``tol``
+    max(1, |x*(p)|), sup norms: a spec in larger units gets the verdict of
+    the same spec in smaller ones. The residual in (b), x - P(x - grad C(x)),
+    is in flow units where it meets a bound and in cost units where it does
+    not (on a network, the cost gaps of the routes in use), so it is judged
+    against ``tol`` max(1, |x*(p)|, |grad C(x*(p))|).
     """
     games.check_tolerance(tol)
     model = strategy_model(obj)
@@ -62,7 +65,8 @@ def verify_fixed_point_optimality(obj, p=None, tol: float = 1e-6) -> dict:
     x = _x_star(model, p)
     x_tol = tol * max(1.0, float(np.max(np.abs(x))))
     phi_gap = float(np.max(np.abs(model.externality(x) - p)))
-    ok, resid = games.certify_social_optimum(model, x, x_tol)
+    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(model.social_grad(x)))))
+    ok, resid = games.certify_social_optimum(model, x, tol * scale)
     report = {"fixed_point_gap": phi_gap,
               "fixed_point_ok": phi_gap <= tol * max(1.0, float(np.max(np.abs(p)))),
               "optimality_residual": resid, "optimality_ok": ok}

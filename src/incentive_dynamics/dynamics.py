@@ -104,21 +104,24 @@ class StepSchedule:
     gives beta(0) = 2^-0.9. So every admissible (a, b) is a valid schedule,
     and the first move from (x0, p0) does not depend on them.
 
-    The default, gamma_k = 2^-0.6 (8 / (k+8))^0.8 and beta_k = 2^-0.9 8 / (k+8),
-    was chosen by ``studies/schedule_study.py``. The offset 8 keeps both
-    steps near their first values for longer. Near p† the incentive's error
-    falls roughly like exp(-mu sum_k beta_k), and over 3 000 steps beta_k
-    sums to about 26, against 12 under the former default. The larger a
-    keeps the strategy step from growing with it, and so how far a best
-    response that never settles moves p. The former default is
-    ``StepSchedule(a=0.6, b=0.9, gamma0=1.0, beta0=1.0, offset=2)``.
+    The default, gamma_k = 2^-0.6 (16 / (k+16))^0.85 and
+    beta_k = 2^-0.9 (16 / (k+16))^0.95, was chosen by
+    ``studies/schedule_study.py``. The offset 16 keeps both steps near their
+    first values for longer. Near p† the incentive's error falls roughly like
+    exp(-mu sum_k beta_k), and over 3 000 steps beta_k sums to about 52,
+    against 26 under the previous default (0.8, 1, 8) and 12 under the
+    former default. The larger a keeps the strategy step from growing with
+    it, and so how far a best response that never settles moves p.
+    ``StepSchedule(a=0.8, b=1.0, offset=8)`` is the previous default and
+    ``StepSchedule(a=0.6, b=0.9, gamma0=1.0, beta0=1.0, offset=2)`` the
+    former one.
     """
 
-    a: float = 0.8
-    b: float = 1.0
+    a: float = 0.85
+    b: float = 0.95
     gamma0: Optional[float] = None
     beta0: Optional[float] = None
-    offset: int = 8
+    offset: int = 16
 
     def __post_init__(self):
         for name in ("a", "b", "gamma0", "beta0"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
 from incentive_dynamics.dynamics import StrategyUpdateRule
 from incentive_dynamics.errors import InvalidArgumentError
 from incentive_dynamics.games import NonAtomicGame
-from incentive_dynamics.routing import (delta_matrix, optimal_edge_tolls,
+from incentive_dynamics.routing import (LatencyFunction, delta_matrix, optimal_edge_tolls,
                                         system_optimum, two_link_network)
 
 from test_aggregative import M1_SPEC, M2_SPEC, example_spec
@@ -103,6 +105,22 @@ def test_verify_judges_relative_to_the_scale_of_its_iterates():
     assert report["optimality_residual"] > 1e-5 and report["distance_to_optimum"] > 1e-5
     report = verify_fixed_point_optimality(spec, 1.001 * optimal_incentive(spec))
     assert not report["fixed_point_ok"] and not report["passed"]
+
+
+def test_verify_judges_the_optimality_residual_in_cost_units():
+    # on a network the residual is a gap between route costs: grid34 with its
+    # latencies (and so its tolls) in units 1 000 times smaller gets grid34's verdict
+    net = grid34()
+    costly = dataclasses.replace(net, edges=tuple(
+        (tail, head, LatencyFunction(tuple(1e3 * c for c in lat.coeffs)))
+        for tail, head, lat in net.edges))
+    p_dagger = optimal_edge_tolls(net)
+    for p in (p_dagger, p_dagger + 0.1):
+        small = verify_fixed_point_optimality(net, p)
+        large = verify_fixed_point_optimality(costly, 1e3 * p)
+        assert large["optimality_residual"] > small["optimality_residual"]
+        assert large["optimality_ok"] == small["optimality_ok"]
+        assert large["passed"] == small["passed"] == (p is p_dagger)
 
 
 def test_verify_defaults_to_the_models_optimal_incentive():

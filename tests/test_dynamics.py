@@ -538,20 +538,13 @@ def ill_conditioned_runs(n, variant):
     return spec, runs, optimal_incentive(spec)
 
 
+@pytest.mark.parametrize("n", [5, 50])
 @pytest.mark.parametrize("variant", RULES)
-def test_default_schedule_settles_an_ill_conditioned_spec(variant):
-    spec, (rec, former), _ = ill_conditioned_runs(5, variant)
+def test_default_schedule_settles_an_ill_conditioned_spec(n, variant):
+    spec, (rec, former), _ = ill_conditioned_runs(n, variant)
     assert rec.converged and rec.iterations < 3000
     assert verify_fixed_point_optimality(spec, rec.final_p, tol=1e-3)["passed"]
     assert not former.converged  # the former default runs out of budget
-
-
-@pytest.mark.parametrize("variant", RULES)
-def test_default_schedule_ends_a_larger_ill_conditioned_spec_closer_to_p_dagger(variant):
-    # n = 50: neither schedule converges in 3 000 steps
-    _, runs, p_dagger = ill_conditioned_runs(50, variant)
-    rec_err, former_err = (np.max(np.abs(r.final_p - p_dagger)) for r in runs)
-    assert rec_err < 0.1 * former_err
 
 
 def test_run_coupled_matches_reference_on_a_finite_box():

@@ -884,10 +884,12 @@ def test_toll_adaptation_two_link():
 
 
 def test_toll_adaptation_route_flow_stays_feasible():
+    # a schedule under which no rule converges at 1e-12 within the 200 steps
     net = braess_network()
     for rule in (StrategyUpdateRule("best_response"), StrategyUpdateRule("gradient"),
                  StrategyUpdateRule("gradient", regularizer="entropy")):
-        cfg = RunConfig(max_iterations=200, convergence_tol=1e-12, rule=rule)
+        cfg = RunConfig(schedule=StepSchedule(a=0.8, b=1.0, offset=8), max_iterations=200,
+                        convergence_tol=1e-12, rule=rule)
         rec = run_toll_adaptation(net, net.uniform_route_flow(),
                                   np.zeros(net.n_edges), cfg)
         assert len(rec.xs) == 201
