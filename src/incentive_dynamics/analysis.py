@@ -98,6 +98,8 @@ def ode_probe_slow_dynamics(obj, start_points,
                             config: OdeProbeConfig = OdeProbeConfig()) -> dict:
     """Forward-Euler integration of dp/dt = phi(p) - p from several starts.
 
+    Each step's x*(p) is solved from the previous step's; each start begins
+    from the solver's own start, so starts do not depend on each other.
     Reports each start, its endpoint and, when the model knows p†, the
     endpoint's sup distance to it; ``all_converged`` is whether every
     distance is within ``config.tol``.
@@ -107,10 +109,11 @@ def ode_probe_slow_dynamics(obj, start_points,
     starts, endpoints, distances = [], [], []
     n_steps = int(round(config.horizon / config.step))
     for p0 in start_points:
-        p = games.check_incentive(p0, model.dim).copy()
+        p, x = games.check_incentive(p0, model.dim).copy(), None
         starts.append(p)
         for _ in range(n_steps):
-            p = p + config.step * (model.externality(_x_star(model, p)) - p)
+            x = _x_star(model, p, x)
+            p = p + config.step * (model.externality(x) - p)
         endpoints.append(p)
         if target is not None:
             distances.append(float(np.max(np.abs(p - target))))

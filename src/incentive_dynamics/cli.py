@@ -2,7 +2,7 @@
 
 Subcommands:
   run --config PATH [--out DIR]   execute a run + analyses; a directory of
-                                  configs runs them on the usable CPUs
+                                  configs runs them in sorted order
   verify --config PATH             run the analysis suite only
   list-fixtures                    show builtin routing fixtures
 
@@ -20,11 +20,8 @@ or a ``"verdict"`` other than ``"pass"``.
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -285,21 +282,6 @@ def run_experiment(config_path, out_dir=None) -> int:
     return 0
 
 
-def _run_captured(job: tuple) -> tuple:
-    """``run_experiment(*job)`` with its output captured: ``(exit code, stdout, stderr)``."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = run_experiment(*job)
-    return code, out.getvalue(), err.getvalue()
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _output_clash(jobs: list):
     """The first two configs whose runs would write the same directory, or None.
     A config that cannot be read has no directory; its run reports it."""
@@ -316,26 +298,13 @@ def _output_clash(jobs: list):
     return None
 
 
-def _replay(results) -> int:
-    """Write each run's captured stderr, then its stdout (only ever its last line),
-    in job order, as a sequential run would; return the worst exit code."""
-    worst = 0
-    for code, out, err in results:
-        sys.stderr.write(err)
-        sys.stdout.write(out)
-        worst = max(worst, code)
-    return worst
-
-
 def run_directory(dir_path, out_dir=None) -> int:
     """Run every config in a directory; the worst exit code wins.
 
-    The configs run concurrently on forked worker processes, one per usable
-    CPU, or in this process when there is one worker to use. Either way each
-    config's messages are replayed in sorted config order, as a sequential
-    run would write them, and a crash stops the runs. A config that fails
-    before its run has a record writes no directory. Two configs that write
-    the same directory exit 1 before any runs.
+    The configs run one after another in this process, in sorted order, and
+    a crash stops the runs. For parallel runs, start one process per config.
+    A config that fails before its run has a record writes no directory. Two
+    configs that write the same directory exit 1 before any runs.
     """
     configs = sorted(Path(dir_path).glob("*.json"))
     if not configs:
@@ -347,13 +316,7 @@ def run_directory(dir_path, out_dir=None) -> int:
         first, second, out = clash
         print(f"error: configs {first} and {second} both write to {out}", file=sys.stderr)
         return 1
-    workers = min(len(jobs), _usable_cpus())
-    if workers > 1:
-        import multiprocessing  # only here: it slows the import of this module
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                return _replay(pool.imap(_run_captured, jobs))
-    return _replay(map(_run_captured, jobs))
+    return max(run_experiment(*job) for job in jobs)
 
 
 def verify(config_path) -> int:

@@ -277,16 +277,11 @@ def strict_json(obj):
 # Rule evaluation
 # ---------------------------------------------------------------------------
 
-def resolve_eta(model, rule: StrategyUpdateRule) -> float:
-    """The gradient step: the rule's own, else ``model.default_eta(rule.regularizer)``."""
-    return model.default_eta(rule.regularizer) if rule.eta is None else rule.eta
-
-
 def _with_default_step(model, rule: StrategyUpdateRule) -> StrategyUpdateRule:
-    """``rule``, with the default step of :func:`resolve_eta` if it is a
-    gradient rule without one."""
+    """``rule``, with the step ``model.default_eta(rule.regularizer)`` if it is
+    a gradient rule without one."""
     if rule.variant == "gradient" and rule.eta is None:
-        return replace(rule, eta=resolve_eta(model, rule))
+        return replace(rule, eta=model.default_eta(rule.regularizer))
     return rule
 
 

@@ -62,21 +62,6 @@ class LatencyFunction:
             raise SpecError("latency coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def value(self, w):
-        return np.polynomial.polynomial.polyval(w, self.coeffs)
-
-    def deriv(self, w):
-        c = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(w, c) if c.size else np.zeros_like(np.asarray(w, float))
-
-    def second_deriv(self, w):
-        c = np.polynomial.polynomial.polyder(self.coeffs, 2)
-        return np.polynomial.polynomial.polyval(w, c) if c.size else np.zeros_like(np.asarray(w, float))
-
-    def integral(self, w):
-        c = np.polynomial.polynomial.polyint(self.coeffs)
-        return np.polynomial.polynomial.polyval(w, c)
-
 
 def _columns(polys, width: int) -> np.ndarray:
     """Ascending coefficient lists as zero-padded columns, highest degree first:
@@ -95,7 +80,7 @@ def _column_horner(rows, w):
     one pass; with three or more of them, ``w`` is first tiled to their shape
     (the module docstring says why). For finite ``w`` these are
     polyval's operations in its order (its ``c + w*0`` start is ``c``), so the
-    values are bitwise equal to the per-edge ``LatencyFunction`` path, and
+    values are bitwise equal to polyval's on each edge's coefficients, and
     leading zero rows are exact. At an infinite or NaN ``w`` the result is the
     IEEE Horner value (inf or NaN) where polyval gives NaN.
     """

@@ -91,7 +91,7 @@ def mixed_degree_network() -> RoutingNetwork:
 def former_route_step(net: RoutingNetwork) -> float:
     """The default gradient step on a network before G / ||J||, and still the
     entropy rule's default temperature: 0.9 / max(max_a l_a'(total demand) E, 1e-12)."""
-    slope = max(float(lat.deriv(net.demands.sum())) for _, _, lat in net.edges)
+    slope = float(np.max(net.latency_deriv(np.full(net.n_edges, net.demands.sum()))))
     return 0.9 / max(slope * net.n_edges, 1e-12)
 
 

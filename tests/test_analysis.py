@@ -24,7 +24,8 @@ from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
 from incentive_dynamics.dynamics import StrategyUpdateRule
 from incentive_dynamics.errors import InvalidArgumentError
 from incentive_dynamics.games import NonAtomicGame
-from incentive_dynamics.routing import (LatencyFunction, delta_matrix, optimal_edge_tolls,
+from incentive_dynamics.routing import (LatencyFunction, braess_network, delta_matrix,
+                                        nonatomic_view, optimal_edge_tolls, pigou_network,
                                         system_optimum, two_link_network)
 
 from test_aggregative import M1_SPEC, M2_SPEC, example_spec
@@ -211,6 +212,50 @@ def test_ode_probe_euler_step_sanity():
     d1 = ode_probe_slow_dynamics(spec, start, OdeProbeConfig(0.02, 10.0))["distances"][0]
     d2 = ode_probe_slow_dynamics(spec, start, OdeProbeConfig(0.01, 10.0))["distances"][0]
     assert d2 <= 2 * d1 + 1e-12
+
+
+def ode_probe_reference(obj, start_points, config: OdeProbeConfig) -> list:
+    """The probe's endpoints with each Euler step's x*(p) solved cold, from
+    the solver's own start: the reference for the warm-started probe."""
+    model = analysis.strategy_model(obj)
+    endpoints = []
+    for p0 in start_points:
+        p = np.array(p0, dtype=float)
+        for _ in range(int(round(config.horizon / config.step))):
+            p = p + config.step * (phi(model, p) - p)
+        endpoints.append(p)
+    return endpoints
+
+
+PROBE_MODELS = {
+    "two_link": two_link_network,
+    "pigou": pigou_network,
+    "braess": braess_network,
+    "grid34": grid34,
+    "nonatomic_braess": lambda: nonatomic_view(braess_network()),
+    # the inner solves run in ``games``, from the previous step's x*(p)
+    "aggregative_solved": lambda: dataclasses.replace(
+        example_spec(zeta=(1.0, 2.0)).to_game(), equilibrium=None, best_response=None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_MODELS))
+def test_warm_started_ode_probe_matches_cold_solves(name):
+    model = PROBE_MODELS[name]()
+    starts = [np.zeros(model.dim), np.random.default_rng(5).uniform(0.0, 1.0, model.dim)]
+    cfg = OdeProbeConfig(step=0.1, horizon=10.0, tol=1e-2)
+    report = ode_probe_slow_dynamics(model, starts, cfg)
+    # in units of the tolls: on grid34 (tolls up to 13) the cold endpoints are
+    # themselves about 1e-9 from those of solves to a duality gap of 1e-15
+    for got, want in zip(report["endpoints"], ode_probe_reference(model, starts, cfg),
+                         strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    # each start begins cold, so its endpoint does not depend on the starts before it
+    for i, start in enumerate(starts):
+        alone = ode_probe_slow_dynamics(model, [start], cfg)
+        for key in ("start_points", "endpoints"):
+            np.testing.assert_array_equal(report[key][i], alone[key][0], strict=True)
+        assert report["distances"][i:i + 1] == alone["distances"]
 
 
 def test_ode_probe_config_validation():

@@ -1,7 +1,5 @@
 import io
 import json
-import multiprocessing
-import os
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -261,17 +259,12 @@ def test_diverging_run_exits_2_with_one_line_and_no_warning(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # the run failed before it had a record
 
 
-def use_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
 def output_tree(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_directory_run_on_workers_matches_one_cpu(tmp_path, monkeypatch, capsys):
+def test_directory_run_writes_each_config_in_sorted_order(tmp_path, capsys):
     configs, out = tmp_path / "configs", tmp_path / "out"
     configs.mkdir()
     write_config(configs / "a_overflow.json", OVERFLOW_RUN)
@@ -280,25 +273,10 @@ def test_directory_run_on_workers_matches_one_cpu(tmp_path, monkeypatch, capsys)
     write_config(configs / "c_invalid.json", {"game": {"builtin": "mystery"}})
     write_config(configs / "d_no_convergence.json",
                  dict(TWO_LINK_RUN, run={"max_iterations": 5, "convergence_tol": 1e-12}))
-
-    def run():
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["run", "--config", str(configs), "--out", str(out)])
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err, output_tree(out)
-
-    use_cpus(monkeypatch, 4)
-    on_workers = run()
-    assert multiprocessing.active_children() == []
-    shutil.rmtree(out)
-
-    def no_fork():
-        raise AssertionError("a one-CPU directory run started a process")
-
-    use_cpus(monkeypatch, 1)
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert run() == on_workers
-    code, stdout, stderr, tree = on_workers
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", "--config", str(configs), "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    tree = output_tree(out)
     assert code == 2
     assert stdout == f"wrote {out / 'b_pass'}/trajectory.csv, summary.json, analysis/\n"
     assert stderr.startswith(OVERFLOW_MESSAGE + "error: unknown fixture")
@@ -306,7 +284,7 @@ def test_directory_run_on_workers_matches_one_cpu(tmp_path, monkeypatch, capsys)
     assert "b_pass/analysis/00_verify_fixed_point_optimality.json" in tree
 
 
-def test_directory_run_into_one_stream_reads_as_its_configs_run_in_order(tmp_path, monkeypatch):
+def test_directory_run_into_one_stream_reads_as_its_configs_run_in_order(tmp_path):
     configs, out = tmp_path / "configs", tmp_path / "out"
     configs.mkdir()
     write_config(configs / "a_failed_check.json",
@@ -329,32 +307,23 @@ def test_directory_run_into_one_stream_reads_as_its_configs_run_in_order(tmp_pat
                 for c in sorted(configs.glob("*.json"))]
     tree = output_tree(out)
     shutil.rmtree(out)
-    for cpus in (4, 1):
-        use_cpus(monkeypatch, cpus)
-        code, text = one_stream(cli.main, ["run", "--config", str(configs), "--out", str(out)])
-        assert code == max(code for code, _ in expected) == 2
-        assert text == "".join(text for _, text in expected)
-        assert output_tree(out) == tree
-        shutil.rmtree(out)
+    code, text = one_stream(cli.main, ["run", "--config", str(configs), "--out", str(out)])
+    assert code == max(code for code, _ in expected) == 2
+    assert text == "".join(text for _, text in expected)
+    assert output_tree(out) == tree
     assert [code for code, _ in expected] == [2, 0, 1, 2, 0]
 
 
-def test_directory_run_reports_unreadable_configs_in_order(tmp_path, monkeypatch, capsys):
+def test_directory_run_reports_unreadable_configs_in_order(tmp_path, capsys):
     # without --out an unreadable config has no output directory to compare
     configs = tmp_path / "configs"
     configs.mkdir()
     (configs / "a_malformed.json").write_text("{")
     write_config(configs / "b_pass.json", TWO_LINK_RUN)
     write_config(configs / "c_no_game.json", {"run": {}})
-    runs = []
-    for cpus in (4, 1):
-        use_cpus(monkeypatch, cpus)
-        code = cli.main(["run", "--config", str(configs)])
-        captured = capsys.readouterr()
-        runs.append((code, captured.out, captured.err, output_tree(configs)))
-        shutil.rmtree(configs / "b_pass")
-    assert runs[0] == runs[1]
-    code, stdout, stderr, tree = runs[0]
+    code = cli.main(["run", "--config", str(configs)])
+    stdout, stderr = capsys.readouterr()
+    tree = output_tree(configs)
     assert code == 1
     assert stderr.startswith(f"error: malformed JSON in {configs / 'a_malformed.json'} at line 1")
     assert stderr.endswith('\nerror: config is missing the required "game" key\n')
@@ -364,20 +333,21 @@ def test_directory_run_reports_unreadable_configs_in_order(tmp_path, monkeypatch
                             "b_pass/summary.json", "b_pass/trajectory.csv", "c_no_game.json"]
 
 
-def test_directory_run_propagates_a_crash_and_stops_its_workers(tmp_path, monkeypatch):
+def test_directory_run_propagates_a_crash_and_stops_the_runs(tmp_path, monkeypatch):
     configs = tmp_path / "configs"
     configs.mkdir()
     for stem in ("a", "b", "c"):
         write_config(configs / f"{stem}.json", TWO_LINK_RUN)
+    called = []
 
     def crash(config_path, out_dir=None):
-        raise RuntimeError(f"crashed on {os.path.basename(config_path)}")
+        called.append(config_path.name)
+        raise RuntimeError(f"crashed on {config_path.name}")
 
     monkeypatch.setattr(cli, "run_experiment", crash)
-    use_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="crashed on a.json"):
         cli.main(["run", "--config", str(configs), "--out", str(tmp_path / "out")])
-    assert multiprocessing.active_children() == []
+    assert called == ["a.json"]  # b and c never run
 
 
 @pytest.mark.parametrize("second_dir", ["shared", "configs/a"])
@@ -902,27 +872,20 @@ def test_every_job_maps_a_package_error_to_one_line_and_its_exit_code(
     if stage != "run":  # verify has no run step
         verify = job("verify", "--config", failing)
         assert verify.err == expected and verify.out == ""
-    runs = []
-    for cpus in (4, 1):
-        use_cpus(monkeypatch, cpus)
-        runs.append((job("run", "--config", str(configs), "--out", str(out)), output_tree(out)))
-        shutil.rmtree(out)
-    assert runs[0] == runs[1]
-    captured, tree = runs[0]
+    captured = job("run", "--config", str(configs), "--out", str(out))
+    tree = output_tree(out)
     assert captured.err == expected
     assert captured.out == f"wrote {out / 'b_pass'}/trajectory.csv, summary.json, analysis/\n"
     assert "b_pass/analysis/00_verify_fixed_point_optimality.json" in tree
     assert all(not path.startswith("a_fail/analysis/") for path in tree)
 
 
-def test_invalid_rule_met_during_a_run_spares_the_rest_of_the_directory(
-        tmp_path, monkeypatch, capsys):
+def test_invalid_rule_met_during_a_run_spares_the_rest_of_the_directory(tmp_path, capsys):
     configs, out = tmp_path / "configs", tmp_path / "out"
     configs.mkdir()
     write_config(configs / "a_entropy.json",
                  {"game": M2_GAME, "run": {"rule": {"variant": "gradient", "regularizer": "entropy"}}})
     write_config(configs / "b_pass.json", TWO_LINK_RUN)
-    use_cpus(monkeypatch, 2)
     assert cli.main(["run", "--config", str(configs), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: entropy regularizer needs a simplex strategy space\n"

@@ -12,7 +12,7 @@ from incentive_dynamics.aggregative import QuadraticAggregativeSpec, optimal_inc
 from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedule,
                                          StrategyUpdateRule, TrajectoryRecord,
-                                         externality, resolve_eta, run_coupled,
+                                         _with_default_step, externality, run_coupled,
                                          strategy_target, strict_json)
 from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, SpecError
 from incentive_dynamics.games import NonAtomicGame, sampled_lipschitz
@@ -233,7 +233,7 @@ def test_fixed_point_residual_resolves_the_default_gradient_step():
     g = aggregative_game([1.0, 2.0], [[0, 1], [1, 0]], 0.5, [0.3, -0.2])
     x0, p0 = np.array([0.4, -0.1]), np.array([0.2, 0.1])
     default = start_residual(g, x0, p0, StrategyUpdateRule("gradient"))
-    explicit = StrategyUpdateRule("gradient", eta=resolve_eta(g, StrategyUpdateRule()))
+    explicit = StrategyUpdateRule("gradient", eta=g.default_eta("quadratic"))
     assert start_residual(g, x0, p0, explicit) == default
     assert start_residual(g, x0, p0, StrategyUpdateRule("gradient", eta=0.1)) != default
 
@@ -406,18 +406,16 @@ def sampled_bound(game) -> float:
 
 
 def test_default_eta_from_the_cost_lipschitz_bound():
-    rule = StrategyUpdateRule("gradient")
-    entropy = StrategyUpdateRule("gradient", regularizer="entropy")
-    assert resolve_eta(two_link_game(), StrategyUpdateRule("gradient", eta=0.3)) == 0.3
+    assert _with_default_step(two_link_game(), StrategyUpdateRule("gradient", eta=0.3)).eta == 0.3
     # two_link_game costs are the identity map, so every sampled ratio is 1
-    assert resolve_eta(two_link_game(), rule) == pytest.approx(0.9)
+    assert two_link_game().default_eta("quadratic") == pytest.approx(0.9)
     # sampled ratios never exceed the Lipschitz constant ||Q + alpha A||_2 = 1.5
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    assert 0.9 / 1.5 <= resolve_eta(g, rule) < 0.9
-    assert resolve_eta(dataclasses.replace(g, lipschitz_bound=1.5), rule) == 0.9 / 1.5
+    assert 0.9 / 1.5 <= g.default_eta("quadratic") < 0.9
+    assert dataclasses.replace(g, lipschitz_bound=1.5).default_eta("quadratic") == 0.9 / 1.5
     # 0.9 / L on every game, bit for bit, whatever the regularizer
     for game in (g, two_link_game(), nonatomic_view(braess_network())):
-        assert resolve_eta(game, rule) == resolve_eta(game, entropy) == 0.9 / sampled_bound(game)
+        assert game.default_eta("quadratic") == game.default_eta("entropy") == 0.9 / sampled_bound(game)
 
 
 def test_gradient_rule_without_a_step_targets_at_the_default_step():
@@ -425,7 +423,7 @@ def test_gradient_rule_without_a_step_targets_at_the_default_step():
     ga = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
     for game, x, p in ((two_link_game(), np.array([0.3, 0.7]), np.array([0.2, 0.0])),
                        (ga, np.array([0.5, -1.0]), np.array([1.0, 0.3]))):
-        explicit = dataclasses.replace(rule, eta=resolve_eta(game, rule))
+        explicit = dataclasses.replace(rule, eta=game.default_eta(rule.regularizer))
         np.testing.assert_array_equal(strategy_target(game, x, p, rule)[0],
                                       game.target(x, p, explicit))
 
@@ -443,7 +441,7 @@ def run_coupled_reference(game, x0, p0, config):
     x, p = game.check_start(x0, p0)
     rule = config.rule
     if rule.variant == "gradient" and rule.eta is None:
-        rule = dataclasses.replace(rule, eta=resolve_eta(game, rule))
+        rule = dataclasses.replace(rule, eta=game.default_eta(rule.regularizer))
     record = TrajectoryRecord()
     sched = config.schedule
     hits = 0
@@ -662,7 +660,7 @@ def test_strategy_target_is_the_models_step():
     net = braess_network()
     x, p = net.uniform_route_flow(), np.linspace(0.0, 0.4, 5)
     rule = StrategyUpdateRule("gradient")
-    explicit = dataclasses.replace(rule, eta=resolve_eta(net, rule))
+    explicit = dataclasses.replace(rule, eta=net.default_eta(rule.regularizer))
     got, want = strategy_target(net, x, p, rule), net.step(x, p, explicit, True)
     for a, b in zip(got[:3], want[:3]):
         np.testing.assert_array_equal(a, b, strict=True)

@@ -58,9 +58,8 @@ def test_module_reads_every_import(module):
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-# methods that tests alone keep alive: the latency kernel's reference oracles
-TEST_ONLY_METHODS = ["LatencyFunction.deriv", "LatencyFunction.second_deriv",
-                     "LatencyFunction.integral"]
+# methods that tests alone keep alive; a test's reference oracle lives in ``tests/``
+TEST_ONLY_METHODS = []
 
 
 def method_references(node) -> Counter:
@@ -310,16 +309,20 @@ def test_cli_calls_load_no_scipy(tmp_path, argv):
     assert loaded_modules(code) == []
 
 
-@pytest.mark.parametrize("run", [False, True])
-def test_cli_and_single_config_run_load_no_multiprocessing(tmp_path, run):
-    # only a directory of configs needs worker processes
+@pytest.mark.parametrize("run", [None, "config", "directory"])
+def test_cli_and_its_runs_load_no_multiprocessing(tmp_path, run):
+    # a directory of configs runs them one after another in this process
     code = "from incentive_dynamics import cli\n"
     if run:
-        config = tmp_path / "agg.json"
-        config.write_text(json.dumps({
-            "game": {"aggregative": {"q": [1.0, 1.0], "A": [[0, 0.5], [0.5, 0]],
-                                     "alpha": 1.0, "zeta": [0.5, -0.5]}},
-            "run": {"max_iterations": 2000, "convergence_tol": 1e-4}}))
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        games = {"agg": {"aggregative": {"q": [1.0, 1.0], "A": [[0, 0.5], [0.5, 0]],
+                                         "alpha": 1.0, "zeta": [0.5, -0.5]}},
+                 "two_link": {"builtin": "two_link"}}
+        for name, game in games.items():
+            (configs / f"{name}.json").write_text(json.dumps({
+                "game": game, "run": {"max_iterations": 2000, "convergence_tol": 1e-4}}))
+        config = configs if run == "directory" else configs / "agg.json"
         argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
         code += f"assert cli.main({argv!r}) == 0\n"
     assert loaded_modules(code, "multiprocessing") == []

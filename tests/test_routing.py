@@ -13,8 +13,7 @@ from corpus import CORPUS, former_route_step, grid34, grid45, grid67, grid_netwo
 from test_games import FORMER_SCHEDULE, counting
 from incentive_dynamics import numdiff, routing
 from incentive_dynamics.analysis import verify_fixed_point_optimality
-from incentive_dynamics.dynamics import (RunConfig, StepSchedule, StrategyUpdateRule,
-                                         resolve_eta, run_coupled)
+from incentive_dynamics.dynamics import RunConfig, StepSchedule, StrategyUpdateRule, run_coupled
 from incentive_dynamics.errors import (ConvergenceError, InconsistencyError,
                                        InvalidArgumentError, SpecError)
 from incentive_dynamics.routing import (FIXTURES, NETWORK_STEP_GAIN, LatencyFunction,
@@ -35,12 +34,20 @@ from incentive_dynamics.routing import (FIXTURES, NETWORK_STEP_GAIN, LatencyFunc
 # latency functions
 # ---------------------------------------------------------------------------
 
+def polyval_reference(lat, w, order: int = 0):
+    """The latency ``lat`` (order 0), its first or second derivative (1, 2) or
+    its integral from 0 (-1) at ``w``, by numpy's polyval on its coefficients:
+    the per-edge reference that the latency kernel matches bit for bit."""
+    P = np.polynomial.polynomial
+    return P.polyval(w, P.polyint(lat.coeffs) if order < 0 else P.polyder(lat.coeffs, order))
+
+
 def test_latency_polynomial_values():
     lat = LatencyFunction((1.0, 0.0, 0.0, 0.0, 1.0))  # 1 + w^4
-    assert lat.value(1.0) == pytest.approx(2.0)
-    assert lat.deriv(1.0) == pytest.approx(4.0)
-    assert lat.second_deriv(1.0) == pytest.approx(12.0)
-    assert lat.integral(1.0) == pytest.approx(1.2)
+    assert polyval_reference(lat, 1.0) == pytest.approx(2.0)
+    assert polyval_reference(lat, 1.0, 1) == pytest.approx(4.0)
+    assert polyval_reference(lat, 1.0, 2) == pytest.approx(12.0)
+    assert polyval_reference(lat, 1.0, -1) == pytest.approx(1.2)
 
 
 def test_latency_rejects_negative_coefficients():
@@ -113,11 +120,14 @@ def test_vectorised_latencies_match_per_edge_path(name):
     flows += [rng.uniform(0.0, 10.0, net.n_edges) for _ in range(5)]
     for w in flows:
         tolls = rng.uniform(-1.0, 1.0, net.n_edges)
-        assert np.array_equal(net.latency(w), [lat.value(wa) for lat, wa in zip(lats, w)])
-        assert np.array_equal(net.latency_deriv(w), [lat.deriv(wa) for lat, wa in zip(lats, w)])
+        assert np.array_equal(net.latency(w),
+                              [polyval_reference(lat, wa) for lat, wa in zip(lats, w)])
+        assert np.array_equal(net.latency_deriv(w),
+                              [polyval_reference(lat, wa, 1) for lat, wa in zip(lats, w)])
         assert np.array_equal(net.latency_second_deriv(w),
-                              [lat.second_deriv(wa) for lat, wa in zip(lats, w)])
-        expect = float(sum(lat.integral(wa) for lat, wa in zip(lats, w)) + tolls @ w)
+                              [polyval_reference(lat, wa, 2) for lat, wa in zip(lats, w)])
+        expect = float(sum(polyval_reference(lat, wa, -1) for lat, wa in zip(lats, w))
+                       + tolls @ w)
         assert beckmann_potential(net, w, tolls) == expect
 
 
@@ -125,11 +135,11 @@ def _per_edge(net, w, tolls):
     """latency, l', l'', the stacks (l, l') and (l, l', l''), and the Beckmann
     potential through per-edge polyval."""
     lats = [lat for _, _, lat in net.edges]
-    value = np.array([lat.value(wa) for lat, wa in zip(lats, w)])
-    deriv = np.array([lat.deriv(wa) for lat, wa in zip(lats, w)])
-    second = np.array([lat.second_deriv(wa) for lat, wa in zip(lats, w)])
+    value, deriv, second, integral = (
+        np.array([polyval_reference(lat, wa, order) for lat, wa in zip(lats, w)])
+        for order in (0, 1, 2, -1))
     return (value, deriv, second, np.array([value, deriv]), np.array([value, deriv, second]),
-            float(sum(lat.integral(wa) for lat, wa in zip(lats, w)) + tolls @ w))
+            float(sum(integral) + tolls @ w))
 
 
 def _kernel(net, w, tolls):
@@ -920,24 +930,23 @@ def test_toll_adaptation_default_eta():
     # quadratic: NETWORK_STEP_GAIN / max(||J(w_u)||, 1e-12); entropy: the former
     # step 0.9 / max(max_a l_a'(total demand) * n_edges, 1e-12), bit for bit
     rule = StrategyUpdateRule("gradient")
-    entropy = StrategyUpdateRule("gradient", regularizer="entropy")
     constant = RoutingNetwork(
         nodes=("S", "D"), edges=(("S", "D", LatencyFunction((1.0,))),),
         od_pairs=(OdPair("S", "D", 1.0, ((0,),)),), relax_monotonicity=True)
     for net in (two_link_network(), pigou_network(), braess_network(),
                 *(build() for build in CORPUS.values()), grid67(), constant):
-        assert resolve_eta(net, rule) == NETWORK_STEP_GAIN / net.cost_jacobian_norm()
-        assert resolve_eta(net, entropy) == former_route_step(net)
-    assert resolve_eta(two_link_network(), rule) == NETWORK_STEP_GAIN  # J = I
+        assert net.default_eta("quadratic") == NETWORK_STEP_GAIN / net.cost_jacobian_norm()
+        assert net.default_eta("entropy") == former_route_step(net)
+    assert two_link_network().default_eta("quadratic") == NETWORK_STEP_GAIN  # J = I
     net = braess_network()
     norm = np.linalg.eigvalsh(route_cost_jacobian(net))[-1]
-    assert resolve_eta(net, rule) == pytest.approx(NETWORK_STEP_GAIN / norm, rel=1e-12)
-    assert resolve_eta(net, entropy) == 0.9 / 5.0
-    assert resolve_eta(constant, rule) == NETWORK_STEP_GAIN / 1e-12
-    assert resolve_eta(constant, entropy) == 0.9 / 1e-12
+    assert net.default_eta("quadratic") == pytest.approx(NETWORK_STEP_GAIN / norm, rel=1e-12)
+    assert net.default_eta("entropy") == 0.9 / 5.0
+    assert constant.default_eta("quadratic") == NETWORK_STEP_GAIN / 1e-12
+    assert constant.default_eta("entropy") == 0.9 / 1e-12
     runs = [run_toll_adaptation(net, net.uniform_route_flow(), np.zeros(5),
                                 RunConfig(max_iterations=50, rule=r))
-            for r in (rule, StrategyUpdateRule("gradient", eta=resolve_eta(net, rule)))]
+            for r in (rule, StrategyUpdateRule("gradient", eta=net.default_eta("quadratic")))]
     assert all(np.array_equal(a, b) for a, b in zip(runs[0].xs, runs[1].xs))
 
 
