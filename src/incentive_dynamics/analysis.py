@@ -232,11 +232,11 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
     p = games.check_incentive(p0, model.dim).copy()
     max_iterations = _positive_int(max_iterations, "max_iterations")
     grad = gradient or (lambda q: equilibrium_cost_gradient(model, q))
-    record = TrajectoryRecord()
+    record, x = TrajectoryRecord(), None
     for k in range(max_iterations):
         g = np.asarray(grad(p), float)
         if k % 10 == 0 or k == max_iterations - 1:
-            x = _x_star(model, p)
+            x = _x_star(model, p, x)
             record.append(k, x, p, float(np.max(np.abs(g))), model.social(x))
         p = p - schedule.beta(k) * g
     record.iterations = max_iterations
@@ -248,20 +248,28 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
 # Two-link counterexample
 # ---------------------------------------------------------------------------
 
+def _two_link_split(p1, p2):
+    """Flow on the first link at the tolled two-link equilibrium, elementwise."""
+    return np.minimum(np.maximum((p2 - p1 + 1.0) / 2.0, 0.0), 1.0)
+
+
+def _two_link_cost(p1, p2):
+    """Total latency at the tolled two-link equilibrium, elementwise."""
+    d = p1 - p2
+    return np.where(np.abs(d) >= 1.0, 1.0, (d * d + 1.0) / 2.0)
+
+
 def two_link_equilibrium(p) -> np.ndarray:
     """Closed-form tolled equilibrium split of the two parallel unit links."""
     p = games.check_incentive(p, 2)
-    x1 = min(max((p[1] - p[0] + 1.0) / 2.0, 0.0), 1.0)
+    x1 = float(_two_link_split(p[0], p[1]))
     return np.array([x1, 1.0 - x1])
 
 
 def two_link_equilibrium_cost(p) -> float:
     """Total latency at the tolled equilibrium: ((p1-p2)^2 + 1)/2, capped at 1."""
     p = games.check_incentive(p, 2)
-    d = p[0] - p[1]
-    if abs(d) >= 1.0:
-        return 1.0
-    return (d * d + 1.0) / 2.0
+    return float(_two_link_cost(p[0], p[1]))
 
 
 def two_link_clarke_gradient(p) -> np.ndarray:
@@ -284,21 +292,34 @@ def reproduce_counterexample(grid: int = 41, tol: float = 1e-6) -> dict:
     games.check_tolerance(tol)
     grid = _positive_int(grid, "grid")
     net = routing.two_link_network()
-    lo, hi = -2.0, 2.0
-    values = np.linspace(lo, hi, grid)
-    max_split_err = 0.0
-    max_cost_err = 0.0
-    costs = np.empty((grid, grid))
-    for i, p1 in enumerate(values):
-        for j, p2 in enumerate(values):
-            p = np.array([p1, p2])
-            x, w = routing.wardrop_equilibrium(net, p)
-            max_split_err = max(max_split_err,
-                                float(np.max(np.abs(w - two_link_equilibrium(p)))))
-            cost = routing.total_latency_cost(net, w)
-            costs[i, j] = cost
-            max_cost_err = max(max_cost_err,
-                               abs(cost - two_link_equilibrium_cost(p)))
+    values = np.linspace(-2.0, 2.0, grid)
+    # Each point starts from the route flow of its row neighbour one step
+    # farther from the diagonal p1 = p2, and a row's end from the same end of
+    # the row farther from it, beginning at the corners (2, -2) and (-2, 2).
+    # The split depends on p2 - p1 alone, so no start crosses from the band
+    # |p1 - p2| < 1 onto a plateau, where a rounded exchange could leave a
+    # sliver of flow behind.
+    flows = np.empty((grid, grid, 2))
+
+    def solve(i, j, x0):
+        x, flows[i, j] = routing.wardrop_equilibrium(net, values[[i, j]], x0=x0)
+        return x
+
+    end = None
+    for i in reversed(range(grid)):  # j <= i, from the first column
+        x = end = solve(i, 0, end)
+        for j in range(1, i + 1):
+            x = solve(i, j, x)
+    end = None
+    for i in range(grid - 1):  # j > i, from the last column
+        x = end = solve(i, grid - 1, end)
+        for j in range(grid - 2, i, -1):
+            x = solve(i, j, x)
+    costs = np.vecdot(flows, net.latency(flows))  # w @ l(w) per point, as total_latency_cost
+    p1, p2 = np.meshgrid(values, values, indexing="ij")
+    split = _two_link_split(p1, p2)
+    max_split_err = float(np.max(np.abs(flows - np.stack([split, 1.0 - split], axis=-1))))
+    max_cost_err = float(np.max(np.abs(costs - _two_link_cost(p1, p2))))
     report = {
         "grid_values": values,
         "grid_costs": costs,
@@ -333,17 +354,14 @@ def reproduce_counterexample(grid: int = 41, tol: float = 1e-6) -> dict:
 
 
 def counterexample_grid_csv(report: dict, path):
-    """Write the toll grid with equilibrium costs for plotting."""
-    import csv
-
-    values = report["grid_values"]
-    costs = report["grid_costs"]
+    """Write the toll grid with equilibrium costs for plotting: floats at
+    ``%.17g``, with the csv module's ``\\r\\n`` line ending."""
+    values = report["grid_values"].tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p1", "p2", "equilibrium_cost"])
-        for i, p1 in enumerate(values):
-            for j, p2 in enumerate(values):
-                writer.writerow([f"{p1:.17g}", f"{p2:.17g}", f"{costs[i, j]:.17g}"])
+        fh.write("p1,p2,equilibrium_cost\r\n")
+        for p1, row in zip(values, report["grid_costs"].tolist()):
+            for p2, cost in zip(values, row):
+                fh.write("%.17g,%.17g,%.17g\r\n" % (p1, p2, cost))
 
 
 # ---------------------------------------------------------------------------

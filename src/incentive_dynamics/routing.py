@@ -240,10 +240,10 @@ class RoutingNetwork(_BlockSpace):
         return self.check_route_flow(x0), check_incentive(p0, self.n_edges)
 
     def target(self, x, p, rule) -> np.ndarray:
+        if rule.variant == "equilibrium":  # the solve checks p
+            return wardrop_equilibrium(self, p, x0=x)[0]
         p = check_incentive(p, self.n_edges)
         rule = _with_default_step(self, rule)
-        if rule.variant == "equilibrium":
-            return wardrop_equilibrium(self, p, x0=x)[0]
         return self._simplex_target(x, self.latency(self.incidence @ x), p, rule)
 
     def _simplex_target(self, x, latency, p, rule) -> np.ndarray:
@@ -347,8 +347,8 @@ def beckmann_potential(net: RoutingNetwork, w, edge_tolls) -> float:
 
 def _beckmann_potential(net, w, p) -> float:
     """The Beckmann potential at an edge flow ``w`` and tolls ``p`` taken as checked."""
-    # cumsum adds left to right; sum() would reorder pairwise and change bits
-    integrals = np.cumsum(_column_horner(net._integral_rows, w))[-1]
+    # a running sum adds left to right; sum() would reorder pairwise and change bits
+    integrals = np.add.accumulate(_column_horner(net._integral_rows, w))[-1]
     return float(integrals + p @ w)
 
 
@@ -437,7 +437,7 @@ def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
         gap = 0.0
         for xs, inc_s, m in blocks:
             c = inc_s @ c_edge
-            gap += float(c @ xs - m * c.min())
+            gap += float(c @ xs - m * np.minimum.reduce(c))
         return w, c_edge, d_edge, gap
 
     def converged(w, gap):  # max(1, |objective|) >= 1, so a gap within tol passes

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -21,7 +22,7 @@ from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
                                          two_link_equilibrium,
                                          two_link_equilibrium_cost,
                                          verify_fixed_point_optimality)
-from incentive_dynamics.dynamics import StrategyUpdateRule
+from incentive_dynamics.dynamics import StepSchedule, StrategyUpdateRule, TrajectoryRecord
 from incentive_dynamics.errors import InvalidArgumentError
 from incentive_dynamics.games import NonAtomicGame
 from incentive_dynamics.routing import (LatencyFunction, braess_network, delta_matrix,
@@ -495,6 +496,45 @@ def test_gradient_baseline_validates_max_iterations(max_iterations):
                               gradient=two_link_clarke_gradient)
 
 
+def gradient_baseline_reference(obj, p0, max_iterations, gradient,
+                                schedule=StepSchedule()) -> TrajectoryRecord:
+    """The baseline with each recorded x*(p) solved cold, from the solver's
+    own start: the reference for the warm-started baseline."""
+    model = analysis.strategy_model(obj)
+    p = np.array(p0, dtype=float)
+    record = TrajectoryRecord()
+    for k in range(max_iterations):
+        g = np.asarray(gradient(p), float)
+        if k % 10 == 0 or k == max_iterations - 1:
+            x = model.target(None, p, EQUILIBRIUM)
+            record.append(k, x, p, float(np.max(np.abs(g))), model.social(x))
+        p = p - schedule.beta(k) * g
+    return record
+
+
+def test_warm_started_baseline_on_the_plateau_is_the_cold_one_bitwise():
+    # on the plateau each warm start is already x*(p): the solve stops at its first gap test
+    net = two_link_network()
+    got = run_gradient_baseline(net, [1.5, 0.0], max_iterations=500,
+                                gradient=two_link_clarke_gradient)
+    want = gradient_baseline_reference(net, [1.5, 0.0], 500, two_link_clarke_gradient)
+    assert got.ks == want.ks
+    for key in ("xs", "ps", "residuals", "social_costs"):
+        np.testing.assert_array_equal(getattr(got, key), getattr(want, key), strict=True)
+
+
+def test_warm_started_baseline_follows_moving_tolls():
+    net = two_link_network()
+    got = run_gradient_baseline(net, [0.3, 0.0], max_iterations=200,
+                                gradient=two_link_clarke_gradient)
+    want = gradient_baseline_reference(net, [0.3, 0.0], 200, two_link_clarke_gradient)
+    assert got.ks == want.ks
+    np.testing.assert_array_equal(got.ps, want.ps, strict=True)
+    np.testing.assert_array_equal(got.residuals, want.residuals, strict=True)
+    assert np.max(np.abs(np.subtract(got.xs, want.xs))) <= 1e-9
+    assert not np.array_equal(got.ps[0], got.ps[-1])  # the tolls did move
+
+
 def test_gradient_baseline_takes_a_whole_float_max_iterations():
     net = two_link_network()
     runs = [run_gradient_baseline(net, [0.3, 0.0], max_iterations=m,
@@ -520,6 +560,124 @@ def test_reproduce_counterexample_small_grid(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "p1,p2,equilibrium_cost"
     assert len(lines) == 1 + 11 * 11
+
+
+def counterexample_grid_reference(grid: int, tol: float = 1e-6) -> dict:
+    """The grid check with every point solved cold, one at a time, against
+    the closed forms called point by point: the reference for the grid of
+    ``reproduce_counterexample``, with its edge flows under ``flows``."""
+    net = two_link_network()
+    values = np.linspace(-2.0, 2.0, grid)
+    flows = np.empty((grid, grid, 2))
+    costs = np.empty((grid, grid))
+    split_err = cost_err = 0.0
+    for i, p1 in enumerate(values):
+        for j, p2 in enumerate(values):
+            p = np.array([p1, p2])
+            _, flows[i, j] = routing.wardrop_equilibrium(net, p)
+            costs[i, j] = routing.total_latency_cost(net, flows[i, j])
+            split_err = max(split_err, float(np.max(np.abs(flows[i, j] - two_link_equilibrium(p)))))
+            cost_err = max(cost_err, abs(costs[i, j] - two_link_equilibrium_cost(p)))
+    return {"grid_values": values, "grid_costs": costs, "flows": flows,
+            "max_split_error": split_err, "max_cost_error": cost_err,
+            "grid_ok": split_err <= tol and cost_err <= tol}
+
+
+def _grid_flows(monkeypatch, grid):
+    """``reproduce_counterexample(grid)``'s report and the edge flow of each
+    grid point, from the first grid**2 Wardrop solves (the grid comes first)."""
+    solves = []
+    solver = routing.wardrop_equilibrium
+
+    def recorded(net, p, *args, **kwargs):
+        x, w = solver(net, p, *args, **kwargs)
+        solves.append((tuple(np.asarray(p).tolist()), w.copy()))
+        return x, w
+
+    monkeypatch.setattr(routing, "wardrop_equilibrium", recorded)
+    report = reproduce_counterexample(grid=grid)
+    monkeypatch.undo()
+    flows = dict(solves[:grid * grid])
+    values = report["grid_values"].tolist()
+    return report, np.array([[flows[p1, p2] for p2 in values] for p1 in values])
+
+
+@pytest.mark.parametrize("grid", [21, 41])
+def test_counterexample_grid_matches_cold_solves(monkeypatch, grid):
+    report, flows = _grid_flows(monkeypatch, grid)
+    want = counterexample_grid_reference(grid)
+    np.testing.assert_array_equal(report["grid_values"], want["grid_values"], strict=True)
+    assert np.max(np.abs(report["grid_costs"] - want["grid_costs"])) <= 1e-15
+    assert report["max_split_error"] <= 1e-15
+    assert report["max_cost_error"] <= 1e-15
+    assert report["grid_ok"] == want["grid_ok"]
+    baseline = gradient_baseline_reference(two_link_network(), [1.5, 0.0], 500,
+                                           two_link_clarke_gradient)
+    assert report["baseline_stuck"] == (
+        np.array_equal(baseline.final_p, [1.5, 0.0]) and baseline.social_costs[-1] == 1.0)
+    assert report["externality_ok"]
+    assert report["passed"] == (want["grid_ok"] and report["baseline_stuck"])
+    # where the split is 0 or 1 the cold solve lands exactly on it; so must the warm one
+    p1, p2 = np.meshgrid(want["grid_values"], want["grid_values"], indexing="ij")
+    split = np.array([[two_link_equilibrium([a, b])[0] for a, b in zip(r1, r2)]
+                      for r1, r2 in zip(p1, p2)])
+    plateau = (split == 0.0) | (split == 1.0)
+    assert plateau.sum() > grid * grid // 2
+    np.testing.assert_array_equal(flows[plateau], want["flows"][plateau], strict=True)
+    np.testing.assert_array_equal(want["flows"][plateau][:, 0], split[plateau], strict=True)
+
+
+def test_two_link_helpers_are_the_closed_forms_over_a_grid():
+    values = np.concatenate([np.linspace(-2.0, 2.0, 41),
+                             np.random.default_rng(3).uniform(-3.0, 3.0, 40)])
+    p1, p2 = np.meshgrid(values, values, indexing="ij")
+    split, cost = analysis._two_link_split(p1, p2), analysis._two_link_cost(p1, p2)
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            x = two_link_equilibrium([a, b])
+            assert (split[i, j], 1.0 - split[i, j]) == (x[0], x[1])
+            assert cost[i, j] == two_link_equilibrium_cost([a, b])
+            # the formulas as scalar code
+            assert x[0] == min(max((b - a + 1.0) / 2.0, 0.0), 1.0)
+            assert cost[i, j] == (1.0 if abs(a - b) >= 1.0 else ((a - b) ** 2 + 1.0) / 2.0)
+
+
+def test_counterexample_work_is_bounded(monkeypatch):
+    """Grid 21 with its warm starts: 1 136 kernel passes and 259 objective
+    evaluations over 607 solves, where cold grid and baseline solves took
+    1 730 and 558."""
+    counts = {"solves": 0, "edge_terms": 0, "objective": 0}
+    program = routing._solve_flow_program
+
+    def counted(name, f):
+        def wrapped(w):
+            counts[name] += 1
+            return f(w)
+        return wrapped
+
+    def solve(net, edge_terms, objective, *args):
+        counts["solves"] += 1
+        return program(net, counted("edge_terms", edge_terms),
+                       counted("objective", objective), *args)
+
+    monkeypatch.setattr(routing, "_solve_flow_program", solve)
+    assert reproduce_counterexample(grid=21)["passed"]
+    assert counts["solves"] == 607
+    assert counts["edge_terms"] <= 1136
+    assert counts["objective"] <= 259
+
+
+def test_counterexample_grid_csv_writes_the_csv_modules_bytes(tmp_path):
+    report = reproduce_counterexample(grid=21)
+    counterexample_grid_csv(report, tmp_path / "grid.csv")
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["p1", "p2", "equilibrium_cost"])
+        for i, p1 in enumerate(report["grid_values"]):
+            for j, p2 in enumerate(report["grid_values"]):
+                cost = report["grid_costs"][i, j]
+                writer.writerow([f"{p1:.17g}", f"{p2:.17g}", f"{cost:.17g}"])
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -962,6 +962,27 @@ def test_the_jacobian_norm_is_computed_once_per_network(monkeypatch):
     assert len(calls) == 2
 
 
+def test_target_checks_the_tolls_once(monkeypatch):
+    calls = []
+    check = routing.check_incentive
+
+    def counted(p, n):
+        calls.append(1)
+        return check(p, n)
+
+    monkeypatch.setattr(routing, "check_incentive", counted)
+    net = braess_network()
+    x, p = net.uniform_route_flow(), np.full(net.n_edges, 0.1)
+    for rule in (StrategyUpdateRule(), StrategyUpdateRule("gradient")):
+        calls.clear()
+        net.target(x, p, rule)
+        assert len(calls) == 1
+        with pytest.raises(InvalidArgumentError, match="incentive vector must be finite"):
+            net.target(x, np.full(net.n_edges, np.nan), rule)
+        with pytest.raises(InvalidArgumentError, match=r"incentive vector has shape \(2,\)"):
+            net.target(x, np.zeros(2), rule)
+
+
 # ---------------------------------------------------------------------------
 # lemmas
 # ---------------------------------------------------------------------------
