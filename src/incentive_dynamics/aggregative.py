@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dynamics import _check_number, _check_positive
 from .errors import ConvergenceError, SpecError
 from .games import AtomicGame, check_incentive, nondecreasing_root
 
@@ -34,6 +35,7 @@ class _PowerTerm:
     value and gradient make the ``float_power`` calls of the spec's arrays."""
 
     def __init__(self, zeta: float):
+        _check_number(zeta, "operator-cost zeta")
         self.zeta = float(zeta)
         if not math.isfinite(self.zeta):
             raise SpecError("operator-cost zeta must be finite")
@@ -106,6 +108,8 @@ class QuadraticAggregativeSpec:
     h: Optional[tuple] = None
 
     def __post_init__(self):
+        for name in ("q", "zeta"):  # a one-player spec may give them as scalars
+            _check_number(getattr(self, name), name)
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         A = np.asarray(self.A, dtype=float)
         n = q.size
@@ -119,9 +123,7 @@ class QuadraticAggregativeSpec:
         _require_finite(A, "network matrix")
         if np.any(np.abs(np.diag(A)) > 0):
             raise SpecError("network matrix must have zero diagonal")
-        _require_finite(self.alpha, "alpha")
-        if self.alpha <= 0:
-            raise SpecError("alpha must be positive")
+        _check_positive(self.alpha, "alpha")
         if (self.zeta is None) == (self.h is None):
             raise SpecError("give exactly one of zeta or h")
         if self.zeta is not None:

@@ -16,7 +16,7 @@ import numpy as np
 from . import aggregative as agg
 from . import games, numdiff, routing
 from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule, TrajectoryRecord,
-                       _positive_int)
+                       _check_number, _positive_int)
 from .errors import InvalidArgumentError
 
 
@@ -89,6 +89,8 @@ class OdeProbeConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
+        _check_number(self.step, "step", InvalidArgumentError)
+        _check_number(self.horizon, "horizon", InvalidArgumentError)
         if not (0 < self.step < self.horizon and np.isfinite(self.horizon / self.step)):
             raise InvalidArgumentError("need 0 < step < horizon with finite horizon / step")
         games.check_tolerance(self.tol)

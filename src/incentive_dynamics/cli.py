@@ -115,7 +115,23 @@ def load_config(path) -> dict:
     analyses = data.get("analyses", [])
     if not isinstance(analyses, list) or not all(isinstance(a, dict) for a in analyses):
         raise ConfigError('"analyses" must be a list of objects')
+    if "true" in text or "false" in text:  # else no boolean, and a large spec skips the walk
+        _reject_booleans(data)
     return data
+
+
+def _reject_booleans(value, key=None) -> None:
+    """Raise at the first JSON boolean in a list, naming the key that holds
+    the list: Python would take ``true`` as the number 1."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            if name not in ("nodes", "routes"):  # labels, and edge indices checked apart
+                _reject_booleans(item, name)
+    elif isinstance(value, list):
+        for item in value:
+            if isinstance(item, bool):
+                raise ConfigError(f"{key} must hold numbers, got {item}")
+            _reject_booleans(item, key)
 
 
 def build_game(spec: dict):

@@ -13,12 +13,11 @@ that do are named (``games._OracleGame`` serves the two games and
 ``games._BlockSpace`` the non-atomic game and the network):
 
 - ``check_start(x0, p0)``: the validated start ``(x, p)``;
-- ``step(x, p, rule, recorded)`` (``_OracleGame``, ``RoutingNetwork``): the
-  loop's one evaluation per iteration, ``(f, e, d, social)`` at the
-  iterate, the last two only where ``recorded`` (else None). ``d`` is the
-  vector whose sup norm is the strategy gap: ``f - x`` for a game, the
-  difference of the edge flows of ``f`` and ``x`` for a network. It
-  evaluates the iterate once: a network takes one edge flow and one
+- ``step(x, p, rule)`` (``_OracleGame``, ``RoutingNetwork``): the loop's
+  one evaluation per iteration, ``(f, e, d, social)`` at the iterate.
+  ``d`` is the vector whose sup norm is the strategy gap: ``f - x`` for a
+  game, the difference of the edge flows of ``f`` and ``x`` for a network.
+  It evaluates the iterate once: a network takes one edge flow and one
   latency-kernel pass, and a game one loss gradient or one set of action
   costs where its rule needs them. It takes p as checked, and raises what
   ``target`` would, then what ``externality`` would;
@@ -285,9 +284,8 @@ def _with_default_step(model, rule: StrategyUpdateRule) -> StrategyUpdateRule:
     return rule
 
 
-def strategy_target(model, x, p, rule: StrategyUpdateRule, recorded: bool = True):
-    """The loop's evaluation at (x, p): ``model.step``'s ``(f, e, d, social)``,
-    the last two None unless ``recorded``.
+def strategy_target(model, x, p, rule: StrategyUpdateRule):
+    """The loop's evaluation at (x, p): ``model.step``'s ``(f, e, d, social)``.
 
     A gradient rule without a step gets the model's default. p is not checked,
     as ``run_coupled`` checks its start once; ``model.target`` is the checked
@@ -295,7 +293,7 @@ def strategy_target(model, x, p, rule: StrategyUpdateRule, recorded: bool = True
     ROADMAP item 15 makes it private once ``bench/`` changes.
     """
     return model.step(np.asarray(x, dtype=float), np.asarray(p, dtype=float),
-                      _with_default_step(model, rule), recorded)
+                      _with_default_step(model, rule))
 
 
 def externality(model, x):
@@ -361,9 +359,8 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
                     x = (1.0 - gamma_k) * x + gamma_k * f
                     p = (1.0 - beta_k) * p + beta_k * e
                 k += 1
-                recorded = k % record_every == 0 or k == last
-                f, e, d, social = strategy_target(game, x, p, rule, recorded)
-                if recorded:
+                f, e, d, social = strategy_target(game, x, p, rule)
+                if k % record_every == 0 or k == last:
                     ks.append(k)
                     xs.append(x)
                     ps.append(p)

@@ -215,15 +215,12 @@ class _OracleGame:
         """Per-strategy gap between marginal social cost and own marginal cost."""
         return self._externality(np.asarray(x, dtype=float))
 
-    def step(self, x: Array, p: Array, rule, recorded: bool) -> tuple:
+    def step(self, x: Array, p: Array, rule) -> tuple:
         """``(f, e, d, social)`` at (x, p), with ``d = f - x``, whose sup norm
         is the strategy gap; the own costs that the rule took serve the
         externality too."""
         f, own = self._target(x, p, rule)
-        e = self._externality(x, own)
-        if not recorded:
-            return f, e, None, None
-        return f, e, f - x, self.social(x)
+        return f, self._externality(x, own), f - x, self.social(x)
 
     def strategy_gap(self, f: Array, x: Array):
         return sup_distance(f, x)

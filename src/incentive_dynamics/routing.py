@@ -250,7 +250,7 @@ class RoutingNetwork(_BlockSpace):
         """The best-response or gradient target from the edge latencies at ``x``."""
         return simplex_target(x, self.incidence.T @ (latency + p), self.layout, rule)
 
-    def step(self, x, p, rule, recorded: bool) -> tuple:
+    def step(self, x, p, rule) -> tuple:
         """``(f, e, d, social)`` at (x, p) from one edge flow
         ``w = incidence @ x`` and one kernel pass for (l, l') at ``w``.
 
@@ -265,11 +265,8 @@ class RoutingNetwork(_BlockSpace):
         else:
             latency, slope = _column_horner(self._cost_rows, w)
             f = self._simplex_target(x, latency, p, rule)
-            w_f = self.incidence @ f if recorded else None
-        e = w * slope
-        if not recorded:
-            return f, e, None, None
-        return f, e, w_f - w, float(w @ latency)
+            w_f = self.incidence @ f
+        return f, w * slope, w_f - w, float(w @ latency)
 
     def externality(self, x) -> np.ndarray:
         return edge_externality(self, self.incidence @ x)
@@ -309,16 +306,11 @@ class RoutingNetwork(_BlockSpace):
         J = Δᵀ diag(l'(w_u)) Δ at the uniform edge flow w_u (at least 1e-12).
 
         It is the largest eigenvalue of the E×E matrix B Bᵀ, with
-        B = √l'(w_u) ⊙ Δ, so the R×R J is never built. Computed on the first
-        call and kept, as ``target`` asks for it on every call.
+        B = √l'(w_u) ⊙ Δ, so the R×R J is never built.
         """
-        norm = self.__dict__.get("_jacobian_norm")
-        if norm is None:
-            w = self.incidence @ self.uniform_point()
-            b = np.sqrt(self.latency_deriv(w))[:, None] * self.incidence
-            norm = max(float(np.linalg.eigvalsh(b @ b.T)[-1]), 1e-12)
-            object.__setattr__(self, "_jacobian_norm", norm)
-        return norm
+        w = self.incidence @ self.uniform_point()
+        b = np.sqrt(self.latency_deriv(w))[:, None] * self.incidence
+        return max(float(np.linalg.eigvalsh(b @ b.T)[-1]), 1e-12)
 
 
 def route_to_edge_flow(net: RoutingNetwork, x) -> np.ndarray:

@@ -20,7 +20,11 @@ interrupted batch keeps the pairs it finished.
 The summary gives, per workload and metric, each side's median and
 quartiles, the relative change of the medians (change / parent - 1), and the
 pairs the change wins in the metric's ``better`` direction; equal values are
-ties and count for neither side. Nothing under ``bench/`` is written.
+ties and count for neither side. A metric is unresolved when the parent's
+runs spread wider than its ``BENCHMARK.json`` bound, q3 - q1 > bound *
+median, unless every change run reads better than every parent run: such a
+metric cannot show a change within the bound either way. Nothing under
+``bench/`` is written.
 """
 from __future__ import annotations
 
@@ -69,7 +73,8 @@ def quartiles(values) -> dict:
 
 def summarize(runs: list, metrics: list) -> dict:
     """Per batch and metric: both sides' quartiles, the relative change of the
-    medians, the change's wins and the ties, over the batch's pairs.
+    medians, the change's wins and the ties, over the batch's pairs, and
+    whether the metric is unresolved (see the module docstring).
 
     ``runs`` are entries as ``run_once`` extends them; ``metrics`` are the
     ``end_to_end`` entries of ``BENCHMARK.json``. A pair is the two runs of
@@ -91,11 +96,16 @@ def summarize(runs: list, metrics: list) -> dict:
             wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
             ties = sum(c == p for p, c in zip(values["parent"], values["change"]))
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            # every change run beats every parent run if the change's worst beats the parent's best
+            worst_change, best_parent = ((change["max"], parent["min"]) if sign > 0
+                                         else (change["min"], parent["max"]))
+            spread = parent["q3"] - parent["q1"] > metric["bound"] * parent["median"]
             summary[name] = {
                 "parent": parent, "change": change,
                 "relative_change": (change["median"] / parent["median"] - 1.0
                                     if parent["median"] else None),
                 "change_wins": wins, "ties": ties, "same_per_seed": ties == len(pairs),
+                "unresolved": spread and not sign * (worst_change - best_parent) < 0,
             }
         out[batch] = {"pairs": len(pairs), "summary": summary}
     return out
@@ -111,7 +121,8 @@ def format_summary(workloads: dict) -> str:
                 f"  {name:12s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
                 f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
                 f"{'n/a' if rel is None else f'{rel:+.1%}'}  "
-                f"wins {s['change_wins']}/{data['pairs']}, ties {s['ties']}")
+                f"wins {s['change_wins']}/{data['pairs']}, ties {s['ties']}"
+                + ("  unresolved" if s["unresolved"] else ""))
     return "\n".join(lines)
 
 

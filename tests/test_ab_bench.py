@@ -69,7 +69,32 @@ def test_format_summary_prints_medians_change_and_wins():
     lines = text.splitlines()
     assert lines[0] == "cli_batch/1-4: 2 pairs"
     assert lines[1].split() == ["wall_s", "parent", "2", "[1.5,", "2.5]", "change", "1",
-                                "[0.75,", "1.25]", "-50.0%", "wins", "2/2,", "ties", "0"]
+                                "[0.75,", "1.25]", "-50.0%", "wins", "2/2,", "ties", "0",
+                                "unresolved"]
+    assert lines[2].split()[-1] == "2"  # ok_ratio does not spread
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    ([1.0, 1.1, 1.2, 1.3], [2.0, 2.0, 2.0, 2.0], False),  # IQR 0.15 <= 0.25 * median 1.15
+    ([1.0, 2.0, 3.0, 4.0], [0.5, 2.0, 2.5, 5.0], True),  # IQR 1.5 > 0.25 * 2.5
+    ([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.9], False),  # every change run is faster
+    ([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 1.0], True),  # the slowest only equals the fastest
+])
+def test_a_metric_whose_parent_spreads_past_its_bound_is_unresolved(parent, change, unresolved):
+    wall = ab_bench.summarize(_runs(parent, change), METRICS)["cli_batch/1-4"]["summary"]["wall_s"]
+    assert wall["unresolved"] is unresolved
+
+
+def test_a_higher_metric_is_resolved_only_by_higher_runs():
+    def ok_ratio(parent, change):
+        runs = _runs([1.0] * 4, [1.0] * 4)
+        for run in runs:
+            run["ok_ratio"] = (parent if run["side"] == "parent" else change)[run["seed"] - 1]
+        return ab_bench.summarize(runs, METRICS)["cli_batch/1-4"]["summary"]["ok_ratio"]
+
+    # IQR 0.15 > 0.1 * median 0.65 in both cases
+    assert ok_ratio([0.5, 0.6, 0.7, 0.8], [0.9, 0.9, 0.95, 1.0])["unresolved"] is False
+    assert ok_ratio([0.5, 0.6, 0.7, 0.8], [0.4, 0.9, 0.95, 1.0])["unresolved"] is True
 
 
 def test_parse_seeds():

@@ -937,6 +937,28 @@ BOOLEAN_FIELDS = {
                       "analyses": [{"op": "verify_fixed_point_optimality", "tol": True}]},
                      "error in analysis 'verify_fixed_point_optimality': "
                      "tol must be a number, got True"),
+    # two_link would run from (1, 0)
+    **{key: ({"game": {"builtin": "two_link"}, "run": {key: [True, False]}},
+             f"error: {key} must hold numbers, got True") for key in ("p0", "x0")},
+    "q-list": ({"game": {"aggregative": dict(M2_GAME["aggregative"], q=[1.0, True])}},
+               "error: q must hold numbers, got True"),
+    **{key: ({"game": {"aggregative": {"q": 1.0, "A": [[0.0]], "alpha": 1.0, "zeta": 0.5,
+                                       key: True}}},
+             f"error: {key} must be a number, got True") for key in ("q", "alpha", "zeta")},
+    "h-zeta": (m2_with(h=[{"kind": "quadratic", "zeta": True}, QUADRATIC_TERM]),
+               "error: operator-cost zeta must be a number, got True"),
+    "poly": (braess_with(lambda block: block["edges"][0].update(poly=[0.0, True])),
+             "error: poly must hold numbers, got True"),
+    **{f"analysis-{key}": ({"game": {"builtin": "two_link"},
+                            "analyses": [dict(item, **{key: value})]},
+                           f"error: {key} must hold numbers, got True")
+       for key, item, value in (("tolls", {"op": "nondegeneracy"}, [True, False]),
+                                ("p", {"op": "uniqueness_probe"}, [True, False]),
+                                ("p_samples", {"op": "condition_c1"}, [[True, False]]),
+                                ("start_points", {"op": "ode_probe"}, [[True, False]]))},
+    **{f"ode_probe-{key}": (ode_probe(**{key: True}),
+                            f"error in analysis 'ode_probe': {key} must be a number, got True")
+       for key in ("step", "horizon")},
 }
 
 

@@ -16,8 +16,8 @@ from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedu
                                          strategy_target, strict_json)
 from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, SpecError
 from incentive_dynamics.games import NonAtomicGame, sampled_lipschitz
-from incentive_dynamics.routing import (braess_network, nonatomic_view, pigou_network,
-                                        two_link_network)
+from incentive_dynamics.routing import (RoutingNetwork, braess_network, nonatomic_view,
+                                        pigou_network, two_link_network)
 
 from corpus import former_route_step, grid34
 from test_games import FORMER_SCHEDULE, aggregative_game, two_link_game
@@ -634,14 +634,49 @@ def test_step_equals_the_single_quantity_methods(name, variant, regularizer, see
     x = model.random_start(rng)
     p = rng.uniform(-1.0, 1.0, model.dim)
     rule = StrategyUpdateRule(variant, eta=eta, regularizer=regularizer)
-    f, e, d, social = model.step(x, p, rule, True)
+    f, e, d, social = model.step(x, p, rule)
     f_alone = model.target(x, p, rule)
     np.testing.assert_array_equal(f, f_alone, strict=True)
     np.testing.assert_array_equal(e, model.externality(x), strict=True)
     gap = np.maximum.reduce(np.abs(d), axis=None)
     assert gap.tobytes() == model.strategy_gap(f_alone, x).tobytes()
     assert social == model.social(x)
-    assert strategy_target(model, x, p, rule, False)[2:] == (None, None)
+
+
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("name, variant, regularizer", STEP_CASES,
+                         ids=[f"{n}-{v}-{r}" for n, v, r in STEP_CASES])
+def test_step_has_one_shape_and_no_method_writes_into_its_arguments(name, variant, regularizer):
+    model = STEP_MODELS[name]
+    rng = np.random.default_rng(3)
+    x = model.random_start(rng)
+    p = rng.uniform(-1.0, 1.0, model.dim)
+    rule = _with_default_step(model, StrategyUpdateRule(variant, regularizer=regularizer))
+    f, e, d, social = model.step(x, p, rule)
+    assert f.shape == x.shape and e.shape == (model.dim,)
+    assert d.shape == ((model.n_edges,) if isinstance(model, RoutingNetwork) else x.shape)
+    assert isinstance(social, float)
+    calls = {
+        "check_start": lambda x, p, f: model.check_start(x, p),
+        "step": lambda x, p, f: model.step(x, p, rule),
+        "target": lambda x, p, f: model.target(x, p, rule),
+        "externality": lambda x, p, f: model.externality(x),
+        "social": lambda x, p, f: model.social(x),
+        "strategy_gap": lambda x, p, f: model.strategy_gap(f, x),
+        "project": lambda x, p, f: model.project(x),
+    }
+    for method, call in calls.items():
+        writable = call(x, p, f)
+        read_only = call(_read_only(x), _read_only(p), _read_only(f))
+        if not isinstance(writable, tuple):
+            writable, read_only = (writable,), (read_only,)
+        for a, b in zip(writable, read_only, strict=True):
+            np.testing.assert_array_equal(b, a, strict=True, err_msg=method)
 
 
 @pytest.mark.parametrize("name", ["aggregative", "atomic_no_closed_forms", "nonatomic_braess",
@@ -661,7 +696,7 @@ def test_strategy_target_is_the_models_step():
     x, p = net.uniform_route_flow(), np.linspace(0.0, 0.4, 5)
     rule = StrategyUpdateRule("gradient")
     explicit = dataclasses.replace(rule, eta=net.default_eta(rule.regularizer))
-    got, want = strategy_target(net, x, p, rule), net.step(x, p, explicit, True)
+    got, want = strategy_target(net, x, p, rule), net.step(x, p, explicit)
     for a, b in zip(got[:3], want[:3]):
         np.testing.assert_array_equal(a, b, strict=True)
     assert got[3] == want[3]
@@ -744,12 +779,11 @@ class ScriptedModel:
     def check_start(self, x0, p0):
         return np.asarray(x0, float), np.asarray(p0, float)
 
-    def step(self, x, p, rule, recorded):
+    def step(self, x, p, rule):
         k, self.k = self.k, self.k + 1
         if k == self.fail_at:
             raise StepFailed(f"step {k}")
-        d = np.array([np.nan if k in self.nan_at else 1.0])
-        return x, p, (d if recorded else None), (0.0 if recorded else None)
+        return x, p, np.array([np.nan if k in self.nan_at else 1.0]), 0.0
 
 
 @pytest.mark.parametrize("record_every", [1, 2])

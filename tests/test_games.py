@@ -404,7 +404,7 @@ OWN_COST = {"atomic": "loss gradient", "nonatomic": "action cost"}
 BEST_RESPONSE = StrategyUpdateRule("best_response")
 ORACLE_ENTRIES = {
     "externality": lambda g: g.externality(np.array([0.5, 0.5])),
-    "step": lambda g: g.step(np.array([0.5, 0.5]), np.zeros(2), BEST_RESPONSE, True),
+    "step": lambda g: g.step(np.array([0.5, 0.5]), np.zeros(2), BEST_RESPONSE),
     "run_coupled": lambda g: run_coupled(g, np.array([0.5, 0.5]), np.zeros(2),
                                          RunConfig(rule=BEST_RESPONSE, max_iterations=5)),
 }
@@ -873,7 +873,7 @@ def test_best_response_step_takes_the_gradient_at_x_once():
     games.best_response_atomic(generic, x, p)
     alone = len(calls)
     calls.clear()
-    generic.step(x, p, StrategyUpdateRule("best_response"), True)
+    generic.step(x, p, StrategyUpdateRule("best_response"))
     assert len(calls) == alone
 
 

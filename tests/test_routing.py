@@ -950,16 +950,16 @@ def test_toll_adaptation_default_eta():
     assert all(np.array_equal(a, b) for a, b in zip(runs[0].xs, runs[1].xs))
 
 
-def test_the_jacobian_norm_is_computed_once_per_network(monkeypatch):
+def test_a_run_resolves_the_default_step_once(monkeypatch):
+    # ||J|| is computed on each call, so the loop must not ask for it per iteration
     calls = []
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, calls))
+    monkeypatch.setattr(RoutingNetwork, "cost_jacobian_norm",
+                        counting(RoutingNetwork.cost_jacobian_norm, calls))
     net = grid34()
-    x, p = net.uniform_route_flow(), np.zeros(net.n_edges)
-    targets = [net.target(x, p, StrategyUpdateRule("gradient")) for _ in range(3)]
-    np.testing.assert_array_equal(targets[0], targets[2])
+    config = RunConfig(rule=StrategyUpdateRule("gradient"), max_iterations=30)
+    rec = run_coupled(net, net.uniform_route_flow(), np.zeros(net.n_edges), config)
+    assert rec.iterations == 30
     assert len(calls) == 1
-    assert grid34().cost_jacobian_norm() == net.cost_jacobian_norm()  # a new network computes it
-    assert len(calls) == 2
 
 
 def test_target_checks_the_tolls_once(monkeypatch):
