@@ -25,9 +25,12 @@ def strategy_model(obj):
     return obj.to_game() if isinstance(obj, agg.QuadraticAggregativeSpec) else obj
 
 
+_EQUILIBRIUM_RULE = StrategyUpdateRule()
+
+
 def _x_star(model, p, x0=None) -> np.ndarray:
     """x*(p), the model's equilibrium-rule target; no ``x0`` is the solver's own start."""
-    return model.target(x0, p, StrategyUpdateRule())
+    return model.target(x0, p, _EQUILIBRIUM_RULE)
 
 
 def _p_dagger(model) -> Optional[np.ndarray]:
@@ -234,7 +237,7 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
     p = games.check_incentive(p0, model.dim).copy()
     max_iterations = _positive_int(max_iterations, "max_iterations")
     grad = gradient or (lambda q: equilibrium_cost_gradient(model, q))
-    record, x = TrajectoryRecord(), None
+    record, x = TrajectoryRecord(record_every=10), None
     for k in range(max_iterations):
         g = np.asarray(grad(p), float)
         if k % 10 == 0 or k == max_iterations - 1:

@@ -41,11 +41,12 @@ methods, which check p and which the analyses call, so that the two give
 equal values.
 
 The loop records the iterates it passes to these methods without copying
-them, so no method may write into its arguments. It checks the stop rule a
-block at a time: it evaluates the recorded iterations after which the run
-could stop at the earliest, then computes their residuals from the stacked
-``d``, ``e`` and ``p`` rows in one pass. It never evaluates an iteration that
-a check after every recorded iteration would skip.
+them, so no method may write into its arguments. Its stop rule counts the
+residual of every iteration; ``record_every`` only thins the record. It
+checks the rule a block at a time: it evaluates the iterations up to the
+first recorded one at which the run could stop (ten at most), then computes
+their residuals from the stacked ``d``, ``e`` and ``p`` rows in one pass. It
+never evaluates an iteration past the stop.
 """
 from __future__ import annotations
 
@@ -201,6 +202,7 @@ class TrajectoryRecord:
     social_costs: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    record_every: int = 1
 
     def append(self, k, x, p, residual, social_cost):
         if self.ks and k <= self.ks[-1]:
@@ -231,6 +233,7 @@ class TrajectoryRecord:
             "final_social_cost": self.social_costs[-1],
             "iterations": self.iterations,
             "converged": self.converged,
+            "record_every": self.record_every,
         }
 
     def to_csv(self, path):
@@ -302,7 +305,7 @@ def externality(model, x):
 
 
 def _residuals(ks, ds, es, ps) -> list:
-    """The fixed-point residuals ``max|d| + max|e - p|`` of a block of recorded
+    """The fixed-point residuals ``max|d| + max|e - p|`` of a block of
     iterations ``ks``, in order, from one pass over their stacked rows. The
     first NaN raises ``EvaluationError`` naming its iteration."""
     if not ks:
@@ -320,30 +323,36 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
 
     The residual is the model's strategy gap (in edge flows for routing, where
     route decompositions of one edge flow are interchangeable) plus the sup
-    distance of the incentive from the externality. Stops once the residual
-    stays below ``convergence_tol`` for ten consecutive recorded iterations,
-    or the iteration budget runs out. On budget exhaustion the iterate at
+    distance of the incentive from the externality. It is taken at every
+    iteration, recorded or not. The run stops at the first recorded
+    iteration that ends ten or more consecutive iterations with the residual
+    within ``convergence_tol``, or when the iteration budget runs out. So
+    ``record_every`` only thins the record: its rows are those of the
+    unthinned run at the same ``k``. On budget exhaustion the iterate at
     ``k = max_iterations`` is recorded too, whatever ``record_every``, and
-    ``converged`` is set from its residual. A recorded residual that is NaN
-    raises ``EvaluationError``; an infinite one, from finite iterates whose
-    difference overflows, is recorded, and the oracle checks stop the run
-    once the iterates themselves overflow.
+    ``converged`` is set from its residual. A residual that is NaN, at a
+    recorded iteration or not, raises ``EvaluationError``; an infinite one,
+    from finite iterates whose difference overflows, counts as a miss, and
+    the oracle checks stop the run once the iterates themselves overflow.
 
     The stop rule is checked a block at a time. With ``hits`` consecutive
-    recorded residuals within the tolerance, the run can stop no sooner than
-    ``CONSECUTIVE_HITS - hits`` recorded iterations on, so the loop evaluates
-    that many (or up to ``max_iterations``) and then computes their residuals
-    in one pass. It never evaluates an iteration that a check after every
-    recorded iteration would skip. An exception raised within a block is
-    re-raised after the residuals of the block's earlier recorded iterations
-    are checked, so a NaN residual is still reported first.
+    residuals within the tolerance, the run can stop no sooner than
+    ``max(CONSECUTIVE_HITS - hits, 1)`` iterations on, and only at a recorded
+    one, so the loop evaluates iterations until it has that many and the last
+    is recorded, or until it has ten, or up to ``max_iterations``, and then
+    computes their residuals in one pass. It never evaluates an iteration
+    past the stop, and under ``record_every = 1`` a block is the
+    ``CONSECUTIVE_HITS - hits`` iterations after which the run could stop.
+    An exception raised within a block is re-raised after the residuals of
+    the block's earlier iterations are checked, so a NaN residual is still
+    reported first.
     """
     x, p = game.check_start(x0, p0)
     # Iterates go into the record uncopied: x and p are rebound every step
     # and never written in place. Only the start pair may alias the caller's.
     x, p = np.array(x, dtype=float), np.array(p, dtype=float)
     rule = _with_default_step(game, config.rule)
-    record = TrajectoryRecord()
+    record = TrajectoryRecord(record_every=config.record_every)
     ks, xs, ps = record.ks, record.xs, record.ps
     residuals, social_costs = record.residuals, record.social_costs
     gamma, beta = config.schedule.gamma, config.schedule.beta
@@ -351,29 +360,36 @@ def run_coupled(game, x0, p0, config: RunConfig) -> TrajectoryRecord:
     last = config.max_iterations
     k, hits = -1, 0
     while True:
-        start, ds, es = len(ks), [], []
+        block, ds, es, block_ps = [], [], [], []
+        least = max(CONSECUTIVE_HITS - hits, 1)
         try:
-            while len(ds) + hits < CONSECUTIVE_HITS and k < last:
+            while k < last:
                 if k >= 0:  # the update of the previous iteration
                     gamma_k, beta_k = gamma(k), beta(k)
                     x = (1.0 - gamma_k) * x + gamma_k * f
                     p = (1.0 - beta_k) * p + beta_k * e
                 k += 1
                 f, e, d, social = strategy_target(game, x, p, rule)
-                if k % record_every == 0 or k == last:
+                block.append(k)
+                ds.append(d)
+                es.append(e)
+                block_ps.append(p)
+                recorded = k % record_every == 0 or k == last
+                if recorded:
                     ks.append(k)
                     xs.append(x)
                     ps.append(p)
-                    ds.append(d)
-                    es.append(e)
                     social_costs.append(float(social))
+                if len(block) == CONSECUTIVE_HITS or recorded and len(block) >= least:
+                    break
         except Exception:
-            _residuals(ks[start:], ds, es, ps[start:])
+            _residuals(block, ds, es, block_ps)
             raise
-        for residual in _residuals(ks[start:], ds, es, ps[start:]):
-            residuals.append(residual)
+        for j, residual in zip(block, _residuals(block, ds, es, block_ps)):
             hits = hits + 1 if residual <= tol else 0
-        if hits >= CONSECUTIVE_HITS or k == last:
+            if j % record_every == 0 or j == last:
+                residuals.append(residual)
+        if hits >= CONSECUTIVE_HITS and recorded or k == last:
             record.converged = residuals[-1] <= tol
             record.iterations = k
             return record

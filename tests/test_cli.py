@@ -37,7 +37,7 @@ def test_run_two_link_externality(tmp_path):
     code = cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)])
     assert code == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["converged"]
+    assert summary["converged"] and summary["record_every"] == 10
     np.testing.assert_allclose(summary["final_p"], [0.5, 0.5], atol=1e-3)
     assert (tmp_path / "out" / "trajectory.csv").exists()
     assert (tmp_path / "out" / "plot.py").exists()
@@ -57,6 +57,7 @@ def test_run_gradient_baseline_stalls(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["final_social_cost"] == pytest.approx(1.0, abs=1e-3)
     assert abs(summary["final_p"][0] - summary["final_p"][1]) >= 1.0
+    assert summary["record_every"] == 10  # every 10th iteration and the last
 
 
 def test_gradient_baseline_pigou_uses_finite_differences(tmp_path):

@@ -300,7 +300,9 @@ def test_summary_json_writes_nonfinite_as_null(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
     assert summary == {"final_x": [None, 1.0], "final_p": [None, None],
                        "final_residual": None, "final_social_cost": None,
-                       "iterations": 2, "converged": False}
+                       "iterations": 2, "converged": False, "record_every": 1}
+    rec.record_every = 10
+    assert list(rec.summary())[-1] == "record_every" and rec.summary()["record_every"] == 10
 
 
 def test_strict_json_keeps_finite_values():
@@ -437,21 +439,22 @@ def run_coupled_reference(game, x0, p0, config):
     one evaluation per iteration: each iteration asks the model's single-quantity
     methods (``target``, ``externality``, ``strategy_gap``, ``social``), every
     record goes through TrajectoryRecord.append, which copies x and p, and the
-    steps come from the schedule's gamma and beta methods."""
+    steps come from the schedule's gamma and beta methods. The stop rule counts
+    the residual of every iteration, and the run stops at a recorded one."""
     x, p = game.check_start(x0, p0)
     rule = config.rule
     if rule.variant == "gradient" and rule.eta is None:
         rule = dataclasses.replace(rule, eta=game.default_eta(rule.regularizer))
-    record = TrajectoryRecord()
+    record = TrajectoryRecord(record_every=config.record_every)
     sched = config.schedule
     hits = 0
     for k in range(config.max_iterations):
         f = game.target(x, p, rule)
         e = game.externality(x)
+        residual = float(game.strategy_gap(f, x) + np.abs(e - p).max())
+        hits = hits + 1 if residual <= config.convergence_tol else 0
         if k % config.record_every == 0:
-            residual = float(game.strategy_gap(f, x) + np.abs(e - p).max())
             record.append(k, x, p, residual, game.social(x))
-            hits = hits + 1 if residual <= config.convergence_tol else 0
             if hits >= CONSECUTIVE_HITS:
                 record.converged = True
                 record.iterations = k
@@ -471,7 +474,8 @@ def assert_records_equal(rec, ref):
     assert rec.ks == ref.ks
     assert rec.residuals == ref.residuals
     assert rec.social_costs == ref.social_costs
-    assert (rec.converged, rec.iterations) == (ref.converged, ref.iterations)
+    assert (rec.converged, rec.iterations, rec.record_every) == (
+        ref.converged, ref.iterations, ref.record_every)
     for new, old in ((rec.xs, ref.xs), (rec.ps, ref.ps)):
         assert len(new) == len(old)
         for a, b in zip(new, old):
@@ -763,6 +767,39 @@ def test_the_loop_evaluates_no_iteration_past_the_stop(monkeypatch, name, record
         assert len(calls) == rec.iterations + 1
 
 
+THINNED_RUNS = {
+    "ill_spec": seeded_spec(5, 45, ILL_Q).to_game(),
+    "braess": braess_network(),
+    "grid34": grid34(),
+}
+
+
+@pytest.mark.parametrize("name", THINNED_RUNS)
+@pytest.mark.parametrize("record_every", [7, 10])
+def test_a_thinned_run_is_the_unthinned_run_read_at_fewer_rows(name, record_every):
+    model = THINNED_RUNS[name]
+    x0, p0 = model.uniform_point(), np.zeros(model.dim)
+    for variant in RULES:  # best response on a network runs out of budget
+        config = RunConfig(rule=StrategyUpdateRule(variant), max_iterations=1000,
+                           convergence_tol=1e-4)
+        every = run_coupled(model, x0, p0, config)
+        thinned = run_coupled(model, x0, p0,
+                              dataclasses.replace(config, record_every=record_every))
+        assert thinned.converged == every.converged
+        assert abs(thinned.iterations - every.iterations) < record_every
+        assert thinned.summary()["record_every"] == record_every
+        # every row up to the thinned stop, from a run that no residual stops
+        rows = run_coupled(model, x0, p0, dataclasses.replace(
+            config, max_iterations=thinned.iterations, convergence_tol=5e-324))
+        assert rows.iterations == thinned.iterations
+        for i, k in enumerate(thinned.ks):
+            assert rows.ks[k] == k
+            assert thinned.residuals[i] == rows.residuals[k]
+            assert thinned.social_costs[i] == rows.social_costs[k]
+            np.testing.assert_array_equal(thinned.xs[i], rows.xs[k], strict=True)
+            np.testing.assert_array_equal(thinned.ps[i], rows.ps[k], strict=True)
+
+
 class StepFailed(Exception):
     pass
 
@@ -802,3 +839,10 @@ def test_a_nan_residual_is_reported_before_a_later_failure_of_its_block(record_e
     with pytest.raises(EvaluationError, match="^the fixed-point residual at iteration 100 is nan$"):
         run_coupled(model, np.zeros(1), np.zeros(1), config)
     assert model.k == 101
+
+
+def test_a_nan_residual_at_an_unrecorded_iteration_raises():
+    model = ScriptedModel(nan_at=(5,))
+    with pytest.raises(EvaluationError, match="^the fixed-point residual at iteration 5 is nan$"):
+        run_coupled(model, np.zeros(1), np.zeros(1), RunConfig(max_iterations=100, record_every=2))
+    assert model.k == 10  # the block of iterations 0 to 9
