@@ -231,17 +231,24 @@ def run_gradient_baseline(obj, p0, schedule: StepSchedule = StepSchedule(),
 
     ``gradient`` overrides the finite-difference default (useful where the
     cost is only piecewise smooth and a closed-form generalized gradient is
-    available).
+    available). Every tenth iteration, and the last, records x*(p), each
+    solved from the last one. It is solved again only where p's bytes have
+    changed since: a warm solve from its own output returns that output on
+    a routing network or an atomic game, so a p that stays put, as on a
+    plateau where the gradient vanishes, costs one solve. (A non-atomic
+    game re-projects its start, so there the repeat is the last x*(p)
+    itself, where a new solve could differ in the last bits.)
     """
     model = strategy_model(obj)
     p = games.check_incentive(p0, model.dim).copy()
     max_iterations = _positive_int(max_iterations, "max_iterations")
     grad = gradient or (lambda q: equilibrium_cost_gradient(model, q))
-    record, x = TrajectoryRecord(record_every=10), None
+    record, x, solved_at = TrajectoryRecord(record_every=10), None, None
     for k in range(max_iterations):
         g = np.asarray(grad(p), float)
         if k % 10 == 0 or k == max_iterations - 1:
-            x = _x_star(model, p, x)
+            if p.tobytes() != solved_at:
+                x, solved_at = _x_star(model, p, x), p.tobytes()
             record.append(k, x, p, float(np.max(np.abs(g))), model.social(x))
         p = p - schedule.beta(k) * g
     record.iterations = max_iterations
@@ -303,23 +310,25 @@ def reproduce_counterexample(grid: int = 41, tol: float = 1e-6) -> dict:
     # the row farther from it, beginning at the corners (2, -2) and (-2, 2).
     # The split depends on p2 - p1 alone, so no start crosses from the band
     # |p1 - p2| < 1 onto a plateau, where a rounded exchange could leave a
-    # sliver of flow behind.
+    # sliver of flow behind. The tolls are finite and each start is a solve's
+    # own output (or the uniform flow), so the solves take them unchecked.
     flows = np.empty((grid, grid, 2))
 
-    def solve(i, j, x0):
-        x, flows[i, j] = routing.wardrop_equilibrium(net, values[[i, j]], x0=x0)
+    def solve(i, j, x):  # x*(values[i], values[j]) from x, written into x
+        _, flows[i, j] = routing._wardrop(net, values[[i, j]], x, routing.DEFAULT_GAP_TOL,
+                                          routing.MAX_SWEEPS)
         return x
 
-    end = None
+    end = net.uniform_route_flow()
     for i in reversed(range(grid)):  # j <= i, from the first column
-        x = end = solve(i, 0, end)
+        x = solve(i, 0, end).copy()
         for j in range(1, i + 1):
-            x = solve(i, j, x)
-    end = None
+            solve(i, j, x)
+    end = net.uniform_route_flow()
     for i in range(grid - 1):  # j > i, from the last column
-        x = end = solve(i, grid - 1, end)
+        x = solve(i, grid - 1, end).copy()
         for j in range(grid - 2, i, -1):
-            x = solve(i, j, x)
+            solve(i, j, x)
     costs = np.vecdot(flows, net.latency(flows))  # w @ l(w) per point, as total_latency_cost
     p1, p2 = np.meshgrid(values, values, indexing="ij")
     split = _two_link_split(p1, p2)

@@ -19,7 +19,9 @@ that do are named (``games._OracleGame`` serves the two games and
   game, the difference of the edge flows of ``f`` and ``x`` for a network.
   It evaluates the iterate once: a network takes one edge flow and one
   latency-kernel pass, and a game one loss gradient or one set of action
-  costs where its rule needs them. It takes p as checked, and raises what
+  costs where its rule needs them. It takes p as checked and x as
+  feasible, as the loop's iterates are (convex combinations of feasible
+  strategies, from a start that ``check_start`` passed), and raises what
   ``target`` would, then what ``externality`` would;
 - ``target(x, p, rule)`` (``_OracleGame``, ``RoutingNetwork``): ``f(x, p)``,
   with ``rule.eta`` the gradient step, or ``default_eta``'s where it is None;

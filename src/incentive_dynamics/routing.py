@@ -24,7 +24,19 @@ one broadcast multiply, which costs less than the tile. The flow solver
 gets an edge cost and its derivative from one kernel pass, so it makes one
 pass per shift, per duality gap (at the start, after each sweep and at each
 Newton step) and per objective evaluation, and the coupled loop's
-``RoutingNetwork.step`` makes one pass per iteration.
+``RoutingNetwork.step`` makes one pass per iteration. Under the
+equilibrium rule that pass also gives the first duality gap of the
+iteration's Wardrop solve, so the solve makes one pass fewer.
+
+A flow solve's inputs are checked once, where they enter the package:
+``wardrop_equilibrium`` and ``system_optimum`` check the tolerance, the
+sweep budget, the tolls and the start flow, in that order, and then call
+the solver core (``_wardrop``, ``_solve_flow_program``), which takes them
+as checked. Callers in this package that already hold checked inputs call
+``_wardrop`` directly: ``RoutingNetwork.step`` under the equilibrium rule
+(the coupled loop checked its tolls, and its route flow is a convex
+combination of feasible ones) and the two-link counterexample's toll grid
+in ``analysis`` (finite tolls, each start a solve's own output).
 """
 from __future__ import annotations
 
@@ -40,6 +52,7 @@ from .games import (BlockLayout, NonAtomicGame, _BlockSpace, check_incentive,
                     check_tolerance, simplex_target, sup_distance)
 
 DEFAULT_GAP_TOL = 1e-10
+MAX_SWEEPS = 200000  # a flow solve's default sweep budget
 MAX_PATH_NODES = 12
 # G of the default gradient step G / ||J|| under the quadratic regularizer,
 # chosen by studies/step_study.py (STEP_STUDY.json)
@@ -174,7 +187,7 @@ class RoutingNetwork(_BlockSpace):
         object.__setattr__(self, "_route_rows", rows)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_od_blocks", tuple(
-            (s, rows[s], m) for s, m in zip(layout.slices, layout.masses)))
+            (s, rows[s], float(m)) for s, m in zip(layout.slices, layout.masses)))
 
     def _check_route(self, route, od: OdPair):
         if not route:
@@ -226,9 +239,10 @@ class RoutingNetwork(_BlockSpace):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_routes,):
             raise InvalidArgumentError("route flow has wrong length")
-        if not (x >= -1e-9).all():  # NaN fails too; +inf fails the demand test
+        if not np.logical_and.reduce(x >= -1e-9):  # NaN fails too; +inf fails the demand test
             raise InvalidArgumentError("route flows must be finite and nonnegative")
-        if not (np.abs(self.layout.sums(x) - self.layout.masses) <= self._demand_tol).all():
+        if not np.logical_and.reduce(np.abs(self.layout.sums(x) - self.layout.masses)
+                                     <= self._demand_tol):
             raise InvalidArgumentError("route flow violates an OD demand")
         return x
 
@@ -256,14 +270,20 @@ class RoutingNetwork(_BlockSpace):
 
         ``d = w_f - w``, whose sup norm is the strategy gap, compares ``w``
         with the edge flow ``w_f`` of ``f``: the one the Wardrop solve returns
-        under the equilibrium rule, else ``incidence @ f``.
+        under the equilibrium rule, else ``incidence @ f``. Under the
+        equilibrium rule the solve starts from ``max(x, 0)`` without a check
+        (the coupled loop passes p checked, and an x that is a convex
+        combination of feasible route flows, so feasible too), and where x
+        has no negative entry its first duality gap is taken from the
+        kernel pass at ``w``.
         """
         w = self.incidence @ x
+        latency, slope = _column_horner(self._cost_rows, w)
         if rule.variant == "equilibrium":
-            f, w_f = wardrop_equilibrium(self, p, x0=x)
-            latency, slope = _column_horner(self._cost_rows, w)
+            # the sweeps update the solve's edge flow in place, so it gets a copy of w
+            first = (w.copy(), latency + p, slope) if np.minimum.reduce(x) >= 0.0 else None
+            f, w_f = _wardrop(self, p, np.maximum(x, 0.0), DEFAULT_GAP_TOL, MAX_SWEEPS, first)
         else:
-            latency, slope = _column_horner(self._cost_rows, w)
             f = self._simplex_target(x, latency, p, rule)
             w_f = self.incidence @ f
         return f, w * slope, w_f - w, float(w @ latency)
@@ -393,21 +413,28 @@ def _newton_step(net, x, c_edge, d_edge):
     return np.maximum(x + step * dx, 0.0) if step > 0.0 else None
 
 
-def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
+def _solve_flow_program(net, edge_terms, objective, tol, x, max_iter, first=None):
     """Minimize a convex separable edge objective over the route-flow polytope.
 
     Route-based gradient projection (Bertsekas and Gafni 1982; Jayakrishnan
     et al. 1994), finished by projected Newton steps on the used routes
     (Bertsekas and Gafni 1983). ``edge_terms(w)`` returns the edge costs c,
     the gradient of ``objective`` in edge flows, and their derivatives d,
-    from one pass of the latency kernel. A sweep visits the OD pairs, and
-    within each its routes in order: a route r that carries flow and costs
-    more than the cheapest route b of its OD shifts
-    ``min(x_r, (c_r - c_b) / sum_{a in r △ b} d_a(w))`` onto b, the Newton
-    step of the exchange, or all of x_r where that sum is zero (constant
-    costs only); edge flow, costs and derivatives are updated after every
-    shift. After each sweep the edge flow is recomputed from the route flow
-    and the relative duality gap
+    from one pass of the latency kernel. ``x`` is the start, a feasible
+    route flow with no negative entry, taken as checked; the solve writes
+    into it and returns it. ``first``, if given, is ``(w, c, d)`` at
+    ``w = incidence @ x``, which serves the first duality gap in place of a
+    kernel pass; the sweeps write into that ``w``.
+
+    A sweep visits the OD pairs, and within each its routes in order: a
+    route r that carries flow and costs more than the cheapest route b of
+    its OD shifts ``min(x_r, (c_r - c_b) / sum_{a in r △ b} d_a(w))`` onto
+    b, the Newton step of the exchange, or all of x_r where that sum is
+    zero (constant costs only); edge flow, costs and derivatives are
+    updated after every shift. The per-route tests and the shift run on
+    Python floats, the same IEEE operations as on numpy scalars, without
+    numpy's overflow warnings. After each sweep the edge flow is recomputed
+    from the route flow and the relative duality gap
     ``sum_od (c_od . x_od - m_od min c_od) / max(1, |objective|)`` is tested
     against ``tol``. Where it fails after the second or a later sweep, joint
     Newton steps on the used routes (``_newton_step``) follow while each
@@ -415,45 +442,50 @@ def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
     first step that does not lower the gap is undone. The first sweep runs
     alone because on a warm start it often leaves a gap that one more cheap
     sweep closes. So the solver makes one kernel pass per shift, per gap
-    (the start, each sweep and each Newton step) and per objective
-    evaluation. After ``max_iter`` sweeps ConvergenceError carries the last
-    flow and its gap.
+    (the start, unless ``first`` gives it, each sweep and each Newton step)
+    and per objective evaluation. After ``max_iter`` sweeps
+    ConvergenceError carries the last flow and its gap.
     """
     inc = net.incidence
-    x = net.uniform_route_flow() if x0 is None else np.maximum(net.check_route_flow(x0), 0.0)
     blocks = [(x[s], inc_s, m) for s, inc_s, m in net._od_blocks]  # xs is a view into x
+
+    def gap_at(c_edge):  # the duality gap of x at edge costs c_edge
+        gap = 0.0
+        for xs, inc_s, m in blocks:
+            c = inc_s @ c_edge
+            gap += float(c @ xs) - m * float(np.minimum.reduce(c))
+        return gap
 
     def measure():  # edge flow, edge terms and duality gap
         w = inc @ x
         c_edge, d_edge = edge_terms(w)
-        gap = 0.0
-        for xs, inc_s, m in blocks:
-            c = inc_s @ c_edge
-            gap += float(c @ xs - m * np.minimum.reduce(c))
-        return w, c_edge, d_edge, gap
+        return w, c_edge, d_edge, gap_at(c_edge)
 
     def converged(w, gap):  # max(1, |objective|) >= 1, so a gap within tol passes
         return gap <= tol or gap <= tol * max(1.0, abs(objective(w)))
 
-    w, c_edge, d_edge, gap = measure()
+    w, c_edge, d_edge, gap = measure() if first is None else (*first, gap_at(first[1]))
     done = converged(w, gap)
     for sweep in range(max_iter):
         if done:
             break
         for xs, inc_s, _ in blocks:
             c = inc_s @ c_edge
-            for r in range(len(xs)):
+            flows, costs = xs.tolist(), c.tolist()
+            for r in range(len(flows)):
                 b = int(c.argmin())
-                if xs[r] <= 0.0 or c[r] <= c[b]:
+                x_r, c_r, c_b = flows[r], costs[r], costs[b]
+                if x_r <= 0.0 or c_r <= c_b:
                     continue
                 diff = inc_s[r] - inc_s[b]
                 curv = float((diff * diff) @ d_edge)
-                shift = xs[r] if curv <= 0.0 else min(xs[r], (c[r] - c[b]) / curv)
-                xs[r] -= shift
-                xs[b] += shift
+                shift = x_r if curv <= 0.0 else min(x_r, (c_r - c_b) / curv)
+                xs[r] = flows[r] = x_r - shift
+                xs[b] = flows[b] = flows[b] + shift
                 w -= shift * diff
                 c_edge, d_edge = edge_terms(w)
                 c = inc_s @ c_edge
+                costs = c.tolist()
         w, c_edge, d_edge, gap = measure()
         done = converged(w, gap)
         while sweep > 0 and not done:
@@ -474,16 +506,14 @@ def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
                            best=(x, inc @ x), gap=gap)
 
 
-def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GAP_TOL,
-                        x0=None, max_iter: int = 200000):
-    """Tolled user equilibrium; returns (route_flow, edge_flow).
+def _start(net: RoutingNetwork, x0) -> np.ndarray:
+    """A solve's own copy of its start: ``x0`` checked, or the uniform route flow."""
+    return net.uniform_route_flow() if x0 is None else np.maximum(net.check_route_flow(x0), 0.0)
 
-    The edge flow is the unique Beckmann minimizer; the route flow is one of
-    possibly many consistent decompositions.
-    """
-    check_tolerance(tol)
-    max_iter = _positive_int(max_iter, "max_iter")
-    p = check_incentive(edge_tolls, net.n_edges)
+
+def _wardrop(net: RoutingNetwork, p, x, tol, max_iter, first=None):
+    """``wardrop_equilibrium`` on inputs taken as checked: tolls ``p``, and a
+    start ``x`` and ``first`` as ``_solve_flow_program`` takes them."""
     rows = net._cost_rows
 
     def terms(w):  # (l + p, l')
@@ -492,14 +522,28 @@ def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GA
         return out
 
     obj = lambda w: _beckmann_potential(net, w, p)
-    return _solve_flow_program(net, terms, obj, tol, x0, max_iter)
+    return _solve_flow_program(net, terms, obj, tol, x, max_iter, first)
+
+
+def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GAP_TOL,
+                        x0=None, max_iter: int = MAX_SWEEPS):
+    """Tolled user equilibrium; returns (route_flow, edge_flow).
+
+    The edge flow is the unique Beckmann minimizer; the route flow is one of
+    possibly many consistent decompositions.
+    """
+    check_tolerance(tol)
+    max_iter = _positive_int(max_iter, "max_iter")
+    p = check_incentive(edge_tolls, net.n_edges)
+    return _wardrop(net, p, _start(net, x0), tol, max_iter)
 
 
 def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
-                   x0=None, max_iter: int = 200000):
+                   x0=None, max_iter: int = MAX_SWEEPS):
     """Total-latency-minimizing flow; returns (route_flow, edge_flow)."""
     check_tolerance(tol)
     max_iter = _positive_int(max_iter, "max_iter")
+    x = _start(net, x0)
     rows = net._all_rows
 
     def terms(w):  # (l + w l', 2 l' + w l'')
@@ -507,7 +551,7 @@ def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
         return value + w * slope, 2.0 * slope + w * curve
 
     obj = lambda w: total_latency_cost(net, w)
-    return _solve_flow_program(net, terms, obj, tol, x0, max_iter)
+    return _solve_flow_program(net, terms, obj, tol, x, max_iter)
 
 
 def optimal_edge_tolls(net: RoutingNetwork) -> np.ndarray:

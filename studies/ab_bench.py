@@ -23,8 +23,11 @@ pairs the change wins in the metric's ``better`` direction; equal values are
 ties and count for neither side. A metric is unresolved when the parent's
 runs spread wider than its ``BENCHMARK.json`` bound, q3 - q1 > bound *
 median, unless every change run reads better than every parent run: such a
-metric cannot show a change within the bound either way. Nothing under
-``bench/`` is written.
+metric cannot show a change within the bound either way. A claim of a gain
+in a metric is met when the change wins at least nine tenths of the pairs,
+ties counting for neither side, and the change's median is better than the
+parent's by more than the parent's interquartile distance q3 - q1. Nothing
+under ``bench/`` is written.
 """
 from __future__ import annotations
 
@@ -73,8 +76,9 @@ def quartiles(values) -> dict:
 
 def summarize(runs: list, metrics: list) -> dict:
     """Per batch and metric: both sides' quartiles, the relative change of the
-    medians, the change's wins and the ties, over the batch's pairs, and
-    whether the metric is unresolved (see the module docstring).
+    medians, the change's wins and the ties, over the batch's pairs, whether
+    the metric is unresolved and whether a claim of a gain in it is met (see
+    the module docstring).
 
     ``runs`` are entries as ``run_once`` extends them; ``metrics`` are the
     ``end_to_end`` entries of ``BENCHMARK.json``. A pair is the two runs of
@@ -99,13 +103,16 @@ def summarize(runs: list, metrics: list) -> dict:
             # every change run beats every parent run if the change's worst beats the parent's best
             worst_change, best_parent = ((change["max"], parent["min"]) if sign > 0
                                          else (change["min"], parent["max"]))
-            spread = parent["q3"] - parent["q1"] > metric["bound"] * parent["median"]
+            iqr = parent["q3"] - parent["q1"]
+            spread = iqr > metric["bound"] * parent["median"]
             summary[name] = {
                 "parent": parent, "change": change,
                 "relative_change": (change["median"] / parent["median"] - 1.0
                                     if parent["median"] else None),
                 "change_wins": wins, "ties": ties, "same_per_seed": ties == len(pairs),
                 "unresolved": spread and not sign * (worst_change - best_parent) < 0,
+                "claim_met": (10 * wins >= 9 * len(pairs)
+                              and sign * (parent["median"] - change["median"]) > iqr),
             }
         out[batch] = {"pairs": len(pairs), "summary": summary}
     return out
@@ -121,7 +128,8 @@ def format_summary(workloads: dict) -> str:
                 f"  {name:12s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
                 f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
                 f"{'n/a' if rel is None else f'{rel:+.1%}'}  "
-                f"wins {s['change_wins']}/{data['pairs']}, ties {s['ties']}"
+                f"wins {s['change_wins']}/{data['pairs']}, ties {s['ties']}, "
+                f"claim {'met' if s['claim_met'] else 'not met'}"
                 + ("  unresolved" if s["unresolved"] else ""))
     return "\n".join(lines)
 

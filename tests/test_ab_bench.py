@@ -68,10 +68,11 @@ def test_format_summary_prints_medians_change_and_wins():
     text = ab_bench.format_summary(ab_bench.summarize(_runs([1.0, 3.0], [0.5, 1.5]), METRICS))
     lines = text.splitlines()
     assert lines[0] == "cli_batch/1-4: 2 pairs"
+    # the medians differ by 1, the parent's interquartile distance: no claim
     assert lines[1].split() == ["wall_s", "parent", "2", "[1.5,", "2.5]", "change", "1",
-                                "[0.75,", "1.25]", "-50.0%", "wins", "2/2,", "ties", "0",
-                                "unresolved"]
-    assert lines[2].split()[-1] == "2"  # ok_ratio does not spread
+                                "[0.75,", "1.25]", "-50.0%", "wins", "2/2,", "ties", "0,",
+                                "claim", "not", "met", "unresolved"]
+    assert lines[2].split()[-4:] == ["2,", "claim", "not", "met"]  # ok_ratio does not spread
 
 
 @pytest.mark.parametrize("parent, change, unresolved", [
@@ -95,6 +96,42 @@ def test_a_higher_metric_is_resolved_only_by_higher_runs():
     # IQR 0.15 > 0.1 * median 0.65 in both cases
     assert ok_ratio([0.5, 0.6, 0.7, 0.8], [0.9, 0.9, 0.95, 1.0])["unresolved"] is False
     assert ok_ratio([0.5, 0.6, 0.7, 0.8], [0.4, 0.9, 0.95, 1.0])["unresolved"] is True
+
+
+PARENT_TEN = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # median 14.5, IQR 4.5
+
+
+def _shifted(by, keep=0, last=()):
+    """PARENT_TEN less ``by``, its last ``keep`` runs replaced by ``last``."""
+    return [v - by for v in PARENT_TEN[:len(PARENT_TEN) - keep]] + list(last)
+
+
+@pytest.mark.parametrize("change, met", [
+    (_shifted(5.0), True),  # 10 wins, medians 5 apart
+    (_shifted(5.0, 1, [20.0]), True),  # 9 wins of 10
+    (_shifted(5.0, 1, [19.0]), True),  # 9 wins and a tie
+    (_shifted(5.0, 2, [18.0, 19.0]), False),  # 8 wins and two ties
+    (_shifted(5.0, 2, [20.0, 20.0]), False),  # 8 wins of 10
+    (_shifted(4.75), True),  # medians 4.75 apart, IQR 4.5
+    (_shifted(4.5), False),  # medians apart by the IQR alone
+    (_shifted(3.0), False),  # 10 wins inside the parent's spread
+])
+def test_a_claim_needs_nine_tenths_of_the_pairs_and_medians_apart_by_the_iqr(change, met):
+    wall = ab_bench.summarize(_runs(PARENT_TEN, change), METRICS)["cli_batch/1-4"]["summary"]
+    assert wall["wall_s"]["claim_met"] is met
+
+
+def test_a_claim_in_a_higher_metric_needs_higher_runs():
+    def ok_ratio(parent, change):
+        runs = _runs([1.0] * 4, [1.0] * 4)
+        for run in runs:
+            run["ok_ratio"] = (parent if run["side"] == "parent" else change)[run["seed"] - 1]
+        return ab_bench.summarize(runs, METRICS)["cli_batch/1-4"]["summary"]["ok_ratio"]
+
+    # parent median 0.65, IQR 0.15
+    assert ok_ratio([0.5, 0.6, 0.7, 0.8], [0.9, 0.9, 0.95, 1.0])["claim_met"] is True
+    assert ok_ratio([0.5, 0.6, 0.7, 0.8], [0.75, 0.78, 0.8, 0.9])["claim_met"] is False
+    assert ok_ratio([0.5, 0.6, 0.7, 0.8], [0.4, 0.5, 0.6, 0.7])["claim_met"] is False
 
 
 def test_parse_seeds():

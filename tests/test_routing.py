@@ -327,6 +327,62 @@ def test_nondegeneracy_tolerance_must_be_finite_and_positive(tol):
         routing.nondegeneracy_check(routing.pigou_network(), np.zeros(2), tol=tol)
 
 
+START_ENTRIES = {
+    "wardrop_equilibrium": lambda net, x: wardrop_equilibrium(net, np.zeros(net.n_edges), x0=x),
+    "system_optimum": lambda net, x: system_optimum(net, x0=x),
+    "target_equilibrium": lambda net, x: net.target(x, np.zeros(net.n_edges),
+                                                    StrategyUpdateRule()),
+    "run_toll_adaptation": lambda net, x: run_toll_adaptation(
+        net, x, np.zeros(net.n_edges), RunConfig(max_iterations=3)),
+}
+START_NETWORKS = {"braess": braess_network(), "grid34": grid34()}
+
+
+@st.composite
+def malformed_route_flows(draw, net):
+    """A wrong length (0-d included), a 2-D array, an entry below -1e-9 (its
+    OD demand kept), a NaN or ±inf entry, or an OD demand off by more than
+    1e-7 max(1, d); as an array or as the nested lists a JSON config gives."""
+    n, x = net.n_routes, net.uniform_route_flow()
+    kind = draw(st.sampled_from(["length", "0-d", "2-D", "negative", "non-finite", "demand"]))
+    i = draw(st.integers(0, n - 1))
+    if kind == "length":
+        m = draw(st.integers(0, n + 3).filter(lambda m: m != n))
+        x = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m)), dtype=float)
+    elif kind == "0-d":
+        x = np.array(draw(st.floats(0.0, 2.0)))
+    elif kind == "2-D":
+        x = np.tile(x, draw(st.sampled_from([(1, 1), (2, 1)])))
+        x = x.T if draw(st.booleans()) else x
+    elif kind == "negative":  # moved onto a route of the same OD pair
+        j = next(j for j in range(n) if j != i and net.layout.owner[j] == net.layout.owner[i])
+        below = draw(st.floats(2e-9, 1.0))
+        x[j] += x[i] + below
+        x[i] = -below
+    elif kind == "non-finite":
+        x[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    else:
+        demand = net.layout.masses[net.layout.owner[i]]
+        x[i] += draw(st.sampled_from([1.0, -1.0])) * draw(
+            st.floats(2e-7 * max(1.0, demand), 0.5 * x[i]))
+    return x.tolist() if draw(st.booleans()) else x
+
+
+START_CASES = [(entry, name) for entry in START_ENTRIES for name in START_NETWORKS]
+
+
+@pytest.mark.parametrize("entry, name", START_CASES, ids=[f"{e}-{n}" for e, n in START_CASES])
+@given(data=st.data())
+@settings(derandomize=True, max_examples=25, deadline=None)
+def test_every_flow_solve_entry_rejects_a_malformed_start(entry, name, data):
+    # the checks stay where a start enters the package; in-package callers
+    # that hold checked flows enter the solver core behind them
+    net = START_NETWORKS[name]
+    x = data.draw(malformed_route_flows(net))
+    with pytest.raises(InvalidArgumentError, match="route flow"):
+        START_ENTRIES[entry](net, x)
+
+
 FLOW_SOLVES = {
     "wardrop_equilibrium": lambda net, **kw: wardrop_equilibrium(net, np.zeros(net.n_edges), **kw),
     "system_optimum": system_optimum,
@@ -894,10 +950,13 @@ def test_toll_adaptation_two_link():
 
 
 def test_toll_adaptation_route_flow_stays_feasible():
-    # a schedule under which no rule converges at 1e-12 within the 200 steps
-    net = braess_network()
-    for rule in (StrategyUpdateRule("best_response"), StrategyUpdateRule("gradient"),
-                 StrategyUpdateRule("gradient", regularizer="entropy")):
+    # a schedule under which no rule converges at 1e-12 within the 200 steps;
+    # under the equilibrium rule this is what lets step solve from x unchecked
+    for net, rule in ((braess_network(), StrategyUpdateRule()),
+                      (grid34(), StrategyUpdateRule()),
+                      (braess_network(), StrategyUpdateRule("best_response")),
+                      (braess_network(), StrategyUpdateRule("gradient")),
+                      (braess_network(), StrategyUpdateRule("gradient", regularizer="entropy"))):
         cfg = RunConfig(schedule=StepSchedule(a=0.8, b=1.0, offset=8), max_iterations=200,
                         convergence_tol=1e-12, rule=rule)
         rec = run_toll_adaptation(net, net.uniform_route_flow(),
