@@ -311,24 +311,23 @@ def reproduce_counterexample(grid: int = 41, tol: float = 1e-6) -> dict:
     # The split depends on p2 - p1 alone, so no start crosses from the band
     # |p1 - p2| < 1 onto a plateau, where a rounded exchange could leave a
     # sliver of flow behind. The tolls are finite and each start is a solve's
-    # own output (or the uniform flow), so the solves take them unchecked.
+    # own output (or None, the uniform flow), so the solves take them unchecked.
     flows = np.empty((grid, grid, 2))
 
-    def solve(i, j, x):  # x*(values[i], values[j]) from x, written into x
-        _, flows[i, j] = routing._wardrop(net, values[[i, j]], x, routing.DEFAULT_GAP_TOL,
-                                          routing.MAX_SWEEPS)
+    def solve(i, j, x0):  # x*(values[i], values[j]) from x0, as a new array
+        x, flows[i, j] = routing._wardrop(net, values[[i, j]], x0)
         return x
 
-    end = net.uniform_route_flow()
+    end = None
     for i in reversed(range(grid)):  # j <= i, from the first column
-        x = solve(i, 0, end).copy()
+        end = x = solve(i, 0, end)
         for j in range(1, i + 1):
-            solve(i, j, x)
-    end = net.uniform_route_flow()
+            x = solve(i, j, x)
+    end = None
     for i in range(grid - 1):  # j > i, from the last column
-        x = solve(i, grid - 1, end).copy()
+        end = x = solve(i, grid - 1, end)
         for j in range(grid - 2, i, -1):
-            solve(i, j, x)
+            x = solve(i, j, x)
     costs = np.vecdot(flows, net.latency(flows))  # w @ l(w) per point, as total_latency_cost
     p1, p2 = np.meshgrid(values, values, indexing="ij")
     split = _two_link_split(p1, p2)

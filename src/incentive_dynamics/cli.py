@@ -61,10 +61,6 @@ print("wrote", here / "trajectory.png")
 """
 
 
-class ConfigError(SpecError):
-    pass
-
-
 # what a config or analysis item raises: a package error, or a builtin one from
 # JSON values unpacked into calls
 INVALID_INPUT = (GameError, KeyError, TypeError, ValueError)
@@ -98,23 +94,23 @@ def load_config(path) -> dict:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise SpecError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise SpecError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise SpecError("config must be a JSON object")
     if "game" not in data:
-        raise ConfigError('config is missing the required "game" key')
+        raise SpecError('config is missing the required "game" key')
     for key in data:  # a misspelled key would skip its part of the config
         if key not in ("game", "run", "analyses", "incentive_update", "output_dir"):
-            raise ConfigError(f"unknown config key {key!r}")
+            raise SpecError(f"unknown config key {key!r}")
     analyses = data.get("analyses", [])
     if not isinstance(analyses, list) or not all(isinstance(a, dict) for a in analyses):
-        raise ConfigError('"analyses" must be a list of objects')
+        raise SpecError('"analyses" must be a list of objects')
     if "true" in text or "false" in text:  # else no boolean, and a large spec skips the walk
         _reject_booleans(data)
     return data
@@ -130,23 +126,23 @@ def _reject_booleans(value, key=None) -> None:
     elif isinstance(value, list):
         for item in value:
             if isinstance(item, bool):
-                raise ConfigError(f"{key} must hold numbers, got {item}")
+                raise SpecError(f"{key} must hold numbers, got {item}")
             _reject_booleans(item, key)
 
 
 def build_game(spec: dict):
     """The model of a "game" block: a routing network or an aggregative spec."""
     if not isinstance(spec, dict):
-        raise ConfigError('"game" must be an object')
+        raise SpecError('"game" must be an object')
     if len(spec) > 1:
-        raise ConfigError(f'"game" holds more than one key: {", ".join(map(repr, spec))}')
+        raise SpecError(f'"game" holds more than one key: {", ".join(map(repr, spec))}')
     if "builtin" in spec:
         return routing.load_fixture(spec["builtin"])
     if "aggregative" in spec:
         return agg.from_json(spec["aggregative"])
     if "routing" in spec:
         return routing.network_from_json(spec["routing"])
-    raise ConfigError('"game" needs one of "builtin", "aggregative", "routing"')
+    raise SpecError('"game" needs one of "builtin", "aggregative", "routing"')
 
 
 def _run_setup(model, run_spec) -> tuple:
@@ -158,7 +154,7 @@ def _run_setup(model, run_spec) -> tuple:
     start = {key: run_spec.pop(key) for key in ("x0", "p0") if key in run_spec}
     for key, value in start.items():
         if value is None:
-            raise ConfigError(f"{key} must not be null")
+            raise SpecError(f"{key} must not be null")
     config = RunConfig(schedule=sched, rule=rule, **run_spec)
     game = analysis.strategy_model(model)
     x0, p0 = start.get("x0", game.uniform_point()), start.get("p0", np.zeros(game.dim))
@@ -181,7 +177,7 @@ def run_analysis(model, item: dict) -> dict:
         return analysis.check_condition_C2(model, weight, samples, **item)
     if op in ("global_conditions", "local_conditions"):
         if not isinstance(model, agg.QuadraticAggregativeSpec):
-            raise ConfigError(f"{op} applies to aggregative games")
+            raise SpecError(f"{op} applies to aggregative games")
         return getattr(agg, f"check_{op}")(model)
     if op == "counterexample":
         grid_csv = item.pop("grid_csv", None)
@@ -194,7 +190,7 @@ def run_analysis(model, item: dict) -> dict:
         return report
     if op == "nondegeneracy":
         if not isinstance(model, routing.RoutingNetwork):
-            raise ConfigError("nondegeneracy applies to routing games")
+            raise SpecError("nondegeneracy applies to routing games")
         tolls = np.asarray(item.pop("tolls", np.zeros(model.n_edges)), float)
         return {"verdict": routing.nondegeneracy_check(model, tolls, **item)}
     if op == "uniqueness_probe":
@@ -203,7 +199,7 @@ def run_analysis(model, item: dict) -> dict:
         return out
     if op == "schedule_assumptions":
         return StepSchedule(**item).assumption_report()
-    raise ConfigError(f"unknown analysis op {op!r}")
+    raise SpecError(f"unknown analysis op {op!r}")
 
 
 def _run_analyses(model, analyses, adir=None) -> int:
@@ -251,11 +247,11 @@ def run_experiment(config_path, out_dir=None) -> int:
         run_spec = dict(data.get("run") or {})
         update = data.get("incentive_update", "externality")
         if update not in INCENTIVE_UPDATES:
-            raise ConfigError(f"unknown incentive_update {update!r}")
+            raise SpecError(f"unknown incentive_update {update!r}")
         if update == "gradient_baseline":
             for key in COUPLED_ONLY:
                 if key in run_spec:
-                    raise ConfigError(f"gradient_baseline ignores run key {key!r}")
+                    raise SpecError(f"gradient_baseline ignores run key {key!r}")
         config, game, x0, p0 = _run_setup(model, run_spec)
         out = output_dir(config_path, data, out_dir)
     except INVALID_INPUT as exc:

@@ -24,19 +24,21 @@ one broadcast multiply, which costs less than the tile. The flow solver
 gets an edge cost and its derivative from one kernel pass, so it makes one
 pass per shift, per duality gap (at the start, after each sweep and at each
 Newton step) and per objective evaluation, and the coupled loop's
-``RoutingNetwork.step`` makes one pass per iteration. Under the
-equilibrium rule that pass also gives the first duality gap of the
-iteration's Wardrop solve, so the solve makes one pass fewer.
+``RoutingNetwork.step`` makes one pass per iteration, besides its Wardrop
+solve's under the equilibrium rule.
 
-A flow solve's inputs are checked once, where they enter the package:
+The solver core (``_solve_flow_program``, and ``_wardrop`` on it) keeps one
+contract, as the equilibrium solvers in ``games`` do: it takes a checked,
+feasible start, or None for the uniform route flow, clips that start at
+zero into an array of its own, and returns that array as the new route
+flow; it takes no other input from its caller and writes into none.
 ``wardrop_equilibrium`` and ``system_optimum`` check the tolerance, the
 sweep budget, the tolls and the start flow, in that order, and then call
-the solver core (``_wardrop``, ``_solve_flow_program``), which takes them
-as checked. Callers in this package that already hold checked inputs call
-``_wardrop`` directly: ``RoutingNetwork.step`` under the equilibrium rule
-(the coupled loop checked its tolls, and its route flow is a convex
-combination of feasible ones) and the two-link counterexample's toll grid
-in ``analysis`` (finite tolls, each start a solve's own output).
+the core. ``RoutingNetwork.step`` under the equilibrium rule and the
+two-link counterexample's toll grid in ``analysis`` call ``_wardrop``
+directly: the coupled loop checked its tolls and its route flow is a convex
+combination of feasible ones, and the grid's tolls are finite and each of
+its starts is a solve's own output.
 """
 from __future__ import annotations
 
@@ -268,21 +270,17 @@ class RoutingNetwork(_BlockSpace):
         """``(f, e, d, social)`` at (x, p) from one edge flow
         ``w = incidence @ x`` and one kernel pass for (l, l') at ``w``.
 
+        Takes x and p as the coupled loop holds them (checked) and returns a
+        new target ``f``: under the equilibrium rule the Wardrop solve's route
+        flow from x (``_wardrop``), else the simplex target from the pass.
         ``d = w_f - w``, whose sup norm is the strategy gap, compares ``w``
         with the edge flow ``w_f`` of ``f``: the one the Wardrop solve returns
-        under the equilibrium rule, else ``incidence @ f``. Under the
-        equilibrium rule the solve starts from ``max(x, 0)`` without a check
-        (the coupled loop passes p checked, and an x that is a convex
-        combination of feasible route flows, so feasible too), and where x
-        has no negative entry its first duality gap is taken from the
-        kernel pass at ``w``.
+        under the equilibrium rule, else ``incidence @ f``.
         """
         w = self.incidence @ x
         latency, slope = _column_horner(self._cost_rows, w)
         if rule.variant == "equilibrium":
-            # the sweeps update the solve's edge flow in place, so it gets a copy of w
-            first = (w.copy(), latency + p, slope) if np.minimum.reduce(x) >= 0.0 else None
-            f, w_f = _wardrop(self, p, np.maximum(x, 0.0), DEFAULT_GAP_TOL, MAX_SWEEPS, first)
+            f, w_f = _wardrop(self, p, x)
         else:
             f = self._simplex_target(x, latency, p, rule)
             w_f = self.incidence @ f
@@ -413,18 +411,18 @@ def _newton_step(net, x, c_edge, d_edge):
     return np.maximum(x + step * dx, 0.0) if step > 0.0 else None
 
 
-def _solve_flow_program(net, edge_terms, objective, tol, x, max_iter, first=None):
+def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
     """Minimize a convex separable edge objective over the route-flow polytope.
 
     Route-based gradient projection (Bertsekas and Gafni 1982; Jayakrishnan
     et al. 1994), finished by projected Newton steps on the used routes
     (Bertsekas and Gafni 1983). ``edge_terms(w)`` returns the edge costs c,
     the gradient of ``objective`` in edge flows, and their derivatives d,
-    from one pass of the latency kernel. ``x`` is the start, a feasible
-    route flow with no negative entry, taken as checked; the solve writes
-    into it and returns it. ``first``, if given, is ``(w, c, d)`` at
-    ``w = incidence @ x``, which serves the first duality gap in place of a
-    kernel pass; the sweeps write into that ``w``.
+    from one pass of the latency kernel. ``x0`` is the start, a feasible
+    route flow taken as checked, or None for the uniform route flow. The
+    solve clips it at zero into an array of its own, and returns that array
+    as the new route flow ``x`` with its edge flow ``w``; it writes into no
+    input.
 
     A sweep visits the OD pairs, and within each its routes in order: a
     route r that carries flow and costs more than the cheapest route b of
@@ -442,29 +440,27 @@ def _solve_flow_program(net, edge_terms, objective, tol, x, max_iter, first=None
     first step that does not lower the gap is undone. The first sweep runs
     alone because on a warm start it often leaves a gap that one more cheap
     sweep closes. So the solver makes one kernel pass per shift, per gap
-    (the start, unless ``first`` gives it, each sweep and each Newton step)
-    and per objective evaluation. After ``max_iter`` sweeps
-    ConvergenceError carries the last flow and its gap.
+    (the start, each sweep and each Newton step) and per objective
+    evaluation. After ``max_iter`` sweeps ConvergenceError carries the last
+    flow and its gap.
     """
     inc = net.incidence
+    x = net.uniform_route_flow() if x0 is None else np.maximum(x0, 0.0)
     blocks = [(x[s], inc_s, m) for s, inc_s, m in net._od_blocks]  # xs is a view into x
-
-    def gap_at(c_edge):  # the duality gap of x at edge costs c_edge
-        gap = 0.0
-        for xs, inc_s, m in blocks:
-            c = inc_s @ c_edge
-            gap += float(c @ xs) - m * float(np.minimum.reduce(c))
-        return gap
 
     def measure():  # edge flow, edge terms and duality gap
         w = inc @ x
         c_edge, d_edge = edge_terms(w)
-        return w, c_edge, d_edge, gap_at(c_edge)
+        gap = 0.0
+        for xs, inc_s, m in blocks:
+            c = inc_s @ c_edge
+            gap += float(c @ xs) - m * float(np.minimum.reduce(c))
+        return w, c_edge, d_edge, gap
 
     def converged(w, gap):  # max(1, |objective|) >= 1, so a gap within tol passes
         return gap <= tol or gap <= tol * max(1.0, abs(objective(w)))
 
-    w, c_edge, d_edge, gap = measure() if first is None else (*first, gap_at(first[1]))
+    w, c_edge, d_edge, gap = measure()
     done = converged(w, gap)
     for sweep in range(max_iter):
         if done:
@@ -506,14 +502,10 @@ def _solve_flow_program(net, edge_terms, objective, tol, x, max_iter, first=None
                            best=(x, inc @ x), gap=gap)
 
 
-def _start(net: RoutingNetwork, x0) -> np.ndarray:
-    """A solve's own copy of its start: ``x0`` checked, or the uniform route flow."""
-    return net.uniform_route_flow() if x0 is None else np.maximum(net.check_route_flow(x0), 0.0)
-
-
-def _wardrop(net: RoutingNetwork, p, x, tol, max_iter, first=None):
-    """``wardrop_equilibrium`` on inputs taken as checked: tolls ``p``, and a
-    start ``x`` and ``first`` as ``_solve_flow_program`` takes them."""
+def _wardrop(net: RoutingNetwork, p, x0, tol=DEFAULT_GAP_TOL, max_iter=MAX_SWEEPS):
+    """``wardrop_equilibrium`` on inputs taken as checked: tolls ``p`` and a
+    start ``x0`` (or None) as ``_solve_flow_program`` takes it. Returns a new
+    ``(route_flow, edge_flow)``."""
     rows = net._cost_rows
 
     def terms(w):  # (l + p, l')
@@ -522,7 +514,7 @@ def _wardrop(net: RoutingNetwork, p, x, tol, max_iter, first=None):
         return out
 
     obj = lambda w: _beckmann_potential(net, w, p)
-    return _solve_flow_program(net, terms, obj, tol, x, max_iter, first)
+    return _solve_flow_program(net, terms, obj, tol, x0, max_iter)
 
 
 def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GAP_TOL,
@@ -535,7 +527,8 @@ def wardrop_equilibrium(net: RoutingNetwork, edge_tolls, tol: float = DEFAULT_GA
     check_tolerance(tol)
     max_iter = _positive_int(max_iter, "max_iter")
     p = check_incentive(edge_tolls, net.n_edges)
-    return _wardrop(net, p, _start(net, x0), tol, max_iter)
+    x0 = None if x0 is None else net.check_route_flow(x0)
+    return _wardrop(net, p, x0, tol, max_iter)
 
 
 def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
@@ -543,7 +536,7 @@ def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
     """Total-latency-minimizing flow; returns (route_flow, edge_flow)."""
     check_tolerance(tol)
     max_iter = _positive_int(max_iter, "max_iter")
-    x = _start(net, x0)
+    x0 = None if x0 is None else net.check_route_flow(x0)
     rows = net._all_rows
 
     def terms(w):  # (l + w l', 2 l' + w l'')
@@ -551,7 +544,7 @@ def system_optimum(net: RoutingNetwork, tol: float = DEFAULT_GAP_TOL,
         return value + w * slope, 2.0 * slope + w * curve
 
     obj = lambda w: total_latency_cost(net, w)
-    return _solve_flow_program(net, terms, obj, tol, x, max_iter)
+    return _solve_flow_program(net, terms, obj, tol, x0, max_iter)
 
 
 def optimal_edge_tolls(net: RoutingNetwork) -> np.ndarray:

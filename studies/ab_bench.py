@@ -26,8 +26,11 @@ median, unless every change run reads better than every parent run: such a
 metric cannot show a change within the bound either way. A claim of a gain
 in a metric is met when the change wins at least nine tenths of the pairs,
 ties counting for neither side, and the change's median is better than the
-parent's by more than the parent's interquartile distance q3 - q1. Nothing
-under ``bench/`` is written.
+parent's by more than the parent's interquartile distance q3 - q1. A metric
+has regressed when the change's median is worse than the parent's, in the
+metric's ``better`` direction, by more than bound * |parent median|: the
+no-regression rule that a change must keep whether or not it claims a gain.
+Nothing under ``bench/`` is written.
 """
 from __future__ import annotations
 
@@ -77,8 +80,8 @@ def quartiles(values) -> dict:
 def summarize(runs: list, metrics: list) -> dict:
     """Per batch and metric: both sides' quartiles, the relative change of the
     medians, the change's wins and the ties, over the batch's pairs, whether
-    the metric is unresolved and whether a claim of a gain in it is met (see
-    the module docstring).
+    the metric is unresolved, whether a claim of a gain in it is met and
+    whether it has regressed (see the module docstring).
 
     ``runs`` are entries as ``run_once`` extends them; ``metrics`` are the
     ``end_to_end`` entries of ``BENCHMARK.json``. A pair is the two runs of
@@ -113,6 +116,8 @@ def summarize(runs: list, metrics: list) -> dict:
                 "unresolved": spread and not sign * (worst_change - best_parent) < 0,
                 "claim_met": (10 * wins >= 9 * len(pairs)
                               and sign * (parent["median"] - change["median"]) > iqr),
+                "regressed": (sign * (change["median"] - parent["median"])
+                              > metric["bound"] * abs(parent["median"])),
             }
         out[batch] = {"pairs": len(pairs), "summary": summary}
     return out
@@ -130,7 +135,8 @@ def format_summary(workloads: dict) -> str:
                 f"{'n/a' if rel is None else f'{rel:+.1%}'}  "
                 f"wins {s['change_wins']}/{data['pairs']}, ties {s['ties']}, "
                 f"claim {'met' if s['claim_met'] else 'not met'}"
-                + ("  unresolved" if s["unresolved"] else ""))
+                + ("  unresolved" if s["unresolved"] else "")
+                + ("  REGRESSED" if s["regressed"] else ""))
     return "\n".join(lines)
 
 

@@ -134,6 +134,35 @@ def test_a_claim_in_a_higher_metric_needs_higher_runs():
     assert ok_ratio([0.5, 0.6, 0.7, 0.8], [0.4, 0.5, 0.6, 0.7])["claim_met"] is False
 
 
+@pytest.mark.parametrize("change, regressed", [
+    ([4.75] * 4, False),  # worse by 0.75, inside 0.25 * median 4
+    ([5.25] * 4, True),  # worse by 1.25, past it
+    ([3.0] * 4, False),  # better
+])
+def test_a_lower_metric_regresses_when_its_median_rises_past_its_bound(change, regressed):
+    wall = ab_bench.summarize(_runs([4.0] * 4, change), METRICS)["cli_batch/1-4"]["summary"]
+    assert wall["wall_s"]["regressed"] is regressed
+
+
+@pytest.mark.parametrize("change, regressed", [
+    ([0.95] * 4, False),  # worse by 0.05, inside 0.1 * median 1
+    ([0.85] * 4, True),  # worse by 0.15, past it
+])
+def test_a_higher_metric_regresses_when_its_median_falls_past_its_bound(change, regressed):
+    runs = _runs([1.0] * 4, [1.0] * 4)
+    for run in runs:
+        run["ok_ratio"] = 1.0 if run["side"] == "parent" else change[run["seed"] - 1]
+    ok = ab_bench.summarize(runs, METRICS)["cli_batch/1-4"]["summary"]["ok_ratio"]
+    assert ok["regressed"] is regressed
+
+
+def test_format_summary_flags_a_regressed_metric_at_the_end_of_its_line():
+    text = ab_bench.format_summary(ab_bench.summarize(_runs([4.0, 4.0], [5.25, 5.25]), METRICS))
+    wall, ok = text.splitlines()[1:]
+    assert wall.split()[-4:] == ["claim", "not", "met", "REGRESSED"]
+    assert "REGRESSED" not in ok
+
+
 def test_parse_seeds():
     assert ab_bench.parse_seeds("1000-1003") == [1000, 1001, 1002, 1003]
     assert ab_bench.parse_seeds("5,1,9") == [5, 1, 9]

@@ -670,9 +670,8 @@ def test_two_link_helpers_are_the_closed_forms_over_a_grid():
 def test_counterexample_work_is_bounded(monkeypatch):
     """Grid 21 with its warm starts: at most 1 136 kernel passes and 259
     objective evaluations over 557 solves, where cold grid and baseline
-    solves took 1 730 and 558. (971 and 259 today: the loop's solves take
-    their first gap from its kernel pass, and the stuck baseline solves its
-    x*(p) once, not 51 times.)"""
+    solves took 1 730 and 558. (1 086 and 259 today: the stuck baseline
+    solves its x*(p) once, not 51 times.)"""
     counts = {"solves": 0, "edge_terms": 0, "objective": 0}
     program = routing._solve_flow_program
 

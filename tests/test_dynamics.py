@@ -727,9 +727,9 @@ def test_a_routing_iteration_makes_one_kernel_pass(monkeypatch):
     assert len(calls) == 51
 
 
-def test_an_equilibrium_iteration_shares_its_kernel_pass_with_its_solve(monkeypatch):
-    # each iteration's pass at w = incidence @ x serves its solve's first gap
-    # test too: 1 131 passes over the 31 evaluations, where 1 162 took one more each
+def test_an_equilibrium_iteration_makes_its_own_pass_besides_its_solve(monkeypatch):
+    # each iteration's pass at w = incidence @ x, and its Wardrop solve's own
+    # passes, the first gap test included: 1 162 over the 31 evaluations
     net = grid34()
     config = RunConfig(max_iterations=30)
     x0, p0 = net.uniform_route_flow(), np.zeros(net.n_edges)
@@ -738,7 +738,7 @@ def test_an_equilibrium_iteration_shares_its_kernel_pass_with_its_solve(monkeypa
     rec = run_coupled(net, x0, p0, config)
     monkeypatch.undo()
     assert rec.iterations == 30 and not rec.converged
-    assert len(calls) == 1131
+    assert len(calls) == 1162
     assert_records_equal(rec, run_coupled_reference(net, x0, p0, config))
 
 

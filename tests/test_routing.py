@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import CORPUS, former_route_step, grid34, grid45, grid67, grid_network
-from test_games import FORMER_SCHEDULE, counting
-from incentive_dynamics import numdiff, routing
+from test_games import FORMER_SCHEDULE, counting, seeded_spec, without_closed_forms
+from incentive_dynamics import games, numdiff, routing
 from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import RunConfig, StepSchedule, StrategyUpdateRule, run_coupled
 from incentive_dynamics.errors import (ConvergenceError, InconsistencyError,
@@ -407,6 +407,53 @@ def test_flow_solves_take_a_whole_float_budget(solve):
     net = braess_network()
     for a, b in zip(solve(net, max_iter=1e3), solve(net)):
         np.testing.assert_array_equal(a, b, strict=True)
+
+
+SPEC_GAME = without_closed_forms(seeded_spec(np.random.default_rng(8), 4).to_game())
+CONTRACT_MODELS = {
+    "braess": braess_network(),
+    "two_link": two_link_network(),
+    "grid34": grid34(),
+    "atomic": SPEC_GAME,
+    "atomic_boxed": dataclasses.replace(SPEC_GAME, lower=np.full(4, -0.3),
+                                        upper=np.full(4, 0.4)),
+    "nonatomic_braess": nonatomic_view(braess_network()),
+}
+NETS, ATOMIC = ("braess", "two_link", "grid34"), ("atomic", "atomic_boxed")
+# every inner solve as solve(model, p, x0), x0 None for its cold start, and the
+# models it runs on; the best response starts cold from the uniform point
+INNER_SOLVES = {
+    "_wardrop": (NETS, routing._wardrop),
+    "wardrop_equilibrium": (NETS, lambda net, p, x0: wardrop_equilibrium(net, p, x0=x0)),
+    "system_optimum": (NETS, lambda net, p, x0: system_optimum(net, x0=x0)),
+    "solve_equilibrium_atomic": (ATOMIC, lambda game, p, x0:
+                                 games.solve_equilibrium_atomic(game, p, x0=x0)),
+    "solve_equilibrium_nonatomic": (("nonatomic_braess",), lambda game, p, x0:
+                                    games.solve_equilibrium_nonatomic(game, p, x0=x0)),
+    "best_response_atomic": (ATOMIC, lambda game, p, x0: games.best_response_atomic(
+        game, game.uniform_point() if x0 is None else x0, p)),
+}
+INNER_SOLVE_CASES = [(solve, model, start) for solve, (models, _) in INNER_SOLVES.items()
+                     for model in models for start in ("cold", "uniform", "random")]
+
+
+@pytest.mark.parametrize("solve, model, start", INNER_SOLVE_CASES,
+                         ids=["-".join(case) for case in INNER_SOLVE_CASES])
+def test_every_inner_solve_returns_a_new_flow_and_writes_into_no_input(solve, model, start):
+    # one contract: a checked start (or None), clipped into the solve's own
+    # array, which it returns; read-only inputs make any write raise. The
+    # two-link solve at zero tolls once returned its uniform start itself,
+    # and the Braess one wrote into it
+    game = CONTRACT_MODELS[model]
+    p = np.zeros(game.dim)
+    x0 = {"cold": None, "uniform": game.uniform_point(),
+          "random": game.random_start(np.random.default_rng(2))}[start]
+    inputs = [a for a in (p, x0) if a is not None]
+    for a in inputs:
+        a.setflags(write=False)
+    out = INNER_SOLVES[solve][1](game, p, x0)
+    for got in out if isinstance(out, tuple) else (out,):
+        assert not any(np.shares_memory(got, a) for a in inputs)
 
 
 @pytest.mark.parametrize("w", [[1.0], 1.0, np.zeros(6), np.zeros((5, 1))])
