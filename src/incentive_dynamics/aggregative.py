@@ -4,21 +4,30 @@ Player i pays ``0.5 q_i x_i^2 + alpha x_i (A x)_i`` plus the incentive term;
 the operator's cost is separable, ``sum_i h_i(x_i)``, with the classic
 squared-distance-to-target form as the default. Everything here has closed
 forms through ``M = Q + alpha A``.
+
+A spec's game evaluates a coupled-loop iteration in one pass: one product
+``alpha (A @ x)`` gives the loss gradient ``q x + alpha A x`` and, under the
+best-response rule, the closed form ``-(alpha A x + p) / q``, and one
+``x - zeta`` gives both the social gradient and the social cost.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dynamics import _check_number, _check_positive
 from .errors import ConvergenceError, SpecError
-from .games import AtomicGame, check_incentive, nondecreasing_root
+from .games import AtomicGame, _checked_gap, check_incentive, nondecreasing_root
 
 CONDITION_LIMIT = 1e12
 SYMMETRY_TOL = 1e-12
+# where a term without its own ``probe`` must have a strictly increasing,
+# sign-changing gradient
+GRADIENT_PROBE = np.linspace(-10.0, 10.0, 41)
+GRADIENT_PROBE.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +71,8 @@ class TableTerm:
 
     ``points`` are strictly increasing abscissae, ``grads`` the strictly
     increasing gradient samples. Values come from trapezoidal integration.
+    The gradient is flat past the end samples, so a spec probes it on
+    ``probe``, the sample points.
     """
 
     def __init__(self, points: Sequence[float], grads: Sequence[float]):
@@ -73,6 +84,7 @@ class TableTerm:
         _require_finite(self.grads, "table term gradients")
         if np.any(np.diff(self.points) <= 0) or np.any(np.diff(self.grads) <= 0):
             raise SpecError("table term needs strictly increasing points and gradients")
+        self.probe = self.points
 
     def grad(self, y):
         return np.interp(y, self.points, self.grads)
@@ -138,15 +150,23 @@ class QuadraticAggregativeSpec:
                 raise SpecError("need one operator-cost term per player")
         # Quadratic and quartic terms are evaluated as arrays and minimised at
         # their zeta; any other term (a table, a user object) is called per
-        # player on its own index and minimised at its increasing gradient's root.
+        # player on its own index and minimised at its increasing gradient's
+        # root. Its gradient must increase strictly on the term's ``probe``
+        # points (GRADIENT_PROBE if it gives none) and change sign strictly
+        # inside them, so that the root there is its one minimiser.
         power = (QuadraticTerm, QuarticTerm)
         zeta = np.array([t.zeta if type(t) in power else 0.0 for t in terms])
         k = np.array([t._k if type(t) in power else 2.0 for t in terms])
         other = tuple((i, t) for i, t in enumerate(terms) if type(t) not in power)
         y_dagger = zeta.copy()
         for i, t in other:
-            if np.any(np.diff(t.grad(np.linspace(-10.0, 10.0, 41))) <= 0):
+            probe = getattr(t, "probe", GRADIENT_PROBE)
+            g = t.grad(probe)
+            if np.any(np.diff(g) <= 0):
                 raise SpecError("operator-cost gradients must be strictly increasing")
+            if not g[0] < 0.0 < g[-1]:
+                raise SpecError(f"operator-cost term {i} has no unique minimiser: its gradient "
+                                f"must change sign strictly inside [{probe[0]:g}, {probe[-1]:g}]")
             y_dagger[i] = _grad_root(t, i)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "A", A)
@@ -186,15 +206,22 @@ class QuadraticAggregativeSpec:
 
     def social(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        values = np.float_power(x - self._zeta, self._pow) / self._pow
-        for i, t in self._other:
-            values[i] = t.value(x[i])
-        # cumsum adds left to right, as the builtin sum did
-        return float(values.cumsum()[-1])
+        return self._social_at(x, x - self._zeta)
 
     def social_grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        grad = x - self._zeta
+        return self._grad_at(x, x - self._zeta)
+
+    def _social_at(self, x, diff) -> float:
+        """``social(x)`` from ``diff = x - zeta``."""
+        values = np.float_power(diff, self._pow) / self._pow
+        for i, t in self._other:
+            values[i] = t.value(x[i])
+        # adds left to right, as the builtin sum did
+        return float(np.add.accumulate(values)[-1])
+
+    def _grad_at(self, x, grad) -> np.ndarray:
+        """``social_grad(x)`` from ``grad = x - zeta``, which it writes into."""
         if self._quartic.size:
             grad[self._quartic] = np.float_power(grad[self._quartic], 3.0)
         for i, t in self._other:
@@ -205,21 +232,72 @@ class QuadraticAggregativeSpec:
         x = np.asarray(x, dtype=float)
         return self.q * x + self.alpha * (self.A @ x)
 
+    def _equilibrium(self, p) -> np.ndarray:
+        return nash_closed_form(self, p)
+
+    def _best_response(self, x, p) -> np.ndarray:
+        return -(self.alpha * (self.A @ np.asarray(x, float)) + np.asarray(p, float)) / self.q
+
     def to_game(self) -> AtomicGame:
         n = self.n
         inf = np.inf
-        return AtomicGame(
+        return _SpecGame(
             lower=np.full(n, -inf),
             upper=np.full(n, inf),
             loss_grad=self.loss_grad,
             social=self.social,
             social_grad=self.social_grad,
-            equilibrium=lambda p: nash_closed_form(self, p),
-            best_response=lambda x, p: -(self.alpha * (self.A @ np.asarray(x, float))
-                                         + np.asarray(p, float)) / self.q,
+            equilibrium=self._equilibrium,
+            best_response=self._best_response,
             lipschitz_bound=self._lipschitz,
             optimum=self.y_dagger(),
+            spec=self,
         )
+
+
+@dataclass(frozen=True)
+class _SpecGame(AtomicGame):
+    """A spec's atomic game, whose ``step`` evaluates an iteration in one pass.
+
+    Under the best-response rule the loss gradient ``q x + alpha A x`` and
+    the closed form ``-(alpha A x + p) / q`` share one product
+    ``alpha (A @ x)``, where ``AtomicGame.step`` multiplies by A for each;
+    under every rule one ``x - zeta`` serves both the social gradient and the
+    social cost. The numpy operations are those of ``AtomicGame.step``, in
+    its order, so the values and what is raised are its own. A game that is
+    no longer the spec's closed-form game (an oracle or closed form replaced,
+    as ``dataclasses.replace`` does, or a finite box), and the entropy
+    regularizer, take ``AtomicGame.step``.
+    """
+
+    spec: QuadraticAggregativeSpec = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        s = self.spec
+        oracles = (self.loss_grad, self.social, self.social_grad, self.equilibrium,
+                   self.best_response)
+        object.__setattr__(self, "_fused", self._unbounded and oracles == (
+            s.loss_grad, s.social, s.social_grad, s._equilibrium, s._best_response))
+
+    def step(self, x, p, rule) -> tuple:
+        if not self._fused or rule.regularizer == "entropy":
+            return AtomicGame.step(self, x, p, rule)
+        s = self.spec
+        if rule.variant == "best_response":
+            alpha_ax = s.alpha * (s.A @ x)
+            f = -(alpha_ax + p) / s.q
+            g = s.q * x + alpha_ax
+        elif rule.variant == "equilibrium":
+            f = nash_closed_form(s, p)
+            g = self.loss_grad(x)
+        else:
+            g = self.loss_grad(x)
+            f = x - rule.eta * (g + p)
+        diff = x - s._zeta
+        # the social gradient writes into its argument where a term is not quadratic
+        grad = s._grad_at(x, diff.copy()) if s._quartic.size or s._other else diff
+        return f, _checked_gap(grad, g, "loss gradient"), f - x, s._social_at(x, diff)
 
 
 def from_json(data: dict) -> QuadraticAggregativeSpec:

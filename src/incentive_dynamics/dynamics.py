@@ -13,16 +13,18 @@ that do are named (``games._OracleGame`` serves the two games and
 ``games._BlockSpace`` the non-atomic game and the network):
 
 - ``check_start(x0, p0)``: the validated start ``(x, p)``;
-- ``step(x, p, rule)`` (``_OracleGame``, ``RoutingNetwork``): the loop's
-  one evaluation per iteration, ``(f, e, d, social)`` at the iterate.
-  ``d`` is the vector whose sup norm is the strategy gap: ``f - x`` for a
-  game, the difference of the edge flows of ``f`` and ``x`` for a network.
-  It evaluates the iterate once: a network takes one edge flow and one
-  latency-kernel pass, and a game one loss gradient or one set of action
-  costs where its rule needs them. It takes p as checked and x as
-  feasible, as the loop's iterates are (convex combinations of feasible
-  strategies, from a start that ``check_start`` passed), and raises what
-  ``target`` would, then what ``externality`` would;
+- ``step(x, p, rule)`` (``_OracleGame``, ``aggregative._SpecGame``,
+  ``RoutingNetwork``): the loop's one evaluation per iteration,
+  ``(f, e, d, social)`` at the iterate. ``d`` is the vector whose sup norm
+  is the strategy gap: ``f - x`` for a game, the difference of the edge
+  flows of ``f`` and ``x`` for a network. It evaluates the iterate once: a
+  network takes one edge flow and one latency-kernel pass, an aggregative
+  spec's game one product with A for both its loss gradient and its
+  closed-form best response, and any other game one loss gradient or one
+  set of action costs where its rule needs them. It takes p as checked and
+  x as feasible, as the loop's iterates are (convex combinations of
+  feasible strategies, from a start that ``check_start`` passed), and
+  raises what ``target`` would, then what ``externality`` would;
 - ``target(x, p, rule)`` (``_OracleGame``, ``RoutingNetwork``): ``f(x, p)``,
   with ``rule.eta`` the gradient step, or ``default_eta``'s where it is None;
 - ``externality(x)`` (``_OracleGame``, ``RoutingNetwork``) and ``social(x)``

@@ -5,17 +5,20 @@ Each checkout is a directory that holds ``src/``, ``bench/`` and
 working tree of the change. Run from the repository root::
 
     python3 studies/ab_bench.py --parent ../parent --change . \\
-        --workload cli_batch --seeds 1000-1009 --out ab.json
+        --workload agg_coupled,route_grid,cli_batch --seeds 1000-1009 --out ab.json
 
 Before the first pair, ``src/`` of both checkouts is compiled with
 ``python -m compileall -q``: a checkout without bytecode pays for compiling
 it inside its ``setup_s``, which made one comparison read +21.9% from that
-alone. Pair i runs seed i on both sides, one process at a time, with the
-parent first on even pairs and the change first on odd ones. Each run is
-kept as one entry of a ``BENCH_*.json`` ``runs`` list: batch, workload,
-seed, side, ran_first, exit, failed and the end-to-end metrics of
-``BENCHMARK.json``. ``--out`` is rewritten after every pair, so an
-interrupted batch keeps the pairs it finished.
+alone. ``--workload`` names one workload or several, separated by commas;
+each is one batch, ``workload/first-last seed``, run to its end before the
+next one starts. Within a batch, pair i runs seed i on both sides, one
+process at a time, with the parent first on even pairs and the change first
+on odd ones. Each run is kept as one entry of a ``BENCH_*.json`` ``runs``
+list: batch, workload, seed, side, ran_first, exit, failed and the
+end-to-end metrics of ``BENCHMARK.json``. ``--out`` holds every batch of
+the call and is rewritten after every pair, so an interrupted call keeps the
+pairs it finished.
 
 The summary gives, per workload and metric, each side's median and
 quartiles, the relative change of the medians (change / parent - 1), and the
@@ -152,27 +155,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=lambda text: text.split(","), required=True,
+                        help="one workload, or several separated by commas")
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    batch = f"{args.workload}/{args.seeds[0]}-{args.seeds[-1]}"
     for checkout in checkouts.values():
         compile_sources(checkout)
     runs = []
-    for i, seed in enumerate(args.seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for side in order:
-            entry = {"batch": batch, "workload": args.workload, "seed": seed, "side": side,
-                     "ran_first": side == order[0]}
-            entry.update(run_once(checkouts[side], args.workload, seed, args.seconds))
-            runs.append(entry)
-            print(json.dumps(entry), flush=True)
-        args.out.write_text(json.dumps({"runs": runs, "workloads": summarize(runs, metrics)},
-                                       indent=1))
+    for workload in args.workload:
+        batch = f"{workload}/{args.seeds[0]}-{args.seeds[-1]}"
+        for i, seed in enumerate(args.seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                entry = {"batch": batch, "workload": workload, "seed": seed, "side": side,
+                         "ran_first": side == order[0]}
+                entry.update(run_once(checkouts[side], workload, seed, args.seconds))
+                runs.append(entry)
+                print(json.dumps(entry), flush=True)
+            args.out.write_text(json.dumps({"runs": runs, "workloads": summarize(runs, metrics)},
+                                           indent=1))
     print(format_summary(summarize(runs, metrics)))
     return 0
 

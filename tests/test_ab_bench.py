@@ -196,3 +196,46 @@ def test_main_compiles_both_sides_first_and_alternates_the_order(tmp_path, monke
         (9, "parent", True), (9, "change", False)]
     assert all(r["batch"] == "cli_batch/7-9" for r in saved["runs"])
     assert saved["workloads"]["cli_batch/7-9"]["summary"]["wall_s"]["change_wins"] == 3
+
+
+def test_main_runs_one_alternating_batch_per_workload_into_one_file(tmp_path, monkeypatch):
+    events = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(ab_bench, "compile_sources",
+                        lambda checkout: events.append(("compile", checkout.name)))
+
+    def run_once(checkout, workload, seed, seconds):
+        events.append((workload, checkout.name, seed))
+        faster = checkout.name == "change" and workload == "agg_coupled"
+        return {"exit": 0, "failed": 0, "wall_s": 0.5 if faster else 1.0, "ok_ratio": 1.0}
+
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    out = tmp_path / "ab.json"
+    assert ab_bench.main(["--parent", str(tmp_path / "parent"),
+                          "--change", str(tmp_path / "change"),
+                          "--workload", "agg_coupled,cli_batch", "--seeds", "3-4",
+                          "--out", str(out)]) == 0
+    # both sides compiled once; each workload's pairs alternate from the parent first
+    assert events == [("compile", "parent"), ("compile", "change"),
+                      ("agg_coupled", "parent", 3), ("agg_coupled", "change", 3),
+                      ("agg_coupled", "change", 4), ("agg_coupled", "parent", 4),
+                      ("cli_batch", "parent", 3), ("cli_batch", "change", 3),
+                      ("cli_batch", "change", 4), ("cli_batch", "parent", 4)]
+    saved = json.loads(out.read_text())
+    assert [(r["batch"], r["workload"], r["seed"], r["side"], r["ran_first"])
+            for r in saved["runs"]] == [
+        ("agg_coupled/3-4", "agg_coupled", 3, "parent", True),
+        ("agg_coupled/3-4", "agg_coupled", 3, "change", False),
+        ("agg_coupled/3-4", "agg_coupled", 4, "change", True),
+        ("agg_coupled/3-4", "agg_coupled", 4, "parent", False),
+        ("cli_batch/3-4", "cli_batch", 3, "parent", True),
+        ("cli_batch/3-4", "cli_batch", 3, "change", False),
+        ("cli_batch/3-4", "cli_batch", 4, "change", True),
+        ("cli_batch/3-4", "cli_batch", 4, "parent", False)]
+    assert list(saved["workloads"]) == ["agg_coupled/3-4", "cli_batch/3-4"]
+    agg, cli = (saved["workloads"][b]["summary"]["wall_s"]
+                for b in ("agg_coupled/3-4", "cli_batch/3-4"))
+    assert (agg["change_wins"], agg["claim_met"]) == (2, True)
+    assert (cli["ties"], cli["regressed"]) == (2, False)

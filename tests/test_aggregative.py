@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,6 +314,50 @@ def test_table_term_validation():
         TableTerm([0.0, 1.0], [1.0, 0.0])  # decreasing gradient
     with pytest.raises(SpecError):
         TableTerm([0.0, 0.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("points, root", [((-1.0, 0.0, 1.0), -0.2), ((-9.0, 0.0, 9.0), -1.8)])
+def test_a_table_is_probed_on_its_own_points(points, root):
+    # samples that stop short of [-10, 10] once failed a probe there
+    term = TableTerm(points, (-2.0, 0.5, 3.0))
+    spec = QuadraticAggregativeSpec(q=[1.0], A=[[0.0]], alpha=0.5, h=(term,))
+    assert spec.y_dagger()[0] == pytest.approx(root, abs=1e-12)
+    assert term.grad(spec.y_dagger()[0]) == pytest.approx(0.0, abs=1e-12)
+
+
+class UserTerm:
+    """A term object that is not one of the package's: a gradient, and a probe if given."""
+
+    def __init__(self, grad, probe=None):
+        self.grad = grad
+        if probe is not None:
+            self.probe = probe
+
+    def value(self, y):
+        return 0.0
+
+
+@pytest.mark.parametrize("term, message", [
+    # the gradient is 0 from the first sample down: minimisers fill (-inf, 0]
+    (TableTerm([0.0, 1.0], [0.0, 1.0]), "operator-cost term 0 has no unique minimiser: its "
+     "gradient must change sign strictly inside [0, 1]"),
+    (TableTerm([0.0, 1.0], [0.5, 1.0]), "operator-cost term 0 has no unique minimiser"),
+    (UserTerm(lambda y: -np.asarray(y)), "operator-cost gradients must be strictly increasing"),
+    (UserTerm(lambda y: np.abs(y) - 1.0), "operator-cost gradients must be strictly increasing"),
+    # without a probe of its own a user term is probed on [-10, 10], which misses its root
+    (UserTerm(lambda y: np.asarray(y) - 50.0), "operator-cost term 0 has no unique minimiser: "
+     "its gradient must change sign strictly inside [-10, 10]"),
+], ids=["table_flat_from_its_root", "table_without_root", "user_decreasing", "user_not_monotone",
+        "user_root_outside_the_default_probe"])
+def test_a_term_without_one_minimiser_in_its_probe_is_rejected(term, message):
+    with pytest.raises(SpecError, match=re.escape(message)):
+        QuadraticAggregativeSpec(q=[1.0], A=[[0.0]], alpha=0.5, h=(term,))
+
+
+def test_a_user_term_may_give_its_own_probe():
+    term = UserTerm(lambda y: np.asarray(y) - 50.0, probe=np.array([40.0, 50.5, 60.0]))
+    spec = QuadraticAggregativeSpec(q=[1.0], A=[[0.0]], alpha=0.5, h=(term,))
+    assert spec.y_dagger()[0] == pytest.approx(50.0, abs=1e-12)
 
 
 def test_grad_root_bracket_failure():

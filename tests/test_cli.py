@@ -709,9 +709,10 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
      "error: network matrix must be square and match q\n"),
     ("run", m2_with(zeta=[-1.0]), "error: zeta must have one entry per player\n"),
     ("run", m2_with(h=[QUADRATIC_TERM]), "error: need one operator-cost term per player\n"),
-    # samples on [0, 1] only: the interpolated gradient is flat on the rest of [-10, 10]
+    # the gradient is 0 at the first sample and flat before it: minimisers fill (-inf, 0]
     ("run", m2_with(h=[{"kind": "table", "points": [0, 1], "grads": [0, 1]}, QUADRATIC_TERM]),
-     "error: operator-cost gradients must be strictly increasing\n"),
+     "error: operator-cost term 0 has no unique minimiser: its gradient must change sign "
+     "strictly inside [0, 1]\n"),
     ("run", m2_with(h=[{"kind": "table", "points": [-20, 0, 20], "grads": [-20, 20]},
                        QUADRATIC_TERM]),
      "error: table term needs matching 1-d points/grads\n"),

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incentive_dynamics import dynamics, routing
-from incentive_dynamics.aggregative import QuadraticAggregativeSpec, optimal_incentive
+from incentive_dynamics.aggregative import (QuadraticAggregativeSpec, QuadraticTerm, QuarticTerm,
+                                            TableTerm, optimal_incentive)
 from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedule,
                                          StrategyUpdateRule, TrajectoryRecord,
                                          _with_default_step, externality, run_coupled,
                                          strategy_target, strict_json)
 from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, SpecError
-from incentive_dynamics.games import NonAtomicGame, sampled_lipschitz
+from incentive_dynamics.games import AtomicGame, NonAtomicGame, sampled_lipschitz
 from incentive_dynamics.routing import (RoutingNetwork, braess_network, nonatomic_view,
                                         pigou_network, two_link_network)
 
@@ -609,8 +610,20 @@ def test_run_coupled_records_own_copies():
 # one evaluation per iteration
 # ---------------------------------------------------------------------------
 
+# operator-cost terms of every kind, cycled over the players
+MIXED_TERMS = (QuarticTerm(0.3), TableTerm([-2.0, 0.0, 2.0], [-3.0, 0.5, 2.0]),
+               QuadraticTerm(-0.4))
+
+
+def mixed_spec(n, seed, terms=MIXED_TERMS, q_range=(0.8, 1.2)):
+    """``seeded_spec(n, seed, q_range)`` with the operator-cost terms ``terms``, cycled."""
+    return dataclasses.replace(seeded_spec(n, seed, q_range), zeta=None, h=(terms * n)[:n])
+
+
 STEP_MODELS = {
     "aggregative": seeded_spec(4, 5).to_game(),
+    "aggregative_quartic": mixed_spec(4, 5, (QuarticTerm(0.3), QuadraticTerm(-0.4))).to_game(),
+    "aggregative_table": mixed_spec(4, 5).to_game(),
     "atomic_no_closed_forms": dataclasses.replace(
         seeded_spec(4, 5).to_game(), equilibrium=None, best_response=None, optimum=None),
     "finite_box": dataclasses.replace(
@@ -622,7 +635,8 @@ STEP_MODELS = {
     "pigou": pigou_network(),
     "grid34": grid34(),
 }
-ATOMIC_STEP_MODELS = {"aggregative", "atomic_no_closed_forms", "finite_box"}
+ATOMIC_STEP_MODELS = {"aggregative", "aggregative_quartic", "aggregative_table",
+                      "atomic_no_closed_forms", "finite_box"}
 STEP_CASES = [(name, variant, regularizer) for name in STEP_MODELS
               for variant, regularizer in SIMPLEX_RULES
               if regularizer == "quadratic" or name not in ATOMIC_STEP_MODELS]
@@ -681,6 +695,55 @@ def test_step_has_one_shape_and_no_method_writes_into_its_arguments(name, varian
             writable, read_only = (writable,), (read_only,)
         for a, b in zip(writable, read_only, strict=True):
             np.testing.assert_array_equal(b, a, strict=True, err_msg=method)
+
+
+def step_outcome(step, *args):
+    """``step(*args)`` as bytes, or the type and message of what it raises."""
+    try:
+        f, e, d, social = step(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (*((a.dtype, a.shape, a.tobytes()) for a in (f, e, d)),
+            type(social), np.float64(social).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 5, 200])
+@pytest.mark.parametrize("terms", ["zeta", "mixed"])
+@pytest.mark.parametrize("form", ["closed_forms", "no_closed_forms", "finite_box"])
+@pytest.mark.parametrize("variant, regularizer", SIMPLEX_RULES)
+def test_a_spec_games_step_is_the_atomic_games_byte_for_byte(n, terms, form, variant,
+                                                              regularizer):
+    make = seeded_spec if terms == "zeta" else mixed_spec
+    spec = make(n, 40 + n, q_range=ILL_Q)
+    game = spec.to_game()
+    if form == "no_closed_forms":
+        game = dataclasses.replace(game, equilibrium=None, best_response=None)
+    elif form == "finite_box":  # closed forms kept, strategies clamped
+        game = dataclasses.replace(game, lower=np.full(n, -0.3), upper=np.full(n, 0.4))
+    rng = np.random.default_rng(n)
+    rule = _with_default_step(game, StrategyUpdateRule(variant, regularizer=regularizer))
+    x, p = game.random_start(rng), rng.uniform(-1.0, 1.0, n)
+    nan_p, huge_x = p.copy(), x.copy()
+    nan_p[-1] = np.nan
+    huge_x[0] = 1.79e308  # q_0 > 1 makes q_0 x_0 overflow
+    cases = {"start": (x, p), "wide": (rng.normal(scale=1e3, size=n), p),
+             "nan_p": (x, nan_p), "huge_x": (huge_x, p)}
+    outcomes = {}
+    for case, (x, p) in cases.items():
+        want = step_outcome(AtomicGame.step, game, x, p, rule)
+        assert step_outcome(game.step, x, p, rule) == want, case
+        # as a command-line run evaluates it, overflow silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes[case] = step_outcome(AtomicGame.step, game, x, p, rule)
+            assert step_outcome(game.step, x, p, rule) == outcomes[case], case
+    if regularizer == "entropy":
+        assert outcomes["start"][0] is InvalidArgumentError
+    elif form == "closed_forms":
+        if variant == "equilibrium":
+            assert outcomes["nan_p"] == (InvalidArgumentError, "incentive vector must be finite")
+        # player 0's quartic term overflows the social gradient first
+        what = "loss gradient" if terms == "zeta" else "social gradient"
+        assert outcomes["huge_x"] == (EvaluationError, f"{what} oracle returned non-finite values")
 
 
 @pytest.mark.parametrize("name", ["aggregative", "atomic_no_closed_forms", "nonatomic_braess",
