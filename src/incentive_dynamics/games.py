@@ -23,7 +23,6 @@ from .dynamics import _check_number, _positive_int, _with_default_step
 from .errors import ConvergenceError, EvaluationError, InvalidArgumentError, SpecError
 
 DEFAULT_CERT_TOL = 1e-6
-MASS_TOL = 1e-8
 EPS = np.finfo(float).eps
 
 Array = np.ndarray
@@ -57,7 +56,8 @@ class BlockLayout:
     each block. ``_padded_masses`` and ``_padded_ranks`` hold each block's
     mass and the ranks 1, 2, ... tiled to the padded shape, so that the
     simplex projection's passes take same-shape contiguous operands, which
-    numpy runs faster than broadcast ones. All arrays are read-only.
+    numpy runs faster than broadcast ones. ``mass_tol`` is each block's
+    allowed mass error, 1e-7 max(1, m). All arrays are read-only.
     """
 
     def __init__(self, counts, masses):
@@ -76,7 +76,8 @@ class BlockLayout:
         self._padded_masses = np.repeat(self.masses[:, None], col.size, axis=1)
         self._padded_ranks = np.repeat((col + 1.0)[None, :], counts.size, axis=0)
         self._uniform = self.entry_masses / counts[self.owner]
-        for a in (self.masses, starts, self.rows, self.pad, self.index, self.owner,
+        self.mass_tol = 1e-7 * np.maximum(1.0, self.masses)
+        for a in (self.masses, starts, self.rows, self.pad, self.index, self.owner, self.mass_tol,
                   self.entry_masses, self._padded_masses, self._padded_ranks, self._uniform):
             a.setflags(write=False)
 
@@ -227,7 +228,30 @@ class _OracleGame:
 
 
 class _BlockSpace:
-    """Strategies in a product of scaled simplexes, cut by ``self.layout``."""
+    """Strategies in a product of scaled simplexes, cut by ``self.layout``;
+    a subclass names its ``_strategy`` and a ``_block`` for the messages."""
+
+    def check_feasible(self, x) -> Array:
+        """The one feasibility rule: ``x`` as a float array, else ``InvalidArgumentError``."""
+        x = np.asarray(x, dtype=float)
+        layout = self.layout
+        if x.shape != layout.owner.shape:
+            raise InvalidArgumentError(f"{self._strategy} has wrong length")
+        if not np.logical_and.reduce(x >= -1e-9):  # NaN fails too; +inf fails the mass test
+            raise InvalidArgumentError(f"{self._strategy}s must be finite and nonnegative")
+        if not np.logical_and.reduce(np.abs(layout.sums(x) - layout.masses) <= layout.mass_tol):
+            raise InvalidArgumentError(f"{self._strategy} violates {self._block}")
+        return x
+
+    def is_feasible(self, x) -> bool:
+        try:
+            self.check_feasible(x)
+        except InvalidArgumentError:
+            return False
+        return True
+
+    def check_start(self, x0, p0) -> tuple:
+        return self.check_feasible(x0), check_incentive(p0, self.dim)
 
     def project(self, x: Array) -> Array:
         return project_blocks(np.asarray(x, dtype=float), self.layout)
@@ -298,11 +322,11 @@ class AtomicGame(_OracleGame):
             return x.copy()  # both clamps are the identity, NaN and inf included
         return project_interval(x, self.lower, self.upper)
 
-    def is_feasible(self, x: Array, tol: float = 1e-9) -> bool:
+    def is_feasible(self, x: Array) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(x.shape == self.lower.shape
-                    and np.all(x >= self.lower - tol)
-                    and np.all(x <= self.upper + tol))
+                    and np.all(x >= self.lower - 1e-9)
+                    and np.all(x <= self.upper + 1e-9))
 
     def uniform_point(self) -> Array:
         """The box midpoint, with 0 standing in for an infinite bound."""
@@ -361,8 +385,11 @@ class NonAtomicGame(_OracleGame, _BlockSpace):
 
     Strategy distributions are stored flat: the block of population ``i``
     occupies ``layout.slices[i]`` and sums to ``masses[i]``. ``action_cost``
-    returns the flat vector of per-action costs.
+    returns the flat vector of per-action costs. Feasibility is a network's
+    (``_BlockSpace.check_feasible``), so a route-level view accepts its flows.
     """
+
+    _strategy, _block = "strategy distribution", "a population mass"
 
     masses: Array
     action_counts: tuple
@@ -386,22 +413,6 @@ class NonAtomicGame(_OracleGame, _BlockSpace):
     @property
     def dim(self) -> int:
         return sum(self.action_counts)
-
-    def is_feasible(self, x: Array, tol: float = MASS_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,) or not (x >= -tol).all():  # NaN fails too
-            return False
-        m = self.masses
-        return bool((np.abs(self.layout.sums(x) - m) <= np.maximum(tol, tol * m)).all())
-
-    def check_feasible(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        if not self.is_feasible(x):
-            raise InvalidArgumentError("strategy distribution violates mass/nonnegativity")
-        return x
-
-    def check_start(self, x0, p0) -> tuple:
-        return self.check_feasible(x0), check_incentive(p0, self.dim)
 
     def _target(self, x, p, rule) -> tuple:
         """f(x, p), and the action costs at ``x`` where the rule took them (else None)."""
@@ -614,19 +625,21 @@ def nondecreasing_root(f: Callable[[float], float], i: int, y0: float,
                            f"close its bracket in {SECANT_MAX_ITER} steps")
 
 
-def _projected_equilibrium(x: Array, terms, project, restart, tol: float,
-                           max_iter: int, what: str) -> Array:
-    """Projected-gradient iteration on x = Proj(x - eta g(x)) from ``x``.
+def _projected_equilibrium(game, x0, terms, restart, tol: float, max_iter: int, what: str) -> Array:
+    """Projected-gradient iteration on x = Proj(x - eta g(x)) from ``x0``
+    projected, or from ``game.uniform_point()`` where it is None.
 
     ``terms(y)`` returns the cost ``g(y)`` and the equilibrium-certificate
     residual at ``y``. The step is halved whenever the residual would rise; if
-    it underflows, iteration ``k`` restarts at ``restart(x, g(x), k)``."""
+    it underflows, iteration ``k`` restarts at ``restart(x, g(x), k)``. No
+    iterate is checked: each is a projection or a convex combination of feasible points."""
+    x = game.uniform_point() if x0 is None else game.project(x0)
     eta = 1.0
     g, res = terms(x)
     for k in range(max_iter):
         if res <= tol:
             return x
-        cand = project(x - eta * g)
+        cand = game.project(x - eta * g)
         g_c, res_c = terms(cand)
         if res_c <= res:
             x, g, res = cand, g_c, res_c
@@ -653,8 +666,7 @@ def solve_equilibrium_atomic(game: AtomicGame, p: Array, tol: float = 1e-10,
         return g, projected_gradient_residual(g, y, game.project)
 
     restart = lambda x, g, k: 0.5 * x + 0.5 * best_response_atomic(game, x, p)
-    x = game.project(np.zeros(game.n_players) if x0 is None else np.asarray(x0, float))
-    return _projected_equilibrium(x, terms, game.project, restart, tol, max_iter, "atomic")
+    return _projected_equilibrium(game, x0, terms, restart, tol, max_iter, "atomic")
 
 
 def solve_equilibrium_nonatomic(game: NonAtomicGame, p: Array, tol: float = 1e-10,
@@ -667,12 +679,10 @@ def solve_equilibrium_nonatomic(game: NonAtomicGame, p: Array, tol: float = 1e-1
     p = check_incentive(p, game.dim)
 
     def terms(y):
-        y = game.check_feasible(y)
         c = np.asarray(game.action_cost(y), float) + p
         return c, _nonatomic_residual(game, y, c, tol)
 
     def restart(x, c, k):
         return x + (2.0 / (k + 3.0)) * (best_response_blocks(c, game.layout) - x)
 
-    x = game.uniform_point() if x0 is None else game.project(np.asarray(x0, float))
-    return _projected_equilibrium(x, terms, game.project, restart, tol, max_iter, "non-atomic")
+    return _projected_equilibrium(game, x0, terms, restart, tol, max_iter, "non-atomic")

@@ -121,6 +121,8 @@ class OdPair:
 
 @dataclass(frozen=True)
 class RoutingNetwork(_BlockSpace):
+    _strategy, _block = "route flow", "an OD demand"
+
     nodes: tuple
     edges: tuple  # (tail, head, LatencyFunction)
     od_pairs: tuple
@@ -181,10 +183,8 @@ class RoutingNetwork(_BlockSpace):
             for a in route:
                 inc[a, col] += 1.0
         rows = inc.T.copy()
-        demand_tol = 1e-7 * np.maximum(1.0, layout.masses)  # check_route_flow's tolerance
-        for a in (inc, rows, demand_tol):
+        for a in (inc, rows):
             a.setflags(write=False)
-        object.__setattr__(self, "_demand_tol", demand_tol)
         object.__setattr__(self, "incidence", inc)
         object.__setattr__(self, "_route_rows", rows)
         object.__setattr__(self, "layout", layout)
@@ -237,23 +237,10 @@ class RoutingNetwork(_BlockSpace):
     def latency_second_deriv(self, w) -> np.ndarray:
         return _column_horner(self._second_rows, np.asarray(w, dtype=float))
 
-    def check_route_flow(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_routes,):
-            raise InvalidArgumentError("route flow has wrong length")
-        if not np.logical_and.reduce(x >= -1e-9):  # NaN fails too; +inf fails the demand test
-            raise InvalidArgumentError("route flows must be finite and nonnegative")
-        if not np.logical_and.reduce(np.abs(self.layout.sums(x) - self.layout.masses)
-                                     <= self._demand_tol):
-            raise InvalidArgumentError("route flow violates an OD demand")
-        return x
-
+    check_route_flow = _BlockSpace.check_feasible
     uniform_route_flow = _BlockSpace.uniform_point
 
     # Coupled-loop model: route flows x, edge tolls p.
-
-    def check_start(self, x0, p0) -> tuple:
-        return self.check_route_flow(x0), check_incentive(p0, self.n_edges)
 
     def target(self, x, p, rule) -> np.ndarray:
         if rule.variant == "equilibrium":  # the solve checks p
@@ -293,9 +280,10 @@ class RoutingNetwork(_BlockSpace):
         return total_latency_cost(self, self.incidence @ x)
 
     def social_grad(self, x) -> np.ndarray:
-        """Route marginal social costs: incidence^T (l(w) + w l'(w))."""
+        """Route marginal social costs: incidence^T (l(w) + w l'(w)), in one kernel pass."""
         w = self.incidence @ np.asarray(x, float)
-        return self.incidence.T @ (self.latency(w) + w * self.latency_deriv(w))
+        latency, slope = _column_horner(self._cost_rows, w)
+        return self.incidence.T @ (latency + w * slope)
 
     def strategy_gap(self, f, x):
         """Sup distance of the edge flows; route decompositions are interchangeable."""

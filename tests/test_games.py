@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from incentive_dynamics import games
 from incentive_dynamics.errors import (ConvergenceError, EvaluationError,
                                        InvalidArgumentError, SpecError)
-from incentive_dynamics.games import (MASS_TOL, AtomicGame, NonAtomicGame,
+from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
                                       certify_nash_atomic,
                                       certify_nash_nonatomic,
                                       certify_social_optimum, project_interval,
@@ -148,7 +148,8 @@ def layouts(draw):
 def assert_feasible(y, layout):
     assert (y >= 0.0).all()
     sums = np.array([y[s].sum() for s in layout.slices])
-    assert (np.abs(sums - layout.masses) <= np.maximum(MASS_TOL, MASS_TOL * layout.masses)).all()
+    tol = 1e-8  # stricter than the feasibility check's 1e-7
+    assert (np.abs(sums - layout.masses) <= np.maximum(tol, tol * layout.masses)).all()
 
 
 # a weight of 1 and 15 of 1.7e-8 in one block: added left to right, they

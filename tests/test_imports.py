@@ -8,7 +8,8 @@ top-level function, class or constant must be named in ``src/``, ``tests/``
 or ``bench/`` outside its own definition, and a method or property in
 ``src/``, ``bench/`` or ``studies/``, unless ``TEST_ONLY_METHODS`` lists it.
 Only ``games.check_incentive`` raises an error about the incentive vector,
-and every public function that takes a ``tol`` calls
+only ``games._BlockSpace.check_feasible`` one about an infeasible simplex
+strategy, and every public function that takes a ``tol`` calls
 ``games.check_tolerance``. No two functions of the package share their
 parameter names and body, and every hypothesis property under ``tests/`` is
 derandomized.
@@ -196,40 +197,57 @@ def test_no_function_body_is_written_twice():
     assert duplicate_bodies(sources) == []
 
 
-def incentive_errors(source: str) -> list:
+def errors_mentioning(source: str, phrase: str) -> list:
     """The functions of ``source`` that raise an error whose message mentions
-    the incentive vector, in source order, each once."""
+    ``phrase``, in source order, each once, by dotted name within the module
+    (``Class.method``, ``outer.inner``; None at module level)."""
     found = []
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope is None else f"{scope}.{node.name}"
         if isinstance(node, ast.Raise) and node.exc is not None:
             text = " ".join(n.value for n in ast.walk(node.exc)
                             if isinstance(n, ast.Constant) and isinstance(n.value, str))
-            if "incentive vector" in text and function not in found:
-                found.append(function)
+            if phrase in text and scope not in found:
+                found.append(scope)
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            visit(child, scope)
 
     visit(ast.parse(source), None)
     return found
 
 
-def test_incentive_errors_finds_each_raising_function():
+def test_errors_mentioning_finds_each_raising_function():
     source = ("def check_incentive(p, n):\n    raise ValueError('incentive vector must be finite')\n"
               "def solve(p):\n    if p.size:\n        def inner():\n"
               "            raise E(f'incentive vector has shape {p.shape}')\n"
               "    raise E('dimension mismatch')\n"
               "class Game:\n    def target(self, p):\n        raise E('bad ' 'incentive vector')\n"
               "raise E(msg='incentive vector at import')\n")
-    assert incentive_errors(source) == ["check_incentive", "inner", "target", None]
+    assert errors_mentioning(source, "incentive vector") == [
+        "check_incentive", "solve.inner", "Game.target", None]
+    assert errors_mentioning(source, "dimension") == ["solve"]
+
+
+def raisers_in_package(phrase: str) -> dict:
+    """Per module of the package, the functions that :func:`errors_mentioning` finds."""
+    found = {module: errors_mentioning((PACKAGE / module).read_text(), phrase)
+             for module in MODULES}
+    return {m: f for m, f in found.items() if f}
 
 
 def test_only_check_incentive_builds_an_incentive_vector_error():
     # one module decides what a valid incentive is and what error names a bad one
-    found = {module: incentive_errors((PACKAGE / module).read_text()) for module in MODULES}
-    assert {m: f for m, f in found.items() if f} == {"games.py": ["check_incentive"]}
+    assert raisers_in_package("incentive vector") == {"games.py": ["check_incentive"]}
+
+
+@pytest.mark.parametrize("phrase", ["has wrong length", "must be finite and nonnegative",
+                                    "violates"])
+def test_only_check_feasible_builds_a_simplex_feasibility_error(phrase):
+    # one method decides what a feasible simplex strategy is, for a network and
+    # a non-atomic game alike, and what error names an infeasible one
+    assert raisers_in_package(phrase) == {"games.py": ["_BlockSpace.check_feasible"]}
 
 
 def unchecked_tolerances(source: str) -> list:

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CORPUS, former_route_step, grid34, grid45, grid67, grid_network
-from test_games import FORMER_SCHEDULE, counting, seeded_spec, without_closed_forms
+from corpus import (CORPUS, former_route_step, grid34, grid45, grid67, grid_network,
+                    mixed_degree_network)
+from test_games import (FORMER_SCHEDULE, counting, nonatomic_loop_reference, seeded_spec,
+                        without_closed_forms)
 from incentive_dynamics import games, numdiff, routing
 from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import RunConfig, StepSchedule, StrategyUpdateRule, run_coupled
@@ -308,6 +310,53 @@ def test_nonfinite_route_flow_is_rejected(bad):
     with pytest.raises(InvalidArgumentError):
         wardrop_equilibrium(net, np.zeros(2), x0=[bad, 1.0])
     assert not nonatomic_view(net).is_feasible([bad, 1.0])
+
+
+def feasibility_probes(net):
+    """The uniform route flow; +5e-8 and +2e-7 on route 0; entries of -5e-9
+    and -5e-8 on route 0, whose mass moved to route 1 of the same OD pair;
+    a NaN and a +inf entry; and a flow one entry too long."""
+    x = net.uniform_route_flow()
+    assert net.layout.owner[1] == net.layout.owner[0]
+
+    def with_route0(v, moved=0.0):
+        y = x.copy()
+        y[0], y[1] = v, y[1] + moved
+        return y
+
+    return {"uniform": x, "+5e-8": with_route0(x[0] + 5e-8), "+2e-7": with_route0(x[0] + 2e-7),
+            "-5e-9": with_route0(-5e-9, x[0] + 5e-9), "-5e-8": with_route0(-5e-8, x[0] + 5e-8),
+            "nan": with_route0(np.nan), "inf": with_route0(np.inf),
+            "length": np.append(x, 0.0)}
+
+
+# +2e-7 is within the mass tolerance 1e-7 max(1, m) of a block of mass 2 or more only
+PROBE_VERDICTS = {"uniform": True, "+5e-8": True, "-5e-9": False, "-5e-8": False,
+                  "nan": False, "inf": False, "length": False}
+
+
+def verdict(check, *args):
+    """True where ``check`` accepts its arguments, False where it raises
+    InvalidArgumentError."""
+    try:
+        check(*args)
+    except InvalidArgumentError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("make", [braess_network, grid34, mixed_degree_network])
+def test_a_network_and_its_route_level_view_accept_the_same_flows(make):
+    # one rule, with one set of tolerances, decides feasibility on both
+    net = make()
+    view = nonatomic_view(net)
+    for name, x in feasibility_probes(net).items():
+        accepted = verdict(net.check_route_flow, x)
+        assert verdict(view.check_feasible, x) == accepted, name
+        assert net.is_feasible(x) == view.is_feasible(x) == accepted, name
+        assert (verdict(net.check_start, x, np.zeros(net.dim))
+                == verdict(view.check_start, x, np.zeros(view.dim)) == accepted), name
+        assert PROBE_VERDICTS.get(name, accepted) == accepted, name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1123,6 +1172,42 @@ def test_route_externality_aggregation():
         fd = numdiff.central_gradient(view.social, x) - view.action_cost(x)
         expect = net.incidence.T @ (w * net.latency_deriv(w))
         np.testing.assert_allclose(fd, expect, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("make", [braess_network, grid34])
+def test_nonatomic_solve_checks_only_its_start(monkeypatch, make):
+    # the certificate and the start check check; the solve's iterates need not
+    view = nonatomic_view(make())
+    p = np.random.default_rng(31).uniform(0.0, 0.5, view.dim)
+    check, calls = games.NonAtomicGame.check_feasible, []
+
+    def counted(self, x):
+        calls.append(1)
+        return check(self, x)
+
+    monkeypatch.setattr(games.NonAtomicGame, "check_feasible", counted)
+    x = games.solve_equilibrium_nonatomic(view, p)
+    assert calls == []
+    assert games.certify_nash_nonatomic(view, x, p)[0] and len(calls) == 1
+    view.check_start(x, p)
+    assert len(calls) == 2
+    with pytest.raises(InvalidArgumentError, match="strategy distribution violates"):
+        view.check_start(2.0 * x, p)
+    # the solve's flows are those of the loop that certified every iterate
+    np.testing.assert_array_equal(x, nonatomic_loop_reference(view, p))
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS) + ["grid67"])
+def test_social_grad_matches_two_kernel_passes_bitwise(name):
+    # one (l, l') pass gives the bits that the latency and its slope give apart
+    net = grid67() if name == "grid67" else NETWORKS[name]()
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        x = net.random_start(rng)
+        w = net.incidence @ x
+        np.testing.assert_array_equal(
+            net.social_grad(x),
+            net.incidence.T @ (net.latency(w) + w * net.latency_deriv(w)), strict=True)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
