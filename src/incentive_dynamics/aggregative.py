@@ -241,7 +241,7 @@ class QuadraticAggregativeSpec:
     def to_game(self) -> AtomicGame:
         n = self.n
         inf = np.inf
-        return _SpecGame(
+        game = _SpecGame(
             lower=np.full(n, -inf),
             upper=np.full(n, inf),
             loss_grad=self.loss_grad,
@@ -251,8 +251,9 @@ class QuadraticAggregativeSpec:
             best_response=self._best_response,
             lipschitz_bound=self._lipschitz,
             optimum=self.y_dagger(),
-            spec=self,
         )
+        object.__setattr__(game, "spec", self)
+        return game
 
 
 @dataclass(frozen=True)
@@ -264,24 +265,17 @@ class _SpecGame(AtomicGame):
     ``alpha (A @ x)``, where ``AtomicGame.step`` multiplies by A for each;
     under every rule one ``x - zeta`` serves both the social gradient and the
     social cost. The numpy operations are those of ``AtomicGame.step``, in
-    its order, so the values and what is raised are its own. A game that is
-    no longer the spec's closed-form game (an oracle or closed form replaced,
-    as ``dataclasses.replace`` does, or a finite box), and the entropy
+    its order, so the values and what is raised are its own. Only the game
+    that ``QuadraticAggregativeSpec.to_game`` built holds a ``spec``, which
+    ``dataclasses.replace`` does not copy; any other game, and the entropy
     regularizer, take ``AtomicGame.step``.
     """
 
-    spec: QuadraticAggregativeSpec = field(kw_only=True)
-
-    def __post_init__(self):
-        super().__post_init__()
-        s = self.spec
-        oracles = (self.loss_grad, self.social, self.social_grad, self.equilibrium,
-                   self.best_response)
-        object.__setattr__(self, "_fused", self._unbounded and oracles == (
-            s.loss_grad, s.social, s.social_grad, s._equilibrium, s._best_response))
+    spec: Optional[QuadraticAggregativeSpec] = field(default=None, init=False, repr=False,
+                                                     compare=False)
 
     def step(self, x, p, rule) -> tuple:
-        if not self._fused or rule.regularizer == "entropy":
+        if self.spec is None or rule.regularizer == "entropy":
             return AtomicGame.step(self, x, p, rule)
         s = self.spec
         if rule.variant == "best_response":

@@ -12,8 +12,8 @@ Each model class defines each of these methods, except where the classes
 that do are named (``games._OracleGame`` serves the two games and
 ``games._BlockSpace`` the non-atomic game and the network):
 
-- ``check_start(x0, p0)`` (``AtomicGame``, ``_BlockSpace``): the validated
-  start ``(x, p)``;
+- ``check_start(x0, p0)`` (``games._StrategySpace``, every model's): the
+  start ``(x, p)`` that ``check_feasible`` and ``check_incentive`` passed;
 - ``step(x, p, rule)`` (``_OracleGame``, ``aggregative._SpecGame``,
   ``RoutingNetwork``): the loop's one evaluation per iteration,
   ``(f, e, d, social)`` at the iterate. ``d`` is the vector whose sup norm

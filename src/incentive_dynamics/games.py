@@ -9,7 +9,8 @@ effect on the social cost and on the player's own cost.
 
 Both game classes carry the model methods that ``dynamics.run_coupled``
 calls, as ``routing.RoutingNetwork`` does; what two of them share is
-written once, in ``_OracleGame`` and ``_BlockSpace``.
+written once, in ``_OracleGame``, ``_BlockSpace`` and ``_StrategySpace``,
+whose ``check_start`` rests on each model's one ``check_feasible``.
 """
 from __future__ import annotations
 
@@ -19,10 +20,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import _check_number, _positive_int, _with_default_step
+from .dynamics import _check_number, _check_positive, _positive_int, _with_default_step
 from .errors import ConvergenceError, EvaluationError, InvalidArgumentError, SpecError
 
 DEFAULT_CERT_TOL = 1e-6
+# how far past a bound (a box side, a simplex entry's 0) a feasible strategy may lie
+FEASIBILITY_SLACK = 1e-9
 EPS = np.finfo(float).eps
 
 Array = np.ndarray
@@ -227,31 +230,28 @@ class _OracleGame:
         return sup_distance(f, x)
 
 
-class _BlockSpace:
+class _StrategySpace:
+    """A model whose ``check_feasible(x)`` is its one feasibility rule: it
+    returns ``x`` as a float array, else raises ``InvalidArgumentError``."""
+
+    def check_start(self, x0, p0) -> tuple:
+        return self.check_feasible(x0), check_incentive(p0, self.dim)
+
+
+class _BlockSpace(_StrategySpace):
     """Strategies in a product of scaled simplexes, cut by ``self.layout``;
     a subclass names its ``_strategy`` and a ``_block`` for the messages."""
 
     def check_feasible(self, x) -> Array:
-        """The one feasibility rule: ``x`` as a float array, else ``InvalidArgumentError``."""
         x = np.asarray(x, dtype=float)
         layout = self.layout
         if x.shape != layout.owner.shape:
             raise InvalidArgumentError(f"{self._strategy} has wrong length")
-        if not np.logical_and.reduce(x >= -1e-9):  # NaN fails too; +inf fails the mass test
+        if not np.logical_and.reduce(x >= -FEASIBILITY_SLACK):  # NaN fails; +inf, the sums
             raise InvalidArgumentError(f"{self._strategy}s must be finite and nonnegative")
         if not np.logical_and.reduce(np.abs(layout.sums(x) - layout.masses) <= layout.mass_tol):
             raise InvalidArgumentError(f"{self._strategy} violates {self._block}")
         return x
-
-    def is_feasible(self, x) -> bool:
-        try:
-            self.check_feasible(x)
-        except InvalidArgumentError:
-            return False
-        return True
-
-    def check_start(self, x0, p0) -> tuple:
-        return self.check_feasible(x0), check_incentive(p0, self.dim)
 
     def project(self, x: Array) -> Array:
         return project_blocks(np.asarray(x, dtype=float), self.layout)
@@ -269,7 +269,7 @@ class _BlockSpace:
 
 
 @dataclass(frozen=True)
-class AtomicGame(_OracleGame):
+class AtomicGame(_OracleGame, _StrategySpace):
     """Oracle-backed atomic game.
 
     ``loss_grad(x)`` returns each player's marginal cost, the partial of its
@@ -278,8 +278,8 @@ class AtomicGame(_OracleGame):
     solvers below otherwise. Without ``best_response``, a player's best
     response solves its own first-order condition with ``loss_grad``, which
     assumes each cost is convex in the player's own strategy. ``optimum`` is
-    an optional closed-form social optimum. Immutable; all operations are
-    pure.
+    an optional closed-form social optimum. A bound may be infinite, not
+    NaN. Immutable; all operations are pure.
 
     Oracles must not write into their arguments: ``dynamics.run_coupled``
     records the iterates it passes them without copying.
@@ -300,6 +300,9 @@ class AtomicGame(_OracleGame):
         upper = _as_vector(self.upper, "upper")
         if lower.shape != upper.shape:
             raise SpecError("strategy bounds must have matching shapes")
+        for name, bound in (("lower", lower), ("upper", upper)):
+            if np.isnan(bound).any():
+                raise SpecError(f"{name} bound must not be NaN")
         if np.any(lower > upper):
             raise SpecError("every strategy interval needs lower <= upper")
         object.__setattr__(self, "lower", lower)
@@ -307,6 +310,10 @@ class AtomicGame(_OracleGame):
         optimum = None if self.optimum is None else _as_vector(self.optimum, "optimum")
         if optimum is not None and optimum.shape != lower.shape:
             raise SpecError("the closed-form optimum needs one entry per player")
+        if optimum is not None and not np.isfinite(optimum).all():
+            raise SpecError("the closed-form optimum must be finite")
+        if self.lipschitz_bound is not None:
+            _check_positive(self.lipschitz_bound, "lipschitz_bound")
         object.__setattr__(self, "optimum", optimum)
         object.__setattr__(self, "_unbounded", bool(np.all((lower == -np.inf) & (upper == np.inf))))
 
@@ -322,11 +329,17 @@ class AtomicGame(_OracleGame):
             return x.copy()  # both clamps are the identity, NaN and inf included
         return project_interval(x, self.lower, self.upper)
 
-    def is_feasible(self, x: Array) -> bool:
+    def check_feasible(self, x) -> Array:
         x = np.asarray(x, dtype=float)
-        return bool(x.shape == self.lower.shape
-                    and np.all(x >= self.lower - 1e-9)
-                    and np.all(x <= self.upper + 1e-9))
+        if x.shape != self.lower.shape:
+            raise InvalidArgumentError(
+                f"strategy profile has shape {x.shape}, expected {self.lower.shape}")
+        if not np.isfinite(x).all():  # infinite bounds admit inf
+            raise InvalidArgumentError("strategy profile must be finite")
+        if not (np.all(x >= self.lower - FEASIBILITY_SLACK)
+                and np.all(x <= self.upper + FEASIBILITY_SLACK)):
+            raise InvalidArgumentError("strategy profile lies outside its box")
+        return x
 
     def uniform_point(self) -> Array:
         """The box midpoint, with 0 standing in for an infinite bound."""
@@ -336,14 +349,6 @@ class AtomicGame(_OracleGame):
 
     def random_start(self, rng: np.random.Generator) -> Array:
         return self.project(rng.standard_normal(self.n_players))
-
-    def check_start(self, x0, p0) -> tuple:
-        x = np.asarray(x0, dtype=float)
-        if not np.isfinite(x).all():  # infinite bounds admit inf
-            raise InvalidArgumentError("x0 must be finite")
-        if not self.is_feasible(x):
-            raise InvalidArgumentError("x0 is infeasible")
-        return x, check_incentive(p0, self.n_players)
 
     def _target(self, x, p, rule) -> tuple:
         """f(x, p), and the loss gradient at ``x`` where the rule took it (else None)."""
@@ -371,7 +376,7 @@ class AtomicGame(_OracleGame):
 
     def default_eta(self, regularizer: str) -> float:
         """0.9 / L: L is ``lipschitz_bound``, else sampled from the loss gradient."""
-        if self.lipschitz_bound:
+        if self.lipschitz_bound is not None:
             return 0.9 / self.lipschitz_bound
         rng = np.random.default_rng(0)
         return 0.9 / sampled_lipschitz(
@@ -476,10 +481,8 @@ def certify_nash_atomic(game: AtomicGame, x: Array, p: Array, tol: float = DEFAU
     Returns ``(ok, residual)`` with residual in the sup norm.
     """
     check_tolerance(tol)
-    x = _as_vector(x, "x")
+    x = game.check_feasible(x)
     p = check_incentive(p, game.n_players)
-    if x.size != game.n_players:
-        raise InvalidArgumentError("dimension mismatch in certify_nash_atomic")
     residual = projected_gradient_residual(game.loss_grad(x) + p, x, game.project)
     return residual <= tol, residual
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -187,6 +188,18 @@ def test_game_view_carries_the_closed_form_optimum():
         np.testing.assert_array_equal(game.known_optimum(), spec.y_dagger())
         np.testing.assert_allclose(game.externality(game.known_optimum()),
                                    optimal_incentive(spec), rtol=0, atol=1e-12)
+
+
+def test_only_the_game_that_to_game_built_holds_its_spec():
+    # dataclasses.replace does not copy the field, so every replaced game takes
+    # AtomicGame.step: closed forms dropped, a finite box or another Lipschitz bound
+    spec = example_spec()
+    game = spec.to_game()
+    assert game.spec is spec and "spec" not in repr(game)
+    for fields in ({"equilibrium": None, "best_response": None},
+                   {"lower": np.full(2, -1.0), "upper": np.full(2, 1.0)},
+                   {"lipschitz_bound": 2.0}, {}):
+        assert dataclasses.replace(game, **fields).spec is None
 
 
 def test_closed_form_matches_best_response_iteration():

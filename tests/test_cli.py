@@ -716,7 +716,8 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
     ("run", m2_with(h=[{"kind": "table", "points": [-20, 0, 20], "grads": [-20, 20]},
                        QUADRATIC_TERM]),
      "error: table term needs matching 1-d points/grads\n"),
-    ("run", {"game": M2_GAME, "run": {"x0": [0.0]}}, "error: x0 is infeasible\n"),
+    ("run", {"game": M2_GAME, "run": {"x0": [0.0]}},
+     "error: strategy profile has shape (1,), expected (2,)\n"),
     ("run", {"game": M2_GAME, "run": {"p0": None}}, "error: p0 must not be null\n"),
     ("run", braess_with(lambda block: block["edges"][0].update(tail="z")),
      "error: edge (z, a) references unknown nodes\n"),
@@ -747,7 +748,8 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
      "error in analysis 'ode_probe': need 0 < step < horizon with finite horizon / step\n"),
     ("verify", ode_probe(tol=float("nan")),
      "error in analysis 'ode_probe': tol must be finite and positive\n"),
-    ("run", {"game": M2_GAME, "run": {"x0": [float("inf"), 0.0]}}, "error: x0 must be finite\n"),
+    ("run", {"game": M2_GAME, "run": {"x0": [float("inf"), 0.0]}},
+     "error: strategy profile must be finite\n"),
     *[("verify", {"game": {"builtin": "pigou"}, "analyses": [dict(item, tol=tol)]},
        f"error in analysis '{item['op']}': tol must be finite and positive\n")
       for item, tols in TOL_ANALYSES for tol in tols],

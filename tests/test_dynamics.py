@@ -16,7 +16,8 @@ from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedu
                                          _with_default_step, externality, run_coupled,
                                          strategy_target, strict_json)
 from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, SpecError
-from incentive_dynamics.games import AtomicGame, NonAtomicGame, sampled_lipschitz
+from incentive_dynamics.games import (AtomicGame, NonAtomicGame, check_incentive,
+                                      sampled_lipschitz)
 from incentive_dynamics.routing import (RoutingNetwork, braess_network, nonatomic_view,
                                         pigou_network, two_link_network)
 
@@ -187,8 +188,8 @@ def test_step_strategy_mass_conservation():
     for rule in (StrategyUpdateRule("best_response"),
                  StrategyUpdateRule("gradient", eta=0.1),
                  StrategyUpdateRule("gradient", eta=0.1, regularizer="entropy")):
-        assert g.is_feasible(strategy_target(g, x, p, rule)[0])
-        assert g.is_feasible(one_step(g, x, p, rule)[0])
+        g.check_feasible(strategy_target(g, x, p, rule)[0])
+        g.check_feasible(one_step(g, x, p, rule)[0])
 
 
 def test_step_incentive_values():
@@ -395,6 +396,90 @@ def test_run_coupled_rejects_wrong_incentive_length():
             run_coupled(nonatomic, np.array([0.5, 0.5]), np.zeros(1), cfg)
     with pytest.raises(InvalidArgumentError):
         run_coupled(atomic, np.zeros(3), np.zeros(4), cfg)
+
+
+# ---------------------------------------------------------------------------
+# one feasibility rule per model
+# ---------------------------------------------------------------------------
+
+def _oracle_atomic(lower, upper):
+    return AtomicGame(lower=lower, upper=upper, loss_grad=lambda x: x,
+                      social=lambda x: float(x @ x), social_grad=lambda x: 2.0 * x)
+
+
+FEASIBILITY_MODELS = {
+    "boxed_atomic": lambda: _oracle_atomic([-1.0, 0.0, 0.5], [1.0, 2.0, 0.5]),
+    "half_infinite_atomic": lambda: _oracle_atomic([0.0, -np.inf], [np.inf, 1.0]),
+    "spec_atomic": lambda: QuadraticAggregativeSpec(
+        q=[1.0, 1.0], A=[[0.0, 0.5], [0.5, 0.0]], alpha=1.0, zeta=[-0.5, -1.0]).to_game(),
+    "nonatomic": lambda: NonAtomicGame(
+        masses=[1.0, 2.5], action_counts=(2, 3), action_cost=lambda x: x,
+        social=lambda x: float(x @ x), social_grad=lambda x: 2.0 * x),
+    "nonatomic_view_braess": lambda: nonatomic_view(braess_network()),
+    "braess": braess_network,
+    "two_link": two_link_network,
+    "grid34": grid34,
+}
+
+
+def raised(call, *args):
+    """The type and message of what ``call(*args)`` raises, None if it returns."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def past_a_bound(model, x, by):
+    """``x`` moved ``by`` past each bound it has, one point per bound: an
+    atomic player past a finite end of its interval; a simplex model's first
+    entry at ``-by``, its mass moved to the second entry of the same block."""
+    points = []
+    if isinstance(model, AtomicGame):
+        for i in range(x.size):
+            for bound, sign in ((model.lower[i], -1.0), (model.upper[i], 1.0)):
+                if np.isfinite(bound):
+                    points.append(x.copy())
+                    points[-1][i] = bound + sign * by
+        return points
+    assert model.layout.owner[1] == model.layout.owner[0]
+    y = x.copy()
+    y[1] += y[0] + by
+    y[0] = -by
+    return [y]
+
+
+@pytest.mark.parametrize("name", FEASIBILITY_MODELS)
+def test_every_model_decides_feasibility_with_one_rule(name):
+    model = FEASIBILITY_MODELS[name]()
+    rng = np.random.default_rng(46)
+    x = model.uniform_point()
+    p = np.zeros(model.dim)
+    # its own points are feasible, and projection onto the feasible set is idempotent
+    own = [x] + [model.random_start(rng) for _ in range(3)]
+    for v in [rng.normal(scale=3.0, size=x.size) for _ in range(5)]:
+        own.append(model.project(v))
+        np.testing.assert_allclose(model.project(own[-1]), own[-1], rtol=0, atol=1e-12)
+    for y in own:
+        np.testing.assert_array_equal(model.check_feasible(y), y, strict=True)
+    # check_start raises exactly what check_feasible raises on x0, then check_incentive on p0
+    bad_x = [np.append(x, 0.0), *past_a_bound(model, x, 2e-9)]
+    for value in (np.nan, np.inf, -np.inf):
+        bad_x.append(x.copy())
+        bad_x[-1][0] = value
+    for y in bad_x:
+        want = raised(model.check_feasible, y)
+        assert want is not None and want[0] is InvalidArgumentError, y
+        assert raised(model.check_start, y, p) == want, y
+    for bad_p in (np.zeros(model.dim + 1), np.full(model.dim, np.nan), np.full(model.dim, np.inf)):
+        want = raised(check_incentive, bad_p, model.dim)
+        assert want is not None and raised(model.check_start, x, bad_p) == want
+    # a start within the slack of a bound passes
+    for y in past_a_bound(model, x, 5e-10):
+        start, p0 = model.check_start(y, p)
+        np.testing.assert_array_equal(start, y, strict=True)
+        np.testing.assert_array_equal(p0, p, strict=True)
 
 
 def sampled_bound(game) -> float:

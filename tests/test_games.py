@@ -193,6 +193,35 @@ def test_atomic_game_rejects_bounds_of_different_shapes():
                    social_grad=lambda x: np.zeros(2))
 
 
+def box_game(**fields):
+    """A two-player oracle game on [0, 1] x (-inf, inf), ``fields`` replaced."""
+    return AtomicGame(**{"lower": [0.0, -np.inf], "upper": [1.0, np.inf],
+                         "loss_grad": lambda x: x, "social": lambda x: 0.0,
+                         "social_grad": lambda x: np.zeros(2), **fields})
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_atomic_game_rejects_a_nan_bound(side):
+    # it once built, and a solve from its NaN uniform_point blamed the loss gradient oracle
+    with pytest.raises(SpecError, match=f"{side} bound must not be NaN"):
+        box_game(**{side: [0.5, np.nan]})
+
+
+@pytest.mark.parametrize("bound", [np.nan, -1.0, 0.0, np.inf])
+def test_atomic_game_rejects_a_bad_lipschitz_bound(bound):
+    # it once built, and the first gradient run blamed the inner step size eta
+    with pytest.raises(SpecError, match="lipschitz_bound must be"):
+        box_game(lipschitz_bound=bound)
+    assert box_game(lipschitz_bound=2.0).default_eta("quadratic") == 0.45
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_atomic_game_rejects_a_nonfinite_optimum(bad):
+    # it once built, and verify_fixed_point_optimality blamed the social gradient oracle
+    with pytest.raises(SpecError, match="the closed-form optimum must be finite"):
+        box_game(optimum=[bad, 0.0])
+
+
 def test_atomic_project_on_unbounded_box_matches_project_interval():
     unbounded = aggregative_game(np.ones(5), np.zeros((5, 5)), 0.5, np.zeros(5))
     x = np.array([np.nan, np.inf, -np.inf, -0.0, 1e308])
@@ -252,16 +281,16 @@ def test_nonatomic_game_rejects_an_empty_action_set():
 
 def test_nonatomic_feasibility_checks():
     g = two_link_game()
-    assert g.is_feasible(np.array([0.4, 0.6]))
-    assert not g.is_feasible(np.array([0.4, 0.4]))
-    assert not g.is_feasible(np.array([-0.1, 1.1]))
-    with pytest.raises(InvalidArgumentError):
-        g.check_feasible(np.array([1.0, 1.0]))
+    g.check_feasible(np.array([0.4, 0.6]))
+    for x in ([0.4, 0.4], [-0.1, 1.1], [1.0, 1.0]):
+        with pytest.raises(InvalidArgumentError):
+            g.check_feasible(np.array(x))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_nonatomic_is_feasible_rejects_nonfinite(bad):
-    assert not two_link_game().is_feasible(np.array([bad, 1.0]))
+def test_nonatomic_check_feasible_rejects_nonfinite(bad):
+    with pytest.raises(InvalidArgumentError):
+        two_link_game().check_feasible(np.array([bad, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -277,7 +306,7 @@ def test_check_incentive_rejects_nonfinite(bad):
 def test_atomic_check_start_rejects_a_nonfinite_start(bad):
     # the strategies are unbounded, so inf lies within the bounds
     game = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    with pytest.raises(InvalidArgumentError, match="x0 must be finite"):
+    with pytest.raises(InvalidArgumentError, match="strategy profile must be finite"):
         game.check_start([bad, 0.0], [0.0, 0.0])
 
 
@@ -485,10 +514,23 @@ def test_certify_nash_atomic_perturbation_fails():
 
 def test_certify_nash_atomic_rejects_a_dimension_mismatch():
     g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    for x, p, match in ((np.zeros(3), np.zeros(2), "dimension mismatch"),
+    for x, p, match in ((np.zeros(3), np.zeros(2),
+                         r"strategy profile has shape \(3,\), expected \(2,\)"),
                         (np.zeros(2), np.zeros(1), r"incentive vector has shape \(1,\)")):
         with pytest.raises(InvalidArgumentError, match=match):
             certify_nash_atomic(g, x, p)
+
+
+def test_certify_nash_atomic_takes_x_through_check_feasible():
+    # a non-finite or out-of-box x once got a residual; it raises as check_feasible does
+    g = box_game()
+    for x in ([np.nan, 0.0], [0.5, -np.inf], [1.0 + 2e-9, 0.0], [-2e-9, 0.0]):
+        with pytest.raises(InvalidArgumentError) as want:
+            g.check_feasible(x)
+        with pytest.raises(InvalidArgumentError) as got:
+            certify_nash_atomic(g, x, np.zeros(2))
+        assert str(got.value) == str(want.value)
+    assert certify_nash_atomic(g, [-5e-10, 0.0], np.zeros(2))[0]
 
 
 def test_certify_social_optimum_rejects_a_strategy_of_the_wrong_shape():

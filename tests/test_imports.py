@@ -9,7 +9,9 @@ or ``bench/`` outside its own definition, and a method or property in
 ``src/``, ``bench/`` or ``studies/``, unless ``TEST_ONLY_METHODS`` lists it.
 Only ``games.check_incentive`` raises an error about the incentive vector,
 only ``games._BlockSpace.check_feasible`` one about an infeasible simplex
-strategy, and every public function that takes a ``tol`` calls
+strategy and only ``games.AtomicGame.check_feasible`` one about a strategy
+profile outside its box; the package defines ``check_start`` once and no
+``is_feasible``; and every public function that takes a ``tol`` calls
 ``games.check_tolerance``. No two functions of the package share their
 parameter names and body, and every hypothesis property under ``tests/`` is
 derandomized.
@@ -248,6 +250,22 @@ def test_only_check_feasible_builds_a_simplex_feasibility_error(phrase):
     # one method decides what a feasible simplex strategy is, for a network and
     # a non-atomic game alike, and what error names an infeasible one
     assert raisers_in_package(phrase) == {"games.py": ["_BlockSpace.check_feasible"]}
+
+
+@pytest.mark.parametrize("phrase", ["strategy profile has shape", "strategy profile must be finite",
+                                    "strategy profile lies outside its box"])
+def test_only_the_atomic_check_feasible_builds_a_box_feasibility_error(phrase):
+    # an atomic game's box rule has its own phrases; the simplex test above keeps
+    # its phrases out of this method
+    assert raisers_in_package(phrase) == {"games.py": ["AtomicGame.check_feasible"]}
+
+
+def test_check_start_is_written_once_and_is_feasible_nowhere():
+    # every model checks its start by its one feasibility rule, check_feasible
+    defined = Counter(node.name for module in MODULES
+                      for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
+                      if isinstance(node, FUNCTIONS))
+    assert (defined["check_start"], defined["is_feasible"]) == (1, 0)
 
 
 def unchecked_tolerances(source: str) -> list:

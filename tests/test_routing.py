@@ -309,7 +309,8 @@ def test_nonfinite_route_flow_is_rejected(bad):
         net.check_route_flow([bad, 1.0])
     with pytest.raises(InvalidArgumentError):
         wardrop_equilibrium(net, np.zeros(2), x0=[bad, 1.0])
-    assert not nonatomic_view(net).is_feasible([bad, 1.0])
+    with pytest.raises(InvalidArgumentError):
+        nonatomic_view(net).check_feasible([bad, 1.0])
 
 
 def feasibility_probes(net):
@@ -353,7 +354,6 @@ def test_a_network_and_its_route_level_view_accept_the_same_flows(make):
     for name, x in feasibility_probes(net).items():
         accepted = verdict(net.check_route_flow, x)
         assert verdict(view.check_feasible, x) == accepted, name
-        assert net.is_feasible(x) == view.is_feasible(x) == accepted, name
         assert (verdict(net.check_start, x, np.zeros(net.dim))
                 == verdict(view.check_start, x, np.zeros(view.dim)) == accepted), name
         assert PROBE_VERDICTS.get(name, accepted) == accepted, name
