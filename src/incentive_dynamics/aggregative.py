@@ -12,13 +12,12 @@ best-response rule, the closed form ``-(alpha A x + p) / q``, and one
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import _check_number, _check_positive
+from .dynamics import _check_number, _check_positive, _require_finite
 from .errors import ConvergenceError, SpecError
 from .games import AtomicGame, _checked_gap, check_incentive, nondecreasing_root
 
@@ -34,11 +33,6 @@ GRADIENT_PROBE.setflags(write=False)
 # Separable operator-cost terms
 # ---------------------------------------------------------------------------
 
-def _require_finite(values, name: str) -> None:
-    if not np.isfinite(values).all():
-        raise SpecError(f"{name} must be finite")
-
-
 class _PowerTerm:
     """h(y) = (y - zeta)^k / k, minimised at zeta, with the subclass's exponent k;
     value and gradient make the ``float_power`` calls of the spec's arrays."""
@@ -46,8 +40,7 @@ class _PowerTerm:
     def __init__(self, zeta: float):
         _check_number(zeta, "operator-cost zeta")
         self.zeta = float(zeta)
-        if not math.isfinite(self.zeta):
-            raise SpecError("operator-cost zeta must be finite")
+        _require_finite(self.zeta, "operator-cost zeta")
 
     def value(self, y):
         return np.float_power(y - self.zeta, self._k) / self._k
@@ -127,9 +120,8 @@ class QuadraticAggregativeSpec:
         n = q.size
         if n == 0:
             raise SpecError("a spec needs at least one player")
-        _require_finite(q, "q")
-        if np.any(q <= 0):
-            raise SpecError("all q_i must be strictly positive")
+        for value in q.tolist():  # Python floats, which _check_positive decides first
+            _check_positive(value, "q")
         if A.shape != (n, n):
             raise SpecError("network matrix must be square and match q")
         _require_finite(A, "network matrix")

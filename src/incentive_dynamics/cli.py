@@ -13,9 +13,9 @@ summary.json, analysis/*.json, and a plot.py rendering residual and
 social-cost curves. The JSON files are strict JSON: a non-finite number
 is written as ``null``. Exit codes, the same for run and verify, each error
 on one stderr line: 0 success, 1 invalid input, in a config, an analysis item
-or a run, 2 a solver that does not converge, iterates that overflow, or a
-failed analysis check. A check fails when its result has ``"passed": false``
-or a ``"verdict"`` other than ``"pass"``.
+or a run, or an output that cannot be written, 2 a solver that does not
+converge, iterates that overflow, or a failed analysis check. A check fails
+when its result has ``"passed": false`` or a ``"verdict"`` other than ``"pass"``.
 """
 from __future__ import annotations
 
@@ -85,6 +85,8 @@ def _failure(exc: Exception, where: str = "") -> int:
         message = f"{'diverged' if where else 'run diverged'}: {message}"
     elif isinstance(exc, KeyError):  # a JSON object lacks a required key
         message = f"missing key {message}"
+    elif isinstance(exc, OSError):  # an output file or directory; a failed write names none
+        message = f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}"
     print(f"error{where}: {message}", file=sys.stderr)
     return 2 if isinstance(exc, (ConvergenceError, EvaluationError)) else 1
 
@@ -205,11 +207,14 @@ def run_analysis(model, item: dict) -> dict:
 def _run_analyses(model, analyses, adir=None) -> int:
     """Run the analyses in order and return the exit code of their outcome.
 
-    With ``adir`` each result is written there as ``NN_op.json``; without,
-    one ``[pass]``/``[FAIL]``/``[info]`` line is printed per analysis. An
-    error exits at once with the code of :func:`_failure`; a failed check
-    exits 2 once every analysis has run. Overflow is silenced as in the run.
+    With ``adir`` each result is written there as ``NN_op.json``, and a directory
+    or file it cannot write raises ``OSError``; without, one ``[pass]``/``[FAIL]``/
+    ``[info]`` line is printed per analysis. An error exits at once with the code of
+    :func:`_failure`; a failed check exits 2 once every analysis has run. Overflow is
+    silenced as in the run.
     """
+    if adir is not None and analyses:
+        adir.mkdir(exist_ok=True)
     failed = []
     for idx, item in enumerate(analyses):
         op = item.get("op", "?")
@@ -218,7 +223,7 @@ def _run_analyses(model, analyses, adir=None) -> int:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 result = run_analysis(model, item)
-        except INVALID_INPUT as exc:
+        except (*INVALID_INPUT, OSError) as exc:  # OSError: a grid_csv it cannot write
             return _failure(exc, f" in analysis {op!r}")
         verdict = result["verdict"] == "pass" if "verdict" in result else result.get("passed")
         if adir is None:
@@ -274,16 +279,15 @@ def run_experiment(config_path, out_dir=None) -> int:
     except GameError as exc:
         return _failure(exc)
 
-    out.mkdir(parents=True, exist_ok=True)  # only a run that has a record writes
-    record.to_csv(out / "trajectory.csv")
-    record.to_json_summary(out / "summary.json")
-    (out / "plot.py").write_text(PLOT_SCRIPT)
-
     analyses = data.get("analyses", [])
-    adir = out / "analysis"
-    if analyses:
-        adir.mkdir(exist_ok=True)
-    code = _run_analyses(model, analyses, adir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)  # only a run that has a record writes
+        record.to_csv(out / "trajectory.csv")
+        record.to_json_summary(out / "summary.json")
+        (out / "plot.py").write_text(PLOT_SCRIPT)
+        code = _run_analyses(model, analyses, out / "analysis")
+    except OSError as exc:
+        return _failure(exc)
     if code:
         return code
     if update != "gradient_baseline" and not record.converged:

@@ -87,13 +87,23 @@ def _check_number(value, name: str, error=SpecError) -> None:
         raise error(f"{name} must be a number, got {value}")
 
 
-def _check_positive(value, name: str) -> None:
-    """Raise unless ``value`` is a finite number > 0: NaN, inf and a bool fail."""
-    _check_number(value, name)
-    if not math.isfinite(value):
+def _require_finite(values, name: str) -> None:
+    """Raise ``SpecError`` unless a constructor's number or array is finite throughout."""
+    if type(values) is float and math.isfinite(values):
+        return  # a spec checks one power term's zeta per player each time it is built
+    if not np.isfinite(values).all():
         raise SpecError(f"{name} must be finite")
-    if value <= 0:
-        raise SpecError(f"{name} must be positive")
+
+
+def _check_positive(value, name: str, error=SpecError) -> None:
+    """Raise unless ``value`` is a finite number > 0: NaN, inf and a bool fail, and a list, a
+    string or a numpy array of one or more dimensions raises ``TypeError``. A bad constructor
+    value raises ``SpecError``; a call argument passes ``error=InvalidArgumentError``."""
+    if type(value) is float and 0.0 < value < math.inf:
+        return  # the common case first: solvers check their tol on every call
+    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+        _check_number(value, name, error)
+        raise error(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -129,7 +139,7 @@ class StepSchedule:
     offset: int = 16
 
     def __post_init__(self):
-        for name in ("a", "b", "gamma0", "beta0"):
+        for name in ("a", "b"):
             _check_number(getattr(self, name), name)
         if not (0.5 < self.a < self.b <= 1.0):
             raise SpecError(f"need 0.5 < a < b <= 1, got a={self.a}, b={self.b}")
@@ -139,8 +149,8 @@ class StepSchedule:
             object.__setattr__(self, "gamma0", 2.0 ** -0.6 * offset ** self.a)
         if self.beta0 is None:
             object.__setattr__(self, "beta0", 2.0 ** -0.9 * offset ** self.b)
-        if self.gamma0 <= 0 or self.beta0 <= 0:
-            raise SpecError("step scale factors must be positive")
+        for name in ("gamma0", "beta0"):
+            _check_positive(getattr(self, name), name)
         # decreasing in k, so checking k = 0 pins the whole sequence in (0, 1)
         if not (0.0 < self.gamma(0) < 1.0 and 0.0 < self.beta(0) < 1.0):
             raise SpecError("step sizes must lie in (0, 1) for all k >= 0")

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import _check_number, _check_positive, _positive_int, _with_default_step
+from .dynamics import _check_positive, _positive_int, _require_finite, _with_default_step
 from .errors import ConvergenceError, EvaluationError, InvalidArgumentError, SpecError
 
 DEFAULT_CERT_TOL = 1e-6
@@ -181,10 +181,8 @@ def check_incentive(p, n: int) -> Array:
 
 
 def check_tolerance(tol) -> None:
-    """Raise unless an analysis tolerance is a finite positive number (NaN fails every ``<=``)."""
-    _check_number(tol, "tol", InvalidArgumentError)
-    if not 0.0 < tol < math.inf:
-        raise InvalidArgumentError("tol must be finite and positive")
+    """Raise unless a call's tolerance is a finite positive number (NaN fails every ``<=``)."""
+    _check_positive(tol, "tol", InvalidArgumentError)
 
 
 def sampled_lipschitz(grad: VectorOracle, draw: Callable[[], Array], what: str) -> float:
@@ -300,18 +298,18 @@ class AtomicGame(_OracleGame, _StrategySpace):
         upper = _as_vector(self.upper, "upper")
         if lower.shape != upper.shape:
             raise SpecError("strategy bounds must have matching shapes")
-        for name, bound in (("lower", lower), ("upper", upper)):
-            if np.isnan(bound).any():
-                raise SpecError(f"{name} bound must not be NaN")
+        for name, bound, bad in (("lower", lower, "+inf"), ("upper", upper, "-inf")):
+            if np.isnan(bound).any() or (bound == float(bad)).any():
+                raise SpecError(f"{name} bound must not be NaN or {bad}")
         if np.any(lower > upper):
             raise SpecError("every strategy interval needs lower <= upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         optimum = None if self.optimum is None else _as_vector(self.optimum, "optimum")
-        if optimum is not None and optimum.shape != lower.shape:
-            raise SpecError("the closed-form optimum needs one entry per player")
-        if optimum is not None and not np.isfinite(optimum).all():
-            raise SpecError("the closed-form optimum must be finite")
+        if optimum is not None:
+            if optimum.shape != lower.shape:
+                raise SpecError("the closed-form optimum needs one entry per player")
+            _require_finite(optimum, "the closed-form optimum")
         if self.lipschitz_bound is not None:
             _check_positive(self.lipschitz_bound, "lipschitz_bound")
         object.__setattr__(self, "optimum", optimum)
@@ -405,8 +403,8 @@ class NonAtomicGame(_OracleGame, _BlockSpace):
     def __post_init__(self):
         masses = _as_vector(self.masses, "masses")
         counts = tuple(self.action_counts)
-        if not ((masses > 0) & (masses < np.inf)).all():  # NaN fails too
-            raise SpecError("population masses must be finite and strictly positive")
+        for mass in masses:
+            _check_positive(mass, "population masses")
         if len(counts) != masses.size or not all(c >= 1 for c in counts):
             raise SpecError("need one action count >= 1 per population")
         counts = tuple(_positive_int(c, "action count", error=SpecError)
@@ -513,10 +511,7 @@ def projected_gradient_residual(grad: Array, x: Array, project) -> float:
 def certify_social_optimum(game, x: Array, tol: float = DEFAULT_CERT_TOL):
     """First-order certificate for a candidate social-cost minimizer."""
     check_tolerance(tol)
-    x = np.asarray(x, dtype=float)
-    shape = game.uniform_point().shape
-    if x.shape != shape:
-        raise InvalidArgumentError(f"strategy has shape {x.shape}, expected {shape}")
+    x = game.check_feasible(x)
     residual = projected_gradient_residual(np.asarray(game.social_grad(x), float), x, game.project)
     return residual <= tol, residual
 

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (RunConfig, TrajectoryRecord, _positive_int, _with_default_step,
-                       run_coupled)
+from .dynamics import (RunConfig, TrajectoryRecord, _check_positive, _positive_int,
+                       _require_finite, _with_default_step, run_coupled)
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
 from .games import (BlockLayout, NonAtomicGame, _BlockSpace, check_incentive,
@@ -71,8 +71,7 @@ class LatencyFunction:
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise SpecError("latency polynomial needs at least one coefficient")
-        if not np.isfinite(coeffs).all():
-            raise SpecError("latency coefficients must be finite")
+        _require_finite(coeffs, "latency coefficients")
         if any(c < 0 for c in coeffs):
             raise SpecError("latency coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
@@ -144,8 +143,7 @@ class RoutingNetwork(_BlockSpace):
         if not ods:
             raise SpecError("network needs at least one OD pair")
         for od in ods:
-            if not 0 < od.demand < np.inf:  # NaN fails too
-                raise SpecError("OD demands must be finite and strictly positive")
+            _check_positive(od.demand, "OD demands")
             if not od.routes:
                 raise SpecError("every OD pair needs at least one route")
             for route in od.routes:
@@ -594,7 +592,7 @@ def nondegeneracy_check(net: RoutingNetwork, edge_tolls, tol: float = 1e-6,
 
 def delta_matrix(net: RoutingNetwork, w_opt) -> np.ndarray:
     """Diagonal certificate weights 1 / (l' + w l'') at the optimal flow."""
-    w = np.asarray(w_opt, dtype=float)
+    w = _edge_flow(net, w_opt)
     denom = net.latency_deriv(w) + w * net.latency_second_deriv(w)
     if np.any(denom <= 0):
         raise InvalidArgumentError(

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import shutil
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from incentive_dynamics import aggregative as agg
-from incentive_dynamics import analysis, cli, routing
+from incentive_dynamics import analysis, cli, dynamics, routing
 from incentive_dynamics.errors import (ConvergenceError, EvaluationError,
                                        InvalidArgumentError, SpecError)
 
@@ -521,9 +522,9 @@ def test_unknown_incentive_update_exits_1_without_output(tmp_path, capsys):
     (lambda block: block["edges"][0].update(poly=[float("nan"), 1.0]),
      "latency coefficients must be finite"),
     (lambda block: block["od"][0].update(demand=float("nan")),
-     "OD demands must be finite and strictly positive"),
+     "OD demands must be finite and positive"),
     (lambda block: block["od"][0].update(demand=float("inf")),
-     "OD demands must be finite and strictly positive"),
+     "OD demands must be finite and positive"),
 ], ids=["nan_latency", "nan_demand", "inf_demand"])
 def test_verify_nonfinite_routing_block_exits_1_before_solving(tmp_path, capsys, monkeypatch,
                                                                spoil, message):
@@ -734,14 +735,14 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
     ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], x0=None)),
      "error: x0 must not be null\n"),
     ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], convergence_tol=0)),
-     "error: convergence_tol must be positive\n"),
+     "error: convergence_tol must be finite and positive\n"),
     ("run", with_rule({"builtin": "braess"}, eta=float("nan")),
-     "error: inner step size eta must be finite\n"),
+     "error: inner step size eta must be finite and positive\n"),
     ("run", with_rule({"builtin": "braess"}, eta=float("inf")),
-     "error: inner step size eta must be finite\n"),
-    ("run", with_rule(M2_GAME, eta=float("nan")), "error: inner step size eta must be finite\n"),
+     "error: inner step size eta must be finite and positive\n"),
+    ("run", with_rule(M2_GAME, eta=float("nan")), "error: inner step size eta must be finite and positive\n"),
     ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], convergence_tol=float("nan"))),
-     "error: convergence_tol must be finite\n"),
+     "error: convergence_tol must be finite and positive\n"),
     ("verify", ode_probe(horizon=float("inf")),
      "error in analysis 'ode_probe': need 0 < step < horizon with finite horizon / step\n"),
     ("verify", ode_probe(step=float("nan")),
@@ -895,6 +896,56 @@ def test_invalid_rule_met_during_a_run_spares_the_rest_of_the_directory(tmp_path
     assert captured.err == "error: entropy regularizer needs a simplex strategy space\n"
     assert captured.out == f"wrote {out / 'b_pass'}/trajectory.csv, summary.json\n"
     assert (out / "b_pass" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("blocked", ["file", "file/sub"])
+def test_an_output_that_cannot_be_written_spares_the_rest_of_the_directory(tmp_path, capsys,
+                                                                            blocked):
+    # it once died in out.mkdir with a traceback and stopped the remaining configs
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (tmp_path / "file").write_text("")
+    write_config(configs / "a_blocked.json", dict(TWO_LINK_RUN, output_dir=str(tmp_path / blocked)))
+    write_config(configs / "b_pass.json", TWO_LINK_RUN)
+    assert cli.main(["run", "--config", str(configs)]) == 1
+    captured = capsys.readouterr()
+    reason = "File exists" if blocked == "file" else "Not a directory"
+    assert captured.err == f"error: cannot write {tmp_path / blocked}: {reason}\n"
+    assert captured.out == f"wrote {configs / 'b_pass'}/trajectory.csv, summary.json\n"
+    assert cli.main(["run", "--config", str(configs / "b_pass.json"),
+                     "--out", str(tmp_path / blocked)]) == 1
+    assert capsys.readouterr().err == captured.err
+
+
+def test_a_failed_write_without_a_file_name_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # a full disk fails in write or close, and its OSError names no file
+    def full_disk(self, path):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(dynamics.TrajectoryRecord, "to_json_summary", full_disk)
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", TWO_LINK_RUN),
+                     "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write output: No space left on device\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_an_analysis_output_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys,
+                                                                         command):
+    out = tmp_path / "out"
+    grid = tmp_path / "missing" / "grid.csv"
+    cfg = dict(TWO_LINK_RUN, analyses=[{"op": "counterexample", "grid": 3, "grid_csv": str(grid)}])
+    assert cli.main([command, "--config", write_config(tmp_path / "c.json", cfg),
+                     *(["--out", str(out)] if command == "run" else [])]) == 1
+    assert capsys.readouterr().err == (f"error in analysis 'counterexample': cannot write "
+                                       f"{grid}: No such file or directory\n")
+    # an analysis result whose file name is taken by a directory
+    report = out / "analysis" / "00_verify_fixed_point_optimality.json"
+    report.mkdir(parents=True)
+    cfg = dict(TWO_LINK_RUN, analyses=[{"op": "verify_fixed_point_optimality"}])
+    assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {report}: Is a directory\n"
 
 
 def test_overflowing_analysis_exits_2_with_one_line(tmp_path, capsys):

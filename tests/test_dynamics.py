@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incentive_dynamics import dynamics, routing
+from incentive_dynamics import dynamics, games, routing
 from incentive_dynamics.aggregative import (QuadraticAggregativeSpec, QuadraticTerm, QuarticTerm,
                                             TableTerm, optimal_incentive)
 from incentive_dynamics.analysis import verify_fixed_point_optimality
@@ -16,8 +16,9 @@ from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedu
                                          _with_default_step, externality, run_coupled,
                                          strategy_target, strict_json)
 from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, SpecError
-from incentive_dynamics.games import (AtomicGame, NonAtomicGame, check_incentive,
-                                      sampled_lipschitz)
+from incentive_dynamics.games import (AtomicGame, NonAtomicGame, certify_nash_atomic,
+                                      certify_nash_nonatomic, certify_social_optimum,
+                                      check_incentive, sampled_lipschitz)
 from incentive_dynamics.routing import (RoutingNetwork, braess_network, nonatomic_view,
                                         pigou_network, two_link_network)
 
@@ -126,6 +127,38 @@ def test_nonfinite_run_numbers_are_rejected(bad):
         StrategyUpdateRule("gradient", eta=bad)
     with pytest.raises(SpecError, match="convergence_tol must be finite"):
         RunConfig(convergence_tol=bad)
+    for name in ("gamma0", "beta0"):
+        with pytest.raises(SpecError, match=f"{name} must be finite and positive"):
+            StepSchedule(**{name: bad})
+
+
+def test_check_positive_takes_one_number():
+    for good in (1e-8, 3, np.float64(2.0), np.array(0.5)):
+        dynamics._check_positive(good, "v")
+    for bad in (0.0, -1, np.nan, np.inf, np.float64(-2.0)):
+        with pytest.raises(InvalidArgumentError, match="^v must be finite and positive$"):
+            dynamics._check_positive(bad, "v", InvalidArgumentError)
+    with pytest.raises(SpecError, match="^v must be a number, got True$"):
+        dynamics._check_positive(True, "v")
+    # a list or an array where one number is expected; q and population masses
+    # are checked entry by entry
+    for bad in ([1.0], np.array([1.0]), np.array([1.0, 2.0]), "1.0"):
+        with pytest.raises(TypeError):
+            dynamics._check_positive(bad, "v")
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: QuadraticAggregativeSpec(q=[1.0, 1.0], A=np.zeros((2, 2)), alpha=v,
+                                       zeta=[0.0, 1.0]),
+    lambda v: StepSchedule(gamma0=v),
+    lambda v: games.certify_social_optimum(routing.two_link_network(), [0.5, 0.5], tol=v),
+], ids=["alpha", "gamma0", "tol"])
+@pytest.mark.parametrize("value", [np.array([1.0, 2.0]), np.array([1.0])])
+def test_a_number_parameter_rejects_an_array(build, value):
+    # a two-entry alpha would build a game with one alpha per player, and a
+    # one-entry tol once gave a certificate whose verdict was an array
+    with pytest.raises(TypeError):
+        build(value)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +496,14 @@ def test_every_model_decides_feasibility_with_one_rule(name):
         np.testing.assert_allclose(model.project(own[-1]), own[-1], rtol=0, atol=1e-12)
     for y in own:
         np.testing.assert_array_equal(model.check_feasible(y), y, strict=True)
-    # check_start raises exactly what check_feasible raises on x0, then check_incentive on p0
-    bad_x = [np.append(x, 0.0), *past_a_bound(model, x, 2e-9)]
+    # check_start and every certificate raise exactly what check_feasible raises
+    # on x, check_start then what check_incentive raises on p0
+    certificates = [lambda y: certify_social_optimum(model, y)]
+    if isinstance(model, AtomicGame):
+        certificates.append(lambda y: certify_nash_atomic(model, y, p))
+    elif isinstance(model, NonAtomicGame):
+        certificates.append(lambda y: certify_nash_nonatomic(model, y, p))
+    bad_x = [np.append(x, 0.0), x[:1], x[0], x[:, None], *past_a_bound(model, x, 2e-9)]
     for value in (np.nan, np.inf, -np.inf):
         bad_x.append(x.copy())
         bad_x[-1][0] = value
@@ -472,14 +511,37 @@ def test_every_model_decides_feasibility_with_one_rule(name):
         want = raised(model.check_feasible, y)
         assert want is not None and want[0] is InvalidArgumentError, y
         assert raised(model.check_start, y, p) == want, y
+        assert [raised(certify, y) for certify in certificates] == [want] * len(certificates), y
     for bad_p in (np.zeros(model.dim + 1), np.full(model.dim, np.nan), np.full(model.dim, np.inf)):
         want = raised(check_incentive, bad_p, model.dim)
         assert want is not None and raised(model.check_start, x, bad_p) == want
-    # a start within the slack of a bound passes
+    # a start within the slack of a bound passes, and so does a certificate's x
     for y in past_a_bound(model, x, 5e-10):
         start, p0 = model.check_start(y, p)
         np.testing.assert_array_equal(start, y, strict=True)
         np.testing.assert_array_equal(p0, p, strict=True)
+        for certify in certificates:
+            certify(y)
+
+
+@pytest.mark.parametrize("name", FEASIBILITY_MODELS)
+def test_every_model_meets_the_gap_optimum_and_step_clauses(name):
+    model = FEASIBILITY_MODELS[name]()
+    rng = np.random.default_rng(47)
+    own = [model.uniform_point()] + [model.random_start(rng) for _ in range(3)]
+    # strategy_gap is a distance on the model's own points
+    for y in own:
+        assert model.strategy_gap(y, y) == 0.0
+        for z in own:
+            assert model.strategy_gap(y, z) == model.strategy_gap(z, y)
+    # the paper's converse: at p† = e(x†) the equilibrium target is x† itself
+    x_opt = model.known_optimum()
+    if x_opt is not None:
+        f = model.target(model.uniform_point(), model.externality(x_opt), StrategyUpdateRule())
+        assert model.strategy_gap(f, x_opt) <= 1e-6 * max(1.0, float(np.max(np.abs(x_opt))))
+    for regularizer in ("quadratic", "entropy"):
+        eta = model.default_eta(regularizer)
+        assert np.isfinite(eta) and eta > 0, regularizer
 
 
 def sampled_bound(game) -> float:

@@ -10,9 +10,12 @@ or ``bench/`` outside its own definition, and a method or property in
 Only ``games.check_incentive`` raises an error about the incentive vector,
 only ``games._BlockSpace.check_feasible`` one about an infeasible simplex
 strategy and only ``games.AtomicGame.check_feasible`` one about a strategy
-profile outside its box; the package defines ``check_start`` once and no
-``is_feasible``; and every public function that takes a ``tol`` calls
-``games.check_tolerance``. No two functions of the package share their
+profile outside its box, and no function one about a strategy's shape of its
+own. Only ``dynamics._check_positive`` raises a "must be finite and
+positive" error, and besides it and those three rules only
+``dynamics._require_finite`` a "must be finite" one. The package defines
+``check_start`` once and no ``is_feasible``; and every public function that
+takes a ``tol`` calls ``games.check_tolerance``. No two functions of the package share their
 parameter names and body, and every hypothesis property under ``tests/`` is
 derandomized.
 """
@@ -258,6 +261,24 @@ def test_only_the_atomic_check_feasible_builds_a_box_feasibility_error(phrase):
     # an atomic game's box rule has its own phrases; the simplex test above keeps
     # its phrases out of this method
     assert raisers_in_package(phrase) == {"games.py": ["AtomicGame.check_feasible"]}
+
+
+def test_only_check_positive_builds_a_finite_and_positive_error():
+    # a constructor value and a call's tol alike; the caller picks the error class
+    assert raisers_in_package("must be finite and positive") == {
+        "dynamics.py": ["_check_positive"]}
+
+
+def test_only_require_finite_builds_any_other_must_be_finite_error():
+    # the incentive and feasibility rules keep their own phrases
+    assert raisers_in_package("must be finite") == {
+        "dynamics.py": ["_require_finite", "_check_positive"],
+        "games.py": ["check_incentive", "_BlockSpace.check_feasible", "AtomicGame.check_feasible"]}
+
+
+def test_no_function_builds_a_strategy_shape_error_of_its_own():
+    # a certificate takes its strategy through the model's check_feasible
+    assert raisers_in_package("strategy has shape") == {}
 
 
 def test_check_start_is_written_once_and_is_feasible_nowhere():

@@ -65,9 +65,11 @@ def test_latency_rejects_nonfinite_coefficients(coeffs):
         LatencyFunction(coeffs)
 
 
-@pytest.mark.parametrize("demand", [0.0, -1.0, np.nan, np.inf])
-def test_od_demand_must_be_finite_and_positive(demand):
-    with pytest.raises(SpecError, match="OD demands must be finite and strictly positive"):
+@pytest.mark.parametrize("demand, message", [
+    *[(d, "OD demands must be finite and positive") for d in (0.0, -1.0, np.nan, np.inf)],
+    (True, "OD demands must be a number, got True")])  # True once built a demand of 1
+def test_od_demand_must_be_finite_and_positive(demand, message):
+    with pytest.raises(SpecError, match=message):
         RoutingNetwork(nodes=("a", "b"), edges=(("a", "b", LatencyFunction((0.0, 1.0))),),
                        od_pairs=(OdPair("a", "b", demand, ((0,),)),))
 
@@ -1014,6 +1016,21 @@ def test_delta_matrix_values():
         od_pairs=(OdPair("S", "D", 1.0, ((0,),)),))
     np.testing.assert_allclose(delta_matrix(affine, np.array([0.77])),
                                [[0.5]], atol=1e-12)
+
+
+@pytest.mark.parametrize("w", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+def test_delta_matrix_takes_one_flow_per_edge(w):
+    # [0.5] once broadcast into a full 2x2 weight; three entries raised numpy's ValueError
+    with pytest.raises(InvalidArgumentError, match=r"edge flow must have 2 entries"):
+        delta_matrix(two_link_network(), w)
+
+
+@pytest.mark.parametrize("x", [[5.0, 5.0, 5.0], [np.nan, 2.0, 4.0], [2.0, 4.0]])
+def test_certify_social_optimum_rejects_an_infeasible_route_flow(x):
+    # braess once returned (False, 5.0) for [5, 5, 5], and a NaN raised the projection's error
+    net = braess_network()
+    with pytest.raises(InvalidArgumentError, match="route flow"):
+        games.certify_social_optimum(net, x)
 
 
 # ---------------------------------------------------------------------------
