@@ -162,7 +162,6 @@ class QuadraticAggregativeSpec:
             y_dagger[i] = _grad_root(t, i)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "h", terms)
         object.__setattr__(self, "_y_dagger", y_dagger)
         object.__setattr__(self, "_zeta", zeta)
         object.__setattr__(self, "_pow", k)

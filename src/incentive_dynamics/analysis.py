@@ -107,8 +107,11 @@ def ode_probe_slow_dynamics(obj, start_points,
     from the solver's own start, so starts do not depend on each other.
     Reports each start, its endpoint and, when the model knows p†, the
     endpoint's sup distance to it; ``all_converged`` is whether every
-    distance is within ``config.tol``.
+    distance is within ``config.tol``. An empty ``start_points`` is no
+    evidence and raises ``InvalidArgumentError``.
     """
+    if len(start_points) == 0:
+        raise InvalidArgumentError("the ODE probe needs at least one start point")
     model = strategy_model(obj)
     target = _p_dagger(model)
     starts, endpoints, distances = [], [], []

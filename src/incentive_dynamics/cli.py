@@ -12,10 +12,11 @@ gradient baseline), and any requested analyses. Outputs: trajectory.csv,
 summary.json, analysis/*.json, and a plot.py rendering residual and
 social-cost curves. The JSON files are strict JSON: a non-finite number
 is written as ``null``. Exit codes, the same for run and verify, each error
-on one stderr line: 0 success, 1 invalid input, in a config, an analysis item
-or a run, or an output that cannot be written, 2 a solver that does not
-converge, iterates that overflow, or a failed analysis check. A check fails
-when its result has ``"passed": false`` or a ``"verdict"`` other than ``"pass"``.
+on one stderr line: 0 success (``--help`` included), 1 invalid input, in the
+command line, a config, an analysis item or a run, or an output that cannot be
+written, 2 a solver that does not converge, iterates that overflow, or a
+failed analysis check. A check fails when its result has ``"passed": false``
+or a ``"verdict"`` other than ``"pass"``.
 """
 from __future__ import annotations
 
@@ -147,12 +148,20 @@ def build_game(spec: dict):
     raise SpecError('"game" needs one of "builtin", "aggregative", "routing"')
 
 
+def _pop_object(block: dict, key: str) -> dict:
+    """``block.pop(key)``, a JSON object, or {} if ``block`` lacks the key."""
+    value = block.pop(key, {})
+    if not isinstance(value, dict):
+        raise SpecError(f'"{key}" must be an object')
+    return value
+
+
 def _run_setup(model, run_spec) -> tuple:
     """A config's "run" block, parsed once: ``(config, game, x0, p0)``, where
     ``game`` is the model the coupled loop runs on and (x0, p0) its checked start."""
     run_spec = dict(run_spec or {})
-    sched = StepSchedule(**run_spec.pop("schedule", {}))
-    rule = StrategyUpdateRule(**run_spec.pop("rule", {}))
+    sched = StepSchedule(**_pop_object(run_spec, "schedule"))
+    rule = StrategyUpdateRule(**_pop_object(run_spec, "rule"))
     start = {key: run_spec.pop(key) for key in ("x0", "p0") if key in run_spec}
     for key, value in start.items():
         if value is None:
@@ -169,7 +178,7 @@ def run_analysis(model, item: dict) -> dict:
     if op == "verify_fixed_point_optimality":  # p defaults to the model's p†
         return analysis.verify_fixed_point_optimality(model, **item)
     if op == "ode_probe":
-        cfg = analysis.OdeProbeConfig(**item.pop("config", {}))
+        cfg = analysis.OdeProbeConfig(**_pop_object(item, "config"))
         return analysis.ode_probe_slow_dynamics(model, item.pop("start_points"), cfg, **item)
     if op == "condition_c1":
         return analysis.check_condition_C1(model, item.pop("p_samples"), **item)
@@ -354,8 +363,16 @@ def list_fixtures() -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 with one stderr line, as
+    a config's do, rather than with argparse's usage block and exit 2."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="incentive-dynamics",
         description="Adaptive incentive-design simulations over atomic and "
                     "non-atomic games.")

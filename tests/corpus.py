@@ -12,9 +12,20 @@ zero-padded below degree 4 for all but the quartic edges.
 
 ``former_route_step`` gives the gradient rule's former default step on a
 network, under which pinned records and ``studies/schedule_study.py`` ran.
+
+Below them are the games and helpers that several test modules share: no
+``tests/test_*.py`` imports another.
 """
+import dataclasses
+
 import numpy as np
 
+from incentive_dynamics.aggregative import (QuadraticAggregativeSpec, QuadraticTerm,
+                                            QuarticTerm, TableTerm)
+from incentive_dynamics.dynamics import StepSchedule
+from incentive_dynamics.errors import ConvergenceError
+from incentive_dynamics.games import (AtomicGame, NonAtomicGame, best_response_blocks,
+                                      certify_nash_nonatomic)
 from incentive_dynamics.routing import LatencyFunction, OdPair, RoutingNetwork
 
 # (origin, destination, demand) of the two OD pairs of ROADMAP item 1
@@ -100,3 +111,134 @@ CORPUS = {
     "grid45": grid45,
     "mixed_degree": mixed_degree_network,
 }
+
+
+# the default schedule before (0.8, 1, 2^1.8, 2^2.1, 8); pinned records were written under it
+FORMER_SCHEDULE = StepSchedule(a=0.6, b=0.9, gamma0=1.0, beta0=1.0, offset=2)
+
+RULES = ("equilibrium", "best_response", "gradient")
+# (variant, regularizer) pairs: every rule of a box model, and of a simplex one
+BOX_RULES = tuple((variant, "quadratic") for variant in RULES)
+SIMPLEX_RULES = BOX_RULES + (("gradient", "entropy"),)
+
+M1_SPEC = dict(q=[1.0, 1.0], A=[[0.0, 0.1], [1.0, 0.0]], alpha=1.0,
+               zeta=[-1.0, -0.5])  # M = [[1, 0.1], [1, 1]]
+M2_SPEC = dict(q=[1.0, 1.0], A=[[0.0, -0.1], [-0.1, 0.0]], alpha=1.0,
+               zeta=[-1.0, -0.5])  # M = [[1, -0.1], [-0.1, 1]]
+
+
+def example_spec(zeta=(0.0, 0.0)):
+    return QuadraticAggregativeSpec(q=[1.0, 1.0], A=[[0, 1], [1, 0]],
+                                    alpha=0.5, zeta=list(zeta))
+
+
+def seeded_spec(n, seed, q_range=(0.8, 1.2)):
+    """A quadratic aggregative spec with symmetric coupling, drawn from
+    ``np.random.default_rng(seed)`` (a seed or a Generator): well conditioned
+    by default, ill conditioned with a wider ``q_range``."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.0, 1.0, (n, n))
+    A = 0.5 * (A + A.T)
+    np.fill_diagonal(A, 0.0)
+    A *= 0.2 / max(1, n - 1)
+    return QuadraticAggregativeSpec(q=rng.uniform(*q_range, n), A=A, alpha=0.5,
+                                    zeta=rng.uniform(-1.0, 1.0, n))
+
+
+# operator-cost terms of every kind, cycled over the players
+MIXED_TERMS = (QuarticTerm(0.3), TableTerm([-2.0, 0.0, 2.0], [-3.0, 0.5, 2.0]),
+               QuadraticTerm(-0.4))
+
+
+def mixed_spec(n, seed, terms=MIXED_TERMS, q_range=(0.8, 1.2)):
+    """``seeded_spec(n, seed, q_range)`` with the operator-cost terms ``terms``, cycled."""
+    return dataclasses.replace(seeded_spec(n, seed, q_range), zeta=None, h=(terms * n)[:n])
+
+
+def without_closed_forms(game):
+    return dataclasses.replace(game, equilibrium=None, best_response=None)
+
+
+def aggregative_game(q, A, alpha, zeta):
+    """Hand-built quadratic aggregative game (independent of the aggregative
+    module, so it can serve as an oracle for it)."""
+    q = np.asarray(q, float)
+    A = np.asarray(A, float)
+    zeta = np.asarray(zeta, float)
+    n = q.size
+    return AtomicGame(
+        lower=np.full(n, -np.inf), upper=np.full(n, np.inf),
+        loss_grad=lambda x: q * x + alpha * (A @ x),
+        social=lambda x: float(0.5 * np.sum((x - zeta) ** 2)),
+        social_grad=lambda x: np.asarray(x, float) - zeta,
+    )
+
+
+def two_link_game():
+    """The two parallel unit-slope links as a bare non-atomic game."""
+    return NonAtomicGame(
+        masses=np.array([1.0]), action_counts=(2,),
+        action_cost=lambda x: np.array([x[0], x[1]]),
+        social=lambda x: float(x[0] ** 2 + x[1] ** 2),
+        social_grad=lambda x: 2.0 * np.asarray(x, float),
+    )
+
+
+def counting(fn, calls):
+    """``fn``, appending to ``calls`` at each call."""
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def assert_records_equal(rec, ref):
+    """Two trajectory records are equal, bit for bit."""
+    assert rec.ks == ref.ks
+    assert rec.residuals == ref.residuals
+    assert rec.social_costs == ref.social_costs
+    assert (rec.converged, rec.iterations, rec.record_every) == (
+        ref.converged, ref.iterations, ref.record_every)
+    for new, old in ((rec.xs, ref.xs), (rec.ps, ref.ps)):
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
+def nonatomic_loop_reference(game, p, tol=1e-10, x0=None, max_iter=200000):
+    """The non-atomic solver as it was before it shared the atomic loop: every
+    candidate is certified with certify_nash_nonatomic, and the step and the
+    restart evaluate action_cost at the current point once more."""
+    p = np.asarray(p, float)
+    x = game.uniform_point() if x0 is None else game.project(np.asarray(x0, float))
+    eta = 1.0
+    ok, res = certify_nash_nonatomic(game, x, p, tol)
+    for k in range(max_iter):
+        if res <= tol:
+            return x
+        cand = game.project(x - eta * (np.asarray(game.action_cost(x), float) + p))
+        _, res_c = certify_nash_nonatomic(game, cand, p, tol)
+        if res_c <= res:
+            x, res = cand, res_c
+        else:
+            eta *= 0.5
+            if eta < 1e-12:
+                f = best_response_blocks(np.asarray(game.action_cost(x), float) + p,
+                                         game.layout)
+                x = x + (2.0 / (k + 3.0)) * (f - x)
+                _, res = certify_nash_nonatomic(game, x, p, tol)
+                eta = 1.0
+    raise ConvergenceError("non-atomic equilibrium iteration stalled", best=x)
+
+
+RUN_KEYS = {"model", "rule", "budget", "tol", "iterations", "converged", "finite", "p_err",
+            "p_err_start", "p_err_peak", "overshoot"}
+
+
+def check_runs(point):
+    """Each run of a study point has the run keys, finite iterates, and a
+    verified optimum where it converged."""
+    for run in point["runs"]:
+        assert RUN_KEYS <= set(run) <= RUN_KEYS | {"verified"}
+        assert run["finite"] and run.get("verified", not run["converged"])

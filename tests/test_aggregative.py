@@ -18,15 +18,7 @@ from incentive_dynamics.aggregative import (QuadraticAggregativeSpec,
 from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, run_coupled
 from incentive_dynamics.errors import GameError, InvalidArgumentError, SpecError
 
-M1_SPEC = dict(q=[1.0, 1.0], A=[[0.0, 0.1], [1.0, 0.0]], alpha=1.0,
-               zeta=[-1.0, -0.5])  # M = [[1, 0.1], [1, 1]]
-M2_SPEC = dict(q=[1.0, 1.0], A=[[0.0, -0.1], [-0.1, 0.0]], alpha=1.0,
-               zeta=[-1.0, -0.5])  # M = [[1, -0.1], [-0.1, 1]]
-
-
-def example_spec(zeta=(0.0, 0.0)):
-    return QuadraticAggregativeSpec(q=[1.0, 1.0], A=[[0, 1], [1, 0]],
-                                    alpha=0.5, zeta=list(zeta))
+from corpus import M1_SPEC, M2_SPEC, assert_records_equal, example_spec, mixed_spec, seeded_spec
 
 
 def spec_losses(spec, x):
@@ -200,6 +192,22 @@ def test_only_the_game_that_to_game_built_holds_its_spec():
                    {"lower": np.full(2, -1.0), "upper": np.full(2, 1.0)},
                    {"lipschitz_bound": 2.0}, {}):
         assert dataclasses.replace(game, **fields).spec is None
+
+
+@pytest.mark.parametrize("make", [seeded_spec, mixed_spec], ids=["zeta", "h"])
+def test_replace_round_trips_a_spec_of_either_form(make):
+    # a zeta spec once kept its built terms in h, so that replace passed both
+    spec = make(3, 6)
+    halved = dataclasses.replace(spec, alpha=0.25)
+    assert (halved.zeta is None, halved.h is None) == (spec.zeta is None, spec.h is None)
+    fresh = QuadraticAggregativeSpec(q=spec.q, A=spec.A, alpha=0.25, zeta=spec.zeta, h=spec.h)
+    x = np.random.default_rng(6).normal(size=3)
+    config = RunConfig(max_iterations=30, rule=StrategyUpdateRule("gradient"))
+    for got, want in ((halved, fresh), (dataclasses.replace(halved, alpha=spec.alpha), spec)):
+        assert np.float64(got.social(x)).tobytes() == np.float64(want.social(x)).tobytes()
+        np.testing.assert_array_equal(got.y_dagger(), want.y_dagger(), strict=True)
+        assert_records_equal(run_coupled(got.to_game(), x, np.zeros(3), config),
+                             run_coupled(want.to_game(), x, np.zeros(3), config))
 
 
 def test_closed_form_matches_best_response_iteration():

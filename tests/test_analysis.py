@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from corpus import grid34, mixed_degree_network
+from corpus import (M1_SPEC, M2_SPEC, aggregative_game, example_spec, grid34,
+                    mixed_degree_network, two_link_game)
 from incentive_dynamics import analysis, routing
 from incentive_dynamics.aggregative import (QuadraticAggregativeSpec, QuadraticTerm,
                                             check_local_conditions,
@@ -24,13 +25,8 @@ from incentive_dynamics.analysis import (OdeProbeConfig, check_condition_C1,
                                          verify_fixed_point_optimality)
 from incentive_dynamics.dynamics import StepSchedule, StrategyUpdateRule, TrajectoryRecord
 from incentive_dynamics.errors import InvalidArgumentError
-from incentive_dynamics.games import NonAtomicGame
-from incentive_dynamics.routing import (LatencyFunction, braess_network, delta_matrix,
-                                        nonatomic_view, optimal_edge_tolls, pigou_network,
+from incentive_dynamics.routing import (LatencyFunction, delta_matrix, optimal_edge_tolls,
                                         system_optimum, two_link_network)
-
-from test_aggregative import M1_SPEC, M2_SPEC, example_spec
-from test_games import aggregative_game, two_link_game
 
 
 EQUILIBRIUM = StrategyUpdateRule()
@@ -215,48 +211,10 @@ def test_ode_probe_euler_step_sanity():
     assert d2 <= 2 * d1 + 1e-12
 
 
-def ode_probe_reference(obj, start_points, config: OdeProbeConfig) -> list:
-    """The probe's endpoints with each Euler step's x*(p) solved cold, from
-    the solver's own start: the reference for the warm-started probe."""
-    model = analysis.strategy_model(obj)
-    endpoints = []
-    for p0 in start_points:
-        p = np.array(p0, dtype=float)
-        for _ in range(int(round(config.horizon / config.step))):
-            p = p + config.step * (phi(model, p) - p)
-        endpoints.append(p)
-    return endpoints
-
-
-PROBE_MODELS = {
-    "two_link": two_link_network,
-    "pigou": pigou_network,
-    "braess": braess_network,
-    "grid34": grid34,
-    "nonatomic_braess": lambda: nonatomic_view(braess_network()),
-    # the inner solves run in ``games``, from the previous step's x*(p)
-    "aggregative_solved": lambda: dataclasses.replace(
-        example_spec(zeta=(1.0, 2.0)).to_game(), equilibrium=None, best_response=None),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PROBE_MODELS))
-def test_warm_started_ode_probe_matches_cold_solves(name):
-    model = PROBE_MODELS[name]()
-    starts = [np.zeros(model.dim), np.random.default_rng(5).uniform(0.0, 1.0, model.dim)]
-    cfg = OdeProbeConfig(step=0.1, horizon=10.0, tol=1e-2)
-    report = ode_probe_slow_dynamics(model, starts, cfg)
-    # in units of the tolls: on grid34 (tolls up to 13) the cold endpoints are
-    # themselves about 1e-9 from those of solves to a duality gap of 1e-15
-    for got, want in zip(report["endpoints"], ode_probe_reference(model, starts, cfg),
-                         strict=True):
-        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
-    # each start begins cold, so its endpoint does not depend on the starts before it
-    for i, start in enumerate(starts):
-        alone = ode_probe_slow_dynamics(model, [start], cfg)
-        for key in ("start_points", "endpoints"):
-            np.testing.assert_array_equal(report[key][i], alone[key][0], strict=True)
-        assert report["distances"][i:i + 1] == alone["distances"]
+def test_ode_probe_needs_a_start_point():
+    # as C1, C2 and the uniqueness probe need a sample; no start once read as not converged
+    with pytest.raises(InvalidArgumentError, match="the ODE probe needs at least one start point"):
+        ode_probe_slow_dynamics(two_link_network(), [])
 
 
 def test_ode_probe_config_validation():

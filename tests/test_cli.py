@@ -621,9 +621,10 @@ def with_rule(game, **rule):
     return {"game": game, "run": {"rule": dict(variant="gradient", **rule)}}
 
 
-def ode_probe(**config):
+def ode_probe(config, start_points=([0.0, 0.0],)):
     return {"game": {"builtin": "two_link"},
-            "analyses": [{"op": "ode_probe", "start_points": [[0.0, 0.0]], "config": config}]}
+            "analyses": [{"op": "ode_probe", "start_points": list(start_points),
+                          "config": config}]}
 
 
 # analyses that take a tolerance, each with the values that must exit 1 on Pigou: at
@@ -743,11 +744,11 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
     ("run", with_rule(M2_GAME, eta=float("nan")), "error: inner step size eta must be finite and positive\n"),
     ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], convergence_tol=float("nan"))),
      "error: convergence_tol must be finite and positive\n"),
-    ("verify", ode_probe(horizon=float("inf")),
+    ("verify", ode_probe({"horizon": float("inf")}),
      "error in analysis 'ode_probe': need 0 < step < horizon with finite horizon / step\n"),
-    ("verify", ode_probe(step=float("nan")),
+    ("verify", ode_probe({"step": float("nan")}),
      "error in analysis 'ode_probe': need 0 < step < horizon with finite horizon / step\n"),
-    ("verify", ode_probe(tol=float("nan")),
+    ("verify", ode_probe({"tol": float("nan")}),
      "error in analysis 'ode_probe': tol must be finite and positive\n"),
     ("run", {"game": M2_GAME, "run": {"x0": [float("inf"), 0.0]}},
      "error: strategy profile must be finite\n"),
@@ -781,6 +782,12 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
      "error in analysis 'condition_c1': missing key 'p_samples'\n"),
     ("run", m2_with(zeta=[-1.0, -0.5], h=[QUADRATIC_TERM, QUADRATIC_TERM]),
      "error: give exactly one of zeta or h\n"),
+    *[("run", dict(TWO_LINK_RUN, run={key: value}), f'error: "{key}" must be an object\n')
+      for key in ("rule", "schedule") for value in (None, [0.6, 0.9])],
+    *[("verify", ode_probe(value), 'error in analysis \'ode_probe\': "config" must be '
+      'an object\n') for value in (None, 0.5)],
+    ("verify", ode_probe({}, start_points=()),
+     "error in analysis 'ode_probe': the ODE probe needs at least one start point\n"),
 ], ids=["unknown-op", "global-on-routing", "local-on-routing", "nondegeneracy-on-aggregative",
         "empty-directory", "verify-no-analyses", "config-not-object", "game-not-object",
         "game-unknown-kind", "run-unreadable", "verify-unreadable", "fractional-record-every",
@@ -798,7 +805,9 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
         "misspelled-top-level-key", "c2-weight-row", "c2-weight-scalar", "c2-weight-vector",
         "game-two-kinds", "routing-relax-string",
         "routing-float-edge", "routing-bool-edges", "aggregative-missing-q",
-        "routing-missing-od", "condition_c1-missing-p_samples", "aggregative-zeta-and-h"])
+        "routing-missing-od", "condition_c1-missing-p_samples", "aggregative-zeta-and-h",
+        "rule-null", "rule-list", "schedule-null", "schedule-list", "ode-config-null",
+        "ode-config-number", "ode-no-start-points"])
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, message):
     path = tmp_path / "c.json"
     if config == EMPTY_DIRECTORY:
@@ -813,6 +822,23 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, 
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     if not message.startswith("error in analysis"):  # no run has a record: no output
         assert [p for p in tmp_path.iterdir() if p != path] == []
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["run"], 1, "error: the following arguments are required: --config\n"),
+    (["verify", "--config", "c.json", "--seed", "1"], 1,
+     "error: unrecognized arguments: --seed 1\n"),
+    (["simulate"], 1, "error: argument command: invalid choice: 'simulate' (choose from "
+                      "'run', 'verify', 'list-fixtures')\n"),
+    ([], 1, "error: the following arguments are required: command\n"),
+    (["--help"], 0, ""), (["run", "--help"], 0, "")])
+def test_a_usage_error_exits_1_with_one_line_and_help_exits_0(capsys, argv, code, err):
+    # argparse's own usage block exits 2, the code of a failed check
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == code
+    out = capsys.readouterr()
+    assert out.err == err and out.out.startswith("usage: " if code == 0 else "")
 
 
 @pytest.mark.parametrize("game, key", [(M2_GAME, "x0"), ({"builtin": "two_link"}, "p0")],
@@ -1011,7 +1037,7 @@ BOOLEAN_FIELDS = {
                                 ("p", {"op": "uniqueness_probe"}, [True, False]),
                                 ("p_samples", {"op": "condition_c1"}, [[True, False]]),
                                 ("start_points", {"op": "ode_probe"}, [[True, False]]))},
-    **{f"ode_probe-{key}": (ode_probe(**{key: True}),
+    **{f"ode_probe-{key}": (ode_probe({key: True}),
                             f"error in analysis 'ode_probe': {key} must be a number, got True")
        for key in ("step", "horizon")},
 }

@@ -8,22 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incentive_dynamics import dynamics, games, routing
-from incentive_dynamics.aggregative import (QuadraticAggregativeSpec, QuadraticTerm, QuarticTerm,
-                                            TableTerm, optimal_incentive)
+from incentive_dynamics.aggregative import QuadraticAggregativeSpec, optimal_incentive
 from incentive_dynamics.analysis import verify_fixed_point_optimality
 from incentive_dynamics.dynamics import (CONSECUTIVE_HITS, RunConfig, StepSchedule,
                                          StrategyUpdateRule, TrajectoryRecord,
                                          _with_default_step, externality, run_coupled,
                                          strategy_target, strict_json)
 from incentive_dynamics.errors import EvaluationError, InvalidArgumentError, SpecError
-from incentive_dynamics.games import (AtomicGame, NonAtomicGame, certify_nash_atomic,
-                                      certify_nash_nonatomic, certify_social_optimum,
-                                      check_incentive, sampled_lipschitz)
-from incentive_dynamics.routing import (RoutingNetwork, braess_network, nonatomic_view,
-                                        pigou_network, two_link_network)
+from incentive_dynamics.games import AtomicGame, NonAtomicGame, sampled_lipschitz
+from incentive_dynamics.routing import (braess_network, nonatomic_view, pigou_network,
+                                        two_link_network)
 
-from corpus import former_route_step, grid34
-from test_games import FORMER_SCHEDULE, aggregative_game, two_link_game
+from corpus import (FORMER_SCHEDULE, RULES, SIMPLEX_RULES, aggregative_game,
+                    assert_records_equal, counting, former_route_step, grid34, mixed_spec,
+                    seeded_spec, two_link_game)
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +202,6 @@ def test_step_strategy_fixed_point_unchanged():
     rule = StrategyUpdateRule("best_response")
     np.testing.assert_allclose(strategy_target(ga, x_eq, np.array([1.0, 1.0]), rule)[0],
                                x_eq, atol=1e-9)
-
-
-def test_step_strategy_entropy_needs_simplex():
-    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    rule = StrategyUpdateRule("gradient", eta=0.1, regularizer="entropy")
-    with pytest.raises(InvalidArgumentError):
-        strategy_target(g, np.zeros(2), np.zeros(2), rule)
-
-
-def test_step_strategy_mass_conservation():
-    g = two_link_game()
-    rng = np.random.default_rng(0)
-    x = g.random_start(rng)
-    p = rng.normal(size=2)
-    for rule in (StrategyUpdateRule("best_response"),
-                 StrategyUpdateRule("gradient", eta=0.1),
-                 StrategyUpdateRule("gradient", eta=0.1, regularizer="entropy")):
-        g.check_feasible(strategy_target(g, x, p, rule)[0])
-        g.check_feasible(one_step(g, x, p, rule)[0])
 
 
 def test_step_incentive_values():
@@ -409,140 +388,9 @@ def test_run_coupled_stops_at_a_nonfinite_residual():
             run_coupled(net, net.uniform_point(), np.zeros(5), RunConfig(rule=rule))
 
 
-def test_run_coupled_infeasible_start_rejected():
-    g = two_link_game()
-    cfg = RunConfig(max_iterations=10)
-    with pytest.raises(InvalidArgumentError):
-        run_coupled(g, np.array([1.0, 1.0]), np.zeros(2), cfg)
-
-
-def test_run_coupled_rejects_wrong_incentive_length():
-    # a length-1 p0 used to broadcast against every player or action
-    atomic = aggregative_game([1.0, 1.0, 1.0], np.zeros((3, 3)), 0.5, [0.0, 0.0, 0.0])
-    nonatomic = two_link_game()
-    cfg = RunConfig(rule=StrategyUpdateRule("gradient"), max_iterations=10)
-    with pytest.raises(InvalidArgumentError):
-        run_coupled(atomic, np.zeros(3), np.zeros(1), cfg)
-    for variant in ("equilibrium", "best_response", "gradient"):
-        cfg = RunConfig(rule=StrategyUpdateRule(variant), max_iterations=10)
-        with pytest.raises(InvalidArgumentError):
-            run_coupled(nonatomic, np.array([0.5, 0.5]), np.zeros(1), cfg)
-    with pytest.raises(InvalidArgumentError):
-        run_coupled(atomic, np.zeros(3), np.zeros(4), cfg)
-
-
 # ---------------------------------------------------------------------------
-# one feasibility rule per model
+# the default gradient step
 # ---------------------------------------------------------------------------
-
-def _oracle_atomic(lower, upper):
-    return AtomicGame(lower=lower, upper=upper, loss_grad=lambda x: x,
-                      social=lambda x: float(x @ x), social_grad=lambda x: 2.0 * x)
-
-
-FEASIBILITY_MODELS = {
-    "boxed_atomic": lambda: _oracle_atomic([-1.0, 0.0, 0.5], [1.0, 2.0, 0.5]),
-    "half_infinite_atomic": lambda: _oracle_atomic([0.0, -np.inf], [np.inf, 1.0]),
-    "spec_atomic": lambda: QuadraticAggregativeSpec(
-        q=[1.0, 1.0], A=[[0.0, 0.5], [0.5, 0.0]], alpha=1.0, zeta=[-0.5, -1.0]).to_game(),
-    "nonatomic": lambda: NonAtomicGame(
-        masses=[1.0, 2.5], action_counts=(2, 3), action_cost=lambda x: x,
-        social=lambda x: float(x @ x), social_grad=lambda x: 2.0 * x),
-    "nonatomic_view_braess": lambda: nonatomic_view(braess_network()),
-    "braess": braess_network,
-    "two_link": two_link_network,
-    "grid34": grid34,
-}
-
-
-def raised(call, *args):
-    """The type and message of what ``call(*args)`` raises, None if it returns."""
-    try:
-        call(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def past_a_bound(model, x, by):
-    """``x`` moved ``by`` past each bound it has, one point per bound: an
-    atomic player past a finite end of its interval; a simplex model's first
-    entry at ``-by``, its mass moved to the second entry of the same block."""
-    points = []
-    if isinstance(model, AtomicGame):
-        for i in range(x.size):
-            for bound, sign in ((model.lower[i], -1.0), (model.upper[i], 1.0)):
-                if np.isfinite(bound):
-                    points.append(x.copy())
-                    points[-1][i] = bound + sign * by
-        return points
-    assert model.layout.owner[1] == model.layout.owner[0]
-    y = x.copy()
-    y[1] += y[0] + by
-    y[0] = -by
-    return [y]
-
-
-@pytest.mark.parametrize("name", FEASIBILITY_MODELS)
-def test_every_model_decides_feasibility_with_one_rule(name):
-    model = FEASIBILITY_MODELS[name]()
-    rng = np.random.default_rng(46)
-    x = model.uniform_point()
-    p = np.zeros(model.dim)
-    # its own points are feasible, and projection onto the feasible set is idempotent
-    own = [x] + [model.random_start(rng) for _ in range(3)]
-    for v in [rng.normal(scale=3.0, size=x.size) for _ in range(5)]:
-        own.append(model.project(v))
-        np.testing.assert_allclose(model.project(own[-1]), own[-1], rtol=0, atol=1e-12)
-    for y in own:
-        np.testing.assert_array_equal(model.check_feasible(y), y, strict=True)
-    # check_start and every certificate raise exactly what check_feasible raises
-    # on x, check_start then what check_incentive raises on p0
-    certificates = [lambda y: certify_social_optimum(model, y)]
-    if isinstance(model, AtomicGame):
-        certificates.append(lambda y: certify_nash_atomic(model, y, p))
-    elif isinstance(model, NonAtomicGame):
-        certificates.append(lambda y: certify_nash_nonatomic(model, y, p))
-    bad_x = [np.append(x, 0.0), x[:1], x[0], x[:, None], *past_a_bound(model, x, 2e-9)]
-    for value in (np.nan, np.inf, -np.inf):
-        bad_x.append(x.copy())
-        bad_x[-1][0] = value
-    for y in bad_x:
-        want = raised(model.check_feasible, y)
-        assert want is not None and want[0] is InvalidArgumentError, y
-        assert raised(model.check_start, y, p) == want, y
-        assert [raised(certify, y) for certify in certificates] == [want] * len(certificates), y
-    for bad_p in (np.zeros(model.dim + 1), np.full(model.dim, np.nan), np.full(model.dim, np.inf)):
-        want = raised(check_incentive, bad_p, model.dim)
-        assert want is not None and raised(model.check_start, x, bad_p) == want
-    # a start within the slack of a bound passes, and so does a certificate's x
-    for y in past_a_bound(model, x, 5e-10):
-        start, p0 = model.check_start(y, p)
-        np.testing.assert_array_equal(start, y, strict=True)
-        np.testing.assert_array_equal(p0, p, strict=True)
-        for certify in certificates:
-            certify(y)
-
-
-@pytest.mark.parametrize("name", FEASIBILITY_MODELS)
-def test_every_model_meets_the_gap_optimum_and_step_clauses(name):
-    model = FEASIBILITY_MODELS[name]()
-    rng = np.random.default_rng(47)
-    own = [model.uniform_point()] + [model.random_start(rng) for _ in range(3)]
-    # strategy_gap is a distance on the model's own points
-    for y in own:
-        assert model.strategy_gap(y, y) == 0.0
-        for z in own:
-            assert model.strategy_gap(y, z) == model.strategy_gap(z, y)
-    # the paper's converse: at p† = e(x†) the equilibrium target is x† itself
-    x_opt = model.known_optimum()
-    if x_opt is not None:
-        f = model.target(model.uniform_point(), model.externality(x_opt), StrategyUpdateRule())
-        assert model.strategy_gap(f, x_opt) <= 1e-6 * max(1.0, float(np.max(np.abs(x_opt))))
-    for regularizer in ("quadratic", "entropy"):
-        eta = model.default_eta(regularizer)
-        assert np.isfinite(eta) and eta > 0, regularizer
-
 
 def sampled_bound(game) -> float:
     """The cost Lipschitz bound that a game without ``lipschitz_bound`` samples:
@@ -566,16 +414,6 @@ def test_default_eta_from_the_cost_lipschitz_bound():
     # 0.9 / L on every game, bit for bit, whatever the regularizer
     for game in (g, two_link_game(), nonatomic_view(braess_network())):
         assert game.default_eta("quadratic") == game.default_eta("entropy") == 0.9 / sampled_bound(game)
-
-
-def test_gradient_rule_without_a_step_targets_at_the_default_step():
-    rule = StrategyUpdateRule("gradient")
-    ga = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    for game, x, p in ((two_link_game(), np.array([0.3, 0.7]), np.array([0.2, 0.0])),
-                       (ga, np.array([0.5, -1.0]), np.array([1.0, 0.3]))):
-        explicit = dataclasses.replace(rule, eta=game.default_eta(rule.regularizer))
-        np.testing.assert_array_equal(strategy_target(game, x, p, rule)[0],
-                                      game.target(x, p, explicit))
 
 
 # ---------------------------------------------------------------------------
@@ -618,36 +456,8 @@ def run_coupled_reference(game, x0, p0, config):
     return record
 
 
-def assert_records_equal(rec, ref):
-    assert rec.ks == ref.ks
-    assert rec.residuals == ref.residuals
-    assert rec.social_costs == ref.social_costs
-    assert (rec.converged, rec.iterations, rec.record_every) == (
-        ref.converged, ref.iterations, ref.record_every)
-    for new, old in ((rec.xs, ref.xs), (rec.ps, ref.ps)):
-        assert len(new) == len(old)
-        for a, b in zip(new, old):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b, strict=True)
-
-
-def seeded_spec(n, seed, q_range=(0.8, 1.2)):
-    """A quadratic aggregative spec with symmetric coupling: well conditioned
-    by default, ill conditioned with ``q_range=ILL_Q``."""
-    rng = np.random.default_rng(seed)
-    A = rng.uniform(0.0, 1.0, (n, n))
-    A = 0.5 * (A + A.T)
-    np.fill_diagonal(A, 0.0)
-    A *= 0.2 / max(1, n - 1)
-    return QuadraticAggregativeSpec(q=rng.uniform(*q_range, n), A=A, alpha=0.5,
-                                    zeta=rng.uniform(-1.0, 1.0, n))
-
-
 # the benchmark's ill-conditioned regime: a slow layer about three times slower
 ILL_Q = (1.0, 3.0)
-
-
-RULES = ("equilibrium", "best_response", "gradient")
 
 
 def compare_with_reference(game, x0, p0, variant, budget, record_every=1, tol=1e-4,
@@ -713,9 +523,6 @@ def test_run_coupled_matches_reference_nonatomic():
             compare_with_reference(game, x0, p0, variant, 400, 3, regularizer=regularizer)
 
 
-SIMPLEX_RULES = [(v, "quadratic") for v in RULES] + [("gradient", "entropy")]
-
-
 @pytest.mark.parametrize("net, eta, converges", [
     (braess_network(), None, True), (grid34(), former_route_step(grid34()), False),
     (grid34(), None, True), (two_link_network(), None, True), (pigou_network(), None, True)],
@@ -756,93 +563,6 @@ def test_run_coupled_records_own_copies():
 # ---------------------------------------------------------------------------
 # one evaluation per iteration
 # ---------------------------------------------------------------------------
-
-# operator-cost terms of every kind, cycled over the players
-MIXED_TERMS = (QuarticTerm(0.3), TableTerm([-2.0, 0.0, 2.0], [-3.0, 0.5, 2.0]),
-               QuadraticTerm(-0.4))
-
-
-def mixed_spec(n, seed, terms=MIXED_TERMS, q_range=(0.8, 1.2)):
-    """``seeded_spec(n, seed, q_range)`` with the operator-cost terms ``terms``, cycled."""
-    return dataclasses.replace(seeded_spec(n, seed, q_range), zeta=None, h=(terms * n)[:n])
-
-
-STEP_MODELS = {
-    "aggregative": seeded_spec(4, 5).to_game(),
-    "aggregative_quartic": mixed_spec(4, 5, (QuarticTerm(0.3), QuadraticTerm(-0.4))).to_game(),
-    "aggregative_table": mixed_spec(4, 5).to_game(),
-    "atomic_no_closed_forms": dataclasses.replace(
-        seeded_spec(4, 5).to_game(), equilibrium=None, best_response=None, optimum=None),
-    "finite_box": dataclasses.replace(
-        seeded_spec(4, 5).to_game(), equilibrium=None, best_response=None, optimum=None,
-        lower=np.full(4, -0.3), upper=np.full(4, 0.4)),
-    "nonatomic_braess": nonatomic_view(braess_network()),
-    "two_link_game": two_link_game(),
-    "braess": braess_network(),
-    "pigou": pigou_network(),
-    "grid34": grid34(),
-}
-ATOMIC_STEP_MODELS = {"aggregative", "aggregative_quartic", "aggregative_table",
-                      "atomic_no_closed_forms", "finite_box"}
-STEP_CASES = [(name, variant, regularizer) for name in STEP_MODELS
-              for variant, regularizer in SIMPLEX_RULES
-              if regularizer == "quadratic" or name not in ATOMIC_STEP_MODELS]
-
-
-@pytest.mark.parametrize("name, variant, regularizer", STEP_CASES,
-                         ids=[f"{n}-{v}-{r}" for n, v, r in STEP_CASES])
-@given(seed=st.integers(0, 2**32 - 1), eta=st.floats(0.01, 2.0))
-@settings(derandomize=True, max_examples=15, deadline=None)
-def test_step_equals_the_single_quantity_methods(name, variant, regularizer, seed, eta):
-    model = STEP_MODELS[name]
-    rng = np.random.default_rng(seed)
-    x = model.random_start(rng)
-    p = rng.uniform(-1.0, 1.0, model.dim)
-    rule = StrategyUpdateRule(variant, eta=eta, regularizer=regularizer)
-    f, e, d, social = model.step(x, p, rule)
-    f_alone = model.target(x, p, rule)
-    np.testing.assert_array_equal(f, f_alone, strict=True)
-    np.testing.assert_array_equal(e, model.externality(x), strict=True)
-    gap = np.maximum.reduce(np.abs(d), axis=None)
-    assert gap.tobytes() == model.strategy_gap(f_alone, x).tobytes()
-    assert social == model.social(x)
-
-
-def _read_only(a):
-    a = a.copy()
-    a.setflags(write=False)
-    return a
-
-
-@pytest.mark.parametrize("name, variant, regularizer", STEP_CASES,
-                         ids=[f"{n}-{v}-{r}" for n, v, r in STEP_CASES])
-def test_step_has_one_shape_and_no_method_writes_into_its_arguments(name, variant, regularizer):
-    model = STEP_MODELS[name]
-    rng = np.random.default_rng(3)
-    x = model.random_start(rng)
-    p = rng.uniform(-1.0, 1.0, model.dim)
-    rule = _with_default_step(model, StrategyUpdateRule(variant, regularizer=regularizer))
-    f, e, d, social = model.step(x, p, rule)
-    assert f.shape == x.shape and e.shape == (model.dim,)
-    assert d.shape == ((model.n_edges,) if isinstance(model, RoutingNetwork) else x.shape)
-    assert isinstance(social, float)
-    calls = {
-        "check_start": lambda x, p, f: model.check_start(x, p),
-        "step": lambda x, p, f: model.step(x, p, rule),
-        "target": lambda x, p, f: model.target(x, p, rule),
-        "externality": lambda x, p, f: model.externality(x),
-        "social": lambda x, p, f: model.social(x),
-        "strategy_gap": lambda x, p, f: model.strategy_gap(f, x),
-        "project": lambda x, p, f: model.project(x),
-    }
-    for method, call in calls.items():
-        writable = call(x, p, f)
-        read_only = call(_read_only(x), _read_only(p), _read_only(f))
-        if not isinstance(writable, tuple):
-            writable, read_only = (writable,), (read_only,)
-        for a, b in zip(writable, read_only, strict=True):
-            np.testing.assert_array_equal(b, a, strict=True, err_msg=method)
-
 
 def step_outcome(step, *args):
     """``step(*args)`` as bytes, or the type and message of what it raises."""
@@ -891,39 +611,6 @@ def test_a_spec_games_step_is_the_atomic_games_byte_for_byte(n, terms, form, var
         # player 0's quartic term overflows the social gradient first
         what = "loss gradient" if terms == "zeta" else "social gradient"
         assert outcomes["huge_x"] == (EvaluationError, f"{what} oracle returned non-finite values")
-
-
-@pytest.mark.parametrize("name", ["aggregative", "atomic_no_closed_forms", "nonatomic_braess",
-                                  "two_link_game", "braess"])
-def test_target_takes_the_default_gradient_step(name):
-    # a gradient rule without eta once reached ``None * float`` in target
-    model = STEP_MODELS[name]
-    rng = np.random.default_rng(11)
-    x, p = model.random_start(rng), rng.uniform(-1.0, 1.0, model.dim)
-    rule = StrategyUpdateRule("gradient")
-    np.testing.assert_array_equal(model.target(x, p, rule),
-                                  strategy_target(model, x, p, rule)[0], strict=True)
-
-
-def test_strategy_target_is_the_models_step():
-    net = braess_network()
-    x, p = net.uniform_route_flow(), np.linspace(0.0, 0.4, 5)
-    rule = StrategyUpdateRule("gradient")
-    explicit = dataclasses.replace(rule, eta=net.default_eta(rule.regularizer))
-    got, want = strategy_target(net, x, p, rule), net.step(x, p, explicit)
-    for a, b in zip(got[:3], want[:3]):
-        np.testing.assert_array_equal(a, b, strict=True)
-    assert got[3] == want[3]
-    gap = np.maximum.reduce(np.abs(got[2]), axis=None)
-    assert gap.tobytes() == net.strategy_gap(got[0], x).tobytes()
-    np.testing.assert_array_equal(externality(net, x), want[1])
-
-
-def counting(fn, calls):
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-    return counted
 
 
 def test_a_routing_iteration_makes_one_kernel_pass(monkeypatch):

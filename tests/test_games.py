@@ -16,36 +16,10 @@ from incentive_dynamics.games import (AtomicGame, NonAtomicGame,
                                       solve_equilibrium_atomic)
 from incentive_dynamics import numdiff
 from incentive_dynamics.aggregative import QuadraticAggregativeSpec
-from incentive_dynamics.dynamics import RunConfig, StepSchedule, StrategyUpdateRule, run_coupled
+from incentive_dynamics.dynamics import RunConfig, StrategyUpdateRule, run_coupled
 
-
-# the default schedule before (0.8, 1, 2^1.8, 2^2.1, 8); pinned records were written under it
-FORMER_SCHEDULE = StepSchedule(a=0.6, b=0.9, gamma0=1.0, beta0=1.0, offset=2)
-
-
-def aggregative_game(q, A, alpha, zeta):
-    """Hand-built quadratic aggregative game (independent of the aggregative
-    module, so it can serve as an oracle for it)."""
-    q = np.asarray(q, float)
-    A = np.asarray(A, float)
-    zeta = np.asarray(zeta, float)
-    n = q.size
-    return AtomicGame(
-        lower=np.full(n, -np.inf), upper=np.full(n, np.inf),
-        loss_grad=lambda x: q * x + alpha * (A @ x),
-        social=lambda x: float(0.5 * np.sum((x - zeta) ** 2)),
-        social_grad=lambda x: np.asarray(x, float) - zeta,
-    )
-
-
-def two_link_game():
-    """The two parallel unit-slope links as a bare non-atomic game."""
-    return NonAtomicGame(
-        masses=np.array([1.0]), action_counts=(2,),
-        action_cost=lambda x: np.array([x[0], x[1]]),
-        social=lambda x: float(x[0] ** 2 + x[1] ** 2),
-        social_grad=lambda x: 2.0 * np.asarray(x, float),
-    )
+from corpus import (FORMER_SCHEDULE, aggregative_game, counting, nonatomic_loop_reference,
+                    seeded_spec, two_link_game, without_closed_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +34,6 @@ def test_project_simplex_feasible(vals, mass):
     y = games.project_blocks(v, games.BlockLayout((v.size,), (mass,)))
     assert np.all(y >= 0)
     assert abs(y.sum() - mass) < 1e-9
-
-
-def test_project_simplex_idempotent_on_feasible():
-    x = np.array([0.2, 0.3, 0.5])
-    np.testing.assert_allclose(games.project_blocks(x, games.BlockLayout((x.size,), (1.0,))),
-                               x, atol=1e-12)
 
 
 def test_project_simplex_of_a_swamped_vector_is_taken_from_its_maximum():
@@ -294,37 +262,6 @@ def test_nonatomic_game_rejects_an_empty_action_set():
                       social_grad=lambda x: np.zeros(2))
 
 
-def test_nonatomic_feasibility_checks():
-    g = two_link_game()
-    g.check_feasible(np.array([0.4, 0.6]))
-    for x in ([0.4, 0.4], [-0.1, 1.1], [1.0, 1.0]):
-        with pytest.raises(InvalidArgumentError):
-            g.check_feasible(np.array(x))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_nonatomic_check_feasible_rejects_nonfinite(bad):
-    with pytest.raises(InvalidArgumentError):
-        two_link_game().check_feasible(np.array([bad, 1.0]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_check_incentive_rejects_nonfinite(bad):
-    with pytest.raises(InvalidArgumentError, match="finite"):
-        games.check_incentive([bad, 0.0], 2)
-    for game in (two_link_game(), aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])):
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            game.check_start(game.uniform_point(), [0.0, bad])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_atomic_check_start_rejects_a_nonfinite_start(bad):
-    # the strategies are unbounded, so inf lies within the bounds
-    game = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    with pytest.raises(InvalidArgumentError, match="strategy profile must be finite"):
-        game.check_start([bad, 0.0], [0.0, 0.0])
-
-
 # ---------------------------------------------------------------------------
 # externalities
 # ---------------------------------------------------------------------------
@@ -394,13 +331,6 @@ def test_externality_nonatomic_matches_finite_differences():
     fd = numdiff.central_gradient(social, x) - g.action_cost(x)
     np.testing.assert_allclose(g.externality(x), fd,
                                rtol=1e-5, atol=1e-5)
-
-
-def counting(oracle, calls):
-    def wrapped(x):
-        calls.append(1)
-        return oracle(x)
-    return wrapped
 
 
 def test_externality_checks_each_oracle_value_once():
@@ -525,15 +455,6 @@ def test_certify_nash_atomic_perturbation_fails():
     x[0] += 10 * tol
     ok, resid = certify_nash_atomic(g, x, np.array([1.0, 1.0]), tol)
     assert not ok and resid > tol
-
-
-def test_certify_nash_atomic_rejects_a_dimension_mismatch():
-    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    for x, p, match in ((np.zeros(3), np.zeros(2),
-                         r"strategy profile has shape \(3,\), expected \(2,\)"),
-                        (np.zeros(2), np.zeros(1), r"incentive vector has shape \(1,\)")):
-        with pytest.raises(InvalidArgumentError, match=match):
-            certify_nash_atomic(g, x, p)
 
 
 def test_certificates_pass_a_point_within_the_slack_of_a_bound():
@@ -682,32 +603,6 @@ def test_solve_equilibrium_atomic_matches_certify_loop_bitwise():
             assert len(new_calls) <= 0.5 * len(ref_calls) + 1
 
 
-def nonatomic_loop_reference(game, p, tol=1e-10, x0=None, max_iter=200000):
-    """The non-atomic solver as it was before it shared the atomic loop: every
-    candidate is certified with certify_nash_nonatomic, and the step and the
-    restart evaluate action_cost at the current point once more."""
-    p = np.asarray(p, float)
-    x = game.uniform_point() if x0 is None else game.project(np.asarray(x0, float))
-    eta = 1.0
-    ok, res = certify_nash_nonatomic(game, x, p, tol)
-    for k in range(max_iter):
-        if res <= tol:
-            return x
-        cand = game.project(x - eta * (np.asarray(game.action_cost(x), float) + p))
-        _, res_c = certify_nash_nonatomic(game, cand, p, tol)
-        if res_c <= res:
-            x, res = cand, res_c
-        else:
-            eta *= 0.5
-            if eta < 1e-12:
-                f = games.best_response_blocks(np.asarray(game.action_cost(x), float) + p,
-                                               game.layout)
-                x = x + (2.0 / (k + 3.0)) * (f - x)
-                _, res = certify_nash_nonatomic(game, x, p, tol)
-                eta = 1.0
-    raise ConvergenceError("non-atomic equilibrium iteration stalled", best=x)
-
-
 def nonatomic_games():
     from incentive_dynamics import routing
     offsets = np.array([0.0, 0.1, 0.0, 0.2, 0.3])
@@ -743,13 +638,6 @@ def test_solve_equilibrium_nonatomic_matches_its_reference_loop_bitwise():
             np.testing.assert_array_equal(x, ref)
             assert stall == ref_stall
             assert calls <= ref_calls
-
-
-def test_solve_equilibrium_atomic_rejects_wrong_incentive_length():
-    g = aggregative_game([1.0, 1.0], [[0, 1], [1, 0]], 0.5, [0.0, 0.0])
-    for p in (np.zeros(3), np.zeros(1), np.zeros((2, 1))):
-        with pytest.raises(InvalidArgumentError):
-            solve_equilibrium_atomic(g, p)
 
 
 def tolerance_entries():
@@ -811,20 +699,6 @@ def separable_game(lower, upper, loss_grad):
                       social_grad=lambda x: np.zeros(n))
 
 
-def seeded_spec(rng, n):
-    """A quadratic aggregative spec of the benchmark's well-conditioned kind."""
-    A = rng.uniform(0.0, 1.0, (n, n))
-    A = 0.5 * (A + A.T)
-    np.fill_diagonal(A, 0.0)
-    A *= 0.2 / max(1, n - 1)
-    return QuadraticAggregativeSpec(q=rng.uniform(0.8, 1.2, n), A=A, alpha=0.5,
-                                    zeta=rng.uniform(-1.0, 1.0, n))
-
-
-def without_closed_forms(game):
-    return dataclasses.replace(game, equilibrium=None, best_response=None)
-
-
 def test_best_response_atomic_finite_box():
     # own partial 2 (x - c): minimisers below, above and inside [0, 1]
     c = np.array([-0.7, 1.9, 0.3])
@@ -874,7 +748,7 @@ def test_best_response_atomic_quartic_own_cost():
 def test_best_response_atomic_matches_closed_form_on_seeded_specs():
     rng = np.random.default_rng(22)
     for n in (5, 50):
-        game = seeded_spec(rng, n).to_game()
+        game = seeded_spec(n, rng).to_game()
         generic = without_closed_forms(game)
         for _ in range(10):
             x = rng.normal(scale=2.0, size=n)
@@ -888,7 +762,7 @@ def test_best_response_atomic_gradient_calls():
     one doubling step for each power of two the response lies away."""
     rng = np.random.default_rng(23)
     for n in (5, 50):
-        game = seeded_spec(rng, n).to_game()
+        game = seeded_spec(n, rng).to_game()
         generic, calls = counting_game(without_closed_forms(game))
         for scale in (0.3, 10.0):
             for _ in range(10):
@@ -912,7 +786,7 @@ def test_best_response_atomic_gradient_calls():
 def test_best_response_step_takes_the_gradient_at_x_once():
     # the externality reuses the gradient that the best response took at x
     rng = np.random.default_rng(25)
-    generic, calls = counting_game(without_closed_forms(seeded_spec(rng, 5).to_game()))
+    generic, calls = counting_game(without_closed_forms(seeded_spec(5, rng).to_game()))
     x, p = rng.normal(size=5), rng.normal(size=5)
     games.best_response_atomic(generic, x, p)
     alone = len(calls)
@@ -924,7 +798,7 @@ def test_best_response_step_takes_the_gradient_at_x_once():
 def test_best_response_atomic_coupled_records_match_closed_form():
     rng = np.random.default_rng(24)
     for n, budget in ((5, 20000), (50, 200)):
-        game = seeded_spec(rng, n).to_game()
+        game = seeded_spec(n, rng).to_game()
         # under the former default the n = 50 run still stops on its budget of 200
         cfg = RunConfig(schedule=FORMER_SCHEDULE, rule=StrategyUpdateRule("best_response"),
                         max_iterations=budget, convergence_tol=1e-4)

@@ -16,8 +16,8 @@ positive" error, and besides it and those three rules only
 ``dynamics._require_finite`` a "must be finite" one. The package defines
 ``check_start`` once and no ``is_feasible``; and every public function that
 takes a ``tol`` calls ``games.check_tolerance``. No two functions of the package share their
-parameter names and body, and every hypothesis property under ``tests/`` is
-derandomized.
+parameter names and body, every hypothesis property under ``tests/`` is
+derandomized, and no module under ``tests/`` imports a ``test_*`` module.
 """
 import ast
 import json
@@ -412,3 +412,29 @@ def test_every_property_is_derandomized():
     # each tier-1 run draws the same examples
     found = {p.name: unseeded_settings(p.read_text()) for p in (ROOT / "tests").rglob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def imported_test_modules(source: str) -> list:
+    """The ``test_*`` modules that ``source`` imports, top-level imports first."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("test_")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("test_"):
+            found.append(node.module)
+    return found
+
+
+def test_imported_test_modules_finds_each_import_of_a_test_module():
+    source = ("import json, test_games\nfrom corpus import grid34\n"
+              "from test_dynamics import seeded_spec\nimport test_routing.cases as r\n"
+              "def f():\n    from test_cli import write_config\n"
+              "import testing\nfrom contest_data import test_x\n")
+    assert imported_test_modules(source) == [
+        "test_games", "test_dynamics", "test_routing.cases", "test_cli"]
+
+
+def test_no_test_module_imports_another():
+    # a model or helper that several test modules share lives in tests/corpus.py
+    found = {p.name: imported_test_modules(p.read_text()) for p in (ROOT / "tests").rglob("*.py")}
+    assert {name: modules for name, modules in found.items() if modules} == {}

@@ -8,12 +8,9 @@ from pathlib import Path
 from incentive_dynamics import routing
 from incentive_dynamics.dynamics import StepSchedule
 
-from test_dynamics import seeded_spec
-from test_games import FORMER_SCHEDULE
+from corpus import FORMER_SCHEDULE, check_runs, seeded_spec
 
 ROOT = Path(__file__).resolve().parents[1]
-RUN_KEYS = {"model", "rule", "budget", "tol", "iterations", "converged", "finite", "p_err",
-            "p_err_start", "p_err_peak", "overshoot"}
 SUMMARY_KEYS = {"runs", "raised", "converged", "outer_iters", "p_err_max", "overshoots",
                 "farther_than_former_default", "lost_convergence", "farther_beyond_tolerance",
                 "passed"}
@@ -25,12 +22,6 @@ def load_study():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def check_runs(point):
-    for run in point["runs"]:
-        assert RUN_KEYS <= set(run) <= RUN_KEYS | {"verified"}
-        assert run["finite"] and run.get("verified", not run["converged"])
 
 
 def test_schedule_study_runs_on_a_two_point_grid():

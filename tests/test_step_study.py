@@ -8,8 +8,6 @@ import step_study
 from incentive_dynamics import routing
 from incentive_dynamics.routing import NETWORK_STEP_GAIN
 
-from test_schedule_study import check_runs
-
 ROOT = Path(__file__).resolve().parents[1]
 SUMMARY_KEYS = {"runs", "raised", "converged", "outer_iters", "p_err_max", "lost_convergence",
                 "farther_than_former_step", "passed"}
@@ -28,7 +26,7 @@ def test_step_study_runs_on_two_points():
     for point in out["points"]:
         assert set(point["summary"]) == SUMMARY_KEYS
         assert point["summary"]["raised"] == 0 and point["summary"]["runs"] == 2
-        check_runs(point)
+        corpus.check_runs(point)
     assert out["points"][0]["summary"]["passed"]
 
 
@@ -55,4 +53,4 @@ def test_committed_study_backs_the_default_gain():
         assert point["summary"]["raised"] == 0 and point["summary"]["runs"] == 14
         assert all(run["finite"] for run in point["runs"])
     for point in passing:
-        check_runs(point)
+        corpus.check_runs(point)
