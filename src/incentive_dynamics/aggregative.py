@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import _check_number, _check_positive, _require_finite
+from .dynamics import _check_number, _check_positive, _json_object, _require_finite
 from .errors import ConvergenceError, SpecError
 from .games import AtomicGame, _checked_gap, check_incentive, nondecreasing_root
 
@@ -286,23 +286,19 @@ class _SpecGame(AtomicGame):
 
 
 def from_json(data: dict) -> QuadraticAggregativeSpec:
-    kwargs = {"q": data["q"], "A": data["A"], "alpha": data["alpha"]}
-    if "zeta" in data:
-        kwargs["zeta"] = data["zeta"]
-    if "h" in data:
-        terms = []
-        for spec in data["h"]:
-            kind = spec["kind"]
-            if kind == "quadratic":
-                terms.append(QuadraticTerm(spec["zeta"]))
-            elif kind == "quartic":
-                terms.append(QuarticTerm(spec["zeta"]))
-            elif kind == "table":
-                terms.append(TableTerm(spec["points"], spec["grads"]))
-            else:
-                raise SpecError(f"unknown operator-cost kind {kind!r}")
-        kwargs["h"] = tuple(terms)
-    return QuadraticAggregativeSpec(**kwargs)
+    data = _json_object(data, '"aggregative"', ("q", "A", "alpha", "zeta", "h"))
+    h = tuple(_term_from_json(i, term) for i, term in enumerate(data["h"])) if "h" in data else None
+    return QuadraticAggregativeSpec(data["q"], data["A"], data["alpha"], data.get("zeta"), h)
+
+
+def _term_from_json(i: int, term):
+    term = _json_object(term, f"operator-cost term {i}", ("kind", "zeta", "points", "grads"))
+    kind = term["kind"]
+    if kind == "table":
+        return TableTerm(term["points"], term["grads"])
+    if kind in ("quadratic", "quartic"):
+        return (QuadraticTerm if kind == "quadratic" else QuarticTerm)(term["zeta"])
+    raise SpecError(f"unknown operator-cost kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import aggregative as agg
 from . import analysis, routing
-from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule, run_coupled,
-                       strict_json)
+from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule, _json_object,
+                       run_coupled, strict_json)
 from .errors import ConvergenceError, EvaluationError, GameError, SpecError
 
 PLOT_SCRIPT = """\
@@ -104,16 +104,12 @@ def load_config(path) -> dict:
         raise SpecError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise SpecError("config must be a JSON object")
+    data = _json_object(data, "config",  # a misspelled key would skip its part of the config
+                        ("game", "run", "analyses", "incentive_update", "output_dir"))
     if "game" not in data:
         raise SpecError('config is missing the required "game" key')
-    for key in data:  # a misspelled key would skip its part of the config
-        if key not in ("game", "run", "analyses", "incentive_update", "output_dir"):
-            raise SpecError(f"unknown config key {key!r}")
-    analyses = data.get("analyses", [])
-    if not isinstance(analyses, list) or not all(isinstance(a, dict) for a in analyses):
-        raise SpecError('"analyses" must be a list of objects')
+    if not isinstance(data.get("output_dir", ""), str):
+        raise SpecError('"output_dir" must be a string')
     if "true" in text or "false" in text:  # else no boolean, and a large spec skips the walk
         _reject_booleans(data)
     return data
@@ -135,11 +131,11 @@ def _reject_booleans(value, key=None) -> None:
 
 def build_game(spec: dict):
     """The model of a "game" block: a routing network or an aggregative spec."""
-    if not isinstance(spec, dict):
-        raise SpecError('"game" must be an object')
-    if len(spec) > 1:
+    if len(_json_object(spec, '"game"')) > 1:
         raise SpecError(f'"game" holds more than one key: {", ".join(map(repr, spec))}')
     if "builtin" in spec:
+        if not isinstance(spec["builtin"], str):
+            raise SpecError('"builtin" must be a string')
         return routing.load_fixture(spec["builtin"])
     if "aggregative" in spec:
         return agg.from_json(spec["aggregative"])
@@ -150,16 +146,28 @@ def build_game(spec: dict):
 
 def _pop_object(block: dict, key: str) -> dict:
     """``block.pop(key)``, a JSON object, or {} if ``block`` lacks the key."""
-    value = block.pop(key, {})
-    if not isinstance(value, dict):
-        raise SpecError(f'"{key}" must be an object')
-    return value
+    return _json_object(block.pop(key, {}), f'"{key}"')
 
 
-def _run_setup(model, run_spec) -> tuple:
-    """A config's "run" block, parsed once: ``(config, game, x0, p0)``, where
-    ``game`` is the model the coupled loop runs on and (x0, p0) its checked start."""
-    run_spec = dict(run_spec or {})
+def _load(config_path) -> tuple:
+    """Run's and verify's first step: the config, its game's model and its analyses."""
+    data = load_config(config_path)
+    analyses = data.get("analyses", [])
+    if not isinstance(analyses, list) or not all(isinstance(a, dict) for a in analyses):
+        raise SpecError('"analyses" must be a list of objects')
+    return data, build_game(data["game"]), analyses
+
+
+def _run_setup(model, data: dict) -> tuple:
+    """``(update, config, game, x0, p0)`` from the config ``data``, whose "run" block it takes
+    out: ``game`` is the model the coupled loop runs on and (x0, p0) its checked start."""
+    run_spec = _pop_object(data, "run")
+    update = data.get("incentive_update", "externality")
+    if update not in INCENTIVE_UPDATES:
+        raise SpecError(f"unknown incentive_update {update!r}")
+    for key in COUPLED_ONLY if update == "gradient_baseline" else ():
+        if key in run_spec:
+            raise SpecError(f"gradient_baseline ignores run key {key!r}")
     sched = StepSchedule(**_pop_object(run_spec, "schedule"))
     rule = StrategyUpdateRule(**_pop_object(run_spec, "rule"))
     start = {key: run_spec.pop(key) for key in ("x0", "p0") if key in run_spec}
@@ -169,7 +177,7 @@ def _run_setup(model, run_spec) -> tuple:
     config = RunConfig(schedule=sched, rule=rule, **run_spec)
     game = analysis.strategy_model(model)
     x0, p0 = start.get("x0", game.uniform_point()), start.get("p0", np.zeros(game.dim))
-    return (config, game, *game.check_start(x0, p0))
+    return (update, config, game, *game.check_start(x0, p0))
 
 
 def run_analysis(model, item: dict) -> dict:
@@ -195,9 +203,8 @@ def run_analysis(model, item: dict) -> dict:
         report = analysis.reproduce_counterexample(**item)
         if grid_csv:
             analysis.counterexample_grid_csv(report, grid_csv)
-        report.pop("externality_runs", None)
-        report.pop("grid_values", None)
-        report.pop("grid_costs", None)
+        for key in ("externality_runs", "grid_values", "grid_costs"):
+            report.pop(key, None)
         return report
     if op == "nondegeneracy":
         if not isinstance(model, routing.RoutingNetwork):
@@ -256,17 +263,8 @@ def output_dir(config_path, data: dict, out_dir=None) -> Path:
 
 def run_experiment(config_path, out_dir=None) -> int:
     try:
-        data = load_config(config_path)
-        model = build_game(data["game"])
-        run_spec = dict(data.get("run") or {})
-        update = data.get("incentive_update", "externality")
-        if update not in INCENTIVE_UPDATES:
-            raise SpecError(f"unknown incentive_update {update!r}")
-        if update == "gradient_baseline":
-            for key in COUPLED_ONLY:
-                if key in run_spec:
-                    raise SpecError(f"gradient_baseline ignores run key {key!r}")
-        config, game, x0, p0 = _run_setup(model, run_spec)
+        data, model, analyses = _load(config_path)
+        update, config, game, x0, p0 = _run_setup(model, data)
         out = output_dir(config_path, data, out_dir)
     except INVALID_INPUT as exc:
         return _failure(exc)
@@ -288,7 +286,6 @@ def run_experiment(config_path, out_dir=None) -> int:
     except GameError as exc:
         return _failure(exc)
 
-    analyses = data.get("analyses", [])
     try:
         out.mkdir(parents=True, exist_ok=True)  # only a run that has a record writes
         record.to_csv(out / "trajectory.csv")
@@ -308,8 +305,8 @@ def run_experiment(config_path, out_dir=None) -> int:
 
 
 def _output_clash(jobs: list):
-    """The first two configs whose runs would write the same directory, or None.
-    A config that cannot be read has no directory; its run reports it."""
+    """The message naming the first two configs whose runs would write the same
+    directory, or None. A config that cannot be read has no directory; its run reports it."""
     seen = {}
     for config_path, out_dir in jobs:
         try:
@@ -318,7 +315,7 @@ def _output_clash(jobs: list):
         except INVALID_INPUT:
             continue
         if out in seen:
-            return seen[out], config_path, out
+            return f"configs {seen[out]} and {config_path} both write to {out}"
         seen[out] = config_path
     return None
 
@@ -332,28 +329,21 @@ def run_directory(dir_path, out_dir=None) -> int:
     configs that write the same directory exit 1 before any runs.
     """
     configs = sorted(Path(dir_path).glob("*.json"))
-    if not configs:
-        print(f"error: no *.json configs in {dir_path}", file=sys.stderr)
-        return 1
     jobs = [(c, Path(out_dir) / c.stem if out_dir else None) for c in configs]
-    clash = _output_clash(jobs)
-    if clash:
-        first, second, out = clash
-        print(f"error: configs {first} and {second} both write to {out}", file=sys.stderr)
+    error = _output_clash(jobs) if configs else f"no *.json configs in {dir_path}"
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 1
     return max(run_experiment(*job) for job in jobs)
 
 
 def verify(config_path) -> int:
     try:
-        data = load_config(config_path)
-        model = build_game(data["game"])
+        _, model, analyses = _load(config_path)
+        if not analyses:
+            raise SpecError('verify needs at least one entry in "analyses"')
     except INVALID_INPUT as exc:
         return _failure(exc)
-    analyses = data.get("analyses", [])
-    if not analyses:
-        print("error: verify needs at least one entry in \"analyses\"", file=sys.stderr)
-        return 1
     return _run_analyses(model, analyses)
 
 

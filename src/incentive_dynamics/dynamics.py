@@ -106,6 +106,17 @@ def _check_positive(value, name: str, error=SpecError) -> None:
         raise error(f"{name} must be finite and positive")
 
 
+def _json_object(value, name: str, keys=()) -> dict:
+    """``value``, if it is a JSON object with no key outside ``keys`` (if given), else
+    ``SpecError`` naming ``name``: a key as '"run"', a part as 'edge 3', or 'config'."""
+    if not isinstance(value, dict):
+        raise SpecError(f"{name} must be {'a JSON' if name == 'config' else 'an'} object")
+    for key in value if keys else ():
+        if key not in keys:
+            raise SpecError(f"unknown {name} key {key!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Polynomially decaying step sizes gamma_k = gamma0 (k+offset)^-a etc.

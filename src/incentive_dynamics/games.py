@@ -334,8 +334,8 @@ class AtomicGame(_OracleGame, _StrategySpace):
                 f"strategy profile has shape {x.shape}, expected {self.lower.shape}")
         if not np.isfinite(x).all():  # infinite bounds admit inf
             raise InvalidArgumentError("strategy profile must be finite")
-        if not (np.all(x >= self.lower - FEASIBILITY_SLACK)
-                and np.all(x <= self.upper + FEASIBILITY_SLACK)):
+        if not ((x >= self.lower - FEASIBILITY_SLACK).all()  # the loop's solves check each iterate
+                and (x <= self.upper + FEASIBILITY_SLACK).all()):
             raise InvalidArgumentError("strategy profile lies outside its box")
         return x
 
@@ -529,9 +529,9 @@ def best_response_atomic(game: AtomicGame, x: Array, p: Array, own=None) -> Arra
     strategy. One ``loss_grad(x)`` call gives every player's first point;
     ``own`` is that gradient, where the caller has taken it already.
     ``AtomicGame.target`` calls a closed-form ``game.best_response`` instead,
-    when the game has one.
+    when the game has one. ``x`` must pass ``game.check_feasible``.
     """
-    x = np.asarray(x, dtype=float)
+    x = game.check_feasible(x)
     p = check_incentive(p, game.n_players)
     g = np.asarray(game.loss_grad(x) if own is None else own, float) + p
     loss_grad = game.loss_grad
@@ -624,14 +624,14 @@ def nondecreasing_root(f: Callable[[float], float], i: int, y0: float,
 
 
 def _projected_equilibrium(game, x0, terms, restart, tol: float, max_iter: int, what: str) -> Array:
-    """Projected-gradient iteration on x = Proj(x - eta g(x)) from ``x0``
-    projected, or from ``game.uniform_point()`` where it is None.
+    """Projected-gradient iteration on x = Proj(x - eta g(x)) from ``x0`` checked by
+    ``game.check_feasible`` and projected, or from ``game.uniform_point()`` if None.
 
     ``terms(y)`` returns the cost ``g(y)`` and the equilibrium-certificate
     residual at ``y``. The step is halved whenever the residual would rise; if
     it underflows, iteration ``k`` restarts at ``restart(x, g(x), k)``. No
     iterate is checked: each is a projection or a convex combination of feasible points."""
-    x = game.uniform_point() if x0 is None else game.project(x0)
+    x = game.uniform_point() if x0 is None else game.project(game.check_feasible(x0))
     eta = 1.0
     g, res = terms(x)
     for k in range(max_iter):

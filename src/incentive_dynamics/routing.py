@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (RunConfig, TrajectoryRecord, _check_positive, _positive_int,
-                       _require_finite, _with_default_step, run_coupled)
+from .dynamics import (RunConfig, TrajectoryRecord, _check_positive, _json_object,
+                       _positive_int, _require_finite, _with_default_step, run_coupled)
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
 from .games import (BlockLayout, NonAtomicGame, _BlockSpace, check_incentive,
@@ -715,9 +715,10 @@ def load_fixture(name: str) -> RoutingNetwork:
         raise InvalidArgumentError(f"unknown fixture {name!r}") from None
 
 
-def _od_from_json(i: int, od: dict) -> OdPair:
+def _od_from_json(i: int, od) -> OdPair:
     """OD pair ``i`` of a JSON routing block: a number "demand", and "routes"
     a list of lists (``RoutingNetwork`` checks that their entries are edge indices)."""
+    od = _json_object(od, f"OD pair {i}", ("o", "d", "demand", "routes"))
     origin, destination, demand, routes = od["o"], od["d"], od["demand"], od["routes"]
     where = f"OD pair {i} ({origin} -> {destination})"
     if isinstance(demand, bool) or not isinstance(demand, (int, float)):
@@ -728,9 +729,11 @@ def _od_from_json(i: int, od: dict) -> OdPair:
 
 
 def network_from_json(data: dict) -> RoutingNetwork:
+    data = _json_object(data, '"routing"', ("nodes", "edges", "od", "relax_monotonicity"))
     nodes = tuple(data["nodes"])
-    edges = tuple((e["tail"], e["head"], LatencyFunction(tuple(e["poly"])))
-                  for e in data["edges"])
+    edges = [_json_object(e, f"edge {i}", ("tail", "head", "poly"))
+             for i, e in enumerate(data["edges"])]
+    edges = tuple((e["tail"], e["head"], LatencyFunction(tuple(e["poly"]))) for e in edges)
     ods = tuple(_od_from_json(i, od) for i, od in enumerate(data["od"]))
     return RoutingNetwork(nodes=nodes, edges=edges, od_pairs=ods,
                           relax_monotonicity=data.get("relax_monotonicity", False))

@@ -1,12 +1,17 @@
 import errno
 import io
 import json
+import re
 import shutil
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import golden
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incentive_dynamics import aggregative as agg
 from incentive_dynamics import analysis, cli, dynamics, routing
@@ -822,6 +827,84 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, 
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     if not message.startswith("error in analysis"):  # no run has a record: no output
         assert [p for p in tmp_path.iterdir() if p != path] == []
+
+
+# an object of a config written as another JSON value, a nested block that
+# holds an unknown key, and a string key given another type: each once ran
+# with defaults, or exited with Python's own text
+MISSHAPEN = {
+    **{f"run-{name}": (dict(TWO_LINK_RUN, run=value), '"run" must be an object')
+       for name, value in (("null", None), ("list", []), ("string", "fast"),
+                           ("pairs", [["max_iterations", 5]]))},
+    **{f"{kind}-list": ({"game": {kind: [1, 2]}}, f'"{kind}" must be an object')
+       for kind in ("aggregative", "routing")},
+    "edge-list": (braess_with(lambda block: block["edges"].insert(0, ["s", "t", [0, 1]])),
+                  "edge 0 must be an object"),
+    "od-list": (braess_with(lambda block: block.update(od=[["s", "t", 1.0, [[0, 1]]]])),
+                "OD pair 0 must be an object"),
+    "h-term-list": (m2_with(h=[["quadratic", 0.1], QUADRATIC_TERM]),
+                    "operator-cost term 0 must be an object"),
+    "aggregative-unknown-key": ({"game": {"aggregative": dict(M2_GAME["aggregative"], beta=1)}},
+                                "unknown \"aggregative\" key 'beta'"),
+    "edge-unknown-key": (braess_with(lambda block: block["edges"][0].update(cap=3)),
+                         "unknown edge 0 key 'cap'"),
+    "builtin-list": ({"game": {"builtin": ["braess"]}}, '"builtin" must be a string'),
+    "output-dir-number": (dict(TWO_LINK_RUN, output_dir=5), '"output_dir" must be a string'),
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPEN)
+def test_a_misshapen_config_value_exits_1_naming_it(tmp_path, capsys, case):
+    config, message = MISSHAPEN[case]
+    path = write_config(tmp_path / "c.json", config)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+GOLDEN_CONFIGS = sorted(path.relative_to(golden.GOLDEN).as_posix()
+                        for path in golden.GOLDEN.rglob("*.json") if path != golden.MANIFEST)
+
+
+def object_paths(value, path=()):
+    """The path of every JSON object in ``value``, ``value`` itself included."""
+    if isinstance(value, dict):
+        yield path
+        for key, item in value.items():
+            yield from object_paths(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from object_paths(item, (*path, i))
+
+
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+@given(data=st.data())
+@settings(derandomize=True, max_examples=10, deadline=None)
+def test_a_golden_config_with_one_object_replaced_exits_1_naming_it(name, data):
+    # the object at a drawn path, the whole config included, becomes null, a
+    # list, a string or a number; configs/ run as the golden runs do, a
+    # verify_*.json under verify
+    config = json.loads((golden.GOLDEN / name).read_text())
+    path = data.draw(st.sampled_from(list(object_paths(config))))
+    value = data.draw(st.sampled_from([None, [], "x", 3]))
+    if path:
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        config = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["--config", write_config(Path(tmp) / "c.json", config)]
+        argv = (["verify", *argv] if Path(name).name.startswith("verify_")
+                else ["run", *argv, "--out", str(Path(tmp) / "out")])
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    assert code == 1, (path, value)
+    assert re.fullmatch(r"error( in analysis '\w+')?: (.+ must be (an|a JSON) object"
+                        r'|"analyses" must be a list of objects)\n', err.getvalue()), (
+        path, value, err.getvalue())
 
 
 @pytest.mark.parametrize("argv, code, err", [

@@ -703,10 +703,12 @@ def test_best_response_atomic_finite_box():
     # own partial 2 (x - c): minimisers below, above and inside [0, 1]
     c = np.array([-0.7, 1.9, 0.3])
     g = separable_game(np.zeros(3), np.ones(3), lambda x: 2.0 * (x - c))
-    # the last start lies outside the box; the search starts from its projection
-    for x in (np.zeros(3), np.ones(3), np.full(3, 0.5), np.array([-2.0, 3.0, 5.0])):
+    for x in (np.zeros(3), np.ones(3), np.full(3, 0.5)):
         f = games.best_response_atomic(g, x, np.zeros(3))
         np.testing.assert_allclose(f, [0.0, 1.0, 0.3], rtol=0, atol=1e-15)
+    # a start outside the box is no strategy of the game
+    with pytest.raises(InvalidArgumentError, match="strategy profile lies outside its box"):
+        games.best_response_atomic(g, np.array([-2.0, 3.0, 5.0]), np.zeros(3))
     # a payment moves the inside minimiser: 2 (y - 0.3) + 0.4 = 0
     f = games.best_response_atomic(g, np.full(3, 0.5), np.array([0.0, 0.0, 0.4]))
     np.testing.assert_allclose(f, [0.0, 1.0, 0.1], rtol=0, atol=1e-15)

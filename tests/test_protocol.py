@@ -118,7 +118,8 @@ def test_every_model_decides_feasibility_with_one_rule(name):
         np.testing.assert_array_equal(model.check_feasible(y), y, strict=True)
     # check_start and a run under every rule raise exactly what check_feasible
     # raises on x, and then what check_incentive raises on p0; so do the
-    # certificates, and a network's edge flow, on x
+    # certificates, and a network's edge flow, on x, and the inner solves of
+    # the model's kind from x as their start
     starts = [model.check_start] + [
         lambda y, q, rule=StrategyUpdateRule(variant, regularizer=regularizer):
         run_coupled(model, y, q, RunConfig(rule=rule, max_iterations=1))
@@ -127,6 +128,10 @@ def test_every_model_decides_feasibility_with_one_rule(name):
             {"box": lambda y: games.certify_nash_atomic(model, y, p),
              "simplex": lambda y: games.certify_nash_nonatomic(model, y, p),
              "network": lambda y: routing.route_to_edge_flow(model, y)}[entry.kind]]
+    solves = {"box": [lambda y: games.solve_equilibrium_atomic(model, p, x0=y),
+                      lambda y: games.best_response_atomic(model, y, p)],
+              "simplex": [lambda y: games.solve_equilibrium_nonatomic(model, p, x0=y)],
+              "network": [lambda y: routing.wardrop_equilibrium(model, p, x0=y)]}[entry.kind]
     nonfinite = [np.where(np.arange(x.size) == 0, value, x) for value in (np.nan, np.inf, -np.inf)]
     bad_x = [np.append(x, 0.0), x[:1], x[0], x[:, None], *past_a_bound(entry, x, 2e-9),
              *nonfinite]
@@ -136,7 +141,7 @@ def test_every_model_decides_feasibility_with_one_rule(name):
         want = raised(model.check_feasible, y)
         assert want is not None and want[0] is InvalidArgumentError, y
         assert [raised(start, y, p) for start in starts] == [want] * len(starts), y
-        assert [raised(call, y) for call in on_x] == [want] * len(on_x), y
+        assert [raised(call, y) for call in on_x + solves] == [want] * len(on_x + solves), y
     if entry.kind == "box":  # an infinite bound admits inf; the finiteness rule does not
         assert {raised(model.check_feasible, y)[1] for y in nonfinite} == {
             "strategy profile must be finite"}
