@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import _check_number, _check_positive, _json_object, _require_finite
+from .dynamics import _check_number, _check_positive, _json_value, _require_finite
 from .errors import ConvergenceError, SpecError
 from .games import AtomicGame, _checked_gap, check_incentive, nondecreasing_root
 
@@ -286,13 +286,14 @@ class _SpecGame(AtomicGame):
 
 
 def from_json(data: dict) -> QuadraticAggregativeSpec:
-    data = _json_object(data, '"aggregative"', ("q", "A", "alpha", "zeta", "h"))
-    h = tuple(_term_from_json(i, term) for i, term in enumerate(data["h"])) if "h" in data else None
+    data = _json_value(data, '"aggregative"', keys=(QuadraticAggregativeSpec,))
+    h = (tuple(_term_from_json(i, t) for i, t in enumerate(_json_value(data["h"], '"h"', list)))
+         if "h" in data else None)
     return QuadraticAggregativeSpec(data["q"], data["A"], data["alpha"], data.get("zeta"), h)
 
 
 def _term_from_json(i: int, term):
-    term = _json_object(term, f"operator-cost term {i}", ("kind", "zeta", "points", "grads"))
+    term = _json_value(term, f"operator-cost term {i}", keys=("kind", "zeta", "points", "grads"))
     kind = term["kind"]
     if kind == "table":
         return TableTerm(term["points"], term["grads"])

@@ -21,6 +21,7 @@ or a ``"verdict"`` other than ``"pass"``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import aggregative as agg
 from . import analysis, routing
-from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule, _json_object,
+from .dynamics import (RunConfig, StepSchedule, StrategyUpdateRule, _json_value,
                        run_coupled, strict_json)
 from .errors import ConvergenceError, EvaluationError, GameError, SpecError
 
@@ -104,12 +105,9 @@ def load_config(path) -> dict:
         raise SpecError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    data = _json_object(data, "config",  # a misspelled key would skip its part of the config
-                        ("game", "run", "analyses", "incentive_update", "output_dir"))
-    if "game" not in data:
-        raise SpecError('config is missing the required "game" key')
-    if not isinstance(data.get("output_dir", ""), str):
-        raise SpecError('"output_dir" must be a string')
+    data = _json_value(data, "config",  # a misspelled key would skip its part of the config
+                       keys=("game", "run", "analyses", "incentive_update", "output_dir"))
+    _json_value(data.get("output_dir", ""), '"output_dir"', str)
     if "true" in text or "false" in text:  # else no boolean, and a large spec skips the walk
         _reject_booleans(data)
     return data
@@ -130,46 +128,35 @@ def _reject_booleans(value, key=None) -> None:
 
 
 def build_game(spec: dict):
-    """The model of a "game" block: a routing network or an aggregative spec."""
-    if len(_json_object(spec, '"game"')) > 1:
-        raise SpecError(f'"game" holds more than one key: {", ".join(map(repr, spec))}')
-    if "builtin" in spec:
-        if not isinstance(spec["builtin"], str):
-            raise SpecError('"builtin" must be a string')
-        return routing.load_fixture(spec["builtin"])
-    if "aggregative" in spec:
-        return agg.from_json(spec["aggregative"])
-    if "routing" in spec:
-        return routing.network_from_json(spec["routing"])
-    raise SpecError('"game" needs one of "builtin", "aggregative", "routing"')
+    """The model of a "game" block's one key: a fixture, an aggregative spec or a network."""
+    games = {"builtin": lambda name: routing.load_fixture(_json_value(name, '"builtin"', str)),
+             "aggregative": agg.from_json, "routing": routing.network_from_json}
+    if len(_json_value(spec, '"game"', keys=games)) != 1:
+        raise SpecError('"game" needs exactly one of "builtin", "aggregative", "routing"')
+    (kind, block), = spec.items()
+    return games[kind](block)
 
 
-def _pop_object(block: dict, key: str) -> dict:
+def _pop_object(block: dict, key: str, keys=()) -> dict:
     """``block.pop(key)``, a JSON object, or {} if ``block`` lacks the key."""
-    return _json_object(block.pop(key, {}), f'"{key}"')
+    return _json_value(block.pop(key, {}), f'"{key}"', keys=keys)
 
 
 def _load(config_path) -> tuple:
-    """Run's and verify's first step: the config, its game's model and its analyses."""
+    """Run's and verify's one read of a config, so that a config is valid for both or neither."""
     data = load_config(config_path)
-    analyses = data.get("analyses", [])
-    if not isinstance(analyses, list) or not all(isinstance(a, dict) for a in analyses):
-        raise SpecError('"analyses" must be a list of objects')
-    return data, build_game(data["game"]), analyses
-
-
-def _run_setup(model, data: dict) -> tuple:
-    """``(update, config, game, x0, p0)`` from the config ``data``, whose "run" block it takes
-    out: ``game`` is the model the coupled loop runs on and (x0, p0) its checked start."""
-    run_spec = _pop_object(data, "run")
+    analyses = [_json_value(item, f"analysis {i}") for i, item in
+                enumerate(_json_value(data.get("analyses", []), '"analyses"', list))]
+    model = build_game(data["game"])
+    run_spec = _pop_object(data, "run", (RunConfig, "x0", "p0"))
     update = data.get("incentive_update", "externality")
     if update not in INCENTIVE_UPDATES:
         raise SpecError(f"unknown incentive_update {update!r}")
     for key in COUPLED_ONLY if update == "gradient_baseline" else ():
         if key in run_spec:
             raise SpecError(f"gradient_baseline ignores run key {key!r}")
-    sched = StepSchedule(**_pop_object(run_spec, "schedule"))
-    rule = StrategyUpdateRule(**_pop_object(run_spec, "rule"))
+    sched = StepSchedule(**_pop_object(run_spec, "schedule", (StepSchedule,)))
+    rule = StrategyUpdateRule(**_pop_object(run_spec, "rule", (StrategyUpdateRule,)))
     start = {key: run_spec.pop(key) for key in ("x0", "p0") if key in run_spec}
     for key, value in start.items():
         if value is None:
@@ -177,30 +164,38 @@ def _run_setup(model, data: dict) -> tuple:
     config = RunConfig(schedule=sched, rule=rule, **run_spec)
     game = analysis.strategy_model(model)
     x0, p0 = start.get("x0", game.uniform_point()), start.get("p0", np.zeros(game.dim))
-    return (update, config, game, *game.check_start(x0, p0))
+    return (data, model, analyses, update, config, game, *game.check_start(x0, p0))
+
+
+def _call(function, item: dict, *args):
+    """``function(*args, **item)``, if ``item`` names only its "op" and parameters past ``args``."""
+    code = inspect.unwrap(function).__code__  # a wrapped function's own: parameters lead its names
+    keys = ("op", *code.co_varnames[len(args):code.co_argcount])
+    return function(*args, **_json_value(item, "analysis", keys=keys))
 
 
 def run_analysis(model, item: dict) -> dict:
     item = dict(item)
     op = item.pop("op", None)
     if op == "verify_fixed_point_optimality":  # p defaults to the model's p†
-        return analysis.verify_fixed_point_optimality(model, **item)
+        return _call(analysis.verify_fixed_point_optimality, item, model)
     if op == "ode_probe":
-        cfg = analysis.OdeProbeConfig(**_pop_object(item, "config"))
-        return analysis.ode_probe_slow_dynamics(model, item.pop("start_points"), cfg, **item)
-    if op == "condition_c1":
-        return analysis.check_condition_C1(model, item.pop("p_samples"), **item)
-    if op == "condition_c2":
-        samples = item.pop("p_samples")
+        cfg = analysis.OdeProbeConfig(**_pop_object(item, "config", (analysis.OdeProbeConfig,)))
+        starts = _json_value(item.pop("start_points"), '"start_points"', list)
+        return _call(analysis.ode_probe_slow_dynamics, item, model, starts, cfg)
+    if op in ("condition_c1", "condition_c2"):
+        samples = _json_value(item.pop("p_samples"), '"p_samples"', list)
+        if op == "condition_c1":
+            return _call(analysis.check_condition_C1, item, model, samples)
         weight = item.pop("weight") if "weight" in item else model.certificate_weight()
-        return analysis.check_condition_C2(model, weight, samples, **item)
+        return _call(analysis.check_condition_C2, item, model, weight, samples)
     if op in ("global_conditions", "local_conditions"):
         if not isinstance(model, agg.QuadraticAggregativeSpec):
             raise SpecError(f"{op} applies to aggregative games")
-        return getattr(agg, f"check_{op}")(model)
+        return _call(getattr(agg, f"check_{op}"), item, model)
     if op == "counterexample":
-        grid_csv = item.pop("grid_csv", None)
-        report = analysis.reproduce_counterexample(**item)
+        grid_csv = _json_value(item.pop("grid_csv", ""), '"grid_csv"', str)
+        report = _call(analysis.reproduce_counterexample, item)
         if grid_csv:
             analysis.counterexample_grid_csv(report, grid_csv)
         for key in ("externality_runs", "grid_values", "grid_costs"):
@@ -210,13 +205,14 @@ def run_analysis(model, item: dict) -> dict:
         if not isinstance(model, routing.RoutingNetwork):
             raise SpecError("nondegeneracy applies to routing games")
         tolls = np.asarray(item.pop("tolls", np.zeros(model.n_edges)), float)
-        return {"verdict": routing.nondegeneracy_check(model, tolls, **item)}
+        return {"verdict": _call(routing.nondegeneracy_check, item, model, tolls)}
     if op == "uniqueness_probe":
-        out = analysis.multistart_uniqueness_probe(model, item.pop("p"), **item)
+        out = _call(analysis.multistart_uniqueness_probe, item, model, item.pop("p"))
         out.pop("solutions", None)
         return out
     if op == "schedule_assumptions":
-        return StepSchedule(**item).assumption_report()
+        schedule = _json_value(item, "analysis", keys=("op", StepSchedule))
+        return StepSchedule(**schedule).assumption_report()
     raise SpecError(f"unknown analysis op {op!r}")
 
 
@@ -263,8 +259,7 @@ def output_dir(config_path, data: dict, out_dir=None) -> Path:
 
 def run_experiment(config_path, out_dir=None) -> int:
     try:
-        data, model, analyses = _load(config_path)
-        update, config, game, x0, p0 = _run_setup(model, data)
+        data, model, analyses, update, config, game, x0, p0 = _load(config_path)
         out = output_dir(config_path, data, out_dir)
     except INVALID_INPUT as exc:
         return _failure(exc)
@@ -339,7 +334,7 @@ def run_directory(dir_path, out_dir=None) -> int:
 
 def verify(config_path) -> int:
     try:
-        _, model, analyses = _load(config_path)
+        _, model, analyses, *_ = _load(config_path)
         if not analyses:
             raise SpecError('verify needs at least one entry in "analyses"')
     except INVALID_INPUT as exc:

@@ -58,7 +58,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -106,13 +106,16 @@ def _check_positive(value, name: str, error=SpecError) -> None:
         raise error(f"{name} must be finite and positive")
 
 
-def _json_object(value, name: str, keys=()) -> dict:
-    """``value``, if it is a JSON object with no key outside ``keys`` (if given), else
-    ``SpecError`` naming ``name``: a key as '"run"', a part as 'edge 3', or 'config'."""
-    if not isinstance(value, dict):
-        raise SpecError(f"{name} must be {'a JSON' if name == 'config' else 'an'} object")
+def _json_value(value, name: str, kind=dict, keys=()):
+    """``value``, if it is a JSON ``kind`` (dict, list or str) with no key outside ``keys`` (if
+    given: names, and dataclasses whose fields name keys), else ``SpecError``
+    naming ``name``: a key as '"run"', a part as 'edge 3', or 'config'."""
+    if not isinstance(value, kind):
+        what = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise SpecError(f"{name} must be {'a JSON object' if name == 'config' else what}")
+    names = [n for k in keys for n in ((k,) if isinstance(k, str) else (f.name for f in fields(k)))]
     for key in value if keys else ():
-        if key not in keys:
+        if key not in names:
             raise SpecError(f"unknown {name} key {key!r}")
     return value
 

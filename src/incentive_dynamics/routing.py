@@ -29,9 +29,9 @@ solve's under the equilibrium rule.
 
 The solver core (``_solve_flow_program``, and ``_wardrop`` on it) keeps one
 contract, as the equilibrium solvers in ``games`` do: it takes a checked,
-feasible start, or None for the uniform route flow, clips that start at
-zero into an array of its own, and returns that array as the new route
-flow; it takes no other input from its caller and writes into none.
+feasible start, or None for the uniform route flow, copies it into an array
+of its own, projected if an entry lies below zero, and returns that array as
+the new route flow; it takes no other input from its caller and writes into none.
 ``wardrop_equilibrium`` and ``system_optimum`` check the tolerance, the
 sweep budget, the tolls and the start flow, in that order, and then call
 the core. ``RoutingNetwork.step`` under the equilibrium rule and the
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (RunConfig, TrajectoryRecord, _check_positive, _json_object,
+from .dynamics import (RunConfig, TrajectoryRecord, _check_positive, _json_value,
                        _positive_int, _require_finite, _with_default_step, run_coupled)
 from .errors import (ConvergenceError, InconsistencyError, InvalidArgumentError,
                      SpecError)
@@ -405,10 +405,10 @@ def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
     (Bertsekas and Gafni 1983). ``edge_terms(w)`` returns the edge costs c,
     the gradient of ``objective`` in edge flows, and their derivatives d,
     from one pass of the latency kernel. ``x0`` is the start, a feasible
-    route flow taken as checked, or None for the uniform route flow. The
-    solve clips it at zero into an array of its own, and returns that array
-    as the new route flow ``x`` with its edge flow ``w``; it writes into no
-    input.
+    route flow taken as checked, or None for the uniform route flow. The solve
+    copies it, projected if an entry lies within the slack below zero, and
+    returns that array as the new route flow ``x`` with its edge flow ``w``;
+    it writes into no input.
 
     A sweep visits the OD pairs, and within each its routes in order: a
     route r that carries flow and costs more than the cheapest route b of
@@ -431,7 +431,8 @@ def _solve_flow_program(net, edge_terms, objective, tol, x0, max_iter):
     flow and its gap.
     """
     inc = net.incidence
-    x = net.uniform_route_flow() if x0 is None else np.maximum(x0, 0.0)
+    x = (net.uniform_route_flow() if x0 is None
+         else net.project(x0) if (x0 < 0.0).any() else np.maximum(x0, 0.0))
     blocks = [(x[s], inc_s, m) for s, inc_s, m in net._od_blocks]  # xs is a view into x
 
     def measure():  # edge flow, edge terms and duality gap
@@ -718,22 +719,22 @@ def load_fixture(name: str) -> RoutingNetwork:
 def _od_from_json(i: int, od) -> OdPair:
     """OD pair ``i`` of a JSON routing block: a number "demand", and "routes"
     a list of lists (``RoutingNetwork`` checks that their entries are edge indices)."""
-    od = _json_object(od, f"OD pair {i}", ("o", "d", "demand", "routes"))
-    origin, destination, demand, routes = od["o"], od["d"], od["demand"], od["routes"]
+    od = _json_value(od, f"OD pair {i}", keys=("o", "d", "demand", "routes"))
+    origin, destination, demand = od["o"], od["d"], od["demand"]
     where = f"OD pair {i} ({origin} -> {destination})"
     if isinstance(demand, bool) or not isinstance(demand, (int, float)):
         raise SpecError(f'{where}: "demand" must be a number, got {demand!r}')
-    if not (isinstance(routes, list) and all(isinstance(r, list) for r in routes)):
-        raise SpecError(f'{where}: "routes" must be a list of edge-index lists, got {routes!r}')
-    return OdPair(origin, destination, float(demand), tuple(map(tuple, routes)))
+    routes = enumerate(_json_value(od["routes"], f'{where}: "routes"', list))
+    routes = tuple(tuple(_json_value(r, f"{where}: route {j}", list)) for j, r in routes)
+    return OdPair(origin, destination, float(demand), routes)
 
 
 def network_from_json(data: dict) -> RoutingNetwork:
-    data = _json_object(data, '"routing"', ("nodes", "edges", "od", "relax_monotonicity"))
-    nodes = tuple(data["nodes"])
-    edges = [_json_object(e, f"edge {i}", ("tail", "head", "poly"))
-             for i, e in enumerate(data["edges"])]
+    data = _json_value(data, '"routing"', keys=("nodes", "edges", "od", "relax_monotonicity"))
+    nodes = tuple(_json_value(data["nodes"], '"nodes"', list))
+    edges = [_json_value(e, f"edge {i}", keys=("tail", "head", "poly"))
+             for i, e in enumerate(_json_value(data["edges"], '"edges"', list))]
     edges = tuple((e["tail"], e["head"], LatencyFunction(tuple(e["poly"]))) for e in edges)
-    ods = tuple(_od_from_json(i, od) for i, od in enumerate(data["od"]))
+    ods = tuple(_od_from_json(i, od) for i, od in enumerate(_json_value(data["od"], '"od"', list)))
     return RoutingNetwork(nodes=nodes, edges=edges, od_pairs=ods,
                           relax_monotonicity=data.get("relax_monotonicity", False))

@@ -111,11 +111,14 @@ def test_malformed_analysis_item_exits_1(tmp_path, capsys, command, item, op):
     assert f"error in analysis '{op}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("analyses, message", [
+    (["ode_probe"], "analysis 0 must be an object"), ("ode_probe", '"analyses" must be a list')],
+    ids=["string-item", "string"])
 @pytest.mark.parametrize("command", ["run", "verify"])
-def test_analyses_not_a_list_of_objects_exits_1(tmp_path, capsys, command):
-    cfg = dict(TWO_LINK_RUN, output_dir=str(tmp_path / "out"), analyses=["ode_probe"])
+def test_analyses_not_a_list_of_objects_exits_1(tmp_path, capsys, command, analyses, message):
+    cfg = dict(TWO_LINK_RUN, output_dir=str(tmp_path / "out"), analyses=analyses)
     assert cli.main([command, "--config", write_config(tmp_path / "c.json", cfg)]) == 1
-    assert '"analyses" must be a list of objects' in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_wrong_length_p0_exits_1(tmp_path, capsys):
@@ -129,7 +132,7 @@ def test_missing_game_key_exits_1(tmp_path, capsys):
     code = cli.main(["run", "--config",
                      write_config(tmp_path / "c.json", {"run": {}})])
     assert code == 1
-    assert "game" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: missing key 'game'\n"
 
 
 def test_malformed_json_exits_1_with_position(tmp_path, capsys):
@@ -333,7 +336,7 @@ def test_directory_run_reports_unreadable_configs_in_order(tmp_path, capsys):
     tree = output_tree(configs)
     assert code == 1
     assert stderr.startswith(f"error: malformed JSON in {configs / 'a_malformed.json'} at line 1")
-    assert stderr.endswith('\nerror: config is missing the required "game" key\n')
+    assert stderr.endswith("\nerror: missing key 'game'\n")
     assert stderr.count("\n") == 2
     assert stdout == f"wrote {configs / 'b_pass'}/trajectory.csv, summary.json\n"
     assert sorted(tree) == ["a_malformed.json", "b_pass.json", "b_pass/plot.py",
@@ -547,8 +550,8 @@ def test_verify_nonfinite_routing_block_exits_1_before_solving(tmp_path, capsys,
 @pytest.mark.parametrize("od, message", [
     ({"demand": "1.0"}, "\"demand\" must be a number, got '1.0'"),
     ({"demand": True}, "\"demand\" must be a number, got True"),
-    ({"routes": [[0, 1], 1]}, "\"routes\" must be a list of edge-index lists"),
-    ({"routes": {"0": [0, 1]}}, "\"routes\" must be a list of edge-index lists"),
+    ({"routes": [[0, 1], 1]}, "route 1 must be a list"),
+    ({"routes": {"0": [0, 1]}}, "\"routes\" must be a list"),
 ], ids=["string_demand", "bool_demand", "number_route", "object_routes"])
 def test_verify_malformed_od_values_exit_1_naming_the_pair(tmp_path, capsys, od, message):
     block = json.loads(json.dumps(BRAESS_ROUTING))
@@ -697,7 +700,7 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
     ("run", [ROUTING_VERIFY], "error: config must be a JSON object\n"),
     ("verify", dict(ROUTING_VERIFY, game=["two_link"]), 'error: "game" must be an object\n'),
     ("run", dict(ROUTING_VERIFY, game={"network": BRAESS_ROUTING}),
-     'error: "game" needs one of "builtin", "aggregative", "routing"\n'),
+     "error: unknown \"game\" key 'network'\n"),
     ("run", MISSING_FILE, "error: cannot read config {path}: "),
     ("verify", MISSING_FILE, "error: cannot read config {path}: "),
     ("run", dict(TWO_LINK_RUN, run=dict(TWO_LINK_RUN["run"], record_every=2.5)),
@@ -771,7 +774,7 @@ def test_table_operator_cost_runs_like_its_quadratic_twin(tmp_path):
       for weight, shape in (([[1.0, 0.0]], (1, 2)), (1.0, ()), ([1.0, 2.0], (2,)))],
     ("verify", {"game": {"builtin": "two_link", **M2_GAME},
                 "analyses": [{"op": "verify_fixed_point_optimality"}]},
-     "error: \"game\" holds more than one key: 'builtin', 'aggregative'\n"),
+     'error: "game" needs exactly one of "builtin", "aggregative", "routing"\n'),
     ("run", braess_with(lambda block: block.update(relax_monotonicity="false")),
      "error: relax_monotonicity must be true or false\n"),
     ("run", braess_with(lambda block: block["od"][0].update(routes=[[0.0, 1], [2, 3]])),
@@ -829,71 +832,87 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, command, config, 
         assert [p for p in tmp_path.iterdir() if p != path] == []
 
 
-# an object of a config written as another JSON value, a nested block that
-# holds an unknown key, and a string key given another type: each once ran
-# with defaults, or exited with Python's own text
+# an object of a config written as another JSON value, a list or a string given
+# another, or an object that holds an unknown key, in each part of a config, with the
+# line both commands print for it: each once ran with defaults, exited 0 under verify,
+# or exited with Python's own text
+ANALYSED_RUN = {"game": {"builtin": "two_link"},
+                "run": {"max_iterations": 50, "convergence_tol": 1e-2},
+                "analyses": [{"op": "schedule_assumptions"}]}
 MISSHAPEN = {
-    **{f"run-{name}": (dict(TWO_LINK_RUN, run=value), '"run" must be an object')
+    **{f"run-{name}": (dict(TWO_LINK_RUN, run=value), 'error: "run" must be an object')
        for name, value in (("null", None), ("list", []), ("string", "fast"),
                            ("pairs", [["max_iterations", 5]]))},
-    **{f"{kind}-list": ({"game": {kind: [1, 2]}}, f'"{kind}" must be an object')
+    **{f"{kind}-list": ({"game": {kind: [1, 2]}}, f'error: "{kind}" must be an object')
        for kind in ("aggregative", "routing")},
     "edge-list": (braess_with(lambda block: block["edges"].insert(0, ["s", "t", [0, 1]])),
-                  "edge 0 must be an object"),
+                  "error: edge 0 must be an object"),
     "od-list": (braess_with(lambda block: block.update(od=[["s", "t", 1.0, [[0, 1]]]])),
-                "OD pair 0 must be an object"),
+                "error: OD pair 0 must be an object"),
     "h-term-list": (m2_with(h=[["quadratic", 0.1], QUADRATIC_TERM]),
-                    "operator-cost term 0 must be an object"),
+                    "error: operator-cost term 0 must be an object"),
     "aggregative-unknown-key": ({"game": {"aggregative": dict(M2_GAME["aggregative"], beta=1)}},
-                                "unknown \"aggregative\" key 'beta'"),
+                                "error: unknown \"aggregative\" key 'beta'"),
     "edge-unknown-key": (braess_with(lambda block: block["edges"][0].update(cap=3)),
-                         "unknown edge 0 key 'cap'"),
-    "builtin-list": ({"game": {"builtin": ["braess"]}}, '"builtin" must be a string'),
-    "output-dir-number": (dict(TWO_LINK_RUN, output_dir=5), '"output_dir" must be a string'),
+                         "error: unknown edge 0 key 'cap'"),
+    "builtin-list": ({"game": {"builtin": ["braess"]}}, 'error: "builtin" must be a string'),
+    "output-dir-number": (dict(TWO_LINK_RUN, output_dir=5), 'error: "output_dir" must be a string'),
+    "h-number": (m2_with(h=5), 'error: "h" must be a list'),
+    **{f"{key}-number": (braess_with(lambda block, key=key: block.update({key: 5})),
+                         f'error: "{key}" must be a list') for key in ("nodes", "edges", "od")},
+    "run-unknown-key": ({"run": {"seed": 3}}, "error: unknown \"run\" key 'seed'"),
+    "rule-unknown-key": ({"run": {"rule": {"varient": "gradient"}}},
+                         "error: unknown \"rule\" key 'varient'"),
+    "schedule-unknown-key": ({"run": {"schedule": {"gama0": 0.5}}},
+                             "error: unknown \"schedule\" key 'gama0'"),
+    "ode-config-unknown-key": ({"analyses": ode_probe({"stp": 0.1})["analyses"]},
+                               "error in analysis 'ode_probe': unknown \"config\" key 'stp'"),
+    "ode-start-points-number": (
+        {"analyses": [{"op": "ode_probe", "start_points": 3}]},
+        "error in analysis 'ode_probe': \"start_points\" must be a list"),
+    "c1-unknown-key": ({"analyses": [{"op": "condition_c1", "p_samples": [[0.1, 0.2]], "tool": 1}]},
+                       "error in analysis 'condition_c1': unknown analysis key 'tool'"),
+    "c1-p-samples-number": ({"analyses": [{"op": "condition_c1", "p_samples": 3}]},
+                            "error in analysis 'condition_c1': \"p_samples\" must be a list"),
+    # a grid_csv of 1 once opened file descriptor 1, the standard output
+    **{f"grid-csv-{value}": (
+        {"analyses": [{"op": "counterexample", "grid": 3, "grid_csv": value}]},
+        "error in analysis 'counterexample': \"grid_csv\" must be a string")
+       for value in (1, True)},
 }
 
 
 @pytest.mark.parametrize("case", MISSHAPEN)
-def test_a_misshapen_config_value_exits_1_naming_it(tmp_path, capsys, case):
-    config, message = MISSHAPEN[case]
-    path = write_config(tmp_path / "c.json", config)
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_misshapen_config_value_exits_1_naming_it(tmp_path, capsys, command, case):
+    config, line = MISSHAPEN[case]
+    argv = [command, "--config", write_config(tmp_path / "c.json", {**ANALYSED_RUN, **config})]
+    assert cli.main(argv + (["--out", str(tmp_path / "out")] if command == "run" else [])) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+    if not line.startswith("error in analysis"):  # no run has a record: no output
+        assert not (tmp_path / "out").exists()
 
 
 GOLDEN_CONFIGS = sorted(path.relative_to(golden.GOLDEN).as_posix()
                         for path in golden.GOLDEN.rglob("*.json") if path != golden.MANIFEST)
 
 
-def object_paths(value, path=()):
-    """The path of every JSON object in ``value``, ``value`` itself included."""
-    if isinstance(value, dict):
+def paths_of(value, kind, path=()):
+    """The path of every JSON ``kind`` (dict or list) in ``value``, ``value`` itself included."""
+    if isinstance(value, kind):
         yield path
-        for key, item in value.items():
-            yield from object_paths(item, (*path, key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from object_paths(item, (*path, i))
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from paths_of(item, kind, (*path, key))
 
 
-@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
-@given(data=st.data())
-@settings(derandomize=True, max_examples=10, deadline=None)
-def test_a_golden_config_with_one_object_replaced_exits_1_naming_it(name, data):
-    # the object at a drawn path, the whole config included, becomes null, a
-    # list, a string or a number; configs/ run as the golden runs do, a
-    # verify_*.json under verify
-    config = json.loads((golden.GOLDEN / name).read_text())
-    path = data.draw(st.sampled_from(list(object_paths(config))))
-    value = data.draw(st.sampled_from([None, [], "x", 3]))
-    if path:
-        parent = config
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-    else:
-        config = value
+def golden_config(name) -> dict:
+    return json.loads((golden.GOLDEN / name).read_text())
+
+
+def golden_job(name, config) -> tuple:
+    """The exit code and stderr of ``config`` run as the golden config ``name`` runs:
+    configs/ as the golden runs do, a verify_*.json under verify."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["--config", write_config(Path(tmp) / "c.json", config)]
@@ -901,10 +920,87 @@ def test_a_golden_config_with_one_object_replaced_exits_1_naming_it(name, data):
                 else ["run", *argv, "--out", str(Path(tmp) / "out")])
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def parent_of(config, path):
+    """The object or list that holds the value at the non-empty ``path`` of ``config``."""
+    for key in path[:-1]:
+        config = config[key]
+    return config
+
+
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+@given(data=st.data())
+@settings(derandomize=True, max_examples=10, deadline=None)
+def test_a_golden_config_with_one_object_replaced_exits_1_naming_it(name, data):
+    # the object at a drawn path, the whole config included, becomes null, a
+    # list, a string or a number
+    config = golden_config(name)
+    path = data.draw(st.sampled_from(list(paths_of(config, dict))))
+    value = data.draw(st.sampled_from([None, [], "x", 3]))
+    if path:
+        parent_of(config, path)[path[-1]] = value
+    else:
+        config = value
+    code, err = golden_job(name, config)
     assert code == 1, (path, value)
-    assert re.fullmatch(r"error( in analysis '\w+')?: (.+ must be (an|a JSON) object"
-                        r'|"analyses" must be a list of objects)\n', err.getvalue()), (
-        path, value, err.getvalue())
+    assert re.fullmatch(r"error( in analysis '\w+')?: .+ must be (an|a JSON) object\n", err), (
+        path, value, err)
+
+
+def with_optional_objects(config: dict) -> dict:
+    """``config`` with {} for each optional object it leaves out, which reads as its
+    defaults: the run block, its rule and schedule, and an ode_probe item's config."""
+    run = config.setdefault("run", {})
+    run.setdefault("rule", {})
+    run.setdefault("schedule", {})
+    for item in config.get("analyses", []):
+        if item["op"] == "ode_probe":
+            item.setdefault("config", {})
+    return config
+
+
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+@given(data=st.data())
+@settings(derandomize=True, max_examples=10, deadline=None)
+def test_a_golden_config_with_one_unknown_key_exits_1_naming_it(name, data):
+    # a key that no object of a config holds, added to the object at a drawn path:
+    # the whole config, a game block, the run block, its rule or schedule, an
+    # analysis item or an ode_probe config
+    config = with_optional_objects(golden_config(name))
+    path = data.draw(st.sampled_from(list(paths_of(config, dict))))
+    key = data.draw(st.sampled_from(["varient", "gama0", "stp", "tool", "seeds"]))
+    value = data.draw(st.sampled_from([None, 0.5, "x", [], {}]))
+    (parent_of(config, path)[path[-1]] if path else config)[key] = value
+    code, err = golden_job(name, config)
+    assert code == 1, (path, key)
+    assert re.fullmatch(rf"error( in analysis '\w+')?: unknown .+ key '{key}'\n", err), (
+        path, key, err)
+
+
+# the lists a config's structure is read from, as against lists of numbers
+STRUCTURAL_LISTS = ("h", "nodes", "edges", "od", "routes", "analyses")
+
+
+def structural_list_paths(config) -> list:
+    return [path for path in paths_of(config, list) if path and path[-1] in STRUCTURAL_LISTS]
+
+
+@pytest.mark.parametrize("name", [name for name in GOLDEN_CONFIGS
+                                  if structural_list_paths(golden_config(name))])
+@given(data=st.data())
+@settings(derandomize=True, max_examples=10, deadline=None)
+def test_a_golden_config_with_one_structural_list_replaced_exits_1_naming_it(name, data):
+    # the list at a drawn path becomes null, an object, a string or a number
+    config = golden_config(name)
+    path = data.draw(st.sampled_from(structural_list_paths(config)))
+    value = data.draw(st.sampled_from([None, {}, "x", 3]))
+    parent_of(config, path)[path[-1]] = value
+    code, err = golden_job(name, config)
+    assert code == 1, (path, value)
+    assert re.fullmatch(rf'error: (OD pair \d+ \(.+\): )?"{path[-1]}" must be a list\n', err), (
+        path, value, err)
 
 
 @pytest.mark.parametrize("argv, code, err", [

@@ -13,7 +13,9 @@ strategy and only ``games.AtomicGame.check_feasible`` one about a strategy
 profile outside its box, and no function one about a strategy's shape of its
 own. Only ``dynamics._check_positive`` raises a "must be finite and
 positive" error, and besides it and those three rules only
-``dynamics._require_finite`` a "must be finite" one. The package defines
+``dynamics._require_finite`` a "must be finite" one. Only
+``dynamics._json_value`` raises an error about a config value's JSON kind or
+an object's unknown key. The package defines
 ``check_start`` once and no ``is_feasible``; and every public function that
 takes a ``tol`` calls ``games.check_tolerance``. No two functions of the package share their
 parameter names and body, every hypothesis property under ``tests/`` is
@@ -29,6 +31,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from incentive_dynamics.dynamics import _json_value
+from incentive_dynamics.errors import SpecError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "incentive_dynamics"
@@ -204,8 +209,8 @@ def test_no_function_body_is_written_twice():
 
 def errors_mentioning(source: str, phrase: str) -> list:
     """The functions of ``source`` that raise an error whose message mentions
-    ``phrase``, in source order, each once, by dotted name within the module
-    (``Class.method``, ``outer.inner``; None at module level)."""
+    ``phrase``, a regular expression, in source order, each once, by dotted name
+    within the module (``Class.method``, ``outer.inner``; None at module level)."""
     found = []
 
     def visit(node, scope):
@@ -214,7 +219,7 @@ def errors_mentioning(source: str, phrase: str) -> list:
         if isinstance(node, ast.Raise) and node.exc is not None:
             text = " ".join(n.value for n in ast.walk(node.exc)
                             if isinstance(n, ast.Constant) and isinstance(n.value, str))
-            if phrase in text and scope not in found:
+            if re.search(phrase, text) and scope not in found:
                 found.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -274,6 +279,21 @@ def test_only_require_finite_builds_any_other_must_be_finite_error():
     assert raisers_in_package("must be finite") == {
         "dynamics.py": ["_require_finite", "_check_positive"],
         "games.py": ["check_incentive", "_BlockSpace.check_feasible", "AtomicGame.check_feasible"]}
+
+
+def test_only_the_json_reader_builds_a_kind_or_an_unknown_key_error():
+    # a bespoke isinstance check on a config value, or a second list of an object's
+    # keys, would word its error its own way; the reader builds its kind errors from
+    # its table of kinds
+    assert raisers_in_package(r"must be (an|a JSON) object|must be a (list|string)\b") == {}
+    assert raisers_in_package(r"unknown .*key") == {"dynamics.py": ["_json_value"]}
+    for value, name, kind, message in ((3, "config", dict, "config must be a JSON object"),
+                                       ([], '"run"', dict, '"run" must be an object'),
+                                       ({}, '"h"', list, '"h" must be a list'),
+                                       (1, '"grid_csv"', str, '"grid_csv" must be a string')):
+        with pytest.raises(SpecError) as error:
+            _json_value(value, name, kind)
+        assert str(error.value) == message
 
 
 def test_no_function_builds_a_strategy_shape_error_of_its_own():

@@ -131,7 +131,8 @@ def test_every_model_decides_feasibility_with_one_rule(name):
     solves = {"box": [lambda y: games.solve_equilibrium_atomic(model, p, x0=y),
                       lambda y: games.best_response_atomic(model, y, p)],
               "simplex": [lambda y: games.solve_equilibrium_nonatomic(model, p, x0=y)],
-              "network": [lambda y: routing.wardrop_equilibrium(model, p, x0=y)]}[entry.kind]
+              "network": [lambda y: routing.wardrop_equilibrium(model, p, x0=y),
+                          lambda y: routing.system_optimum(model, x0=y)]}[entry.kind]
     nonfinite = [np.where(np.arange(x.size) == 0, value, x) for value in (np.nan, np.inf, -np.inf)]
     bad_x = [np.append(x, 0.0), x[:1], x[0], x[:, None], *past_a_bound(entry, x, 2e-9),
              *nonfinite]
@@ -153,12 +154,13 @@ def test_every_model_decides_feasibility_with_one_rule(name):
         want = raised(check_incentive, bad_p, model.dim)
         assert want is not None
         assert [raised(start, x, bad_p) for start in starts] == [want] * len(starts)
-    # a start within the slack of a bound passes, and so does such an x alone
+    # a start within the slack of a bound passes, and so does such an x alone, and
+    # every inner solve converges from it
     for y in past_a_bound(entry, x, 5e-10):
         start, p0 = model.check_start(y, p)
         np.testing.assert_array_equal(start, y, strict=True)
         np.testing.assert_array_equal(p0, p, strict=True)
-        for call in on_x:
+        for call in on_x + solves:
             call(y)
 
 
@@ -321,7 +323,7 @@ INNER_SOLVE_CASES = [(solve, model, start) for solve, (kind, _) in INNER_SOLVES.
 @pytest.mark.parametrize("solve, model, start", INNER_SOLVE_CASES,
                          ids=["-".join(case) for case in INNER_SOLVE_CASES])
 def test_every_inner_solve_returns_a_new_flow_and_writes_into_no_input(solve, model, start):
-    # one contract: a checked start (or None), clipped into the solve's own
+    # one contract: a checked start (or None), copied into the solve's own
     # array, which it returns; read-only inputs make any write raise. The
     # two-link solve at zero tolls once returned its uniform start itself,
     # and the Braess one wrote into it

@@ -1216,7 +1216,10 @@ def test_network_from_json_names_the_od_pair_of_a_bad_value():
         "od": [{"o": "S", "d": "D", "demand": 1.0, "routes": [[0]]},
                {"o": "S", "d": "D", "demand": 1.0, "routes": [0]}],
     }
-    with pytest.raises(SpecError, match=re.escape('OD pair 1 (S -> D): "routes" must be')):
+    with pytest.raises(SpecError, match=re.escape("OD pair 1 (S -> D): route 0 must be a list")):
+        network_from_json(data)
+    data["od"][1].update(routes=0)
+    with pytest.raises(SpecError, match=re.escape('OD pair 1 (S -> D): "routes" must be a list')):
         network_from_json(data)
     data["od"][1].update(routes=[[0]], demand=[1.0])
     with pytest.raises(SpecError, match=re.escape('OD pair 1 (S -> D): "demand" must be')):
